@@ -24,8 +24,6 @@ from .solver import (
     korteweg_force,
     run,
     step,
-    step_ch,
-    step_ns,
 )
 from .spectral import (
     Grid,

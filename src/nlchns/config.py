@@ -13,6 +13,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .initialdata import InitialSpec, VelocitySpec
@@ -134,10 +135,14 @@ class _Reader:
         if key not in self.raw:
             return default
         try:
-            return float(self.raw[key])
+            value = float(self.raw[key])
         except ValueError:
             self.errors.append(f"{key}: not a number: {self.raw[key]!r}")
             return default
+        if not math.isfinite(value):
+            self.errors.append(f"{key}: must be finite, got {self.raw[key]!r}")
+            return default
+        return value
 
     def intv(self, key: str, default: int | None = None) -> int | None:
         if key not in self.raw:
@@ -169,9 +174,14 @@ def _parse_modes(text: str, errors: list[str]) -> dict[tuple[int, int], float]:
         try:
             coords, value = chunk.split(":")
             m1, m2 = coords.split(",")
-            modes[(int(m1), int(m2))] = float(value)
+            mode, v = (int(m1), int(m2)), float(value)
         except ValueError:
             errors.append(f"kernel.modes: malformed entry {chunk!r} (want 'm1,m2:value')")
+            continue
+        if math.isfinite(v):
+            modes[mode] = v
+        else:
+            errors.append(f"kernel.modes: must be finite, got {chunk!r}")
     return modes
 
 
@@ -188,8 +198,8 @@ def parse_config(text: str) -> SimConfig:
             errors.append(f"missing required key {key!r}")
     r = _Reader(raw, errors)
 
-    n = r.intv("grid.n", 0) or 0
-    l = r.floatv("grid.l", 0.0) or 0.0
+    n = r.intv("grid.n", 0)
+    l = r.floatv("grid.l", 0.0)
     if r.has("grid.n") and (n < 8 or (n & (n - 1)) != 0):
         errors.append(f"grid.n must be a power of two >= 8, got {n}")
     if r.has("grid.l") and l <= 0:
@@ -249,15 +259,17 @@ def parse_config(text: str) -> SimConfig:
         else:
             try:
                 coeffs = [float(c) for c in coeff_text.split(",")]
+                if not all(math.isfinite(c) for c in coeffs):
+                    raise ValueError(f"must be finite, got {coeff_text!r}")
                 potential = PotentialSpec.polynomial(coeffs)
             except ValueError as err:
                 errors.append(f"potential.coefficients: {err}")
     elif r.has("potential"):
         errors.append(f"unknown potential family {pfam!r}")
 
-    nu = r.floatv("nu", 0.0) or 0.0
-    dt = r.floatv("dt", 0.0) or 0.0
-    t_end = r.floatv("t_end", 0.0) or 0.0
+    nu = r.floatv("nu", 0.0)
+    dt = r.floatv("dt", 0.0)
+    t_end = r.floatv("t_end", 0.0)
     if r.has("nu") and nu <= 0:
         errors.append("nu must be positive")
     if r.has("dt") and dt <= 0:
@@ -270,15 +282,11 @@ def parse_config(text: str) -> SimConfig:
             if abs(steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
                 errors.append("t_end must be an integer multiple of dt")
 
-    stab_raw = r.string("stabilizer", "auto")
     stabilizer: object = "auto"
-    if stab_raw != "auto":
-        try:
-            stabilizer = float(stab_raw)
-            if stabilizer < 0:
-                errors.append("stabilizer must be nonnegative (or 'auto')")
-        except ValueError:
-            errors.append(f"stabilizer: expected 'auto' or a number, got {stab_raw!r}")
+    if r.string("stabilizer", "auto") != "auto":
+        stabilizer = r.floatv("stabilizer", 0.0)
+        if stabilizer < 0:
+            errors.append("stabilizer must be nonnegative (or 'auto')")
 
     force_form = r.string("force_form", "phi_grad_mu")
     if force_form not in ("phi_grad_mu", "mu_grad_phi"):
@@ -287,20 +295,20 @@ def parse_config(text: str) -> SimConfig:
     ifam = r.string("initial", "uniform")
     initial = InitialSpec()
     if ifam == "uniform":
-        initial = InitialSpec(family="uniform", c=r.floatv("initial.c", 0.0) or 0.0)
+        initial = InitialSpec(family="uniform", c=r.floatv("initial.c", 0.0))
     elif ifam == "random":
         seed = r.intv("initial.seed")
         if seed is None:
             errors.append("initial.seed is required for random initial data")
         initial = InitialSpec(
             family="random",
-            amplitude=r.floatv("initial.amplitude", 0.0) or 0.0,
-            mean=r.floatv("initial.mean", 0.0) or 0.0,
+            amplitude=r.floatv("initial.amplitude", 0.0),
+            mean=r.floatv("initial.mean", 0.0),
             seed=seed,
             band=r.intv("initial.band"),
         )
     elif ifam == "tanh_strip":
-        width = r.floatv("initial.width", 0.1) or 0.1
+        width = r.floatv("initial.width", 0.1)
         if width <= 0:
             errors.append("initial.width must be positive")
         initial = InitialSpec(family="tanh_strip", width=width)
@@ -316,7 +324,7 @@ def parse_config(text: str) -> SimConfig:
     if ufam == "zero":
         velocity = VelocitySpec(family="zero")
     elif ufam == "taylor_green":
-        velocity = VelocitySpec(family="taylor_green", amplitude=r.floatv("initial.u0_amplitude", 1.0) or 1.0)
+        velocity = VelocitySpec(family="taylor_green", amplitude=r.floatv("initial.u0_amplitude", 1.0))
     elif ufam == "file":
         px, py = r.string("initial.u0_path_x"), r.string("initial.u0_path_y")
         if not (px and py):
@@ -327,7 +335,7 @@ def parse_config(text: str) -> SimConfig:
         velocity = VelocitySpec()
 
     ffam = r.string("forcing", "zero")
-    decay = r.floatv("forcing.decay", 0.0) or 0.0
+    decay = r.floatv("forcing.decay", 0.0)
     if decay < 0:
         errors.append("forcing.decay must be nonnegative")
     if ffam == "zero":
@@ -335,8 +343,8 @@ def parse_config(text: str) -> SimConfig:
     elif ffam == "body":
         forcing = ForcingSpec(
             family="body",
-            amplitude=(r.floatv("forcing.amplitude_x", 0.0) or 0.0,
-                       r.floatv("forcing.amplitude_y", 0.0) or 0.0),
+            amplitude=(r.floatv("forcing.amplitude_x", 0.0),
+                       r.floatv("forcing.amplitude_y", 0.0)),
             decay=decay,
         )
     elif ffam == "single_mode":
@@ -346,18 +354,18 @@ def parse_config(text: str) -> SimConfig:
             errors.append("forcing.mode_x/mode_y must not both be zero")
         forcing = ForcingSpec(
             family="single_mode",
-            mode=(m1 or 0, m2 or 0),
-            scale=r.floatv("forcing.scale", 0.0) or 0.0,
+            mode=(m1, m2),
+            scale=r.floatv("forcing.scale", 0.0),
             decay=decay,
         )
     else:
         errors.append(f"unknown forcing family {ffam!r}")
         forcing = ForcingSpec()
 
-    record_every = r.intv("output.record_every", 1) or 1
+    record_every = r.intv("output.record_every", 1)
     if record_every < 1:
         errors.append("output.record_every must be >= 1")
-    snapshot_every = r.intv("output.snapshot_every", 0) or 0
+    snapshot_every = r.intv("output.snapshot_every", 0)
     if snapshot_every < 0:
         errors.append("output.snapshot_every must be >= 0")
     output = OutputConfig(
@@ -370,8 +378,8 @@ def parse_config(text: str) -> SimConfig:
         enforce_hypotheses=r.boolv("checks.enforce_hypotheses", True),
         grad_control=r.boolv("checks.grad_control", False),
         dissipative=r.boolv("checks.dissipative", False),
-        s_lo=r.floatv("checks.s_lo", -2.0) or -2.0,
-        s_hi=r.floatv("checks.s_hi", 2.0) or 2.0,
+        s_lo=r.floatv("checks.s_lo", -2.0),
+        s_hi=r.floatv("checks.s_hi", 2.0),
     )
     if checks.s_lo >= checks.s_hi:
         errors.append("checks.s_lo must be below checks.s_hi")

@@ -33,6 +33,7 @@ from .spectral import (
     SpectrumField,
     inner,
     norm_l2,
+    rgradient,
     transform,
 )
 
@@ -68,9 +69,10 @@ class KernelSpec:
         return KernelSpec(family="spectral", modes=items)
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelOnGrid:
-    """A kernel discretized on one grid, with its spectral data and norms."""
+    """A kernel discretized on one grid, with its spectral data and norms;
+    compared by identity, so that the solver can cache operators per kernel."""
 
     grid: Grid
     samples: ScalarField
@@ -139,10 +141,7 @@ def _spectral_samples(grid: Grid, modes):
             mult[key] = v
     val = np.fft.ifft2(mult).real / grid.cell_volume
     # band-limited, so spectral differentiation of the samples is exact
-    fh = np.fft.fft2(val)
-    gx = np.fft.ifft2(1j * grid.kx * fh).real
-    gy = np.fft.ifft2(1j * grid.ky * fh).real
-    return val, np.hypot(gx, gy)
+    return val, np.hypot(*rgradient(grid, np.fft.rfft2(val)))
 
 
 def build_kernel(spec: KernelSpec, grid: Grid) -> KernelOnGrid:
@@ -199,7 +198,7 @@ def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
     """(J * f)(x) = integral J(x - y) f(y) dy as a spectral product."""
     if kernel.grid != f.grid:
         raise ValueError("kernel and field on different grids")
-    out = np.fft.ifft2(kernel.multiplier * np.fft.fft2(f.values)).real
+    out = np.fft.irfft2(kernel.multiplier[:, : f.grid.n // 2 + 1] * np.fft.rfft2(f.values))
     return ScalarField(f.grid, out)
 
 
@@ -208,8 +207,3 @@ def interaction_energy(kernel: KernelOnGrid, f: ScalarField) -> float:
     (1/2) double-integral = a ||f||^2 - (f, J*f)."""
     nf2 = norm_l2(f) ** 2
     return 0.5 * (kernel.a * nf2 - inner(f, convolve(kernel, f)))
-
-
-def kernel_norms(kernel: KernelOnGrid) -> tuple[float, float, float, float]:
-    """(a, ||J||_L1, ||grad J||_L1, a*)."""
-    return (kernel.a, kernel.norm_l1, kernel.grad_norm_l1, kernel.a_star)

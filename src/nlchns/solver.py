@@ -14,42 +14,50 @@ implicitly and the rest explicitly with a stabilizer S >= max|F''|/2,
 so each mode solves a scalar equation and the phase energy decays per step;
 the velocity update is implicit in the viscosity, explicit in advection and
 in the capillary force at level (phi^n, mu^n), followed by the Leray
-projection (exact here, as the solve is mode-diagonal and commutes with the
-projector).  Nonlinear products are formed pointwise and 2/3-dealiased; the
+projection.  Nonlinear products are formed pointwise and 2/3-dealiased; the
 state itself is kept in the dealiased band, which is what makes the discrete
-advection identities (skew symmetry, zero mean) exact.
+advection identities (skew symmetry, zero mean) exact.  The k = 0 row of the
+phase update is copied through, so the total mass is conserved to the bit.
 
-The k = 0 row of the phase update reduces to phi^_0(t+dt) = phi^_0(t) in
-exact arithmetic (the advection and lap mu terms are mean-free), and is
-assigned as such, so the total mass is conserved to the bit.
+``step`` is the only implementation of the scheme; ``run`` calls it.  A state
+carries the rfft2 half-plane coefficients of phi, u_x and u_y (shape
+(n, n//2 + 1)) next to the samples transformed back from them.  With zero
+forcing a step takes 15 half-size transforms: 4 rfft2 (F'(phi),
+u . grad phi, and per momentum component the capillary force minus the
+self-advection, which enter only as a difference) and 11 irfft2 (grad phi,
+grad mu, the four components of grad u, the new phi, u_x and u_y).
+mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  The Leray
+projector P is applied once: it is linear, idempotent and commutes with the
+mode-diagonal viscous solve D, so P D (u/dt + P r) = P D (u/dt + r).
 
-A trajectory is advanced by a single owner; substeps are pure.  Independent
+A trajectory is advanced by a single owner; steps are pure.  Independent
 runs may execute concurrently.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import diagnostics
 from .hypotheses import HypothesisReport, audit, compute_beta
 from .initialdata import build_phi, build_u
-from .kernels import KernelOnGrid, build_kernel, convolve
+from .kernels import KernelOnGrid, build_kernel
 from .potentials import PotentialSpec, eval_df, stabilizer_bound
 from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    _leray_spectral,
-    dealias_field,
-    divergence,
+    advect,
     gradient,
     inner,
     leray_project,
     norm_l2,
+    rdivergence,
+    rgradient,
     vector_from_values,
 )
 
@@ -90,14 +98,23 @@ class HypothesisGateError(RuntimeError):
 @dataclass
 class SimState:
     """Order parameter, velocity and time; div u stays spectrally zero and
-    mean(phi) is constant along the trajectory."""
+    mean(phi) is constant along the trajectory.  ``hats``: the rfft2
+    coefficients of (phi, u.x, u.y) the samples came from, or None (taken
+    when needed); a state whose samples change must drop them."""
 
     phi: ScalarField
     u: VectorField
     t: float
+    hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.hats is not None:
+            return self.hats
+        return tuple(np.fft.rfft2(f.values) for f in (self.phi, self.u.x, self.u.y))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimParams:
     """Scheme parameters; mobility is fixed to one."""
 
@@ -179,116 +196,113 @@ class ForcingSpec:
 # ---------------------------------------------------------------------------
 # pointwise operators
 
-def chemical_potential(phi: ScalarField, kernel: KernelOnGrid, potential: PotentialSpec) -> ScalarField:
-    """mu = a phi - J*phi + F'(phi)."""
-    conv = convolve(kernel, phi)
-    vals = kernel.a * phi.values - conv.values + eval_df(potential, phi.values)
-    return ScalarField(phi.grid, vals)
+def chemical_potential(phi: ScalarField, kernel: KernelOnGrid, potential: PotentialSpec,
+                       phi_hat: np.ndarray | None = None) -> ScalarField:
+    """mu = a phi - J*phi + F'(phi), formed as (a - J^) phi^ + F'(phi)^ on the
+    half plane; ``phi_hat``, the rfft2 coefficients of phi, saves a transform."""
+    if phi_hat is None:
+        phi_hat = np.fft.rfft2(phi.values)
+    a_minus_j = kernel.a - kernel.multiplier[:, :phi_hat.shape[1]]
+    mu_hat = a_minus_j * phi_hat + np.fft.rfft2(eval_df(potential, phi.values))
+    return ScalarField(phi.grid, np.fft.irfft2(mu_hat))
 
 
-def auxiliary_rho(phi: ScalarField, kernel: KernelOnGrid, potential: PotentialSpec) -> ScalarField:
-    """rho = a phi + F'(phi) (= mu + J*phi)."""
-    return ScalarField(phi.grid, kernel.a * phi.values + eval_df(potential, phi.values))
+def _capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, grad_phi):
+    """Samples of the coupling force from mu's coefficients: -phi grad mu
+    takes two irfft2, mu grad phi one (grad phi is in hand)."""
+    if form == "phi_grad_mu":
+        mx, my = rgradient(grid, mu_hat)
+        return -phi * mx, -phi * my
+    if form == "mu_grad_phi":
+        mu = np.fft.irfft2(mu_hat)
+        return mu * grad_phi[0], mu * grad_phi[1]
+    raise ValueError(f"unknown coupling force form {form!r}")
 
 
 def korteweg_force(phi: ScalarField, mu: ScalarField, form: str = "phi_grad_mu") -> VectorField:
     """Capillary coupling force: -phi grad mu (weak form) or mu grad phi;
     the two differ by the gradient grad(phi mu) - 2 mu grad phi, which the
-    Leray projection removes up to aliasing."""
-    if form == "phi_grad_mu":
-        g = gradient(mu)
-        return vector_from_values(phi.grid, -phi.values * g.x.values, -phi.values * g.y.values)
-    if form == "mu_grad_phi":
-        g = gradient(phi)
-        return vector_from_values(phi.grid, mu.values * g.x.values, mu.values * g.y.values)
-    raise ValueError(f"unknown coupling force form {form!r}")
+    Leray projection removes up to aliasing.  Same operator as in ``step``."""
+    g = phi.grid
+    grad_phi = rgradient(g, np.fft.rfft2(phi.values)) if form == "mu_grad_phi" else None
+    fx, fy = _capillary_force(form, g, phi.values, np.fft.rfft2(mu.values), grad_phi)
+    return vector_from_values(g, fx, fy)
 
 
 # ---------------------------------------------------------------------------
-# substeps
+# the step
 
-def _check_finite(vals: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(vals)):
-        raise BlowUpError(f"non-finite values in {what}")
+class _Operators(NamedTuple):
+    """Half-plane solve coefficients of one (kernel, dt, nu, S, dealias):
+    new phi^ = (keep phi^ - |k|^2 F'^ - adv^) solve, mu^ = a_minus_j phi^ + F'^,
+    and the masked, projected viscous solve as weights (wxx, wxy; wxy, wyy)."""
 
-
-def step_ch(state: SimState, params: SimParams, kernel: KernelOnGrid,
-            potential: PotentialSpec) -> ScalarField:
-    """Phase update; mean(phi) is preserved exactly."""
-    g = state.phi.grid
-    mask = g.dealias_mask
-    phi_hat = np.fft.fft2(state.phi.values)
-
-    fp_hat = np.fft.fft2(eval_df(potential, state.phi.values))
-    gx = np.fft.ifft2(1j * g.kx * phi_hat).real
-    gy = np.fft.ifft2(1j * g.ky * phi_hat).real
-    adv_hat = np.fft.fft2(state.u.x.values * gx + state.u.y.values * gy)
-    if params.dealias:
-        fp_hat *= mask
-        adv_hat *= mask
-    adv_hat[0, 0] = 0.0  # exact: (u . grad phi, 1) = 0 for div-free u
-
-    s = params.stabilizer
-    num = phi_hat / params.dt + g.k2 * (s * phi_hat - fp_hat + kernel.multiplier * phi_hat) - adv_hat
-    den = 1.0 / params.dt + g.k2 * (kernel.a + s)
-    new_hat = num / den
-    new_hat[0, 0] = phi_hat[0, 0]
-    if params.dealias:
-        new_hat *= mask
-    vals = np.fft.ifft2(new_hat).real
-    _check_finite(vals, "phi")
-    return ScalarField(g, vals)
+    keep: np.ndarray
+    solve: np.ndarray
+    a_minus_j: np.ndarray
+    wxx: np.ndarray
+    wxy: np.ndarray
+    wyy: np.ndarray
 
 
-def step_ns(state: SimState, mu: ScalarField, params: SimParams,
-            h_field: VectorField | None = None) -> VectorField:
-    """Velocity update with the capillary force at level (phi^n, mu^n)."""
-    g = state.u.grid
-    mask = g.dealias_mask
-    ux_hat = np.fft.fft2(state.u.x.values)
-    uy_hat = np.fft.fft2(state.u.y.values)
+# per kernel, the operators of each parameter set; they go with the kernel
+_OPERATORS: "weakref.WeakKeyDictionary[KernelOnGrid, dict]" = weakref.WeakKeyDictionary()
 
-    dxx = np.fft.ifft2(1j * g.kx * ux_hat).real
-    dxy = np.fft.ifft2(1j * g.ky * ux_hat).real
-    dyx = np.fft.ifft2(1j * g.kx * uy_hat).real
-    dyy = np.fft.ifft2(1j * g.ky * uy_hat).real
-    adv_x = np.fft.fft2(state.u.x.values * dxx + state.u.y.values * dxy)
-    adv_y = np.fft.fft2(state.u.x.values * dyx + state.u.y.values * dyy)
 
-    force = korteweg_force(state.phi, mu, params.force_form)
-    f_x = np.fft.fft2(force.x.values)
-    f_y = np.fft.fft2(force.y.values)
-    if params.dealias:
-        adv_x *= mask
-        adv_y *= mask
-        f_x *= mask
-        f_y *= mask
-    if h_field is not None:
-        f_x = f_x + np.fft.fft2(h_field.x.values)
-        f_y = f_y + np.fft.fft2(h_field.y.values)
-
-    rhs_x, rhs_y = _leray_spectral(g, f_x - adv_x, f_y - adv_y)
-    den = 1.0 / params.dt + params.nu * g.k2
-    sx = (ux_hat / params.dt + rhs_x) / den
-    sy = (uy_hat / params.dt + rhs_y) / den
-    sx, sy = _leray_spectral(g, sx, sy)
-    if params.dealias:
-        sx *= mask
-        sy *= mask
-    vx = np.fft.ifft2(sx).real
-    vy = np.fft.ifft2(sy).real
-    _check_finite(vx, "u")
-    return vector_from_values(g, vx, vy)
+def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
+    per_kernel = _OPERATORS.setdefault(kernel, {})
+    key = (params.dt, params.nu, params.stabilizer, params.dealias)
+    if key not in per_kernel:
+        h = kernel.grid.half
+        j_hat = kernel.multiplier[:, :h.k2.shape[1]]
+        mask = h.mask if params.dealias else 1.0
+        flow = mask / (1.0 / params.dt + params.nu * h.k2)
+        per_kernel[key] = _Operators(
+            keep=1.0 / params.dt + h.k2 * (params.stabilizer + j_hat),
+            solve=mask / (1.0 / params.dt + h.k2 * (kernel.a + params.stabilizer)),
+            a_minus_j=kernel.a - j_hat,
+            wxx=flow * h.pxx, wxy=flow * h.pxy, wyy=flow * h.pyy,
+        )
+    return per_kernel[key]
 
 
 def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
-         potential: PotentialSpec, forcing: ForcingSpec | None = None) -> SimState:
-    """One coupled step: mu^n from phi^n, then phi^{n+1}, then u^{n+1}."""
-    mu = chemical_potential(state.phi, kernel, potential)
-    phi_new = step_ch(state, params, kernel, potential)
-    h_field = forcing.field_at(state.phi.grid, state.t) if forcing is not None else None
-    u_new = step_ns(state, mu, params, h_field)
-    return SimState(phi=phi_new, u=u_new, t=state.t + params.dt)
+         potential: PotentialSpec, forcing: ForcingSpec | VectorField | None = None) -> SimState:
+    """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
+    capillary force at (phi^n, mu^n).  ``forcing`` is a spec evaluated at
+    t^n, or the field h(t^n) itself.  mean(phi) is preserved exactly."""
+    g = state.phi.grid
+    ops, k2, inv_dt = _operators(kernel, params), g.half.k2, 1.0 / params.dt
+    if forcing is not None and not isinstance(forcing, VectorField):
+        forcing = forcing.field_at(g, state.t)
+    phi, u = state.phi.values, state.u
+    phi_hat, ux_hat, uy_hat = state.coefficients()
+
+    # phase
+    fp_hat = np.fft.rfft2(eval_df(potential, phi))
+    grad_phi = rgradient(g, phi_hat)
+    adv_hat = np.fft.rfft2(advect(u, grad_phi))
+    new_phi_hat = (ops.keep * phi_hat - k2 * fp_hat - adv_hat) * ops.solve
+    new_phi_hat[0, 0] = phi_hat[0, 0]
+
+    # flow: capillary force minus self-advection, one transform a component
+    mu_hat = ops.a_minus_j * phi_hat + fp_hat
+    fx, fy = _capillary_force(params.force_form, g, phi, mu_hat, grad_phi)
+    bx = ux_hat * inv_dt + np.fft.rfft2(fx - advect(u, rgradient(g, ux_hat)))
+    by = uy_hat * inv_dt + np.fft.rfft2(fy - advect(u, rgradient(g, uy_hat)))
+    if forcing is not None:
+        bx += np.fft.rfft2(forcing.x.values)
+        by += np.fft.rfft2(forcing.y.values)
+    new_ux_hat = ops.wxx * bx + ops.wxy * by
+    new_uy_hat = ops.wxy * bx + ops.wyy * by
+
+    hats = (new_phi_hat, new_ux_hat, new_uy_hat)
+    new_phi, new_ux, new_uy = (np.fft.irfft2(c) for c in hats)
+    for vals, what in ((new_phi, "phi"), (new_ux, "u"), (new_uy, "u")):
+        if not np.all(np.isfinite(vals)):
+            raise BlowUpError(f"non-finite values in {what}")
+    return SimState(ScalarField(g, new_phi), vector_from_values(g, new_ux, new_uy),
+                    state.t + params.dt, hats)
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +361,14 @@ def run(
         if any(getattr(report, h) != "pass" for h in ("h1", "h2", "h3")):
             raise HypothesisGateError(report)
 
-    if initial_state is None:
-        phi0 = build_phi(cfg.initial, grid)
-        u0 = build_u(cfg.velocity, grid)
-        u0 = leray_project(u0)
-        state = SimState(phi=phi0, u=u0, t=0.0)
-    else:
-        state = initial_state
+    state = initial_state or SimState(
+        build_phi(cfg.initial, grid), leray_project(build_u(cfg.velocity, grid)), 0.0)
+    hats = state.coefficients()
     if cfg.sim.dealias:
-        state = SimState(
-            phi=dealias_field(state.phi),
-            u=VectorField(dealias_field(state.u.x), dealias_field(state.u.y)),
-            t=state.t,
-        )
+        hats = tuple(c * grid.half.mask for c in hats)
+        phi_d, ux_d, uy_d = (np.fft.irfft2(c) for c in hats)
+        state = SimState(ScalarField(grid, phi_d), vector_from_values(grid, ux_d, uy_d), state.t)
+    state = SimState(state.phi, state.u, state.t, hats)
 
     s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, potential, state.phi, s_range)
     params = SimParams(
@@ -382,25 +391,10 @@ def run(
     writer = storage.DiagnosticsWriter(out_dir) if out_dir else None
 
     mass0 = float(np.mean(state.phi.values))
-    h_prev = forcing.field_at(grid, 0.0) if forcing is not None else None
-    mu0 = chemical_potential(state.phi, kernel, potential)
-    rec = diagnostics.make_record(
-        state, mu0, kernel, potential, params.nu, beta,
-        forcing_power=(inner(h_prev, state.u) if h_prev is not None else 0.0),
-        prev=None,
-    )
-    records = [rec]
+    records: list = []
     failures: list[str] = []
     weak_margins: list[float] = []
-    history: list[np.ndarray] | None = [state.phi.values.copy()] if capture_phi else None
-    if writer:
-        writer.append(rec)
-        if cfg.output.snapshot_every:
-            storage.write_state_snapshots(out_dir, state, 0)
-
-    def _maybe_snapshot(step_index: int) -> None:
-        if writer and cfg.output.snapshot_every and step_index % cfg.output.snapshot_every == 0:
-            storage.write_state_snapshots(out_dir, state, step_index)
+    history: list[np.ndarray] | None = [] if capture_phi else None
 
     def _audit_record(step_index: int, record) -> None:
         nonlocal validated
@@ -409,7 +403,7 @@ def run(
                 f"mass drift {float(np.mean(state.phi.values)) - mass0:.3e} at step {step_index}"
             )
         umax = float(np.max(np.abs(state.u.x.values)) + np.max(np.abs(state.u.y.values)))
-        div_max = float(np.max(np.abs(divergence(state.u).values)))
+        div_max = float(np.max(np.abs(rdivergence(grid, *state.hats[1:]))))
         if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
             failures.append(f"divergence {div_max:.3e} at step {step_index}")
         lo, hi = record.phi_min, record.phi_max
@@ -425,41 +419,47 @@ def run(
                 )
             validated = new_range
 
-    _audit_record(0, rec)
+    def _record(step_index: int, h: VectorField | None) -> None:
+        mu = chemical_potential(state.phi, kernel, potential, state.hats[0])
+        rec = diagnostics.make_record(
+            state, mu, kernel, potential, params.nu, beta,
+            forcing_power=(inner(h, state.u) if h is not None else 0.0),
+            prev=records[-1] if records else None,
+        )
+        records.append(rec)
+        _audit_record(step_index, rec)
+        if cfg.checks.grad_control and step_index > 0:
+            weak_margins.append(
+                diagnostics.weak_gradient_margin(
+                    rec.grad_mu_sq,
+                    norm_l2(gradient(state.phi)) ** 2,
+                    norm_l2(state.phi) ** 2,
+                    report.c0,
+                    report.norm_gradj_l1,
+                )
+            )
+        if capture_phi:
+            history.append(state.phi.values.copy())
+        if writer:
+            writer.append(rec)
+
+    def _maybe_snapshot(step_index: int) -> None:
+        if writer and cfg.output.snapshot_every and step_index % cfg.output.snapshot_every == 0:
+            storage.write_state_snapshots(out_dir, state, step_index)
 
     try:
+        h_now = forcing.field_at(grid, 0.0) if forcing is not None else None
+        _record(0, h_now)
+        _maybe_snapshot(0)
         for i in range(1, n_steps + 1):
             h_now = forcing.field_at(grid, state.t) if forcing is not None else None
             try:
-                mu = chemical_potential(state.phi, kernel, potential)
-                phi_new = step_ch(state, params, kernel, potential)
-                u_new = step_ns(state, mu, params, h_now)
+                state = step(state, params, kernel, potential, h_now)
             except BlowUpError as err:
                 raise BlowUpError(str(err), step=i, last_record=records[-1]) from None
-            state = SimState(phi=phi_new, u=u_new, t=i * params.dt)
+            state.t = i * params.dt  # not a running sum: no round-off builds up in t
             if i % every == 0 or i == n_steps:
-                mu_rec = chemical_potential(state.phi, kernel, potential)
-                rec = diagnostics.make_record(
-                    state, mu_rec, kernel, potential, params.nu, beta,
-                    forcing_power=(inner(h_now, state.u) if h_now is not None else 0.0),
-                    prev=records[-1],
-                )
-                records.append(rec)
-                _audit_record(i, rec)
-                if cfg.checks.grad_control:
-                    weak_margins.append(
-                        diagnostics.weak_gradient_margin(
-                            rec.grad_mu_sq,
-                            norm_l2(gradient(state.phi)) ** 2,
-                            norm_l2(state.phi) ** 2,
-                            report.c0,
-                            report.norm_gradj_l1,
-                        )
-                    )
-                if capture_phi:
-                    history.append(state.phi.values.copy())
-                if writer:
-                    writer.append(rec)
+                _record(i, h_now)
             _maybe_snapshot(i)
     finally:
         if writer:

@@ -14,6 +14,8 @@ Conventions
   the Laplacian uses the squared zeroed wavenumbers so that
   divergence(gradient(f)) == laplacian(f) exactly.  Dealiased fields carry no
   Nyquist content, so this is only visible on deliberately full-spectrum data.
+* Derivatives and the Leray projector act on unnormalized rfft2 coefficients
+  (the half plane m_y >= 0, ``Grid.half``), as the solver carries them.
 
 All functions are pure; fields are treated as immutable values.  Grids cache
 their wavenumber arrays lazily, which is safe under concurrent use (idempotent
@@ -114,6 +116,38 @@ class Grid:
         keep1 = np.abs(self.modes) <= cut
         return keep1[:, None] & keep1[None, :]
 
+    @cached_property
+    def half(self) -> "HalfPlane":
+        """The operators above in the rfft2 layout."""
+        nh = self.n // 2 + 1
+        kx, ky, k2 = self.kx[:, :nh], self.ky[:, :nh], np.ascontiguousarray(self.k2[:, :nh])
+        # Leray weights: modes with k = 0 under the derivative convention
+        # (the zero mode and the unmatched Nyquist lines) pass through
+        pos = k2 > 0.0
+        k2_pos = np.where(pos, k2, 1.0)
+        return HalfPlane(
+            ikx=1j * kx, iky=1j * ky, k2=k2,
+            mask=np.ascontiguousarray(self.dealias_mask[:, :nh]),
+            pxx=np.where(pos, 1.0 - kx * kx / k2_pos, 1.0),
+            pxy=np.where(pos, -kx * ky / k2_pos, 0.0),
+            pyy=np.where(pos, 1.0 - ky * ky / k2_pos, 1.0),
+        )
+
+
+@dataclass(frozen=True)
+class HalfPlane:
+    """Operators on rfft2 coefficients, shape (n, n//2 + 1): the modes
+    m_y = 0 .. n/2 of the full layout, the rest being their conjugates for
+    real fields.  (pxx, pxy; pxy, pyy) is the Leray projector."""
+
+    ikx: np.ndarray
+    iky: np.ndarray
+    k2: np.ndarray
+    mask: np.ndarray
+    pxx: np.ndarray
+    pxy: np.ndarray
+    pyy: np.ndarray
+
 
 @dataclass
 class ScalarField:
@@ -199,10 +233,6 @@ def dealias(F: SpectrumField) -> SpectrumField:
     return SpectrumField(F.grid, F.coefficients * F.grid.dealias_mask)
 
 
-def dealias_field(f: ScalarField) -> ScalarField:
-    return inverse_transform(dealias(transform(f)))
-
-
 def resample(f: ScalarField, new_grid: Grid) -> ScalarField:
     """Spectral injection/truncation between grids of the same physical size.
 
@@ -229,25 +259,33 @@ def resample(f: ScalarField, new_grid: Grid) -> ScalarField:
 # calculus
 
 def gradient(f: ScalarField) -> VectorField:
-    g = f.grid
-    fh = np.fft.fft2(f.values)
-    dx = np.fft.ifft2(1j * g.kx * fh).real
-    dy = np.fft.ifft2(1j * g.ky * fh).real
-    return vector_from_values(g, dx, dy)
+    return vector_from_values(f.grid, *rgradient(f.grid, np.fft.rfft2(f.values)))
 
 
 def divergence(v: VectorField) -> ScalarField:
-    g = v.grid
-    xh = np.fft.fft2(v.x.values)
-    yh = np.fft.fft2(v.y.values)
-    out = np.fft.ifft2(1j * g.kx * xh + 1j * g.ky * yh).real
-    return ScalarField(g, out)
+    xh, yh = np.fft.rfft2(v.x.values), np.fft.rfft2(v.y.values)
+    return ScalarField(v.grid, rdivergence(v.grid, xh, yh))
+
+
+def rgradient(grid: Grid, f_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of grad f from the rfft2 coefficients of f: two irfft2."""
+    h = grid.half
+    return np.fft.irfft2(h.ikx * f_hat), np.fft.irfft2(h.iky * f_hat)
+
+
+def rdivergence(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Samples of div v from the rfft2 coefficients of v: one irfft2."""
+    h = grid.half
+    return np.fft.irfft2(h.ikx * x_hat + h.iky * y_hat)
+
+
+def advect(u: VectorField, grad_f: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Samples of (u . grad) f, a pointwise product with the samples of grad f."""
+    return u.x.values * grad_f[0] + u.y.values * grad_f[1]
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    g = f.grid
-    fh = np.fft.fft2(f.values)
-    return ScalarField(g, np.fft.ifft2(-g.k2 * fh).real)
+    return ScalarField(f.grid, np.fft.irfft2(-f.grid.half.k2 * np.fft.rfft2(f.values)))
 
 
 def leray_project(v: VectorField) -> VectorField:
@@ -256,19 +294,10 @@ def leray_project(v: VectorField) -> VectorField:
     Mode-wise v_hat -> v_hat - k (k . v_hat) / |k|^2; the k = 0 mode (mean
     velocity) passes through unchanged.
     """
-    g = v.grid
-    xh = np.fft.fft2(v.x.values)
-    yh = np.fft.fft2(v.y.values)
-    px, py = _leray_spectral(g, xh, yh)
-    return vector_from_values(g, np.fft.ifft2(px).real, np.fft.ifft2(py).real)
-
-
-def _leray_spectral(g: Grid, xh: np.ndarray, yh: np.ndarray):
-    # modes with k = 0 under the derivative convention (the zero mode and the
-    # unmatched Nyquist lines) pass through untouched
-    k2 = np.where(g.k2 > 0.0, g.k2, 1.0)
-    kd = np.where(g.k2 > 0.0, (g.kx * xh + g.ky * yh) / k2, 0.0)
-    return xh - g.kx * kd, yh - g.ky * kd
+    h = v.grid.half
+    xh, yh = np.fft.rfft2(v.x.values), np.fft.rfft2(v.y.values)
+    return vector_from_values(v.grid, np.fft.irfft2(h.pxx * xh + h.pxy * yh),
+                              np.fft.irfft2(h.pxy * xh + h.pyy * yh))
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +333,3 @@ def seminorm_h1(f) -> float:
 def grad_norm_sq(f) -> float:
     s = seminorm_h1(f)
     return s * s
-
-
-# ---------------------------------------------------------------------------
-# advection helpers
-
-def advect_scalar(u: VectorField, f: ScalarField) -> ScalarField:
-    """(u . grad) f as a pointwise product of samples."""
-    _same_grid(u.x, f)
-    gf = gradient(f)
-    return ScalarField(f.grid, u.x.values * gf.x.values + u.y.values * gf.y.values)
-
-
-def advect_vector(u: VectorField, v: VectorField) -> VectorField:
-    """(u . grad) v componentwise."""
-    return VectorField(advect_scalar(u, v.x), advect_scalar(u, v.y))
-
-
-def advection_form(u: VectorField, v: VectorField, w: VectorField) -> float:
-    """Trilinear form b(u, v, w) = integral (u . grad) v . w by grid quadrature."""
-    return inner(advect_vector(u, v), w)

@@ -113,15 +113,6 @@ class DiagnosticsWriter:
         self.close()
 
 
-def append_diagnostics(record: DiagnosticsRecord, csv_path: str) -> None:
-    """Single-record append; writes the header if the file does not exist."""
-    new = not os.path.exists(csv_path)
-    with open(csv_path, "a", newline="\n") as fh:
-        if new:
-            fh.write(",".join(COLUMNS) + "\n")
-        fh.write(",".join(format_value(v) for v in record.as_row()) + "\n")
-
-
 def read_diagnostics_csv(path: str) -> list[DiagnosticsRecord]:
     records = []
     with open(path, "r") as fh:

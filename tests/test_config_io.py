@@ -16,7 +16,6 @@ from nlchns.spectral import Grid, ScalarField, divergence, mean, resample
 from nlchns.storage import (
     DiagnosticsWriter,
     SnapshotFormatError,
-    append_diagnostics,
     read_diagnostics_csv,
     read_snapshot,
     write_snapshot,
@@ -109,6 +108,76 @@ class TestParseConfig:
         assert cfg.forcing.decay == 1.5
 
 
+def config_with(key: str, value: str) -> str:
+    """MINIMAL with ``key = value`` and whatever family selection makes the
+    parser read that key."""
+    entries = dict(line.split(" = ", 1) for line in MINIMAL.strip().splitlines()
+                   if not line.startswith("#"))
+    entries.update(KEY_CONTEXT.get(key, {}))
+    entries[key] = value
+    return "".join(f"{k} = {v}\n" for k, v in entries.items() if v is not None)
+
+
+KEY_CONTEXT = {
+    "kernel.radius": {"kernel": "mollifier", "kernel.sigma": None},
+    "kernel.modes": {"kernel": "spectral", "kernel.sigma": None, "kernel.strength": None},
+    "potential.a4": {"potential": "quartic"},
+    "potential.a2": {"potential": "quartic", "potential.a4": "1"},
+    "potential.a0": {"potential": "quartic", "potential.a4": "1"},
+    "potential.coefficients": {"potential": "polynomial"},
+    "initial.c": {"initial": "uniform"},
+    "initial.amplitude": {"initial": "random", "initial.seed": "1"},
+    "initial.mean": {"initial": "random", "initial.seed": "1"},
+    "initial.width": {"initial": "tanh_strip"},
+    "initial.u0_amplitude": {"initial.u0": "taylor_green"},
+    "forcing.amplitude_x": {"forcing": "body"},
+    "forcing.amplitude_y": {"forcing": "body"},
+    "forcing.scale": {"forcing": "single_mode"},
+}
+
+FLOAT_KEYS = (
+    "grid.l", "kernel.sigma", "kernel.strength", "kernel.radius",
+    "potential.a4", "potential.a2", "potential.a0",
+    "nu", "dt", "t_end", "stabilizer",
+    "initial.c", "initial.amplitude", "initial.mean", "initial.width", "initial.u0_amplitude",
+    "forcing.decay", "forcing.amplitude_x", "forcing.amplitude_y", "forcing.scale",
+    "checks.s_lo", "checks.s_hi",
+)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_rejected(self, key):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(config_with(key, value))
+            assert any(e.startswith(key) and "finite" in e for e in err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("key, value", [
+        ("potential.coefficients", "0, 1, nan"),
+        ("kernel.modes", "0,0:6.0; 1,0:inf"),
+    ])
+    def test_non_finite_list_entry_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_with(key, value))
+        assert any(e.startswith(key) and "finite" in e for e in err.value.errors), err.value.errors
+
+    def test_explicit_zeros_kept(self):
+        cfg = parse_config(config_with("checks.s_lo", "0"))
+        assert cfg.checks.s_lo == 0.0
+        cfg = parse_config(config_with("initial.u0_amplitude", "0"))
+        assert cfg.velocity.amplitude == 0.0
+
+    @pytest.mark.parametrize("key, message", [
+        ("output.record_every", "output.record_every must be >= 1"),
+        ("initial.width", "initial.width must be positive"),
+    ])
+    def test_explicit_zeros_validated(self, key, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_with(key, "0"))
+        assert message in err.value.errors
+
+
 class TestSnapshots:
     def test_round_trip_bit_identical(self, tmp_path, rng):
         g = Grid(32, 1.75)
@@ -159,13 +228,13 @@ class TestDiagnosticsCsv:
         assert len(lines) == 3
 
     def test_seventeen_digit_round_trip(self, tmp_path):
-        path = tmp_path / "d.csv"
         rec = _record(1.0 / 3.0)
         rec.total_energy = np.pi * 1e3
         rec.grad_mu_sq = 1.2345678901234567e-8
-        append_diagnostics(rec, str(path))
-        append_diagnostics(_record(2.0), str(path))
-        back = read_diagnostics_csv(str(path))
+        with DiagnosticsWriter(str(tmp_path)) as w:
+            w.append(rec)
+            w.append(_record(2.0))
+        back = read_diagnostics_csv(w.path)
         assert len(back) == 2
         assert back[0].total_energy == rec.total_energy
         assert back[0].grad_mu_sq == rec.grad_mu_sq

@@ -9,7 +9,6 @@ from nlchns.kernels import (
     build_kernel,
     convolve,
     interaction_energy,
-    kernel_norms,
 )
 from nlchns.spectral import (
     Grid,
@@ -100,7 +99,7 @@ class TestBuild:
         assert abs(gauss64.multiplier[0, 0] - gauss64.a) < 1e-12
 
     def test_a_le_l1_with_equality_for_nonnegative(self, gauss64):
-        a, l1, _, a_star = kernel_norms(gauss64)
+        a, l1, a_star = gauss64.a, gauss64.norm_l1, gauss64.a_star
         assert a <= l1 + 1e-12
         assert abs(a - l1) < 1e-12
         assert a_star == a

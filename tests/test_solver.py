@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,10 @@ from nlchns.solver import (
     SimParams,
     SimState,
     StabilizerRangeError,
-    auxiliary_rho,
     chemical_potential,
     korteweg_force,
     run,
     step,
-    step_ch,
-    step_ns,
 )
 from nlchns.spectral import (
     Grid,
@@ -76,15 +75,14 @@ class TestChemicalPotential:
         assert rel_err(got.values, expected) < 1e-12
 
     def test_rho_identity(self, kernel32, rng):
+        # rho = a phi + F'(phi) = mu + J*phi
+        def rho(phi):
+            return chemical_potential(phi, kernel32, DW).values + convolve(kernel32, phi).values
+
         phi = random_field(kernel32.grid, rng)
-        rho = auxiliary_rho(phi, kernel32, DW)
-        mu = chemical_potential(phi, kernel32, DW)
-        recon = mu.values + convolve(kernel32, phi).values
-        assert rel_err(rho.values, recon) < 1e-12
-        zero = auxiliary_rho(constant_field(kernel32.grid, 0.0), kernel32, DW)
-        np.testing.assert_allclose(zero.values, 0.0, atol=1e-13)
-        one = auxiliary_rho(constant_field(kernel32.grid, 1.0), kernel32, DW)
-        np.testing.assert_allclose(one.values, kernel32.a, atol=1e-12)
+        assert rel_err(rho(phi), kernel32.a * phi.values + eval_df(DW, phi.values)) < 1e-12
+        np.testing.assert_allclose(rho(constant_field(kernel32.grid, 0.0)), 0.0, atol=1e-13)
+        np.testing.assert_allclose(rho(constant_field(kernel32.grid, 1.0)), kernel32.a, atol=1e-12)
 
 
 class TestKortewegForce:
@@ -117,15 +115,23 @@ class TestKortewegForce:
         assert np.max(diff) < 1e-11 * scale
 
 
+def phase_update(state, params, kernel, potential=DW):
+    """phi^{n+1} of one step; with u^n = 0 it does not depend on the flow."""
+    return step(state, params, kernel, potential).phi
+
+
 class TestStepCH:
+    """The phase half of step() (named after the phase substep it replaced)."""
+
     def test_constant_equilibrium(self, kernel32):
         g = kernel32.grid
         state = SimState(constant_field(g, 0.7), zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=1e-2, stabilizer=5.0, t_end=1.0)
-        out = step_ch(state, params, kernel32, DW)
+        out = phase_update(state, params, kernel32)
         assert rel_err(out.values, 0.7 * np.ones((g.n, g.n))) < 1e-13
 
     def test_mass_preserved_exactly(self, kernel32, rng):
+        # phi advected by a fixed Taylor-Green u
         g = kernel32.grid
         phi = random_field(g, rng, band=8)
         u = leray_project(
@@ -135,7 +141,7 @@ class TestStepCH:
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=8.0, t_end=1.0)
         m0 = mean(phi)
         for _ in range(50):
-            phi = step_ch(state, params, kernel32, DW)
+            phi = phase_update(state, params, kernel32)
             state = SimState(phi, u, state.t + params.dt)
         assert abs(mean(state.phi) - m0) < 1e-14
 
@@ -151,7 +157,7 @@ class TestStepCH:
         prev = total_energy(state, kernel32, DW)
         assert prev.kinetic == 0.0
         for i in range(1000):
-            state = SimState(step_ch(state, params, kernel32, DW), state.u, state.t + params.dt)
+            state = SimState(phase_update(state, params, kernel32), state.u, state.t + params.dt)
             cur = total_energy(state, kernel32, DW)
             assert cur.total <= prev.total + 1e-12 * (1 + abs(prev.total))
             prev = cur
@@ -168,7 +174,7 @@ class TestStepCH:
         phi = ScalarField(g, eps * np.cos(phase))
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=3.0, t_end=1.0)
         state = SimState(phi, zero_vector(g), 0.0)
-        out = step_ch(state, params, kernel32, DW)
+        out = phase_update(state, params, kernel32)
 
         k2 = (2 * np.pi / g.l) ** 2 * (m[0] ** 2 + m[1] ** 2)
         jhat = kernel32.multiplier[m[0], m[1]]
@@ -188,16 +194,19 @@ class TestStepCH:
         params = SimParams(nu=0.1, dt=50.0, stabilizer=0.0, t_end=1.0)
         with pytest.raises(BlowUpError):
             for _ in range(200):
-                state = SimState(step_ch(state, params, kernel32, DW), state.u, 0.0)
+                state = SimState(phase_update(state, params, kernel32), state.u, 0.0)
 
 
 class TestStepNS:
+    """The flow half of step() (named after the flow substep it replaced):
+    uniform phi is an equilibrium of the phase equation and exerts no
+    capillary force, so step() reduces to the flow update."""
+
     def test_zero_stays_zero(self, kernel32):
         g = kernel32.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel32, DW)
         params = SimParams(nu=0.1, dt=1e-2, stabilizer=1.0, t_end=1.0)
-        out = step_ns(state, mu, params)
+        out = step(state, params, kernel32, DW).u
         assert np.max(np.abs(out.x.values)) == 0.0
         assert np.max(np.abs(out.y.values)) == 0.0
 
@@ -215,8 +224,7 @@ class TestStepNS:
             0.0,
         )
         params = SimParams(nu=0.05, dt=4e-3, stabilizer=1.0, t_end=1.0)
-        mu = chemical_potential(u.phi, kernel32, DW)
-        out = step_ns(u, mu, params)
+        out = step(u, params, kernel32, DW).u
         k2 = (2 * np.pi / g.l) ** 2 * (m[0] ** 2 + m[1] ** 2)
         factor = 1.0 / (1.0 + params.nu * k2 * params.dt)
         assert rel_err(out.x.values, factor * u.u.x.values) < 1e-12
@@ -228,8 +236,8 @@ class TestStepNS:
         params = SimParams(nu=0.0, dt=1e-2, stabilizer=1.0, t_end=1.0)
         e0 = 0.5 * norm_l2(state.u) ** 2
         for _ in range(100):
-            mu = chemical_potential(state.phi, kernel32, DW)
-            state = SimState(state.phi, step_ns(state, mu, params), 0.0)
+            state = step(state, params, kernel32, DW)
+        assert np.max(np.abs(state.phi.values)) == 0.0
         e1 = 0.5 * norm_l2(state.u) ** 2
         assert abs(e1 - e0) < 1e-10 * e0
 
@@ -240,11 +248,78 @@ class TestStepNS:
             leray_project(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8))),
             0.0,
         )
-        mu = chemical_potential(state.phi, kernel32, DW)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
-        out = step_ns(state, mu, params, ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, 0.0))
+        out = step(state, params, kernel32, DW, ForcingSpec(family="body", amplitude=(0.3, -0.1))).u
         umax = np.max(np.abs([out.x.values, out.y.values])) + 1e-30
         assert np.max(np.abs(divergence(out).values)) < 1e-11 * umax * 2 * np.pi * g.n / g.l
+
+
+class TestStepCore:
+    def test_run_is_repeated_step(self):
+        # run() advances with step(); records in between change nothing
+        cfg = make_cfg(
+            sim=SimSettings(nu=0.05, dt=2e-3, t_end=0.03),
+            initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
+            velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
+        )
+        res = run(cfg, record_every=4)
+        start = run(replace(cfg, sim=replace(cfg.sim, t_end=0.0)))
+        state = start.state
+        kernel = build_kernel(cfg.kernel, state.phi.grid)
+        for _ in range(15):
+            state = step(state, start.params, kernel, cfg.potential, cfg.forcing)
+        assert state.t == pytest.approx(res.state.t)
+        for got, want in zip(
+            (state.phi, state.u.x, state.u.y) + state.hats,
+            (res.state.phi, res.state.u.x, res.state.u.y) + res.state.hats,
+        ):
+            got, want = getattr(got, "values", got), getattr(want, "values", want)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("form, inverse", [("phi_grad_mu", 11), ("mu_grad_phi", 10)])
+    def test_transforms_per_step(self, kernel32, rng, monkeypatch, form, inverse):
+        g = kernel32.grid
+        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0, force_form=form)
+        state = SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0)
+        state = step(state, params, kernel32, DW)
+        calls = []
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        step(state, params, kernel32, DW, ForcingSpec())
+        assert sorted(calls) == ["irfft2"] * inverse + ["rfft2"] * 4
+        calls.clear()
+        step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
+        assert sorted(calls) == ["irfft2"] * inverse + ["rfft2"] * 7  # + phi, u_x, u_y
+
+    def test_one_projection_matches_split_projection(self, kernel32, rng):
+        # projecting the force before the viscous solve as well as after it
+        # gives the same velocity
+        g = kernel32.grid
+        phi = random_field(g, rng, band=8)
+        u = leray_project(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))
+        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+        h = vector_from_values(g, random_field(g, rng, band=6).values, random_field(g, rng, band=6).values)
+        out = step(SimState(phi, u, 0.0), params, kernel32, DW, h).u
+
+        mu = chemical_potential(phi, kernel32, DW)
+        grad = lambda f: np.fft.ifft2(1j * np.stack([g.kx, g.ky]) * np.fft.fft2(f)).real
+        f = korteweg_force(phi, mu)
+        rhs = [np.fft.fft2(fc.values - u.x.values * gx - u.y.values * gy) * g.dealias_mask
+               + np.fft.fft2(hc.values)
+               for fc, (gx, gy), hc in zip(f.components, (grad(u.x.values), grad(u.y.values)),
+                                           h.components)]
+        proj = lambda x, y: leray_project(
+            vector_from_values(g, np.fft.ifft2(x).real, np.fft.ifft2(y).real))
+        p_rhs = proj(*rhs)
+        den = 1.0 / params.dt + params.nu * g.k2
+        sol = [(np.fft.fft2(c.values) / params.dt + np.fft.fft2(r.values)) / den * g.dealias_mask
+               for c, r in ((u.x, p_rhs.x), (u.y, p_rhs.y))]
+        want = proj(*sol)
+        assert rel_err(out.x.values, want.x.values) < 1e-12
+        assert rel_err(out.y.values, want.y.values) < 1e-12
 
 
 class TestForcing:
