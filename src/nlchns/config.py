@@ -98,6 +98,8 @@ _KNOWN_KEYS = {
     "checks.s_lo", "checks.s_hi",
 }
 
+MAX_STEPS = 10**9  # more steps than any run needs: a typo in t_end or dt
+
 _REQUIRED = ("grid.n", "grid.l", "kernel", "potential", "nu", "dt", "t_end")
 
 
@@ -277,10 +279,10 @@ def parse_config(text: str) -> SimConfig:
     if r.has("t_end") and dt > 0:
         if t_end < dt:
             errors.append("t_end must be at least one time step")
-        else:
-            steps = round(t_end / dt)
-            if abs(steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-                errors.append("t_end must be an integer multiple of dt")
+        elif t_end / dt > MAX_STEPS:  # also catches t_end / dt overflowing to inf
+            errors.append(f"t_end / dt must be at most {MAX_STEPS:.0e} steps, got {t_end / dt:.3g}")
+        elif abs(round(t_end / dt) * dt - t_end) > 1e-9 * max(t_end, 1.0):
+            errors.append("t_end must be an integer multiple of dt")
 
     stabilizer: object = "auto"
     if r.string("stabilizer", "auto") != "auto":

@@ -12,6 +12,11 @@ with left-endpoint quadrature over record intervals, and the dissipative
 envelope E(t) <= E(0) exp(-k t) + F(m)|Omega| + K with (k, K) assembled from
 the fitted admissibility constants of the mean-shifted potential.
 
+A record takes the kinetic and interaction energies, ||grad u||^2,
+||grad mu||^2 and ||grad phi||^2 by Parseval from the rfft2 coefficients of
+the state and of mu (``spectral.parseval``, no transform); the bulk energy
+int F(phi), the mass, phi_min and phi_max from the samples.
+
 Verdicts use a relative slack of 1e-8 * (1 + |E(0)|) to absorb round-off
 accumulation over long runs.  All evaluators are pure functions over
 immutable records.
@@ -19,14 +24,15 @@ immutable records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hypotheses import PASS, verify_h6
 from .kernels import KernelOnGrid, interaction_energy
 from .potentials import PotentialSpec, eval_f
-from .spectral import Grid, ScalarField, grad_norm_sq, mean, norm_l2
+from .spectral import Grid, mean, parseval
 
 INEQUALITY_SLACK = 1e-8
 COLUMNS = (
@@ -61,6 +67,8 @@ class DiagnosticsRecord:
     grad_control_margin: float
     phi_min: float
     phi_max: float
+    # ||grad phi||^2 for the gradient margins; not a CSV column (NaN when read back)
+    grad_phi_sq: float = field(default=math.nan, compare=False)
 
     def as_row(self) -> tuple[float, ...]:
         return tuple(getattr(self, c) for c in COLUMNS)
@@ -75,11 +83,13 @@ class EnergyParts:
 
 
 def total_energy(state, kernel: KernelOnGrid, potential: PotentialSpec) -> EnergyParts:
-    """E(u, phi) = (1/2)||u||^2 + (1/4) iint J (phi(x)-phi(y))^2 + int F(phi)."""
-    kinetic = 0.5 * norm_l2(state.u) ** 2
-    inter = interaction_energy(kernel, state.phi)
-    w = state.phi.grid.cell_volume
-    bulk = float(np.sum(eval_f(potential, state.phi.values)) * w)
+    """E(u, phi) = (1/2)||u||^2 + (1/4) iint J (phi(x)-phi(y))^2 + int F(phi);
+    the first two by Parseval on the state's coefficients."""
+    phi_hat, ux_hat, uy_hat = state.coefficients()
+    g = state.phi.grid
+    kinetic = 0.5 * parseval(g, ux_hat, uy_hat)
+    inter = interaction_energy(kernel, phi_hat)
+    bulk = float(np.sum(eval_f(potential, state.phi.values)) * g.cell_volume)
     return EnergyParts(total=kinetic + inter + bulk, kinetic=kinetic, interaction=inter, bulk=bulk)
 
 
@@ -93,20 +103,15 @@ def identity_residual(prev: DiagnosticsRecord, cur: DiagnosticsRecord, dt: float
     )
 
 
-def make_record(
-    state,
-    mu: ScalarField,
-    kernel: KernelOnGrid,
-    potential: PotentialSpec,
-    nu: float,
-    beta: float,
-    forcing_power: float,
-    prev: DiagnosticsRecord | None,
-) -> DiagnosticsRecord:
+def make_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential: PotentialSpec, nu: float,
+                beta: float, forcing_power: float, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
+    """The record of ``state``; ``mu_hat`` holds the rfft2 coefficients of mu."""
     parts = total_energy(state, kernel, potential)
-    grad_u_sq = grad_norm_sq(state.u)
-    grad_mu_sq = grad_norm_sq(mu)
-    grad_phi_sq = grad_norm_sq(state.phi)
+    g = state.phi.grid
+    phi_hat, ux_hat, uy_hat = state.coefficients()
+    grad_u_sq = parseval(g, ux_hat, uy_hat, symbol=g.half.k2)
+    grad_mu_sq = parseval(g, mu_hat, symbol=g.half.k2)
+    grad_phi_sq = parseval(g, phi_hat, symbol=g.half.k2)
     rec = DiagnosticsRecord(
         t=state.t,
         mass=mean(state.phi) * state.phi.grid.volume,
@@ -121,6 +126,7 @@ def make_record(
         grad_control_margin=grad_mu_sq - beta * grad_phi_sq,
         phi_min=float(np.min(state.phi.values)),
         phi_max=float(np.max(state.phi.values)),
+        grad_phi_sq=grad_phi_sq,
     )
     if prev is not None:
         rec.identity_residual = identity_residual(prev, rec, rec.t - prev.t, nu)
@@ -262,7 +268,7 @@ def dissipative_envelope(
 def gradient_control_check(record: DiagnosticsRecord, beta: float, condition_ok: bool):
     """Margin ||grad mu||^2 - beta ||grad phi||^2 stored on the record;
     asserted nonnegative (to slack) only when the applicability condition
-    holds and the data is mean-free."""
+    holds.  ``run`` reports a "fail" when ``checks.grad_control`` is on."""
     margin = record.grad_control_margin
     if not condition_ok:
         return margin, "n/a"

@@ -24,18 +24,11 @@ build and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    ScalarField,
-    SpectrumField,
-    inner,
-    norm_l2,
-    rgradient,
-    transform,
-)
+from .spectral import Grid, ScalarField, SpectrumField, parseval, rgradient, transform
 
 
 class KernelBuildError(ValueError):
@@ -86,6 +79,11 @@ class KernelOnGrid:
     def a_star(self) -> float:
         # a(x) is constant on the torus, so ||a||_inf == a
         return self.a
+
+    @cached_property
+    def a_minus_j(self) -> np.ndarray:
+        """Multiplier of f -> a f - J*f on the rfft2 half plane."""
+        return self.a - self.multiplier[:, : self.grid.n // 2 + 1]
 
 
 def _gaussian_samples(grid: Grid, sigma: float, strength: float):
@@ -202,8 +200,8 @@ def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, out)
 
 
-def interaction_energy(kernel: KernelOnGrid, f: ScalarField) -> float:
-    """(1/4) integral integral J(x-y) (f(x)-f(y))^2, via the identity
-    (1/2) double-integral = a ||f||^2 - (f, J*f)."""
-    nf2 = norm_l2(f) ** 2
-    return 0.5 * (kernel.a * nf2 - inner(f, convolve(kernel, f)))
+def interaction_energy(kernel: KernelOnGrid, f_hat: np.ndarray) -> float:
+    """(1/4) integral integral J(x-y) (f(x)-f(y))^2 of the field with rfft2
+    coefficients ``f_hat``, via the identity (1/2) double-integral =
+    a ||f||^2 - (f, J*f) = (f, (a - J^) f) read by Parseval."""
+    return 0.5 * parseval(kernel.grid, f_hat, symbol=kernel.a_minus_j)

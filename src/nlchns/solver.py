@@ -26,7 +26,9 @@ forcing a step takes 15 half-size transforms: 4 rfft2 (F'(phi),
 u . grad phi, and per momentum component the capillary force minus the
 self-advection, which enter only as a difference) and 11 irfft2 (grad phi,
 grad mu, the four components of grad u, the new phi, u_x and u_y).
-mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  The Leray
+mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
+takes 2 more: the rfft2 of F'(phi^{n+1}) for its mu^, and the irfft2 of the
+divergence audit; its norms are read from the coefficients by Parseval.  The Leray
 projector P is applied once: it is linear, idempotent and commutes with the
 mode-diagonal viscous solve D, so P D (u/dt + P r) = P D (u/dt + r).
 
@@ -52,7 +54,6 @@ from .spectral import (
     ScalarField,
     VectorField,
     advect,
-    gradient,
     inner,
     leray_project,
     norm_l2,
@@ -196,15 +197,15 @@ class ForcingSpec:
 # ---------------------------------------------------------------------------
 # pointwise operators
 
-def chemical_potential(phi: ScalarField, kernel: KernelOnGrid, potential: PotentialSpec,
-                       phi_hat: np.ndarray | None = None) -> ScalarField:
-    """mu = a phi - J*phi + F'(phi), formed as (a - J^) phi^ + F'(phi)^ on the
-    half plane; ``phi_hat``, the rfft2 coefficients of phi, saves a transform."""
-    if phi_hat is None:
-        phi_hat = np.fft.rfft2(phi.values)
-    a_minus_j = kernel.a - kernel.multiplier[:, :phi_hat.shape[1]]
-    mu_hat = a_minus_j * phi_hat + np.fft.rfft2(eval_df(potential, phi.values))
-    return ScalarField(phi.grid, np.fft.irfft2(mu_hat))
+def _mu_hat(kernel: KernelOnGrid, phi_hat: np.ndarray, fp_hat: np.ndarray) -> np.ndarray:
+    """rfft2 coefficients of mu from those of phi and F'(phi): (a - J^) phi^ + F'^."""
+    return kernel.a_minus_j * phi_hat + fp_hat
+
+
+def chemical_potential(phi: ScalarField, kernel: KernelOnGrid, potential: PotentialSpec) -> ScalarField:
+    """Samples of mu, formed on the half plane as ``step`` forms it."""
+    fp_hat = np.fft.rfft2(eval_df(potential, phi.values))
+    return ScalarField(phi.grid, np.fft.irfft2(_mu_hat(kernel, np.fft.rfft2(phi.values), fp_hat)))
 
 
 def _capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, grad_phi):
@@ -234,12 +235,11 @@ def korteweg_force(phi: ScalarField, mu: ScalarField, form: str = "phi_grad_mu")
 
 class _Operators(NamedTuple):
     """Half-plane solve coefficients of one (kernel, dt, nu, S, dealias):
-    new phi^ = (keep phi^ - |k|^2 F'^ - adv^) solve, mu^ = a_minus_j phi^ + F'^,
-    and the masked, projected viscous solve as weights (wxx, wxy; wxy, wyy)."""
+    new phi^ = (keep phi^ - |k|^2 F'^ - adv^) solve, and the masked,
+    projected viscous solve as weights (wxx, wxy; wxy, wyy)."""
 
     keep: np.ndarray
     solve: np.ndarray
-    a_minus_j: np.ndarray
     wxx: np.ndarray
     wxy: np.ndarray
     wyy: np.ndarray
@@ -260,7 +260,6 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
         per_kernel[key] = _Operators(
             keep=1.0 / params.dt + h.k2 * (params.stabilizer + j_hat),
             solve=mask / (1.0 / params.dt + h.k2 * (kernel.a + params.stabilizer)),
-            a_minus_j=kernel.a - j_hat,
             wxx=flow * h.pxx, wxy=flow * h.pxy, wyy=flow * h.pyy,
         )
     return per_kernel[key]
@@ -286,7 +285,7 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     new_phi_hat[0, 0] = phi_hat[0, 0]
 
     # flow: capillary force minus self-advection, one transform a component
-    mu_hat = ops.a_minus_j * phi_hat + fp_hat
+    mu_hat = _mu_hat(kernel, phi_hat, fp_hat)
     fx, fy = _capillary_force(params.force_form, g, phi, mu_hat, grad_phi)
     bx = ux_hat * inv_dt + np.fft.rfft2(fx - advect(u, rgradient(g, ux_hat)))
     by = uy_hat * inv_dt + np.fft.rfft2(fy - advect(u, rgradient(g, uy_hat)))
@@ -346,8 +345,8 @@ def run(
     Raises BlowUpError on non-finite values, StabilizerRangeError if the
     solution leaves the range where S >= max|F''|/2 was validated, and
     HypothesisGateError when the admissibility gate is on and fails.
-    Mass-conservation and divergence invariants are audited at every record;
-    violations are collected in ``invariant_failures``.
+    Mass, divergence and (with ``checks.grad_control``) gradient control are
+    audited at every record; violations are collected in ``invariant_failures``.
     """
     from . import storage
 
@@ -371,14 +370,8 @@ def run(
     state = SimState(state.phi, state.u, state.t, hats)
 
     s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, potential, state.phi, s_range)
-    params = SimParams(
-        nu=cfg.sim.nu,
-        dt=cfg.sim.dt,
-        stabilizer=s_value,
-        t_end=cfg.sim.t_end,
-        dealias=cfg.sim.dealias,
-        force_form=cfg.sim.force_form,
-    )
+    params = SimParams(nu=cfg.sim.nu, dt=cfg.sim.dt, stabilizer=s_value, t_end=cfg.sim.t_end,
+                       dealias=cfg.sim.dealias, force_form=cfg.sim.force_form)
     if kernel.a + params.stabilizer <= 0:
         raise ValueError("a + S must be positive for the phase solve")
     forcing = cfg.forcing
@@ -398,14 +391,17 @@ def run(
 
     def _audit_record(step_index: int, record) -> None:
         nonlocal validated
-        if abs(float(np.mean(state.phi.values)) - mass0) > 1e-12:
-            failures.append(
-                f"mass drift {float(np.mean(state.phi.values)) - mass0:.3e} at step {step_index}"
-            )
+        drift = float(np.mean(state.phi.values)) - mass0
+        if abs(drift) > 1e-12:
+            failures.append(f"mass drift {drift:.3e} at step {step_index}")
         umax = float(np.max(np.abs(state.u.x.values)) + np.max(np.abs(state.u.y.values)))
         div_max = float(np.max(np.abs(rdivergence(grid, *state.hats[1:]))))
         if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
             failures.append(f"divergence {div_max:.3e} at step {step_index}")
+        if cfg.checks.grad_control:
+            margin, verdict = diagnostics.gradient_control_check(record, beta, condition)
+            if verdict == "fail":
+                failures.append(f"gradient control margin {margin:.3e} at step {step_index}")
         lo, hi = record.phi_min, record.phi_max
         if lo < validated[0] or hi > validated[1]:
             new_range = (min(lo, validated[0]), max(hi, validated[1]))
@@ -420,24 +416,17 @@ def run(
             validated = new_range
 
     def _record(step_index: int, h: VectorField | None) -> None:
-        mu = chemical_potential(state.phi, kernel, potential, state.hats[0])
+        fp_hat = np.fft.rfft2(eval_df(potential, state.phi.values))
         rec = diagnostics.make_record(
-            state, mu, kernel, potential, params.nu, beta,
+            state, _mu_hat(kernel, state.hats[0], fp_hat), kernel, potential, params.nu, beta,
             forcing_power=(inner(h, state.u) if h is not None else 0.0),
             prev=records[-1] if records else None,
         )
         records.append(rec)
         _audit_record(step_index, rec)
         if cfg.checks.grad_control and step_index > 0:
-            weak_margins.append(
-                diagnostics.weak_gradient_margin(
-                    rec.grad_mu_sq,
-                    norm_l2(gradient(state.phi)) ** 2,
-                    norm_l2(state.phi) ** 2,
-                    report.c0,
-                    report.norm_gradj_l1,
-                )
-            )
+            weak_margins.append(diagnostics.weak_gradient_margin(
+                rec.grad_mu_sq, rec.grad_phi_sq, norm_l2(state.phi) ** 2, report.c0, report.norm_gradj_l1))
         if capture_phi:
             history.append(state.phi.values.copy())
         if writer:
@@ -464,17 +453,8 @@ def run(
     finally:
         if writer:
             writer.close()
-    return RunResult(
-        records=records,
-        state=state,
-        report=report,
-        params=params,
-        beta=beta,
-        condition_altass=condition,
-        invariant_failures=failures,
-        phi_history=history,
-        weak_margins=weak_margins if cfg.checks.grad_control else None,
-        out_dir=out_dir,
-    )
+    return RunResult(records=records, state=state, report=report, params=params, beta=beta,
+                     condition_altass=condition, invariant_failures=failures, phi_history=history,
+                     weak_margins=weak_margins if cfg.checks.grad_control else None, out_dir=out_dir)
 
 

@@ -16,6 +16,9 @@ Conventions
   Nyquist content, so this is only visible on deliberately full-spectrum data.
 * Derivatives and the Leray projector act on unnormalized rfft2 coefficients
   (the half plane m_y >= 0, ``Grid.half``), as the solver carries them.
+* Quadratic forms read those coefficients by Parseval (``parseval``): the
+  columns m_y = 0 and n/2 hold their own conjugates and count once, every
+  other column stands for two, and the scale is |Omega| / n^4.
 
 All functions are pure; fields are treated as immutable values.  Grids cache
 their wavenumber arrays lazily, which is safe under concurrent use (idempotent
@@ -125,8 +128,10 @@ class Grid:
         # (the zero mode and the unmatched Nyquist lines) pass through
         pos = k2 > 0.0
         k2_pos = np.where(pos, k2, 1.0)
+        weight = np.full(nh, 2.0 * self.volume / self.n**4)
+        weight[[0, -1]] /= 2.0  # m_y = 0 and n/2 count once
         return HalfPlane(
-            ikx=1j * kx, iky=1j * ky, k2=k2,
+            ikx=1j * kx, iky=1j * ky, k2=k2, weight=weight,
             mask=np.ascontiguousarray(self.dealias_mask[:, :nh]),
             pxx=np.where(pos, 1.0 - kx * kx / k2_pos, 1.0),
             pxy=np.where(pos, -kx * ky / k2_pos, 0.0),
@@ -138,11 +143,13 @@ class Grid:
 class HalfPlane:
     """Operators on rfft2 coefficients, shape (n, n//2 + 1): the modes
     m_y = 0 .. n/2 of the full layout, the rest being their conjugates for
-    real fields.  (pxx, pxy; pxy, pyy) is the Leray projector."""
+    real fields.  (pxx, pxy; pxy, pyy) is the Leray projector; ``weight``,
+    shape (n//2 + 1,), the Parseval weight of each column."""
 
     ikx: np.ndarray
     iky: np.ndarray
     k2: np.ndarray
+    weight: np.ndarray
     mask: np.ndarray
     pxx: np.ndarray
     pxy: np.ndarray
@@ -322,14 +329,21 @@ def mean(f: ScalarField) -> float:
     return float(np.mean(f.values))
 
 
-def seminorm_h1(f) -> float:
-    """||grad f|| for a scalar field, Frobenius ||grad u|| for a vector field."""
-    if isinstance(f, VectorField):
-        gx, gy = gradient(f.x), gradient(f.y)
-        return float(np.sqrt(norm_l2(gx) ** 2 + norm_l2(gy) ** 2))
-    return norm_l2(gradient(f))
+def parseval(grid: Grid, *hats: np.ndarray, symbol=1.0) -> float:
+    """Sum over the fields f of integral (S f) f dx, each f given by its rfft2
+    coefficients and S a real even multiplier: |Omega|/n^4 sum_half w S |f^|^2.
+    S = 1 gives ||f||^2 and S = ``Grid.half.k2`` gives ||grad f||^2 (the
+    Nyquist line zeroed, as the derivatives have it)."""
+    w = grid.half.weight * symbol
+    return float(sum(np.sum(w * (c.real * c.real + c.imag * c.imag)) for c in hats))
 
 
 def grad_norm_sq(f) -> float:
-    s = seminorm_h1(f)
-    return s * s
+    """||grad f||^2 for a scalar field, Frobenius ||grad u||^2 for a vector
+    field, by Parseval."""
+    parts = f.components if isinstance(f, VectorField) else (f,)
+    return parseval(f.grid, *(np.fft.rfft2(c.values) for c in parts), symbol=f.grid.half.k2)
+
+
+def seminorm_h1(f) -> float:
+    return float(np.sqrt(grad_norm_sq(f)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlchns import solver
 from nlchns.cli import main
 
 GOOD = """
@@ -72,6 +73,14 @@ class TestRun:
         assert main(["run", cfg_a]) == 0
         assert main(["run", cfg_b, "--seed", "123"]) == 0
         assert (out_a / "diagnostics.csv").read_bytes() != (out_b / "diagnostics.csv").read_bytes()
+
+    def test_failed_gradient_control_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a beta the data cannot meet, with the condition on
+        monkeypatch.setattr(solver, "compute_beta", lambda report: (1e6, True))
+        path = write(tmp_path, RANDOM_RUN + "checks.grad_control = true\n")
+        assert main(["run", path]) == 1
+        assert "invariant violation: gradient control margin" in capsys.readouterr().out
+        assert main(["run", write(tmp_path, RANDOM_RUN, "off.cfg")]) == 0  # check off
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["run", write(tmp_path, GOOD.replace("dt = 2e-3", "dt = 0"))])

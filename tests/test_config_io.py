@@ -168,6 +168,14 @@ class TestConfigValues:
         cfg = parse_config(config_with("initial.u0_amplitude", "0"))
         assert cfg.velocity.amplitude == 0.0
 
+    @pytest.mark.parametrize("dt, t_end", [("5e-324", "1"), ("1e-300", "1e300"), ("1e-3", "1e12")])
+    def test_step_count_bounded(self, dt, t_end):
+        # t_end / dt overflowing to inf raised a bare OverflowError from round()
+        text = config_with("dt", dt).replace("t_end = 1\n", f"t_end = {t_end}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(e.startswith("t_end / dt must be at most") for e in err.value.errors), err.value.errors
+
     @pytest.mark.parametrize("key, message", [
         ("output.record_every", "output.record_every must be >= 1"),
         ("initial.width", "initial.width must be positive"),

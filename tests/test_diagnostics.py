@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, random_field, random_vector
+from nlchns import solver
 from nlchns.config import ChecksConfig, GridConfig, SimConfig, SimSettings
 from nlchns.diagnostics import (
     DiagnosticsRecord,
@@ -19,7 +20,7 @@ from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_f
 from nlchns.solver import ForcingSpec, SimState, chemical_potential, run
-from nlchns.spectral import Grid, ScalarField, constant_field, zero_vector
+from nlchns.spectral import Grid, ScalarField, VectorField, constant_field, zero_vector
 
 DW = PotentialSpec.double_well()
 
@@ -71,11 +72,82 @@ class TestTotalEnergy:
         assert parts.total == parts.kinetic + parts.interaction + parts.bulk
 
 
+def quadrature_record(state, kernel, beta):
+    """Every quadratic record field from samples alone: brute-force periodic
+    convolution and double sum, full-plane fft2 gradients with the Nyquist
+    line zeroed, and sample sums with the cell volume."""
+    g = kernel.grid
+    n, w = g.n, g.cell_volume
+    phi, ux, uy = state.phi.values, state.u.x.values, state.u.y.values
+    i = np.arange(n)
+    # shifted[x1, x2, y1, y2] = J(x - y)
+    shifted = kernel.samples.values[(i[:, None, None, None] - i[None, None, :, None]) % n,
+                                    (i[None, :, None, None] - i[None, None, None, :]) % n]
+    conv = np.einsum("abcd,cd->ab", shifted, phi) * w
+    a = float(np.sum(kernel.samples.values) * w)
+    mu = a * phi - conv + 4.0 * phi**3 - 4.0 * phi  # double well F' = 4s^3 - 4s
+
+    def grad_sq(*fields):
+        total = 0.0
+        for f in fields:
+            f_hat = np.fft.fft2(f)
+            for k in (g.kx, g.ky):
+                d = np.fft.ifft2(1j * k * f_hat)
+                assert np.max(np.abs(d.imag)) < 1e-12 * (1 + np.max(np.abs(d.real)))
+                total += float(np.sum(d.real**2) * w)
+        return total
+
+    kinetic = 0.5 * float(np.sum(ux**2 + uy**2) * w)
+    interaction = 0.25 * float(np.sum(shifted * (phi[:, :, None, None] - phi) ** 2) * w * w)
+    bulk = float(np.sum((1.0 - phi**2) ** 2) * w)
+    grad_mu_sq, grad_phi_sq = grad_sq(mu), grad_sq(phi)
+    return dict(
+        mass=float(np.sum(phi) * w), kinetic=kinetic, interaction=interaction, bulk=bulk,
+        total_energy=kinetic + interaction + bulk, grad_u_sq=grad_sq(ux, uy),
+        grad_mu_sq=grad_mu_sq, grad_phi_sq=grad_phi_sq,
+        grad_control_margin=grad_mu_sq - beta * grad_phi_sq,
+        phi_min=float(np.min(phi)), phi_max=float(np.max(phi)),
+    )
+
+
+class TestRecordOracle:
+    """The records run() writes against an independent quadrature at n = 16,
+    with u != 0 and mean(phi) != 0; without dealiasing, the full-spectrum case
+    keeps its Nyquist content and pins the half-plane weights and the
+    zeroed-Nyquist derivative convention."""
+
+    @pytest.mark.parametrize("band", [5, None], ids=["band-limited", "full-spectrum"])
+    def test_record_fields_match_quadrature(self, rng, band):
+        g = Grid(16, TWO_PI)
+        phi = ScalarField(g, 0.3 + 0.5 * random_field(g, rng, band).values)
+        u = random_vector(g, rng, band, solenoidal=True)
+        u = VectorField(ScalarField(g, 0.2 + u.x.values), ScalarField(g, u.y.values - 0.1))
+        nu, dt = 0.1, 1e-3
+        cfg = SimConfig(
+            grid=GridConfig(16, TWO_PI),
+            kernel=KernelSpec.gaussian(0.15 * TWO_PI, 2.0),
+            potential=DW,
+            sim=SimSettings(nu=nu, dt=dt, t_end=dt, dealias=False),
+        )
+        start = SimState(phi, u, 0.0)
+        res = run(cfg, force=True, initial_state=start, record_every=1)
+        assert not res.invariant_failures
+        kernel = build_kernel(cfg.kernel, g)
+        assert abs(np.mean(phi.values)) > 0.1 and res.records[0].kinetic > 0.1
+        for state, rec in ((start, res.records[0]), (res.state, res.records[1])):
+            want = quadrature_record(state, kernel, res.beta)
+            for name, value in want.items():
+                assert abs(getattr(rec, name) - value) <= 1e-12 * abs(value), name
+        prev, cur = res.records
+        terms = (cur.total_energy - prev.total_energy) / dt, nu * cur.grad_u_sq, cur.grad_mu_sq
+        assert abs(cur.identity_residual - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+
+
 class TestIdentityResidual:
     def test_steady_state_zero(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 1.0), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel16, DW)
+        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
         r0 = make_record(state, mu, kernel16, DW, nu=0.1, beta=1.0, forcing_power=0.0, prev=None)
         state1 = SimState(state.phi, state.u, 0.1)
         r1 = make_record(state1, mu, kernel16, DW, nu=0.1, beta=1.0, forcing_power=0.0, prev=r0)
@@ -119,7 +191,7 @@ class TestEnergyInequality:
     def test_constant_series_equality(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 1.0), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel16, DW)
+        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
         recs = [
             make_record(SimState(state.phi, state.u, t), mu, kernel16, DW, 0.1, 1.0, 0.0, None)
             for t in (0.0, 0.1, 0.2)
@@ -174,7 +246,7 @@ class TestDissipativeEnvelope:
     def test_zero_state_inside(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel16, DW)
+        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, 0.0, 0.0)
         assert env.applicable and env.passes
@@ -182,7 +254,7 @@ class TestDissipativeEnvelope:
     def test_decay_rate_constant(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel16, DW)
+        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
         recs = [make_record(state, mu, kernel16, DW, 0.25, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.25, 0.0, 0.0)
         lam1 = (2 * np.pi / g.l) ** 2
@@ -192,7 +264,7 @@ class TestDissipativeEnvelope:
         g = kernel16.grid
         m = 0.3
         state = SimState(constant_field(g, m), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel16, DW)
+        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, m, 0.0)
         assert abs(env.offset - eval_f(DW, m) * g.volume) < 1e-12
@@ -201,7 +273,7 @@ class TestDissipativeEnvelope:
     def test_not_applicable_forcing(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel16, DW)
+        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, 0.0, None)
         assert not env.applicable
@@ -242,7 +314,7 @@ class TestGradientControl:
     def test_constant_phi_zero_margin(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.4), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel16, DW)
+        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
         rec = make_record(state, mu, kernel16, DW, 0.1, beta=1.0, forcing_power=0.0, prev=None)
         margin, verdict = gradient_control_check(rec, beta=1.0, condition_ok=True)
         assert abs(margin) < 1e-13 and verdict == "pass"
@@ -250,7 +322,7 @@ class TestGradientControl:
     def test_not_applicable_when_condition_fails(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = chemical_potential(state.phi, kernel16, DW)
+        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
         rec = make_record(state, mu, kernel16, DW, 0.1, beta=5.0, forcing_power=0.0, prev=None)
         _, verdict = gradient_control_check(rec, beta=5.0, condition_ok=False)
         assert verdict == "n/a"
@@ -271,3 +343,31 @@ class TestGradientControl:
         scale = 1.0 + max(r.grad_mu_sq for r in res.records)
         assert min(r.grad_control_margin for r in res.records) >= -1e-8 * scale
         assert min(res.weak_margins) >= -1e-8 * scale
+        assert not res.invariant_failures
+
+    @staticmethod
+    def _control_cfg(grad_control):
+        return SimConfig(
+            grid=GridConfig(16, TWO_PI),
+            kernel=KernelSpec.gaussian(TWO_PI / 6.0, 6.0),
+            potential=PotentialSpec.quartic(1.0, 5.0),
+            sim=SimSettings(nu=0.1, dt=1e-3, t_end=3e-3),
+            initial=InitialSpec(family="random", amplitude=0.2, mean=0.0, seed=17),
+            checks=ChecksConfig(grad_control=grad_control),
+        )
+
+    def test_run_fails_on_violated_control(self, monkeypatch):
+        # a beta too large for the data, with the condition on: every record fails
+        monkeypatch.setattr(solver, "compute_beta", lambda report: (1e6, True))
+        res = run(self._control_cfg(True), record_every=1)
+        assert res.condition_altass
+        margins = [r.grad_control_margin for r in res.records]
+        assert max(margins) < 0
+        assert res.invariant_failures == [
+            f"gradient control margin {m:.3e} at step {i}" for i, m in enumerate(margins)]
+
+    def test_violation_ignored_unless_requested_or_applicable(self, monkeypatch):
+        monkeypatch.setattr(solver, "compute_beta", lambda report: (1e6, True))
+        assert not run(self._control_cfg(False)).invariant_failures
+        monkeypatch.setattr(solver, "compute_beta", lambda report: (1e6, False))
+        assert not run(self._control_cfg(True)).invariant_failures

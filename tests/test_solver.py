@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,17 @@ from nlchns.spectral import (
 )
 
 DW = PotentialSpec.double_well()
+
+
+def count_transforms(monkeypatch) -> list[str]:
+    """Names of the numpy.fft transforms called from now on."""
+    calls = []
+    for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 def make_cfg(**over):
@@ -282,17 +294,36 @@ class TestStepCore:
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0, force_form=form)
         state = SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0)
         state = step(state, params, kernel32, DW)
-        calls = []
-        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
-            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_transforms(monkeypatch)
         step(state, params, kernel32, DW, ForcingSpec())
         assert sorted(calls) == ["irfft2"] * inverse + ["rfft2"] * 4
         calls.clear()
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
         assert sorted(calls) == ["irfft2"] * inverse + ["rfft2"] * 7  # + phi, u_x, u_y
+
+    def test_transforms_per_record(self, monkeypatch):
+        # a record takes the rfft2 of F'(phi) for mu^ and the irfft2 of the
+        # divergence audit; its norms come from the coefficients
+        cfg = make_cfg(
+            sim=SimSettings(nu=0.05, dt=2e-3, t_end=0.02),
+            initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
+            velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
+            checks=ChecksConfig(grad_control=True),
+        )
+        calls = count_transforms(monkeypatch)
+
+        def counts(steps, every):
+            calls.clear()
+            run(replace(cfg, sim=replace(cfg.sim, t_end=steps * cfg.sim.dt)), record_every=every)
+            return Counter(calls)
+
+        def minus(a, b):
+            return {k: a[k] - b[k] for k in a.keys() | b.keys() if a[k] != b[k]}
+
+        every = counts(10, 1)
+        assert minus(every, counts(10, 10)) == {"rfft2": 9, "irfft2": 9}  # 9 more records
+        # a step and its record: 17 half-size transforms
+        assert minus(every, counts(0, 1)) == {"rfft2": 10 * 5, "irfft2": 10 * 12}
 
     def test_one_projection_matches_split_projection(self, kernel32, rng):
         # projecting the force before the viscous solve as well as after it
