@@ -28,19 +28,15 @@ from .solver import (
 from .spectral import (
     Grid,
     ScalarField,
-    SpectrumField,
     VectorField,
-    dealias,
     divergence,
     gradient,
     inner,
-    inverse_transform,
     laplacian,
     leray_project,
     mean,
     norm_l2,
     seminorm_h1,
-    transform,
 )
 
 __version__ = "0.1.0"

@@ -106,7 +106,6 @@ class HypothesisReport:
     alpha: float = 0.0
     beta: float = 0.0
     c_poincare: float = 0.0
-    c_poincare_convex_bound: float = 0.0
     a: float = 0.0
     a_star: float = 0.0
     norm_j_l1: float = 0.0
@@ -125,7 +124,7 @@ class HypothesisReport:
             lines.append(f"{name} = {getattr(self, name)}")
         for name in (
             "c0", "c1", "c2", "c3", "c4", "p", "c5", "c6", "q", "c7", "c8",
-            "alpha", "beta", "c_poincare", "c_poincare_convex_bound",
+            "alpha", "beta", "c_poincare",
             "a", "a_star", "norm_j_l1", "norm_gradj_l1", "m0",
         ):
             lines.append(f"{name} = {getattr(self, name):.17g}")
@@ -323,6 +322,5 @@ def audit(
 
     rep.m0 = global_m0(potential)
     rep.c_poincare = poincare_constant(kernel.grid)
-    rep.c_poincare_convex_bound = math.sqrt(2.0) * kernel.grid.l / math.pi
     rep.beta, rep.condition_altass = compute_beta(rep)
     return rep

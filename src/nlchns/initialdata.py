@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    ScalarField,
-    SpectrumField,
-    VectorField,
-    constant_field,
-    inverse_transform,
-    vector_from_values,
-    zero_vector,
-)
+from .spectral import Grid, ScalarField, VectorField, constant_field, vector_from_values, zero_vector
 
 
 class InitialDataError(ValueError):
@@ -53,10 +44,17 @@ class VelocitySpec:
     path_y: str = ""
 
 
-def _mode_coefficient(seed: int, m1: int, m2: int) -> complex:
+def _mode_coefficient(gen: np.random.Generator, seed: int, m1: int, m2: int) -> complex:
+    """The first normal pair of the Philox stream keyed by (seed, mode), drawn
+    by ``gen`` (a Philox generator) after resetting it to the stream's start,
+    as a fresh ``Generator(Philox(key=...))`` would begin."""
     lane = ((m1 & 0xFFFFFFFF) << 32) | (m2 & 0xFFFFFFFF)
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, lane], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, lane], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     z = gen.standard_normal(2)
     return complex(z[0], z[1])
 
@@ -67,21 +65,23 @@ def random_phi(grid: Grid, amplitude: float, mean_value: float, seed: int,
     if band < 1 or band >= grid.n // 2:
         raise InitialDataError(f"random band {band} not resolvable on n = {grid.n}")
     n = grid.n
-    coeff = np.zeros((n, n), dtype=complex)
+    gen = np.random.Generator(np.random.Philox())
+    coeff = np.zeros((n, n // 2 + 1), dtype=complex)  # amplitudes on the rfft2 half plane
     sq = 0.0
     for m1 in range(0, band + 1):
         for m2 in range(-band, band + 1):
             if m1 == 0 and m2 <= 0:
-                continue  # half-space only; conjugates fill the rest
-            z = _mode_coefficient(seed, m1, m2)
-            coeff[m1 % n, m2 % n] = z
-            coeff[-m1 % n, -m2 % n] = np.conj(z)
+                continue  # one of each conjugate pair is drawn
+            z = _mode_coefficient(gen, seed, m1, m2)
+            if m2 >= 0:
+                coeff[m1, m2] = z
+            if m2 <= 0:
+                coeff[-m1 % n, -m2] = np.conj(z)
             sq += abs(z) ** 2
     rms = np.sqrt(2.0 * sq)
     if rms > 0:
         coeff *= amplitude / rms
-    pert = inverse_transform(SpectrumField(grid, coeff))
-    return ScalarField(grid, mean_value + pert.values)
+    return ScalarField(grid, mean_value + np.fft.irfft2(coeff * (n * n)))
 
 
 def tanh_strip_phi(grid: Grid, width: float) -> ScalarField:

@@ -1,9 +1,9 @@
 """Interaction-kernel algebra on the periodic grid.
 
 A kernel J is an even, nonnegative, integrable function wrapped onto the
-torus.  The grid object carries its samples, the Fourier symbol (amplitude
-coefficients of the samples), the convolution multiplier, and the quadrature
-values of a = integral J, ||J||_L1 and ||grad J||_L1.  Convolution against a
+torus.  The grid object carries its samples, the convolution multiplier J^ on
+the rfft2 half plane, and the quadrature values of a = integral J, ||J||_L1
+and ||grad J||_L1.  Convolution against a
 field is a pointwise spectral product; on the torus a(x) is the constant a.
 
 Shipped families:
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, ScalarField, SpectrumField, parseval, rgradient, transform
+from .spectral import Grid, ScalarField, parseval, rgradient
 
 
 class KernelBuildError(ValueError):
@@ -64,12 +64,13 @@ class KernelSpec:
 
 @dataclass(eq=False)
 class KernelOnGrid:
-    """A kernel discretized on one grid, with its spectral data and norms;
-    compared by identity, so that the solver can cache operators per kernel."""
+    """A kernel discretized on one grid, with its multiplier and norms;
+    compared by identity, so that the solver can cache operators per kernel.
+    ``multiplier``: J^ = integral J(x) exp(-i k.x) dx by quadrature, real and
+    even, on the rfft2 half plane (shape (n, n//2 + 1))."""
 
     grid: Grid
     samples: ScalarField
-    symbol: SpectrumField
     multiplier: np.ndarray = field(repr=False)
     a: float
     norm_l1: float
@@ -83,7 +84,7 @@ class KernelOnGrid:
     @cached_property
     def a_minus_j(self) -> np.ndarray:
         """Multiplier of f -> a f - J*f on the rfft2 half plane."""
-        return self.a - self.multiplier[:, : self.grid.n // 2 + 1]
+        return self.a - self.multiplier
 
 
 def _gaussian_samples(grid: Grid, sigma: float, strength: float):
@@ -124,7 +125,7 @@ def _mollifier_samples(grid: Grid, radius: float, strength: float):
 
 def _spectral_samples(grid: Grid, modes):
     n = grid.n
-    mult = np.zeros((n, n), dtype=float)
+    mult = np.zeros((n, n // 2 + 1), dtype=float)
     seen: dict[tuple[int, int], float] = {}
     for m1, m2, v in modes:
         if abs(m1) >= n // 2 or abs(m2) >= n // 2:
@@ -136,8 +137,9 @@ def _spectral_samples(grid: Grid, modes):
                     f"spectral table assigns conflicting values at mode ({a},{b})"
                 )
             seen[key] = v
-            mult[key] = v
-    val = np.fft.ifft2(mult).real / grid.cell_volume
+            if key[1] <= n // 2:  # the half plane; the rest are conjugates
+                mult[key] = v
+    val = np.fft.irfft2(mult) / grid.cell_volume
     # band-limited, so spectral differentiation of the samples is exact
     return val, np.hypot(*rgradient(grid, np.fft.rfft2(val)))
 
@@ -174,18 +176,14 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> KernelOnGrid:
         )
     np.clip(val, 0.0, None, out=val)
 
-    samples = ScalarField(grid, val)
-    symbol = transform(samples)
-    multiplier = (symbol.coefficients * grid.volume).real
     w = grid.cell_volume
     a = float(np.sum(val) * w)
     norm_l1 = float(np.sum(np.abs(val)) * w)
     grad_norm_l1 = float(np.sum(gmag) * w)
     return KernelOnGrid(
         grid=grid,
-        samples=samples,
-        symbol=symbol,
-        multiplier=multiplier,
+        samples=ScalarField(grid, val),
+        multiplier=np.fft.rfft2(val).real * w,
         a=a,
         norm_l1=norm_l1,
         grad_norm_l1=grad_norm_l1,
@@ -196,7 +194,7 @@ def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
     """(J * f)(x) = integral J(x - y) f(y) dy as a spectral product."""
     if kernel.grid != f.grid:
         raise ValueError("kernel and field on different grids")
-    out = np.fft.irfft2(kernel.multiplier[:, : f.grid.n // 2 + 1] * np.fft.rfft2(f.values))
+    out = np.fft.irfft2(kernel.multiplier * np.fft.rfft2(f.values))
     return ScalarField(f.grid, out)
 
 

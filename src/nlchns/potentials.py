@@ -148,10 +148,6 @@ class SplitPotential:
     s_range: tuple[float, float]
     g_offset: float
 
-    def eval_g_fun(self, s):
-        """G(s) = F(s) + (a*/2) s^2."""
-        return eval_f(self.base, s) + 0.5 * self.a_star * np.asarray(s, dtype=float) ** 2
-
     def eval_g(self, s):
         """g(s) = G'(s) - G'(0)."""
         return eval_df(self.base, s) + self.a_star * np.asarray(s, dtype=float) - self.g_offset

@@ -114,6 +114,13 @@ class SimState:
             return self.hats
         return tuple(np.fft.rfft2(f.values) for f in (self.phi, self.u.x, self.u.y))
 
+    @classmethod
+    def from_hats(cls, grid: Grid, hats: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  t: float) -> "SimState":
+        """The state with rfft2 coefficients ``hats`` of (phi, u.x, u.y)."""
+        phi, ux, uy = (np.fft.irfft2(c) for c in hats)
+        return cls(ScalarField(grid, phi), vector_from_values(grid, ux, uy), t, hats)
+
 
 @dataclass(frozen=True)
 class SimParams:
@@ -254,11 +261,10 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
     key = (params.dt, params.nu, params.stabilizer, params.dealias)
     if key not in per_kernel:
         h = kernel.grid.half
-        j_hat = kernel.multiplier[:, :h.k2.shape[1]]
         mask = h.mask if params.dealias else 1.0
         flow = mask / (1.0 / params.dt + params.nu * h.k2)
         per_kernel[key] = _Operators(
-            keep=1.0 / params.dt + h.k2 * (params.stabilizer + j_hat),
+            keep=1.0 / params.dt + h.k2 * (params.stabilizer + kernel.multiplier),
             solve=mask / (1.0 / params.dt + h.k2 * (kernel.a + params.stabilizer)),
             wxx=flow * h.pxx, wxy=flow * h.pxy, wyy=flow * h.pyy,
         )
@@ -295,13 +301,11 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     new_ux_hat = ops.wxx * bx + ops.wxy * by
     new_uy_hat = ops.wxy * bx + ops.wyy * by
 
-    hats = (new_phi_hat, new_ux_hat, new_uy_hat)
-    new_phi, new_ux, new_uy = (np.fft.irfft2(c) for c in hats)
-    for vals, what in ((new_phi, "phi"), (new_ux, "u"), (new_uy, "u")):
-        if not np.all(np.isfinite(vals)):
+    new = SimState.from_hats(g, (new_phi_hat, new_ux_hat, new_uy_hat), state.t + params.dt)
+    for f, what in ((new.phi, "phi"), (new.u.x, "u"), (new.u.y, "u")):
+        if not np.all(np.isfinite(f.values)):
             raise BlowUpError(f"non-finite values in {what}")
-    return SimState(ScalarField(g, new_phi), vector_from_values(g, new_ux, new_uy),
-                    state.t + params.dt, hats)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +369,7 @@ def run(
     hats = state.coefficients()
     if cfg.sim.dealias:
         hats = tuple(c * grid.half.mask for c in hats)
-        phi_d, ux_d, uy_d = (np.fft.irfft2(c) for c in hats)
-        state = SimState(ScalarField(grid, phi_d), vector_from_values(grid, ux_d, uy_d), state.t)
-    state = SimState(state.phi, state.u, state.t, hats)
+    state = SimState.from_hats(grid, hats, state.t)
 
     s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, potential, state.phi, s_range)
     params = SimParams(nu=cfg.sim.nu, dt=cfg.sim.dt, stabilizer=s_value, t_end=cfg.sim.t_end,

@@ -1,27 +1,29 @@
 """Field algebra on a uniform periodic square grid.
 
 Everything downstream (convolution kernels, the coupled solver, the
-diagnostics) is built on the operations here: FFT transforms with amplitude
-normalization, spectral derivatives, L2 inner products carrying the physical
-cell volume, the Leray projector, and 2/3-rule dealiasing.
+diagnostics) is built on the operations here: spectral derivatives, L2 inner
+products carrying the physical cell volume, the Leray projector, 2/3-rule
+dealiasing and Parseval sums.
 
 Conventions
 -----------
-* Coefficients are "amplitudes": f(x) = sum_k c_k exp(i k.x), i.e.
-  c = fft2(values) / n^2, so Parseval reads ||f||_L2^2 = |Omega| * sum |c_k|^2.
+* Coefficients are unnormalized rfft2 coefficients, c = rfft2(values), on the
+  half plane m_y = 0 .. n/2 (shape (n, n//2 + 1), ``Grid.half``); the other
+  modes are their conjugates for real fields.  This is the only coefficient
+  layout: the solver carries it, and kernels, initial data and resampling
+  build their fields in it.
 * Wavenumbers are 2*pi*m/l with integer m in [-n/2, n/2) per axis.
 * Odd-derivative multipliers vanish on the unmatched Nyquist line m = -n/2;
   the Laplacian uses the squared zeroed wavenumbers so that
   divergence(gradient(f)) == laplacian(f) exactly.  Dealiased fields carry no
   Nyquist content, so this is only visible on deliberately full-spectrum data.
-* Derivatives and the Leray projector act on unnormalized rfft2 coefficients
-  (the half plane m_y >= 0, ``Grid.half``), as the solver carries them.
-* Quadratic forms read those coefficients by Parseval (``parseval``): the
+* Dealiasing keeps |m| <= floor(n/3) per axis (``Grid.half.mask``).
+* Quadratic forms read the coefficients by Parseval (``parseval``): the
   columns m_y = 0 and n/2 hold their own conjugates and count once, every
   other column stands for two, and the scale is |Omega| / n^4.
 
 All functions are pure; fields are treated as immutable values.  Grids cache
-their wavenumber arrays lazily, which is safe under concurrent use (idempotent
+their operator arrays lazily, which is safe under concurrent use (idempotent
 dict writes of immutable arrays).
 """
 
@@ -51,11 +53,8 @@ class Grid:
 
     n: int
     l: float
-    d: int = 2
 
     def __post_init__(self):
-        if self.d != 2:
-            raise ValueError("only d = 2 is supported")
         if not (_is_power_of_two(self.n) and self.n >= 8):
             raise ValueError(f"grid.n must be a power of two >= 8, got {self.n}")
         if not (np.isfinite(self.l) and self.l > 0):
@@ -67,11 +66,11 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
-        return (self.l / self.n) ** self.d
+        return (self.l / self.n) ** 2
 
     @property
     def volume(self) -> float:
-        return self.l ** self.d
+        return self.l ** 2
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -88,42 +87,17 @@ class Grid:
         return np.fft.fftfreq(self.n, d=1.0 / self.n)
 
     @cached_property
-    def k1(self) -> np.ndarray:
-        """Wavenumbers 2*pi*m/l in FFT layout."""
-        return 2.0 * np.pi * self.modes / self.l
-
-    @cached_property
-    def kx(self) -> np.ndarray:
-        """Derivative wavenumber, x axis, Nyquist zeroed; shape (n, n)."""
-        k = self.k1.copy()
-        k[self.n // 2] = 0.0
-        return np.broadcast_to(k[:, None], (self.n, self.n))
-
-    @cached_property
-    def ky(self) -> np.ndarray:
-        k = self.k1.copy()
-        k[self.n // 2] = 0.0
-        return np.broadcast_to(k[None, :], (self.n, self.n))
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        """|k|^2 built from the zeroed derivative wavenumbers."""
-        return self.kx**2 + self.ky**2
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Keep |m| <= floor(n/3) per axis (n is a power of two, so the
-        retained band K satisfies 3K <= n - 1 and triple products stay
-        alias-free)."""
-        cut = self.n // 3
-        keep1 = np.abs(self.modes) <= cut
-        return keep1[:, None] & keep1[None, :]
-
-    @cached_property
     def half(self) -> "HalfPlane":
-        """The operators above in the rfft2 layout."""
+        """The operators on the rfft2 half plane, built from one axis: the
+        derivative wavenumber with its Nyquist entry zeroed, and the 2/3-rule
+        keep |m| <= floor(n/3) (n is a power of two, so the retained band K
+        satisfies 3K <= n - 1 and triple products stay alias-free)."""
         nh = self.n // 2 + 1
-        kx, ky, k2 = self.kx[:, :nh], self.ky[:, :nh], np.ascontiguousarray(self.k2[:, :nh])
+        k = 2.0 * np.pi * self.modes / self.l
+        k[self.n // 2] = 0.0
+        kx, ky = np.meshgrid(k, k[:nh], indexing="ij")
+        k2 = kx**2 + ky**2
+        keep = np.abs(self.modes) <= self.n // 3
         # Leray weights: modes with k = 0 under the derivative convention
         # (the zero mode and the unmatched Nyquist lines) pass through
         pos = k2 > 0.0
@@ -132,7 +106,7 @@ class Grid:
         weight[[0, -1]] /= 2.0  # m_y = 0 and n/2 count once
         return HalfPlane(
             ikx=1j * kx, iky=1j * ky, k2=k2, weight=weight,
-            mask=np.ascontiguousarray(self.dealias_mask[:, :nh]),
+            mask=keep[:, None] & keep[None, :nh],
             pxx=np.where(pos, 1.0 - kx * kx / k2_pos, 1.0),
             pxy=np.where(pos, -kx * ky / k2_pos, 0.0),
             pyy=np.where(pos, 1.0 - ky * ky / k2_pos, 1.0),
@@ -142,9 +116,9 @@ class Grid:
 @dataclass(frozen=True)
 class HalfPlane:
     """Operators on rfft2 coefficients, shape (n, n//2 + 1): the modes
-    m_y = 0 .. n/2 of the full layout, the rest being their conjugates for
-    real fields.  (pxx, pxy; pxy, pyy) is the Leray projector; ``weight``,
-    shape (n//2 + 1,), the Parseval weight of each column."""
+    m_y = 0 .. n/2, the rest being their conjugates for real fields.
+    (pxx, pxy; pxy, pyy) is the Leray projector; ``weight``, shape
+    (n//2 + 1,), the Parseval weight of each column."""
 
     ikx: np.ndarray
     iky: np.ndarray
@@ -168,21 +142,6 @@ class ScalarField:
         if self.values.shape != (self.grid.n, self.grid.n):
             raise FieldShapeError(
                 f"expected {(self.grid.n, self.grid.n)} samples, got {self.values.shape}"
-            )
-
-
-@dataclass
-class SpectrumField:
-    """Amplitude-normalized complex Fourier coefficients on a grid."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=complex)
-        if self.coefficients.shape != (self.grid.n, self.grid.n):
-            raise FieldShapeError(
-                f"expected {(self.grid.n, self.grid.n)} coefficients, got {self.coefficients.shape}"
             )
 
 
@@ -224,42 +183,28 @@ def _same_grid(a, b) -> None:
 
 
 # ---------------------------------------------------------------------------
-# transforms
-
-def transform(f: ScalarField) -> SpectrumField:
-    n = f.grid.n
-    return SpectrumField(f.grid, np.fft.fft2(f.values) / (n * n))
-
-
-def inverse_transform(F: SpectrumField) -> ScalarField:
-    n = F.grid.n
-    return ScalarField(F.grid, np.fft.ifft2(F.coefficients).real * (n * n))
-
-
-def dealias(F: SpectrumField) -> SpectrumField:
-    return SpectrumField(F.grid, F.coefficients * F.grid.dealias_mask)
-
+# resampling
 
 def resample(f: ScalarField, new_grid: Grid) -> ScalarField:
     """Spectral injection/truncation between grids of the same physical size.
 
-    Amplitude coefficients are copied for modes strictly inside the smaller
-    grid's band (|m| < min(n)/2); refinement zero-pads, coarsening truncates.
-    The unmatched Nyquist line is dropped so the result stays conjugate
-    symmetric on either grid.
+    The rfft2 coefficients of modes strictly inside the smaller grid's band
+    (|m| < min(n)/2) are copied, rescaled by (n_new/n_old)^2 to keep the
+    amplitudes; refinement zero-pads, coarsening truncates.  The unmatched
+    Nyquist line is dropped so the result stays conjugate symmetric on
+    either grid.
     """
     if f.grid.l != new_grid.l:
         raise GridMismatchError("resample requires identical domain lengths")
     if new_grid.n == f.grid.n:
         return ScalarField(new_grid, f.values.copy())
     n_old, n_new = f.grid.n, new_grid.n
-    src = np.fft.fftshift(transform(f).coefficients)
-    dst = np.zeros((n_new, n_new), dtype=complex)
+    src = np.fft.rfft2(f.values)
+    dst = np.zeros((n_new, n_new // 2 + 1), dtype=complex)
     h = min(n_old, n_new) // 2  # copy modes -(h-1) .. (h-1)
-    m = 2 * h - 1
-    lo_s, lo_d = n_old // 2 - (h - 1), n_new // 2 - (h - 1)
-    dst[lo_d:lo_d + m, lo_d:lo_d + m] = src[lo_s:lo_s + m, lo_s:lo_s + m]
-    return inverse_transform(SpectrumField(new_grid, np.fft.ifftshift(dst)))
+    dst[:h, :h] = src[:h, :h]
+    dst[-(h - 1):, :h] = src[-(h - 1):, :h]
+    return ScalarField(new_grid, np.fft.irfft2(dst, s=(n_new, n_new)) * (n_new / n_old) ** 2)
 
 
 # ---------------------------------------------------------------------------

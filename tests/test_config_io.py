@@ -7,6 +7,7 @@ from nlchns.diagnostics import COLUMNS, DiagnosticsRecord
 from nlchns.initialdata import (
     InitialDataError,
     InitialSpec,
+    _mode_coefficient,
     build_phi,
     random_phi,
     tanh_strip_phi,
@@ -273,6 +274,19 @@ class TestInitialData:
         assert np.array_equal(a.values, b.values)
         c = random_phi(g, 0.1, 0.0, seed=10)
         assert not np.array_equal(a.values, c.values)
+
+    def test_mode_draw_matches_fresh_stream(self):
+        # one generator, reset per mode, draws what a fresh Philox stream
+        # keyed by (seed, mode) draws first, whatever it drew before
+        gen = np.random.Generator(np.random.Philox())
+        for seed, m1, m2 in ((0, 0, 1), (9, 3, -2), (9, -3, 2), (123, -8, -7),
+                             (2**64 - 1, 5, 5), (2**63 + 17, -1, 0)):
+            gen.standard_normal(3)
+            gen.random(3, dtype=np.float32)  # leaves a buffered 32-bit half
+            lane = ((m1 & 0xFFFFFFFF) << 32) | (m2 & 0xFFFFFFFF)
+            key = np.array([seed, lane], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key)).standard_normal(2)
+            assert _mode_coefficient(gen, seed, m1, m2) == complex(want[0], want[1])
 
     def test_random_grid_independent_within_band(self):
         coarse = Grid(32, TWO_PI)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_field, random_vector
+from conftest import TWO_PI, full_plane, random_field, random_vector
 from nlchns import solver
 from nlchns.config import ChecksConfig, GridConfig, SimConfig, SimSettings
 from nlchns.diagnostics import (
@@ -87,11 +87,13 @@ def quadrature_record(state, kernel, beta):
     a = float(np.sum(kernel.samples.values) * w)
     mu = a * phi - conv + 4.0 * phi**3 - 4.0 * phi  # double well F' = 4s^3 - 4s
 
+    kx, ky, _, _ = full_plane(g)
+
     def grad_sq(*fields):
         total = 0.0
         for f in fields:
             f_hat = np.fft.fft2(f)
-            for k in (g.kx, g.ky):
+            for k in (kx, ky):
                 d = np.fft.ifft2(1j * k * f_hat)
                 assert np.max(np.abs(d.imag)) < 1e-12 * (1 + np.max(np.abs(d.real)))
                 total += float(np.sum(d.real**2) * w)

@@ -85,13 +85,14 @@ class TestConvexSplit:
         q = PotentialSpec.quartic(1.0, 1.0)
         sp = convex_split(q, 0.0)
         s = np.linspace(-2, 2, 101)
-        np.testing.assert_allclose(sp.eval_g_fun(s), eval_f(q, s), atol=1e-12)
+        np.testing.assert_allclose(sp.eval_g(s), eval_df(q, s) - eval_df(q, 0.0), atol=1e-12)
 
     def test_split_identity_sampled(self):
+        # g(s) = F'(s) + a* s - F'(0)
         sp = convex_split(DW, 6.0)
         s = np.linspace(-2, 2, 10001)
-        lhs = eval_f(DW, s)
-        rhs = sp.eval_g_fun(s) - 0.5 * sp.a_star * s**2
+        lhs = eval_df(DW, s) + sp.a_star * s - eval_df(DW, 0.0)
+        rhs = sp.eval_g(s)
         assert np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs))) < 1e-12
 
     def test_g_vanishes_at_zero_and_is_coercively_monotone(self):
