@@ -12,25 +12,27 @@ implicitly and the rest explicitly with a stabilizer S >= max|F''|/2,
                        - ((u . grad) phi)^,
 
 so each mode solves a scalar equation and the phase energy decays per step;
-the velocity update is implicit in the viscosity, explicit in advection and
-in the capillary force at level (phi^n, mu^n), followed by the Leray
-projection.  Nonlinear products are formed pointwise and 2/3-dealiased; the
-state itself is kept in the dealiased band, which is what makes the discrete
-advection identities (skew symmetry, zero mean) exact.  The k = 0 row of the
-phase update is copied through, so the total mass is conserved to the bit.
+the velocity update is implicit in the viscosity, explicit in the capillary
+force at (phi^n, mu^n) and in the self-advection in rotational form
+omega (u_y, -u_x), omega = curl u (the Leray projection that follows removes
+the rest, -grad |u|^2/2).  Products are formed pointwise and 2/3-dealiased in
+the state's band K (n >= 3K + 1), so none aliases into a kept mode: advection
+identities are exact and the rotational form gives the convective result to
+round-off (undealiased they alias apart; omega (u_y, -u_x) . u = 0 either way).
+The k = 0 row of the phase update is copied through: mass is kept to the bit.
 
 ``step`` is the only implementation of the scheme; ``run`` calls it.  A state
 carries the rfft2 half-plane coefficients of phi, u_x and u_y (shape
 (n, n//2 + 1)) next to the samples transformed back from them.  With zero
-forcing a step takes 15 half-size transforms: 4 rfft2 (F'(phi),
-u . grad phi, and per momentum component the capillary force minus the
-self-advection, which enter only as a difference) and 11 irfft2 (grad phi,
-grad mu, the four components of grad u, the new phi, u_x and u_y).
-mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
-takes 2 more: the rfft2 of F'(phi^{n+1}) for its mu^, and the irfft2 of the
-divergence audit; its norms are read from the coefficients by Parseval.  The Leray
-projector P is applied once: it is linear, idempotent and commutes with the
-mode-diagonal viscous solve D, so P D (u/dt + P r) = P D (u/dt + r).
+forcing a step takes 12 transforms: 3 full (F'(phi), not band-limited, and
+grad mu) and 9 on the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all
+with dealias off): u . grad phi, both momentum right-hand sides, grad phi,
+omega and the new phi, u_x and u_y.  mu^ = (a - J^) phi^ + F'(phi)^ reuses
+the phase solve's F'(phi)^.  A record takes 2 more: the rfft2 of
+F'(phi^{n+1}) for its mu^, and the irfft2 of the divergence audit; its norms
+are read from the coefficients by Parseval.  The Leray projector P is applied
+once: it is linear, idempotent and commutes with the mode-diagonal viscous
+solve D, so P D (u/dt + P r) = P D (u/dt + r).
 
 A trajectory is advanced by a single owner; steps are pure.  Independent
 runs may execute concurrently.
@@ -55,9 +57,11 @@ from .spectral import (
     VectorField,
     advect,
     inner,
+    irfft2_cols,
     leray_project,
     norm_l2,
     rdivergence,
+    rfft2_cols,
     rgradient,
     vector_from_values,
 )
@@ -117,9 +121,10 @@ class SimState:
     @classmethod
     def from_hats(cls, grid: Grid, hats: tuple[np.ndarray, np.ndarray, np.ndarray],
                   t: float) -> "SimState":
-        """The state with rfft2 coefficients ``hats`` of (phi, u.x, u.y)."""
-        phi, ux, uy = (np.fft.irfft2(c) for c in hats)
-        return cls(ScalarField(grid, phi), vector_from_values(grid, ux, uy), t, hats)
+        """The state with ``hats`` of (phi, u.x, u.y) given on their first columns."""
+        phi, ux, uy = (irfft2_cols(grid, c) for c in hats)
+        full = tuple(np.hstack((c, np.zeros((grid.n, grid.n // 2 + 1 - c.shape[1])))) for c in hats)
+        return cls(ScalarField(grid, phi), vector_from_values(grid, ux, uy), t, full)
 
 
 @dataclass(frozen=True)
@@ -241,9 +246,9 @@ def korteweg_force(phi: ScalarField, mu: ScalarField, form: str = "phi_grad_mu")
 # the step
 
 class _Operators(NamedTuple):
-    """Half-plane solve coefficients of one (kernel, dt, nu, S, dealias):
-    new phi^ = (keep phi^ - |k|^2 F'^ - adv^) solve, and the masked,
-    projected viscous solve as weights (wxx, wxy; wxy, wyy)."""
+    """Solve coefficients of one (kernel, dt, nu, S, dealias) on the columns
+    the step keeps: new phi^ = (keep phi^ - |k|^2 F'^ - adv^) solve, and the
+    masked, projected viscous solve as weights (wxx, wxy; wxy, wyy)."""
 
     keep: np.ndarray
     solve: np.ndarray
@@ -260,13 +265,13 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
     per_kernel = _OPERATORS.setdefault(kernel, {})
     key = (params.dt, params.nu, params.stabilizer, params.dealias)
     if key not in per_kernel:
-        h = kernel.grid.half
-        mask = h.mask if params.dealias else 1.0
-        flow = mask / (1.0 / params.dt + params.nu * h.k2)
+        h, c = kernel.grid.half, (kernel.grid.half.kept_cols if params.dealias else None)
+        k2, mask = h.k2[:, :c], (h.mask[:, :c] if params.dealias else 1.0)
+        flow = mask / (1.0 / params.dt + params.nu * k2)
         per_kernel[key] = _Operators(
-            keep=1.0 / params.dt + h.k2 * (params.stabilizer + kernel.multiplier),
-            solve=mask / (1.0 / params.dt + h.k2 * (kernel.a + params.stabilizer)),
-            wxx=flow * h.pxx, wxy=flow * h.pxy, wyy=flow * h.pyy,
+            keep=1.0 / params.dt + k2 * (params.stabilizer + kernel.multiplier[:, :c]),
+            solve=mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
+            wxx=flow * h.pxx[:, :c], wxy=flow * h.pxy[:, :c], wyy=flow * h.pyy[:, :c],
         )
     return per_kernel[key]
 
@@ -274,30 +279,32 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
 def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
          potential: PotentialSpec, forcing: ForcingSpec | VectorField | None = None) -> SimState:
     """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
-    capillary force at (phi^n, mu^n).  ``forcing`` is a spec evaluated at
-    t^n, or the field h(t^n) itself.  mean(phi) is preserved exactly."""
-    g = state.phi.grid
-    ops, k2, inv_dt = _operators(kernel, params), g.half.k2, 1.0 / params.dt
+    capillary force at (phi^n, mu^n); ``forcing`` is a spec evaluated at t^n,
+    or h(t^n) itself.  Keeps mean(phi) exactly; cuts a state without hats to the band."""
+    g, h, ops = state.phi.grid, state.phi.grid.half, _operators(kernel, params)
+    c, inv_dt = ops.keep.shape[1], 1.0 / params.dt
     if forcing is not None and not isinstance(forcing, VectorField):
         forcing = forcing.field_at(g, state.t)
     phi, u = state.phi.values, state.u
-    phi_hat, ux_hat, uy_hat = state.coefficients()
+    hats = state.hats or tuple(a * (h.mask if params.dealias else 1.0) for a in state.coefficients())
+    phi_hat, ux_hat, uy_hat = (a[:, :c] for a in hats)
 
     # phase
     fp_hat = np.fft.rfft2(eval_df(potential, phi))
     grad_phi = rgradient(g, phi_hat)
-    adv_hat = np.fft.rfft2(advect(u, grad_phi))
-    new_phi_hat = (ops.keep * phi_hat - k2 * fp_hat - adv_hat) * ops.solve
+    adv_hat = rfft2_cols(advect(u, grad_phi), c)
+    new_phi_hat = (ops.keep * phi_hat - h.k2[:, :c] * fp_hat[:, :c] - adv_hat) * ops.solve
     new_phi_hat[0, 0] = phi_hat[0, 0]
 
-    # flow: capillary force minus self-advection, one transform a component
-    mu_hat = _mu_hat(kernel, phi_hat, fp_hat)
+    # flow: capillary force plus omega (u_y, -u_x), one transform a component
+    mu_hat = _mu_hat(kernel, hats[0], fp_hat)
     fx, fy = _capillary_force(params.force_form, g, phi, mu_hat, grad_phi)
-    bx = ux_hat * inv_dt + np.fft.rfft2(fx - advect(u, rgradient(g, ux_hat)))
-    by = uy_hat * inv_dt + np.fft.rfft2(fy - advect(u, rgradient(g, uy_hat)))
+    omega = rdivergence(g, uy_hat, -ux_hat)  # curl u
+    bx = ux_hat * inv_dt + rfft2_cols(fx + omega * u.y.values, c)
+    by = uy_hat * inv_dt + rfft2_cols(fy - omega * u.x.values, c)
     if forcing is not None:
-        bx += np.fft.rfft2(forcing.x.values)
-        by += np.fft.rfft2(forcing.y.values)
+        bx += rfft2_cols(forcing.x.values, c)
+        by += rfft2_cols(forcing.y.values, c)
     new_ux_hat = ops.wxx * bx + ops.wxy * by
     new_uy_hat = ops.wxy * bx + ops.wyy * by
 
@@ -376,6 +383,7 @@ def run(
                        dealias=cfg.sim.dealias, force_form=cfg.sim.force_form)
     if kernel.a + params.stabilizer <= 0:
         raise ValueError("a + S must be positive for the phase solve")
+    cols = grid.half.kept_cols if params.dealias else None  # the columns step() transforms
     forcing = cfg.forcing
     beta, condition = compute_beta(report)
 
@@ -397,7 +405,7 @@ def run(
         if abs(drift) > 1e-12:
             failures.append(f"mass drift {drift:.3e} at step {step_index}")
         umax = float(np.max(np.abs(state.u.x.values)) + np.max(np.abs(state.u.y.values)))
-        div_max = float(np.max(np.abs(rdivergence(grid, *state.hats[1:]))))
+        div_max = float(np.max(np.abs(rdivergence(grid, *(a[:, :cols] for a in state.hats[1:])))))
         if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
             failures.append(f"divergence {div_max:.3e} at step {step_index}")
         if cfg.checks.grad_control:

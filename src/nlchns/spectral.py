@@ -17,7 +17,7 @@ Conventions
   the Laplacian uses the squared zeroed wavenumbers so that
   divergence(gradient(f)) == laplacian(f) exactly.  Dealiased fields carry no
   Nyquist content, so this is only visible on deliberately full-spectrum data.
-* Dealiasing keeps |m| <= floor(n/3) per axis (``Grid.half.mask``).
+* Dealiasing keeps |m| <= floor(n/3) per axis (``Grid.half.mask``, ``kept_cols`` columns).
 * Quadratic forms read the coefficients by Parseval (``parseval``): the
   columns m_y = 0 and n/2 hold their own conjugates and count once, every
   other column stands for two, and the scale is |Omega| / n^4.
@@ -105,7 +105,7 @@ class Grid:
         weight = np.full(nh, 2.0 * self.volume / self.n**4)
         weight[[0, -1]] /= 2.0  # m_y = 0 and n/2 count once
         return HalfPlane(
-            ikx=1j * kx, iky=1j * ky, k2=k2, weight=weight,
+            ikx=1j * kx, iky=1j * ky, k2=k2, weight=weight, kept_cols=self.n // 3 + 1,
             mask=keep[:, None] & keep[None, :nh],
             pxx=np.where(pos, 1.0 - kx * kx / k2_pos, 1.0),
             pxy=np.where(pos, -kx * ky / k2_pos, 0.0),
@@ -117,13 +117,14 @@ class Grid:
 class HalfPlane:
     """Operators on rfft2 coefficients, shape (n, n//2 + 1): the modes
     m_y = 0 .. n/2, the rest being their conjugates for real fields.
-    (pxx, pxy; pxy, pyy) is the Leray projector; ``weight``, shape
-    (n//2 + 1,), the Parseval weight of each column."""
+    (pxx, pxy; pxy, pyy) is the Leray projector; ``weight``, shape (n//2 + 1,),
+    the Parseval weight of each column; ``mask`` keeps ``kept_cols`` of them."""
 
     ikx: np.ndarray
     iky: np.ndarray
     k2: np.ndarray
     weight: np.ndarray
+    kept_cols: int
     mask: np.ndarray
     pxx: np.ndarray
     pxy: np.ndarray
@@ -219,16 +220,26 @@ def divergence(v: VectorField) -> ScalarField:
     return ScalarField(v.grid, rdivergence(v.grid, xh, yh))
 
 
+def rfft2_cols(values: np.ndarray, c: int) -> np.ndarray:
+    """rfft2(values)[:, :c], bit-identically, with the column FFTs cut to c."""
+    return np.fft.fftn(np.fft.rfftn(values, axes=(1,))[:, :c], axes=(0,))
+
+
+def irfft2_cols(grid: Grid, c_hat: np.ndarray) -> np.ndarray:
+    """Samples from rfft2 coefficients on the first columns, the rest zero."""
+    return np.fft.irfft2(c_hat, s=(grid.n, grid.n))
+
+
 def rgradient(grid: Grid, f_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of grad f from the rfft2 coefficients of f: two irfft2."""
-    h = grid.half
-    return np.fft.irfft2(h.ikx * f_hat), np.fft.irfft2(h.iky * f_hat)
+    """Samples of grad f from the first columns of its coefficients: two irfft2."""
+    h, c = grid.half, f_hat.shape[1]
+    return irfft2_cols(grid, h.ikx[:, :c] * f_hat), irfft2_cols(grid, h.iky[:, :c] * f_hat)
 
 
 def rdivergence(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
-    """Samples of div v from the rfft2 coefficients of v: one irfft2."""
-    h = grid.half
-    return np.fft.irfft2(h.ikx * x_hat + h.iky * y_hat)
+    """Samples of div v from the first columns of its coefficients: one irfft2."""
+    h, c = grid.half, x_hat.shape[1]
+    return irfft2_cols(grid, h.ikx[:, :c] * x_hat + h.iky[:, :c] * y_hat)
 
 
 def advect(u: VectorField, grad_f: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -26,11 +26,14 @@ from nlchns.spectral import (
     Grid,
     ScalarField,
     VectorField,
+    advect,
     constant_field,
     divergence,
+    inner,
     leray_project,
     mean,
     norm_l2,
+    rgradient,
     vector_from_values,
     zero_vector,
 )
@@ -38,13 +41,13 @@ from nlchns.spectral import (
 DW = PotentialSpec.double_well()
 
 
-def count_transforms(monkeypatch) -> list[str]:
-    """Names of the numpy.fft transforms called from now on."""
+def count_transforms(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and input shape of each numpy.fft transform called from now on."""
     calls = []
     for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls
 
@@ -266,6 +269,37 @@ class TestStepNS:
         assert np.max(np.abs(divergence(out).values)) < 1e-11 * umax * 2 * np.pi * g.n / g.l
 
 
+class TestRotationalForm:
+    """The step's self-advection omega (u_y, -u_x), seen through step() with
+    phi = 0 (no capillary force), nu = 0 and dt = 1: u^+ = P mask (u + L)."""
+
+    params = SimParams(nu=0.0, dt=1.0, stabilizer=1.0, t_end=1.0)
+
+    def test_projection_equals_convective_form_in_band(self, kernel32, rng):
+        g = kernel32.grid
+        h, band = g.half, g.n // 3
+        u = leray_project(VectorField(random_field(g, rng, band), random_field(g, rng, band)))
+        out = step(SimState(constant_field(g, 0.0), u, 0.0), self.params, kernel32, DW).u
+        cx, cy = (np.fft.rfft2(-advect(u, rgradient(g, np.fft.rfft2(f.values) * h.mask))) * h.mask
+                  for f in u.components)
+        want = np.fft.irfft2(h.pxx * cx + h.pxy * cy), np.fft.irfft2(h.pxy * cx + h.pyy * cy)
+        for got, u0, w in zip(out.components, u.components, want):
+            assert rel_err(got.values - u0.values, w) < 1e-13
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_kinetic_energy_neutral(self, kernel32, rng, dealias):
+        # (u^+ - u, u) = (P L, u) = (L, u), and L . u = 0 pointwise, so this
+        # holds without dealiasing too, for full-spectrum u
+        g = kernel32.grid
+        band = g.n // 3 if dealias else None
+        u = leray_project(VectorField(random_field(g, rng, band), random_field(g, rng, band)))
+        params = replace(self.params, dealias=dealias)
+        out = step(SimState(constant_field(g, 0.0), u, 0.0), params, kernel32, DW).u
+        du = vector_from_values(g, out.x.values - u.x.values, out.y.values - u.y.values)
+        assert norm_l2(du) > 0.1 * norm_l2(u)
+        assert abs(inner(du, u)) < 1e-13 * norm_l2(du) * norm_l2(u)
+
+
 class TestStepCore:
     def test_run_is_repeated_step(self):
         # run() advances with step(); records in between change nothing
@@ -288,18 +322,40 @@ class TestStepCore:
             got, want = getattr(got, "values", got), getattr(want, "values", want)
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("form, inverse", [("phi_grad_mu", 11), ("mu_grad_phi", 10)])
-    def test_transforms_per_step(self, kernel32, rng, monkeypatch, form, inverse):
+    @pytest.mark.parametrize("form, full_inverse", [("phi_grad_mu", 2), ("mu_grad_phi", 1)])
+    def test_transforms_per_step(self, kernel32, rng, monkeypatch, form, full_inverse):
+        # full: F'(phi) and grad mu (or mu); on the 11 kept columns: 3
+        # forward (rfftn of the rows, fftn of the kept columns) and 6 inverse
         g = kernel32.grid
+        n, full, kept = g.n, (g.n, g.n // 2 + 1), (g.n, g.half.kept_cols)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0, force_form=form)
         state = SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0)
         state = step(state, params, kernel32, DW)
         calls = count_transforms(monkeypatch)
+        want = Counter({("rfft2", (n, n)): 1, ("rfftn", (n, n)): 3, ("fftn", kept): 3,
+                        ("irfft2", full): full_inverse, ("irfft2", kept): 6})
         step(state, params, kernel32, DW, ForcingSpec())
-        assert sorted(calls) == ["irfft2"] * inverse + ["rfft2"] * 4
+        assert Counter(calls) == want
+        calls.clear()
+        step(state, params, kernel32, DW, ForcingSpec(family="body", amplitude=(0.3, -0.1)))
+        assert Counter(calls) == want + Counter({("rfftn", (n, n)): 2, ("fftn", kept): 2})
         calls.clear()
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
-        assert sorted(calls) == ["irfft2"] * inverse + ["rfft2"] * 7  # + phi, u_x, u_y
+        assert Counter(calls) == want + Counter({("rfft2", (n, n)): 3})  # phi, u_x, u_y
+
+    def test_sample_built_state_steps_in_band(self, kernel32, rng):
+        # with dealias on, a state without coefficients steps from those of its
+        # samples cut to the band, rows and columns alike
+        g = kernel32.grid
+        phi, u = random_field(g, rng), leray_project(VectorField(random_field(g, rng),
+                                                                 random_field(g, rng)))
+        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+        masked = tuple(np.fft.rfft2(f.values) * g.half.mask for f in (phi, u.x, u.y))
+        got = step(SimState(phi, u, 0.0), params, kernel32, DW)
+        want = step(SimState(phi, u, 0.0, masked), params, kernel32, DW)
+        for a, b in zip((got.phi.values, got.u.x.values, got.u.y.values) + got.hats,
+                        (want.phi.values, want.u.x.values, want.u.y.values) + want.hats):
+            assert a.tobytes() == b.tobytes()
 
     def test_transforms_per_record(self, monkeypatch):
         # a record takes the rfft2 of F'(phi) for mu^ and the irfft2 of the
@@ -315,19 +371,25 @@ class TestStepCore:
         def counts(steps, every):
             calls.clear()
             run(replace(cfg, sim=replace(cfg.sim, t_end=steps * cfg.sim.dt)), record_every=every)
-            return Counter(calls)
+            # complex transforms run only on the kept columns: no (n, n) one
+            n = cfg.grid.n
+            assert {shape for name, shape in calls if name in ("fft2", "ifft2", "fftn", "ifftn")
+                    } <= {(n, n // 3 + 1)}
+            return Counter(name for name, _ in calls)
 
         def minus(a, b):
             return {k: a[k] - b[k] for k in a.keys() | b.keys() if a[k] != b[k]}
 
         every = counts(10, 1)
         assert minus(every, counts(10, 10)) == {"rfft2": 9, "irfft2": 9}  # 9 more records
-        # a step and its record: 17 half-size transforms
-        assert minus(every, counts(0, 1)) == {"rfft2": 10 * 5, "irfft2": 10 * 12}
+        # a step and its record: 14 transforms, 3 of them forward on the kept columns
+        assert minus(every, counts(0, 1)) == {"rfft2": 10 * 2, "irfft2": 10 * 9,
+                                              "rfftn": 10 * 3, "fftn": 10 * 3}
 
     def test_one_projection_matches_split_projection(self, kernel32, rng):
         # projecting the force before the viscous solve as well as after it
-        # gives the same velocity
+        # gives the same velocity; the reference takes the convective form
+        # (u . grad) u, so this also checks the step's rotational form
         g = kernel32.grid
         phi = random_field(g, rng, band=8)
         u = leray_project(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))

@@ -11,6 +11,7 @@ from nlchns.spectral import (
     divergence,
     gradient,
     inner,
+    irfft2_cols,
     laplacian,
     leray_project,
     mean,
@@ -18,6 +19,7 @@ from nlchns.spectral import (
     parseval,
     rdivergence,
     resample,
+    rfft2_cols,
     rgradient,
     seminorm_h1,
     vector_from_values,
@@ -60,6 +62,21 @@ class TestTransforms:
         f = random_field(g, rng)
         spectral = parseval(g, np.fft.rfft2(f.values))
         assert abs(spectral - norm_l2(f) ** 2) < 1e-12 * norm_l2(f) ** 2
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_kept_column_transforms_bit_identical(self, rng, n):
+        # the step's kept-column transforms against the full rfft2 / irfft2
+        g = Grid(n, TWO_PI)
+        c, nh = g.half.kept_cols, n // 2 + 1
+        f = random_field(g, rng, band=n // 3).values
+        assert np.array_equal(rfft2_cols(f, c), np.fft.rfft2(f)[:, :c])
+        f_hat = np.fft.rfft2(f) * g.half.mask
+        assert np.array_equal(irfft2_cols(g, f_hat[:, :c]), np.fft.irfft2(f_hat))
+        # at the full width, on unmasked data, they are the plain transforms
+        f = random_field(g, rng).values
+        f_hat = np.fft.rfft2(f)
+        assert np.array_equal(rfft2_cols(f, nh), f_hat)
+        assert np.array_equal(irfft2_cols(g, f_hat[:, :nh]), np.fft.irfft2(f_hat))
 
     def test_shape_mismatch_rejected(self):
         g = Grid(16, 1.0)
