@@ -13,15 +13,15 @@ from .diagnostics import (
 )
 from .hypotheses import HypothesisReport, audit
 from .initialdata import InitialSpec, VelocitySpec
-from .kernels import KernelOnGrid, KernelSpec, build_kernel, convolve, interaction_energy
-from .potentials import PotentialSpec, SplitPotential, convex_split, stabilizer_bound
+from .kernels import KernelOnGrid, KernelSpec, build_kernel, interaction_energy
+from .potentials import PotentialSpec, stabilizer_bound
 from .solver import (
     BlowUpError,
     ForcingSpec,
     SimParams,
     SimState,
-    chemical_potential,
-    korteweg_force,
+    capillary_force,
+    mu_hat,
     run,
     step,
 )
@@ -29,14 +29,10 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    divergence,
-    gradient,
     inner,
-    laplacian,
     leray_project,
     mean,
     norm_l2,
-    seminorm_h1,
 )
 
 __version__ = "0.1.0"

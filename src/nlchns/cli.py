@@ -16,6 +16,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -104,6 +105,9 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.nu is not None and not 0.0 <= args.nu < math.inf:
+        print(f"report: --nu must be finite and nonnegative, got {args.nu}")
+        return 2
     records = storage.read_diagnostics_csv(args.csv)
     if not records:
         print("empty diagnostics file")

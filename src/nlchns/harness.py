@@ -1,9 +1,7 @@
-"""Oracles and studies: brute-force convolution, the decaying-vortex
-benchmark for the flow substep, the time-step order study, and the
-mode-truncation refinement study with its uniform-bound table.
+"""Studies: the decaying-vortex benchmark for the flow substep, the
+time-step order study, and the mode-truncation refinement study with its
+uniform-bound table.
 
-The convolution oracle evaluates the literal periodic double sum and is kept
-free of any FFT so it stays an independent check of the spectral route.
 Refinement runs share one initial datum, generated at the finest level and
 spectrally truncated down.  Independent levels could run concurrently;
 result assembly is single-owner.
@@ -14,20 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .kernels import KernelOnGrid
+from .initialdata import build_phi, build_u
 from .solver import BlowUpError, SimState, run
 from .spectral import (
     Grid,
     ScalarField,
     VectorField,
     grad_norm_sq,
+    leray_project,
     norm_l2,
     resample,
 )
-from .initialdata import build_phi, build_u
-from .spectral import leray_project
 
 
 @dataclass
@@ -52,35 +47,6 @@ class StudyResult:
             lines.append(f"  verdict[{name}]: {'PASS' if ok else 'FAIL'}")
         lines.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# convolution oracle
-
-def convolution_oracle(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
-    """(J * f)(x_i) = sum_j J(x_i - x_j) f(x_j) * cell volume, as the literal
-    periodic double sum (no FFT anywhere)."""
-    g = kernel.grid
-    if g.n > 64:
-        raise ValueError(f"oracle is O(n^4); n = {g.n} > 64")
-    if f.grid != g:
-        raise ValueError("field and kernel on different grids")
-    n = g.n
-    J = kernel.samples.values
-    idx = np.arange(n)
-    if n <= 32:
-        gather = J[
-            (idx[:, None, None, None] - idx[None, None, :, None]) % n,
-            (idx[None, :, None, None] - idx[None, None, None, :]) % n,
-        ]
-        out = np.einsum("xyij,ij->xy", gather, f.values)
-    else:
-        out = np.empty((n, n))
-        for xi in range(n):
-            rows = J[(xi - idx) % n, :]
-            for xj in range(n):
-                out[xi, xj] = np.sum(rows[:, (xj - idx) % n] * f.values)
-    return ScalarField(g, out * g.cell_volume)
 
 
 # ---------------------------------------------------------------------------

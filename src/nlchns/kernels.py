@@ -190,14 +190,6 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> KernelOnGrid:
     )
 
 
-def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
-    """(J * f)(x) = integral J(x - y) f(y) dy as a spectral product."""
-    if kernel.grid != f.grid:
-        raise ValueError("kernel and field on different grids")
-    out = np.fft.irfft2(kernel.multiplier * np.fft.rfft2(f.values))
-    return ScalarField(f.grid, out)
-
-
 def interaction_energy(kernel: KernelOnGrid, f_hat: np.ndarray) -> float:
     """(1/4) integral integral J(x-y) (f(x)-f(y))^2 of the field with rfft2
     coefficients ``f_hat``, via the identity (1/2) double-integral =

@@ -1,8 +1,9 @@
-"""Smooth polynomial potentials and their convex decomposition.
+"""Smooth polynomial potentials.
 
 The potential F drives the phase dynamics through F'; the decomposition
-F(s) = G(s) - (a*/2) s^2 with G convex (G'' >= c0 > 0 on the working range)
-underlies both the stabilized time step and the admissibility auditor.
+F(s) = G(s) - (a*/2) s^2 with G convex (G'' >= c0 > 0 on the working range,
+hypothesis h2 in ``hypotheses``) underlies both the stabilized time step and
+the admissibility auditor.
 
 Families: the canonical double well (1 - s^2)^2, quartics a4 s^4 + a2 s^2 +
 a0, and general even-top-degree polynomials with positive leading
@@ -16,15 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-
-
-class ConvexityError(ValueError):
-    """F'' + a* fails strict positivity on the working range."""
-
-    def __init__(self, message: str, s_violating: float, value: float):
-        super().__init__(message)
-        self.s_violating = s_violating
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,7 @@ def _real_roots(coef) -> np.ndarray:
     if coef.size <= 1:
         return np.array([])
     r = npoly.polyroots(coef)
-    return r.real[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))]
+    return r.real[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))] + 0.0  # -0.0 -> 0.0
 
 
 def poly_extrema_on_range(coef, s_range) -> tuple[float, float, float, float]:
@@ -131,41 +123,6 @@ def poly_sup_global(coef) -> tuple[float, float]:
     vals = npoly.polyval(crit, coef)
     i = int(np.argmax(vals))
     return float(vals[i]), float(crit[i])
-
-
-@dataclass(frozen=True)
-class SplitPotential:
-    """F represented as G - (a*/2) s^2 with G convex on the working range.
-
-    ``g`` is G' shifted by the constant g_offset = G'(0) so that g(0) = 0;
-    for even potentials the offset vanishes.  ``c0`` is the verified lower
-    bound on G'' over ``s_range``.
-    """
-
-    base: PotentialSpec
-    a_star: float
-    c0: float
-    s_range: tuple[float, float]
-    g_offset: float
-
-    def eval_g(self, s):
-        """g(s) = G'(s) - G'(0)."""
-        return eval_df(self.base, s) + self.a_star * np.asarray(s, dtype=float) - self.g_offset
-
-
-def convex_split(spec: PotentialSpec, a_star: float, s_range=(-2.0, 2.0)) -> SplitPotential:
-    gpp = npoly.polyder(spec.coefficients, 2) if spec.degree >= 2 else (0.0,)
-    gpp = npoly.polyadd(gpp, (a_star,))
-    c0, s_min, _, _ = poly_extrema_on_range(gpp, s_range)
-    if c0 <= 0:
-        raise ConvexityError(
-            f"F'' + a* = {c0:.6g} at s = {s_min:.6g}; the convex split needs a "
-            "strictly positive margin on the working range",
-            s_violating=s_min,
-            value=c0,
-        )
-    g_offset = float(eval_df(spec, 0.0))  # + a* * 0
-    return SplitPotential(base=spec, a_star=a_star, c0=float(c0), s_range=tuple(s_range), g_offset=g_offset)
 
 
 def stabilizer_bound(spec: PotentialSpec, s_range=(-2.0, 2.0)) -> float:

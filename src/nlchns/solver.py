@@ -209,20 +209,16 @@ class ForcingSpec:
 # ---------------------------------------------------------------------------
 # pointwise operators
 
-def _mu_hat(kernel: KernelOnGrid, phi_hat: np.ndarray, fp_hat: np.ndarray) -> np.ndarray:
+def mu_hat(kernel: KernelOnGrid, phi_hat: np.ndarray, fp_hat: np.ndarray) -> np.ndarray:
     """rfft2 coefficients of mu from those of phi and F'(phi): (a - J^) phi^ + F'^."""
     return kernel.a_minus_j * phi_hat + fp_hat
 
 
-def chemical_potential(phi: ScalarField, kernel: KernelOnGrid, potential: PotentialSpec) -> ScalarField:
-    """Samples of mu, formed on the half plane as ``step`` forms it."""
-    fp_hat = np.fft.rfft2(eval_df(potential, phi.values))
-    return ScalarField(phi.grid, np.fft.irfft2(_mu_hat(kernel, np.fft.rfft2(phi.values), fp_hat)))
-
-
-def _capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, grad_phi):
+def capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, grad_phi):
     """Samples of the coupling force from mu's coefficients: -phi grad mu
-    takes two irfft2, mu grad phi one (grad phi is in hand)."""
+    (weak form) takes two irfft2, mu grad phi one (grad phi is in hand).
+    The two differ by the gradient grad(phi mu), which the Leray projection
+    removes up to aliasing."""
     if form == "phi_grad_mu":
         mx, my = rgradient(grid, mu_hat)
         return -phi * mx, -phi * my
@@ -230,16 +226,6 @@ def _capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray,
         mu = np.fft.irfft2(mu_hat)
         return mu * grad_phi[0], mu * grad_phi[1]
     raise ValueError(f"unknown coupling force form {form!r}")
-
-
-def korteweg_force(phi: ScalarField, mu: ScalarField, form: str = "phi_grad_mu") -> VectorField:
-    """Capillary coupling force: -phi grad mu (weak form) or mu grad phi;
-    the two differ by the gradient grad(phi mu) - 2 mu grad phi, which the
-    Leray projection removes up to aliasing.  Same operator as in ``step``."""
-    g = phi.grid
-    grad_phi = rgradient(g, np.fft.rfft2(phi.values)) if form == "mu_grad_phi" else None
-    fx, fy = _capillary_force(form, g, phi.values, np.fft.rfft2(mu.values), grad_phi)
-    return vector_from_values(g, fx, fy)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +283,7 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     new_phi_hat[0, 0] = phi_hat[0, 0]
 
     # flow: capillary force plus omega (u_y, -u_x), one transform a component
-    mu_hat = _mu_hat(kernel, hats[0], fp_hat)
-    fx, fy = _capillary_force(params.force_form, g, phi, mu_hat, grad_phi)
+    fx, fy = capillary_force(params.force_form, g, phi, mu_hat(kernel, hats[0], fp_hat), grad_phi)
     omega = rdivergence(g, uy_hat, -ux_hat)  # curl u
     bx = ux_hat * inv_dt + rfft2_cols(fx + omega * u.y.values, c)
     by = uy_hat * inv_dt + rfft2_cols(fy - omega * u.x.values, c)
@@ -428,7 +413,7 @@ def run(
     def _record(step_index: int, h: VectorField | None) -> None:
         fp_hat = np.fft.rfft2(eval_df(potential, state.phi.values))
         rec = diagnostics.make_record(
-            state, _mu_hat(kernel, state.hats[0], fp_hat), kernel, potential, params.nu, beta,
+            state, mu_hat(kernel, state.hats[0], fp_hat), kernel, potential, params.nu, beta,
             forcing_power=(inner(h, state.u) if h is not None else 0.0),
             prev=records[-1] if records else None,
         )

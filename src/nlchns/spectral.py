@@ -14,9 +14,11 @@ Conventions
   build their fields in it.
 * Wavenumbers are 2*pi*m/l with integer m in [-n/2, n/2) per axis.
 * Odd-derivative multipliers vanish on the unmatched Nyquist line m = -n/2;
-  the Laplacian uses the squared zeroed wavenumbers so that
-  divergence(gradient(f)) == laplacian(f) exactly.  Dealiased fields carry no
-  Nyquist content, so this is only visible on deliberately full-spectrum data.
+  ``Grid.half.k2`` squares the zeroed wavenumbers, so that div grad f ==
+  lap f exactly: ``rdivergence(grid, ikx f^, iky f^)`` (the divergence of
+  what ``rgradient`` differentiates) equals ``irfft2(-k2 f^)``.  Dealiased
+  fields carry no Nyquist content, so this is only visible on deliberately
+  full-spectrum data.
 * Dealiasing keeps |m| <= floor(n/3) per axis (``Grid.half.mask``, ``kept_cols`` columns).
 * Quadratic forms read the coefficients by Parseval (``parseval``): the
   columns m_y = 0 and n/2 hold their own conjugates and count once, every
@@ -211,15 +213,6 @@ def resample(f: ScalarField, new_grid: Grid) -> ScalarField:
 # ---------------------------------------------------------------------------
 # calculus
 
-def gradient(f: ScalarField) -> VectorField:
-    return vector_from_values(f.grid, *rgradient(f.grid, np.fft.rfft2(f.values)))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    xh, yh = np.fft.rfft2(v.x.values), np.fft.rfft2(v.y.values)
-    return ScalarField(v.grid, rdivergence(v.grid, xh, yh))
-
-
 def rfft2_cols(values: np.ndarray, c: int) -> np.ndarray:
     """rfft2(values)[:, :c], bit-identically, with the column FFTs cut to c."""
     return np.fft.fftn(np.fft.rfftn(values, axes=(1,))[:, :c], axes=(0,))
@@ -245,10 +238,6 @@ def rdivergence(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
 def advect(u: VectorField, grad_f: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Samples of (u . grad) f, a pointwise product with the samples of grad f."""
     return u.x.values * grad_f[0] + u.y.values * grad_f[1]
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, np.fft.irfft2(-f.grid.half.k2 * np.fft.rfft2(f.values)))
 
 
 def leray_project(v: VectorField) -> VectorField:
@@ -299,7 +288,3 @@ def grad_norm_sq(f) -> float:
     field, by Parseval."""
     parts = f.components if isinstance(f, VectorField) else (f,)
     return parseval(f.grid, *(np.fft.rfft2(c.values) for c in parts), symbol=f.grid.half.k2)
-
-
-def seminorm_h1(f) -> float:
-    return float(np.sqrt(grad_norm_sq(f)))

@@ -10,11 +10,13 @@ size mismatches.
 
 The diagnostics CSV has a fixed column order (see diagnostics.COLUMNS), a
 single header row, and values printed with 17 significant digits so a
-re-parse reproduces every float64 exactly.
+re-parse reproduces every float64 exactly; all are finite, and the reader
+rejects a row that is not.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -119,12 +121,15 @@ def read_diagnostics_csv(path: str) -> list[DiagnosticsRecord]:
         header = fh.readline().strip()
         if header.split(",") != list(COLUMNS):
             raise ValueError(f"unexpected diagnostics header in {path !r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             vals = [float(v) for v in line.split(",")]
             if len(vals) != len(COLUMNS):
                 raise ValueError(f"malformed diagnostics row: {line!r}")
+            bad = [c for c, v in zip(COLUMNS, vals) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"non-finite {bad[0]} on line {lineno} of {path!r}")
             records.append(DiagnosticsRecord(**dict(zip(COLUMNS, vals))))
     return records

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from nlchns.spectral import Grid, ScalarField, VectorField, leray_project
+from nlchns.kernels import KernelOnGrid
+from nlchns.potentials import PotentialSpec, eval_df
+from nlchns.solver import mu_hat
+from nlchns.spectral import (
+    Grid,
+    ScalarField,
+    VectorField,
+    grad_norm_sq,
+    leray_project,
+    rdivergence,
+    rgradient,
+    vector_from_values,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,3 +59,62 @@ def rel_err(got, want, floor=1e-300) -> float:
     want = np.asarray(want, dtype=float)
     denom = max(float(np.max(np.abs(want))), floor)
     return float(np.max(np.abs(got - want)) / denom)
+
+
+# Sample-level forms of the solver's half-plane operators, for the identity
+# tests: each goes through rfft2 and the operator the solver runs.
+
+def gradient(f: ScalarField) -> VectorField:
+    return vector_from_values(f.grid, *rgradient(f.grid, np.fft.rfft2(f.values)))
+
+
+def divergence(v: VectorField) -> ScalarField:
+    return ScalarField(v.grid, rdivergence(v.grid, *(np.fft.rfft2(c.values) for c in v.components)))
+
+
+def laplacian(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, np.fft.irfft2(-f.grid.half.k2 * np.fft.rfft2(f.values)))
+
+
+def seminorm_h1(f) -> float:
+    return float(np.sqrt(grad_norm_sq(f)))
+
+
+def mu_coefficients(kernel: KernelOnGrid, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:
+    """rfft2 coefficients of mu for the samples ``phi``, through the solver's ``mu_hat``."""
+    return mu_hat(kernel, np.fft.rfft2(phi), np.fft.rfft2(eval_df(potential, phi)))
+
+
+def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
+    """(J * f)(x) = integral J(x - y) f(y) dy with the multiplier the solver uses."""
+    if kernel.grid != f.grid:
+        raise ValueError("kernel and field on different grids")
+    return ScalarField(f.grid, np.fft.irfft2(kernel.multiplier * np.fft.rfft2(f.values)))
+
+
+# FFT-free reference for the spectral convolution (criterion 1)
+
+def convolution_oracle(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
+    """(J * f)(x_i) = sum_j J(x_i - x_j) f(x_j) * cell volume, as the literal
+    periodic double sum (no FFT anywhere)."""
+    g = kernel.grid
+    if g.n > 64:
+        raise ValueError(f"oracle is O(n^4); n = {g.n} > 64")
+    if f.grid != g:
+        raise ValueError("field and kernel on different grids")
+    n = g.n
+    J = kernel.samples.values
+    idx = np.arange(n)
+    if n <= 32:
+        gather = J[
+            (idx[:, None, None, None] - idx[None, None, :, None]) % n,
+            (idx[None, :, None, None] - idx[None, None, None, :]) % n,
+        ]
+        out = np.einsum("xyij,ij->xy", gather, f.values)
+    else:
+        out = np.empty((n, n))
+        for xi in range(n):
+            rows = J[(xi - idx) % n, :]
+            for xj in range(n):
+                out[xi, xj] = np.sum(rows[:, (xj - idx) % n] * f.values)
+    return ScalarField(g, out * g.cell_volume)

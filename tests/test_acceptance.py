@@ -11,22 +11,22 @@ import time
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_field, rel_err
+from conftest import (
+    TWO_PI, convolution_oracle, convolve, divergence, gradient, random_field, rel_err,
+)
 from nlchns.cli import main as cli_main
 from nlchns.config import ChecksConfig, GridConfig, SimConfig, SimSettings
 from nlchns.diagnostics import dissipative_envelope, energy_inequality_check
-from nlchns.harness import convolution_oracle, dt_order_study, galerkin_refinement, taylor_green
+from nlchns.harness import dt_order_study, galerkin_refinement, taylor_green
 from nlchns.hypotheses import audit
 from nlchns.initialdata import InitialSpec, VelocitySpec
-from nlchns.kernels import KernelSpec, build_kernel, convolve, interaction_energy
+from nlchns.kernels import KernelSpec, build_kernel, interaction_energy
 from nlchns.potentials import PotentialSpec
 from nlchns.solver import run
 from nlchns.spectral import (
     Grid,
     ScalarField,
     VectorField,
-    divergence,
-    gradient,
     inner,
     leray_project,
     norm_l2,

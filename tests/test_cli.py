@@ -178,3 +178,27 @@ checks.dissipative = true
         assert rc == 2
         rc = main(["report", str(out_dir / "diagnostics.csv"), "--nu", "0.1"])
         assert rc == 0
+
+    @pytest.mark.parametrize("nu", ["nan", "inf", "-0.5"])
+    def test_report_rejects_bad_nu(self, tmp_path, capsys, nu):
+        out_dir = tmp_path / "out"
+        cfg = write(tmp_path, RANDOM_RUN + f"output.out_dir = {out_dir}\n")
+        assert main(["run", cfg]) == 0
+        capsys.readouterr()
+        rc = main(["report", str(out_dir / "diagnostics.csv"), "--nu", nu])
+        assert rc == 2
+        assert "--nu" in capsys.readouterr().out
+
+    def test_report_rejects_nan_in_csv(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = write(tmp_path, RANDOM_RUN + f"output.out_dir = {out_dir}\n")
+        assert main(["run", cfg]) == 0
+        csv = out_dir / "diagnostics.csv"
+        lines = csv.read_text().splitlines()
+        row = lines[5].split(",")
+        row[5] = "nan"  # total_energy
+        lines[5] = ",".join(row)
+        csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(csv), "--nu", "0.1"]) == 2
+        assert "non-finite total_energy on line 6" in capsys.readouterr().out

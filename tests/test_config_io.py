@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_field
+from conftest import TWO_PI, divergence, random_field
 from nlchns.config import ConfigError, parse_config
 from nlchns.diagnostics import COLUMNS, DiagnosticsRecord
 from nlchns.initialdata import (
@@ -13,7 +13,7 @@ from nlchns.initialdata import (
     tanh_strip_phi,
     taylor_green_u,
 )
-from nlchns.spectral import Grid, ScalarField, divergence, mean, resample
+from nlchns.spectral import Grid, ScalarField, mean, resample
 from nlchns.storage import (
     DiagnosticsWriter,
     SnapshotFormatError,
@@ -248,6 +248,18 @@ class TestDiagnosticsCsv:
         assert back[0].total_energy == rec.total_energy
         assert back[0].grad_mu_sq == rec.grad_mu_sq
         assert back[0].t == rec.t
+
+    @pytest.mark.parametrize("column, row, value", [
+        ("total_energy", 1, np.nan), ("t", 0, np.nan), ("grad_u_sq", 1, -np.inf)])
+    def test_non_finite_value_rejected(self, tmp_path, column, row, value):
+        # every column is finite as written; a NaN must not pass the audits unseen
+        recs = [_record(0.0), _record(0.1)]
+        setattr(recs[row], column, value)
+        with DiagnosticsWriter(str(tmp_path)) as w:
+            for rec in recs:
+                w.append(rec)
+        with pytest.raises(ValueError, match=f"non-finite {column} on line {row + 2} "):
+            read_diagnostics_csv(w.path)
 
 
 class TestInitialData:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, full_plane, random_field, random_vector
+from conftest import TWO_PI, full_plane, mu_coefficients, random_field, random_vector
 from nlchns import solver
 from nlchns.config import ChecksConfig, GridConfig, SimConfig, SimSettings
 from nlchns.diagnostics import (
@@ -19,7 +19,7 @@ from nlchns.diagnostics import (
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_f
-from nlchns.solver import ForcingSpec, SimState, chemical_potential, run
+from nlchns.solver import ForcingSpec, SimState, run
 from nlchns.spectral import Grid, ScalarField, VectorField, constant_field, zero_vector
 
 DW = PotentialSpec.double_well()
@@ -149,7 +149,7 @@ class TestIdentityResidual:
     def test_steady_state_zero(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 1.0), zero_vector(g), 0.0)
-        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
+        mu = mu_coefficients(kernel16, DW, state.phi.values)
         r0 = make_record(state, mu, kernel16, DW, nu=0.1, beta=1.0, forcing_power=0.0, prev=None)
         state1 = SimState(state.phi, state.u, 0.1)
         r1 = make_record(state1, mu, kernel16, DW, nu=0.1, beta=1.0, forcing_power=0.0, prev=r0)
@@ -193,7 +193,7 @@ class TestEnergyInequality:
     def test_constant_series_equality(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 1.0), zero_vector(g), 0.0)
-        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
+        mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [
             make_record(SimState(state.phi, state.u, t), mu, kernel16, DW, 0.1, 1.0, 0.0, None)
             for t in (0.0, 0.1, 0.2)
@@ -248,7 +248,7 @@ class TestDissipativeEnvelope:
     def test_zero_state_inside(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
+        mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, 0.0, 0.0)
         assert env.applicable and env.passes
@@ -256,7 +256,7 @@ class TestDissipativeEnvelope:
     def test_decay_rate_constant(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
+        mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [make_record(state, mu, kernel16, DW, 0.25, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.25, 0.0, 0.0)
         lam1 = (2 * np.pi / g.l) ** 2
@@ -266,7 +266,7 @@ class TestDissipativeEnvelope:
         g = kernel16.grid
         m = 0.3
         state = SimState(constant_field(g, m), zero_vector(g), 0.0)
-        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
+        mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, m, 0.0)
         assert abs(env.offset - eval_f(DW, m) * g.volume) < 1e-12
@@ -275,7 +275,7 @@ class TestDissipativeEnvelope:
     def test_not_applicable_forcing(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
+        mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, 0.0, None)
         assert not env.applicable
@@ -316,7 +316,7 @@ class TestGradientControl:
     def test_constant_phi_zero_margin(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.4), zero_vector(g), 0.0)
-        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
+        mu = mu_coefficients(kernel16, DW, state.phi.values)
         rec = make_record(state, mu, kernel16, DW, 0.1, beta=1.0, forcing_power=0.0, prev=None)
         margin, verdict = gradient_control_check(rec, beta=1.0, condition_ok=True)
         assert abs(margin) < 1e-13 and verdict == "pass"
@@ -324,7 +324,7 @@ class TestGradientControl:
     def test_not_applicable_when_condition_fails(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = np.fft.rfft2(chemical_potential(state.phi, kernel16, DW).values)
+        mu = mu_coefficients(kernel16, DW, state.phi.values)
         rec = make_record(state, mu, kernel16, DW, 0.1, beta=5.0, forcing_power=0.0, prev=None)
         _, verdict = gradient_control_check(rec, beta=5.0, condition_ok=False)
         assert verdict == "n/a"

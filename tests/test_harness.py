@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_field, rel_err
+from conftest import TWO_PI, convolution_oracle, convolve, random_field, rel_err
 from nlchns.config import GridConfig, SimConfig, SimSettings
 from nlchns.harness import (
     StudyResult,
-    convolution_oracle,
     dt_order_study,
     galerkin_refinement,
     taylor_green,
 )
 from nlchns.initialdata import InitialSpec, VelocitySpec
-from nlchns.kernels import KernelSpec, build_kernel, convolve
+from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec
 from nlchns.spectral import Grid, ScalarField, constant_field
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TWO_PI
+from conftest import TWO_PI, gradient
 from nlchns.hypotheses import (
     FAIL,
     NA,
@@ -21,7 +21,7 @@ from nlchns.hypotheses import (
 )
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_ddf, eval_df, eval_f
-from nlchns.spectral import Grid, ScalarField, gradient, norm_l2
+from nlchns.spectral import Grid, ScalarField, norm_l2
 
 DW = PotentialSpec.double_well()
 
@@ -56,16 +56,23 @@ class TestH1:
 
 class TestC0:
     def test_double_well_thresholds(self):
+        # exact: the minimum of the polynomial 12 s^2 - 4 + a* at its critical point
         c0, w = estimate_c0(DW, 6.0)
-        assert abs(c0 - 2.0) < 1e-8
-        assert abs(w.s) < 1e-5
+        assert c0 == 2.0 and w.s == 0.0 and w.margin == c0
         c0_fail, _ = estimate_c0(DW, 4.0)
-        assert abs(c0_fail) < 1e-10  # touches zero: strict positivity fails
+        assert c0_fail == 0.0  # touches zero: strict positivity fails
 
     def test_convex_quartic_without_kernel_mass(self):
         q = PotentialSpec.quartic(1.0, 2.0)
         c0, _ = estimate_c0(q, 0.0)
-        assert abs(c0 - 4.0) < 1e-9
+        assert c0 == 4.0
+
+    def test_minimum_at_range_end(self):
+        # F'' + a* = 12 s^2 - 2 + a* for s^4 - s^2 + 3 s: on [0.5, 2] its minimum is at 0.5
+        f = PotentialSpec((0.0, 3.0, -1.0, 0.0, 1.0))
+        c0, w = estimate_c0(f, 1.0, (0.5, 2.0))
+        assert w.s == 0.5 and c0 == pytest.approx(2.0, abs=1e-14)
+        assert estimate_c0(PotentialSpec((3.0,)), 0.5)[0] == 0.5  # constant F: F'' = 0
 
     def test_golden_min_matches_dense_scan(self):
         fun = lambda s: np.cos(3.0 * np.asarray(s)) + 0.1 * np.asarray(s) ** 2

@@ -2,23 +2,20 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import TWO_PI, random_field, rel_err
+from conftest import TWO_PI, convolve, random_field, rel_err, seminorm_h1
 from nlchns.kernels import (
     KernelBuildError,
     KernelSpec,
     build_kernel,
-    convolve,
     interaction_energy,
 )
 from nlchns.spectral import (
     Grid,
     ScalarField,
     constant_field,
-    gradient,
     inner,
     mean,
     norm_l2,
-    seminorm_h1,
 )
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlchns.hypotheses import estimate_c0
 from nlchns.potentials import (
-    ConvexityError,
     PotentialSpec,
-    convex_split,
     eval_ddf,
     eval_df,
     eval_f,
@@ -72,43 +71,33 @@ class TestPolyUtils:
 
 
 class TestConvexSplit:
+    """F = G - (a*/2) s^2 with G' = F' + a* s strongly monotone: h2's c0 as
+    ``hypotheses.estimate_c0`` computes it."""
+
     def test_strictness_threshold(self):
         # F'' + a* = 12 s^2 - 4 + a*: a* = 4 touches zero, 4.5 leaves 0.5
-        with pytest.raises(ConvexityError):
-            convex_split(DW, 4.0)
-        sp = convex_split(DW, 4.5)
-        assert abs(sp.c0 - 0.5) < 1e-12
-        sp6 = convex_split(DW, 6.0, (-2.0, 2.0))
-        assert abs(sp6.c0 - 2.0) < 1e-12
-
-    def test_already_convex_quartic_needs_no_shift(self):
-        q = PotentialSpec.quartic(1.0, 1.0)
-        sp = convex_split(q, 0.0)
-        s = np.linspace(-2, 2, 101)
-        np.testing.assert_allclose(sp.eval_g(s), eval_df(q, s) - eval_df(q, 0.0), atol=1e-12)
-
-    def test_split_identity_sampled(self):
-        # g(s) = F'(s) + a* s - F'(0)
-        sp = convex_split(DW, 6.0)
-        s = np.linspace(-2, 2, 10001)
-        lhs = eval_df(DW, s) + sp.a_star * s - eval_df(DW, 0.0)
-        rhs = sp.eval_g(s)
-        assert np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs))) < 1e-12
+        c0, w = estimate_c0(DW, 4.0)
+        assert c0 == 0.0 and w.s == 0.0
+        assert abs(estimate_c0(DW, 4.5)[0] - 0.5) < 1e-12
+        assert abs(estimate_c0(DW, 6.0, (-2.0, 2.0))[0] - 2.0) < 1e-12
 
     def test_g_vanishes_at_zero_and_is_coercively_monotone(self):
-        sp = convex_split(DW, 6.0)
-        assert sp.eval_g(0.0) == 0.0
+        a_star = 6.0
+        c0, _ = estimate_c0(DW, a_star)
+        g = lambda s: eval_df(DW, s) + a_star * s
+        assert g(0.0) == 0.0
         s = np.linspace(-2, 2, 501)
         t = s[::-1]
-        lhs = (sp.eval_g(s) - sp.eval_g(t)) * (s - t)
-        assert np.all(lhs >= sp.c0 * (s - t) ** 2 - 1e-10)
+        lhs = (g(s) - g(t)) * (s - t)
+        assert np.all(lhs >= c0 * (s - t) ** 2 - 1e-10)
 
     @settings(max_examples=30, deadline=None)
     @given(s=finite_s, t=finite_s)
     def test_monotonicity_property(self, s, t):
-        sp = convex_split(DW, 6.0, (-3.0, 3.0))
-        gap = (sp.eval_g(s) - sp.eval_g(t)) * (s - t)
-        assert gap >= sp.c0 * (s - t) ** 2 - 1e-9 * (1 + abs(gap))
+        a_star = 6.0
+        c0, _ = estimate_c0(DW, a_star, (-3.0, 3.0))
+        gap = (eval_df(DW, s) + a_star * s - eval_df(DW, t) - a_star * t) * (s - t)
+        assert gap >= c0 * (s - t) ** 2 - 1e-9 * (1 + abs(gap))
 
 
 class TestStabilizerBound:

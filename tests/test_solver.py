@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, full_plane, random_field, rel_err
+from conftest import TWO_PI, convolve, divergence, full_plane, mu_coefficients, random_field, rel_err
 from nlchns.config import ChecksConfig, GridConfig, SimConfig, SimSettings
 from nlchns.diagnostics import total_energy
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
-from nlchns.kernels import KernelSpec, build_kernel, convolve
+from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_df
 from nlchns.solver import (
     BlowUpError,
@@ -17,8 +17,7 @@ from nlchns.solver import (
     SimParams,
     SimState,
     StabilizerRangeError,
-    chemical_potential,
-    korteweg_force,
+    capillary_force,
     run,
     step,
 )
@@ -28,7 +27,6 @@ from nlchns.spectral import (
     VectorField,
     advect,
     constant_field,
-    divergence,
     inner,
     leray_project,
     mean,
@@ -70,13 +68,26 @@ def kernel32():
     return build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(32, TWO_PI))
 
 
+def mu_samples(kernel, phi: ScalarField) -> np.ndarray:
+    return np.fft.irfft2(mu_coefficients(kernel, DW, phi.values))
+
+
+def force(phi: ScalarField, mu_hat: np.ndarray, form: str = "phi_grad_mu") -> VectorField:
+    """The step's capillary force from the samples of phi and the coefficients of mu."""
+    g = phi.grid
+    grad_phi = rgradient(g, np.fft.rfft2(phi.values))
+    return vector_from_values(g, *capillary_force(form, g, phi.values, mu_hat, grad_phi))
+
+
 class TestChemicalPotential:
+    """The solver's mu_hat."""
+
     def test_constant_phases(self, kernel32):
         g = kernel32.grid
-        mu1 = chemical_potential(constant_field(g, 1.0), kernel32, DW)
-        np.testing.assert_allclose(mu1.values, 0.0, atol=1e-12)  # F'(1) = 0
-        mu0 = chemical_potential(constant_field(g, 0.0), kernel32, DW)
-        np.testing.assert_allclose(mu0.values, 0.0, atol=1e-12)
+        mu1 = mu_samples(kernel32, constant_field(g, 1.0))
+        np.testing.assert_allclose(mu1, 0.0, atol=1e-12)  # F'(1) = 0
+        mu0 = mu_samples(kernel32, constant_field(g, 0.0))
+        np.testing.assert_allclose(mu0, 0.0, atol=1e-12)
 
     def test_single_mode_term_by_term(self, kernel32):
         g = kernel32.grid
@@ -86,13 +97,12 @@ class TestChemicalPotential:
         phi = ScalarField(g, eps * np.cos(phase))
         jhat = float(np.sum(kernel32.samples.values * np.cos(phase)) * g.cell_volume)
         expected = (kernel32.a - jhat) * phi.values + eval_df(DW, phi.values)
-        got = chemical_potential(phi, kernel32, DW)
-        assert rel_err(got.values, expected) < 1e-12
+        assert rel_err(mu_samples(kernel32, phi), expected) < 1e-12
 
     def test_rho_identity(self, kernel32, rng):
         # rho = a phi + F'(phi) = mu + J*phi
         def rho(phi):
-            return chemical_potential(phi, kernel32, DW).values + convolve(kernel32, phi).values
+            return mu_samples(kernel32, phi) + convolve(kernel32, phi).values
 
         phi = random_field(kernel32.grid, rng)
         assert rel_err(rho(phi), kernel32.a * phi.values + eval_df(DW, phi.values)) < 1e-12
@@ -101,20 +111,21 @@ class TestChemicalPotential:
 
 
 class TestKortewegForce:
+    """The solver's capillary_force."""
+
     def test_constant_phi_zero_force(self, kernel32):
         g = kernel32.grid
         phi = constant_field(g, 0.5)
-        mu = chemical_potential(phi, kernel32, DW)
-        f = korteweg_force(phi, mu)
+        f = force(phi, mu_coefficients(kernel32, DW, phi.values))
         assert np.max(np.abs(f.x.values)) < 1e-12
         assert np.max(np.abs(f.y.values)) < 1e-12
 
     def test_constant_mu_projects_away(self, kernel32, rng):
         g = kernel32.grid
         phi = random_field(g, rng)
-        mu = constant_field(g, 2.0)
+        mu = np.fft.rfft2(np.full((g.n, g.n), 2.0))
         for form in ("phi_grad_mu", "mu_grad_phi"):
-            p = leray_project(korteweg_force(phi, mu, form))
+            p = leray_project(force(phi, mu, form))
             assert np.max(np.abs(p.x.values)) < 1e-11 * (1 + np.max(np.abs(phi.values)))
 
     def test_forms_agree_after_projection(self, kernel32, rng):
@@ -122,9 +133,9 @@ class TestKortewegForce:
         # grad(phi mu), which Leray annihilates
         g = kernel32.grid
         phi = random_field(g, rng, band=7)
-        mu = random_field(g, rng, band=7)
-        p1 = leray_project(korteweg_force(phi, mu, "phi_grad_mu"))
-        p2 = leray_project(korteweg_force(phi, mu, "mu_grad_phi"))
+        mu = np.fft.rfft2(random_field(g, rng, band=7).values)
+        p1 = leray_project(force(phi, mu, "phi_grad_mu"))
+        p2 = leray_project(force(phi, mu, "mu_grad_phi"))
         scale = norm_l2(p1) + 1e-30
         diff = np.hypot(p1.x.values - p2.x.values, p1.y.values - p2.y.values)
         assert np.max(diff) < 1e-11 * scale
@@ -397,14 +408,14 @@ class TestStepCore:
         h = vector_from_values(g, random_field(g, rng, band=6).values, random_field(g, rng, band=6).values)
         out = step(SimState(phi, u, 0.0), params, kernel32, DW, h).u
 
-        mu = chemical_potential(phi, kernel32, DW)
         kx, ky, k2, mask = full_plane(g)
         grad = lambda f: np.fft.ifft2(1j * np.stack([kx, ky]) * np.fft.fft2(f)).real
-        f = korteweg_force(phi, mu)
-        rhs = [np.fft.fft2(fc.values - u.x.values * gx - u.y.values * gy) * mask
-               + np.fft.fft2(hc.values)
-               for fc, (gx, gy), hc in zip(f.components, (grad(u.x.values), grad(u.y.values)),
-                                           h.components)]
+        # mu = a phi - J*phi + F'(phi), J* by the fft2 of the kernel samples
+        j_hat = np.fft.fft2(kernel32.samples.values).real * g.cell_volume
+        mu = np.fft.ifft2((kernel32.a - j_hat) * np.fft.fft2(phi.values)).real + eval_df(DW, phi.values)
+        f = -phi.values * grad(mu)
+        rhs = [np.fft.fft2(fc - u.x.values * gx - u.y.values * gy) * mask + np.fft.fft2(hc.values)
+               for fc, (gx, gy), hc in zip(f, (grad(u.x.values), grad(u.y.values)), h.components)]
         proj = lambda x, y: leray_project(
             vector_from_values(g, np.fft.ifft2(x).real, np.fft.ifft2(y).real))
         p_rhs = proj(*rhs)
