@@ -7,11 +7,12 @@ import argparse
 
 import numpy as np
 
-from nlchns.config import GridConfig, SimConfig, SimSettings
+from nlchns.config import GridConfig, SimConfig
 from nlchns.harness import dt_order_study, galerkin_refinement
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec
 from nlchns.potentials import PotentialSpec
+from nlchns.solver import SimParams
 
 
 def main():
@@ -25,7 +26,7 @@ def main():
         grid=GridConfig(32, two_pi),
         kernel=KernelSpec.gaussian(sigma=0.15 * two_pi, strength=6.0),
         potential=PotentialSpec.double_well(),
-        sim=SimSettings(nu=0.1, dt=2e-3, t_end=0.5),
+        sim=SimParams(nu=0.1, dt=2e-3, t_end=0.5),
         initial=InitialSpec(family="random", amplitude=0.1, mean=0.0, seed=3),
         velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
     )
@@ -36,7 +37,7 @@ def main():
         grid=GridConfig(32, two_pi),
         kernel=KernelSpec.gaussian(sigma=0.15 * two_pi, strength=1.0),
         potential=PotentialSpec.quartic(1.0, 0.5),
-        sim=SimSettings(nu=0.05, dt=1e-2, t_end=0.5, stabilizer=1.0),
+        sim=SimParams(nu=0.05, dt=1e-2, t_end=0.5, stabilizer=1.0),
         initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=11, band=1),
         velocity=VelocitySpec(family="taylor_green", amplitude=0.25),
     )

@@ -7,12 +7,12 @@ import argparse
 
 import numpy as np
 
-from nlchns.config import GridConfig, SimConfig, SimSettings
+from nlchns.config import GridConfig, SimConfig
 from nlchns.diagnostics import energy_inequality_check
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec
 from nlchns.potentials import PotentialSpec
-from nlchns.solver import run
+from nlchns.solver import SimParams, run
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
         grid=GridConfig(args.n, two_pi),
         kernel=KernelSpec.gaussian(sigma=0.05 * two_pi, strength=6.0),
         potential=PotentialSpec.double_well(),
-        sim=SimSettings(nu=0.01, dt=args.dt, t_end=args.t_end),
+        sim=SimParams(nu=0.01, dt=args.dt, t_end=args.t_end),
         initial=InitialSpec(family="random", amplitude=1e-3, mean=0.0, seed=args.seed),
         velocity=VelocitySpec(family="zero"),
     )

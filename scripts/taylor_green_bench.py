@@ -6,11 +6,12 @@ import argparse
 
 import numpy as np
 
-from nlchns.config import GridConfig, SimConfig, SimSettings
+from nlchns.config import GridConfig, SimConfig
 from nlchns.harness import taylor_green
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec
 from nlchns.potentials import PotentialSpec
+from nlchns.solver import SimParams
 
 
 def main():
@@ -26,7 +27,7 @@ def main():
         grid=GridConfig(args.n, two_pi),
         kernel=KernelSpec.gaussian(sigma=0.05 * two_pi, strength=6.0),
         potential=PotentialSpec.double_well(),
-        sim=SimSettings(nu=args.nu, dt=args.dt, t_end=args.t_end),
+        sim=SimParams(nu=args.nu, dt=args.dt, t_end=args.t_end),
         initial=InitialSpec(family="uniform", c=0.0),
         velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
     )

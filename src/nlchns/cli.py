@@ -8,9 +8,9 @@ Subcommands:
 * ``convergence <config> --sizes 32,64,128`` and/or ``--dts 1e-2,5e-3,...``
   — refinement / time-step studies.
 * ``benchmark taylor-green <config>`` — flow-substep benchmark.
-* ``report <csv> [--config <config>]`` — offline re-audit of a diagnostics
-  file (energy inequality, and the dissipative envelope when a config is
-  supplied).
+* ``report <csv> --config <config> | --nu <nu>`` — offline re-audit of a
+  diagnostics file (energy inequality, and the dissipative envelope when a
+  config is supplied).
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("report", help="re-audit a diagnostics CSV")
     p.add_argument("csv")
-    p.add_argument("--config", default=None)
-    p.add_argument("--nu", type=float, default=None)
+    viscosity = p.add_mutually_exclusive_group()  # the config's nu, or --nu
+    viscosity.add_argument("--config", default=None)
+    viscosity.add_argument("--nu", type=float, default=None)
     p.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from .initialdata import InitialSpec, VelocitySpec
 from .kernels import KernelSpec
 from .potentials import PotentialSpec
-from .solver import ForcingSpec
+from .solver import ForcingSpec, SimParams
 
 
 class ConfigError(ValueError):
@@ -32,16 +32,6 @@ class ConfigError(ValueError):
 class GridConfig:
     n: int
     l: float
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    nu: float
-    dt: float
-    t_end: float
-    stabilizer: object = "auto"  # "auto" or a float value
-    dealias: bool = True
-    force_form: str = "phi_grad_mu"
 
 
 @dataclass(frozen=True)
@@ -69,7 +59,7 @@ class SimConfig:
     grid: GridConfig
     kernel: KernelSpec
     potential: PotentialSpec
-    sim: SimSettings
+    sim: SimParams
     forcing: ForcingSpec = ForcingSpec()
     initial: InitialSpec = InitialSpec()
     velocity: VelocitySpec = VelocitySpec()
@@ -393,10 +383,8 @@ def parse_config(text: str) -> SimConfig:
         grid=GridConfig(n=n, l=l),
         kernel=kernel,
         potential=potential,
-        sim=SimSettings(
-            nu=nu, dt=dt, t_end=t_end,
-            stabilizer=stabilizer, dealias=r.boolv("dealias", True), force_form=force_form,
-        ),
+        sim=SimParams(nu=nu, dt=dt, t_end=t_end, stabilizer=stabilizer,
+                      dealias=r.boolv("dealias", True), force_form=force_form),
         forcing=forcing,
         initial=initial,
         velocity=velocity,

@@ -85,7 +85,7 @@ class EnergyParts:
 def total_energy(state, kernel: KernelOnGrid, potential: PotentialSpec) -> EnergyParts:
     """E(u, phi) = (1/2)||u||^2 + (1/4) iint J (phi(x)-phi(y))^2 + int F(phi);
     the first two by Parseval on the state's coefficients."""
-    phi_hat, ux_hat, uy_hat = state.coefficients()
+    phi_hat, ux_hat, uy_hat = state.hats
     g = state.phi.grid
     kinetic = 0.5 * parseval(g, ux_hat, uy_hat)
     inter = interaction_energy(kernel, phi_hat)
@@ -108,7 +108,7 @@ def make_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential: Pote
     """The record of ``state``; ``mu_hat`` holds the rfft2 coefficients of mu."""
     parts = total_energy(state, kernel, potential)
     g = state.phi.grid
-    phi_hat, ux_hat, uy_hat = state.coefficients()
+    phi_hat, ux_hat, uy_hat = state.hats
     grad_u_sq = parseval(g, ux_hat, uy_hat, symbol=g.half.k2)
     grad_mu_sq = parseval(g, mu_hat, symbol=g.half.k2)
     grad_phi_sq = parseval(g, phi_hat, symbol=g.half.k2)

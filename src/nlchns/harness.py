@@ -71,7 +71,8 @@ def taylor_green(cfg) -> StudyResult:
     errors = []
     dts = [cfg.sim.dt, cfg.sim.dt / 2.0]
     for dt in dts:
-        res = run(cfg.with_dt(dt), record_every=max(1, int(round(cfg.sim.t_end / dt))))
+        every = max(1, int(round(cfg.sim.t_end / dt)))
+        res = run(replace(cfg.with_dt(dt), output=replace(cfg.output, record_every=every)))
         ke0 = res.records[0].kinetic
         ke_end = res.records[-1].kinetic
         exact = ke0 * math.exp(-4.0 * cfg.sim.nu * res.records[-1].t)
@@ -219,7 +220,7 @@ def dt_order_study(cfg, dts) -> StudyResult:
     finals: list[SimState] = []
     max_resid: list[float] = []
     for dt in dts:
-        res = run(cfg.with_dt(dt), record_every=1)
+        res = run(replace(cfg.with_dt(dt), output=replace(cfg.output, record_every=1)))
         finals.append(res.state)
         max_resid.append(max(abs(r.identity_residual) for r in res.records[1:]))
 

@@ -23,16 +23,18 @@ The k = 0 row of the phase update is copied through: mass is kept to the bit.
 
 ``step`` is the only implementation of the scheme; ``run`` calls it.  A state
 carries the rfft2 half-plane coefficients of phi, u_x and u_y (shape
-(n, n//2 + 1)) next to the samples transformed back from them.  With zero
-forcing a step takes 12 transforms: 3 full (F'(phi), not band-limited, and
-grad mu) and 9 on the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all
-with dealias off): u . grad phi, both momentum right-hand sides, grad phi,
-omega and the new phi, u_x and u_y.  mu^ = (a - J^) phi^ + F'(phi)^ reuses
-the phase solve's F'(phi)^.  A record takes 2 more: the rfft2 of
-F'(phi^{n+1}) for its mu^, and the irfft2 of the divergence audit; its norms
-are read from the coefficients by Parseval.  The Leray projector P is applied
-once: it is linear, idempotent and commutes with the mode-diagonal viscous
-solve D, so P D (u/dt + P r) = P D (u/dt + r).
+(n, n//2 + 1)) next to their samples; one built from samples takes them when
+it is constructed.  ``step`` steps the coefficients it is given, and ``run``
+alone cuts initial data to the band.  With zero forcing a step takes 12
+transforms: 3 full (F'(phi), not band-limited, and grad mu) and 9 on the
+first ``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias off):
+u . grad phi, both momentum right-hand sides, grad phi, omega and the new
+phi, u_x and u_y.  mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's
+F'(phi)^.  A record takes 2 more: the rfft2 of F'(phi^{n+1}) for its mu^,
+and the irfft2 of the divergence audit; its norms are read from the
+coefficients by Parseval.  The Leray projector P is applied once: it is
+linear, idempotent and commutes with the mode-diagonal viscous solve D, so
+P D (u/dt + P r) = P D (u/dt + r).
 
 A trajectory is advanced by a single owner; steps are pure.  Independent
 runs may execute concurrently.
@@ -41,13 +43,13 @@ runs may execute concurrently.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import diagnostics
-from .hypotheses import HypothesisReport, audit, compute_beta
+from .hypotheses import HypothesisReport, audit
 from .initialdata import build_phi, build_u
 from .kernels import KernelOnGrid, build_kernel
 from .potentials import PotentialSpec, eval_df, stabilizer_bound
@@ -104,19 +106,18 @@ class HypothesisGateError(RuntimeError):
 class SimState:
     """Order parameter, velocity and time; div u stays spectrally zero and
     mean(phi) is constant along the trajectory.  ``hats``: the rfft2
-    coefficients of (phi, u.x, u.y) the samples came from, or None (taken
-    when needed); a state whose samples change must drop them."""
+    coefficients of (phi, u.x, u.y), taken from the samples when not given;
+    new samples make a new state, so the two never disagree."""
 
     phi: ScalarField
     u: VectorField
     t: float
-    hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+    hats: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         default=None, repr=False, compare=False)
 
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.hats is not None:
-            return self.hats
-        return tuple(np.fft.rfft2(f.values) for f in (self.phi, self.u.x, self.u.y))
+    def __post_init__(self):
+        if self.hats is None:
+            self.hats = tuple(np.fft.rfft2(f.values) for f in (self.phi, self.u.x, self.u.y))
 
     @classmethod
     def from_hats(cls, grid: Grid, hats: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -129,12 +130,13 @@ class SimState:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Scheme parameters; mobility is fixed to one."""
+    """Scheme parameters, the config's ``sim`` section; mobility is fixed to
+    one.  ``stabilizer``: S >= 0, or "auto" until ``run`` resolves it."""
 
     nu: float
     dt: float
-    stabilizer: float
     t_end: float
+    stabilizer: float | str = "auto"
     dealias: bool = True
     force_form: str = "phi_grad_mu"  # or mu_grad_phi
 
@@ -145,8 +147,8 @@ class SimParams:
             raise ValueError("nu must be nonnegative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.stabilizer < 0:
-            raise ValueError("stabilizer must be nonnegative")
+        if self.stabilizer != "auto" and (isinstance(self.stabilizer, str) or not self.stabilizer >= 0):
+            raise ValueError("stabilizer must be 'auto' or nonnegative")
         if self.force_form not in ("phi_grad_mu", "mu_grad_phi"):
             raise ValueError(f"unknown coupling force form {self.force_form!r}")
 
@@ -263,17 +265,14 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
 
 
 def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
-         potential: PotentialSpec, forcing: ForcingSpec | VectorField | None = None) -> SimState:
+         potential: PotentialSpec, forcing: VectorField | None = None) -> SimState:
     """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
-    capillary force at (phi^n, mu^n); ``forcing`` is a spec evaluated at t^n,
-    or h(t^n) itself.  Keeps mean(phi) exactly; cuts a state without hats to the band."""
+    capillary force at (phi^n, mu^n); ``forcing`` is h(t^n), or None for zero.
+    Steps the state's coefficients as given and keeps mean(phi) exactly."""
     g, h, ops = state.phi.grid, state.phi.grid.half, _operators(kernel, params)
     c, inv_dt = ops.keep.shape[1], 1.0 / params.dt
-    if forcing is not None and not isinstance(forcing, VectorField):
-        forcing = forcing.field_at(g, state.t)
     phi, u = state.phi.values, state.u
-    hats = state.hats or tuple(a * (h.mask if params.dealias else 1.0) for a in state.coefficients())
-    phi_hat, ux_hat, uy_hat = (a[:, :c] for a in hats)
+    phi_hat, ux_hat, uy_hat = (a[:, :c] for a in state.hats)
 
     # phase
     fp_hat = np.fft.rfft2(eval_df(potential, phi))
@@ -283,7 +282,7 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     new_phi_hat[0, 0] = phi_hat[0, 0]
 
     # flow: capillary force plus omega (u_y, -u_x), one transform a component
-    fx, fy = capillary_force(params.force_form, g, phi, mu_hat(kernel, hats[0], fp_hat), grad_phi)
+    fx, fy = capillary_force(params.force_form, g, phi, mu_hat(kernel, state.hats[0], fp_hat), grad_phi)
     omega = rdivergence(g, uy_hat, -ux_hat)  # curl u
     bx = ux_hat * inv_dt + rfft2_cols(fx + omega * u.y.values, c)
     by = uy_hat * inv_dt + rfft2_cols(fy - omega * u.x.values, c)
@@ -309,8 +308,6 @@ class RunResult:
     state: SimState
     report: HypothesisReport
     params: SimParams
-    beta: float
-    condition_altass: bool
     invariant_failures: list[str] = field(default_factory=list)
     phi_history: list[np.ndarray] | None = None
     weak_margins: list[float] | None = None
@@ -334,9 +331,10 @@ def run(
     force: bool = False,
     initial_state: SimState | None = None,
     capture_phi: bool = False,
-    record_every: int | None = None,
 ) -> RunResult:
-    """Advance a configured trajectory on [0, t_end], recording diagnostics.
+    """Advance a configured trajectory on [0, t_end], recording diagnostics
+    every ``output.record_every`` steps and at the end.  The initial state is
+    cut to the dealiased band here, the one place that does so.
 
     Raises BlowUpError on non-finite values, StabilizerRangeError if the
     solution leaves the range where S >= max|F''|/2 was validated, and
@@ -358,22 +356,16 @@ def run(
 
     state = initial_state or SimState(
         build_phi(cfg.initial, grid), leray_project(build_u(cfg.velocity, grid)), 0.0)
-    hats = state.coefficients()
-    if cfg.sim.dealias:
-        hats = tuple(c * grid.half.mask for c in hats)
-    state = SimState.from_hats(grid, hats, state.t)
+    mask = grid.half.mask if cfg.sim.dealias else 1.0
+    state = SimState.from_hats(grid, tuple(c * mask for c in state.hats), state.t)
 
     s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, potential, state.phi, s_range)
-    params = SimParams(nu=cfg.sim.nu, dt=cfg.sim.dt, stabilizer=s_value, t_end=cfg.sim.t_end,
-                       dealias=cfg.sim.dealias, force_form=cfg.sim.force_form)
+    params = replace(cfg.sim, stabilizer=s_value)
     if kernel.a + params.stabilizer <= 0:
         raise ValueError("a + S must be positive for the phase solve")
     cols = grid.half.kept_cols if params.dealias else None  # the columns step() transforms
-    forcing = cfg.forcing
-    beta, condition = compute_beta(report)
 
     n_steps = int(round(params.t_end / params.dt))
-    every = cfg.output.record_every if record_every is None else record_every
 
     out_dir = cfg.output.out_dir or None
     writer = storage.DiagnosticsWriter(out_dir) if out_dir else None
@@ -394,7 +386,8 @@ def run(
         if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
             failures.append(f"divergence {div_max:.3e} at step {step_index}")
         if cfg.checks.grad_control:
-            margin, verdict = diagnostics.gradient_control_check(record, beta, condition)
+            margin, verdict = diagnostics.gradient_control_check(
+                record, report.beta, report.condition_altass)
             if verdict == "fail":
                 failures.append(f"gradient control margin {margin:.3e} at step {step_index}")
         lo, hi = record.phi_min, record.phi_max
@@ -413,7 +406,7 @@ def run(
     def _record(step_index: int, h: VectorField | None) -> None:
         fp_hat = np.fft.rfft2(eval_df(potential, state.phi.values))
         rec = diagnostics.make_record(
-            state, mu_hat(kernel, state.hats[0], fp_hat), kernel, potential, params.nu, beta,
+            state, mu_hat(kernel, state.hats[0], fp_hat), kernel, potential, params.nu, report.beta,
             forcing_power=(inner(h, state.u) if h is not None else 0.0),
             prev=records[-1] if records else None,
         )
@@ -432,24 +425,24 @@ def run(
             storage.write_state_snapshots(out_dir, state, step_index)
 
     try:
-        h_now = forcing.field_at(grid, 0.0) if forcing is not None else None
+        h_now = cfg.forcing.field_at(grid, 0.0)
         _record(0, h_now)
         _maybe_snapshot(0)
         for i in range(1, n_steps + 1):
-            h_now = forcing.field_at(grid, state.t) if forcing is not None else None
+            h_now = cfg.forcing.field_at(grid, state.t)
             try:
                 state = step(state, params, kernel, potential, h_now)
             except BlowUpError as err:
                 raise BlowUpError(str(err), step=i, last_record=records[-1]) from None
             state.t = i * params.dt  # not a running sum: no round-off builds up in t
-            if i % every == 0 or i == n_steps:
+            if i % cfg.output.record_every == 0 or i == n_steps:
                 _record(i, h_now)
             _maybe_snapshot(i)
     finally:
         if writer:
             writer.close()
-    return RunResult(records=records, state=state, report=report, params=params, beta=beta,
-                     condition_altass=condition, invariant_failures=failures, phi_history=history,
+    return RunResult(records=records, state=state, report=report, params=params,
+                     invariant_failures=failures, phi_history=history,
                      weak_margins=weak_margins if cfg.checks.grad_control else None, out_dir=out_dir)
 
 

@@ -10,8 +10,8 @@ size mismatches.
 
 The diagnostics CSV has a fixed column order (see diagnostics.COLUMNS), a
 single header row, and values printed with 17 significant digits so a
-re-parse reproduces every float64 exactly; all are finite, and the reader
-rejects a row that is not.
+re-parse reproduces every float64 exactly.  The reader rejects a row of the
+wrong length or with a value that is not a finite number, naming its line.
 """
 
 from __future__ import annotations
@@ -125,11 +125,16 @@ def read_diagnostics_csv(path: str) -> list[DiagnosticsRecord]:
             line = line.strip()
             if not line:
                 continue
-            vals = [float(v) for v in line.split(",")]
-            if len(vals) != len(COLUMNS):
-                raise ValueError(f"malformed diagnostics row: {line!r}")
-            bad = [c for c, v in zip(COLUMNS, vals) if not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"non-finite {bad[0]} on line {lineno} of {path!r}")
-            records.append(DiagnosticsRecord(**dict(zip(COLUMNS, vals))))
+            cells = line.split(",")
+            if len(cells) != len(COLUMNS):
+                raise ValueError(f"{len(cells)} values on line {lineno} of {path!r}, want {len(COLUMNS)}")
+            row = {}
+            for c, v in zip(COLUMNS, cells):
+                try:
+                    row[c] = float(v)
+                except ValueError:
+                    raise ValueError(f"non-numeric {c} {v!r} on line {lineno} of {path!r}") from None
+                if not math.isfinite(row[c]):
+                    raise ValueError(f"non-finite {c} on line {lineno} of {path!r}")
+            records.append(DiagnosticsRecord(**row))
     return records

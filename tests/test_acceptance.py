@@ -15,14 +15,14 @@ from conftest import (
     TWO_PI, convolution_oracle, convolve, divergence, gradient, random_field, rel_err,
 )
 from nlchns.cli import main as cli_main
-from nlchns.config import ChecksConfig, GridConfig, SimConfig, SimSettings
+from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import dissipative_envelope, energy_inequality_check
 from nlchns.harness import dt_order_study, galerkin_refinement, taylor_green
 from nlchns.hypotheses import audit
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec, build_kernel, interaction_energy
 from nlchns.potentials import PotentialSpec
-from nlchns.solver import run
+from nlchns.solver import SimParams, run
 from nlchns.spectral import (
     Grid,
     ScalarField,
@@ -49,11 +49,12 @@ def spinodal_run():
         grid=GridConfig(64, TWO_PI),
         kernel=GAUSS6,
         potential=DW,
-        sim=SimSettings(nu=0.01, dt=1e-3, t_end=10.0),
+        sim=SimParams(nu=0.01, dt=1e-3, t_end=10.0),
         initial=InitialSpec(family="random", amplitude=1e-3, mean=0.0, seed=20260809),
         velocity=VelocitySpec(family="zero"),
+        output=OutputConfig(record_every=1),
     )
-    return cfg, run(cfg, record_every=1)
+    return cfg, run(cfg)
 
 
 def test_criterion_01_convolution_oracle_equivalence(rng):
@@ -119,7 +120,7 @@ def test_criterion_04_identity_residual_first_order():
         grid=GridConfig(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.15 * TWO_PI, 1.0),
         potential=PotentialSpec.quartic(1.0, 0.5),
-        sim=SimSettings(nu=0.05, dt=1e-2, t_end=0.5, stabilizer=1.0),
+        sim=SimParams(nu=0.05, dt=1e-2, t_end=0.5, stabilizer=1.0),
         initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=11, band=1),
         velocity=VelocitySpec(family="taylor_green", amplitude=0.25),
     )
@@ -139,7 +140,7 @@ def test_criterion_05_taylor_green_benchmark():
         grid=GridConfig(64, TWO_PI),
         kernel=GAUSS6,
         potential=DW,
-        sim=SimSettings(nu=0.01, dt=1e-3, t_end=1.0),
+        sim=SimParams(nu=0.01, dt=1e-3, t_end=1.0),
         initial=InitialSpec(family="uniform", c=0.0),
         velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
     )
@@ -185,7 +186,7 @@ def test_criterion_07_gradient_control_inequality():
         grid=GridConfig(64, TWO_PI),
         kernel=KernelSpec.spectral({(0, 0): 6.0, (1, 0): 0.3, (0, 1): 0.3}),
         potential=DW,
-        sim=SimSettings(nu=0.1, dt=1e-3, t_end=2.0),
+        sim=SimParams(nu=0.1, dt=1e-3, t_end=2.0),
         initial=InitialSpec(family="random", amplitude=0.3, mean=0.0, seed=42),
         velocity=VelocitySpec(family="zero"),
         checks=ChecksConfig(grad_control=True),
@@ -197,9 +198,9 @@ def test_criterion_07_gradient_control_inequality():
     worst = min(r.grad_control_margin for r in res.records)
     criterion(
         7,
-        condition and res.condition_altass and worst >= -1e-8 * scale,
+        condition and rep.condition_altass and worst >= -1e-8 * scale,
         "||grad mu||^2 >= beta ||grad phi||^2 at every recorded step",
-        f"beta {res.beta:.4g}, worst margin {worst:.3e}",
+        f"beta {rep.beta:.4g}, worst margin {worst:.3e}",
     )
 
 
@@ -211,11 +212,12 @@ def test_criterion_08_dissipative_envelope():
             grid=GridConfig(64, TWO_PI),
             kernel=GAUSS6,
             potential=DW,
-            sim=SimSettings(nu=0.01, dt=1e-3, t_end=2.0),
+            sim=SimParams(nu=0.01, dt=1e-3, t_end=2.0),
             initial=InitialSpec(family="random", amplitude=0.05, mean=m, seed=seed),
             velocity=VelocitySpec(family="zero"),
+            output=OutputConfig(record_every=2),
         )
-        res = run(cfg, record_every=2)
+        res = run(cfg)
         grid = Grid(64, TWO_PI)
         kernel = build_kernel(GAUSS6, grid)
         env = dissipative_envelope(
@@ -251,7 +253,7 @@ def test_criterion_10_galerkin_refinement():
         grid=GridConfig(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
         potential=DW,
-        sim=SimSettings(nu=0.1, dt=2e-3, t_end=0.5),
+        sim=SimParams(nu=0.1, dt=2e-3, t_end=0.5),
         initial=InitialSpec(family="random", amplitude=0.1, mean=0.0, seed=3),
         velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlchns import solver
+from nlchns import hypotheses
 from nlchns.cli import main
 
 GOOD = """
@@ -76,7 +76,7 @@ class TestRun:
 
     def test_failed_gradient_control_exits_1(self, tmp_path, capsys, monkeypatch):
         # a beta the data cannot meet, with the condition on
-        monkeypatch.setattr(solver, "compute_beta", lambda report: (1e6, True))
+        monkeypatch.setattr(hypotheses, "compute_beta", lambda report: (1e6, True))
         path = write(tmp_path, RANDOM_RUN + "checks.grad_control = true\n")
         assert main(["run", path]) == 1
         assert "invariant violation: gradient control margin" in capsys.readouterr().out
@@ -178,6 +178,18 @@ checks.dissipative = true
         assert rc == 2
         rc = main(["report", str(out_dir / "diagnostics.csv"), "--nu", "0.1"])
         assert rc == 0
+
+    def test_report_rejects_config_with_nu(self, tmp_path, capsys):
+        # the config's nu and --nu would compete; neither may be dropped unseen
+        out_dir = tmp_path / "out"
+        cfg = write(tmp_path, GOOD + f"output.out_dir = {out_dir}\n")
+        assert main(["run", cfg]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["report", str(out_dir / "diagnostics.csv"), "--config", cfg, "--nu", "5.0"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--config" in message and "--nu" in message
 
     @pytest.mark.parametrize("nu", ["nan", "inf", "-0.5"])
     def test_report_rejects_bad_nu(self, tmp_path, capsys, nu):

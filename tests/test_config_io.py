@@ -261,6 +261,21 @@ class TestDiagnosticsCsv:
         with pytest.raises(ValueError, match=f"non-finite {column} on line {row + 2} "):
             read_diagnostics_csv(w.path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:3] + ["abc"] + cells[4:], "non-numeric interaction 'abc' on line 3 "),
+        (lambda cells: cells[:-1], "12 values on line 3 .*, want 13"),
+    ], ids=["non-numeric", "short-row"])
+    def test_malformed_row_rejected(self, tmp_path, edit, message):
+        # a cell that is not a number, or a row of the wrong length, is named by its line
+        with DiagnosticsWriter(str(tmp_path)) as w:
+            w.append(_record(0.0))
+            w.append(_record(0.1))
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        (tmp_path / "diagnostics.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_diagnostics_csv(w.path)
+
 
 class TestInitialData:
     def test_uniform_and_strip(self):

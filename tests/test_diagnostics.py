@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, full_plane, mu_coefficients, random_field, random_vector
-from nlchns import solver
-from nlchns.config import ChecksConfig, GridConfig, SimConfig, SimSettings
+from nlchns import hypotheses
+from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import (
     DiagnosticsRecord,
     dissipative_envelope,
@@ -19,7 +19,7 @@ from nlchns.diagnostics import (
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_f
-from nlchns.solver import ForcingSpec, SimState, run
+from nlchns.solver import ForcingSpec, SimParams, SimState, run
 from nlchns.spectral import Grid, ScalarField, VectorField, constant_field, zero_vector
 
 DW = PotentialSpec.double_well()
@@ -129,15 +129,16 @@ class TestRecordOracle:
             grid=GridConfig(16, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 2.0),
             potential=DW,
-            sim=SimSettings(nu=nu, dt=dt, t_end=dt, dealias=False),
+            sim=SimParams(nu=nu, dt=dt, t_end=dt, dealias=False),
+            output=OutputConfig(record_every=1),
         )
         start = SimState(phi, u, 0.0)
-        res = run(cfg, force=True, initial_state=start, record_every=1)
+        res = run(cfg, force=True, initial_state=start)
         assert not res.invariant_failures
         kernel = build_kernel(cfg.kernel, g)
         assert abs(np.mean(phi.values)) > 0.1 and res.records[0].kinetic > 0.1
         for state, rec in ((start, res.records[0]), (res.state, res.records[1])):
-            want = quadrature_record(state, kernel, res.beta)
+            want = quadrature_record(state, kernel, res.report.beta)
             for name, value in want.items():
                 assert abs(getattr(rec, name) - value) <= 1e-12 * abs(value), name
         prev, cur = res.records
@@ -163,11 +164,12 @@ class TestIdentityResidual:
             grid=GridConfig(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
             potential=DW,
-            sim=SimSettings(nu=nu, dt=dt, t_end=10 * dt),
+            sim=SimParams(nu=nu, dt=dt, t_end=10 * dt),
             initial=InitialSpec(family="uniform", c=0.0),
             velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
+            output=OutputConfig(record_every=1),
         )
-        res = run(cfg, record_every=1)
+        res = run(cfg)
         rho = 1.0 / (1.0 + 2.0 * nu * dt)
         for prev, cur in zip(res.records, res.records[1:]):
             expected = prev.kinetic * ((rho**2 - 1.0) / dt + 4.0 * nu * rho**2)
@@ -180,11 +182,12 @@ class TestIdentityResidual:
             potential=PotentialSpec.quartic(1.0, 0.5),
             initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=11, band=1),
             velocity=VelocitySpec(family="taylor_green", amplitude=0.25),
+            output=OutputConfig(record_every=1),
         )
         maxr = []
         for dt in (4e-3, 2e-3):
-            cfg = SimConfig(sim=SimSettings(nu=0.05, dt=dt, t_end=0.2, stabilizer=1.0), **base)
-            res = run(cfg, record_every=1)
+            cfg = SimConfig(sim=SimParams(nu=0.05, dt=dt, t_end=0.2, stabilizer=1.0), **base)
+            res = run(cfg)
             maxr.append(max(abs(r.identity_residual) for r in res.records[1:]))
         assert 1.7 < maxr[0] / maxr[1] < 2.3
 
@@ -206,10 +209,11 @@ class TestEnergyInequality:
             grid=GridConfig(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
             potential=DW,
-            sim=SimSettings(nu=0.1, dt=1e-3, t_end=0.5),
+            sim=SimParams(nu=0.1, dt=1e-3, t_end=0.5),
             initial=InitialSpec(family="random", amplitude=1e-5, mean=0.45, seed=13),
+            output=OutputConfig(record_every=1),
         )
-        res = run(cfg, record_every=1)
+        res = run(cfg)
         v = energy_inequality_check(res.records, nu=0.1)
         assert v.passes, f"worst margin {v.worst_margin}"
 
@@ -234,11 +238,12 @@ class TestEnergyInequality:
             grid=GridConfig(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
             potential=DW,
-            sim=SimSettings(nu=0.1, dt=5e-2, t_end=2.5, stabilizer=0.0),
+            sim=SimParams(nu=0.1, dt=5e-2, t_end=2.5, stabilizer=0.0),
             initial=InitialSpec(family="random", amplitude=0.5, mean=0.0, seed=3),
             checks=ChecksConfig(s_lo=-50.0, s_hi=50.0),
+            output=OutputConfig(record_every=1),
         )
-        res = run(cfg, record_every=1)
+        res = run(cfg)
         v = energy_inequality_check(res.records, nu=0.1)
         assert isinstance(v.passes, bool)
         assert v.worst_margin <= 0.0 or v.passes
@@ -285,7 +290,7 @@ class TestDissipativeEnvelope:
             grid=GridConfig(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
             potential=DW,
-            sim=SimSettings(nu=0.02, dt=2e-3, t_end=0.5),
+            sim=SimParams(nu=0.02, dt=2e-3, t_end=0.5),
             initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=21),
         )
         res = run(cfg)
@@ -299,7 +304,7 @@ class TestDissipativeEnvelope:
             grid=GridConfig(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
             potential=DW,
-            sim=SimSettings(nu=0.05, dt=2e-3, t_end=0.4),
+            sim=SimParams(nu=0.05, dt=2e-3, t_end=0.4),
             initial=InitialSpec(family="random", amplitude=0.02, mean=0.0, seed=30),
             forcing=ForcingSpec(family="single_mode", mode=(1, 1), scale=0.2, decay=2.0),
         )
@@ -336,12 +341,12 @@ class TestGradientControl:
             grid=GridConfig(32, TWO_PI),
             kernel=KernelSpec.gaussian(TWO_PI / 6.0, 6.0),
             potential=quartic,
-            sim=SimSettings(nu=0.1, dt=1e-3, t_end=0.3),
+            sim=SimParams(nu=0.1, dt=1e-3, t_end=0.3),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.0, seed=17),
             checks=ChecksConfig(grad_control=True),
         )
         res = run(cfg)
-        assert res.condition_altass, "configuration must satisfy the sharp condition"
+        assert res.report.condition_altass, "configuration must satisfy the sharp condition"
         scale = 1.0 + max(r.grad_mu_sq for r in res.records)
         assert min(r.grad_control_margin for r in res.records) >= -1e-8 * scale
         assert min(res.weak_margins) >= -1e-8 * scale
@@ -353,23 +358,24 @@ class TestGradientControl:
             grid=GridConfig(16, TWO_PI),
             kernel=KernelSpec.gaussian(TWO_PI / 6.0, 6.0),
             potential=PotentialSpec.quartic(1.0, 5.0),
-            sim=SimSettings(nu=0.1, dt=1e-3, t_end=3e-3),
+            sim=SimParams(nu=0.1, dt=1e-3, t_end=3e-3),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.0, seed=17),
             checks=ChecksConfig(grad_control=grad_control),
+            output=OutputConfig(record_every=1),
         )
 
     def test_run_fails_on_violated_control(self, monkeypatch):
         # a beta too large for the data, with the condition on: every record fails
-        monkeypatch.setattr(solver, "compute_beta", lambda report: (1e6, True))
-        res = run(self._control_cfg(True), record_every=1)
-        assert res.condition_altass
+        monkeypatch.setattr(hypotheses, "compute_beta", lambda report: (1e6, True))
+        res = run(self._control_cfg(True))
+        assert res.report.condition_altass
         margins = [r.grad_control_margin for r in res.records]
         assert max(margins) < 0
         assert res.invariant_failures == [
             f"gradient control margin {m:.3e} at step {i}" for i, m in enumerate(margins)]
 
     def test_violation_ignored_unless_requested_or_applicable(self, monkeypatch):
-        monkeypatch.setattr(solver, "compute_beta", lambda report: (1e6, True))
+        monkeypatch.setattr(hypotheses, "compute_beta", lambda report: (1e6, True))
         assert not run(self._control_cfg(False)).invariant_failures
-        monkeypatch.setattr(solver, "compute_beta", lambda report: (1e6, False))
+        monkeypatch.setattr(hypotheses, "compute_beta", lambda report: (1e6, False))
         assert not run(self._control_cfg(True)).invariant_failures

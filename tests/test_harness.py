@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, convolution_oracle, convolve, random_field, rel_err
-from nlchns.config import GridConfig, SimConfig, SimSettings
+from nlchns.config import GridConfig, SimConfig
 from nlchns.harness import (
     StudyResult,
     dt_order_study,
@@ -12,6 +12,7 @@ from nlchns.harness import (
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec
+from nlchns.solver import SimParams
 from nlchns.spectral import Grid, ScalarField, constant_field
 
 DW = PotentialSpec.double_well()
@@ -57,7 +58,7 @@ def tg_cfg(n=32, dt=2e-3, t_end=0.25, nu=0.02):
         grid=GridConfig(n, TWO_PI),
         kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
         potential=DW,
-        sim=SimSettings(nu=nu, dt=dt, t_end=t_end),
+        sim=SimParams(nu=nu, dt=dt, t_end=t_end),
         initial=InitialSpec(family="uniform", c=0.0),
         velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
     )
@@ -89,7 +90,7 @@ def refine_cfg():
         grid=GridConfig(16, TWO_PI),
         kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
         potential=DW,
-        sim=SimSettings(nu=0.1, dt=2e-3, t_end=0.2),
+        sim=SimParams(nu=0.1, dt=2e-3, t_end=0.2),
         initial=InitialSpec(family="random", amplitude=0.1, mean=0.0, seed=3),
         velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
     )
@@ -101,7 +102,7 @@ class TestGalerkinRefinement:
             grid=GridConfig(16, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
             potential=DW,
-            sim=SimSettings(nu=0.1, dt=2e-3, t_end=0.05),
+            sim=SimParams(nu=0.1, dt=2e-3, t_end=0.05),
             initial=InitialSpec(family="uniform", c=0.4),
             velocity=VelocitySpec(family="zero"),
         )
@@ -127,7 +128,7 @@ class TestDtOrderStudy:
             grid=GridConfig(16, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
             potential=DW,
-            sim=SimSettings(nu=0.1, dt=1e-2, t_end=0.1),
+            sim=SimParams(nu=0.1, dt=1e-2, t_end=0.1),
             initial=InitialSpec(family="uniform", c=1.0),  # pure phase: fixed point
             velocity=VelocitySpec(family="zero"),
         )
@@ -140,7 +141,7 @@ class TestDtOrderStudy:
             grid=GridConfig(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 1.0),
             potential=PotentialSpec.quartic(1.0, 0.5),
-            sim=SimSettings(nu=0.05, dt=1e-2, t_end=0.4, stabilizer=1.0),
+            sim=SimParams(nu=0.05, dt=1e-2, t_end=0.4, stabilizer=1.0),
             initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=11, band=1),
             velocity=VelocitySpec(family="taylor_green", amplitude=0.25),
         )

@@ -1,0 +1,40 @@
+"""Smoke tests of ``scripts/``: each script runs in a subprocess on a tiny
+problem, exits 0 and prints its verdict lines."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_taylor_green_bench():
+    out = run_script("taylor_green_bench.py", "--n", "16", "--t-end", "0.02")
+    for verdict in ("error_below_1e-3", "first_order", "preconditions"):
+        assert f"verdict[{verdict}]: PASS" in out
+
+
+def test_spinodal_demo():
+    out = run_script("spinodal_demo.py", "--n", "16", "--t-end", "0.02")
+    assert "records: 21, final t = 0.02" in out
+    assert "max mean drift:" in out and "cumulative inequality margin" in out
+    assert "invariant failures" not in out
+
+
+def test_refinement_study():
+    out = run_script("refinement_study.py", "--sizes", "16,32")
+    for verdict in ("uniform_bounds", "residual_order_in_band", "trajectory_order_in_band"):
+        assert f"verdict[{verdict}]: PASS" in out
+    # two sizes give one inter-level difference: this verdict needs three
+    assert "verdict[differences_decrease]: " in out

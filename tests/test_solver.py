@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, convolve, divergence, full_plane, mu_coefficients, random_field, rel_err
-from nlchns.config import ChecksConfig, GridConfig, SimConfig, SimSettings
+from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import total_energy
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
 from nlchns.kernels import KernelSpec, build_kernel
@@ -55,7 +55,7 @@ def make_cfg(**over):
         grid=GridConfig(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
         potential=DW,
-        sim=SimSettings(nu=0.1, dt=2e-3, t_end=0.1),
+        sim=SimParams(nu=0.1, dt=2e-3, t_end=0.1),
         initial=InitialSpec(family="uniform", c=0.0),
         velocity=VelocitySpec(family="zero"),
     )
@@ -275,7 +275,8 @@ class TestStepNS:
             0.0,
         )
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
-        out = step(state, params, kernel32, DW, ForcingSpec(family="body", amplitude=(0.3, -0.1))).u
+        h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
+        out = step(state, params, kernel32, DW, h).u
         umax = np.max(np.abs([out.x.values, out.y.values])) + 1e-30
         assert np.max(np.abs(divergence(out).values)) < 1e-11 * umax * 2 * np.pi * g.n / g.l
 
@@ -315,16 +316,18 @@ class TestStepCore:
     def test_run_is_repeated_step(self):
         # run() advances with step(); records in between change nothing
         cfg = make_cfg(
-            sim=SimSettings(nu=0.05, dt=2e-3, t_end=0.03),
+            sim=SimParams(nu=0.05, dt=2e-3, t_end=0.03),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
             velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
+            output=OutputConfig(record_every=4),
         )
-        res = run(cfg, record_every=4)
+        res = run(cfg)
         start = run(replace(cfg, sim=replace(cfg.sim, t_end=0.0)))
         state = start.state
         kernel = build_kernel(cfg.kernel, state.phi.grid)
         for _ in range(15):
-            state = step(state, start.params, kernel, cfg.potential, cfg.forcing)
+            h = cfg.forcing.field_at(state.phi.grid, state.t)
+            state = step(state, start.params, kernel, cfg.potential, h)
         assert state.t == pytest.approx(res.state.t)
         for got, want in zip(
             (state.phi, state.u.x, state.u.y) + state.hats,
@@ -345,25 +348,27 @@ class TestStepCore:
         calls = count_transforms(monkeypatch)
         want = Counter({("rfft2", (n, n)): 1, ("rfftn", (n, n)): 3, ("fftn", kept): 3,
                         ("irfft2", full): full_inverse, ("irfft2", kept): 6})
-        step(state, params, kernel32, DW, ForcingSpec())
+        step(state, params, kernel32, DW, ForcingSpec().field_at(g, state.t))
         assert Counter(calls) == want
         calls.clear()
-        step(state, params, kernel32, DW, ForcingSpec(family="body", amplitude=(0.3, -0.1)))
+        h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
+        step(state, params, kernel32, DW, h)
         assert Counter(calls) == want + Counter({("rfftn", (n, n)): 2, ("fftn", kept): 2})
         calls.clear()
+        # a state built from samples takes the rfft2 of phi, u_x and u_y
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
-        assert Counter(calls) == want + Counter({("rfft2", (n, n)): 3})  # phi, u_x, u_y
+        assert Counter(calls) == want + Counter({("rfft2", (n, n)): 3})
 
     def test_sample_built_state_steps_in_band(self, kernel32, rng):
-        # with dealias on, a state without coefficients steps from those of its
-        # samples cut to the band, rows and columns alike
+        # with dealias on, run() cuts full-spectrum initial data to the band,
+        # rows and columns alike, and steps those coefficients
         g = kernel32.grid
         phi, u = random_field(g, rng), leray_project(VectorField(random_field(g, rng),
                                                                  random_field(g, rng)))
-        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+        cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=1e-3))
+        res = run(cfg, initial_state=SimState(phi, u, 0.0))
         masked = tuple(np.fft.rfft2(f.values) * g.half.mask for f in (phi, u.x, u.y))
-        got = step(SimState(phi, u, 0.0), params, kernel32, DW)
-        want = step(SimState(phi, u, 0.0, masked), params, kernel32, DW)
+        got, want = res.state, step(SimState.from_hats(g, masked, 0.0), res.params, kernel32, DW)
         for a, b in zip((got.phi.values, got.u.x.values, got.u.y.values) + got.hats,
                         (want.phi.values, want.u.x.values, want.u.y.values) + want.hats):
             assert a.tobytes() == b.tobytes()
@@ -372,7 +377,7 @@ class TestStepCore:
         # a record takes the rfft2 of F'(phi) for mu^ and the irfft2 of the
         # divergence audit; its norms come from the coefficients
         cfg = make_cfg(
-            sim=SimSettings(nu=0.05, dt=2e-3, t_end=0.02),
+            sim=SimParams(nu=0.05, dt=2e-3, t_end=0.02),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
             velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
             checks=ChecksConfig(grad_control=True),
@@ -381,7 +386,8 @@ class TestStepCore:
 
         def counts(steps, every):
             calls.clear()
-            run(replace(cfg, sim=replace(cfg.sim, t_end=steps * cfg.sim.dt)), record_every=every)
+            run(replace(cfg, sim=replace(cfg.sim, t_end=steps * cfg.sim.dt),
+                        output=OutputConfig(record_every=every)))
             # complex transforms run only on the kept columns: no (n, n) one
             n = cfg.grid.n
             assert {shape for name, shape in calls if name in ("fft2", "ifft2", "fftn", "ifftn")
@@ -465,7 +471,7 @@ class TestRun:
 
     def test_energy_monotone_on_small_spinodal(self):
         cfg = make_cfg(
-            sim=SimSettings(nu=0.1, dt=2e-3, t_end=0.4),
+            sim=SimParams(nu=0.1, dt=2e-3, t_end=0.4),
             initial=InitialSpec(family="random", amplitude=1e-3, mean=0.0, seed=9),
         )
         res = run(cfg)
@@ -475,7 +481,7 @@ class TestRun:
 
     def test_mean_preserved_long_run(self):
         cfg = make_cfg(
-            sim=SimSettings(nu=0.1, dt=1e-3, t_end=1.0),
+            sim=SimParams(nu=0.1, dt=1e-3, t_end=1.0),
             initial=InitialSpec(family="random", amplitude=0.1, mean=0.3, seed=4),
         )
         res = run(cfg)
@@ -486,7 +492,7 @@ class TestRun:
 
     def test_divergence_invariant_along_run(self):
         cfg = make_cfg(
-            sim=SimSettings(nu=0.05, dt=2e-3, t_end=0.2),
+            sim=SimParams(nu=0.05, dt=2e-3, t_end=0.2),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.0, seed=12),
             velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
         )
@@ -510,7 +516,7 @@ class TestRun:
 
     def test_stabilizer_range_abort(self):
         cfg = make_cfg(
-            sim=SimSettings(nu=0.1, dt=2e-3, t_end=4.0, stabilizer=2.0),
+            sim=SimParams(nu=0.1, dt=2e-3, t_end=4.0, stabilizer=2.0),
             initial=InitialSpec(family="random", amplitude=1e-2, mean=0.0, seed=8),
             checks=ChecksConfig(s_lo=-0.6, s_hi=0.6),
         )
@@ -537,7 +543,7 @@ class TestRun:
         cfg = make_cfg(
             kernel=KernelSpec.mollifier(radius=0.25 * TWO_PI, strength=4.0),
             potential=PotentialSpec.quartic(1.0, 1.0),
-            sim=SimSettings(nu=0.1, dt=2e-3, t_end=0.1),
+            sim=SimParams(nu=0.1, dt=2e-3, t_end=0.1),
             initial=InitialSpec(family="random", amplitude=0.1, mean=0.0, seed=6),
         )
         res = run(cfg)
@@ -547,7 +553,7 @@ class TestRun:
 
     def test_tanh_strip_initial_run(self):
         cfg = make_cfg(
-            sim=SimSettings(nu=0.1, dt=1e-3, t_end=0.05),
+            sim=SimParams(nu=0.1, dt=1e-3, t_end=0.05),
             initial=InitialSpec(family="tanh_strip", width=0.4),
         )
         res = run(cfg)
@@ -556,7 +562,7 @@ class TestRun:
 
     def test_mu_grad_phi_force_form(self):
         cfg = make_cfg(
-            sim=SimSettings(nu=0.1, dt=2e-3, t_end=0.1, force_form="mu_grad_phi"),
+            sim=SimParams(nu=0.1, dt=2e-3, t_end=0.1, force_form="mu_grad_phi"),
             initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=14),
         )
         res = run(cfg)
@@ -569,7 +575,7 @@ class TestRun:
         # recurrence u(0) <- u(0) + dt A exp(-lambda t_n)
         amp, decay = (0.4, -0.2), 1.5
         cfg = make_cfg(
-            sim=SimSettings(nu=0.1, dt=1e-2, t_end=0.2),
+            sim=SimParams(nu=0.1, dt=1e-2, t_end=0.2),
             forcing=ForcingSpec(family="body", amplitude=amp, decay=decay),
         )
         res = run(cfg)

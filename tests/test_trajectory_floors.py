@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI
-from nlchns.config import GridConfig, SimConfig, SimSettings
+from nlchns.config import GridConfig, OutputConfig, SimConfig
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec
 from nlchns.potentials import PotentialSpec
-from nlchns.solver import run
+from nlchns.solver import SimParams, run
 from nlchns.spectral import Grid, ScalarField, norm_l2
 
 DW = PotentialSpec.double_well()
@@ -30,11 +30,12 @@ def short_spinodal():
         grid=GridConfig(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
         potential=DW,
-        sim=SimSettings(nu=0.05, dt=2e-3, t_end=1.0),
+        sim=SimParams(nu=0.05, dt=2e-3, t_end=1.0),
         initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=23),
         velocity=VelocitySpec(family="taylor_green", amplitude=0.5),
+        output=OutputConfig(record_every=5),
     )
-    return cfg, run(cfg, capture_phi=True, record_every=5)
+    return cfg, run(cfg, capture_phi=True)
 
 
 def test_quadratic_coercivity_floor(short_spinodal):
@@ -65,11 +66,12 @@ def test_floors_hold_with_mean_offset():
         grid=GridConfig(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
         potential=DW,
-        sim=SimSettings(nu=0.05, dt=2e-3, t_end=0.3),
+        sim=SimParams(nu=0.05, dt=2e-3, t_end=0.3),
         initial=InitialSpec(family="random", amplitude=0.1, mean=0.3, seed=31),
         velocity=VelocitySpec(family="zero"),
+        output=OutputConfig(record_every=10),
     )
-    res = run(cfg, capture_phi=True, record_every=10)
+    res = run(cfg, capture_phi=True)
     rep = res.report
     grid = Grid(32, TWO_PI)
     c = 2.0 * rep.c2 * grid.volume
