@@ -167,7 +167,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("convergence", help="refinement and time-step studies")
     p.add_argument("config")
-    p.add_argument("--sizes", default="", help="comma list of grid sizes")
+    p.add_argument("--sizes", default="", help="comma list of at least three grid sizes")
     p.add_argument("--dts", default="", help="comma list of time steps")
     p.set_defaults(func=_cmd_convergence)
 

@@ -136,12 +136,13 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
 
     The uniform-bound table (sup_t ||u||, sup_t ||phi||, int ||grad mu||^2,
     int ||phi||_V^2) must stay within a factor 2 across levels, and the
-    L^2(0,T;H) differences between successive levels must strictly decrease.
-    A blow-up at any level aborts the study with partial results.
+    L^2(0,T;H) differences between successive levels must strictly decrease,
+    which takes at least three levels.  A blow-up at any level aborts the
+    study with partial results.
     """
     sizes = sorted(int(s) for s in sizes)
-    if len(sizes) < 2 or len(set(sizes)) != len(sizes):
-        raise ValueError("refinement needs at least two distinct sizes")
+    if len(sizes) < 3 or len(set(sizes)) != len(sizes):
+        raise ValueError("refinement needs at least three distinct sizes")
     phi_fine, u_fine = _shared_initial(cfg, sizes)
 
     results = {}

@@ -162,7 +162,7 @@ def estimate_c0(potential: PotentialSpec, a_star: float, s_range=(-2.0, 2.0)):
 
     Returns (c0, witness at the argmin); the verdict requires strict positivity.
     """
-    gpp = npoly.polyadd(npoly.polyder(potential.coefficients, 2), (a_star,))
+    gpp = npoly.polyadd(potential.ddf_coefficients, (a_star,))
     c0, s_min, _, _ = poly_extrema_on_range(gpp, s_range)
     return c0, Witness(s=s_min, margin=c0)
 
@@ -244,7 +244,7 @@ def verify_h6(potential: PotentialSpec, a_star: float):
     # c6: sup of c5 s^{2q} - F''(s) - a*
     excess6 = [0.0] * (two_q + 1)
     excess6[two_q] = c5
-    excess6 = npoly.polysub(excess6, npoly.polyder(potential.coefficients, 2))
+    excess6 = npoly.polysub(excess6, potential.ddf_coefficients)
     excess6 = npoly.polysub(excess6, (a_star,))
     sup6, s6 = poly_sup_global(excess6)
     c6 = max(1e-9, sup6)
@@ -280,7 +280,7 @@ def global_m0(potential: PotentialSpec) -> float:
     """m0 = -min over R of F'' (0 for degree < 4 potentials with F'' const)."""
     if potential.degree < 2:
         return 0.0
-    fpp = npoly.polyder(potential.coefficients, 2)
+    fpp = potential.ddf_coefficients
     if potential.degree == 2:
         return float(-fpp[0])
     neg_sup, _ = poly_sup_global(npoly.polymul((-1.0,), fpp))

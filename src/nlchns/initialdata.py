@@ -44,19 +44,25 @@ class VelocitySpec:
     path_y: str = ""
 
 
-def _mode_coefficient(gen: np.random.Generator, seed: int, m1: int, m2: int) -> complex:
-    """The first normal pair of the Philox stream keyed by (seed, mode), drawn
-    by ``gen`` (a Philox generator) after resetting it to the stream's start,
-    as a fresh ``Generator(Philox(key=...))`` would begin."""
-    lane = ((m1 & 0xFFFFFFFF) << 32) | (m2 & 0xFFFFFFFF)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, lane], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+def _normal_pairs(seed: int, lanes: np.ndarray) -> np.ndarray:
+    """Row i is the first normal pair of the Philox stream keyed by
+    (seed, lanes[i]), as a fresh ``Generator(Philox(key=[seed, lane]))``
+    would draw it.  One generator is reset to each stream's start in turn."""
+    gen = np.random.Generator(np.random.Philox())
+    bit_gen, normal = gen.bit_generator, gen.standard_normal
+    # the setter copies the state word by word, so one dict serves every
+    # lane; plain lists read faster there than uint64 arrays
+    key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+    state = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    z = gen.standard_normal(2)
-    return complex(z[0], z[1])
+    pairs = np.empty((lanes.size, 2))
+    for i, lane in enumerate(lanes.tolist()):
+        key[1] = lane
+        bit_gen.state = state
+        normal(out=pairs[i])
+    return pairs
 
 
 def random_phi(grid: Grid, amplitude: float, mean_value: float, seed: int,
@@ -65,19 +71,19 @@ def random_phi(grid: Grid, amplitude: float, mean_value: float, seed: int,
     if band < 1 or band >= grid.n // 2:
         raise InitialDataError(f"random band {band} not resolvable on n = {grid.n}")
     n = grid.n
-    gen = np.random.Generator(np.random.Philox())
+    # z[m1, band + m2] for m1 = 0..band, |m2| <= band, drawn in row-major
+    # order; one of each conjugate pair, so row m1 = 0 starts at m2 = 1
+    m1 = np.arange(band + 1, dtype=np.uint64)[:, None]
+    m2 = (np.arange(-band, band + 1) % 2**32).astype(np.uint64)  # the low 32 bits
+    lanes = ((m1 << np.uint64(32)) | m2).ravel()[band + 1:]
+    drawn = _normal_pairs(seed, lanes).view(complex).ravel()
+    z = np.concatenate([np.zeros(band + 1, dtype=complex), drawn]).reshape(band + 1, 2 * band + 1)
     coeff = np.zeros((n, n // 2 + 1), dtype=complex)  # amplitudes on the rfft2 half plane
-    sq = 0.0
-    for m1 in range(0, band + 1):
-        for m2 in range(-band, band + 1):
-            if m1 == 0 and m2 <= 0:
-                continue  # one of each conjugate pair is drawn
-            z = _mode_coefficient(gen, seed, m1, m2)
-            if m2 >= 0:
-                coeff[m1, m2] = z
-            if m2 <= 0:
-                coeff[-m1 % n, -m2] = np.conj(z)
-            sq += abs(z) ** 2
+    coeff[:band + 1, :band + 1] = z[:, band:]  # (m1, m2) for m2 >= 0
+    coeff[n - band:, :band + 1] = np.conj(z[:0:-1, band::-1])  # (-m1, -m2) for m1 > 0, m2 <= 0
+    sq = 0.0  # Python's complex abs in draw order: np.abs can differ by an ulp
+    for c in drawn.tolist():
+        sq += abs(c) ** 2
     rms = np.sqrt(2.0 * sq)
     if rms > 0:
         coeff *= amplitude / rms

@@ -9,8 +9,10 @@ field is a pointwise spectral product; on the torus a(x) is the constant a.
 Shipped families:
 
 * ``gaussian(sigma, strength)`` — strength * N(0, sigma^2 I) density,
-  periodized by summing images; mass wraps in exactly, so a == strength up to
-  grid-quadrature error.
+  periodized by summing 7 images per direction; mass wraps in exactly, so
+  a == strength up to grid-quadrature error.  The periodized density is the
+  product of two 1-D image sums, so it is built from 7 n exponentials and
+  outer products.
 * ``mollifier(radius, strength)`` — strength * exp(-1/(1 - (r/R)^2)) on r < R,
   compactly supported (no wrapping needed for R <= l/2).
 * ``spectral(modes)`` — the convolution multiplier given directly on a few
@@ -88,20 +90,17 @@ class KernelOnGrid:
 
 
 def _gaussian_samples(grid: Grid, sigma: float, strength: float):
-    xx, yy = grid.mesh
-    val = np.zeros_like(xx)
-    gx = np.zeros_like(xx)
-    gy = np.zeros_like(xx)
+    """Samples and |grad| of the Gaussian periodized over the images
+    ``_IMAGE_SHIFTS`` in each direction.  The image sum separates, so both
+    come from the 1-D sums e(x) = sum_s exp(-(x + s l)^2 / 2 sigma^2) and
+    d(x) = e'(x): val = norm e(x) e(y), grad val = norm (d(x) e(y), e(x) d(y))."""
+    dx = grid.x[None, :] + grid.l * np.array(_IMAGE_SHIFTS)[:, None]
+    g = np.exp(-(dx * dx) / (2.0 * sigma**2))
+    e = g.sum(axis=0)
+    d = (-dx / sigma**2 * g).sum(axis=0)
     norm = strength / (2.0 * np.pi * sigma**2)
-    for sx in _IMAGE_SHIFTS:
-        for sy in _IMAGE_SHIFTS:
-            dx = xx + sx * grid.l
-            dy = yy + sy * grid.l
-            j = norm * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma**2))
-            val += j
-            gx += -dx / sigma**2 * j
-            gy += -dy / sigma**2 * j
-    return val, np.hypot(gx, gy)
+    val = norm * np.outer(e, e)
+    return val, norm * np.hypot(np.outer(d, e), np.outer(e, d))
 
 
 def _mollifier_samples(grid: Grid, radius: float, strength: float):

@@ -14,6 +14,7 @@ Horner's rule.  Everything here is an immutable value; evaluation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -61,6 +62,16 @@ class PotentialSpec:
     def leading(self) -> float:
         return self.coefficients[-1]
 
+    @cached_property
+    def df_coefficients(self) -> tuple[float, ...]:
+        """F' in ascending powers, derived once per spec."""
+        return tuple(npoly.polyder(self.coefficients).tolist())
+
+    @cached_property
+    def ddf_coefficients(self) -> tuple[float, ...]:
+        """F'' in ascending powers, derived once per spec."""
+        return tuple(npoly.polyder(self.coefficients, 2).tolist())
+
     def shifted(self, m: float) -> "PotentialSpec":
         """The potential s -> F(s + m) - F(m) (vanishes at 0)."""
         base = npoly.Polynomial(self.coefficients)
@@ -75,11 +86,11 @@ def eval_f(spec: PotentialSpec, s):
 
 
 def eval_df(spec: PotentialSpec, s):
-    return npoly.polyval(s, npoly.polyder(spec.coefficients))
+    return npoly.polyval(s, spec.df_coefficients)
 
 
 def eval_ddf(spec: PotentialSpec, s):
-    return npoly.polyval(s, npoly.polyder(spec.coefficients, 2))
+    return npoly.polyval(s, spec.ddf_coefficients)
 
 
 def _real_roots(coef) -> np.ndarray:
@@ -130,6 +141,5 @@ def stabilizer_bound(spec: PotentialSpec, s_range=(-2.0, 2.0)) -> float:
     energy decay of the stabilized scheme."""
     if spec.degree < 2:
         return 0.0
-    fpp = npoly.polyder(spec.coefficients, 2)
-    mn, _, mx, _ = poly_extrema_on_range(fpp, s_range)
+    mn, _, mx, _ = poly_extrema_on_range(spec.ddf_coefficients, s_range)
     return 0.5 * max(abs(mn), abs(mx))

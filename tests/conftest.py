@@ -80,6 +80,26 @@ def seminorm_h1(f) -> float:
     return float(np.sqrt(grad_norm_sq(f)))
 
 
+def gaussian_image_sum(grid: Grid, sigma: float, strength: float):
+    """The periodized Gaussian kernel summed image by image over the 7 x 7
+    shifts (s1 l, s2 l), s1, s2 = -3..3: its samples and |grad|, each (n, n)."""
+    x = np.arange(grid.n) * (grid.l / grid.n)
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    val = np.zeros_like(xx)
+    gx = np.zeros_like(xx)
+    gy = np.zeros_like(xx)
+    norm = strength / (2.0 * np.pi * sigma**2)
+    for sx in range(-3, 4):
+        for sy in range(-3, 4):
+            dx = xx + sx * grid.l
+            dy = yy + sy * grid.l
+            j = norm * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma**2))
+            val += j
+            gx += -dx / sigma**2 * j
+            gy += -dy / sigma**2 * j
+    return val, np.hypot(gx, gy)
+
+
 def mu_coefficients(kernel: KernelOnGrid, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:
     """rfft2 coefficients of mu for the samples ``phi``, through the solver's ``mu_hat``."""
     return mu_hat(kernel, np.fft.rfft2(phi), np.fft.rfft2(eval_df(potential, phi)))

@@ -143,6 +143,12 @@ initial.u0_amplitude = 0.25
         rc = main(["convergence", write(tmp_path, GOOD)])
         assert rc == 2
 
+    def test_convergence_two_sizes_rejected(self, tmp_path, capsys):
+        # one inter-level difference cannot show a decrease
+        rc = main(["convergence", write(tmp_path, RANDOM_RUN), "--sizes", "16,32"])
+        assert rc == 2
+        assert "refinement needs at least three distinct sizes" in capsys.readouterr().out
+
     def test_benchmark_taylor_green(self, tmp_path, capsys):
         cfg = GOOD + "initial.u0 = taylor_green\ninitial.u0_amplitude = 1.0\n"
         rc = main(["benchmark", "taylor-green", write(tmp_path, cfg)])

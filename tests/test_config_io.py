@@ -7,7 +7,7 @@ from nlchns.diagnostics import COLUMNS, DiagnosticsRecord
 from nlchns.initialdata import (
     InitialDataError,
     InitialSpec,
-    _mode_coefficient,
+    _normal_pairs,
     build_phi,
     random_phi,
     tanh_strip_phi,
@@ -277,6 +277,32 @@ class TestDiagnosticsCsv:
             read_diagnostics_csv(w.path)
 
 
+def mode_lane(m1: int, m2: int) -> int:
+    return ((m1 & 0xFFFFFFFF) << 32) | (m2 & 0xFFFFFFFF)
+
+
+def random_phi_reference(grid, amplitude, mean_value, seed, band=None) -> np.ndarray:
+    """``random_phi`` drawn mode by mode: a fresh Generator(Philox(key=
+    [seed, lane])) per mode, m1 outer and m2 inner, each conjugate pair once."""
+    n = grid.n
+    band = n // 4 if band is None else band
+    coeff = np.zeros((n, n // 2 + 1), dtype=complex)
+    sq = 0.0
+    for m1 in range(band + 1):
+        for m2 in range(-band, band + 1):
+            if m1 == 0 and m2 <= 0:
+                continue
+            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, mode_lane(m1, m2)], dtype=np.uint64)
+            z = complex(*np.random.Generator(np.random.Philox(key=key)).standard_normal(2))
+            if m2 >= 0:
+                coeff[m1, m2] = z
+            if m2 <= 0:
+                coeff[-m1 % n, -m2] = np.conj(z)
+            sq += abs(z) ** 2
+    coeff *= amplitude / np.sqrt(2.0 * sq)
+    return mean_value + np.fft.irfft2(coeff * (n * n))
+
+
 class TestInitialData:
     def test_uniform_and_strip(self):
         g = Grid(32, TWO_PI)
@@ -303,17 +329,24 @@ class TestInitialData:
         assert not np.array_equal(a.values, c.values)
 
     def test_mode_draw_matches_fresh_stream(self):
-        # one generator, reset per mode, draws what a fresh Philox stream
-        # keyed by (seed, mode) draws first, whatever it drew before
-        gen = np.random.Generator(np.random.Philox())
-        for seed, m1, m2 in ((0, 0, 1), (9, 3, -2), (9, -3, 2), (123, -8, -7),
-                             (2**64 - 1, 5, 5), (2**63 + 17, -1, 0)):
-            gen.standard_normal(3)
-            gen.random(3, dtype=np.float32)  # leaves a buffered 32-bit half
-            lane = ((m1 & 0xFFFFFFFF) << 32) | (m2 & 0xFFFFFFFF)
-            key = np.array([seed, lane], dtype=np.uint64)
-            want = np.random.Generator(np.random.Philox(key=key)).standard_normal(2)
-            assert _mode_coefficient(gen, seed, m1, m2) == complex(want[0], want[1])
+        # one generator, reset per lane, draws what a fresh Philox stream
+        # keyed by (seed, lane) draws first, whatever it drew before
+        modes = ((0, 1), (3, -2), (-3, 2), (-8, -7), (5, 5), (-1, 0))
+        lanes = np.array([mode_lane(m1, m2) for m1, m2 in modes], dtype=np.uint64)
+        for seed in (0, 9, 123, 2**64 - 1, 2**63 + 17):
+            pairs = _normal_pairs(seed, lanes)
+            for lane, pair in zip(lanes, pairs):
+                key = np.array([seed, lane], dtype=np.uint64)
+                want = np.random.Generator(np.random.Philox(key=key)).standard_normal(2)
+                assert pair.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, seed, band", [
+        (32, 5, 7), (64, 42, None), (256, 20260809, None), (128, 2**63 + 5, None),
+    ])
+    def test_random_phi_bytes_match_fresh_streams(self, n, seed, band):
+        g = Grid(n, TWO_PI)
+        got = random_phi(g, 0.2, 0.1, seed, band).values
+        assert got.tobytes() == random_phi_reference(g, 0.2, 0.1, seed, band).tobytes()
 
     def test_random_grid_independent_within_band(self):
         coarse = Grid(32, TWO_PI)

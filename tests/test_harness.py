@@ -118,8 +118,9 @@ class TestGalerkinRefinement:
         assert len(study.levels) == 3
 
     def test_rejects_degenerate_sizes(self):
-        with pytest.raises(ValueError):
-            galerkin_refinement(refine_cfg(), [16])
+        for sizes in ([16], [16, 32], [16, 32, 32]):
+            with pytest.raises(ValueError, match="three distinct sizes"):
+                galerkin_refinement(refine_cfg(), sizes)
 
 
 class TestDtOrderStudy:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import TWO_PI, convolve, random_field, rel_err, seminorm_h1
+from conftest import TWO_PI, convolve, gaussian_image_sum, random_field, rel_err, seminorm_h1
 from nlchns.kernels import (
     KernelBuildError,
     KernelSpec,
@@ -58,6 +58,22 @@ class TestBuild:
             errs.append(abs(k.grad_norm_l1 - radial))
         assert errs[0] / radial < 2e-3
         assert errs[0] > 3.0 * errs[1]  # quadrature converging to the oracle
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("divisor", [6.0, 8.0, 20.0])
+    def test_gaussian_matches_image_sum_oracle(self, n, divisor):
+        # the product of 1-D image sums is the 2-D image sum, to round-off;
+        # divisor 6 is the widest admissible sigma, where wrapping matters most
+        g = Grid(n, TWO_PI)
+        sigma = g.l / divisor
+        k = build_kernel(KernelSpec.gaussian(sigma, 6.0), g)
+        val, gmag = gaussian_image_sum(g, sigma, 6.0)
+        w = g.cell_volume
+        assert rel_err(k.samples.values, val) < 1e-14
+        assert rel_err(k.multiplier, np.fft.rfft2(val).real * w) < 1e-14
+        for got, want in ((k.a, np.sum(val) * w), (k.norm_l1, np.sum(np.abs(val)) * w),
+                          (k.grad_norm_l1, np.sum(gmag) * w)):
+            assert abs(got - want) < 1e-14 * want
 
     def test_mollifier_mass_quadrature_oracle(self):
         radius, strength = 1.0, 3.0

@@ -1,6 +1,8 @@
-"""Every public function and class of the package has a caller in the
-package, its scripts or its benchmark.  An operator that only tests call
-belongs in the tests, so that the tests exercise the code the solver runs."""
+"""Every top-level function and class of the package has a caller outside
+its own definition: a public one in the package, its scripts or its
+benchmark; a private one in the package itself.  An operator that only tests
+call belongs in the tests, so that the tests exercise the code the solver
+runs, and a private helper that nothing calls is dead."""
 
 import ast
 from pathlib import Path
@@ -22,13 +24,16 @@ def references(node: ast.AST) -> set[str]:
     return refs
 
 
-def unreferenced_public_names(root: Path = ROOT) -> list[str]:
-    """``module.name`` of each public top-level def or class in the package
-    that no module (``__init__`` aside), script or benchmark file references
-    outside that definition."""
+def unreferenced_names(root: Path = ROOT, private: bool = False) -> list[str]:
+    """``module.name`` of each public (or, with ``private``, private)
+    top-level def or class in the package that nothing references outside
+    that definition.  A public name may be referenced from any module
+    (``__init__`` aside), script or benchmark file; a private one only from
+    the package."""
     package = root / "src" / "nlchns"
     paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    if not private:
+        paths += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), str(p)) for p in paths}
     refs = {p: references(t) for p, t in trees.items()}
     unused = []
@@ -38,7 +43,9 @@ def unreferenced_public_names(root: Path = ROOT) -> list[str]:
         elsewhere = set().union(*(r for p, r in refs.items() if p != path))
         own = [references(node) for node in tree.body]
         for i, node in enumerate(tree.body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") != private:
                 continue
             if node.name in elsewhere or any(node.name in r for j, r in enumerate(own) if j != i):
                 continue
@@ -47,4 +54,21 @@ def unreferenced_public_names(root: Path = ROOT) -> list[str]:
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    assert unreferenced_public_names() == []
+    assert unreferenced_names() == []
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    assert unreferenced_names(private=True) == []
+
+
+def test_private_name_called_only_from_scripts_is_reported(tmp_path):
+    package = tmp_path / "src" / "nlchns"
+    package.mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    (package / "mod.py").write_text(
+        "def _used():\n    pass\n\n\ndef _left():\n    pass\n\n\n"
+        "def _recursive():\n    return _recursive()\n\n\ndef public():\n    return _used()\n"
+    )
+    (tmp_path / "scripts" / "run.py").write_text("from nlchns.mod import _left, public\n")
+    assert unreferenced_names(tmp_path, private=True) == ["mod._left", "mod._recursive"]
+    assert unreferenced_names(tmp_path) == []

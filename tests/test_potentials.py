@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from nlchns.hypotheses import estimate_c0
 from nlchns.potentials import (
@@ -33,6 +34,16 @@ class TestEvaluation:
         np.testing.assert_allclose(eval_f(DW, s), (1 - s**2) ** 2, atol=1e-12)
         np.testing.assert_allclose(eval_df(DW, s), 4 * s**3 - 4 * s, atol=1e-12)
         np.testing.assert_allclose(eval_ddf(DW, s), 12 * s**2 - 4, atol=1e-12)
+
+    def test_derivatives_derived_once_and_exactly(self):
+        spec = PotentialSpec.polynomial((0.3, -1.0, 0.5, 2.0, 1.5))
+        assert spec.df_coefficients is spec.df_coefficients
+        assert spec == PotentialSpec.polynomial((0.3, -1.0, 0.5, 2.0, 1.5))
+        s = np.linspace(-2, 2, 41)
+        fresh_df = npoly.polyval(s, npoly.polyder(spec.coefficients))
+        fresh_ddf = npoly.polyval(s, npoly.polyder(spec.coefficients, 2))
+        assert eval_df(spec, s).tobytes() == fresh_df.tobytes()
+        assert eval_ddf(spec, s).tobytes() == fresh_ddf.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(s=finite_s)
