@@ -14,8 +14,10 @@ the fitted admissibility constants of the mean-shifted potential.
 
 A record takes the kinetic and interaction energies, ||grad u||^2,
 ||grad mu||^2 and ||grad phi||^2 by Parseval from the rfft2 coefficients of
-the state and of mu (``spectral.parseval``, no transform); the bulk energy
-int F(phi), the mass, phi_min and phi_max from the samples.
+the state and of mu, with no transform: |c^|^2 is formed once a field
+(``spectral.power``), and each form is its dot product with a weight array
+the grid or the kernel holds (``spectral.parseval``).  The bulk energy
+int F(phi), the mass, phi_min and phi_max come from the samples.
 
 Verdicts use a relative slack of 1e-8 * (1 + |E(0)|) to absorb round-off
 accumulation over long runs.  All evaluators are pure functions over
@@ -32,7 +34,7 @@ import numpy as np
 from .hypotheses import PASS, verify_h6
 from .kernels import KernelOnGrid, interaction_energy
 from .potentials import PotentialSpec, eval_f
-from .spectral import Grid, mean, parseval
+from .spectral import Grid, mean, parseval, power
 
 INEQUALITY_SLACK = 1e-8
 COLUMNS = (
@@ -86,9 +88,15 @@ def total_energy(state, kernel: KernelOnGrid, potential: PotentialSpec) -> Energ
     """E(u, phi) = (1/2)||u||^2 + (1/4) iint J (phi(x)-phi(y))^2 + int F(phi);
     the first two by Parseval on the state's coefficients."""
     phi_hat, ux_hat, uy_hat = state.hats
+    return _energy_parts(state, kernel, potential, power(phi_hat), power(ux_hat, uy_hat))
+
+
+def _energy_parts(state, kernel: KernelOnGrid, potential: PotentialSpec,
+                  p_phi: np.ndarray, p_u: np.ndarray) -> EnergyParts:
+    """The energy of ``state`` given |phi^|^2 and |u_x^|^2 + |u_y^|^2."""
     g = state.phi.grid
-    kinetic = 0.5 * parseval(g, ux_hat, uy_hat)
-    inter = interaction_energy(kernel, phi_hat)
+    kinetic = 0.5 * parseval(g.half.weight, p_u)
+    inter = interaction_energy(kernel, p_phi)
     bulk = float(np.sum(eval_f(potential, state.phi.values)) * g.cell_volume)
     return EnergyParts(total=kinetic + inter + bulk, kinetic=kinetic, interaction=inter, bulk=bulk)
 
@@ -106,12 +114,12 @@ def identity_residual(prev: DiagnosticsRecord, cur: DiagnosticsRecord, dt: float
 def make_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential: PotentialSpec, nu: float,
                 beta: float, forcing_power: float, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
     """The record of ``state``; ``mu_hat`` holds the rfft2 coefficients of mu."""
-    parts = total_energy(state, kernel, potential)
-    g = state.phi.grid
-    phi_hat, ux_hat, uy_hat = state.hats
-    grad_u_sq = parseval(g, ux_hat, uy_hat, symbol=g.half.k2)
-    grad_mu_sq = parseval(g, mu_hat, symbol=g.half.k2)
-    grad_phi_sq = parseval(g, phi_hat, symbol=g.half.k2)
+    p_phi, p_u = power(state.hats[0]), power(*state.hats[1:])
+    parts = _energy_parts(state, kernel, potential, p_phi, p_u)
+    weight_k2 = state.phi.grid.half.weight_k2
+    grad_u_sq = parseval(weight_k2, p_u)
+    grad_mu_sq = parseval(weight_k2, power(mu_hat))
+    grad_phi_sq = parseval(weight_k2, p_phi)
     rec = DiagnosticsRecord(
         t=state.t,
         mass=mean(state.phi) * state.phi.grid.volume,

@@ -19,7 +19,6 @@ from .spectral import (
     ScalarField,
     VectorField,
     grad_norm_sq,
-    leray_project,
     norm_l2,
     resample,
 )
@@ -102,9 +101,7 @@ def _shared_initial(cfg, sizes: list[int]) -> tuple[ScalarField, VectorField]:
     fine = Grid(max(sizes), cfg.grid.l)
     band = min(sizes) // 4
     init = replace(cfg.initial, band=band) if cfg.initial.family == "random" else cfg.initial
-    phi = build_phi(init, fine)
-    u = leray_project(build_u(cfg.velocity, fine))
-    return phi, u
+    return build_phi(init, fine), build_u(cfg.velocity, fine)
 
 
 def _level_metrics(res, grid: Grid) -> dict[str, float]:

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, ScalarField, VectorField, constant_field, vector_from_values, zero_vector
+from .spectral import (
+    Grid,
+    ScalarField,
+    VectorField,
+    constant_field,
+    leray_project,
+    vector_from_values,
+    zero_vector,
+)
 
 
 class InitialDataError(ValueError):
@@ -126,6 +134,8 @@ def build_phi(spec: InitialSpec, grid: Grid) -> ScalarField:
 
 
 def build_u(spec: VelocitySpec, grid: Grid) -> VectorField:
+    """The divergence-free initial velocity.  Zero and Taylor-Green are
+    solenoidal as built; a velocity read from files is Leray-projected."""
     if spec.family == "zero":
         return zero_vector(grid)
     if spec.family == "taylor_green":
@@ -137,5 +147,5 @@ def build_u(spec: VelocitySpec, grid: Grid) -> VectorField:
         uy, _, _ = read_snapshot(spec.path_y)
         if ux.grid.n != grid.n or ux.grid.l != grid.l:
             raise InitialDataError("snapshot grid does not match the configured grid")
-        return VectorField(ux, uy)
+        return leray_project(VectorField(ux, uy))
     raise InitialDataError(f"unknown velocity family {spec.family!r}")

@@ -88,6 +88,11 @@ class KernelOnGrid:
         """Multiplier of f -> a f - J*f on the rfft2 half plane."""
         return self.a - self.multiplier
 
+    @cached_property
+    def weight_a_minus_j(self) -> np.ndarray:
+        """Parseval weight of (f, a f - J*f) (``spectral.parseval``)."""
+        return self.grid.half.weight * self.a_minus_j
+
 
 def _gaussian_samples(grid: Grid, sigma: float, strength: float):
     """Samples and |grad| of the Gaussian periodized over the images
@@ -189,8 +194,9 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> KernelOnGrid:
     )
 
 
-def interaction_energy(kernel: KernelOnGrid, f_hat: np.ndarray) -> float:
-    """(1/4) integral integral J(x-y) (f(x)-f(y))^2 of the field with rfft2
-    coefficients ``f_hat``, via the identity (1/2) double-integral =
+def interaction_energy(kernel: KernelOnGrid, p: np.ndarray) -> float:
+    """(1/4) integral integral J(x-y) (f(x)-f(y))^2 of the field whose rfft2
+    coefficients (or the first columns of them) have p = |f^|^2
+    (``spectral.power``), via the identity (1/2) double-integral =
     a ||f||^2 - (f, J*f) = (f, (a - J^) f) read by Parseval."""
-    return 0.5 * parseval(kernel.grid, f_hat, symbol=kernel.a_minus_j)
+    return 0.5 * parseval(kernel.weight_a_minus_j, p)

@@ -22,19 +22,22 @@ round-off (undealiased they alias apart; omega (u_y, -u_x) . u = 0 either way).
 The k = 0 row of the phase update is copied through: mass is kept to the bit.
 
 ``step`` is the only implementation of the scheme; ``run`` calls it.  A state
-carries the rfft2 half-plane coefficients of phi, u_x and u_y (shape
-(n, n//2 + 1)) next to their samples; one built from samples takes them when
-it is constructed.  ``step`` steps the coefficients it is given, and ``run``
-alone cuts initial data to the band.  With zero forcing a step takes 12
-transforms: 3 full (F'(phi), not band-limited, and grad mu) and 9 on the
-first ``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias off):
-u . grad phi, both momentum right-hand sides, grad phi, omega and the new
-phi, u_x and u_y.  mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's
-F'(phi)^.  A record takes 2 more: the rfft2 of F'(phi^{n+1}) for its mu^,
-and the irfft2 of the divergence audit; its norms are read from the
-coefficients by Parseval.  The Leray projector P is applied once: it is
-linear, idempotent and commutes with the mode-diagonal viscous solve D, so
-P D (u/dt + P r) = P D (u/dt + r).
+carries the rfft2 half-plane coefficients of phi, u_x and u_y next to their
+samples: all n//2 + 1 columns when built from samples, which it transforms
+then, and the first ``Grid.half.kept_cols`` (the rest being zero) when
+stepped with dealias on.  ``step`` steps the coefficients it is given, and
+``run`` alone cuts initial data to the band.  With zero forcing a step takes 12
+transforms in 11 numpy calls: 3 full (F'(phi), not band-limited, and
+grad mu) and 9 on the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all
+with dealias off): u . grad phi and both momentum right-hand sides forward,
+each a row and a column pass; grad phi and omega inverse in one stacked
+call, and the new phi, u_x and u_y in another.  mu^ = (a - J^) phi^ +
+F'(phi)^ reuses the phase solve's F'(phi)^.  A record takes 1 more, the
+rfft2 of F'(phi^{n+1}) for its mu^; its norms are read from the
+coefficients by Parseval, and the divergence audit bounds max |div u| by
+the coefficients' absolute sum.  The Leray projector P is applied once: it
+is linear, idempotent and commutes with the mode-diagonal viscous solve D,
+so P D (u/dt + P r) = P D (u/dt + r).
 
 A trajectory is advanced by a single owner; steps are pure.  Independent
 runs may execute concurrently.
@@ -58,11 +61,10 @@ from .spectral import (
     ScalarField,
     VectorField,
     advect,
+    divergence_bound,
     inner,
     irfft2_cols,
-    leray_project,
     norm_l2,
-    rdivergence,
     rfft2_cols,
     rgradient,
     vector_from_values,
@@ -106,8 +108,9 @@ class HypothesisGateError(RuntimeError):
 class SimState:
     """Order parameter, velocity and time; div u stays spectrally zero and
     mean(phi) is constant along the trajectory.  ``hats``: the rfft2
-    coefficients of (phi, u.x, u.y), taken from the samples when not given;
-    new samples make a new state, so the two never disagree."""
+    coefficients of (phi, u.x, u.y) on their first columns, the rest being
+    zero (all n//2 + 1 when taken from the samples, as they are when not
+    given); new samples make a new state, so the two never disagree."""
 
     phi: ScalarField
     u: VectorField
@@ -122,10 +125,12 @@ class SimState:
     @classmethod
     def from_hats(cls, grid: Grid, hats: tuple[np.ndarray, np.ndarray, np.ndarray],
                   t: float) -> "SimState":
-        """The state with ``hats`` of (phi, u.x, u.y) given on their first columns."""
-        phi, ux, uy = (irfft2_cols(grid, c) for c in hats)
-        full = tuple(np.hstack((c, np.zeros((grid.n, grid.n // 2 + 1 - c.shape[1])))) for c in hats)
-        return cls(ScalarField(grid, phi), vector_from_values(grid, ux, uy), t, full)
+        """The state with ``hats`` of (phi, u.x, u.y) given on their first
+        columns, the rest zero; the three samples come from one stacked
+        inverse transform, and the state keeps the columns as given."""
+        stacked = np.stack(hats)
+        phi, ux, uy = irfft2_cols(grid, stacked)
+        return cls(ScalarField(grid, phi), vector_from_values(grid, ux, uy), t, tuple(stacked))
 
 
 @dataclass(frozen=True)
@@ -212,8 +217,12 @@ class ForcingSpec:
 # pointwise operators
 
 def mu_hat(kernel: KernelOnGrid, phi_hat: np.ndarray, fp_hat: np.ndarray) -> np.ndarray:
-    """rfft2 coefficients of mu from those of phi and F'(phi): (a - J^) phi^ + F'^."""
-    return kernel.a_minus_j * phi_hat + fp_hat
+    """rfft2 coefficients of mu from those of F'(phi) and the first columns of
+    those of phi (the rest zero): (a - J^) phi^ + F'^."""
+    c = phi_hat.shape[1]
+    mu = fp_hat.copy()
+    mu[:, :c] += kernel.a_minus_j[:, :c] * phi_hat
+    return mu
 
 
 def capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, grad_phi):
@@ -274,16 +283,16 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     phi, u = state.phi.values, state.u
     phi_hat, ux_hat, uy_hat = (a[:, :c] for a in state.hats)
 
-    # phase
+    # phase; grad phi and omega = curl u in one inverse transform
     fp_hat = np.fft.rfft2(eval_df(potential, phi))
-    grad_phi = rgradient(g, phi_hat)
+    ikx, iky = h.ikx[:, :c], h.iky[:, :c]
+    *grad_phi, omega = irfft2_cols(g, np.stack((ikx * phi_hat, iky * phi_hat, ikx * uy_hat + iky * -ux_hat)))
     adv_hat = rfft2_cols(advect(u, grad_phi), c)
     new_phi_hat = (ops.keep * phi_hat - h.k2[:, :c] * fp_hat[:, :c] - adv_hat) * ops.solve
     new_phi_hat[0, 0] = phi_hat[0, 0]
 
     # flow: capillary force plus omega (u_y, -u_x), one transform a component
     fx, fy = capillary_force(params.force_form, g, phi, mu_hat(kernel, state.hats[0], fp_hat), grad_phi)
-    omega = rdivergence(g, uy_hat, -ux_hat)  # curl u
     bx = ux_hat * inv_dt + rfft2_cols(fx + omega * u.y.values, c)
     by = uy_hat * inv_dt + rfft2_cols(fy - omega * u.x.values, c)
     if forcing is not None:
@@ -354,16 +363,15 @@ def run(
         if any(getattr(report, h) != "pass" for h in ("h1", "h2", "h3")):
             raise HypothesisGateError(report)
 
-    state = initial_state or SimState(
-        build_phi(cfg.initial, grid), leray_project(build_u(cfg.velocity, grid)), 0.0)
-    mask = grid.half.mask if cfg.sim.dealias else 1.0
-    state = SimState.from_hats(grid, tuple(c * mask for c in state.hats), state.t)
+    state = initial_state or SimState(build_phi(cfg.initial, grid), build_u(cfg.velocity, grid), 0.0)
+    # the columns step() transforms, and the band
+    cols, mask = (grid.half.kept_cols, grid.half.mask) if cfg.sim.dealias else (None, 1.0)
+    state = SimState.from_hats(grid, tuple((c * mask)[:, :cols] for c in state.hats), state.t)
 
     s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, potential, state.phi, s_range)
     params = replace(cfg.sim, stabilizer=s_value)
     if kernel.a + params.stabilizer <= 0:
         raise ValueError("a + S must be positive for the phase solve")
-    cols = grid.half.kept_cols if params.dealias else None  # the columns step() transforms
 
     n_steps = int(round(params.t_end / params.dt))
 
@@ -382,7 +390,7 @@ def run(
         if abs(drift) > 1e-12:
             failures.append(f"mass drift {drift:.3e} at step {step_index}")
         umax = float(np.max(np.abs(state.u.x.values)) + np.max(np.abs(state.u.y.values)))
-        div_max = float(np.max(np.abs(rdivergence(grid, *(a[:, :cols] for a in state.hats[1:])))))
+        div_max = divergence_bound(grid, *state.hats[1:])  # >= the sampled max
         if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
             failures.append(f"divergence {div_max:.3e} at step {step_index}")
         if cfg.checks.grad_control:

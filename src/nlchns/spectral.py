@@ -15,14 +15,16 @@ Conventions
 * Wavenumbers are 2*pi*m/l with integer m in [-n/2, n/2) per axis.
 * Odd-derivative multipliers vanish on the unmatched Nyquist line m = -n/2;
   ``Grid.half.k2`` squares the zeroed wavenumbers, so that div grad f ==
-  lap f exactly: ``rdivergence(grid, ikx f^, iky f^)`` (the divergence of
+  lap f exactly: ``irfft2(ikx (ikx f^) + iky (iky f^))`` (the divergence of
   what ``rgradient`` differentiates) equals ``irfft2(-k2 f^)``.  Dealiased
   fields carry no Nyquist content, so this is only visible on deliberately
   full-spectrum data.
 * Dealiasing keeps |m| <= floor(n/3) per axis (``Grid.half.mask``, ``kept_cols`` columns).
 * Quadratic forms read the coefficients by Parseval (``parseval``): the
   columns m_y = 0 and n/2 hold their own conjugates and count once, every
-  other column stands for two, and the scale is |Omega| / n^4.
+  other column stands for two, and the scale is |Omega| / n^4.  A form is a
+  dot product of |f^|^2 (``power``) with a weight array built once
+  (``Grid.half.weight``, ``Grid.half.weight_k2``).
 
 All functions are pure; fields are treated as immutable values.  Grids cache
 their operator arrays lazily, which is safe under concurrent use (idempotent
@@ -104,10 +106,11 @@ class Grid:
         # (the zero mode and the unmatched Nyquist lines) pass through
         pos = k2 > 0.0
         k2_pos = np.where(pos, k2, 1.0)
-        weight = np.full(nh, 2.0 * self.volume / self.n**4)
-        weight[[0, -1]] /= 2.0  # m_y = 0 and n/2 count once
+        weight = np.full((self.n, nh), 2.0 * self.volume / self.n**4)
+        weight[:, [0, -1]] /= 2.0  # m_y = 0 and n/2 count once
         return HalfPlane(
-            ikx=1j * kx, iky=1j * ky, k2=k2, weight=weight, kept_cols=self.n // 3 + 1,
+            ikx=1j * kx, iky=1j * ky, k2=k2, weight=weight, weight_k2=weight * k2,
+            kept_cols=self.n // 3 + 1,
             mask=keep[:, None] & keep[None, :nh],
             pxx=np.where(pos, 1.0 - kx * kx / k2_pos, 1.0),
             pxy=np.where(pos, -kx * ky / k2_pos, 0.0),
@@ -119,13 +122,15 @@ class Grid:
 class HalfPlane:
     """Operators on rfft2 coefficients, shape (n, n//2 + 1): the modes
     m_y = 0 .. n/2, the rest being their conjugates for real fields.
-    (pxx, pxy; pxy, pyy) is the Leray projector; ``weight``, shape (n//2 + 1,),
-    the Parseval weight of each column; ``mask`` keeps ``kept_cols`` of them."""
+    (pxx, pxy; pxy, pyy) is the Leray projector; ``weight`` is the Parseval
+    weight of each coefficient, and ``weight_k2`` = weight k2 that of
+    ||grad f||^2; ``mask`` keeps ``kept_cols`` of the columns."""
 
     ikx: np.ndarray
     iky: np.ndarray
     k2: np.ndarray
     weight: np.ndarray
+    weight_k2: np.ndarray
     kept_cols: int
     mask: np.ndarray
     pxx: np.ndarray
@@ -214,12 +219,14 @@ def resample(f: ScalarField, new_grid: Grid) -> ScalarField:
 # calculus
 
 def rfft2_cols(values: np.ndarray, c: int) -> np.ndarray:
-    """rfft2(values)[:, :c], bit-identically, with the column FFTs cut to c."""
-    return np.fft.fftn(np.fft.rfftn(values, axes=(1,))[:, :c], axes=(0,))
+    """rfft2(values)[..., :c], bit-identically, with the column FFTs cut to
+    c; leading axes stack fields, each transformed as if alone."""
+    return np.fft.fftn(np.fft.rfftn(values, axes=(-1,))[..., :c], axes=(-2,))
 
 
 def irfft2_cols(grid: Grid, c_hat: np.ndarray) -> np.ndarray:
-    """Samples from rfft2 coefficients on the first columns, the rest zero."""
+    """Samples from rfft2 coefficients on the first columns, the rest zero;
+    leading axes stack fields, each transformed bit-identically as if alone."""
     return np.fft.irfft2(c_hat, s=(grid.n, grid.n))
 
 
@@ -229,10 +236,14 @@ def rgradient(grid: Grid, f_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return irfft2_cols(grid, h.ikx[:, :c] * f_hat), irfft2_cols(grid, h.iky[:, :c] * f_hat)
 
 
-def rdivergence(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
-    """Samples of div v from the first columns of its coefficients: one irfft2."""
+def divergence_bound(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> float:
+    """A bound on max |div v| over the samples, from the first columns of v's
+    coefficients and with no transform: a sample is (1/n^2) sum_k c_k e^{ik.x}
+    over the full plane, so it is at most (1/n^2) sum |ik . v^|, in which the
+    columns m_y = 0 and n/2 count once and every other column twice."""
     h, c = grid.half, x_hat.shape[1]
-    return irfft2_cols(grid, h.ikx[:, :c] * x_hat + h.iky[:, :c] * y_hat)
+    d = np.abs(h.ikx[:, :c] * x_hat + h.iky[:, :c] * y_hat)
+    return float(np.vdot(h.weight[:, :c], d)) * grid.n**2 / grid.volume
 
 
 def advect(u: VectorField, grad_f: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -274,17 +285,26 @@ def mean(f: ScalarField) -> float:
     return float(np.mean(f.values))
 
 
-def parseval(grid: Grid, *hats: np.ndarray, symbol=1.0) -> float:
-    """Sum over the fields f of integral (S f) f dx, each f given by its rfft2
-    coefficients and S a real even multiplier: |Omega|/n^4 sum_half w S |f^|^2.
-    S = 1 gives ||f||^2 and S = ``Grid.half.k2`` gives ||grad f||^2 (the
-    Nyquist line zeroed, as the derivatives have it)."""
-    w = grid.half.weight * symbol
-    return float(sum(np.sum(w * (c.real * c.real + c.imag * c.imag)) for c in hats))
+def power(*hats: np.ndarray) -> np.ndarray:
+    """|f^|^2 summed over the fields, from their rfft2 coefficients or the
+    first columns of them (rows contiguous, as numpy returns and slices them)."""
+    sq = np.square(hats[0].view(float))  # re^2 and im^2 side by side
+    for c in hats[1:]:
+        sq += np.square(c.view(float))
+    return sq[:, ::2] + sq[:, 1::2]
+
+
+def parseval(weight: np.ndarray, p: np.ndarray) -> float:
+    """integral (S f) f dx, for a real even multiplier S, from p = |f^|^2
+    (``power``) on the first columns and ``weight`` = ``Grid.half.weight`` S
+    on the half plane: the weight itself gives ||f||^2 and
+    ``Grid.half.weight_k2`` gives ||grad f||^2 (the Nyquist line zeroed, as
+    the derivatives have it)."""
+    return float(np.vdot(weight[:, :p.shape[1]], p))
 
 
 def grad_norm_sq(f) -> float:
     """||grad f||^2 for a scalar field, Frobenius ||grad u||^2 for a vector
     field, by Parseval."""
     parts = f.components if isinstance(f, VectorField) else (f,)
-    return parseval(f.grid, *(np.fft.rfft2(c.values) for c in parts), symbol=f.grid.half.k2)
+    return parseval(f.grid.half.weight_k2, power(*(np.fft.rfft2(c.values) for c in parts)))

@@ -10,7 +10,6 @@ from nlchns.spectral import (
     VectorField,
     grad_norm_sq,
     leray_project,
-    rdivergence,
     rgradient,
     vector_from_values,
 )
@@ -63,6 +62,12 @@ def rel_err(got, want, floor=1e-300) -> float:
 
 # Sample-level forms of the solver's half-plane operators, for the identity
 # tests: each goes through rfft2 and the operator the solver runs.
+
+def rdivergence(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Samples of div v from the first columns of its coefficients: one irfft2."""
+    h, c = grid.half, x_hat.shape[1]
+    return np.fft.irfft2(h.ikx[:, :c] * x_hat + h.iky[:, :c] * y_hat, s=(grid.n, grid.n))
+
 
 def gradient(f: ScalarField) -> VectorField:
     return vector_from_values(f.grid, *rgradient(f.grid, np.fft.rfft2(f.values)))

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, divergence, random_field
+from conftest import TWO_PI, divergence, random_field, random_vector
 from nlchns.config import ConfigError, parse_config
 from nlchns.diagnostics import COLUMNS, DiagnosticsRecord
 from nlchns.initialdata import (
     InitialDataError,
     InitialSpec,
+    VelocitySpec,
     _normal_pairs,
     build_phi,
+    build_u,
     random_phi,
     tanh_strip_phi,
     taylor_green_u,
 )
-from nlchns.spectral import Grid, ScalarField, mean, resample
+from nlchns.spectral import Grid, ScalarField, leray_project, mean, resample
 from nlchns.storage import (
     DiagnosticsWriter,
     SnapshotFormatError,
@@ -375,3 +377,21 @@ class TestInitialData:
         write_snapshot(f, "phi", 0.0, str(path))
         back = build_phi(InitialSpec(family="file", path=str(path)), g)
         assert np.array_equal(back.values, f.values)
+
+    def test_velocity_is_divergence_free_as_built(self, tmp_path, rng):
+        # zero and Taylor-Green come back as built; a velocity read from
+        # files is Leray-projected
+        g = Grid(16, TWO_PI)
+        zero = build_u(VelocitySpec(family="zero"), g)
+        assert not np.any(zero.x.values) and not np.any(zero.y.values)
+        tg = build_u(VelocitySpec(family="taylor_green", amplitude=0.7), g)
+        for got, want in zip(tg.components, taylor_green_u(g, 0.7).components):
+            assert np.array_equal(got.values, want.values)
+        v = random_vector(g, rng)
+        write_snapshot(v.x, "u_x", 0.0, str(tmp_path / "ux.f64"))
+        write_snapshot(v.y, "u_y", 0.0, str(tmp_path / "uy.f64"))
+        spec = VelocitySpec(family="file", path_x=str(tmp_path / "ux.f64"), path_y=str(tmp_path / "uy.f64"))
+        got, want = build_u(spec, g), leray_project(v)
+        for a, b in zip(got.components, want.components):
+            assert np.array_equal(a.values, b.values)
+        assert np.max(np.abs(divergence(got).values)) < 1e-12 * g.n

@@ -37,3 +37,17 @@ def test_refinement_study():
     for verdict in ("uniform_bounds", "differences_decrease",
                     "residual_order_in_band", "trajectory_order_in_band"):
         assert f"verdict[{verdict}]: PASS" in out
+
+
+def test_state_digest_repeats():
+    args = ("--config", str(ROOT / "configs" / "gradient_control.cfg"), "--n", "16", "--steps", "5",
+            "--record-every", "2", "--rows")
+    out = run_script("state_digest.py", *args)
+    assert out == run_script("state_digest.py", *args)
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[:4]] == ["phi", "u_x", "u_y", "records"]
+    assert all(len(line.split()[1]) == 64 for line in lines[:4])
+    assert lines[3].endswith("(4 rows)")  # steps 0, 2, 4 and the last
+    rows = [[float(v) for v in line.split()] for line in lines[4:]]
+    assert len(rows) == 4 and all(len(r) == 13 for r in rows)
+    assert [r[0] for r in rows] == [0.0, 0.002, 0.004, 0.005]

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -340,6 +341,8 @@ class TestStepCore:
     def test_transforms_per_step(self, kernel32, rng, monkeypatch, form, full_inverse):
         # full: F'(phi) and grad mu (or mu); on the 11 kept columns: 3
         # forward (rfftn of the rows, fftn of the kept columns) and 6 inverse
+        # in two stacked calls, (grad phi, omega) and the new (phi, u_x, u_y):
+        # 12 transforms in 11 numpy calls (10 with mu grad phi)
         g = kernel32.grid
         n, full, kept = g.n, (g.n, g.n // 2 + 1), (g.n, g.half.kept_cols)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0, force_form=form)
@@ -347,7 +350,7 @@ class TestStepCore:
         state = step(state, params, kernel32, DW)
         calls = count_transforms(monkeypatch)
         want = Counter({("rfft2", (n, n)): 1, ("rfftn", (n, n)): 3, ("fftn", kept): 3,
-                        ("irfft2", full): full_inverse, ("irfft2", kept): 6})
+                        ("irfft2", full): full_inverse, ("irfft2", (3,) + kept): 2})
         step(state, params, kernel32, DW, ForcingSpec().field_at(g, state.t))
         assert Counter(calls) == want
         calls.clear()
@@ -374,8 +377,8 @@ class TestStepCore:
             assert a.tobytes() == b.tobytes()
 
     def test_transforms_per_record(self, monkeypatch):
-        # a record takes the rfft2 of F'(phi) for mu^ and the irfft2 of the
-        # divergence audit; its norms come from the coefficients
+        # a record takes the rfft2 of F'(phi) for mu^ and nothing else: its
+        # norms and the divergence audit's bound come from the coefficients
         cfg = make_cfg(
             sim=SimParams(nu=0.05, dt=2e-3, t_end=0.02),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
@@ -398,10 +401,23 @@ class TestStepCore:
             return {k: a[k] - b[k] for k in a.keys() | b.keys() if a[k] != b[k]}
 
         every = counts(10, 1)
-        assert minus(every, counts(10, 10)) == {"rfft2": 9, "irfft2": 9}  # 9 more records
-        # a step and its record: 14 transforms, 3 of them forward on the kept columns
-        assert minus(every, counts(0, 1)) == {"rfft2": 10 * 2, "irfft2": 10 * 9,
+        assert minus(every, counts(10, 10)) == {"rfft2": 9}  # 9 more records
+        # a step and its record: 13 transforms in 12 numpy calls, 3 of them
+        # forward on the kept columns and 6 inverse in 2 stacked calls
+        assert minus(every, counts(0, 1)) == {"rfft2": 10 * 2, "irfft2": 10 * 4,
                                               "rfftn": 10 * 3, "fftn": 10 * 3}
+
+    @pytest.mark.parametrize("velocity", [VelocitySpec(family="zero"),
+                                          VelocitySpec(family="taylor_green", amplitude=0.7)])
+    def test_transforms_at_set_up(self, monkeypatch, velocity):
+        # the kernel's multiplier, the initial state's 3 coefficient arrays,
+        # its band cut and the first record: the velocity is built
+        # divergence-free, so set-up projects nothing
+        cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=0.0), velocity=velocity)
+        n = cfg.grid.n
+        calls = count_transforms(monkeypatch)
+        run(cfg)
+        assert Counter(calls) == Counter({("rfft2", (n, n)): 5, ("irfft2", (3, n, n // 3 + 1)): 1})
 
     def test_one_projection_matches_split_projection(self, kernel32, rng):
         # projecting the force before the viscous solve as well as after it
@@ -501,6 +517,21 @@ class TestRun:
         umax = np.max(np.abs([res.state.u.x.values, res.state.u.y.values])) + 1e-30
         div = np.max(np.abs(divergence(res.state.u).values))
         assert div < 1e-11 * umax * 2 * np.pi * g.n / g.l
+
+    def test_divergence_audit_reports_a_non_solenoidal_start(self, rng):
+        # run() does not project an initial state it is given: the record at
+        # step 0 reports its divergence, with the coefficient bound, and the
+        # first step's projection leaves none for the later records
+        g = Grid(32, TWO_PI)
+        u = VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8))
+        cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=5e-3), output=OutputConfig(record_every=1))
+        res = run(cfg, initial_state=SimState(constant_field(g, 0.0), u, 0.0))
+        assert len(res.records) == 6
+        assert len(res.invariant_failures) == 1
+        found = re.fullmatch(r"divergence (\S+) at step 0", res.invariant_failures[0])
+        assert found
+        sampled = np.max(np.abs(divergence(u).values))
+        assert float(found.group(1)) >= float(f"{sampled:.3e}") > 1e-3
 
     def test_hypothesis_gate(self):
         cfg = make_cfg(kernel=KernelSpec.gaussian(0.08 * TWO_PI, 1.0))  # a = 1 < 4

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, divergence, full_plane, gradient, laplacian, random_field, random_vector, rel_err,
-    seminorm_h1,
+    TWO_PI, divergence, full_plane, gradient, laplacian, random_field, random_vector, rdivergence,
+    rel_err, seminorm_h1,
 )
 from nlchns.spectral import (
     Grid,
@@ -11,13 +11,14 @@ from nlchns.spectral import (
     ScalarField,
     VectorField,
     advect,
+    divergence_bound,
     inner,
     irfft2_cols,
     leray_project,
     mean,
     norm_l2,
     parseval,
-    rdivergence,
+    power,
     resample,
     rfft2_cols,
     rgradient,
@@ -59,8 +60,13 @@ class TestTransforms:
     def test_parseval(self, rng):
         g = Grid(32, 3.1)
         f = random_field(g, rng)
-        spectral = parseval(g, np.fft.rfft2(f.values))
+        f_hat = np.fft.rfft2(f.values)
+        spectral = parseval(g.half.weight, power(f_hat))
         assert abs(spectral - norm_l2(f) ** 2) < 1e-12 * norm_l2(f) ** 2
+        # |f^|^2, summed over fields, also on the first columns alone
+        g_hat = np.fft.rfft2(random_field(g, rng).values)
+        np.testing.assert_allclose(power(f_hat[:, :5], g_hat[:, :5]),
+                                   np.abs(f_hat[:, :5]) ** 2 + np.abs(g_hat[:, :5]) ** 2, rtol=1e-14)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_kept_column_transforms_bit_identical(self, rng, n):
@@ -76,6 +82,12 @@ class TestTransforms:
         f_hat = np.fft.rfft2(f)
         assert np.array_equal(rfft2_cols(f, nh), f_hat)
         assert np.array_equal(irfft2_cols(g, f_hat[:, :nh]), np.fft.irfft2(f_hat))
+        # fields stacked on a leading axis come out as if transformed alone
+        for band, width in ((n // 3, c), (None, nh)):
+            fs = np.stack([random_field(g, rng, band=band).values for _ in range(3)])
+            assert np.array_equal(rfft2_cols(fs, width), np.stack([rfft2_cols(f, width) for f in fs]))
+            hats = np.ascontiguousarray(np.fft.rfft2(fs)[..., :width])
+            assert np.array_equal(irfft2_cols(g, hats), np.stack([irfft2_cols(g, h) for h in hats]))
 
     def test_shape_mismatch_rejected(self):
         g = Grid(16, 1.0)
@@ -295,6 +307,28 @@ class TestAdvectionForm:
         gv = gradient(v)
         manual = u.x.values * gv.x.values + u.y.values * gv.y.values
         np.testing.assert_allclose(a, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_divergence_bound_covers_the_samples(self, rng, n, dealias):
+        # the audit's coefficient bound is finite and at least the sampled
+        # max |div v|, for full-spectrum fields of any scale, cut to the band
+        # (the first kept_cols columns) or not
+        g = Grid(n, TWO_PI)
+        c, mask = (g.half.kept_cols, g.half.mask) if dealias else (None, 1.0)
+        for _ in range(25):
+            v = random_vector(g, rng)
+            scale = 10.0 ** rng.uniform(-12, 12)
+            x_hat, y_hat = ((np.fft.rfft2(scale * f.values) * mask)[:, :c] for f in v.components)
+            bound = divergence_bound(g, x_hat, y_hat)
+            assert np.isfinite(bound)
+            assert bound >= np.max(np.abs(rdivergence(g, x_hat, y_hat)))
+        # div of (cos(3x + 2y) + cos(3x), 0) has sup norm 6: the column m_y = 0
+        # holds both modes (+-3, 0) of cos(3x), column 2 one of the two of
+        # cos(3x + 2y), so it counts twice
+        xx, yy = g.mesh
+        x_hat = np.fft.rfft2(np.cos(3 * xx + 2 * yy) + np.cos(3 * xx))[:, :c]
+        assert divergence_bound(g, x_hat, np.zeros_like(x_hat)) == pytest.approx(6.0, rel=1e-12)
 
     def test_half_plane_divergence(self, rng):
         # against the full-plane fft2 divergence
