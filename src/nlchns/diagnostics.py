@@ -13,11 +13,12 @@ envelope E(t) <= E(0) exp(-k t) + F(m)|Omega| + K with (k, K) assembled from
 the fitted admissibility constants of the mean-shifted potential.
 
 A record takes the kinetic and interaction energies, ||grad u||^2,
-||grad mu||^2 and ||grad phi||^2 by Parseval from the rfft2 coefficients of
-the state and of mu, with no transform: |c^|^2 is formed once a field
-(``spectral.power``), and each form is its dot product with a weight array
-the grid or the kernel holds (``spectral.parseval``).  The bulk energy
-int F(phi), the mass, phi_min and phi_max come from the samples.
+||grad mu||^2, ||grad phi||^2 and ||phi||^2 by Parseval from the rfft2
+coefficients of the state and of mu, with no transform: |c^|^2 is formed
+once a field (``spectral.power``), and each form is its dot product with a
+weight array the grid or the kernel holds (``spectral.parseval``).  The
+bulk energy int F(phi), the mass, phi_min and phi_max come from the
+samples.
 
 Verdicts use a relative slack of 1e-8 * (1 + |E(0)|) to absorb round-off
 accumulation over long runs.  All evaluators are pure functions over
@@ -69,8 +70,10 @@ class DiagnosticsRecord:
     grad_control_margin: float
     phi_min: float
     phi_max: float
-    # ||grad phi||^2 for the gradient margins; not a CSV column (NaN when read back)
+    # ||grad phi||^2 and ||phi||^2 for the gradient margins and the refinement
+    # study; not CSV columns (NaN when read back)
     grad_phi_sq: float = field(default=math.nan, compare=False)
+    phi_sq: float = field(default=math.nan, compare=False)
 
     def as_row(self) -> tuple[float, ...]:
         return tuple(getattr(self, c) for c in COLUMNS)
@@ -116,10 +119,10 @@ def make_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential: Pote
     """The record of ``state``; ``mu_hat`` holds the rfft2 coefficients of mu."""
     p_phi, p_u = power(state.hats[0]), power(*state.hats[1:])
     parts = _energy_parts(state, kernel, potential, p_phi, p_u)
-    weight_k2 = state.phi.grid.half.weight_k2
-    grad_u_sq = parseval(weight_k2, p_u)
-    grad_mu_sq = parseval(weight_k2, power(mu_hat))
-    grad_phi_sq = parseval(weight_k2, p_phi)
+    half = state.phi.grid.half
+    grad_u_sq = parseval(half.weight_k2, p_u)
+    grad_mu_sq = parseval(half.weight_k2, power(mu_hat))
+    grad_phi_sq = parseval(half.weight_k2, p_phi)
     rec = DiagnosticsRecord(
         t=state.t,
         mass=mean(state.phi) * state.phi.grid.volume,
@@ -135,6 +138,7 @@ def make_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential: Pote
         phi_min=float(np.min(state.phi.values)),
         phi_max=float(np.max(state.phi.values)),
         grad_phi_sq=grad_phi_sq,
+        phi_sq=parseval(half.weight, p_phi),
     )
     if prev is not None:
         rec.identity_residual = identity_residual(prev, rec, rec.t - prev.t, nu)
@@ -283,14 +287,3 @@ def gradient_control_check(record: DiagnosticsRecord, beta: float, condition_ok:
     scale = 1.0 + abs(record.grad_mu_sq)
     return margin, (PASS if margin >= -INEQUALITY_SLACK * scale else "fail")
 
-
-def weak_gradient_margin(
-    grad_mu_sq: float,
-    grad_phi_sq: float,
-    phi_norm_sq: float,
-    c0: float,
-    norm_gradj_l1: float,
-) -> float:
-    """Secondary margin of ||grad mu||^2 >= (c0^2/4)||grad phi||^2 -
-    2 ||grad J||_L1^2 ||phi||^2, which holds without the sharp condition."""
-    return grad_mu_sq - 0.25 * c0 * c0 * grad_phi_sq + 2.0 * norm_gradj_l1**2 * phi_norm_sq

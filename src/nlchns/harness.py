@@ -3,8 +3,12 @@ time-step order study, and the mode-truncation refinement study with its
 uniform-bound table.
 
 Refinement runs share one initial datum, generated at the finest level and
-spectrally truncated down.  Independent levels could run concurrently;
-result assembly is single-owner.
+spectrally truncated down.  Each level's trajectory is consumed frame by
+frame: its bounds come from the records (||u||, ||phi||, ||grad phi||,
+||grad mu|| by Parseval), and the L^2(0,T;H) difference between two levels
+by Parseval on the rfft2 coefficients of phi kept at each record, with no
+sample history and no transform.  Independent levels could run
+concurrently; result assembly is single-owner.
 """
 
 from __future__ import annotations
@@ -12,16 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .initialdata import build_phi, build_u
-from .solver import BlowUpError, SimState, run
-from .spectral import (
-    Grid,
-    ScalarField,
-    VectorField,
-    grad_norm_sq,
-    norm_l2,
-    resample,
-)
+from .solver import BlowUpError, SimState, run, trajectory
+from .spectral import Grid, ScalarField, VectorField, norm_l2, parseval, power, resample
 
 
 @dataclass
@@ -104,28 +103,43 @@ def _shared_initial(cfg, sizes: list[int]) -> tuple[ScalarField, VectorField]:
     return build_phi(init, fine), build_u(cfg.velocity, fine)
 
 
-def _level_metrics(res, grid: Grid) -> dict[str, float]:
-    sup_u = max(math.sqrt(2.0 * r.kinetic) for r in res.records)
-    sup_phi = 0.0
-    int_phi_v = 0.0
-    times = [r.t for r in res.records]
-    for i, vals in enumerate(res.phi_history):
-        f = ScalarField(grid, vals)
-        nrm = norm_l2(f)
-        sup_phi = max(sup_phi, nrm)
-        if i + 1 < len(times):
-            dt_rec = times[i + 1] - times[i]
-            int_phi_v += dt_rec * (nrm**2 + grad_norm_sq(f))
-    int_grad_mu = sum(
-        (t1 - t0) * r0.grad_mu_sq
-        for (t0, t1, r0) in zip(times, times[1:], res.records)
-    )
+def _recorded_phi(cfg, initial_state: SimState) -> tuple[list, list[np.ndarray]]:
+    """The records of a level's trajectory and, beside each, the rfft2
+    coefficients of phi on their first columns (copied: a state's are a view
+    into its stacked block)."""
+    _, _, frames = trajectory(cfg, initial_state=initial_state)
+    records, hats = [], []
+    for _, state, rec, _, _ in frames:
+        if rec is not None:
+            records.append(rec)
+            hats.append(state.hats[0].copy())
+    return records, hats
+
+
+def _level_metrics(records) -> dict[str, float]:
+    """The uniform-bound table of one level; the integrals by left-endpoint
+    quadrature over the record intervals."""
+    spans = [(r0, r1.t - r0.t) for r0, r1 in zip(records, records[1:])]
     return {
-        "sup_u": sup_u,
-        "sup_phi": sup_phi,
-        "int_grad_mu_sq": int_grad_mu,
-        "int_phi_v_sq": int_phi_v,
+        "sup_u": max(math.sqrt(2.0 * r.kinetic) for r in records),
+        "sup_phi": max(math.sqrt(r.phi_sq) for r in records),
+        "int_grad_mu_sq": sum(dt * r.grad_mu_sq for r, dt in spans),
+        "int_phi_v_sq": sum(dt * (r.phi_sq + r.grad_phi_sq) for r, dt in spans),
     }
+
+
+def _level_gap_sq(coarse: np.ndarray, fine: np.ndarray, n_c: int, grid_f: Grid) -> float:
+    """||phi_f - phi_c||^2 by Parseval on the fine grid, from the first
+    columns of each level's rfft2 coefficients: phi_c's modes strictly inside
+    its band (|m| < n_c/2, those ``resample`` copies), scaled by
+    (n_f/n_c)^2, against phi_f's, and phi_f's modes outside that band."""
+    h = n_c // 2
+    c = min(coarse.shape[1], h)
+    d = fine.copy()
+    scale = (grid_f.n / n_c) ** 2
+    d[:h, :c] -= scale * coarse[:h, :c]
+    d[-(h - 1):, :c] -= scale * coarse[-(h - 1):, :c]
+    return parseval(grid_f.half.weight, power(d))
 
 
 def galerkin_refinement(cfg, sizes) -> StudyResult:
@@ -142,12 +156,11 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
         raise ValueError("refinement needs at least three distinct sizes")
     phi_fine, u_fine = _shared_initial(cfg, sizes)
 
-    results = {}
+    levels = {}
     metrics: dict[str, list[float]] = {
         "sup_u": [], "sup_phi": [], "int_grad_mu_sq": [], "int_phi_v_sq": [],
     }
     notes: list[str] = []
-    completed: list[int] = []
     for n in sizes:
         grid = Grid(n, cfg.grid.l)
         state0 = SimState(
@@ -155,30 +168,22 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
             u=VectorField(resample(u_fine.x, grid), resample(u_fine.y, grid)),
             t=0.0,
         )
-        lcfg = cfg.with_grid_n(n)
         try:
-            res = run(lcfg, initial_state=state0, capture_phi=True)
+            levels[n] = _recorded_phi(cfg.with_grid_n(n), state0)
         except BlowUpError as err:
             notes.append(f"level {n} blew up at step {err.step}; partial results")
             break
-        results[n] = res
-        completed.append(n)
-        for key, val in _level_metrics(res, grid).items():
+        for key, val in _level_metrics(levels[n][0]).items():
             metrics[key].append(val)
+    completed = list(levels)
 
     diffs: list[float] = []
     for n_c, n_f in zip(completed, completed[1:]):
-        coarse, fine = results[n_c], results[n_f]
+        (records, coarse), (_, fine) = levels[n_c], levels[n_f]
         grid_f = Grid(n_f, cfg.grid.l)
-        grid_c = Grid(n_c, cfg.grid.l)
-        times = [r.t for r in fine.records]
         acc = 0.0
-        for i in range(len(times) - 1):
-            fc = resample(ScalarField(grid_c, coarse.phi_history[i]), grid_f)
-            ff = ScalarField(grid_f, fine.phi_history[i])
-            acc += (times[i + 1] - times[i]) * norm_l2(
-                ScalarField(grid_f, fc.values - ff.values)
-            ) ** 2
+        for r0, r1, hc, hf in zip(records, records[1:], coarse, fine):
+            acc += (r1.t - r0.t) * _level_gap_sq(hc, hf, n_c, grid_f)
         diffs.append(math.sqrt(acc))
 
     uniform_ok = bool(completed) and len(completed) == len(sizes)

@@ -21,23 +21,26 @@ identities are exact and the rotational form gives the convective result to
 round-off (undealiased they alias apart; omega (u_y, -u_x) . u = 0 either way).
 The k = 0 row of the phase update is copied through: mass is kept to the bit.
 
-``step`` is the only implementation of the scheme; ``run`` calls it.  A state
-carries the rfft2 half-plane coefficients of phi, u_x and u_y next to their
-samples: all n//2 + 1 columns when built from samples, which it transforms
-then, and the first ``Grid.half.kept_cols`` (the rest being zero) when
-stepped with dealias on.  ``step`` steps the coefficients it is given, and
-``run`` alone cuts initial data to the band.  With zero forcing a step takes 12
-transforms in 11 numpy calls: 3 full (F'(phi), not band-limited, and
-grad mu) and 9 on the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all
-with dealias off): u . grad phi and both momentum right-hand sides forward,
-each a row and a column pass; grad phi and omega inverse in one stacked
-call, and the new phi, u_x and u_y in another.  mu^ = (a - J^) phi^ +
-F'(phi)^ reuses the phase solve's F'(phi)^.  A record takes 1 more, the
-rfft2 of F'(phi^{n+1}) for its mu^; its norms are read from the
-coefficients by Parseval, and the divergence audit bounds max |div u| by
-the coefficients' absolute sum.  The Leray projector P is applied once: it
-is linear, idempotent and commutes with the mode-diagonal viscous solve D,
-so P D (u/dt + P r) = P D (u/dt + r).
+``step`` is the only implementation of the scheme.  ``trajectory`` sets a
+configured run up (grid, kernel, the hypothesis gate, S, and the initial
+state cut to the band, the one place that does so) and returns a generator
+of frames that calls ``step`` and audits each record; ``run`` consumes the
+frames and writes the records and snapshots.  A state carries the rfft2
+half-plane coefficients of phi, u_x and u_y next to their samples: all
+n//2 + 1 columns when built from samples, which it transforms then, and the
+first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
+dealias on.  ``step`` steps the coefficients it is given.  With zero
+forcing a step takes 12 transforms in 11 numpy calls: 3 full (F'(phi), not
+band-limited, and grad mu) and 9 on the first ``Grid.half.kept_cols`` =
+n//3 + 1 columns (all with dealias off): u . grad phi and both momentum
+right-hand sides forward, each a row and a column pass; grad phi and omega
+inverse in one stacked call, and the new phi, u_x and u_y in another.
+mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
+takes 1 more, the rfft2 of F'(phi^{n+1}) for its mu^; its norms are read
+from the coefficients by Parseval, and the divergence audit bounds
+max |div u| by the coefficients' absolute sum.  The Leray projector P is
+applied once: it is linear, idempotent and commutes with the mode-diagonal
+viscous solve D, so P D (u/dt + P r) = P D (u/dt + r).
 
 A trajectory is advanced by a single owner; steps are pure.  Independent
 runs may execute concurrently.
@@ -64,13 +67,14 @@ from .spectral import (
     divergence_bound,
     inner,
     irfft2_cols,
-    norm_l2,
     rfft2_cols,
     rgradient,
     vector_from_values,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterator
+
     from .config import SimConfig
 
 
@@ -318,8 +322,6 @@ class RunResult:
     report: HypothesisReport
     params: SimParams
     invariant_failures: list[str] = field(default_factory=list)
-    phi_history: list[np.ndarray] | None = None
-    weak_margins: list[float] | None = None
     out_dir: str | None = None
 
 
@@ -334,123 +336,125 @@ def resolve_stabilizer(cfg_mode: str | float, potential: PotentialSpec,
     return float(cfg_mode), (lo, hi)
 
 
-def run(
-    cfg: "SimConfig",
-    *,
-    force: bool = False,
-    initial_state: SimState | None = None,
-    capture_phi: bool = False,
-) -> RunResult:
-    """Advance a configured trajectory on [0, t_end], recording diagnostics
-    every ``output.record_every`` steps and at the end.  The initial state is
-    cut to the dealiased band here, the one place that does so.
-
-    Raises BlowUpError on non-finite values, StabilizerRangeError if the
-    solution leaves the range where S >= max|F''|/2 was validated, and
-    HypothesisGateError when the admissibility gate is on and fails.
-    Mass, divergence and (with ``checks.grad_control``) gradient control are
-    audited at every record; violations are collected in ``invariant_failures``.
+def trajectory(cfg: "SimConfig", *, force: bool = False, initial_state: SimState | None = None
+               ) -> tuple[HypothesisReport, SimParams, "Iterator[tuple]"]:
+    """Set up a configured trajectory on [0, t_end]: grid, kernel, the
+    hypothesis audit and gate (HypothesisGateError), the initial state cut
+    to the dealiased band (the one place that does so), and S.  Returns
+    (report, params, frames); ``frames`` yields (step, state, record or None,
+    h, invariant failures found at that record) for steps 0 .. n_steps, with
+    a record every ``output.record_every`` steps and at the end.  Mass,
+    divergence and (with ``checks.grad_control``) gradient control are
+    audited at every record.  ``frames`` raises BlowUpError on non-finite
+    values and StabilizerRangeError if the solution leaves the range where
+    S >= max|F''|/2 was validated, each with the last record it yielded.
     """
-    from . import storage
-
     grid = Grid(cfg.grid.n, cfg.grid.l)
     kernel = build_kernel(cfg.kernel, grid)
-    potential = cfg.potential
-    s_range = cfg.checks.s_range
-    report = audit(kernel, potential, s_range=s_range)
-    if cfg.checks.enforce_hypotheses and not force and not report.passes_core():
-        # h4 is advisory for running; h1-h3 are what the dynamics needs
-        if any(getattr(report, h) != "pass" for h in ("h1", "h2", "h3")):
-            raise HypothesisGateError(report)
+    report = audit(kernel, cfg.potential, s_range=cfg.checks.s_range)
+    # h4 is advisory for running; h1-h3 are what the dynamics needs
+    if cfg.checks.enforce_hypotheses and not force and any(
+            getattr(report, h) != "pass" for h in ("h1", "h2", "h3")):
+        raise HypothesisGateError(report)
 
     state = initial_state or SimState(build_phi(cfg.initial, grid), build_u(cfg.velocity, grid), 0.0)
     # the columns step() transforms, and the band
     cols, mask = (grid.half.kept_cols, grid.half.mask) if cfg.sim.dealias else (None, 1.0)
     state = SimState.from_hats(grid, tuple((c * mask)[:, :cols] for c in state.hats), state.t)
 
-    s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, potential, state.phi, s_range)
+    s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, cfg.potential, state.phi, cfg.checks.s_range)
     params = replace(cfg.sim, stabilizer=s_value)
     if kernel.a + params.stabilizer <= 0:
         raise ValueError("a + S must be positive for the phase solve")
+    return report, params, _frames(cfg, kernel, report, params, state, validated)
 
+
+def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, params: SimParams,
+            state: SimState, validated: tuple[float, float]) -> "Iterator[tuple]":
+    """The frames of ``trajectory``: h(t^n) is asked of the forcing once
+    before the step-0 record and once at the top of every step."""
+    potential, every = cfg.potential, cfg.output.record_every
     n_steps = int(round(params.t_end / params.dt))
-
-    out_dir = cfg.output.out_dir or None
-    writer = storage.DiagnosticsWriter(out_dir) if out_dir else None
-
     mass0 = float(np.mean(state.phi.values))
-    records: list = []
-    failures: list[str] = []
-    weak_margins: list[float] = []
-    history: list[np.ndarray] | None = [] if capture_phi else None
-
-    def _audit_record(step_index: int, record) -> None:
-        nonlocal validated
-        drift = float(np.mean(state.phi.values)) - mass0
-        if abs(drift) > 1e-12:
-            failures.append(f"mass drift {drift:.3e} at step {step_index}")
-        umax = float(np.max(np.abs(state.u.x.values)) + np.max(np.abs(state.u.y.values)))
-        div_max = divergence_bound(grid, *state.hats[1:])  # >= the sampled max
-        if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
-            failures.append(f"divergence {div_max:.3e} at step {step_index}")
-        if cfg.checks.grad_control:
-            margin, verdict = diagnostics.gradient_control_check(
-                record, report.beta, report.condition_altass)
-            if verdict == "fail":
-                failures.append(f"gradient control margin {margin:.3e} at step {step_index}")
-        lo, hi = record.phi_min, record.phi_max
+    h, rec = cfg.forcing.field_at(kernel.grid, 0.0), None
+    for i in range(n_steps + 1):
+        if i:
+            h = cfg.forcing.field_at(kernel.grid, state.t)
+            try:
+                state = step(state, params, kernel, potential, h)
+            except BlowUpError as err:
+                raise BlowUpError(str(err), step=i, last_record=rec) from None
+            state.t = i * params.dt  # not a running sum: no round-off builds up in t
+        if i % every and i < n_steps:
+            yield i, state, None, h, []
+            continue
+        fp_hat = np.fft.rfft2(eval_df(potential, state.phi.values))
+        new = diagnostics.make_record(
+            state, mu_hat(kernel, state.hats[0], fp_hat), kernel, potential, params.nu, report.beta,
+            forcing_power=(inner(h, state.u) if h is not None else 0.0), prev=rec,
+        )
+        found = _audit_record(cfg, report, state, new, i, mass0)
+        # widen the validated range to the record's, while S still covers it
+        lo, hi = new.phi_min, new.phi_max
         if lo < validated[0] or hi > validated[1]:
-            new_range = (min(lo, validated[0]), max(hi, validated[1]))
-            needed = stabilizer_bound(potential, new_range)
+            wider = (min(lo, validated[0]), max(hi, validated[1]))
+            needed = stabilizer_bound(potential, wider)
             if params.stabilizer + 1e-12 < needed:
                 raise StabilizerRangeError(
                     f"solution range [{lo:.3g}, {hi:.3g}] needs stabilizer {needed:.3g} "
-                    f"> configured {params.stabilizer:.3g}",
-                    step=step_index,
-                    last_record=record,
-                )
-            validated = new_range
+                    f"> configured {params.stabilizer:.3g}", step=i, last_record=rec)
+            validated = wider
+        del fp_hat  # not held in this frame through the next step
+        rec = new
+        yield i, state, rec, h, found
 
-    def _record(step_index: int, h: VectorField | None) -> None:
-        fp_hat = np.fft.rfft2(eval_df(potential, state.phi.values))
-        rec = diagnostics.make_record(
-            state, mu_hat(kernel, state.hats[0], fp_hat), kernel, potential, params.nu, report.beta,
-            forcing_power=(inner(h, state.u) if h is not None else 0.0),
-            prev=records[-1] if records else None,
-        )
-        records.append(rec)
-        _audit_record(step_index, rec)
-        if cfg.checks.grad_control and step_index > 0:
-            weak_margins.append(diagnostics.weak_gradient_margin(
-                rec.grad_mu_sq, rec.grad_phi_sq, norm_l2(state.phi) ** 2, report.c0, report.norm_gradj_l1))
-        if capture_phi:
-            history.append(state.phi.values.copy())
-        if writer:
-            writer.append(rec)
 
-    def _maybe_snapshot(step_index: int) -> None:
-        if writer and cfg.output.snapshot_every and step_index % cfg.output.snapshot_every == 0:
-            storage.write_state_snapshots(out_dir, state, step_index)
+def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, rec,
+                  step_index: int, mass0: float) -> list[str]:
+    """The invariant failures of ``state`` and its record ``rec``: mass
+    drift, divergence and, with ``checks.grad_control``, gradient control."""
+    grid, failures = state.phi.grid, []
+    drift = float(np.mean(state.phi.values)) - mass0
+    if abs(drift) > 1e-12:
+        failures.append(f"mass drift {drift:.3e} at step {step_index}")
+    umax = float(np.max(np.abs(state.u.x.values)) + np.max(np.abs(state.u.y.values)))
+    div_max = divergence_bound(grid, *state.hats[1:])  # >= the sampled max
+    if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
+        failures.append(f"divergence {div_max:.3e} at step {step_index}")
+    if cfg.checks.grad_control:
+        margin, verdict = diagnostics.gradient_control_check(rec, report.beta, report.condition_altass)
+        if verdict == "fail":
+            failures.append(f"gradient control margin {margin:.3e} at step {step_index}")
+    return failures
 
+
+def run(cfg: "SimConfig", *, force: bool = False, initial_state: SimState | None = None) -> RunResult:
+    """Advance a configured trajectory (``trajectory``) on [0, t_end],
+    keeping its records and invariant failures; with ``output.out_dir`` set,
+    write each record to the diagnostics CSV and the state every
+    ``output.snapshot_every`` steps.  Raises what ``trajectory`` raises."""
+    from . import storage
+
+    report, params, frames = trajectory(cfg, force=force, initial_state=initial_state)
+    out_dir = cfg.output.out_dir or None
+    writer = storage.DiagnosticsWriter(out_dir) if out_dir else None
+    snapshot_every = cfg.output.snapshot_every if writer else 0
+    n_steps = int(round(params.t_end / params.dt))
+    records: list = []
+    failures: list[str] = []
     try:
-        h_now = cfg.forcing.field_at(grid, 0.0)
-        _record(0, h_now)
-        _maybe_snapshot(0)
-        for i in range(1, n_steps + 1):
-            h_now = cfg.forcing.field_at(grid, state.t)
-            try:
-                state = step(state, params, kernel, potential, h_now)
-            except BlowUpError as err:
-                raise BlowUpError(str(err), step=i, last_record=records[-1]) from None
-            state.t = i * params.dt  # not a running sum: no round-off builds up in t
-            if i % cfg.output.record_every == 0 or i == n_steps:
-                _record(i, h_now)
-            _maybe_snapshot(i)
+        for i, state, rec, _, found in frames:
+            if rec is not None:
+                records.append(rec)
+                failures.extend(found)
+                if writer:
+                    writer.append(rec)
+            if snapshot_every and i % snapshot_every == 0:
+                storage.write_state_snapshots(out_dir, state, i)
+            if i < n_steps:
+                del state  # held through the next step's record, it raises the peak RSS
     finally:
         if writer:
             writer.close()
     return RunResult(records=records, state=state, report=report, params=params,
-                     invariant_failures=failures, phi_history=history,
-                     weak_margins=weak_margins if cfg.checks.grad_control else None, out_dir=out_dir)
-
-
+                     invariant_failures=failures, out_dir=out_dir)

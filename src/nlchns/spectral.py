@@ -302,9 +302,3 @@ def parseval(weight: np.ndarray, p: np.ndarray) -> float:
     the derivatives have it)."""
     return float(np.vdot(weight[:, :p.shape[1]], p))
 
-
-def grad_norm_sq(f) -> float:
-    """||grad f||^2 for a scalar field, Frobenius ||grad u||^2 for a vector
-    field, by Parseval."""
-    parts = f.components if isinstance(f, VectorField) else (f,)
-    return parseval(f.grid.half.weight_k2, power(*(np.fft.rfft2(c.values) for c in parts)))

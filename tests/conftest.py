@@ -8,8 +8,9 @@ from nlchns.spectral import (
     Grid,
     ScalarField,
     VectorField,
-    grad_norm_sq,
     leray_project,
+    parseval,
+    power,
     rgradient,
     vector_from_values,
 )
@@ -81,8 +82,22 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, np.fft.irfft2(-f.grid.half.k2 * np.fft.rfft2(f.values)))
 
 
+def grad_norm_sq(f) -> float:
+    """||grad f||^2 for a scalar field, Frobenius ||grad u||^2 for a vector
+    field, by Parseval."""
+    parts = f.components if isinstance(f, VectorField) else (f,)
+    return parseval(f.grid.half.weight_k2, power(*(np.fft.rfft2(c.values) for c in parts)))
+
+
 def seminorm_h1(f) -> float:
     return float(np.sqrt(grad_norm_sq(f)))
+
+
+def weak_gradient_margin(grad_mu_sq: float, grad_phi_sq: float, phi_norm_sq: float,
+                         c0: float, norm_gradj_l1: float) -> float:
+    """Secondary margin of ||grad mu||^2 >= (c0^2/4)||grad phi||^2 -
+    2 ||grad J||_L1^2 ||phi||^2, which holds without the sharp condition."""
+    return grad_mu_sq - 0.25 * c0 * c0 * grad_phi_sq + 2.0 * norm_gradj_l1**2 * phi_norm_sq
 
 
 def gaussian_image_sum(grid: Grid, sigma: float, strength: float):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, convolve, divergence, full_plane, mu_coefficients, random_field, rel_err
+from nlchns import storage
 from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import total_energy
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
@@ -21,6 +22,7 @@ from nlchns.solver import (
     capillary_force,
     run,
     step,
+    trajectory,
 )
 from nlchns.spectral import (
     Grid,
@@ -556,6 +558,21 @@ class TestRun:
         assert err.value.step > 0
         assert err.value.last_record is not None
 
+    def test_stabilizer_abort_reports_the_last_written_record(self, tmp_path):
+        # the record at the abort step left the range; the one before it is
+        # the last one audited and written
+        cfg = make_cfg(
+            sim=SimParams(nu=0.1, dt=1e-2, t_end=4.0, stabilizer=0.5),
+            initial=InitialSpec(family="random", amplitude=1e-2, mean=0.0, seed=8),
+            checks=ChecksConfig(s_lo=-0.6, s_hi=0.6),
+            output=OutputConfig(record_every=1, out_dir=str(tmp_path)),
+        )
+        with pytest.raises(StabilizerRangeError) as err:
+            run(cfg)
+        rows = storage.read_diagnostics_csv(str(tmp_path / storage.CSV_NAME))
+        assert len(rows) == err.value.step
+        assert err.value.last_record.as_row() == rows[-1].as_row()
+
     def test_step_couples_in_declared_order(self, kernel32):
         g = kernel32.grid
         state = SimState(
@@ -617,3 +634,59 @@ class TestRun:
         got_y = float(np.mean(res.state.u.y.values))
         expected_y = expected / amp[0] * amp[1]
         assert abs(got_y - expected_y) < 1e-13 * (1 + abs(expected_y))
+
+
+class CountingForcing:
+    """Stands in for a config's forcing and keeps the time of each
+    ``field_at`` call."""
+
+    def __init__(self, forcing: ForcingSpec):
+        self.forcing = forcing
+        self.times: list[float] = []
+
+    def field_at(self, grid, t):
+        self.times.append(t)
+        return self.forcing.field_at(grid, t)
+
+    def __getattr__(self, name):
+        return getattr(self.forcing, name)
+
+
+def forced_cfg(**over) -> SimConfig:
+    return make_cfg(
+        sim=SimParams(nu=0.1, dt=1e-2, t_end=0.1),
+        initial=InitialSpec(family="random", amplitude=0.1, mean=0.0, seed=5),
+        velocity=VelocitySpec(family="taylor_green", amplitude=0.5),
+        forcing=ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5),
+        **over,
+    )
+
+
+class TestTrajectory:
+    def test_forcing_asked_once_after_set_up_and_once_a_step(self):
+        # a timer that wraps field_at sees where the set-up ends and each step starts
+        cfg = forced_cfg()
+        clock = CountingForcing(cfg.forcing)
+        _, params, frames = trajectory(replace(cfg, forcing=clock))
+        assert clock.times == []
+        first = next(frames)
+        assert first[0] == 0 and first[2] is not None and clock.times == [0.0]
+        clock = CountingForcing(cfg.forcing)
+        run(replace(cfg, forcing=clock))
+        assert clock.times == [0.0] + [i * params.dt for i in range(10)]
+
+    def test_run_keeps_the_frames_records_and_final_state(self, tmp_path):
+        cfg = forced_cfg(output=OutputConfig(record_every=3, snapshot_every=4, out_dir=str(tmp_path)))
+        res = run(cfg)
+        _, _, frames = trajectory(cfg)
+        frames = list(frames)
+        assert [f[0] for f in frames] == list(range(11))
+        records = [rec for _, _, rec, _, _ in frames if rec is not None]
+        assert [r.t for r in records] == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
+        rows = np.array([r.as_row() for r in records])
+        assert np.array([r.as_row() for r in res.records]).tobytes() == rows.tobytes()
+        last = frames[-1][1]
+        for got, want in ((res.state.phi, last.phi), (res.state.u.x, last.u.x), (res.state.u.y, last.u.y)):
+            assert got.values.tobytes() == want.values.tobytes()
+        assert res.state.t == last.t
+        assert sorted(p.name for p in tmp_path.glob("phi_*")) == [f"phi_{i:08d}.f64" for i in (0, 4, 8)]

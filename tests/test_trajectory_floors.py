@@ -8,6 +8,9 @@ constants: the quadratic floor
 
 and, for coercive potentials, the quartic floor
 bulk >= c7 ||phi||_{L^{2+2q}}^{2+2q} - c8 |Omega|.
+
+The runs are consumed frame by frame: ||phi||^2 is the record's, and the
+L^{2+2q} norm is taken on the samples of the state beside each record.
 """
 
 import numpy as np
@@ -18,10 +21,17 @@ from nlchns.config import GridConfig, OutputConfig, SimConfig
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec
 from nlchns.potentials import PotentialSpec
-from nlchns.solver import SimParams, run
-from nlchns.spectral import Grid, ScalarField, norm_l2
+from nlchns.solver import SimParams, trajectory
+from nlchns.spectral import Grid
 
 DW = PotentialSpec.double_well()
+
+
+def recorded(cfg):
+    """The hypothesis report, and each record of ``cfg``'s trajectory with
+    the samples of phi it was taken from."""
+    report, _, frames = trajectory(cfg)
+    return report, [(rec, state.phi.values) for _, state, rec, _, _ in frames if rec is not None]
 
 
 @pytest.fixture(scope="module")
@@ -35,28 +45,25 @@ def short_spinodal():
         velocity=VelocitySpec(family="taylor_green", amplitude=0.5),
         output=OutputConfig(record_every=5),
     )
-    return cfg, run(cfg, capture_phi=True)
+    return cfg, *recorded(cfg)
 
 
 def test_quadratic_coercivity_floor(short_spinodal):
-    cfg, res = short_spinodal
-    rep = res.report
-    grid = Grid(cfg.grid.n, cfg.grid.l)
-    c = 2.0 * rep.c2 * grid.volume
-    for rec, vals in zip(res.records, res.phi_history):
-        phi_sq = norm_l2(ScalarField(grid, vals)) ** 2
+    cfg, rep, frames = short_spinodal
+    c = 2.0 * rep.c2 * Grid(cfg.grid.n, cfg.grid.l).volume
+    assert len(frames) == 101
+    for rec, _ in frames:
         lhs = 2.0 * rec.interaction + 2.0 * rec.bulk
-        assert lhs >= rep.alpha * phi_sq - c - 1e-9 * (1 + abs(lhs))
+        assert lhs >= rep.alpha * rec.phi_sq - c - 1e-9 * (1 + abs(lhs))
 
 
 def test_coercive_growth_floor(short_spinodal):
-    cfg, res = short_spinodal
-    rep = res.report
+    cfg, rep, frames = short_spinodal
     assert rep.h6 == "pass"
     grid = Grid(cfg.grid.n, cfg.grid.l)
     w = grid.cell_volume
     power = 2.0 + 2.0 * rep.q
-    for rec, vals in zip(res.records, res.phi_history):
+    for rec, vals in frames:
         lp = float(np.sum(np.abs(vals) ** power) * w)
         assert rec.bulk >= rep.c7 * lp - rep.c8 * grid.volume - 1e-9 * (1 + abs(rec.bulk))
 
@@ -71,10 +78,7 @@ def test_floors_hold_with_mean_offset():
         velocity=VelocitySpec(family="zero"),
         output=OutputConfig(record_every=10),
     )
-    res = run(cfg, capture_phi=True)
-    rep = res.report
-    grid = Grid(32, TWO_PI)
-    c = 2.0 * rep.c2 * grid.volume
-    for rec, vals in zip(res.records, res.phi_history):
-        phi_sq = norm_l2(ScalarField(grid, vals)) ** 2
-        assert 2.0 * rec.interaction + 2.0 * rec.bulk >= rep.alpha * phi_sq - c - 1e-9
+    rep, frames = recorded(cfg)
+    c = 2.0 * rep.c2 * Grid(32, TWO_PI).volume
+    for rec, _ in frames:
+        assert 2.0 * rec.interaction + 2.0 * rec.bulk >= rep.alpha * rec.phi_sq - c - 1e-9
