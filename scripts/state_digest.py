@@ -8,9 +8,13 @@ prints the record rows, for comparing records that differ by round-off.
 The run writes nothing to disk.  ``--shared-initial`` builds the config's initial data
 with ``build_phi`` and ``build_u`` and hands it to ``run()`` as its initial
 state, so that a change to ``run()``'s own set-up drops out of the
-comparison.
+comparison.  ``--set key=value`` (repeatable) appends a line to the config
+before it is parsed, so that one command can fingerprint a branch the
+shipped configs leave at its default.
 
     PYTHONPATH=src python scripts/state_digest.py --config configs/spinodal.cfg --n 64 --steps 60
+    PYTHONPATH=src python scripts/state_digest.py --config configs/gradient_control.cfg \
+        --n 32 --steps 60 --set forcing=single_mode --set forcing.scale=0.3 --set forcing.decay=0.5
 """
 
 import argparse
@@ -19,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from nlchns.config import parse_config_file
+from nlchns.config import parse_config
 from nlchns.initialdata import build_phi, build_u
 from nlchns.solver import SimState, run
 from nlchns.spectral import Grid
@@ -40,9 +44,15 @@ def main():
                     help="start from build_phi/build_u data passed as run()'s initial state")
     ap.add_argument("--rows", action="store_true",
                     help="also print every record row, each value with all its digits")
+    ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                    help="append the config line 'KEY = VALUE' before parsing (repeatable)")
     args = ap.parse_args()
+    for line in args.set:
+        if "=" not in line:
+            ap.error(f"--set expects key=value, got {line!r}")
 
-    cfg = parse_config_file(args.config)
+    with open(args.config, encoding="utf-8") as fh:
+        cfg = parse_config("\n".join([fh.read(), *args.set]))
     output = replace(cfg.output, out_dir="", snapshot_every=0,
                      record_every=args.record_every or cfg.output.record_every)
     cfg = replace(cfg, grid=replace(cfg.grid, n=args.n), output=output,

@@ -8,7 +8,9 @@ the admissibility auditor.
 Families: the canonical double well (1 - s^2)^2, quartics a4 s^4 + a2 s^2 +
 a0, and general even-top-degree polynomials with positive leading
 coefficient.  Coefficients are stored in ascending order and evaluated by
-Horner's rule.  Everything here is an immutable value; evaluation is pure.
+Horner's rule, in place when given an ``out`` array and bit-identically to
+``numpy.polynomial.polynomial.polyval``.  Everything here is an immutable
+value; evaluation is pure apart from the ``out`` it is given.
 """
 
 from __future__ import annotations
@@ -81,16 +83,29 @@ class PotentialSpec:
         return PotentialSpec(tuple(coef), family=f"{self.family}_shifted")
 
 
-def eval_f(spec: PotentialSpec, s):
-    return npoly.polyval(s, spec.coefficients)
+def _horner(coefficients: tuple[float, ...], s, out=None):
+    """``polyval(s, coefficients)`` in polyval's own steps, c[-1] + s*0 and
+    then acc*s + c[-i], so the result is bit-identical; for an array ``s``
+    every step writes into ``out`` (allocated once when None), and a scalar
+    ``s`` gives a scalar."""
+    if out is None and np.ndim(s):
+        out = np.empty(np.shape(s))
+    acc = np.add(np.multiply(s, 0.0, out=out), coefficients[-1], out=out)
+    for c in coefficients[-2::-1]:
+        acc = np.add(np.multiply(acc, s, out=out), c, out=out)
+    return acc
 
 
-def eval_df(spec: PotentialSpec, s):
-    return npoly.polyval(s, spec.df_coefficients)
+def eval_f(spec: PotentialSpec, s, out=None):
+    return _horner(spec.coefficients, s, out)
 
 
-def eval_ddf(spec: PotentialSpec, s):
-    return npoly.polyval(s, spec.ddf_coefficients)
+def eval_df(spec: PotentialSpec, s, out=None):
+    return _horner(spec.df_coefficients, s, out)
+
+
+def eval_ddf(spec: PotentialSpec, s, out=None):
+    return _horner(spec.ddf_coefficients, s, out)
 
 
 def _real_roots(coef) -> np.ndarray:

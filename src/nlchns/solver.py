@@ -30,20 +30,27 @@ half-plane coefficients of phi, u_x and u_y next to their samples: all
 n//2 + 1 columns when built from samples, which it transforms then, and the
 first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
 dealias on.  ``step`` steps the coefficients it is given.  With zero
-forcing a step takes 12 transforms in 11 numpy calls: 3 full (F'(phi), not
-band-limited, and grad mu) and 9 on the first ``Grid.half.kept_cols`` =
-n//3 + 1 columns (all with dealias off): u . grad phi and both momentum
-right-hand sides forward, each a row and a column pass; grad phi and omega
-inverse in one stacked call, and the new phi, u_x and u_y in another.
-mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
-takes 1 more, the rfft2 of F'(phi^{n+1}) for its mu^; its norms are read
-from the coefficients by Parseval, and the divergence audit bounds
-max |div u| by the coefficients' absolute sum.  The Leray projector P is
-applied once: it is linear, idempotent and commutes with the mode-diagonal
-viscous solve D, so P D (u/dt + P r) = P D (u/dt + r).
+forcing a step takes 12 transforms in 12 numpy calls, each call a row and a
+column pass: 3 full (F'(phi), not band-limited, and grad mu in one stacked
+inverse call) and 9 on the first ``Grid.half.kept_cols`` = n//3 + 1 columns
+(all with dealias off): u . grad phi forward, and both momentum right-hand
+sides in one stacked forward call; grad phi and omega inverse in one
+stacked call, and the new phi, u_x and u_y in another.  mu^ = (a - J^) phi^
++ F'(phi)^ reuses the phase solve's F'(phi)^.  A record takes 1 more, the
+forward transform of F'(phi^{n+1}) for its mu^; its norms are read from the
+coefficients by Parseval, and the divergence audit bounds max |div u| by
+the coefficients' absolute sum.  The Leray projector P is applied once: it
+is linear, idempotent and commutes with the mode-diagonal viscous solve D,
+so P D (u/dt + P r) = P D (u/dt + r).
 
-A trajectory is advanced by a single owner; steps are pure.  Independent
-runs may execute concurrently.
+``step`` and a record's mu^ write every intermediate into one workspace per
+(kernel, params), kept beside the solve operators and dying with the
+kernel; a step allocates only the state it returns, one (3, n, c) complex
+block of coefficients and one (3, n, n) real block of samples.  A kernel's
+workspace serves one trajectory at a time; ``trajectory`` builds a kernel
+per run, so independent runs share nothing and may execute concurrently.
+The returned states never share memory with the workspace, or with each
+other.
 """
 
 from __future__ import annotations
@@ -127,14 +134,17 @@ class SimState:
             self.hats = tuple(np.fft.rfft2(f.values) for f in (self.phi, self.u.x, self.u.y))
 
     @classmethod
-    def from_hats(cls, grid: Grid, hats: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  t: float) -> "SimState":
-        """The state with ``hats`` of (phi, u.x, u.y) given on their first
-        columns, the rest zero; the three samples come from one stacked
-        inverse transform, and the state keeps the columns as given."""
-        stacked = np.stack(hats)
-        phi, ux, uy = irfft2_cols(grid, stacked)
-        return cls(ScalarField(grid, phi), vector_from_values(grid, ux, uy), t, tuple(stacked))
+    def from_hats(cls, grid: Grid, hats: np.ndarray, t: float,
+                  samples: np.ndarray | None = None) -> "SimState":
+        """The state with the coefficient block ``hats``, shape (3, n, c): those
+        of (phi, u.x, u.y) on their first columns, the rest zero.  The state
+        keeps the block, and its samples are views of one (3, n, n) block:
+        ``samples`` if given (the inverse transform of ``hats``), else one
+        stacked inverse transform."""
+        if samples is None:
+            samples = irfft2_cols(grid, hats)
+        phi, ux, uy = samples
+        return cls(ScalarField(grid, phi), vector_from_values(grid, ux, uy), t, tuple(hats))
 
 
 @dataclass(frozen=True)
@@ -220,45 +230,83 @@ class ForcingSpec:
 # ---------------------------------------------------------------------------
 # pointwise operators
 
-def mu_hat(kernel: KernelOnGrid, phi_hat: np.ndarray, fp_hat: np.ndarray) -> np.ndarray:
-    """rfft2 coefficients of mu from those of F'(phi) and the first columns of
-    those of phi (the rest zero): (a - J^) phi^ + F'^."""
+def mu_hat(a_minus_j: np.ndarray, phi_hat: np.ndarray, fp_hat: np.ndarray,
+           work: np.ndarray | None = None) -> np.ndarray:
+    """rfft2 coefficients of mu, (a - J^) phi^ + F'^, written over ``fp_hat``
+    (those of F'(phi)) from the first columns of phi^ (the rest zero);
+    ``a_minus_j`` is a - J^ on the half plane, and the product goes to the
+    first columns of ``work``, (n, n//2 + 1), allocated when None."""
     c = phi_hat.shape[1]
-    mu = fp_hat.copy()
-    mu[:, :c] += kernel.a_minus_j[:, :c] * phi_hat
-    return mu
+    product = np.multiply(a_minus_j[:, :c], phi_hat, out=None if work is None else work[:, :c])
+    np.add(fp_hat[:, :c], product, out=fp_hat[:, :c])
+    return fp_hat
 
 
-def capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, grad_phi):
-    """Samples of the coupling force from mu's coefficients: -phi grad mu
-    (weak form) takes two irfft2, mu grad phi one (grad phi is in hand).
-    The two differ by the gradient grad(phi mu), which the Leray projection
-    removes up to aliasing."""
+def capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, grad_phi,
+                    out: np.ndarray | None = None, work: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """Samples of the coupling force, stacked (2, n, n), from mu's
+    coefficients: -phi grad mu (weak form) takes one stacked inverse
+    transform of grad mu, mu grad phi one of mu (grad phi is in hand, and
+    ``out`` may be it).  The two differ by the gradient grad(phi mu), which
+    the Leray projection removes up to aliasing.  ``work`` is a (2,) +
+    mu_hat.shape complex buffer whose second plane may be mu_hat itself,
+    then overwritten; ``scratch`` an (n, n) one; all allocated when None."""
     if form == "phi_grad_mu":
-        mx, my = rgradient(grid, mu_hat)
-        return -phi * mx, -phi * my
+        grad_mu = rgradient(grid, mu_hat, out=out, work=work)
+        return np.multiply(grad_mu, np.negative(phi, out=scratch), out=grad_mu)
     if form == "mu_grad_phi":
-        mu = np.fft.irfft2(mu_hat)
-        return mu * grad_phi[0], mu * grad_phi[1]
+        mu = irfft2_cols(grid, mu_hat, out=scratch, work=None if work is None else work[1])
+        return np.multiply(grad_phi, mu, out=out)
     raise ValueError(f"unknown coupling force form {form!r}")
 
 
 # ---------------------------------------------------------------------------
 # the step
 
+class _Workspace:
+    """The scratch of one (kernel, params): ``step`` and a record's mu^ write
+    every intermediate here, so that a step allocates only the state it
+    returns.  Buffers whose lifetimes do not overlap share memory:
+
+    * ``real``: two (n, n) sample planes (F'(phi), u . grad phi, -phi and
+      the products of omega);
+    * ``grad``: grad phi and omega, (3, n, n); the first two planes then take
+      the capillary force, the momentum right-hand side and the forcing;
+    * ``rows``: row transforms, (2, n, n//2 + 1); ``rows[1]`` also holds
+      F'(phi)^, then mu^, then the coefficients of grad mu with ``rows[0]``;
+    * ``cols``: coefficients on the columns the step keeps, (3, n, c);
+    * ``finite``: the isfinite mask of a new state's samples."""
+
+    __slots__ = ("real", "grad", "rows", "cols", "finite")
+
+    def __init__(self, n: int, c: int):
+        self.real = np.empty((2, n, n))
+        self.grad = np.empty((3, n, n))
+        self.rows = np.empty((2, n, n // 2 + 1), dtype=complex)
+        self.cols = np.empty((3, n, c), dtype=complex)
+        self.finite = np.empty((3, n, n), dtype=bool)
+
+
 class _Operators(NamedTuple):
     """Solve coefficients of one (kernel, dt, nu, S, dealias) on the columns
-    the step keeps: new phi^ = (keep phi^ - |k|^2 F'^ - adv^) solve, and the
-    masked, projected viscous solve as weights (wxx, wxy; wxy, wyy)."""
+    the step keeps: new phi^ = (keep phi^ - k2 F'^ - adv^) solve, and the
+    masked, projected viscous solve as weights (wxx, wxy; wxy, wyy); and
+    a - J^ on the half plane, for mu^.  Each is held complex, x + 0j, so
+    that no product casts a real operand (that would allocate), with the
+    same result bit for bit.  ``work`` is the step's workspace."""
 
     keep: np.ndarray
     solve: np.ndarray
+    k2: np.ndarray
     wxx: np.ndarray
     wxy: np.ndarray
     wyy: np.ndarray
+    a_minus_j: np.ndarray
+    work: _Workspace
 
 
-# per kernel, the operators of each parameter set; they go with the kernel
+# per kernel, the operators and workspace of each parameter set; they go with the kernel
 _OPERATORS: "weakref.WeakKeyDictionary[KernelOnGrid, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -266,50 +314,76 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
     per_kernel = _OPERATORS.setdefault(kernel, {})
     key = (params.dt, params.nu, params.stabilizer, params.dealias)
     if key not in per_kernel:
-        h, c = kernel.grid.half, (kernel.grid.half.kept_cols if params.dealias else None)
+        g = kernel.grid
+        h, c = g.half, (g.half.kept_cols if params.dealias else None)
         k2, mask = h.k2[:, :c], (h.mask[:, :c] if params.dealias else 1.0)
         flow = mask / (1.0 / params.dt + params.nu * k2)
-        per_kernel[key] = _Operators(
-            keep=1.0 / params.dt + k2 * (params.stabilizer + kernel.multiplier[:, :c]),
-            solve=mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
-            wxx=flow * h.pxx[:, :c], wxy=flow * h.pxy[:, :c], wyy=flow * h.pyy[:, :c],
+        ops = (
+            1.0 / params.dt + k2 * (params.stabilizer + kernel.multiplier[:, :c]),
+            mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
+            k2, flow * h.pxx[:, :c], flow * h.pxy[:, :c], flow * h.pyy[:, :c], kernel.a_minus_j,
         )
+        per_kernel[key] = _Operators(*(a.astype(complex) for a in ops),
+                                     work=_Workspace(g.n, k2.shape[1]))
     return per_kernel[key]
+
+
+def _fp_hat(work: _Workspace, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:
+    """The rfft2 coefficients of F'(phi), in ``work.rows[1]``."""
+    fp = eval_df(potential, phi, out=work.real[0])
+    return rfft2_cols(fp, work.rows.shape[-1], out=work.rows[1], rows=work.rows[0])
 
 
 def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
          potential: PotentialSpec, forcing: VectorField | None = None) -> SimState:
     """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
     capillary force at (phi^n, mu^n); ``forcing`` is h(t^n), or None for zero.
-    Steps the state's coefficients as given and keeps mean(phi) exactly."""
-    g, h, ops = state.phi.grid, state.phi.grid.half, _operators(kernel, params)
-    c, inv_dt = ops.keep.shape[1], 1.0 / params.dt
+    Steps the state's coefficients as given and keeps mean(phi) exactly.
+    Every intermediate goes to the (kernel, params) workspace; the new state
+    owns a fresh coefficient block and a fresh sample block."""
+    g, ops = state.phi.grid, _operators(kernel, params)
+    ws, c, inv_dt = ops.work, ops.keep.shape[1], 1.0 / params.dt
+    rows, cols, grad, (s1, s2) = ws.rows, ws.cols, ws.grad, ws.real
+    ikx, iky = g.half.ikx[:, :c], g.half.iky[:, :c]
     phi, u = state.phi.values, state.u
     phi_hat, ux_hat, uy_hat = (a[:, :c] for a in state.hats)
+    new = np.empty((3, g.n, c), dtype=complex)
 
-    # phase; grad phi and omega = curl u in one inverse transform
-    fp_hat = np.fft.rfft2(eval_df(potential, phi))
-    ikx, iky = h.ikx[:, :c], h.iky[:, :c]
-    *grad_phi, omega = irfft2_cols(g, np.stack((ikx * phi_hat, iky * phi_hat, ikx * uy_hat + iky * -ux_hat)))
-    adv_hat = rfft2_cols(advect(u, grad_phi), c)
-    new_phi_hat = (ops.keep * phi_hat - h.k2[:, :c] * fp_hat[:, :c] - adv_hat) * ops.solve
-    new_phi_hat[0, 0] = phi_hat[0, 0]
+    # grad phi and omega = curl u in one inverse transform
+    np.multiply(ikx, phi_hat, out=cols[0])
+    np.multiply(iky, phi_hat, out=cols[1])
+    np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
+    np.add(np.multiply(ikx, uy_hat, out=rows[0, :, :c]), cols[2], out=cols[2])
+    irfft2_cols(g, cols, out=grad, work=cols)
+    grad_phi, omega = grad[:2], grad[2]
 
-    # flow: capillary force plus omega (u_y, -u_x), one transform a component
-    fx, fy = capillary_force(params.force_form, g, phi, mu_hat(kernel, state.hats[0], fp_hat), grad_phi)
-    bx = ux_hat * inv_dt + rfft2_cols(fx + omega * u.y.values, c)
-    by = uy_hat * inv_dt + rfft2_cols(fy - omega * u.x.values, c)
+    # phase
+    adv_hat = rfft2_cols(advect(u, grad_phi, out=s1, work=s2), c, out=cols[0], rows=rows[0])
+    fp_hat = _fp_hat(ws, potential, phi)
+    np.multiply(ops.keep, phi_hat, out=new[0])
+    np.subtract(new[0], np.multiply(ops.k2, fp_hat[:, :c], out=cols[1]), out=new[0])
+    np.multiply(np.subtract(new[0], adv_hat, out=new[0]), ops.solve, out=new[0])
+    new[0, 0, 0] = phi_hat[0, 0]
+
+    # flow: capillary force plus omega (u_y, -u_x), one stacked transform
+    mu = mu_hat(ops.a_minus_j, state.hats[0], fp_hat, work=rows[0])
+    rhs = capillary_force(params.force_form, g, phi, mu, grad_phi, out=grad_phi, work=rows, scratch=s1)
+    np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
+    np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
+    bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
+    np.add(bx, np.multiply(ux_hat, inv_dt, out=cols[2]), out=bx)
+    np.add(by, np.multiply(uy_hat, inv_dt, out=cols[2]), out=by)
     if forcing is not None:
-        bx += rfft2_cols(forcing.x.values, c)
-        by += rfft2_cols(forcing.y.values, c)
-    new_ux_hat = ops.wxx * bx + ops.wxy * by
-    new_uy_hat = ops.wxy * bx + ops.wyy * by
+        # the new state's u^ planes are free until the solve below
+        h = np.stack((forcing.x.values, forcing.y.values), out=rhs)
+        np.add(b, rfft2_cols(h, c, out=new[1:], rows=rows), out=b)
+    np.add(np.multiply(ops.wxx, bx, out=new[1]), np.multiply(ops.wxy, by, out=cols[2]), out=new[1])
+    np.add(np.multiply(ops.wxy, bx, out=new[2]), np.multiply(ops.wyy, by, out=cols[2]), out=new[2])
 
-    new = SimState.from_hats(g, (new_phi_hat, new_ux_hat, new_uy_hat), state.t + params.dt)
-    for f, what in ((new.phi, "phi"), (new.u.x, "u"), (new.u.y, "u")):
-        if not np.all(np.isfinite(f.values)):
-            raise BlowUpError(f"non-finite values in {what}")
-    return new
+    samples = irfft2_cols(g, new, out=np.empty((3, g.n, g.n)), work=cols)
+    if not np.isfinite(samples, out=ws.finite).all():
+        raise BlowUpError(f"non-finite values in {'u' if ws.finite[0].all() else 'phi'}")
+    return SimState.from_hats(g, new, state.t + params.dt, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +434,7 @@ def trajectory(cfg: "SimConfig", *, force: bool = False, initial_state: SimState
     state = initial_state or SimState(build_phi(cfg.initial, grid), build_u(cfg.velocity, grid), 0.0)
     # the columns step() transforms, and the band
     cols, mask = (grid.half.kept_cols, grid.half.mask) if cfg.sim.dealias else (None, 1.0)
-    state = SimState.from_hats(grid, tuple((c * mask)[:, :cols] for c in state.hats), state.t)
+    state = SimState.from_hats(grid, np.stack([(c * mask)[:, :cols] for c in state.hats]), state.t)
 
     s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, cfg.potential, state.phi, cfg.checks.s_range)
     params = replace(cfg.sim, stabilizer=s_value)
@@ -371,12 +445,14 @@ def trajectory(cfg: "SimConfig", *, force: bool = False, initial_state: SimState
 
 def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, params: SimParams,
             state: SimState, validated: tuple[float, float]) -> "Iterator[tuple]":
-    """The frames of ``trajectory``: h(t^n) is asked of the forcing once
-    before the step-0 record and once at the top of every step."""
+    """The frames of ``trajectory``: step i ends at t0 + i dt, t0 being the
+    initial state's t; h(t^n) is asked of the forcing once before the step-0
+    record and once at the top of every step."""
     potential, every = cfg.potential, cfg.output.record_every
     n_steps = int(round(params.t_end / params.dt))
-    mass0 = float(np.mean(state.phi.values))
-    h, rec = cfg.forcing.field_at(kernel.grid, 0.0), None
+    mass0, t0 = float(np.mean(state.phi.values)), state.t
+    h, rec = cfg.forcing.field_at(kernel.grid, t0), None
+    ops = _operators(kernel, params)
     for i in range(n_steps + 1):
         if i:
             h = cfg.forcing.field_at(kernel.grid, state.t)
@@ -384,13 +460,14 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
                 state = step(state, params, kernel, potential, h)
             except BlowUpError as err:
                 raise BlowUpError(str(err), step=i, last_record=rec) from None
-            state.t = i * params.dt  # not a running sum: no round-off builds up in t
+            state.t = t0 + i * params.dt  # not a running sum: no round-off builds up in t
         if i % every and i < n_steps:
             yield i, state, None, h, []
             continue
-        fp_hat = np.fft.rfft2(eval_df(potential, state.phi.values))
+        fp_hat = _fp_hat(ops.work, potential, state.phi.values)
+        mu = mu_hat(ops.a_minus_j, state.hats[0], fp_hat, work=ops.work.rows[0])
         new = diagnostics.make_record(
-            state, mu_hat(kernel, state.hats[0], fp_hat), kernel, potential, params.nu, report.beta,
+            state, mu, kernel, potential, params.nu, report.beta,
             forcing_power=(inner(h, state.u) if h is not None else 0.0), prev=rec,
         )
         found = _audit_record(cfg, report, state, new, i, mass0)
@@ -404,7 +481,6 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
                     f"solution range [{lo:.3g}, {hi:.3g}] needs stabilizer {needed:.3g} "
                     f"> configured {params.stabilizer:.3g}", step=i, last_record=rec)
             validated = wider
-        del fp_hat  # not held in this frame through the next step
         rec = new
         yield i, state, rec, h, found
 

@@ -26,9 +26,10 @@ Conventions
   dot product of |f^|^2 (``power``) with a weight array built once
   (``Grid.half.weight``, ``Grid.half.weight_k2``).
 
-All functions are pure; fields are treated as immutable values.  Grids cache
-their operator arrays lazily, which is safe under concurrent use (idempotent
-dict writes of immutable arrays).
+All functions are pure apart from the ``out`` and ``work`` buffers they are
+given; fields are treated as immutable values.  Grids cache their operator
+arrays lazily, which is safe under concurrent use (idempotent dict writes of
+immutable arrays).
 """
 
 from __future__ import annotations
@@ -218,22 +219,39 @@ def resample(f: ScalarField, new_grid: Grid) -> ScalarField:
 # ---------------------------------------------------------------------------
 # calculus
 
-def rfft2_cols(values: np.ndarray, c: int) -> np.ndarray:
+def rfft2_cols(values: np.ndarray, c: int, out: np.ndarray | None = None,
+               rows: np.ndarray | None = None) -> np.ndarray:
     """rfft2(values)[..., :c], bit-identically, with the column FFTs cut to
-    c; leading axes stack fields, each transformed as if alone."""
-    return np.fft.fftn(np.fft.rfftn(values, axes=(-1,))[..., :c], axes=(-2,))
+    c; leading axes stack fields, each transformed as if alone.  The row
+    pass goes to ``rows`` (shape values.shape[:-1] + (n//2 + 1,)) and the
+    column pass to ``out``, each allocated when None; c = n//2 + 1 gives the
+    whole rfft2."""
+    rows = np.fft.rfft(values, axis=-1, out=rows)
+    return np.fft.fft(rows[..., :c], axis=-2, out=out)
 
 
-def irfft2_cols(grid: Grid, c_hat: np.ndarray) -> np.ndarray:
+def irfft2_cols(grid: Grid, c_hat: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Samples from rfft2 coefficients on the first columns, the rest zero;
-    leading axes stack fields, each transformed bit-identically as if alone."""
-    return np.fft.irfft2(c_hat, s=(grid.n, grid.n))
+    leading axes stack fields, each transformed bit-identically as if alone.
+    The column pass goes to ``work`` (c_hat itself may be given) and the row
+    pass to ``out``, each allocated when None.  These are irfft2's own two
+    passes, called apart because numpy's irfft2 does not write its ``out``."""
+    return np.fft.irfft(np.fft.ifft(c_hat, axis=-2, out=work), grid.n, axis=-1, out=out)
 
 
-def rgradient(grid: Grid, f_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of grad f from the first columns of its coefficients: two irfft2."""
+def rgradient(grid: Grid, f_hat: np.ndarray, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+    """Samples of grad f, stacked (2, n, n), from the first columns of its
+    coefficients in one stacked inverse transform.  ``work`` (2,) +
+    f_hat.shape takes ik f^ and then the column pass; its second plane may
+    be f_hat itself, which is then overwritten."""
     h, c = grid.half, f_hat.shape[1]
-    return irfft2_cols(grid, h.ikx[:, :c] * f_hat), irfft2_cols(grid, h.iky[:, :c] * f_hat)
+    if work is None:
+        work = np.empty((2,) + f_hat.shape, dtype=complex)
+    np.multiply(h.ikx[:, :c], f_hat, out=work[0])
+    np.multiply(h.iky[:, :c], f_hat, out=work[1])
+    return irfft2_cols(grid, work, out=out, work=work)
 
 
 def divergence_bound(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> float:
@@ -246,9 +264,12 @@ def divergence_bound(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.vdot(h.weight[:, :c], d)) * grid.n**2 / grid.volume
 
 
-def advect(u: VectorField, grad_f: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Samples of (u . grad) f, a pointwise product with the samples of grad f."""
-    return u.x.values * grad_f[0] + u.y.values * grad_f[1]
+def advect(u: VectorField, grad_f, out: np.ndarray | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
+    """Samples of (u . grad) f, a pointwise product with the samples of grad
+    f; the two products go to ``out`` and ``work``, allocated when None."""
+    ux_fx = np.multiply(u.x.values, grad_f[0], out=out)
+    return np.add(ux_fx, np.multiply(u.y.values, grad_f[1], out=work), out=ux_fx)
 
 
 def leray_project(v: VectorField) -> VectorField:

@@ -122,7 +122,7 @@ def gaussian_image_sum(grid: Grid, sigma: float, strength: float):
 
 def mu_coefficients(kernel: KernelOnGrid, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:
     """rfft2 coefficients of mu for the samples ``phi``, through the solver's ``mu_hat``."""
-    return mu_hat(kernel, np.fft.rfft2(phi), np.fft.rfft2(eval_df(potential, phi)))
+    return mu_hat(kernel.a_minus_j, np.fft.rfft2(phi), np.fft.rfft2(eval_df(potential, phi)))
 
 
 def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:

@@ -45,6 +45,22 @@ class TestEvaluation:
         assert eval_df(spec, s).tobytes() == fresh_df.tobytes()
         assert eval_ddf(spec, s).tobytes() == fresh_ddf.tobytes()
 
+    def test_in_place_horner_is_polyval_bit_for_bit(self):
+        # the step evaluates F' into a workspace plane; polyval is the reference
+        spec = PotentialSpec.polynomial((0.3, -1.0, 0.5, 2.0, 1.5, 0.0, 0.25))
+        s = np.random.default_rng(3).standard_normal((16, 16)) * 2.0
+        s[0, :4] = (-0.0, np.inf, -np.inf, np.nan)
+        for fn, coef in ((eval_f, spec.coefficients), (eval_df, spec.df_coefficients),
+                         (eval_ddf, spec.ddf_coefficients)):
+            out = np.empty_like(s)
+            with np.errstate(invalid="ignore"):
+                want = npoly.polyval(s, coef)
+                assert fn(spec, s, out=out) is out
+                assert out.tobytes() == want.tobytes() == fn(spec, s).tobytes()
+            for x in (-1.5, 0.0, 2):
+                assert fn(spec, x) == npoly.polyval(x, coef)
+                assert np.ndim(fn(spec, x)) == 0
+
     @settings(max_examples=50, deadline=None)
     @given(s=finite_s)
     def test_derivative_matches_finite_differences(self, s):

@@ -51,3 +51,14 @@ def test_state_digest_repeats():
     rows = [[float(v) for v in line.split()] for line in lines[4:]]
     assert len(rows) == 4 and all(len(r) == 13 for r in rows)
     assert [r[0] for r in rows] == [0.0, 0.002, 0.004, 0.005]
+
+
+def test_state_digest_sets_config_lines():
+    # the step's non-default branches, each set on the command line
+    base = ("--config", str(ROOT / "configs" / "gradient_control.cfg"), "--n", "16", "--steps", "3")
+    plain = run_script("state_digest.py", *base).splitlines()
+    for lines in (("dealias=false",), ("force_form = mu_grad_phi",),
+                  ("forcing=single_mode", "forcing.scale=0.3", "forcing.decay=0.5")):
+        out = run_script("state_digest.py", *base, *(a for line in lines for a in ("--set", line)))
+        assert out.splitlines()[0].split()[0] == "phi"
+        assert out.splitlines()[:3] != plain[:3]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, convolve, divergence, full_plane, mu_coefficients, random_field, rel_err
-from nlchns import storage
+from nlchns import solver, storage
 from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import total_energy
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
@@ -45,7 +46,8 @@ DW = PotentialSpec.double_well()
 def count_transforms(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
     """Name and input shape of each numpy.fft transform called from now on."""
     calls = []
-    for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn"):
         def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
@@ -225,6 +227,18 @@ class TestStepCH:
             for _ in range(200):
                 state = SimState(phase_update(state, params, kernel32), state.u, 0.0)
 
+    def test_blow_up_names_the_field(self, kernel32):
+        # one isfinite pass over the new samples; phi is named first
+        g = kernel32.grid
+        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+        nan = vector_from_values(g, np.full((g.n, g.n), np.nan), np.zeros((g.n, g.n)))
+        state = SimState(constant_field(g, 0.2), zero_vector(g), 0.0)
+        with pytest.raises(BlowUpError, match="non-finite values in u$"):
+            step(state, params, kernel32, DW, nan)  # the force reaches u alone
+        state = SimState(constant_field(g, np.nan), zero_vector(g), 0.0)
+        with pytest.raises(BlowUpError, match="non-finite values in phi$"):
+            step(state, params, kernel32, DW, nan)
+
 
 class TestStepNS:
     """The flow half of step() (named after the flow substep it replaced):
@@ -341,24 +355,33 @@ class TestStepCore:
 
     @pytest.mark.parametrize("form, full_inverse", [("phi_grad_mu", 2), ("mu_grad_phi", 1)])
     def test_transforms_per_step(self, kernel32, rng, monkeypatch, form, full_inverse):
-        # full: F'(phi) and grad mu (or mu); on the 11 kept columns: 3
-        # forward (rfftn of the rows, fftn of the kept columns) and 6 inverse
-        # in two stacked calls, (grad phi, omega) and the new (phi, u_x, u_y):
-        # 12 transforms in 11 numpy calls (10 with mu grad phi)
+        # each 2-D transform is a row pass (rfft, irfft) and a column pass
+        # (fft, ifft), called apart so that both write into the workspace.
+        # Full width: F'(phi) forward and grad mu (or mu) inverse; on the 11
+        # kept columns: u . grad phi forward, both momentum right-hand sides
+        # in one stacked forward, and 6 inverse in two stacked calls, (grad
+        # phi, omega) and the new (phi, u_x, u_y): 12 transforms in 12 numpy
+        # calls (11 in 12 with mu grad phi)
         g = kernel32.grid
-        n, full, kept = g.n, (g.n, g.n // 2 + 1), (g.n, g.half.kept_cols)
+        n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0, force_form=form)
         state = SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0)
         state = step(state, params, kernel32, DW)
         calls = count_transforms(monkeypatch)
-        want = Counter({("rfft2", (n, n)): 1, ("rfftn", (n, n)): 3, ("fftn", kept): 3,
-                        ("irfft2", full): full_inverse, ("irfft2", (3,) + kept): 2})
+        grad_mu = (2, n, nh) if full_inverse == 2 else (n, nh)
+        want = Counter({("rfft", (n, n)): 2, ("fft", (n, c)): 1, ("fft", (n, nh)): 1,
+                        ("rfft", (2, n, n)): 1, ("fft", (2, n, c)): 1,
+                        ("ifft", (3, n, c)): 2, ("irfft", (3, n, c)): 2,
+                        ("ifft", grad_mu): 1, ("irfft", grad_mu): 1})
         step(state, params, kernel32, DW, ForcingSpec().field_at(g, state.t))
         assert Counter(calls) == want
+        transforms = sum(np.prod(shape[:-2], dtype=int) for name, shape in calls if name in ("rfft", "ifft"))
+        assert transforms == 10 + full_inverse
         calls.clear()
+        # a force adds one stacked kept-column forward transform
         h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
         step(state, params, kernel32, DW, h)
-        assert Counter(calls) == want + Counter({("rfftn", (n, n)): 2, ("fftn", kept): 2})
+        assert Counter(calls) == want + Counter({("rfft", (2, n, n)): 1, ("fft", (2, n, c)): 1})
         calls.clear()
         # a state built from samples takes the rfft2 of phi, u_x and u_y
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
@@ -393,33 +416,36 @@ class TestStepCore:
             calls.clear()
             run(replace(cfg, sim=replace(cfg.sim, t_end=steps * cfg.sim.dt),
                         output=OutputConfig(record_every=every)))
-            # complex transforms run only on the kept columns: no (n, n) one
+            # complex transforms run only on half-plane columns, kept or
+            # all n//2 + 1: none on a full (n, n) plane
             n = cfg.grid.n
-            assert {shape for name, shape in calls if name in ("fft2", "ifft2", "fftn", "ifftn")
-                    } <= {(n, n // 3 + 1)}
+            assert {shape[-1] for name, shape in calls if name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+                    } <= {n // 3 + 1, n // 2 + 1}
             return Counter(name for name, _ in calls)
 
         def minus(a, b):
             return {k: a[k] - b[k] for k in a.keys() | b.keys() if a[k] != b[k]}
 
         every = counts(10, 1)
-        assert minus(every, counts(10, 10)) == {"rfft2": 9}  # 9 more records
-        # a step and its record: 13 transforms in 12 numpy calls, 3 of them
-        # forward on the kept columns and 6 inverse in 2 stacked calls
-        assert minus(every, counts(0, 1)) == {"rfft2": 10 * 2, "irfft2": 10 * 4,
-                                              "rfftn": 10 * 3, "fftn": 10 * 3}
+        assert minus(every, counts(10, 10)) == {"rfft": 9, "fft": 9}  # 9 more records
+        # a step and its record: 13 transforms in 14 numpy calls, a row and
+        # a column pass each for 4 forward calls (one stacked) and 3 inverse
+        # ones (two stacked)
+        assert minus(every, counts(0, 1)) == {"rfft": 10 * 4, "fft": 10 * 4,
+                                              "ifft": 10 * 3, "irfft": 10 * 3}
 
     @pytest.mark.parametrize("velocity", [VelocitySpec(family="zero"),
                                           VelocitySpec(family="taylor_green", amplitude=0.7)])
     def test_transforms_at_set_up(self, monkeypatch, velocity):
         # the kernel's multiplier, the initial state's 3 coefficient arrays,
-        # its band cut and the first record: the velocity is built
+        # its band cut and the first record's F'(phi): the velocity is built
         # divergence-free, so set-up projects nothing
         cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=0.0), velocity=velocity)
-        n = cfg.grid.n
+        n, kept = cfg.grid.n, (3, cfg.grid.n, cfg.grid.n // 3 + 1)
         calls = count_transforms(monkeypatch)
         run(cfg)
-        assert Counter(calls) == Counter({("rfft2", (n, n)): 5, ("irfft2", (3, n, n // 3 + 1)): 1})
+        assert Counter(calls) == Counter({("rfft2", (n, n)): 4, ("ifft", kept): 1, ("irfft", kept): 1,
+                                          ("rfft", (n, n)): 1, ("fft", (n, n // 2 + 1)): 1})
 
     def test_one_projection_matches_split_projection(self, kernel32, rng):
         # projecting the force before the viscous solve as well as after it
@@ -449,6 +475,74 @@ class TestStepCore:
         want = proj(*sol)
         assert rel_err(out.x.values, want.x.values) < 1e-12
         assert rel_err(out.y.values, want.y.values) < 1e-12
+
+
+def stepped_state(kernel, params, rng, steps: int = 2) -> SimState:
+    """A state on the step's own columns, as run() hands step() its states."""
+    g = kernel.grid
+    u = leray_project(VectorField(random_field(g, rng, band=g.n // 4), random_field(g, rng, band=g.n // 4)))
+    state = SimState(random_field(g, rng, band=g.n // 4), u, 0.0)
+    for _ in range(steps):
+        state = step(state, params, kernel, DW)
+    return state
+
+
+def state_arrays(state: SimState) -> list[np.ndarray]:
+    return [state.phi.values, state.u.x.values, state.u.y.values, *state.hats]
+
+
+class TestWorkspace:
+    """step() writes its intermediates into one workspace per (kernel,
+    params) and allocates only the state it returns, which owns its arrays."""
+
+    params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+
+    @pytest.fixture(scope="class")
+    def kernel128(self):
+        return build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(128, TWO_PI))
+
+    def test_step_allocates_only_the_state_it_returns(self, kernel128, rng):
+        state = stepped_state(kernel128, self.params, rng)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            new = step(state, self.params, kernel128, DW)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        owned = sum(a.nbytes for a in {id(a.base): a.base for a in state_arrays(new)}.values())
+        assert owned == 3 * 128 * 128 * 8 + 3 * 128 * kernel128.grid.half.kept_cols * 16
+        assert peak <= owned + 64 * 1024
+
+    @pytest.mark.parametrize("form", ["phi_grad_mu", "mu_grad_phi"])
+    def test_states_share_no_memory(self, kernel128, rng, form):
+        params = replace(self.params, force_form=form)
+        h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel128.grid, 0.0)
+        first = stepped_state(kernel128, params, rng, steps=1)
+        second = step(first, params, kernel128, DW, h)
+        ws = solver._operators(kernel128, params).work
+        buffers = [ws.real, ws.grad, ws.rows, ws.cols, ws.finite]
+        for a in state_arrays(second):
+            assert not any(np.shares_memory(a, b) for b in state_arrays(first) + buffers)
+        for a in state_arrays(first):
+            assert not any(np.shares_memory(a, b) for b in buffers)
+
+    @pytest.mark.parametrize("form", ["phi_grad_mu", "mu_grad_phi"])
+    def test_fresh_workspace_gives_the_warm_result(self, kernel128, rng, form):
+        # no stale buffer leaks into a result: the warm workspace has just
+        # stepped another state, with a force
+        params = replace(self.params, force_form=form)
+        state = stepped_state(kernel128, params, rng, steps=0)
+        other = stepped_state(kernel128, params, rng, steps=0)
+        h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel128.grid, 0.0)
+        step(other, params, kernel128, DW, h)
+        for forcing in (None, h):
+            warm = step(state, params, kernel128, DW, forcing)
+            fresh = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), kernel128.grid)
+            cold = step(state, params, fresh, DW, forcing)
+            for a, b in zip(state_arrays(warm), state_arrays(cold)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestForcing:
@@ -674,6 +768,19 @@ class TestTrajectory:
         clock = CountingForcing(cfg.forcing)
         run(replace(cfg, forcing=clock))
         assert clock.times == [0.0] + [i * params.dt for i in range(10)]
+
+    def test_step_clock_starts_at_the_initial_state_time(self):
+        # a state handed in at t0 = 0.5: step i ends at t0 + i dt, and the
+        # forcing is still asked once after set-up and once a step
+        cfg = forced_cfg(output=OutputConfig(record_every=1))
+        start = run(replace(cfg, sim=replace(cfg.sim, t_end=0.0))).state
+        clock = CountingForcing(cfg.forcing)
+        res = run(replace(cfg, forcing=clock), initial_state=SimState(start.phi, start.u, 0.5))
+        dt = res.params.dt
+        assert clock.times == [0.5] + [0.5 + i * dt for i in range(10)]
+        assert [r.t for r in res.records] == [0.5 + i * dt for i in range(11)]
+        assert all(r1.t > r0.t for r0, r1 in zip(res.records, res.records[1:]))
+        assert res.state.t == 0.5 + 10 * dt
 
     def test_run_keeps_the_frames_records_and_final_state(self, tmp_path):
         cfg = forced_cfg(output=OutputConfig(record_every=3, snapshot_every=4, out_dir=str(tmp_path)))
