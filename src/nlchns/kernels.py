@@ -20,7 +20,9 @@ Shipped families:
 
 Nonnegativity of the samples is enforced at build time so the interaction
 energy is a true Dirichlet-type form.  Kernel objects are immutable after
-build and safe for concurrent use.
+build, but ``solver.step`` keys a workspace on the kernel that serves one
+trajectory at a time: two threads must not step with one kernel and the
+same parameters at once (``solver.trajectory`` builds a kernel per run).
 """
 
 from __future__ import annotations

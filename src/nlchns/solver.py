@@ -30,12 +30,13 @@ half-plane coefficients of phi, u_x and u_y next to their samples: all
 n//2 + 1 columns when built from samples, which it transforms then, and the
 first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
 dealias on.  ``step`` steps the coefficients it is given.  With zero
-forcing a step takes 12 transforms in 12 numpy calls, each call a row and a
-column pass: 3 full (F'(phi), not band-limited, and grad mu in one stacked
-inverse call) and 9 on the first ``Grid.half.kept_cols`` = n//3 + 1 columns
-(all with dealias off): u . grad phi forward, and both momentum right-hand
-sides in one stacked forward call; grad phi and omega inverse in one
-stacked call, and the new phi, u_x and u_y in another.  mu^ = (a - J^) phi^
+forcing a step takes 12 transforms in 11 numpy calls, a row and a column
+pass each but for F'(phi)'s one rfft2: 3 full (F'(phi), not band-limited,
+and grad mu in one stacked inverse call) and 9 on the first
+``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias off): u . grad
+phi forward, and both momentum right-hand sides in one stacked forward
+call; grad phi and omega inverse in one stacked call, and the new phi, u_x
+and u_y in another.  mu^ = (a - J^) phi^
 + F'(phi)^ reuses the phase solve's F'(phi)^.  A record takes 1 more, the
 forward transform of F'(phi^{n+1}) for its mu^; its norms are read from the
 coefficients by Parseval, and the divergence audit bounds max |div u| by
@@ -329,9 +330,9 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
 
 
 def _fp_hat(work: _Workspace, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:
-    """The rfft2 coefficients of F'(phi), in ``work.rows[1]``."""
-    fp = eval_df(potential, phi, out=work.real[0])
-    return rfft2_cols(fp, work.rows.shape[-1], out=work.rows[1], rows=work.rows[0])
+    """The rfft2 coefficients of F'(phi), in ``work.rows[1]``; numpy's rfft2
+    writes its ``out`` in both passes, the second in place."""
+    return np.fft.rfft2(eval_df(potential, phi, out=work.real[0]), out=work.rows[1])
 
 
 def step(state: SimState, params: SimParams, kernel: KernelOnGrid,

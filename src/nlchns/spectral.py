@@ -225,9 +225,10 @@ def rfft2_cols(values: np.ndarray, c: int, out: np.ndarray | None = None,
     c; leading axes stack fields, each transformed as if alone.  The row
     pass goes to ``rows`` (shape values.shape[:-1] + (n//2 + 1,)) and the
     column pass to ``out``, each allocated when None; c = n//2 + 1 gives the
-    whole rfft2."""
-    rows = np.fft.rfft(values, axis=-1, out=rows)
-    return np.fft.fft(rows[..., :c], axis=-2, out=out)
+    whole rfft2.  Each pass is a one-axis rfftn / fftn, which writes its
+    ``out`` in its one 1-D pass."""
+    rows = np.fft.rfftn(values, axes=(-1,), out=rows)
+    return np.fft.fftn(rows[..., :c], axes=(-2,), out=out)
 
 
 def irfft2_cols(grid: Grid, c_hat: np.ndarray, out: np.ndarray | None = None,
@@ -236,8 +237,10 @@ def irfft2_cols(grid: Grid, c_hat: np.ndarray, out: np.ndarray | None = None,
     leading axes stack fields, each transformed bit-identically as if alone.
     The column pass goes to ``work`` (c_hat itself may be given) and the row
     pass to ``out``, each allocated when None.  These are irfft2's own two
-    passes, called apart because numpy's irfft2 does not write its ``out``."""
-    return np.fft.irfft(np.fft.ifft(c_hat, axis=-2, out=work), grid.n, axis=-1, out=out)
+    passes, called apart as one-axis ifftn / irfftn because numpy's irfft2
+    does not write its ``out`` and a two-axis irfftn allocates its first."""
+    work = np.fft.ifftn(c_hat, axes=(-2,), out=work)
+    return np.fft.irfftn(work, s=(grid.n,), axes=(-1,), out=out)
 
 
 def rgradient(grid: Grid, f_hat: np.ndarray, out: np.ndarray | None = None,

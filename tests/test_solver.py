@@ -355,13 +355,14 @@ class TestStepCore:
 
     @pytest.mark.parametrize("form, full_inverse", [("phi_grad_mu", 2), ("mu_grad_phi", 1)])
     def test_transforms_per_step(self, kernel32, rng, monkeypatch, form, full_inverse):
-        # each 2-D transform is a row pass (rfft, irfft) and a column pass
-        # (fft, ifft), called apart so that both write into the workspace.
+        # F'(phi) is one full rfft2 into the workspace; every other 2-D
+        # transform is a one-axis row pass (rfftn, irfftn) and column pass
+        # (fftn, ifftn), called apart so that both write into the workspace.
         # Full width: F'(phi) forward and grad mu (or mu) inverse; on the 11
         # kept columns: u . grad phi forward, both momentum right-hand sides
         # in one stacked forward, and 6 inverse in two stacked calls, (grad
-        # phi, omega) and the new (phi, u_x, u_y): 12 transforms in 12 numpy
-        # calls (11 in 12 with mu grad phi)
+        # phi, omega) and the new (phi, u_x, u_y): 12 transforms in 11 numpy
+        # calls (11 in 11 with mu grad phi)
         g = kernel32.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0, force_form=form)
@@ -369,19 +370,20 @@ class TestStepCore:
         state = step(state, params, kernel32, DW)
         calls = count_transforms(monkeypatch)
         grad_mu = (2, n, nh) if full_inverse == 2 else (n, nh)
-        want = Counter({("rfft", (n, n)): 2, ("fft", (n, c)): 1, ("fft", (n, nh)): 1,
-                        ("rfft", (2, n, n)): 1, ("fft", (2, n, c)): 1,
-                        ("ifft", (3, n, c)): 2, ("irfft", (3, n, c)): 2,
-                        ("ifft", grad_mu): 1, ("irfft", grad_mu): 1})
+        want = Counter({("rfft2", (n, n)): 1, ("rfftn", (n, n)): 1, ("fftn", (n, c)): 1,
+                        ("rfftn", (2, n, n)): 1, ("fftn", (2, n, c)): 1,
+                        ("ifftn", (3, n, c)): 2, ("irfftn", (3, n, c)): 2,
+                        ("ifftn", grad_mu): 1, ("irfftn", grad_mu): 1})
         step(state, params, kernel32, DW, ForcingSpec().field_at(g, state.t))
         assert Counter(calls) == want
-        transforms = sum(np.prod(shape[:-2], dtype=int) for name, shape in calls if name in ("rfft", "ifft"))
+        transforms = sum(np.prod(shape[:-2], dtype=int) for name, shape in calls
+                         if name in ("rfft2", "rfftn", "ifftn"))
         assert transforms == 10 + full_inverse
         calls.clear()
         # a force adds one stacked kept-column forward transform
         h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
         step(state, params, kernel32, DW, h)
-        assert Counter(calls) == want + Counter({("rfft", (2, n, n)): 1, ("fft", (2, n, c)): 1})
+        assert Counter(calls) == want + Counter({("rfftn", (2, n, n)): 1, ("fftn", (2, n, c)): 1})
         calls.clear()
         # a state built from samples takes the rfft2 of phi, u_x and u_y
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
@@ -416,23 +418,26 @@ class TestStepCore:
             calls.clear()
             run(replace(cfg, sim=replace(cfg.sim, t_end=steps * cfg.sim.dt),
                         output=OutputConfig(record_every=every)))
-            # complex transforms run only on half-plane columns, kept or
-            # all n//2 + 1: none on a full (n, n) plane
-            n = cfg.grid.n
-            assert {shape[-1] for name, shape in calls if name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
-                    } <= {n // 3 + 1, n // 2 + 1}
+            # complex transforms run only on the kept columns, but for the
+            # stacked grad mu pair of each step on all n//2 + 1: none on a
+            # full (n, n) plane
+            n, grad_mu = cfg.grid.n, (2, cfg.grid.n, cfg.grid.n // 2 + 1)
+            shapes = Counter(shape for name, shape in calls
+                             if name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"))
+            assert shapes.pop(grad_mu, 0) == steps
+            assert {shape[-2:] for shape in shapes} <= {(n, n // 3 + 1)}
             return Counter(name for name, _ in calls)
 
         def minus(a, b):
             return {k: a[k] - b[k] for k in a.keys() | b.keys() if a[k] != b[k]}
 
         every = counts(10, 1)
-        assert minus(every, counts(10, 10)) == {"rfft": 9, "fft": 9}  # 9 more records
-        # a step and its record: 13 transforms in 14 numpy calls, a row and
-        # a column pass each for 4 forward calls (one stacked) and 3 inverse
-        # ones (two stacked)
-        assert minus(every, counts(0, 1)) == {"rfft": 10 * 4, "fft": 10 * 4,
-                                              "ifft": 10 * 3, "irfft": 10 * 3}
+        assert minus(every, counts(10, 10)) == {"rfft2": 9}  # 9 more records
+        # a step and its record: 13 transforms in 12 numpy calls, 2 rfft2 of
+        # F'(phi), and a row and a column pass each for 2 kept-column
+        # forward calls (one stacked) and 3 inverse ones (two stacked)
+        assert minus(every, counts(0, 1)) == {"rfft2": 10 * 2, "rfftn": 10 * 2, "fftn": 10 * 2,
+                                              "ifftn": 10 * 3, "irfftn": 10 * 3}
 
     @pytest.mark.parametrize("velocity", [VelocitySpec(family="zero"),
                                           VelocitySpec(family="taylor_green", amplitude=0.7)])
@@ -444,8 +449,7 @@ class TestStepCore:
         n, kept = cfg.grid.n, (3, cfg.grid.n, cfg.grid.n // 3 + 1)
         calls = count_transforms(monkeypatch)
         run(cfg)
-        assert Counter(calls) == Counter({("rfft2", (n, n)): 4, ("ifft", kept): 1, ("irfft", kept): 1,
-                                          ("rfft", (n, n)): 1, ("fft", (n, n // 2 + 1)): 1})
+        assert Counter(calls) == Counter({("rfft2", (n, n)): 5, ("ifftn", kept): 1, ("irfftn", kept): 1})
 
     def test_one_projection_matches_split_projection(self, kernel32, rng):
         # projecting the force before the viscous solve as well as after it
