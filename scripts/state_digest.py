@@ -12,9 +12,22 @@ comparison.  ``--set key=value`` (repeatable) appends a line to the config
 before it is parsed, so that one command can fingerprint a branch the
 shipped configs leave at its default.
 
+``--save run.npz`` keeps the final samples and the record rows;
+``--against run.npz`` then prints, for a run of the same shape, one line
+``rel <name> <relative> <difference> <scale>`` each for phi, u_x, u_y and
+every record column: the largest difference from the saved run (max norm),
+the largest magnitude in the saved run, and their ratio.  So a change meant
+to move results by round-off only is sized with one command per checkout;
+a column that is itself round-off around zero (the mass of mean-zero data)
+shows it by its scale.
+
     PYTHONPATH=src python scripts/state_digest.py --config configs/spinodal.cfg --n 64 --steps 60
     PYTHONPATH=src python scripts/state_digest.py --config configs/gradient_control.cfg \
         --n 32 --steps 60 --set forcing=single_mode --set forcing.scale=0.3 --set forcing.decay=0.5
+    PYTHONPATH=src python scripts/state_digest.py --config configs/spinodal.cfg --n 64 \
+        --steps 2000 --save before.npz        # in one checkout, then in the other:
+    PYTHONPATH=src python scripts/state_digest.py --config configs/spinodal.cfg --n 64 \
+        --steps 2000 --against before.npz
 """
 
 import argparse
@@ -24,6 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from nlchns.config import parse_config
+from nlchns.diagnostics import COLUMNS
 from nlchns.initialdata import build_phi, build_u
 from nlchns.solver import SimState, run
 from nlchns.spectral import Grid
@@ -31,6 +45,13 @@ from nlchns.spectral import Grid
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def difference(got: np.ndarray, want: np.ndarray) -> tuple[float, float, float]:
+    """(max |got - want| / max |want|, max |got - want|, max |want|); the
+    ratio is 0 when equal and inf when only want is 0."""
+    diff, scale = float(np.max(np.abs(got - want))), float(np.max(np.abs(want)))
+    return (diff / scale if scale > 0 else (0.0 if diff == 0 else float("inf"))), diff, scale
 
 
 def main():
@@ -46,6 +67,9 @@ def main():
                     help="also print every record row, each value with all its digits")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="append the config line 'KEY = VALUE' before parsing (repeatable)")
+    ap.add_argument("--save", metavar="FILE.npz", help="save the final samples and record rows")
+    ap.add_argument("--against", metavar="FILE.npz",
+                    help="print the max relative difference from a run saved with --save")
     args = ap.parse_args()
     for line in args.set:
         if "=" not in line:
@@ -70,6 +94,20 @@ def main():
     if args.rows:
         for row in rows:
             print(" ".join(repr(float(v)) for v in row))
+
+    fields = {"phi": res.state.phi.values, "u_x": res.state.u.x.values, "u_y": res.state.u.y.values}
+    if args.save:
+        np.savez(args.save, records=rows, **fields)
+    if args.against:
+        with np.load(args.against) as saved:
+            want = {name: saved[name] for name in saved.files}
+        for name, got in (*fields.items(), ("records", rows)):
+            if got.shape != want[name].shape:
+                ap.error(f"{name} has shape {got.shape} here and {want[name].shape} in {args.against}")
+        pairs = [*fields.items(), *((name, rows[:, j]) for j, name in enumerate(COLUMNS))]
+        wanted = [*(want[name] for name in fields), *want["records"].T]
+        for (name, got), ref in zip(pairs, wanted):
+            print(f"rel {name} " + " ".join(f"{v:.3e}" for v in difference(got, ref)))
 
 
 if __name__ == "__main__":

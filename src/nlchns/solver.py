@@ -9,7 +9,7 @@ linearly implicit: the phase update treats the convex part (a + S) phi
 implicitly and the rest explicitly with a stabilizer S >= max|F''|/2,
 
     (phi^+ - phi)/dt = -|k|^2 [ (a+S) phi^+ - S phi + (F'(phi))^ - J^ phi^ ]
-                       - ((u . grad) phi)^,
+                       - i k . (u phi)^,
 
 so each mode solves a scalar equation and the phase energy decays per step;
 the velocity update is implicit in the viscosity, explicit in the capillary
@@ -17,8 +17,9 @@ force at (phi^n, mu^n) and in the self-advection in rotational form
 omega (u_y, -u_x), omega = curl u (the Leray projection that follows removes
 the rest, -grad |u|^2/2).  Products are formed pointwise and 2/3-dealiased in
 the state's band K (n >= 3K + 1), so none aliases into a kept mode: advection
-identities are exact and the rotational form gives the convective result to
-round-off (undealiased they alias apart; omega (u_y, -u_x) . u = 0 either way).
+identities are exact, and the divergence and rotational forms give the
+convective results to round-off (undealiased they alias apart; omega (u_y,
+-u_x) . u = 0 either way).
 The k = 0 row of the phase update is copied through: mass is kept to the bit.
 
 ``step`` is the only implementation of the scheme.  ``trajectory`` sets a
@@ -29,16 +30,19 @@ frames and writes the records and snapshots.  A state carries the rfft2
 half-plane coefficients of phi, u_x and u_y next to their samples: all
 n//2 + 1 columns when built from samples, which it transforms then, and the
 first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
-dealias on.  ``step`` steps the coefficients it is given.  With zero
-forcing a step takes 12 transforms in 11 numpy calls, a row and a column
-pass each but for F'(phi)'s one rfft2: 3 full (F'(phi), not band-limited,
-and grad mu in one stacked inverse call) and 9 on the first
-``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias off): u . grad
-phi forward, and both momentum right-hand sides in one stacked forward
-call; grad phi and omega inverse in one stacked call, and the new phi, u_x
-and u_y in another.  mu^ = (a - J^) phi^
-+ F'(phi)^ reuses the phase solve's F'(phi)^.  A record takes 1 more, the
-forward transform of F'(phi^{n+1}) for its mu^; its norms are read from the
+dealias on.  ``step`` steps the coefficients it is given.  The transport
+is taken in divergence form, ik . (u phi)^ (``spectral.flux_divergence``),
+the weak form's (u, phi grad psi), which equals u . grad phi because
+div u = 0.  With zero forcing a step takes 11 transforms in 11 numpy
+calls, a row and a column pass each but for F'(phi)'s one rfft2: 3 full
+(F'(phi), not band-limited, and grad mu in one stacked inverse call) and 8
+on the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias
+off): u phi and both momentum right-hand sides forward, in two stacked
+calls; omega inverse, and the new phi, u_x and u_y in one stacked call.
+mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
+takes 1 transform, the forward transform of F'(phi^{n+1}) for its mu^, and
+leaves F'(phi)^ and mu^ in the workspace, where the next step finds them:
+a recorded step is 11 transforms too.  A record's norms are read from the
 coefficients by Parseval, and the divergence audit bounds max |div u| by
 the coefficients' absolute sum.  The Leray projector P is applied once: it
 is linear, idempotent and commutes with the mode-diagonal viscous solve D,
@@ -71,8 +75,8 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    advect,
     divergence_bound,
+    flux_divergence,
     inner,
     irfft2_cols,
     rfft2_cols,
@@ -232,33 +236,39 @@ class ForcingSpec:
 # pointwise operators
 
 def mu_hat(a_minus_j: np.ndarray, phi_hat: np.ndarray, fp_hat: np.ndarray,
-           work: np.ndarray | None = None) -> np.ndarray:
-    """rfft2 coefficients of mu, (a - J^) phi^ + F'^, written over ``fp_hat``
-    (those of F'(phi)) from the first columns of phi^ (the rest zero);
-    ``a_minus_j`` is a - J^ on the half plane, and the product goes to the
-    first columns of ``work``, (n, n//2 + 1), allocated when None."""
+           out: np.ndarray | None = None) -> np.ndarray:
+    """rfft2 coefficients of mu, (a - J^) phi^ + F'^, from those of F'(phi)
+    and the first columns of phi^ (the rest zero); ``a_minus_j`` is a - J^
+    on the half plane, and ``out`` (allocated when None) takes the result,
+    ``fp_hat`` left as it is."""
     c = phi_hat.shape[1]
-    product = np.multiply(a_minus_j[:, :c], phi_hat, out=None if work is None else work[:, :c])
-    np.add(fp_hat[:, :c], product, out=fp_hat[:, :c])
-    return fp_hat
+    if out is None:
+        out = np.empty_like(fp_hat)
+    product = np.multiply(a_minus_j[:, :c], phi_hat, out=out[:, :c])
+    np.add(fp_hat[:, :c], product, out=product)
+    out[:, c:] = fp_hat[:, c:]
+    return out
 
 
-def capillary_force(form: str, grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, grad_phi,
+def capillary_force(form: str, grid: Grid, phi: np.ndarray, phi_hat: np.ndarray, mu_hat: np.ndarray,
                     out: np.ndarray | None = None, work: np.ndarray | None = None,
                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Samples of the coupling force, stacked (2, n, n), from mu's
-    coefficients: -phi grad mu (weak form) takes one stacked inverse
-    transform of grad mu, mu grad phi one of mu (grad phi is in hand, and
-    ``out`` may be it).  The two differ by the gradient grad(phi mu), which
-    the Leray projection removes up to aliasing.  ``work`` is a (2,) +
-    mu_hat.shape complex buffer whose second plane may be mu_hat itself,
-    then overwritten; ``scratch`` an (n, n) one; all allocated when None."""
+    coefficients and phi's samples and first coefficient columns: -phi grad
+    mu (weak form) takes one stacked inverse transform of grad mu, mu grad
+    phi one of mu and one stacked kept-column inverse of grad phi.  The two
+    differ by the gradient grad(phi mu), which the Leray projection removes
+    up to aliasing.  ``work`` is a (2,) + mu_hat.shape complex buffer whose
+    second plane may be mu_hat itself, then overwritten; ``scratch`` an
+    (n, n) one; all allocated when None."""
     if form == "phi_grad_mu":
         grad_mu = rgradient(grid, mu_hat, out=out, work=work)
         return np.multiply(grad_mu, np.negative(phi, out=scratch), out=grad_mu)
     if form == "mu_grad_phi":
         mu = irfft2_cols(grid, mu_hat, out=scratch, work=None if work is None else work[1])
-        return np.multiply(grad_phi, mu, out=out)
+        c = phi_hat.shape[1]
+        grad_phi = rgradient(grid, phi_hat, out=out, work=None if work is None else work[..., :c])
+        return np.multiply(grad_phi, mu, out=grad_phi)
     raise ValueError(f"unknown coupling force form {form!r}")
 
 
@@ -270,23 +280,27 @@ class _Workspace:
     every intermediate here, so that a step allocates only the state it
     returns.  Buffers whose lifetimes do not overlap share memory:
 
-    * ``real``: two (n, n) sample planes (F'(phi), u . grad phi, -phi and
-      the products of omega);
-    * ``grad``: grad phi and omega, (3, n, n); the first two planes then take
-      the capillary force, the momentum right-hand side and the forcing;
-    * ``rows``: row transforms, (2, n, n//2 + 1); ``rows[1]`` also holds
-      F'(phi)^, then mu^, then the coefficients of grad mu with ``rows[0]``;
+    * ``real``: two (n, n) sample planes (F'(phi), -phi or mu, the products
+      of omega, then u phi), the second holding omega until the flow's
+      right-hand side is complete;
+    * ``grad``: (2, n, n), the capillary force, the momentum right-hand side,
+      then the forcing;
+    * ``rows``: (2, n, n//2 + 1), F'(phi)^ and mu^, then row transforms and
+      the coefficients of grad mu;
     * ``cols``: coefficients on the columns the step keeps, (3, n, c);
-    * ``finite``: the isfinite mask of a new state's samples."""
+    * ``finite``: the isfinite mask of a new state's samples;
+    * ``holder``: whose F'(phi)^ and mu^ ``rows`` holds, (a weak reference
+      to the state, the potential), or None once a step has overwritten them."""
 
-    __slots__ = ("real", "grad", "rows", "cols", "finite")
+    __slots__ = ("real", "grad", "rows", "cols", "finite", "holder")
 
     def __init__(self, n: int, c: int):
         self.real = np.empty((2, n, n))
-        self.grad = np.empty((3, n, n))
+        self.grad = np.empty((2, n, n))
         self.rows = np.empty((2, n, n // 2 + 1), dtype=complex)
         self.cols = np.empty((3, n, c), dtype=complex)
         self.finite = np.empty((3, n, n), dtype=bool)
+        self.holder = None
 
 
 class _Operators(NamedTuple):
@@ -329,10 +343,22 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
     return per_kernel[key]
 
 
-def _fp_hat(work: _Workspace, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:
-    """The rfft2 coefficients of F'(phi), in ``work.rows[1]``; numpy's rfft2
-    writes its ``out`` in both passes, the second in place."""
-    return np.fft.rfft2(eval_df(potential, phi, out=work.real[0]), out=work.rows[1])
+def _chemical_hats(ops: _Operators, potential: PotentialSpec, state: SimState
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft2 coefficients of F'(phi) and of mu for ``state``, from its
+    first ``ops`` columns of phi^, in ``ops.work.rows``: those already there
+    when the workspace holds them for this state and potential (a record
+    leaves them for the next step), else computed, the F'(phi) samples in
+    ``ops.work.real[0]``.  numpy's rfft2 writes its ``out`` in both passes,
+    the second in place."""
+    ws = ops.work
+    fp, mu = ws.rows
+    held = ws.holder
+    if held is None or held[0]() is not state or held[1] != potential:
+        np.fft.rfft2(eval_df(potential, state.phi.values, out=ws.real[0]), out=fp)
+        mu_hat(ops.a_minus_j, state.hats[0][:, :ops.keep.shape[1]], fp, out=mu)
+        ws.holder = (weakref.ref(state), potential)
+    return fp, mu
 
 
 def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
@@ -340,42 +366,43 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
     capillary force at (phi^n, mu^n); ``forcing`` is h(t^n), or None for zero.
     Steps the state's coefficients as given and keeps mean(phi) exactly.
-    Every intermediate goes to the (kernel, params) workspace; the new state
-    owns a fresh coefficient block and a fresh sample block."""
+    Every intermediate goes to the (kernel, params) workspace, F'(phi)^ and
+    mu^ too, or they are taken from it when a record of this state left them
+    there; the new state owns a fresh coefficient block and a fresh sample
+    block."""
     g, ops = state.phi.grid, _operators(kernel, params)
     ws, c, inv_dt = ops.work, ops.keep.shape[1], 1.0 / params.dt
-    rows, cols, grad, (s1, s2) = ws.rows, ws.cols, ws.grad, ws.real
+    rows, cols, rhs, (s1, omega) = ws.rows, ws.cols, ws.grad, ws.real
     ikx, iky = g.half.ikx[:, :c], g.half.iky[:, :c]
     phi, u = state.phi.values, state.u
     phi_hat, ux_hat, uy_hat = (a[:, :c] for a in state.hats)
     new = np.empty((3, g.n, c), dtype=complex)
+    fp_hat, mu = _chemical_hats(ops, potential, state)
+    ws.holder = None  # the row transforms below overwrite both
 
-    # grad phi and omega = curl u in one inverse transform
-    np.multiply(ikx, phi_hat, out=cols[0])
-    np.multiply(iky, phi_hat, out=cols[1])
-    np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
-    np.add(np.multiply(ikx, uy_hat, out=rows[0, :, :c]), cols[2], out=cols[2])
-    irfft2_cols(g, cols, out=grad, work=cols)
-    grad_phi, omega = grad[:2], grad[2]
-
-    # phase
-    adv_hat = rfft2_cols(advect(u, grad_phi, out=s1, work=s2), c, out=cols[0], rows=rows[0])
-    fp_hat = _fp_hat(ws, potential, phi)
+    # phase, up to the transport
     np.multiply(ops.keep, phi_hat, out=new[0])
     np.subtract(new[0], np.multiply(ops.k2, fp_hat[:, :c], out=cols[1]), out=new[0])
-    np.multiply(np.subtract(new[0], adv_hat, out=new[0]), ops.solve, out=new[0])
-    new[0, 0, 0] = phi_hat[0, 0]
 
-    # flow: capillary force plus omega (u_y, -u_x), one stacked transform
-    mu = mu_hat(ops.a_minus_j, state.hats[0], fp_hat, work=rows[0])
-    rhs = capillary_force(params.force_form, g, phi, mu, grad_phi, out=grad_phi, work=rows, scratch=s1)
+    # flow: capillary force plus omega (u_y, -u_x), omega = curl u in one
+    # inverse transform; the right-hand sides in one stacked transform
+    np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
+    np.add(np.multiply(ikx, uy_hat, out=cols[1]), cols[2], out=cols[2])
+    irfft2_cols(g, cols[2], out=omega, work=cols[2])
+    capillary_force(params.force_form, g, phi, phi_hat, mu, out=rhs, work=rows, scratch=s1)
     np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
     np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
     bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
+
+    # phase: the transport div(u phi); the new state's u^ planes are free
+    # until the flow solve below
+    adv_hat = flux_divergence(u, phi, c, out=new[1:], products=ws.real, rows=rows)
+    np.multiply(np.subtract(new[0], adv_hat, out=new[0]), ops.solve, out=new[0])
+    new[0, 0, 0] = phi_hat[0, 0]
+
     np.add(bx, np.multiply(ux_hat, inv_dt, out=cols[2]), out=bx)
     np.add(by, np.multiply(uy_hat, inv_dt, out=cols[2]), out=by)
     if forcing is not None:
-        # the new state's u^ planes are free until the solve below
         h = np.stack((forcing.x.values, forcing.y.values), out=rhs)
         np.add(b, rfft2_cols(h, c, out=new[1:], rows=rows), out=b)
     np.add(np.multiply(ops.wxx, bx, out=new[1]), np.multiply(ops.wxy, by, out=cols[2]), out=new[1])
@@ -465,8 +492,7 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
         if i % every and i < n_steps:
             yield i, state, None, h, []
             continue
-        fp_hat = _fp_hat(ops.work, potential, state.phi.values)
-        mu = mu_hat(ops.a_minus_j, state.hats[0], fp_hat, work=ops.work.rows[0])
+        _, mu = _chemical_hats(ops, potential, state)  # the next step's too
         new = diagnostics.make_record(
             state, mu, kernel, potential, params.nu, report.beta,
             forcing_power=(inner(h, state.u) if h is not None else 0.0), prev=rec,

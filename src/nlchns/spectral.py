@@ -267,12 +267,22 @@ def divergence_bound(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.vdot(h.weight[:, :c], d)) * grid.n**2 / grid.volume
 
 
-def advect(u: VectorField, grad_f, out: np.ndarray | None = None,
-           work: np.ndarray | None = None) -> np.ndarray:
-    """Samples of (u . grad) f, a pointwise product with the samples of grad
-    f; the two products go to ``out`` and ``work``, allocated when None."""
-    ux_fx = np.multiply(u.x.values, grad_f[0], out=out)
-    return np.add(ux_fx, np.multiply(u.y.values, grad_f[1], out=work), out=ux_fx)
+def flux_divergence(u: VectorField, f: np.ndarray, c: int, out: np.ndarray | None = None,
+                    products: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
+    """rfft2 coefficients of div(u f) on the first c columns, ikx (u_x f)^ +
+    iky (u_y f)^, from the samples of u and f: the transport term in
+    divergence form, equal to (u . grad) f when div u = 0.  The products go
+    to ``products`` (2, n, n) and take one stacked forward transform, its
+    row pass to ``rows`` (2, n, n//2 + 1) and its column pass to ``out``
+    (2, n, c); each is allocated when None, and the result is ``out[0]``."""
+    h = u.grid.half
+    if products is None:
+        products = np.empty((2,) + f.shape)
+    np.multiply(u.x.values, f, out=products[0])
+    np.multiply(u.y.values, f, out=products[1])
+    fx, fy = flux = rfft2_cols(products, c, out=out, rows=rows)
+    np.multiply(h.ikx[:, :c], fx, out=fx)
+    return np.add(fx, np.multiply(h.iky[:, :c], fy, out=fy), out=flux[0])
 
 
 def leray_project(v: VectorField) -> VectorField:

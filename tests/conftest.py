@@ -70,6 +70,12 @@ def rdivergence(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(h.ikx[:, :c] * x_hat + h.iky[:, :c] * y_hat, s=(grid.n, grid.n))
 
 
+def advect(u: VectorField, grad_f) -> np.ndarray:
+    """Samples of (u . grad) f, the pointwise product with the samples of
+    grad f: the convective form of the transport."""
+    return u.x.values * grad_f[0] + u.y.values * grad_f[1]
+
+
 def gradient(f: ScalarField) -> VectorField:
     return vector_from_values(f.grid, *rgradient(f.grid, np.fft.rfft2(f.values)))
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -62,3 +64,33 @@ def test_state_digest_sets_config_lines():
         out = run_script("state_digest.py", *base, *(a for line in lines for a in ("--set", line)))
         assert out.splitlines()[0].split()[0] == "phi"
         assert out.splitlines()[:3] != plain[:3]
+
+
+def test_state_digest_against_a_saved_run(tmp_path):
+    base = ("--config", str(ROOT / "configs" / "gradient_control.cfg"), "--n", "16", "--steps", "5")
+    saved = str(tmp_path / "run.npz")
+    digest = run_script("state_digest.py", *base, "--save", saved).splitlines()
+    names = ["phi", "u_x", "u_y", "t", "mass", "kinetic", "interaction", "bulk", "total_energy",
+             "grad_u_sq", "grad_mu_sq", "forcing_power", "identity_residual", "grad_control_margin",
+             "phi_min", "phi_max"]
+
+    def rel(*extra):
+        lines = run_script("state_digest.py", *base, *extra, "--against", saved).splitlines()
+        parsed = [line.split()[1:] for line in lines if line.startswith("rel ")]
+        assert [fields[0] for fields in parsed] == names
+        # the ratio of the difference to the scale
+        for _, ratio, diff, scale in parsed:
+            want = float(diff) / float(scale) if float(scale) else 0.0
+            assert float(ratio) == pytest.approx(want, rel=1e-2)
+        return lines[:4], {name: float(ratio) for name, ratio, *_ in parsed}
+
+    same_digest, same = rel()
+    assert same_digest == digest and set(same.values()) == {0.0}
+    _, moved = rel("--set", "force_form = mu_grad_phi")
+    assert all(0.0 < moved[name] < float("inf") for name in ("phi", "u_x", "u_y", "kinetic"))
+    assert moved["t"] == 0.0
+    # a run of another shape is refused
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "state_digest.py"), *base[:-1], "6", "--against", saved],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and "records has shape (7, 13) here and (6, 13)" in proc.stderr

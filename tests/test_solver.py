@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, convolve, divergence, full_plane, mu_coefficients, random_field, rel_err
+from conftest import (
+    TWO_PI, advect, convolve, divergence, full_plane, mu_coefficients, random_field, rel_err,
+)
 from nlchns import solver, storage
 from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import total_energy
@@ -29,7 +31,6 @@ from nlchns.spectral import (
     Grid,
     ScalarField,
     VectorField,
-    advect,
     constant_field,
     inner,
     leray_project,
@@ -80,8 +81,7 @@ def mu_samples(kernel, phi: ScalarField) -> np.ndarray:
 def force(phi: ScalarField, mu_hat: np.ndarray, form: str = "phi_grad_mu") -> VectorField:
     """The step's capillary force from the samples of phi and the coefficients of mu."""
     g = phi.grid
-    grad_phi = rgradient(g, np.fft.rfft2(phi.values))
-    return vector_from_values(g, *capillary_force(form, g, phi.values, mu_hat, grad_phi))
+    return vector_from_values(g, *capillary_force(form, g, phi.values, np.fft.rfft2(phi.values), mu_hat))
 
 
 class TestChemicalPotential:
@@ -358,27 +358,30 @@ class TestStepCore:
         # F'(phi) is one full rfft2 into the workspace; every other 2-D
         # transform is a one-axis row pass (rfftn, irfftn) and column pass
         # (fftn, ifftn), called apart so that both write into the workspace.
-        # Full width: F'(phi) forward and grad mu (or mu) inverse; on the 11
-        # kept columns: u . grad phi forward, both momentum right-hand sides
-        # in one stacked forward, and 6 inverse in two stacked calls, (grad
-        # phi, omega) and the new (phi, u_x, u_y): 12 transforms in 11 numpy
-        # calls (11 in 11 with mu grad phi)
+        # Full width: F'(phi) forward and grad mu inverse; on the 11 kept
+        # columns: u phi and both momentum right-hand sides forward, in two
+        # stacked calls, omega inverse and the new (phi, u_x, u_y) inverse in
+        # one stacked call: 11 transforms in 11 numpy calls.  mu grad phi
+        # takes mu inverse at full width and grad phi stacked on the kept
+        # columns instead: 12 transforms in 13 calls
         g = kernel32.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0, force_form=form)
         state = SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0)
         state = step(state, params, kernel32, DW)
         calls = count_transforms(monkeypatch)
+        want = Counter({("rfft2", (n, n)): 1, ("rfftn", (2, n, n)): 2, ("fftn", (2, n, c)): 2,
+                        ("ifftn", (n, c)): 1, ("irfftn", (n, c)): 1,
+                        ("ifftn", (3, n, c)): 1, ("irfftn", (3, n, c)): 1})
         grad_mu = (2, n, nh) if full_inverse == 2 else (n, nh)
-        want = Counter({("rfft2", (n, n)): 1, ("rfftn", (n, n)): 1, ("fftn", (n, c)): 1,
-                        ("rfftn", (2, n, n)): 1, ("fftn", (2, n, c)): 1,
-                        ("ifftn", (3, n, c)): 2, ("irfftn", (3, n, c)): 2,
-                        ("ifftn", grad_mu): 1, ("irfftn", grad_mu): 1})
+        want += Counter({("ifftn", grad_mu): 1, ("irfftn", grad_mu): 1})
+        if form == "mu_grad_phi":
+            want += Counter({("ifftn", (2, n, c)): 1, ("irfftn", (2, n, c)): 1})
         step(state, params, kernel32, DW, ForcingSpec().field_at(g, state.t))
         assert Counter(calls) == want
         transforms = sum(np.prod(shape[:-2], dtype=int) for name, shape in calls
                          if name in ("rfft2", "rfftn", "ifftn"))
-        assert transforms == 10 + full_inverse
+        assert (transforms, len(calls)) == ((11, 11) if form == "phi_grad_mu" else (12, 13))
         calls.clear()
         # a force adds one stacked kept-column forward transform
         h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
@@ -388,6 +391,13 @@ class TestStepCore:
         # a state built from samples takes the rfft2 of phi, u_x and u_y
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
         assert Counter(calls) == want + Counter({("rfft2", (n, n)): 3})
+        calls.clear()
+        # after a record's mu^ the step reuses its F'(phi)^
+        solver._chemical_hats(solver._operators(kernel32, params), DW, state)
+        assert calls == [("rfft2", (n, n))]
+        calls.clear()
+        step(state, params, kernel32, DW)
+        assert Counter(calls) == want - Counter({("rfft2", (n, n)): 1})
 
     def test_sample_built_state_steps_in_band(self, kernel32, rng):
         # with dealias on, run() cuts full-spectrum initial data to the band,
@@ -432,11 +442,12 @@ class TestStepCore:
             return {k: a[k] - b[k] for k in a.keys() | b.keys() if a[k] != b[k]}
 
         every = counts(10, 1)
-        assert minus(every, counts(10, 10)) == {"rfft2": 9}  # 9 more records
-        # a step and its record: 13 transforms in 12 numpy calls, 2 rfft2 of
-        # F'(phi), and a row and a column pass each for 2 kept-column
-        # forward calls (one stacked) and 3 inverse ones (two stacked)
-        assert minus(every, counts(0, 1)) == {"rfft2": 10 * 2, "rfftn": 10 * 2, "fftn": 10 * 2,
+        # a record's F'(phi)^ is the next step's: records cost no transform
+        assert minus(every, counts(10, 10)) == {}
+        # a step and its record: 11 transforms in 11 numpy calls, the rfft2
+        # of F'(phi), and a row and a column pass each for 2 kept-column
+        # forward calls (stacked) and 3 inverse ones (two stacked)
+        assert minus(every, counts(0, 1)) == {"rfft2": 10, "rfftn": 10 * 2, "fftn": 10 * 2,
                                               "ifftn": 10 * 3, "irfftn": 10 * 3}
 
     @pytest.mark.parametrize("velocity", [VelocitySpec(family="zero"),
@@ -547,6 +558,48 @@ class TestWorkspace:
             cold = step(state, params, fresh, DW, forcing)
             for a, b in zip(state_arrays(warm), state_arrays(cold)):
                 assert a.tobytes() == b.tobytes()
+
+
+class TestRecordCarry:
+    """A record leaves F'(phi)^ and mu^ in the workspace and the next step
+    starts from them; a step reuses them only for the state and potential
+    they were made for, and the result is the same bit for bit."""
+
+    params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+
+    def cold_step(self, kernel, state, potential):
+        fresh = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), kernel.grid)
+        return step(state, self.params, fresh, potential)
+
+    def test_same_state_twice(self, kernel32, rng):
+        state = stepped_state(kernel32, self.params, rng)
+        solver._chemical_hats(solver._operators(kernel32, self.params), DW, state)
+        carried = step(state, self.params, kernel32, DW)
+        again = step(state, self.params, kernel32, DW)
+        for a, b in zip(state_arrays(carried), state_arrays(again)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_other_state_or_potential_is_not_reused(self, kernel32, rng):
+        state, other = (stepped_state(kernel32, self.params, rng) for _ in range(2))
+        ops = solver._operators(kernel32, self.params)
+        quartic = PotentialSpec.quartic(1.0, -1.5)
+        for held, potential in ((other, DW), (state, quartic)):
+            solver._chemical_hats(ops, DW, held)
+            warm = step(state, self.params, kernel32, potential)
+            for a, b in zip(state_arrays(warm), state_arrays(self.cold_step(kernel32, state, potential))):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("form", ["phi_grad_mu", "mu_grad_phi"])
+    def test_record_interval_leaves_the_trajectory(self, form):
+        cfg = make_cfg(
+            sim=SimParams(nu=0.05, dt=2e-3, t_end=0.04, force_form=form),
+            initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
+            velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
+        )
+        every, sparse = (run(replace(cfg, output=OutputConfig(record_every=k))) for k in (1, 7))
+        assert (len(every.records), len(sparse.records)) == (21, 4)  # steps 0, 7, 14, 20
+        for a, b in zip(state_arrays(every.state), state_arrays(sparse.state)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestForcing:
