@@ -31,7 +31,6 @@ from .spectral import (
     VectorField,
     inner,
     leray_project,
-    mean,
     norm_l2,
 )
 

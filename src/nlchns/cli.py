@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
         return 1
     last = result.records[-1]
     first = result.records[0]
-    print(f"steps completed: {int(round(result.params.t_end / result.params.dt))}")
+    print(f"steps completed: {result.params.n_steps}")
     print(f"t = {last.t:.17g}")
     print(f"total energy: {first.total_energy:.17g} -> {last.total_energy:.17g}")
     print(f"mass: {first.mass:.17g} -> {last.mass:.17g}")

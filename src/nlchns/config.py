@@ -77,7 +77,7 @@ _KNOWN_KEYS = {
     "grid.n", "grid.l",
     "kernel", "kernel.sigma", "kernel.strength", "kernel.radius", "kernel.modes",
     "potential", "potential.a4", "potential.a2", "potential.a0", "potential.coefficients",
-    "nu", "dt", "t_end", "stabilizer", "dealias", "force_form",
+    "nu", "dt", "t_end", "stabilizer", "dealias",
     "initial", "initial.c", "initial.amplitude", "initial.mean", "initial.seed",
     "initial.width", "initial.path", "initial.band",
     "initial.u0", "initial.u0_amplitude", "initial.u0_path_x", "initial.u0_path_y",
@@ -280,10 +280,6 @@ def parse_config(text: str) -> SimConfig:
         if stabilizer < 0:
             errors.append("stabilizer must be nonnegative (or 'auto')")
 
-    force_form = r.string("force_form", "phi_grad_mu")
-    if force_form not in ("phi_grad_mu", "mu_grad_phi"):
-        errors.append(f"force_form must be phi_grad_mu or mu_grad_phi, got {force_form!r}")
-
     ifam = r.string("initial", "uniform")
     initial = InitialSpec()
     if ifam == "uniform":
@@ -384,7 +380,7 @@ def parse_config(text: str) -> SimConfig:
         kernel=kernel,
         potential=potential,
         sim=SimParams(nu=nu, dt=dt, t_end=t_end, stabilizer=stabilizer,
-                      dealias=r.boolv("dealias", True), force_form=force_form),
+                      dealias=r.boolv("dealias", True)),
         forcing=forcing,
         initial=initial,
         velocity=velocity,

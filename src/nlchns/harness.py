@@ -69,8 +69,8 @@ def taylor_green(cfg) -> StudyResult:
     errors = []
     dts = [cfg.sim.dt, cfg.sim.dt / 2.0]
     for dt in dts:
-        every = max(1, int(round(cfg.sim.t_end / dt)))
-        res = run(replace(cfg.with_dt(dt), output=replace(cfg.output, record_every=every)))
+        rung = cfg.with_dt(dt)
+        res = run(replace(rung, output=replace(cfg.output, record_every=max(1, rung.sim.n_steps))))
         ke0 = res.records[0].kinetic
         ke_end = res.records[-1].kinetic
         exact = ke0 * math.exp(-4.0 * cfg.sim.nu * res.records[-1].t)

@@ -22,11 +22,14 @@ convective results to round-off (undealiased they alias apart; omega (u_y,
 -u_x) . u = 0 either way).
 The k = 0 row of the phase update is copied through: mass is kept to the bit.
 
-``step`` is the only implementation of the scheme.  ``trajectory`` sets a
-configured run up (grid, kernel, the hypothesis gate, S, and the initial
-state cut to the band, the one place that does so) and returns a generator
-of frames that calls ``step`` and audits each record; ``run`` consumes the
-frames and writes the records and snapshots.  A state carries the rfft2
+``step`` is the only implementation of the scheme: ``_chemical_hats`` makes
+the state's F'(phi)^ and mu^, and ``_advance``, the step's body, takes them
+as inputs.  ``trajectory`` sets a configured run up (grid, kernel, the
+hypothesis gate, S, and the initial state cut to the band, the one place
+that does so) and returns a generator of frames that makes each state's
+F'(phi)^ and mu^ once, for its record and for the step from it, and audits
+each record; ``run`` consumes the frames and writes the records and
+snapshots.  A state carries the rfft2
 half-plane coefficients of phi, u_x and u_y next to their samples: all
 n//2 + 1 columns when built from samples, which it transforms then, and the
 first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
@@ -40,9 +43,9 @@ on the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias
 off): u phi and both momentum right-hand sides forward, in two stacked
 calls; omega inverse, and the new phi, u_x and u_y in one stacked call.
 mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
-takes 1 transform, the forward transform of F'(phi^{n+1}) for its mu^, and
-leaves F'(phi)^ and mu^ in the workspace, where the next step finds them:
-a recorded step is 11 transforms too.  A record's norms are read from the
+takes no transform of its own: the frames give it the mu^ that the step
+from its state is given, so a recorded step is 11 transforms too.  Its mass
+is the carried k = 0 coefficient of phi, its norms are read from the
 coefficients by Parseval, and the divergence audit bounds max |div u| by
 the coefficients' absolute sum.  The Leray projector P is applied once: it
 is linear, idempotent and commutes with the mode-diagonal viscous solve D,
@@ -162,7 +165,11 @@ class SimParams:
     t_end: float
     stabilizer: float | str = "auto"
     dealias: bool = True
-    force_form: str = "phi_grad_mu"  # or mu_grad_phi
+
+    @property
+    def n_steps(self) -> int:
+        """The number of steps from t = 0 to t_end."""
+        return int(round(self.t_end / self.dt))
 
     def __post_init__(self):
         # full runs require nu > 0 (enforced at config parse); nu = 0 is
@@ -173,8 +180,6 @@ class SimParams:
             raise ValueError("dt must be positive")
         if self.stabilizer != "auto" and (isinstance(self.stabilizer, str) or not self.stabilizer >= 0):
             raise ValueError("stabilizer must be 'auto' or nonnegative")
-        if self.force_form not in ("phi_grad_mu", "mu_grad_phi"):
-            raise ValueError(f"unknown coupling force form {self.force_form!r}")
 
 
 @dataclass(frozen=True)
@@ -250,26 +255,16 @@ def mu_hat(a_minus_j: np.ndarray, phi_hat: np.ndarray, fp_hat: np.ndarray,
     return out
 
 
-def capillary_force(form: str, grid: Grid, phi: np.ndarray, phi_hat: np.ndarray, mu_hat: np.ndarray,
-                    out: np.ndarray | None = None, work: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """Samples of the coupling force, stacked (2, n, n), from mu's
-    coefficients and phi's samples and first coefficient columns: -phi grad
-    mu (weak form) takes one stacked inverse transform of grad mu, mu grad
-    phi one of mu and one stacked kept-column inverse of grad phi.  The two
-    differ by the gradient grad(phi mu), which the Leray projection removes
-    up to aliasing.  ``work`` is a (2,) + mu_hat.shape complex buffer whose
-    second plane may be mu_hat itself, then overwritten; ``scratch`` an
-    (n, n) one; all allocated when None."""
-    if form == "phi_grad_mu":
-        grad_mu = rgradient(grid, mu_hat, out=out, work=work)
-        return np.multiply(grad_mu, np.negative(phi, out=scratch), out=grad_mu)
-    if form == "mu_grad_phi":
-        mu = irfft2_cols(grid, mu_hat, out=scratch, work=None if work is None else work[1])
-        c = phi_hat.shape[1]
-        grad_phi = rgradient(grid, phi_hat, out=out, work=None if work is None else work[..., :c])
-        return np.multiply(grad_phi, mu, out=grad_phi)
-    raise ValueError(f"unknown coupling force form {form!r}")
+def capillary_force(grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Samples of the coupling force -phi grad mu, stacked (2, n, n), from
+    phi's samples and mu's coefficients in one stacked inverse transform of
+    grad mu.  It differs from the strong form mu grad phi by the gradient
+    grad(phi mu), which the Leray projection removes.  ``work`` is a (2,) +
+    mu_hat.shape complex buffer whose second plane may be mu_hat itself, then
+    overwritten; ``scratch`` an (n, n) one; all allocated when None."""
+    grad_mu = rgradient(grid, mu_hat, out=out, work=work)
+    return np.multiply(grad_mu, np.negative(phi, out=scratch), out=grad_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +275,17 @@ class _Workspace:
     every intermediate here, so that a step allocates only the state it
     returns.  Buffers whose lifetimes do not overlap share memory:
 
-    * ``real``: two (n, n) sample planes (F'(phi), -phi or mu, the products
-      of omega, then u phi), the second holding omega until the flow's
+    * ``real``: two (n, n) sample planes (F'(phi), -phi, the products of
+      omega, then u phi), the second holding omega until the flow's
       right-hand side is complete;
     * ``grad``: (2, n, n), the capillary force, the momentum right-hand side,
       then the forcing;
     * ``rows``: (2, n, n//2 + 1), F'(phi)^ and mu^, then row transforms and
       the coefficients of grad mu;
     * ``cols``: coefficients on the columns the step keeps, (3, n, c);
-    * ``finite``: the isfinite mask of a new state's samples;
-    * ``holder``: whose F'(phi)^ and mu^ ``rows`` holds, (a weak reference
-      to the state, the potential), or None once a step has overwritten them."""
+    * ``finite``: the isfinite mask of a new state's samples."""
 
-    __slots__ = ("real", "grad", "rows", "cols", "finite", "holder")
+    __slots__ = ("real", "grad", "rows", "cols", "finite")
 
     def __init__(self, n: int, c: int):
         self.real = np.empty((2, n, n))
@@ -300,7 +293,6 @@ class _Workspace:
         self.rows = np.empty((2, n, n // 2 + 1), dtype=complex)
         self.cols = np.empty((3, n, c), dtype=complex)
         self.finite = np.empty((3, n, n), dtype=bool)
-        self.holder = None
 
 
 class _Operators(NamedTuple):
@@ -346,18 +338,14 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
 def _chemical_hats(ops: _Operators, potential: PotentialSpec, state: SimState
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The rfft2 coefficients of F'(phi) and of mu for ``state``, from its
-    first ``ops`` columns of phi^, in ``ops.work.rows``: those already there
-    when the workspace holds them for this state and potential (a record
-    leaves them for the next step), else computed, the F'(phi) samples in
-    ``ops.work.real[0]``.  numpy's rfft2 writes its ``out`` in both passes,
-    the second in place."""
+    first ``ops`` columns of phi^, computed into ``ops.work.rows`` (the
+    F'(phi) samples in ``ops.work.real[0]``); the next step's row transforms
+    overwrite both.  numpy's rfft2 writes its ``out`` in both passes, the
+    second in place."""
     ws = ops.work
     fp, mu = ws.rows
-    held = ws.holder
-    if held is None or held[0]() is not state or held[1] != potential:
-        np.fft.rfft2(eval_df(potential, state.phi.values, out=ws.real[0]), out=fp)
-        mu_hat(ops.a_minus_j, state.hats[0][:, :ops.keep.shape[1]], fp, out=mu)
-        ws.holder = (weakref.ref(state), potential)
+    np.fft.rfft2(eval_df(potential, state.phi.values, out=ws.real[0]), out=fp)
+    mu_hat(ops.a_minus_j, state.hats[0][:, :ops.keep.shape[1]], fp, out=mu)
     return fp, mu
 
 
@@ -367,18 +355,22 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     capillary force at (phi^n, mu^n); ``forcing`` is h(t^n), or None for zero.
     Steps the state's coefficients as given and keeps mean(phi) exactly.
     Every intermediate goes to the (kernel, params) workspace, F'(phi)^ and
-    mu^ too, or they are taken from it when a record of this state left them
-    there; the new state owns a fresh coefficient block and a fresh sample
+    mu^ too; the new state owns a fresh coefficient block and a fresh sample
     block."""
-    g, ops = state.phi.grid, _operators(kernel, params)
-    ws, c, inv_dt = ops.work, ops.keep.shape[1], 1.0 / params.dt
+    ops = _operators(kernel, params)
+    return _advance(ops, params.dt, state, *_chemical_hats(ops, potential, state), forcing)
+
+
+def _advance(ops: _Operators, dt: float, state: SimState, fp_hat: np.ndarray, mu: np.ndarray,
+             forcing: VectorField | None) -> SimState:
+    """The body of ``step``, given the state's F'(phi)^ and mu^ as
+    ``_chemical_hats`` leaves them in the workspace."""
+    g, ws, c, inv_dt = state.phi.grid, ops.work, ops.keep.shape[1], 1.0 / dt
     rows, cols, rhs, (s1, omega) = ws.rows, ws.cols, ws.grad, ws.real
     ikx, iky = g.half.ikx[:, :c], g.half.iky[:, :c]
     phi, u = state.phi.values, state.u
     phi_hat, ux_hat, uy_hat = (a[:, :c] for a in state.hats)
     new = np.empty((3, g.n, c), dtype=complex)
-    fp_hat, mu = _chemical_hats(ops, potential, state)
-    ws.holder = None  # the row transforms below overwrite both
 
     # phase, up to the transport
     np.multiply(ops.keep, phi_hat, out=new[0])
@@ -389,7 +381,7 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
     np.add(np.multiply(ikx, uy_hat, out=cols[1]), cols[2], out=cols[2])
     irfft2_cols(g, cols[2], out=omega, work=cols[2])
-    capillary_force(params.force_form, g, phi, phi_hat, mu, out=rhs, work=rows, scratch=s1)
+    capillary_force(g, phi, mu, out=rhs, work=rows, scratch=s1)
     np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
     np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
     bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
@@ -411,7 +403,7 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     samples = irfft2_cols(g, new, out=np.empty((3, g.n, g.n)), work=cols)
     if not np.isfinite(samples, out=ws.finite).all():
         raise BlowUpError(f"non-finite values in {'u' if ws.finite[0].all() else 'phi'}")
-    return SimState.from_hats(g, new, state.t + params.dt, samples)
+    return SimState.from_hats(g, new, state.t + dt, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +468,25 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
     """The frames of ``trajectory``: step i ends at t0 + i dt, t0 being the
     initial state's t; h(t^n) is asked of the forcing once before the step-0
     record and once at the top of every step."""
-    potential, every = cfg.potential, cfg.output.record_every
-    n_steps = int(round(params.t_end / params.dt))
-    mass0, t0 = float(np.mean(state.phi.values)), state.t
+    potential, every, n_steps = cfg.potential, cfg.output.record_every, params.n_steps
+    mass0, t0 = state.hats[0][0, 0].real, state.t
     h, rec = cfg.forcing.field_at(kernel.grid, t0), None
     ops = _operators(kernel, params)
+    chem = _chemical_hats(ops, potential, state)
     for i in range(n_steps + 1):
         if i:
             h = cfg.forcing.field_at(kernel.grid, state.t)
             try:
-                state = step(state, params, kernel, potential, h)
+                state = _advance(ops, params.dt, state, *chem, h)
             except BlowUpError as err:
                 raise BlowUpError(str(err), step=i, last_record=rec) from None
             state.t = t0 + i * params.dt  # not a running sum: no round-off builds up in t
+            chem = _chemical_hats(ops, potential, state)  # its record's and the next step's
         if i % every and i < n_steps:
             yield i, state, None, h, []
             continue
-        _, mu = _chemical_hats(ops, potential, state)  # the next step's too
         new = diagnostics.make_record(
-            state, mu, kernel, potential, params.nu, report.beta,
+            state, chem[1], kernel, potential, params.nu, report.beta,
             forcing_power=(inner(h, state.u) if h is not None else 0.0), prev=rec,
         )
         found = _audit_record(cfg, report, state, new, i, mass0)
@@ -515,9 +507,10 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
 def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, rec,
                   step_index: int, mass0: float) -> list[str]:
     """The invariant failures of ``state`` and its record ``rec``: mass
-    drift, divergence and, with ``checks.grad_control``, gradient control."""
+    drift, from the k = 0 coefficient of phi (``mass0`` at the start),
+    divergence and, with ``checks.grad_control``, gradient control."""
     grid, failures = state.phi.grid, []
-    drift = float(np.mean(state.phi.values)) - mass0
+    drift = float(state.hats[0][0, 0].real - mass0) / grid.n**2  # of mean(phi)
     if abs(drift) > 1e-12:
         failures.append(f"mass drift {drift:.3e} at step {step_index}")
     umax = float(np.max(np.abs(state.u.x.values)) + np.max(np.abs(state.u.y.values)))
@@ -542,7 +535,6 @@ def run(cfg: "SimConfig", *, force: bool = False, initial_state: SimState | None
     out_dir = cfg.output.out_dir or None
     writer = storage.DiagnosticsWriter(out_dir) if out_dir else None
     snapshot_every = cfg.output.snapshot_every if writer else 0
-    n_steps = int(round(params.t_end / params.dt))
     records: list = []
     failures: list[str] = []
     try:
@@ -554,7 +546,7 @@ def run(cfg: "SimConfig", *, force: bool = False, initial_state: SimState | None
                     writer.append(rec)
             if snapshot_every and i % snapshot_every == 0:
                 storage.write_state_snapshots(out_dir, state, i)
-            if i < n_steps:
+            if i < params.n_steps:
                 del state  # held through the next step's record, it raises the peak RSS
     finally:
         if writer:

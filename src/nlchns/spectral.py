@@ -315,10 +315,6 @@ def norm_l2(f) -> float:
     return float(np.sqrt(max(inner(f, f), 0.0)))
 
 
-def mean(f: ScalarField) -> float:
-    return float(np.mean(f.values))
-
-
 def power(*hats: np.ndarray) -> np.ndarray:
     """|f^|^2 summed over the fields, from their rfft2 coefficients or the
     first columns of them (rows contiguous, as numpy returns and slices them)."""

@@ -54,6 +54,10 @@ def random_vector(grid: Grid, rng, band: int | None = None, solenoidal: bool = F
     return leray_project(v) if solenoidal else v
 
 
+def mean(f: ScalarField) -> float:
+    return float(np.mean(f.values))
+
+
 def rel_err(got, want, floor=1e-300) -> float:
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
@@ -124,6 +128,14 @@ def gaussian_image_sum(grid: Grid, sigma: float, strength: float):
             gx += -dx / sigma**2 * j
             gy += -dy / sigma**2 * j
     return val, np.hypot(gx, gy)
+
+
+def mu_grad_phi(grid: Grid, phi: np.ndarray, mu_hat: np.ndarray) -> VectorField:
+    """The strong-form coupling force mu grad phi from the samples of phi and
+    the coefficients of mu: the reference for the solver's -phi grad mu, from
+    which it differs by the gradient grad(phi mu)."""
+    mu = np.fft.irfft2(mu_hat, s=(grid.n, grid.n))
+    return vector_from_values(grid, *(mu * rgradient(grid, np.fft.rfft2(phi))))
 
 
 def mu_coefficients(kernel: KernelOnGrid, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, divergence, random_field, random_vector
+from conftest import TWO_PI, divergence, mean, random_field, random_vector
 from nlchns.config import ConfigError, parse_config
 from nlchns.diagnostics import COLUMNS, DiagnosticsRecord
 from nlchns.initialdata import (
@@ -15,7 +15,7 @@ from nlchns.initialdata import (
     tanh_strip_phi,
     taylor_green_u,
 )
-from nlchns.spectral import Grid, ScalarField, leray_project, mean, resample
+from nlchns.spectral import Grid, leray_project, resample
 from nlchns.storage import (
     DiagnosticsWriter,
     SnapshotFormatError,
@@ -96,9 +96,12 @@ class TestParseConfig:
         assert any("integer multiple" in e for e in err.value.errors)
 
     def test_stabilizer_value_and_force_form(self):
-        cfg = parse_config(MINIMAL + "stabilizer = 3.5\nforce_form = mu_grad_phi\n")
+        cfg = parse_config(MINIMAL + "stabilizer = 3.5\n")
         assert cfg.sim.stabilizer == 3.5
-        assert cfg.sim.force_form == "mu_grad_phi"
+        # the coupling force has one form, -phi grad mu, and no key selects it
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "force_form = phi_grad_mu\n")
+        assert err.value.errors == ["unknown key 'force_form'"]
 
     def test_forcing_single_mode(self):
         cfg = parse_config(

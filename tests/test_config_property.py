@@ -20,7 +20,7 @@ BASE = {
 WORDS = (
     "auto", "true", "false", "gaussian", "mollifier", "spectral", "double_well", "quartic",
     "polynomial", "uniform", "random", "tanh_strip", "file", "zero", "taylor_green", "body",
-    "single_mode", "phi_grad_mu", "mu_grad_phi", "0,0:6.0; 1,0:0.3", "1, 0, -2, 0, 1", "1,2:3:4",
+    "single_mode", "0,0:6.0; 1,0:0.3", "1, 0, -2, 0, 1", "1,2:3:4",
     "nan", "-inf", "1e400", "5e-324", "0", "-0.0", "1_0", "", "# comment", "x = y",
 )
 values = st.one_of(
@@ -59,7 +59,7 @@ def assert_validated(cfg: SimConfig) -> None:
     assert all(math.isfinite(x) for x in _floats(cfg))
     grid = Grid(cfg.grid.n, cfg.grid.l)
     sim = cfg.sim
-    assert sim.nu > 0 and sim.dt > 0 and sim.force_form in ("phi_grad_mu", "mu_grad_phi")
+    assert sim.nu > 0 and sim.dt > 0
     assert 1 <= round(sim.t_end / sim.dt) <= MAX_STEPS
     assert sim.stabilizer == "auto" or sim.stabilizer >= 0
     k = cfg.kernel

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import TWO_PI, convolve, gaussian_image_sum, random_field, rel_err, seminorm_h1
+from conftest import TWO_PI, convolve, gaussian_image_sum, mean, random_field, rel_err, seminorm_h1
 from nlchns.kernels import (
     KernelBuildError,
     KernelSpec,
@@ -14,7 +14,6 @@ from nlchns.spectral import (
     ScalarField,
     constant_field,
     inner,
-    mean,
     norm_l2,
     power,
 )

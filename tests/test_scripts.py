@@ -59,7 +59,7 @@ def test_state_digest_sets_config_lines():
     # the step's non-default branches, each set on the command line
     base = ("--config", str(ROOT / "configs" / "gradient_control.cfg"), "--n", "16", "--steps", "3")
     plain = run_script("state_digest.py", *base).splitlines()
-    for lines in (("dealias=false",), ("force_form = mu_grad_phi",),
+    for lines in (("dealias=false",), ("stabilizer = 8",),
                   ("forcing=single_mode", "forcing.scale=0.3", "forcing.decay=0.5")):
         out = run_script("state_digest.py", *base, *(a for line in lines for a in ("--set", line)))
         assert out.splitlines()[0].split()[0] == "phi"
@@ -86,7 +86,7 @@ def test_state_digest_against_a_saved_run(tmp_path):
 
     same_digest, same = rel()
     assert same_digest == digest and set(same.values()) == {0.0}
-    _, moved = rel("--set", "force_form = mu_grad_phi")
+    _, moved = rel("--set", "stabilizer = 8")
     assert all(0.0 < moved[name] < float("inf") for name in ("phi", "u_x", "u_y", "kinetic"))
     assert moved["t"] == 0.0
     # a run of another shape is refused

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, advect, convolve, divergence, full_plane, mu_coefficients, random_field, rel_err,
+    TWO_PI, advect, convolve, divergence, full_plane, mean, mu_coefficients, mu_grad_phi, random_field,
+    rel_err,
 )
 from nlchns import solver, storage
 from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
@@ -34,7 +35,6 @@ from nlchns.spectral import (
     constant_field,
     inner,
     leray_project,
-    mean,
     norm_l2,
     rgradient,
     vector_from_values,
@@ -78,10 +78,9 @@ def mu_samples(kernel, phi: ScalarField) -> np.ndarray:
     return np.fft.irfft2(mu_coefficients(kernel, DW, phi.values))
 
 
-def force(phi: ScalarField, mu_hat: np.ndarray, form: str = "phi_grad_mu") -> VectorField:
+def force(phi: ScalarField, mu_hat: np.ndarray) -> VectorField:
     """The step's capillary force from the samples of phi and the coefficients of mu."""
-    g = phi.grid
-    return vector_from_values(g, *capillary_force(form, g, phi.values, np.fft.rfft2(phi.values), mu_hat))
+    return vector_from_values(phi.grid, *capillary_force(phi.grid, phi.values, mu_hat))
 
 
 class TestChemicalPotential:
@@ -129,18 +128,18 @@ class TestKortewegForce:
         g = kernel32.grid
         phi = random_field(g, rng)
         mu = np.fft.rfft2(np.full((g.n, g.n), 2.0))
-        for form in ("phi_grad_mu", "mu_grad_phi"):
-            p = leray_project(force(phi, mu, form))
-            assert np.max(np.abs(p.x.values)) < 1e-11 * (1 + np.max(np.abs(phi.values)))
+        p = leray_project(force(phi, mu))
+        assert np.max(np.abs(p.x.values)) < 1e-11 * (1 + np.max(np.abs(phi.values)))
 
     def test_forms_agree_after_projection(self, kernel32, rng):
-        # band-limited fields: the two forms differ by the exact gradient
-        # grad(phi mu), which Leray annihilates
+        # band-limited fields: the solver's -phi grad mu and the strong form
+        # mu grad phi differ by the exact gradient grad(phi mu), which Leray
+        # annihilates
         g = kernel32.grid
         phi = random_field(g, rng, band=7)
         mu = np.fft.rfft2(random_field(g, rng, band=7).values)
-        p1 = leray_project(force(phi, mu, "phi_grad_mu"))
-        p2 = leray_project(force(phi, mu, "mu_grad_phi"))
+        p1 = leray_project(force(phi, mu))
+        p2 = leray_project(mu_grad_phi(g, phi.values, mu))
         scale = norm_l2(p1) + 1e-30
         diff = np.hypot(p1.x.values - p2.x.values, p1.y.values - p2.y.values)
         assert np.max(diff) < 1e-11 * scale
@@ -353,35 +352,29 @@ class TestStepCore:
             got, want = getattr(got, "values", got), getattr(want, "values", want)
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("form, full_inverse", [("phi_grad_mu", 2), ("mu_grad_phi", 1)])
-    def test_transforms_per_step(self, kernel32, rng, monkeypatch, form, full_inverse):
+    def test_transforms_per_step(self, kernel32, rng, monkeypatch):
         # F'(phi) is one full rfft2 into the workspace; every other 2-D
         # transform is a one-axis row pass (rfftn, irfftn) and column pass
         # (fftn, ifftn), called apart so that both write into the workspace.
         # Full width: F'(phi) forward and grad mu inverse; on the 11 kept
         # columns: u phi and both momentum right-hand sides forward, in two
         # stacked calls, omega inverse and the new (phi, u_x, u_y) inverse in
-        # one stacked call: 11 transforms in 11 numpy calls.  mu grad phi
-        # takes mu inverse at full width and grad phi stacked on the kept
-        # columns instead: 12 transforms in 13 calls
+        # one stacked call: 11 transforms in 11 numpy calls
         g = kernel32.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
-        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0, force_form=form)
+        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
         state = SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0)
         state = step(state, params, kernel32, DW)
         calls = count_transforms(monkeypatch)
         want = Counter({("rfft2", (n, n)): 1, ("rfftn", (2, n, n)): 2, ("fftn", (2, n, c)): 2,
                         ("ifftn", (n, c)): 1, ("irfftn", (n, c)): 1,
-                        ("ifftn", (3, n, c)): 1, ("irfftn", (3, n, c)): 1})
-        grad_mu = (2, n, nh) if full_inverse == 2 else (n, nh)
-        want += Counter({("ifftn", grad_mu): 1, ("irfftn", grad_mu): 1})
-        if form == "mu_grad_phi":
-            want += Counter({("ifftn", (2, n, c)): 1, ("irfftn", (2, n, c)): 1})
+                        ("ifftn", (3, n, c)): 1, ("irfftn", (3, n, c)): 1,
+                        ("ifftn", (2, n, nh)): 1, ("irfftn", (2, n, nh)): 1})
         step(state, params, kernel32, DW, ForcingSpec().field_at(g, state.t))
         assert Counter(calls) == want
         transforms = sum(np.prod(shape[:-2], dtype=int) for name, shape in calls
                          if name in ("rfft2", "rfftn", "ifftn"))
-        assert (transforms, len(calls)) == ((11, 11) if form == "phi_grad_mu" else (12, 13))
+        assert (transforms, len(calls)) == (11, 11)
         calls.clear()
         # a force adds one stacked kept-column forward transform
         h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
@@ -391,13 +384,6 @@ class TestStepCore:
         # a state built from samples takes the rfft2 of phi, u_x and u_y
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
         assert Counter(calls) == want + Counter({("rfft2", (n, n)): 3})
-        calls.clear()
-        # after a record's mu^ the step reuses its F'(phi)^
-        solver._chemical_hats(solver._operators(kernel32, params), DW, state)
-        assert calls == [("rfft2", (n, n))]
-        calls.clear()
-        step(state, params, kernel32, DW)
-        assert Counter(calls) == want - Counter({("rfft2", (n, n)): 1})
 
     def test_sample_built_state_steps_in_band(self, kernel32, rng):
         # with dealias on, run() cuts full-spectrum initial data to the band,
@@ -530,69 +516,49 @@ class TestWorkspace:
         assert owned == 3 * 128 * 128 * 8 + 3 * 128 * kernel128.grid.half.kept_cols * 16
         assert peak <= owned + 64 * 1024
 
-    @pytest.mark.parametrize("form", ["phi_grad_mu", "mu_grad_phi"])
-    def test_states_share_no_memory(self, kernel128, rng, form):
-        params = replace(self.params, force_form=form)
+    def test_states_share_no_memory(self, kernel128, rng):
         h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel128.grid, 0.0)
-        first = stepped_state(kernel128, params, rng, steps=1)
-        second = step(first, params, kernel128, DW, h)
-        ws = solver._operators(kernel128, params).work
+        first = stepped_state(kernel128, self.params, rng, steps=1)
+        second = step(first, self.params, kernel128, DW, h)
+        ws = solver._operators(kernel128, self.params).work
         buffers = [ws.real, ws.grad, ws.rows, ws.cols, ws.finite]
         for a in state_arrays(second):
             assert not any(np.shares_memory(a, b) for b in state_arrays(first) + buffers)
         for a in state_arrays(first):
             assert not any(np.shares_memory(a, b) for b in buffers)
 
-    @pytest.mark.parametrize("form", ["phi_grad_mu", "mu_grad_phi"])
-    def test_fresh_workspace_gives_the_warm_result(self, kernel128, rng, form):
+    def test_fresh_workspace_gives_the_warm_result(self, kernel128, rng):
         # no stale buffer leaks into a result: the warm workspace has just
         # stepped another state, with a force
-        params = replace(self.params, force_form=form)
-        state = stepped_state(kernel128, params, rng, steps=0)
-        other = stepped_state(kernel128, params, rng, steps=0)
+        state = stepped_state(kernel128, self.params, rng, steps=0)
+        other = stepped_state(kernel128, self.params, rng, steps=0)
         h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel128.grid, 0.0)
-        step(other, params, kernel128, DW, h)
+        step(other, self.params, kernel128, DW, h)
         for forcing in (None, h):
-            warm = step(state, params, kernel128, DW, forcing)
+            warm = step(state, self.params, kernel128, DW, forcing)
             fresh = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), kernel128.grid)
-            cold = step(state, params, fresh, DW, forcing)
+            cold = step(state, self.params, fresh, DW, forcing)
             for a, b in zip(state_arrays(warm), state_arrays(cold)):
                 assert a.tobytes() == b.tobytes()
 
 
 class TestRecordCarry:
-    """A record leaves F'(phi)^ and mu^ in the workspace and the next step
-    starts from them; a step reuses them only for the state and potential
-    they were made for, and the result is the same bit for bit."""
+    """A trajectory makes a state's F'(phi)^ and mu^ once, for its record
+    and for the step from it; step() makes its own, so the result is the same
+    bit for bit whether a state is recorded, or stepped, once or twice."""
 
     params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
 
-    def cold_step(self, kernel, state, potential):
-        fresh = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), kernel.grid)
-        return step(state, self.params, fresh, potential)
-
     def test_same_state_twice(self, kernel32, rng):
         state = stepped_state(kernel32, self.params, rng)
-        solver._chemical_hats(solver._operators(kernel32, self.params), DW, state)
         carried = step(state, self.params, kernel32, DW)
         again = step(state, self.params, kernel32, DW)
         for a, b in zip(state_arrays(carried), state_arrays(again)):
             assert a.tobytes() == b.tobytes()
 
-    def test_other_state_or_potential_is_not_reused(self, kernel32, rng):
-        state, other = (stepped_state(kernel32, self.params, rng) for _ in range(2))
-        ops = solver._operators(kernel32, self.params)
-        quartic = PotentialSpec.quartic(1.0, -1.5)
-        for held, potential in ((other, DW), (state, quartic)):
-            solver._chemical_hats(ops, DW, held)
-            warm = step(state, self.params, kernel32, potential)
-            for a, b in zip(state_arrays(warm), state_arrays(self.cold_step(kernel32, state, potential))):
-                assert a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("form", ["phi_grad_mu", "mu_grad_phi"])
-    def test_record_interval_leaves_the_trajectory(self, form):
+    def test_record_interval_leaves_the_trajectory(self):
         cfg = make_cfg(
-            sim=SimParams(nu=0.05, dt=2e-3, t_end=0.04, force_form=form),
+            sim=SimParams(nu=0.05, dt=2e-3, t_end=0.04),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
             velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
         )
@@ -656,7 +622,7 @@ class TestRun:
         res = run(cfg)
         masses = [r.mass for r in res.records]
         vol = TWO_PI**2
-        assert max(abs(m - masses[0]) for m in masses) < 1e-12 * vol
+        assert len(set(masses)) == 1  # the carried k = 0 coefficient, copied through every step
         assert abs(masses[0] / vol - 0.3) < 1e-12
 
     def test_divergence_invariant_along_run(self):
@@ -758,16 +724,6 @@ class TestRun:
         res = run(cfg)
         assert not res.invariant_failures
         assert res.records[-1].phi_min < -0.5 < 0.5 < res.records[-1].phi_max
-
-    def test_mu_grad_phi_force_form(self):
-        cfg = make_cfg(
-            sim=SimParams(nu=0.1, dt=2e-3, t_end=0.1, force_form="mu_grad_phi"),
-            initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=14),
-        )
-        res = run(cfg)
-        assert not res.invariant_failures
-        vol = TWO_PI**2
-        assert abs(res.records[-1].mass - res.records[0].mass) < 1e-12 * vol
 
     def test_body_forcing_integrates_mean_momentum(self):
         # spatially uniform force: the k = 0 velocity mode obeys the exact

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, advect, divergence, full_plane, gradient, laplacian, random_field, random_vector, rdivergence,
-    rel_err, seminorm_h1,
+    TWO_PI, advect, divergence, full_plane, gradient, laplacian, mean, random_field, random_vector,
+    rdivergence, rel_err, seminorm_h1,
 )
 from nlchns.spectral import (
     Grid,
@@ -15,7 +15,6 @@ from nlchns.spectral import (
     inner,
     irfft2_cols,
     leray_project,
-    mean,
     norm_l2,
     parseval,
     power,
