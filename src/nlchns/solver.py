@@ -36,10 +36,11 @@ first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
 dealias on.  ``step`` steps the coefficients it is given.  The transport
 is taken in divergence form, ik . (u phi)^ (``spectral.flux_divergence``),
 the weak form's (u, phi grad psi), which equals u . grad phi because
-div u = 0.  With zero forcing a step takes 11 transforms in 11 numpy
-calls, a row and a column pass each but for F'(phi)'s one rfft2: 3 full
-(F'(phi), not band-limited, and grad mu in one stacked inverse call) and 8
-on the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias
+div u = 0.  Every transform goes through ``spectral.rfft2_cols`` and
+``spectral.irfft2_cols``, a row and a column pass each.  With zero forcing
+a step takes 11 transforms in 6 calls of them: 3 full (F'(phi), not
+band-limited, in place, and grad mu in one stacked inverse call) and 8 on
+the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias
 off): u phi and both momentum right-hand sides forward, in two stacked
 calls; omega inverse, and the new phi, u_x and u_y in one stacked call.
 mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
@@ -129,7 +130,8 @@ class SimState:
     mean(phi) is constant along the trajectory.  ``hats``: the rfft2
     coefficients of (phi, u.x, u.y) on their first columns, the rest being
     zero (all n//2 + 1 when taken from the samples, as they are when not
-    given); new samples make a new state, so the two never disagree."""
+    given, in one stacked transform whose block they view); new samples
+    make a new state, so the two never disagree."""
 
     phi: ScalarField
     u: VectorField
@@ -139,7 +141,8 @@ class SimState:
 
     def __post_init__(self):
         if self.hats is None:
-            self.hats = tuple(np.fft.rfft2(f.values) for f in (self.phi, self.u.x, self.u.y))
+            samples = np.stack([f.values for f in (self.phi, self.u.x, self.u.y)])
+            self.hats = tuple(rfft2_cols(samples, samples.shape[-1] // 2 + 1))
 
     @classmethod
     def from_hats(cls, grid: Grid, hats: np.ndarray, t: float,
@@ -340,11 +343,11 @@ def _chemical_hats(ops: _Operators, potential: PotentialSpec, state: SimState
     """The rfft2 coefficients of F'(phi) and of mu for ``state``, from its
     first ``ops`` columns of phi^, computed into ``ops.work.rows`` (the
     F'(phi) samples in ``ops.work.real[0]``); the next step's row transforms
-    overwrite both.  numpy's rfft2 writes its ``out`` in both passes, the
-    second in place."""
+    overwrite both.  F'(phi)'s full-width transform takes its column pass in
+    place."""
     ws = ops.work
     fp, mu = ws.rows
-    np.fft.rfft2(eval_df(potential, state.phi.values, out=ws.real[0]), out=fp)
+    rfft2_cols(eval_df(potential, state.phi.values, out=ws.real[0]), fp.shape[-1], out=fp, rows=fp)
     mu_hat(ops.a_minus_j, state.hats[0][:, :ops.keep.shape[1]], fp, out=mu)
     return fp, mu
 

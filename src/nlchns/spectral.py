@@ -38,6 +38,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft._pocketfft_umath import fft as _fft
+from numpy.fft._pocketfft_umath import ifft as _ifft
+from numpy.fft._pocketfft_umath import irfft as _irfft
+from numpy.fft._pocketfft_umath import rfft_n_even as _rfft
 
 
 class GridMismatchError(ValueError):
@@ -219,16 +223,26 @@ def resample(f: ScalarField, new_grid: Grid) -> ScalarField:
 # ---------------------------------------------------------------------------
 # calculus
 
+# the gufuncs' axes: a 1-D pass along the rows (the last axis) or the columns
+_ROW_PASS = [(-1,), (), (-1,)]
+_COL_PASS = [(-2,), (), (-2,)]
+
+
 def rfft2_cols(values: np.ndarray, c: int, out: np.ndarray | None = None,
                rows: np.ndarray | None = None) -> np.ndarray:
     """rfft2(values)[..., :c], bit-identically, with the column FFTs cut to
     c; leading axes stack fields, each transformed as if alone.  The row
     pass goes to ``rows`` (shape values.shape[:-1] + (n//2 + 1,)) and the
-    column pass to ``out``, each allocated when None; c = n//2 + 1 gives the
-    whole rfft2.  Each pass is a one-axis rfftn / fftn, which writes its
-    ``out`` in its one 1-D pass."""
-    rows = np.fft.rfftn(values, axes=(-1,), out=rows)
-    return np.fft.fftn(rows[..., :c], axes=(-2,), out=out)
+    column pass to ``out``, each allocated when None; c = n//2 + 1 gives
+    the whole rfft2, and then ``out`` may be ``rows`` itself.  The passes
+    are the pocketfft gufuncs that numpy's rfft2 ends in, called with its
+    factors (n is even) but without its per-call argument handling."""
+    if rows is None:
+        values = np.asarray(values)
+        rows = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
+    _rfft(values, 1.0, axes=_ROW_PASS, out=rows)
+    rows = rows[..., :c]
+    return _fft(rows, 1.0, axes=_COL_PASS, out=np.empty_like(rows) if out is None else out)
 
 
 def irfft2_cols(grid: Grid, c_hat: np.ndarray, out: np.ndarray | None = None,
@@ -237,10 +251,14 @@ def irfft2_cols(grid: Grid, c_hat: np.ndarray, out: np.ndarray | None = None,
     leading axes stack fields, each transformed bit-identically as if alone.
     The column pass goes to ``work`` (c_hat itself may be given) and the row
     pass to ``out``, each allocated when None.  These are irfft2's own two
-    passes, called apart as one-axis ifftn / irfftn because numpy's irfft2
-    does not write its ``out`` and a two-axis irfftn allocates its first."""
-    work = np.fft.ifftn(c_hat, axes=(-2,), out=work)
-    return np.fft.irfftn(work, s=(grid.n,), axes=(-1,), out=out)
+    passes, the pocketfft gufuncs with its factor 1/n each, called apart
+    because numpy's irfft2 does not write its ``out``."""
+    if work is None:
+        work = np.empty(np.shape(c_hat), dtype=complex)
+    _ifft(c_hat, 1.0 / grid.n, axes=_COL_PASS, out=work)
+    if out is None:
+        out = np.empty(work.shape[:-1] + (grid.n,))
+    return _irfft(work, 1.0 / grid.n, axes=_ROW_PASS, out=out)
 
 
 def rgradient(grid: Grid, f_hat: np.ndarray, out: np.ndarray | None = None,

@@ -61,6 +61,22 @@ def test_every_private_name_has_a_caller_in_the_package():
     assert unreferenced_names(private=True) == []
 
 
+def test_transforms_stay_behind_the_spectral_helpers():
+    # numpy's private pocketfft gufuncs are named only in spectral, and the
+    # solver calls no numpy.fft function: its transforms all go through
+    # rfft2_cols and irfft2_cols
+    files = sorted((ROOT / "src" / "nlchns").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    naming = [p.name for p in files if "_pocketfft_umath" in p.read_text()]
+    assert naming == ["spectral.py"]
+    solver = ast.parse((ROOT / "src" / "nlchns" / "solver.py").read_text())
+    fft_refs = [sub for sub in ast.walk(solver)
+                if (isinstance(sub, ast.Attribute) and sub.attr == "fft")
+                or (isinstance(sub, ast.ImportFrom) and "fft" in (sub.module or ""))
+                or (isinstance(sub, ast.Import) and any("fft" in a.name for a in sub.names))]
+    assert fft_refs == []
+
+
 def test_private_name_called_only_from_scripts_is_reported(tmp_path):
     package = tmp_path / "src" / "nlchns"
     package.mkdir(parents=True)

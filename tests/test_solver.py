@@ -10,7 +10,7 @@ from conftest import (
     TWO_PI, advect, convolve, divergence, full_plane, mean, mu_coefficients, mu_grad_phi, random_field,
     rel_err,
 )
-from nlchns import solver, storage
+from nlchns import solver, spectral, storage
 from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import total_energy
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
@@ -44,15 +44,29 @@ from nlchns.spectral import (
 DW = PotentialSpec.double_well()
 
 
-def count_transforms(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and input shape of each numpy.fft transform called from now on."""
+def count_transforms(monkeypatch) -> list[tuple]:
+    """(name, input shape, columns) of each transform called from now on:
+    ``spectral``'s two helpers, in the namespaces that call them, with the
+    columns they cut to or read, and any numpy.fft function, with None."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
                  "fftn", "ifftn", "rfftn", "irfftn"):
         def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls.append((_name, np.shape(a)))
+            calls.append((_name, np.shape(a), None))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+
+    def forward(values, c, *args, _fn=spectral.rfft2_cols, **kwargs):
+        calls.append(("rfft2_cols", np.shape(values), c))
+        return _fn(values, c, *args, **kwargs)
+
+    def inverse(grid, c_hat, *args, _fn=spectral.irfft2_cols, **kwargs):
+        calls.append(("irfft2_cols", np.shape(c_hat), np.shape(c_hat)[-1]))
+        return _fn(grid, c_hat, *args, **kwargs)
+
+    for module in (spectral, solver):
+        monkeypatch.setattr(module, "rfft2_cols", forward)
+        monkeypatch.setattr(module, "irfft2_cols", inverse)
     return calls
 
 
@@ -353,37 +367,35 @@ class TestStepCore:
             assert got.tobytes() == want.tobytes()
 
     def test_transforms_per_step(self, kernel32, rng, monkeypatch):
-        # F'(phi) is one full rfft2 into the workspace; every other 2-D
-        # transform is a one-axis row pass (rfftn, irfftn) and column pass
-        # (fftn, ifftn), called apart so that both write into the workspace.
-        # Full width: F'(phi) forward and grad mu inverse; on the 11 kept
-        # columns: u phi and both momentum right-hand sides forward, in two
-        # stacked calls, omega inverse and the new (phi, u_x, u_y) inverse in
-        # one stacked call: 11 transforms in 11 numpy calls
+        # every transform is one of spectral's two helpers, a row and a
+        # column pass each, and none is a numpy.fft call.  Full width:
+        # F'(phi) forward and grad mu inverse; on the 11 kept columns: u phi
+        # and both momentum right-hand sides forward, in two stacked calls,
+        # omega inverse and the new (phi, u_x, u_y) inverse in one stacked
+        # call: 11 transforms in 6 helper calls
         g = kernel32.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
         state = SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0)
         state = step(state, params, kernel32, DW)
         calls = count_transforms(monkeypatch)
-        want = Counter({("rfft2", (n, n)): 1, ("rfftn", (2, n, n)): 2, ("fftn", (2, n, c)): 2,
-                        ("ifftn", (n, c)): 1, ("irfftn", (n, c)): 1,
-                        ("ifftn", (3, n, c)): 1, ("irfftn", (3, n, c)): 1,
-                        ("ifftn", (2, n, nh)): 1, ("irfftn", (2, n, nh)): 1})
+        want = Counter({("rfft2_cols", (n, n), nh): 1, ("rfft2_cols", (2, n, n), c): 2,
+                        ("irfft2_cols", (n, c), c): 1, ("irfft2_cols", (2, n, nh), nh): 1,
+                        ("irfft2_cols", (3, n, c), c): 1})
         step(state, params, kernel32, DW, ForcingSpec().field_at(g, state.t))
         assert Counter(calls) == want
-        transforms = sum(np.prod(shape[:-2], dtype=int) for name, shape in calls
-                         if name in ("rfft2", "rfftn", "ifftn"))
-        assert (transforms, len(calls)) == (11, 11)
+        transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
+        assert (transforms, len(calls)) == (11, 6)
         calls.clear()
         # a force adds one stacked kept-column forward transform
         h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
         step(state, params, kernel32, DW, h)
-        assert Counter(calls) == want + Counter({("rfftn", (2, n, n)): 1, ("fftn", (2, n, c)): 1})
+        assert Counter(calls) == want + Counter({("rfft2_cols", (2, n, n), c): 1})
         calls.clear()
-        # a state built from samples takes the rfft2 of phi, u_x and u_y
+        # a state built from samples takes the rfft2 of phi, u_x and u_y in
+        # one stacked call
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
-        assert Counter(calls) == want + Counter({("rfft2", (n, n)): 3})
+        assert Counter(calls) == want + Counter({("rfft2_cols", (3, n, n), nh): 1})
 
     def test_sample_built_state_steps_in_band(self, kernel32, rng):
         # with dealias on, run() cuts full-spectrum initial data to the band,
@@ -400,29 +412,23 @@ class TestStepCore:
             assert a.tobytes() == b.tobytes()
 
     def test_transforms_per_record(self, monkeypatch):
-        # a record takes the rfft2 of F'(phi) for mu^ and nothing else: its
-        # norms and the divergence audit's bound come from the coefficients
+        # a record's mu^ is made from the F'(phi)^ of the step from its
+        # state; its norms and the divergence audit's bound come from the
+        # coefficients
         cfg = make_cfg(
             sim=SimParams(nu=0.05, dt=2e-3, t_end=0.02),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
             velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
             checks=ChecksConfig(grad_control=True),
         )
+        n, nh, c = cfg.grid.n, cfg.grid.n // 2 + 1, cfg.grid.n // 3 + 1
         calls = count_transforms(monkeypatch)
 
         def counts(steps, every):
             calls.clear()
             run(replace(cfg, sim=replace(cfg.sim, t_end=steps * cfg.sim.dt),
                         output=OutputConfig(record_every=every)))
-            # complex transforms run only on the kept columns, but for the
-            # stacked grad mu pair of each step on all n//2 + 1: none on a
-            # full (n, n) plane
-            n, grad_mu = cfg.grid.n, (2, cfg.grid.n, cfg.grid.n // 2 + 1)
-            shapes = Counter(shape for name, shape in calls
-                             if name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"))
-            assert shapes.pop(grad_mu, 0) == steps
-            assert {shape[-2:] for shape in shapes} <= {(n, n // 3 + 1)}
-            return Counter(name for name, _ in calls)
+            return Counter(calls)
 
         def minus(a, b):
             return {k: a[k] - b[k] for k in a.keys() | b.keys() if a[k] != b[k]}
@@ -430,23 +436,28 @@ class TestStepCore:
         every = counts(10, 1)
         # a record's F'(phi)^ is the next step's: records cost no transform
         assert minus(every, counts(10, 10)) == {}
-        # a step and its record: 11 transforms in 11 numpy calls, the rfft2
-        # of F'(phi), and a row and a column pass each for 2 kept-column
-        # forward calls (stacked) and 3 inverse ones (two stacked)
-        assert minus(every, counts(0, 1)) == {"rfft2": 10, "rfftn": 10 * 2, "fftn": 10 * 2,
-                                              "ifftn": 10 * 3, "irfftn": 10 * 3}
+        # a step and its record: 11 transforms in 6 helper calls and no
+        # numpy.fft call.  Only F'(phi) forward and the stacked grad mu
+        # inverse run on all n//2 + 1 columns; every other column pass
+        # runs on the kept columns, and none on a full (n, n) plane
+        assert minus(every, counts(0, 1)) == {
+            ("rfft2_cols", (n, n), nh): 10, ("irfft2_cols", (2, n, nh), nh): 10,
+            ("rfft2_cols", (2, n, n), c): 10 * 2,
+            ("irfft2_cols", (n, c), c): 10, ("irfft2_cols", (3, n, c), c): 10}
 
     @pytest.mark.parametrize("velocity", [VelocitySpec(family="zero"),
                                           VelocitySpec(family="taylor_green", amplitude=0.7)])
     def test_transforms_at_set_up(self, monkeypatch, velocity):
-        # the kernel's multiplier, the initial state's 3 coefficient arrays,
-        # its band cut and the first record's F'(phi): the velocity is built
-        # divergence-free, so set-up projects nothing
+        # the kernel's multiplier (numpy's rfft2), the initial state's 3
+        # coefficient arrays in one stacked call, its band cut and the first
+        # record's F'(phi): the velocity is built divergence-free, so set-up
+        # projects nothing
         cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=0.0), velocity=velocity)
-        n, kept = cfg.grid.n, (3, cfg.grid.n, cfg.grid.n // 3 + 1)
+        n, nh, c = cfg.grid.n, cfg.grid.n // 2 + 1, cfg.grid.n // 3 + 1
         calls = count_transforms(monkeypatch)
         run(cfg)
-        assert Counter(calls) == Counter({("rfft2", (n, n)): 5, ("ifftn", kept): 1, ("irfftn", kept): 1})
+        assert Counter(calls) == Counter({("rfft2", (n, n), None): 1, ("rfft2_cols", (3, n, n), nh): 1,
+                                          ("irfft2_cols", (3, n, c), c): 1, ("rfft2_cols", (n, n), nh): 1})
 
     def test_one_projection_matches_split_projection(self, kernel32, rng):
         # projecting the force before the viscous solve as well as after it
