@@ -23,6 +23,9 @@ energy is a true Dirichlet-type form.  Kernel objects are immutable after
 build, but ``solver.step`` keys a workspace on the kernel that serves one
 trajectory at a time: two threads must not step with one kernel and the
 same parameters at once (``solver.trajectory`` builds a kernel per run).
+From n = ``solver._FORK_MIN_N`` (256) that workspace also holds a worker
+thread, which each step forks its phase branch onto, and the thread's own
+buffers (2 MiB at n = 256); both go with the kernel.
 """
 
 from __future__ import annotations

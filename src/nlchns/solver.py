@@ -42,7 +42,8 @@ a step takes 11 transforms in 6 calls of them: 3 full (F'(phi), not
 band-limited, in place, and grad mu in one stacked inverse call) and 8 on
 the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias
 off): u phi and both momentum right-hand sides forward, in two stacked
-calls; omega inverse, and the new phi, u_x and u_y in one stacked call.
+calls; omega inverse, and the new phi, u_x and u_y in one stacked call
+(in two, phi apart, when the step forks: 7 calls).
 mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
 takes no transform of its own: the frames give it the mu^ that the step
 from its state is given, so a recorded step is 11 transforms too.  Its mass
@@ -55,15 +56,33 @@ so P D (u/dt + P r) = P D (u/dt + r).
 ``step`` and a record's mu^ write every intermediate into one workspace per
 (kernel, params), kept beside the solve operators and dying with the
 kernel; a step allocates only the state it returns, one (3, n, c) complex
-block of coefficients and one (3, n, n) real block of samples.  A kernel's
-workspace serves one trajectory at a time; ``trajectory`` builds a kernel
-per run, so independent runs share nothing and may execute concurrently.
-The returned states never share memory with the workspace, or with each
-other.
+block of coefficients and one (3, n, n) real block of samples.  numpy
+buffers a ufunc operand that is a column slice or a broadcast, in an
+allocation of its own, so the operators are held contiguous on the kept
+columns and no ufunc past the new samples' allocation takes such an
+operand.  A kernel's workspace serves one trajectory at a time;
+``trajectory`` builds a kernel per run, so independent runs share nothing
+and may execute concurrently.  The returned states never share memory with
+the workspace, or with each other.
+
+Within a step, the phase and flow updates couple only through data at t^n,
+so from n = ``_FORK_MIN_N`` (256) a step runs its phase branch (u phi, its
+transform, the phase solve and the inverse of the new phi) on one worker
+thread while the calling thread runs the flow branch, and joins it before
+the new samples are checked for blow-up.  numpy's pocketfft gufuncs and
+large ufunc loops release the GIL, so the two overlap on two CPUs.  The
+branches write disjoint buffers, the worker's own beside the workspace, and
+every 1-D pass is independent, so the result is the same bit for bit; an
+error on either branch reaches the caller only after the other branch has
+finished.  The thread is a daemon started with the workspace, and exits
+once its kernel is collected.  Below that size the hand-off costs more
+than the overlap saves, and no thread is started.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
@@ -89,7 +108,7 @@ from .spectral import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from collections.abc import Iterator
+    from collections.abc import Callable, Iterator
 
     from .config import SimConfig
 
@@ -273,38 +292,96 @@ def capillary_force(grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, out: np.nda
 # ---------------------------------------------------------------------------
 # the step
 
+# the grid size from which a step forks its phase branch onto a worker
+# thread; below it the hand-off costs more than the overlap saves
+_FORK_MIN_N = 256
+
+
+def _serve(tasks: "queue.SimpleQueue", done: "queue.SimpleQueue") -> None:
+    """A fork's thread: run each task handed to it and hand back its
+    exception or None, until handed None.  A task is dropped once run, so
+    that the thread keeps nothing it worked on alive."""
+    while (task := tasks.get()) is not None:
+        try:
+            task()
+        except BaseException as err:  # raised again by the caller, in ``_Fork.both``
+            done.put(err)
+        else:
+            done.put(None)
+        del task
+
+
+class _Fork:
+    """One daemon thread that runs a function while the caller runs another.
+    Between calls the thread holds neither this object nor what its tasks
+    worked on: it exits once this object is collected, and it never holds
+    up the interpreter's exit."""
+
+    __slots__ = ("_tasks", "_done", "__weakref__")
+
+    def __init__(self):
+        self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(self._tasks, self._done), name="nlchns-phase",
+                         daemon=True).start()
+        weakref.finalize(self, self._tasks.put, None)
+
+    def both(self, branch: "Callable[[], None]", main: "Callable[[], None]") -> None:
+        """Run ``branch`` on the thread and ``main`` here.  Returns, or
+        raises what either raised (``main``'s first), only once both have
+        finished."""
+        self._tasks.put(branch)
+        try:
+            main()
+        finally:
+            err = self._done.get()
+        if err is not None:
+            raise err
+
+
 class _Workspace:
     """The scratch of one (kernel, params): ``step`` and a record's mu^ write
     every intermediate here, so that a step allocates only the state it
     returns.  Buffers whose lifetimes do not overlap share memory:
 
-    * ``real``: two (n, n) sample planes (F'(phi), -phi, the products of
-      omega, then u phi), the second holding omega until the flow's
-      right-hand side is complete;
-    * ``grad``: (2, n, n), the capillary force, the momentum right-hand side,
-      then the forcing;
+    * ``real``: two (n, n) sample planes (F'(phi), -phi and the products of
+      omega, the second holding omega until the flow's right-hand side is
+      complete; then u phi);
     * ``rows``: (2, n, n//2 + 1), F'(phi)^ and mu^, then row transforms and
       the coefficients of grad mu;
     * ``cols``: coefficients on the columns the step keeps, (3, n, c);
-    * ``finite``: the isfinite mask of a new state's samples."""
+    * ``finite``: the isfinite mask of a new state's samples.
 
-    __slots__ = ("real", "grad", "rows", "cols", "finite")
+    From n = ``_FORK_MIN_N`` the phase branch of a step runs on ``fork``'s
+    thread, with buffers of its own: ``phase_real`` (2, n, n) for the u phi
+    products, ``phase_rows`` (2, n, n//2 + 1) for their row pass, and
+    ``phase_flux`` (2, n, c), a view of phase_real's memory, for their
+    column pass, then for the column pass of the new phi.  Below it these
+    four are None, and no thread is started."""
+
+    __slots__ = ("real", "rows", "cols", "finite", "fork", "phase_real", "phase_rows", "phase_flux")
 
     def __init__(self, n: int, c: int):
         self.real = np.empty((2, n, n))
-        self.grad = np.empty((2, n, n))
         self.rows = np.empty((2, n, n // 2 + 1), dtype=complex)
         self.cols = np.empty((3, n, c), dtype=complex)
         self.finite = np.empty((3, n, n), dtype=bool)
+        self.fork = self.phase_real = self.phase_rows = self.phase_flux = None
+        if n >= _FORK_MIN_N:
+            self.fork = _Fork()
+            block = np.empty(max(2 * n * n, 4 * n * c))  # both views, in float64s
+            self.phase_real = block[:2 * n * n].reshape(2, n, n)
+            self.phase_rows = np.empty((2, n, n // 2 + 1), dtype=complex)
+            self.phase_flux = block[:4 * n * c].view(complex).reshape(2, n, c)
 
 
 class _Operators(NamedTuple):
     """Solve coefficients of one (kernel, dt, nu, S, dealias) on the columns
     the step keeps: new phi^ = (keep phi^ - k2 F'^ - adv^) solve, and the
-    masked, projected viscous solve as weights (wxx, wxy; wxy, wyy); and
-    a - J^ on the half plane, for mu^.  Each is held complex, x + 0j, so
-    that no product casts a real operand (that would allocate), with the
-    same result bit for bit.  ``work`` is the step's workspace."""
+    masked, projected viscous solve as weights (wxx, wxy; wxy, wyy); a -
+    J^, for mu^; and the derivative multipliers (``HalfPlane.ik``).  Each
+    is held complex, x + 0j, and contiguous, so that no product casts or
+    buffers an operand (either would allocate), with the same result bit
+    for bit.  ``work`` is the step's workspace."""
 
     keep: np.ndarray
     solve: np.ndarray
@@ -313,6 +390,7 @@ class _Operators(NamedTuple):
     wxy: np.ndarray
     wyy: np.ndarray
     a_minus_j: np.ndarray
+    ik: np.ndarray
     work: _Workspace
 
 
@@ -331,9 +409,10 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
         ops = (
             1.0 / params.dt + k2 * (params.stabilizer + kernel.multiplier[:, :c]),
             mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
-            k2, flow * h.pxx[:, :c], flow * h.pxy[:, :c], flow * h.pyy[:, :c], kernel.a_minus_j,
+            k2, flow * h.pxx[:, :c], flow * h.pxy[:, :c], flow * h.pyy[:, :c], kernel.a_minus_j[:, :c],
+            h.ik(k2.shape[1]),
         )
-        per_kernel[key] = _Operators(*(a.astype(complex) for a in ops),
+        per_kernel[key] = _Operators(*(a.astype(complex, copy=False) for a in ops),
                                      work=_Workspace(g.n, k2.shape[1]))
     return per_kernel[key]
 
@@ -367,46 +446,80 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
 def _advance(ops: _Operators, dt: float, state: SimState, fp_hat: np.ndarray, mu: np.ndarray,
              forcing: VectorField | None) -> SimState:
     """The body of ``step``, given the state's F'(phi)^ and mu^ as
-    ``_chemical_hats`` leaves them in the workspace."""
-    g, ws, c, inv_dt = state.phi.grid, ops.work, ops.keep.shape[1], 1.0 / dt
-    rows, cols, rhs, (s1, omega) = ws.rows, ws.cols, ws.grad, ws.real
-    ikx, iky = g.half.ikx[:, :c], g.half.iky[:, :c]
-    phi, u = state.phi.values, state.u
-    phi_hat, ux_hat, uy_hat = (a[:, :c] for a in state.hats)
+    ``_chemical_hats`` leaves them in the workspace.  Past the first line
+    of the phase update, the phase branch (``_phase``) and the flow branch
+    (``_flow``) read only the state and mu^, and write disjoint buffers;
+    with a fork the phase branch, with the inverse transform of the new
+    phi, runs on the fork's thread while this one runs the flow branch and
+    the inverse of the new u.  Both have finished before the new samples
+    are checked."""
+    g, ws, c = state.phi.grid, ops.work, ops.keep.shape[1]
     new = np.empty((3, g.n, c), dtype=complex)
 
-    # phase, up to the transport
-    np.multiply(ops.keep, phi_hat, out=new[0])
-    np.subtract(new[0], np.multiply(ops.k2, fp_hat[:, :c], out=cols[1]), out=new[0])
+    # phase, up to the transport: the flow overwrites F'(phi)^'s plane
+    np.multiply(ops.keep, state.hats[0][:, :c], out=new[0])
+    np.subtract(new[0], np.multiply(ops.k2, fp_hat[:, :c], out=ws.cols[1]), out=new[0])
 
-    # flow: capillary force plus omega (u_y, -u_x), omega = curl u in one
-    # inverse transform; the right-hand sides in one stacked transform
+    # after the column slice of F'(phi)^, whose ufunc buffer would add to the step's peak
+    samples = np.empty((3, g.n, g.n))
+
+    if ws.fork is None:
+        _flow(ops, dt, state, mu, forcing, new[1:], samples[1:])
+        _phase(ops, state, new[0], ws.real, ws.rows, ws.cols[:2])
+        irfft2_cols(g, new, out=samples, work=ws.cols)
+    else:
+        def phase():
+            _phase(ops, state, new[0], ws.phase_real, ws.phase_rows, ws.phase_flux)
+            irfft2_cols(g, new[0], out=samples[0], work=ws.phase_flux[0])
+
+        def flow():
+            _flow(ops, dt, state, mu, forcing, new[1:], samples[1:])
+            irfft2_cols(g, new[1:], out=samples[1:], work=ws.cols[:2])
+
+        ws.fork.both(phase, flow)
+    if not np.isfinite(samples, out=ws.finite).all():
+        raise BlowUpError(f"non-finite values in {'u' if ws.finite[0].all() else 'phi'}")
+    return SimState.from_hats(g, new, state.t + dt, samples)
+
+
+def _phase(ops: _Operators, state: SimState, new_phi: np.ndarray, products: np.ndarray,
+           rows: np.ndarray, flux: np.ndarray) -> None:
+    """The new phi^ into ``new_phi``, which holds keep phi^ - k2 F'(phi)^:
+    minus the transport div(u phi), taken through ``products`` (2, n, n),
+    ``rows`` (2, n, n//2 + 1) and ``flux`` (2, n, c), then solved, with the
+    k = 0 coefficient copied through."""
+    adv_hat = flux_divergence(state.u, state.phi.values, ops.ik, out=flux, products=products, rows=rows)
+    np.multiply(np.subtract(new_phi, adv_hat, out=new_phi), ops.solve, out=new_phi)
+    new_phi[0, 0] = state.hats[0][0, 0]
+
+
+def _flow(ops: _Operators, dt: float, state: SimState, mu: np.ndarray, forcing: VectorField | None,
+          new_u: np.ndarray, rhs: np.ndarray) -> None:
+    """The new u^ into ``new_u`` (2, n, c): the capillary force plus omega
+    (u_y, -u_x), omega = curl u in one inverse transform, and the forcing,
+    with the right-hand sides in one stacked transform, then the projected
+    viscous solve.  ``rhs`` (2, n, n) takes the samples of the right-hand
+    sides; the workspace's ``real``, ``rows`` and ``cols`` the rest, and
+    mu^ is overwritten."""
+    g, ws, c, inv_dt = state.phi.grid, ops.work, new_u.shape[-1], 1.0 / dt
+    rows, cols, (s1, omega), (ikx, iky) = ws.rows, ws.cols, ws.real, ops.ik
+    u = state.u
+    ux_hat, uy_hat = (a[:, :c] for a in state.hats[1:])
+
     np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
     np.add(np.multiply(ikx, uy_hat, out=cols[1]), cols[2], out=cols[2])
     irfft2_cols(g, cols[2], out=omega, work=cols[2])
-    capillary_force(g, phi, mu, out=rhs, work=rows, scratch=s1)
+    capillary_force(g, state.phi.values, mu, out=rhs, work=rows, scratch=s1)
     np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
     np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
     bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
-
-    # phase: the transport div(u phi); the new state's u^ planes are free
-    # until the flow solve below
-    adv_hat = flux_divergence(u, phi, c, out=new[1:], products=ws.real, rows=rows)
-    np.multiply(np.subtract(new[0], adv_hat, out=new[0]), ops.solve, out=new[0])
-    new[0, 0, 0] = phi_hat[0, 0]
-
     np.add(bx, np.multiply(ux_hat, inv_dt, out=cols[2]), out=bx)
     np.add(by, np.multiply(uy_hat, inv_dt, out=cols[2]), out=by)
     if forcing is not None:
         h = np.stack((forcing.x.values, forcing.y.values), out=rhs)
-        np.add(b, rfft2_cols(h, c, out=new[1:], rows=rows), out=b)
-    np.add(np.multiply(ops.wxx, bx, out=new[1]), np.multiply(ops.wxy, by, out=cols[2]), out=new[1])
-    np.add(np.multiply(ops.wxy, bx, out=new[2]), np.multiply(ops.wyy, by, out=cols[2]), out=new[2])
-
-    samples = irfft2_cols(g, new, out=np.empty((3, g.n, g.n)), work=cols)
-    if not np.isfinite(samples, out=ws.finite).all():
-        raise BlowUpError(f"non-finite values in {'u' if ws.finite[0].all() else 'phi'}")
-    return SimState.from_hats(g, new, state.t + dt, samples)
+        np.add(b, rfft2_cols(h, c, out=new_u, rows=rows), out=b)
+    np.add(np.multiply(ops.wxx, bx, out=new_u[0]), np.multiply(ops.wxy, by, out=cols[2]), out=new_u[0])
+    np.add(np.multiply(ops.wxy, bx, out=new_u[1]), np.multiply(ops.wyy, by, out=cols[2]), out=new_u[1])
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +629,8 @@ def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, r
     drift = float(state.hats[0][0, 0].real - mass0) / grid.n**2  # of mean(phi)
     if abs(drift) > 1e-12:
         failures.append(f"mass drift {drift:.3e} at step {step_index}")
-    umax = float(np.max(np.abs(state.u.x.values)) + np.max(np.abs(state.u.y.values)))
+    ux, uy = state.u.x.values, state.u.y.values
+    umax = float(np.maximum(ux.max(), -ux.min()) + np.maximum(uy.max(), -uy.min()))  # no |u| temporary
     div_max = divergence_bound(grid, *state.hats[1:])  # >= the sampled max
     if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
         failures.append(f"divergence {div_max:.3e} at step {step_index}")

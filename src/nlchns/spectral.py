@@ -107,19 +107,12 @@ class Grid:
         kx, ky = np.meshgrid(k, k[:nh], indexing="ij")
         k2 = kx**2 + ky**2
         keep = np.abs(self.modes) <= self.n // 3
-        # Leray weights: modes with k = 0 under the derivative convention
-        # (the zero mode and the unmatched Nyquist lines) pass through
-        pos = k2 > 0.0
-        k2_pos = np.where(pos, k2, 1.0)
         weight = np.full((self.n, nh), 2.0 * self.volume / self.n**4)
         weight[:, [0, -1]] /= 2.0  # m_y = 0 and n/2 count once
         return HalfPlane(
             ikx=1j * kx, iky=1j * ky, k2=k2, weight=weight, weight_k2=weight * k2,
             kept_cols=self.n // 3 + 1,
             mask=keep[:, None] & keep[None, :nh],
-            pxx=np.where(pos, 1.0 - kx * kx / k2_pos, 1.0),
-            pxy=np.where(pos, -kx * ky / k2_pos, 0.0),
-            pyy=np.where(pos, 1.0 - ky * ky / k2_pos, 1.0),
         )
 
 
@@ -127,9 +120,11 @@ class Grid:
 class HalfPlane:
     """Operators on rfft2 coefficients, shape (n, n//2 + 1): the modes
     m_y = 0 .. n/2, the rest being their conjugates for real fields.
-    (pxx, pxy; pxy, pyy) is the Leray projector; ``weight`` is the Parseval
-    weight of each coefficient, and ``weight_k2`` = weight k2 that of
-    ||grad f||^2; ``mask`` keeps ``kept_cols`` of the columns."""
+    (pxx, pxy; pxy, pyy) is the Leray projector, made from the wavenumbers
+    on each use (the solver keeps its own product with the viscous solve);
+    ``weight`` is the Parseval weight of each coefficient, and ``weight_k2``
+    = weight k2 that of ||grad f||^2; ``mask`` keeps ``kept_cols`` of the
+    columns."""
 
     ikx: np.ndarray
     iky: np.ndarray
@@ -138,9 +133,33 @@ class HalfPlane:
     weight_k2: np.ndarray
     kept_cols: int
     mask: np.ndarray
-    pxx: np.ndarray
-    pxy: np.ndarray
-    pyy: np.ndarray
+
+    # Leray weights: modes with k = 0 under the derivative convention (the
+    # zero mode and the unmatched Nyquist lines) pass through
+    @property
+    def pxx(self) -> np.ndarray:
+        kx = self.ikx.imag
+        return np.where(self.k2 > 0.0, 1.0 - kx * kx / self._k2_pos, 1.0)
+
+    @property
+    def pxy(self) -> np.ndarray:
+        kx, ky = self.ikx.imag, self.iky.imag
+        return np.where(self.k2 > 0.0, -kx * ky / self._k2_pos, 0.0)
+
+    @property
+    def pyy(self) -> np.ndarray:
+        ky = self.iky.imag
+        return np.where(self.k2 > 0.0, 1.0 - ky * ky / self._k2_pos, 1.0)
+
+    @property
+    def _k2_pos(self) -> np.ndarray:
+        return np.where(self.k2 > 0.0, self.k2, 1.0)
+
+    def ik(self, c: int) -> np.ndarray:
+        """(ikx, iky) on the first c columns, stacked (2, n, c) in a new
+        contiguous block: numpy buffers a ufunc operand that is a column
+        slice, and allocates to do so."""
+        return np.stack((self.ikx[:, :c], self.iky[:, :c]))
 
 
 @dataclass
@@ -285,22 +304,23 @@ def divergence_bound(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.vdot(h.weight[:, :c], d)) * grid.n**2 / grid.volume
 
 
-def flux_divergence(u: VectorField, f: np.ndarray, c: int, out: np.ndarray | None = None,
+def flux_divergence(u: VectorField, f: np.ndarray, ik: np.ndarray, out: np.ndarray | None = None,
                     products: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
     """rfft2 coefficients of div(u f) on the first c columns, ikx (u_x f)^ +
-    iky (u_y f)^, from the samples of u and f: the transport term in
-    divergence form, equal to (u . grad) f when div u = 0.  The products go
-    to ``products`` (2, n, n) and take one stacked forward transform, its
-    row pass to ``rows`` (2, n, n//2 + 1) and its column pass to ``out``
-    (2, n, c); each is allocated when None, and the result is ``out[0]``."""
-    h = u.grid.half
+    iky (u_y f)^, from the samples of u and f and the multipliers ``ik`` =
+    ``HalfPlane.ik(c)``: the transport term in divergence form, equal to
+    (u . grad) f when div u = 0.  The products go to ``products`` (2, n, n)
+    and take one stacked forward transform, its row pass to ``rows``
+    (2, n, n//2 + 1) and its column pass to ``out`` (2, n, c), which may
+    share memory with ``products``; each is allocated when None, and the
+    result is ``out[0]``."""
     if products is None:
         products = np.empty((2,) + f.shape)
     np.multiply(u.x.values, f, out=products[0])
     np.multiply(u.y.values, f, out=products[1])
-    fx, fy = flux = rfft2_cols(products, c, out=out, rows=rows)
-    np.multiply(h.ikx[:, :c], fx, out=fx)
-    return np.add(fx, np.multiply(h.iky[:, :c], fy, out=fy), out=flux[0])
+    fx, fy = flux = rfft2_cols(products, ik.shape[-1], out=out, rows=rows)
+    np.multiply(ik[0], fx, out=fx)
+    return np.add(fx, np.multiply(ik[1], fy, out=fy), out=flux[0])
 
 
 def leray_project(v: VectorField) -> VectorField:

@@ -88,8 +88,8 @@ def write_state_snapshots(out_dir: str, state, step_index: int) -> None:
     write_snapshot(state.u.y, "uy", state.t, os.path.join(out_dir, f"uy_{tag}.f64"))
 
 
-def format_value(x: float) -> str:
-    return f"{x:.17g}"
+# one diagnostics row: every value with 17 significant digits
+_ROW = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
 
 
 class DiagnosticsWriter:
@@ -102,7 +102,7 @@ class DiagnosticsWriter:
         self._fh.write(",".join(COLUMNS) + "\n")
 
     def append(self, rec: DiagnosticsRecord) -> None:
-        self._fh.write(",".join(format_value(v) for v in rec.as_row()) + "\n")
+        self._fh.write(_ROW % rec.as_row())
 
     def close(self) -> None:
         if not self._fh.closed:

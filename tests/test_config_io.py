@@ -254,6 +254,22 @@ class TestDiagnosticsCsv:
         assert back[0].grad_mu_sq == rec.grad_mu_sq
         assert back[0].t == rec.t
 
+    def test_row_bytes_are_seventeen_digits_per_value(self, tmp_path):
+        # the row is one format string; pinned against per-value formatting
+        # on signed zeros, subnormals, the edge of the range and integers
+        def format_value(x) -> str:
+            return f"{x:.17g}"
+
+        rows = [(-0.0, 5e-324, 2.5e-310, 1e308, -1.7976931348623157e308, 3, 2**60, 0.1,
+                 -1.0 / 3.0, np.float64(-0.0), np.float64(1e-300), 7, -2)]
+        rows.append(tuple(np.float64(v) for v in rows[0]))
+        with DiagnosticsWriter(str(tmp_path)) as w:
+            for row in rows:
+                w.append(DiagnosticsRecord(**dict(zip(COLUMNS, row))))
+        lines = (tmp_path / "diagnostics.csv").read_bytes().split(b"\n")
+        assert lines[1:] == [",".join(format_value(v) for v in row).encode() for row in rows] + [b""]
+        assert lines[1].startswith(b"-0,4.9406564584124654e-324,2.5000000000000171e-310,1e+308,")
+
     @pytest.mark.parametrize("column, row, value", [
         ("total_energy", 1, np.nan), ("t", 0, np.nan), ("grad_u_sq", 1, -np.inf)])
     def test_non_finite_value_rejected(self, tmp_path, column, row, value):

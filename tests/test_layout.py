@@ -77,6 +77,36 @@ def test_transforms_stay_behind_the_spectral_helpers():
     assert fft_refs == []
 
 
+def test_threads_stay_in_the_solver():
+    # one module starts and joins threads: only solver.py imports a thread
+    # module, and the grid size from which it forks is one module constant,
+    # assigned once and named nowhere else as a number
+    thread_modules = {"threading", "concurrent", "queue", "_thread", "multiprocessing"}
+    importing = []
+    for path in sorted((ROOT / "src" / "nlchns").glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Import):
+                names = [alias.name for alias in sub.names]
+            elif isinstance(sub, ast.ImportFrom):
+                names = [sub.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in thread_modules for name in names):
+                importing.append(path.name)
+    assert sorted(set(importing)) == ["solver.py"]
+    solver = ast.parse((ROOT / "src" / "nlchns" / "solver.py").read_text())
+    stores = [sub for sub in ast.walk(solver) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+              and "FORK" in sub.id]
+    assert [s.id for s in stores] == ["_FORK_MIN_N"]
+    (assign,) = [node for node in solver.body if isinstance(node, ast.Assign)
+                 and any(t is stores[0] for t in node.targets)]
+    threshold = assign.value.value
+    assert isinstance(threshold, int)
+    numbers = [sub for sub in ast.walk(solver) if isinstance(sub, ast.Constant) and sub.value == threshold
+               and type(sub.value) is int]
+    assert numbers == [assign.value]
+
+
 def test_private_name_called_only_from_scripts_is_reported(tmp_path):
     package = tmp_path / "src" / "nlchns"
     package.mkdir(parents=True)

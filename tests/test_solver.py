@@ -1,7 +1,14 @@
+import gc
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +404,22 @@ class TestStepCore:
         step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
         assert Counter(calls) == want + Counter({("rfft2_cols", (3, n, n), nh): 1})
 
+    def test_transforms_per_forked_step(self, rng, monkeypatch):
+        # from solver._FORK_MIN_N the new phi is inverted on the fork's
+        # thread, apart from the new u: 11 transforms in 7 helper calls
+        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+        kernel = forked_kernel(monkeypatch, params)
+        g = kernel.grid
+        n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
+        state = step(SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0), params, kernel, DW)
+        calls = count_transforms(monkeypatch)
+        step(state, params, kernel, DW)
+        assert Counter(calls) == Counter({("rfft2_cols", (n, n), nh): 1, ("rfft2_cols", (2, n, n), c): 2,
+                                          ("irfft2_cols", (n, c), c): 2, ("irfft2_cols", (2, n, nh), nh): 1,
+                                          ("irfft2_cols", (2, n, c), c): 1})
+        transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
+        assert (transforms, len(calls)) == (11, 7)
+
     def test_sample_built_state_steps_in_band(self, kernel32, rng):
         # with dealias on, run() cuts full-spectrum initial data to the band,
         # rows and columns alike, and steps those coefficients
@@ -513,30 +536,48 @@ class TestWorkspace:
     def kernel128(self):
         return build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(128, TWO_PI))
 
-    def test_step_allocates_only_the_state_it_returns(self, kernel128, rng):
-        state = stepped_state(kernel128, self.params, rng)
+    @pytest.fixture
+    def forked128(self, monkeypatch):
+        # the phase branch on the fork's thread, with buffers of its own
+        return forked_kernel(monkeypatch, self.params, n=128)
+
+    def assert_step_allocates_only_the_state_it_returns(self, kernel, rng):
+        state = stepped_state(kernel, self.params, rng)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            new = step(state, self.params, kernel128, DW)
+            new = step(state, self.params, kernel, DW)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         owned = sum(a.nbytes for a in {id(a.base): a.base for a in state_arrays(new)}.values())
-        assert owned == 3 * 128 * 128 * 8 + 3 * 128 * kernel128.grid.half.kept_cols * 16
+        assert owned == 3 * 128 * 128 * 8 + 3 * 128 * kernel.grid.half.kept_cols * 16
         assert peak <= owned + 64 * 1024
 
-    def test_states_share_no_memory(self, kernel128, rng):
-        h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel128.grid, 0.0)
-        first = stepped_state(kernel128, self.params, rng, steps=1)
-        second = step(first, self.params, kernel128, DW, h)
-        ws = solver._operators(kernel128, self.params).work
-        buffers = [ws.real, ws.grad, ws.rows, ws.cols, ws.finite]
+    def test_step_allocates_only_the_state_it_returns(self, kernel128, rng):
+        self.assert_step_allocates_only_the_state_it_returns(kernel128, rng)
+
+    def test_forked_step_allocates_only_the_state_it_returns(self, forked128, rng):
+        self.assert_step_allocates_only_the_state_it_returns(forked128, rng)
+
+    def assert_states_share_no_memory(self, kernel, rng, buffers):
+        h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel.grid, 0.0)
+        first = stepped_state(kernel, self.params, rng, steps=1)
+        second = step(first, self.params, kernel, DW, h)
+        ws = solver._operators(kernel, self.params).work
+        buffers = [getattr(ws, name) for name in buffers]
         for a in state_arrays(second):
             assert not any(np.shares_memory(a, b) for b in state_arrays(first) + buffers)
         for a in state_arrays(first):
             assert not any(np.shares_memory(a, b) for b in buffers)
+
+    def test_states_share_no_memory(self, kernel128, rng):
+        self.assert_states_share_no_memory(kernel128, rng, ["real", "rows", "cols", "finite"])
+
+    def test_forked_states_share_no_memory(self, forked128, rng):
+        self.assert_states_share_no_memory(forked128, rng, ["real", "rows", "cols", "finite", "phase_real",
+                                                            "phase_rows", "phase_flux"])
 
     def test_fresh_workspace_gives_the_warm_result(self, kernel128, rng):
         # no stale buffer leaks into a result: the warm workspace has just
@@ -551,6 +592,163 @@ class TestWorkspace:
             cold = step(state, self.params, fresh, DW, forcing)
             for a, b in zip(state_arrays(warm), state_arrays(cold)):
                 assert a.tobytes() == b.tobytes()
+
+
+def forked_kernel(monkeypatch, params: SimParams, spec: KernelSpec | None = None, n: int = 32):
+    """A kernel whose workspace for ``params`` forks the phase branch of a
+    step onto a thread, whatever n."""
+    kernel = build_kernel(spec or KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(n, TWO_PI))
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_FORK_MIN_N", n)
+        solver._operators(kernel, params)
+    return kernel
+
+
+def phase_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "nlchns-phase"]
+
+
+class TestFork:
+    """From solver._FORK_MIN_N a step runs its phase branch on a thread of
+    the workspace's own, joined before the new state is checked: the same
+    result bit for bit, the same errors, and no thread left behind."""
+
+    params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+
+    @staticmethod
+    def trajectory(kernel, params, forcing, steps, seed=3) -> list[SimState]:
+        g = kernel.grid
+        rng = np.random.default_rng(seed)
+        u = leray_project(VectorField(random_field(g, rng, band=g.n // 4), random_field(g, rng, band=g.n // 4)))
+        states = [SimState(random_field(g, rng, band=g.n // 4), u, 0.0)]
+        for _ in range(steps):
+            h = forcing.field_at(g, states[-1].t)
+            states.append(step(states[-1], params, kernel, DW, h))
+        return states
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
+                                      KernelSpec.mollifier(radius=0.25 * TWO_PI, strength=4.0),
+                                      KernelSpec.spectral({(0, 0): 6.0, (1, 0): 0.3, (0, 1): 0.3})],
+                             ids=["gaussian", "mollifier", "spectral"])
+    @pytest.mark.parametrize("forcing", [ForcingSpec(),
+                                         ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],
+                             ids=["zero", "single_mode"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_forked_steps_are_the_serial_steps(self, monkeypatch, spec, forcing, dealias):
+        params = replace(self.params, dealias=dealias)
+        forked = forked_kernel(monkeypatch, params, spec)
+        serial = build_kernel(spec, forked.grid)
+        got = self.trajectory(forked, params, forcing, 50)
+        want = self.trajectory(serial, params, forcing, 50)
+        assert solver._operators(forked, params).work.fork is not None
+        assert solver._operators(serial, params).work.fork is None
+        for a, b in zip(got, want):
+            for x, y in zip(state_arrays(a), state_arrays(b)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_forks_from_n_256(self, monkeypatch):
+        forked = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(256, TWO_PI))
+        solver._operators(forked, self.params)
+        monkeypatch.setattr(solver, "_FORK_MIN_N", 512)
+        serial = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), forked.grid)
+        forcing = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3)
+        got, want = (self.trajectory(k, self.params, forcing, 3) for k in (forked, serial))
+        assert solver._operators(forked, self.params).work.fork is not None
+        assert solver._operators(serial, self.params).work.fork is None
+        for x, y in zip(state_arrays(got[-1]), state_arrays(want[-1])):
+            assert x.tobytes() == y.tobytes()
+
+    def test_no_thread_below_the_threshold(self, rng):
+        before = threading.enumerate()
+        kernel = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(128, TWO_PI))
+        stepped_state(kernel, self.params, rng)
+        ws = solver._operators(kernel, self.params).work
+        assert (ws.fork, ws.phase_real, ws.phase_rows, ws.phase_flux) == (None,) * 4
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+    @pytest.mark.parametrize("failing", ["phase", "flow"])
+    def test_a_failing_branch_waits_for_the_other(self, monkeypatch, failing):
+        # the error reaches the caller only once the other branch, slowed
+        # down here, has made its last write (an inverse transform)
+        kernel = forked_kernel(monkeypatch, self.params)
+        serial = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), kernel.grid)
+        start = self.trajectory(kernel, self.params, ForcingSpec(), 1)[-1]
+        inverses = []
+
+        def inverse(*args, _fn=solver.irfft2_cols, **kwargs):
+            out = _fn(*args, **kwargs)
+            inverses.append(threading.current_thread() is threading.main_thread())
+            return out
+
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"{failing} failed")
+
+        def slow(*args, _fn=(solver.capillary_force if failing == "phase" else solver.flux_divergence),
+                 **kwargs):
+            time.sleep(0.2)
+            return _fn(*args, **kwargs)
+
+        failing_name, slow_name = ("flux_divergence", "capillary_force") if failing == "phase" else (
+            "capillary_force", "flux_divergence")
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "irfft2_cols", inverse)
+            patched.setattr(solver, failing_name, fail)
+            patched.setattr(solver, slow_name, slow)
+            with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+                step(start, self.params, kernel, DW)
+            # the flow branch inverts omega, then the new u, on this thread;
+            # the phase branch the new phi on the fork's
+            assert sorted(inverses) == ([True, True] if failing == "phase" else [False, True])
+        # the thread outlives the error, and the next step is the serial one
+        again, want = step(start, self.params, kernel, DW), step(start, self.params, serial, DW)
+        for x, y in zip(state_arrays(again), state_arrays(want)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_blow_up_names_phi_before_u(self, monkeypatch):
+        kernel = forked_kernel(monkeypatch, self.params)
+        g = kernel.grid
+        nan = vector_from_values(g, np.full((g.n, g.n), np.nan), np.zeros((g.n, g.n)))
+        state = SimState(constant_field(g, 0.2), zero_vector(g), 0.0)
+        with pytest.raises(BlowUpError, match="non-finite values in u$"):
+            step(state, self.params, kernel, DW, nan)
+        state = SimState(constant_field(g, np.nan), zero_vector(g), 0.0)
+        with pytest.raises(BlowUpError, match="non-finite values in phi$"):
+            step(state, self.params, kernel, DW, nan)
+        assert solver._operators(kernel, self.params).work.fork is not None
+
+    def test_thread_exits_with_its_kernel(self, monkeypatch, rng):
+        before = phase_threads()
+        kernel = forked_kernel(monkeypatch, self.params)
+        state = stepped_state(kernel, self.params, rng)
+        (thread,) = [t for t in phase_threads() if t not in before]
+        assert thread.daemon
+        del kernel, state
+        gc.collect()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [t for t in phase_threads() if t not in before] == []
+
+    def test_thread_does_not_hold_up_exit(self, tmp_path):
+        # a kernel alive at exit leaves its thread waiting for work
+        script = tmp_path / "exit.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from nlchns import solver\n"
+            "from nlchns.kernels import KernelSpec, build_kernel\n"
+            "from nlchns.potentials import PotentialSpec\n"
+            "from nlchns.spectral import Grid, constant_field, zero_vector\n"
+            "solver._FORK_MIN_N = 32\n"
+            "kernel = build_kernel(KernelSpec.gaussian(0.5, 6.0), Grid(32, 2 * np.pi))\n"
+            "params = solver.SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)\n"
+            "g = kernel.grid\n"
+            "state = solver.SimState(constant_field(g, 0.2), zero_vector(g), 0.0)\n"
+            "solver.step(state, params, kernel, PotentialSpec.double_well())\n"
+            "assert solver._operators(kernel, params).work.fork is not None\n"
+            "print('stepped')\n")
+        src = str(Path(solver.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (0, "stepped\n"), done.stderr
 
 
 class TestRecordCarry:
