@@ -7,12 +7,13 @@ import argparse
 
 import numpy as np
 
-from nlchns.config import GridConfig, SimConfig
+from nlchns.config import SimConfig
 from nlchns.harness import dt_order_study, galerkin_refinement
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec
 from nlchns.potentials import PotentialSpec
 from nlchns.solver import SimParams
+from nlchns.spectral import Grid
 
 
 def main():
@@ -23,7 +24,7 @@ def main():
 
     two_pi = 2.0 * np.pi
     refine_cfg = SimConfig(
-        grid=GridConfig(32, two_pi),
+        grid=Grid(32, two_pi),
         kernel=KernelSpec.gaussian(sigma=0.15 * two_pi, strength=6.0),
         potential=PotentialSpec.double_well(),
         sim=SimParams(nu=0.1, dt=2e-3, t_end=0.5),
@@ -34,7 +35,7 @@ def main():
     print()
 
     order_cfg = SimConfig(
-        grid=GridConfig(32, two_pi),
+        grid=Grid(32, two_pi),
         kernel=KernelSpec.gaussian(sigma=0.15 * two_pi, strength=1.0),
         potential=PotentialSpec.quartic(1.0, 0.5),
         sim=SimParams(nu=0.05, dt=1e-2, t_end=0.5, stabilizer=1.0),

@@ -40,7 +40,6 @@ from nlchns.config import parse_config
 from nlchns.diagnostics import COLUMNS
 from nlchns.initialdata import build_phi, build_u
 from nlchns.solver import SimState, run
-from nlchns.spectral import Grid
 
 
 def sha(data: bytes) -> str:
@@ -83,8 +82,7 @@ def main():
                   sim=replace(cfg.sim, t_end=args.steps * cfg.sim.dt))
     initial = None
     if args.shared_initial:
-        grid = Grid(cfg.grid.n, cfg.grid.l)
-        initial = SimState(build_phi(cfg.initial, grid), build_u(cfg.velocity, grid), 0.0)
+        initial = SimState(build_phi(cfg.initial, cfg.grid), build_u(cfg.velocity, cfg.grid), 0.0)
     res = run(cfg, initial_state=initial)
 
     for name, f in (("phi", res.state.phi), ("u_x", res.state.u.x), ("u_y", res.state.u.y)):

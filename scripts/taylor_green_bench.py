@@ -6,12 +6,13 @@ import argparse
 
 import numpy as np
 
-from nlchns.config import GridConfig, SimConfig
+from nlchns.config import SimConfig
 from nlchns.harness import taylor_green
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec
 from nlchns.potentials import PotentialSpec
 from nlchns.solver import SimParams
+from nlchns.spectral import Grid
 
 
 def main():
@@ -24,7 +25,7 @@ def main():
 
     two_pi = 2.0 * np.pi
     cfg = SimConfig(
-        grid=GridConfig(args.n, two_pi),
+        grid=Grid(args.n, two_pi),
         kernel=KernelSpec.gaussian(sigma=0.05 * two_pi, strength=6.0),
         potential=PotentialSpec.double_well(),
         sim=SimParams(nu=args.nu, dt=args.dt, t_end=args.t_end),

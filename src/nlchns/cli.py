@@ -25,7 +25,6 @@ from .config import ConfigError, parse_config_file
 from .hypotheses import audit
 from .kernels import KernelBuildError, build_kernel
 from .solver import BlowUpError, HypothesisGateError, StabilizerRangeError, run
-from .spectral import Grid
 
 
 def _load(path: str):
@@ -35,6 +34,9 @@ def _load(path: str):
 def _cmd_run(args) -> int:
     cfg = _load(args.config)
     if args.seed is not None:
+        if cfg.initial.family != "random":
+            print(f"run: --seed needs random initial data, not initial = {cfg.initial.family}")
+            return 2
         cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
     try:
         result = run(cfg, force=args.force)
@@ -65,8 +67,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = _load(args.config)
-    grid = Grid(cfg.grid.n, cfg.grid.l)
-    kernel = build_kernel(cfg.kernel, grid)
+    kernel = build_kernel(cfg.kernel, cfg.grid)
     report = audit(kernel, cfg.potential, s_range=cfg.checks.s_range)
     sys.stdout.write(report.to_text())
     ok = report.passes_core()
@@ -95,9 +96,6 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    if args.what != "taylor-green":
-        print(f"unknown benchmark {args.what!r}")
-        return 2
     cfg = _load(args.config)
     study = harness.taylor_green(cfg)
     print(study.summary())
@@ -128,7 +126,7 @@ def _cmd_report(args) -> int:
     )
     ok = verdict.passes
     if cfg is not None and cfg.checks.dissipative:
-        grid = Grid(cfg.grid.n, cfg.grid.l)
+        grid = cfg.grid
         kernel = build_kernel(cfg.kernel, grid)
         mean_phi0 = records[0].mass / grid.volume
         env = diagnostics.dissipative_envelope(

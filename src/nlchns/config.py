@@ -5,7 +5,9 @@ comments and blank lines are ignored.  Family selectors sit on the bare
 section name (``kernel = gaussian``, ``potential = double_well``,
 ``initial = random``), family parameters below it (``kernel.sigma = 0.3``).
 Parsing validates every key and reports all violations at once, not just the
-first.
+first.  The accepted keys are exactly those the parser reads for the selected
+families: a key nothing reads, a typo or a parameter of a family that is not
+selected (``kernel.radius`` under ``kernel = gaussian``), is rejected.
 
 Determinism contract: an identical config (plus seed) produces bit-identical
 diagnostics.
@@ -20,18 +22,13 @@ from .initialdata import InitialSpec, VelocitySpec
 from .kernels import KernelSpec
 from .potentials import PotentialSpec
 from .solver import ForcingSpec, SimParams
+from .spectral import Grid
 
 
 class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         super().__init__("invalid configuration:\n  " + "\n  ".join(errors))
         self.errors = list(errors)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    n: int
-    l: float
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,7 @@ class ChecksConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    grid: GridConfig
+    grid: Grid
     kernel: KernelSpec
     potential: PotentialSpec
     sim: SimParams
@@ -67,30 +64,13 @@ class SimConfig:
     checks: ChecksConfig = ChecksConfig()
 
     def with_grid_n(self, n: int) -> "SimConfig":
-        return replace(self, grid=GridConfig(n=n, l=self.grid.l))
+        return replace(self, grid=replace(self.grid, n=n))
 
     def with_dt(self, dt: float) -> "SimConfig":
         return replace(self, sim=replace(self.sim, dt=dt))
 
 
-_KNOWN_KEYS = {
-    "grid.n", "grid.l",
-    "kernel", "kernel.sigma", "kernel.strength", "kernel.radius", "kernel.modes",
-    "potential", "potential.a4", "potential.a2", "potential.a0", "potential.coefficients",
-    "nu", "dt", "t_end", "stabilizer", "dealias",
-    "initial", "initial.c", "initial.amplitude", "initial.mean", "initial.seed",
-    "initial.width", "initial.path", "initial.band",
-    "initial.u0", "initial.u0_amplitude", "initial.u0_path_x", "initial.u0_path_y",
-    "forcing", "forcing.amplitude_x", "forcing.amplitude_y", "forcing.decay",
-    "forcing.mode_x", "forcing.mode_y", "forcing.scale",
-    "output.record_every", "output.snapshot_every", "output.out_dir",
-    "checks.enforce_hypotheses", "checks.grad_control", "checks.dissipative",
-    "checks.s_lo", "checks.s_hi",
-}
-
 MAX_STEPS = 10**9  # more steps than any run needs: a typo in t_end or dt
-
-_REQUIRED = ("grid.n", "grid.l", "kernel", "potential", "nu", "dt", "t_end")
 
 
 def _parse_lines(text: str, errors: list[str]) -> dict[str, str]:
@@ -113,47 +93,64 @@ def _parse_lines(text: str, errors: list[str]) -> dict[str, str]:
 
 
 class _Reader:
+    """The config's ``key = value`` lines, read by key.  Every key asked for
+    is recorded, so that a key nothing asks for can be rejected: the keys a
+    config accepts are exactly those the parser reads for its families."""
+
     def __init__(self, raw: dict[str, str], errors: list[str]):
         self.raw = raw
         self.errors = errors
+        self.read: set[str] = set()
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
+    def string(self, key: str, default: str | None = "", need: str = "") -> str | None:
+        """The key's text, or ``default`` when it is absent; ``need`` says
+        what requires the key, making its absence an error."""
+        self.read.add(key)
+        if key in self.raw:
+            return self.raw[key]
+        if need:
+            self.errors.append(f"{key} is required {need}")
+        return default
 
-    def string(self, key: str, default: str = "") -> str:
-        return self.raw.get(key, default)
-
-    def floatv(self, key: str, default: float | None = None) -> float | None:
-        if key not in self.raw:
+    def floatv(self, key: str, default: float | None = None, need: str = "") -> float | None:
+        text = self.string(key, None, need)
+        if text is None:
             return default
         try:
-            value = float(self.raw[key])
+            value = float(text)
         except ValueError:
-            self.errors.append(f"{key}: not a number: {self.raw[key]!r}")
+            self.errors.append(f"{key}: not a number: {text!r}")
             return default
         if not math.isfinite(value):
-            self.errors.append(f"{key}: must be finite, got {self.raw[key]!r}")
+            self.errors.append(f"{key}: must be finite, got {text!r}")
             return default
         return value
 
-    def intv(self, key: str, default: int | None = None) -> int | None:
-        if key not in self.raw:
+    def intv(self, key: str, default: int | None = None, need: str = "") -> int | None:
+        text = self.string(key, None, need)
+        if text is None:
             return default
         try:
-            return int(self.raw[key])
+            return int(text)
         except ValueError:
-            self.errors.append(f"{key}: not an integer: {self.raw[key]!r}")
+            self.errors.append(f"{key}: not an integer: {text!r}")
             return default
 
+    def unknown_family(self, name: str, family: str, prefix: str) -> None:
+        """A selector naming no family: one error, and the keys under
+        ``prefix`` count as read, since no family says which it would read."""
+        self.errors.append(f"unknown {name} family {family!r}")
+        self.read.update(key for key in self.raw if key.startswith(prefix))
+
     def boolv(self, key: str, default: bool) -> bool:
-        if key not in self.raw:
+        text = self.string(key, None)
+        if text is None:
             return default
-        v = self.raw[key].lower()
-        if v in ("true", "1", "yes", "on"):
+        if text.lower() in ("true", "1", "yes", "on"):
             return True
-        if v in ("false", "0", "no", "off"):
+        if text.lower() in ("false", "0", "no", "off"):
             return False
-        self.errors.append(f"{key}: not a boolean: {self.raw[key]!r}")
+        self.errors.append(f"{key}: not a boolean: {text!r}")
         return default
 
 
@@ -179,71 +176,50 @@ def _parse_modes(text: str, errors: list[str]) -> dict[tuple[int, int], float]:
 
 def parse_config(text: str) -> SimConfig:
     """Parse and fully validate a config; raises ConfigError listing every
-    violation found."""
+    violation found, each key that no setting reads among them."""
     errors: list[str] = []
-    raw = _parse_lines(text, errors)
-    for key in raw:
-        if key not in _KNOWN_KEYS:
-            errors.append(f"unknown key {key!r}")
-    for key in _REQUIRED:
-        if key not in raw:
-            errors.append(f"missing required key {key!r}")
-    r = _Reader(raw, errors)
+    r = _Reader(_parse_lines(text, errors), errors)
+    every = "in every config"
 
-    n = r.intv("grid.n", 0)
-    l = r.floatv("grid.l", 0.0)
-    if r.has("grid.n") and (n < 8 or (n & (n - 1)) != 0):
+    n = r.intv("grid.n", need=every)
+    l = r.floatv("grid.l", need=every)
+    if n is not None and (n < 8 or (n & (n - 1)) != 0):
         errors.append(f"grid.n must be a power of two >= 8, got {n}")
-    if r.has("grid.l") and l <= 0:
+    if l is not None and l <= 0:
         errors.append("grid.l must be positive")
+    span = l if l is not None and l > 0 else math.inf  # what kernel supports are checked against
 
-    kernel = None
-    family = r.string("kernel")
-    if family == "gaussian":
-        sigma = r.floatv("kernel.sigma")
+    kernel = potential = None
+    family = r.string("kernel", None, need=every)
+    if family in ("gaussian", "mollifier"):
+        key, parts = ("kernel.sigma", 6) if family == "gaussian" else ("kernel.radius", 2)
+        size = r.floatv(key, need=f"for the {family} family")
         strength = r.floatv("kernel.strength", 1.0)
-        if sigma is None:
-            errors.append("kernel.sigma is required for the gaussian family")
-        elif sigma <= 0:
-            errors.append("kernel.sigma must be positive")
-        elif l > 0 and sigma > l / 6.0:
-            errors.append(f"kernel.sigma must be <= l/6 = {l / 6.0:.6g}")
-        if strength is not None and strength <= 0:
+        if size is not None and size <= 0:
+            errors.append(f"{key} must be positive")
+        elif size is not None and size > span / parts:
+            errors.append(f"{key} must be <= l/{parts} = {span / parts:.6g}")
+        if strength <= 0:
             errors.append("kernel.strength must be positive")
-        kernel = KernelSpec.gaussian(sigma if sigma and sigma > 0 else 1.0,
-                                     strength if strength and strength > 0 else 1.0)
-    elif family == "mollifier":
-        radius = r.floatv("kernel.radius")
-        strength = r.floatv("kernel.strength", 1.0)
-        if radius is None:
-            errors.append("kernel.radius is required for the mollifier family")
-        elif radius <= 0:
-            errors.append("kernel.radius must be positive")
-        elif l > 0 and radius > l / 2.0:
-            errors.append(f"kernel.radius must be <= l/2 = {l / 2.0:.6g}")
-        if strength is not None and strength <= 0:
-            errors.append("kernel.strength must be positive")
-        kernel = KernelSpec.mollifier(radius or 1.0, strength or 1.0)
+        kernel = (KernelSpec.gaussian if family == "gaussian" else KernelSpec.mollifier)(size, strength)
     elif family == "spectral":
         modes = _parse_modes(r.string("kernel.modes"), errors)
         if not modes:
             errors.append("kernel.modes is required for the spectral family")
-        kernel = KernelSpec.spectral(modes or {(0, 0): 1.0})
-    elif r.has("kernel"):
-        errors.append(f"unknown kernel family {family!r}")
+        kernel = KernelSpec.spectral(modes)
+    elif family is not None:
+        r.unknown_family("kernel", family, "kernel.")
 
-    potential = None
-    pfam = r.string("potential")
+    pfam = r.string("potential", None, need=every)
     if pfam == "double_well":
         potential = PotentialSpec.double_well()
     elif pfam == "quartic":
-        a4 = r.floatv("potential.a4")
-        if a4 is None:
-            errors.append("potential.a4 is required for the quartic family")
-        elif a4 <= 0:
+        a4 = r.floatv("potential.a4", need="for the quartic family")
+        a2, a0 = r.floatv("potential.a2", 0.0), r.floatv("potential.a0", 0.0)
+        if a4 is not None and a4 <= 0:
             errors.append("potential.a4 must be positive")
-        else:
-            potential = PotentialSpec.quartic(a4, r.floatv("potential.a2", 0.0), r.floatv("potential.a0", 0.0))
+        elif a4 is not None:
+            potential = PotentialSpec.quartic(a4, a2, a0)
     elif pfam == "polynomial":
         coeff_text = r.string("potential.coefficients")
         if not coeff_text:
@@ -256,17 +232,17 @@ def parse_config(text: str) -> SimConfig:
                 potential = PotentialSpec.polynomial(coeffs)
             except ValueError as err:
                 errors.append(f"potential.coefficients: {err}")
-    elif r.has("potential"):
-        errors.append(f"unknown potential family {pfam!r}")
+    elif pfam is not None:
+        r.unknown_family("potential", pfam, "potential.")
 
-    nu = r.floatv("nu", 0.0)
-    dt = r.floatv("dt", 0.0)
-    t_end = r.floatv("t_end", 0.0)
-    if r.has("nu") and nu <= 0:
+    nu = r.floatv("nu", need=every)
+    dt = r.floatv("dt", need=every)
+    t_end = r.floatv("t_end", need=every)
+    if nu is not None and nu <= 0:
         errors.append("nu must be positive")
-    if r.has("dt") and dt <= 0:
+    if dt is not None and dt <= 0:
         errors.append("dt must be positive")
-    if r.has("t_end") and dt > 0:
+    elif dt is not None and t_end is not None:
         if t_end < dt:
             errors.append("t_end must be at least one time step")
         elif t_end / dt > MAX_STEPS:  # also catches t_end / dt overflowing to inf
@@ -274,25 +250,23 @@ def parse_config(text: str) -> SimConfig:
         elif abs(round(t_end / dt) * dt - t_end) > 1e-9 * max(t_end, 1.0):
             errors.append("t_end must be an integer multiple of dt")
 
-    stabilizer: object = "auto"
-    if r.string("stabilizer", "auto") != "auto":
+    stabilizer: object = r.string("stabilizer", "auto")
+    if stabilizer != "auto":
         stabilizer = r.floatv("stabilizer", 0.0)
         if stabilizer < 0:
             errors.append("stabilizer must be nonnegative (or 'auto')")
+    dealias = r.boolv("dealias", True)
 
     ifam = r.string("initial", "uniform")
     initial = InitialSpec()
     if ifam == "uniform":
         initial = InitialSpec(family="uniform", c=r.floatv("initial.c", 0.0))
     elif ifam == "random":
-        seed = r.intv("initial.seed")
-        if seed is None:
-            errors.append("initial.seed is required for random initial data")
         initial = InitialSpec(
             family="random",
             amplitude=r.floatv("initial.amplitude", 0.0),
             mean=r.floatv("initial.mean", 0.0),
-            seed=seed,
+            seed=r.intv("initial.seed", need="for random initial data"),
             band=r.intv("initial.band"),
         )
     elif ifam == "tanh_strip":
@@ -306,29 +280,27 @@ def parse_config(text: str) -> SimConfig:
             errors.append("initial.path is required for file initial data")
         initial = InitialSpec(family="file", path=path)
     else:
-        errors.append(f"unknown initial family {ifam!r}")
+        r.unknown_family("initial", ifam, "initial.")
 
     ufam = r.string("initial.u0", "zero")
-    if ufam == "zero":
-        velocity = VelocitySpec(family="zero")
-    elif ufam == "taylor_green":
+    velocity = VelocitySpec()
+    if ufam == "taylor_green":
         velocity = VelocitySpec(family="taylor_green", amplitude=r.floatv("initial.u0_amplitude", 1.0))
     elif ufam == "file":
         px, py = r.string("initial.u0_path_x"), r.string("initial.u0_path_y")
         if not (px and py):
             errors.append("initial.u0_path_x and initial.u0_path_y are required for file velocity")
         velocity = VelocitySpec(family="file", path_x=px, path_y=py)
-    else:
-        errors.append(f"unknown velocity family {ufam!r}")
-        velocity = VelocitySpec()
+    elif ufam != "zero":
+        r.unknown_family("velocity", ufam, "initial.u0_")
 
     ffam = r.string("forcing", "zero")
-    decay = r.floatv("forcing.decay", 0.0)
-    if decay < 0:
-        errors.append("forcing.decay must be nonnegative")
-    if ffam == "zero":
-        forcing = ForcingSpec()
-    elif ffam == "body":
+    forcing = ForcingSpec()
+    if ffam in ("body", "single_mode"):
+        decay = r.floatv("forcing.decay", 0.0)
+        if decay < 0:
+            errors.append("forcing.decay must be nonnegative")
+    if ffam == "body":
         forcing = ForcingSpec(
             family="body",
             amplitude=(r.floatv("forcing.amplitude_x", 0.0),
@@ -346,9 +318,8 @@ def parse_config(text: str) -> SimConfig:
             scale=r.floatv("forcing.scale", 0.0),
             decay=decay,
         )
-    else:
-        errors.append(f"unknown forcing family {ffam!r}")
-        forcing = ForcingSpec()
+    elif ffam != "zero":
+        r.unknown_family("forcing", ffam, "forcing.")
 
     record_every = r.intv("output.record_every", 1)
     if record_every < 1:
@@ -372,15 +343,15 @@ def parse_config(text: str) -> SimConfig:
     if checks.s_lo >= checks.s_hi:
         errors.append("checks.s_lo must be below checks.s_hi")
 
-    if errors or kernel is None or potential is None:
-        raise ConfigError(errors or ["incomplete configuration"])
+    errors.extend(f"key {key!r} is not read by this configuration" for key in r.raw if key not in r.read)
+    if errors:
+        raise ConfigError(errors)
 
     return SimConfig(
-        grid=GridConfig(n=n, l=l),
+        grid=Grid(n, l),
         kernel=kernel,
         potential=potential,
-        sim=SimParams(nu=nu, dt=dt, t_end=t_end, stabilizer=stabilizer,
-                      dealias=r.boolv("dealias", True)),
+        sim=SimParams(nu=nu, dt=dt, t_end=t_end, stabilizer=stabilizer, dealias=dealias),
         forcing=forcing,
         initial=initial,
         velocity=velocity,

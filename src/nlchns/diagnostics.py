@@ -153,7 +153,6 @@ class InequalityVerdict:
     passes: bool
     worst_margin: float
     worst_t: float
-    final_margin: float
     scale: float
 
 
@@ -178,7 +177,6 @@ def energy_inequality_check(
     cum_p = 0.0
     worst = 0.0
     worst_t = records[0].t
-    margin = 0.0
     for prev, cur in zip(records, records[1:]):
         if t_max is not None and cur.t > t_max + 1e-15:
             break
@@ -193,7 +191,6 @@ def energy_inequality_check(
         passes=bool(worst >= -slack_rel * scale),
         worst_margin=worst,
         worst_t=worst_t,
-        final_margin=margin,
         scale=scale,
     )
 
@@ -208,8 +205,6 @@ class EnvelopeCheck:
     worst_margin: float
     worst_t: float
     reason: str = ""
-    c10: float = 0.0
-    margins: tuple[float, ...] = ()
 
 
 def dissipative_envelope(

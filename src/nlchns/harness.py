@@ -8,7 +8,9 @@ frame: its bounds come from the records (||u||, ||phi||, ||grad phi||,
 ||grad mu|| by Parseval), and the L^2(0,T;H) difference between two levels
 by Parseval on the rfft2 coefficients of phi kept at each record, with no
 sample history and no transform.  Independent levels could run
-concurrently; result assembly is single-owner.
+concurrently; result assembly is single-owner.  Studies write nothing to
+disk: their runs keep no ``output.out_dir``, so they never overwrite what
+``nlchns run`` wrote there.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import OutputConfig
 from .initialdata import build_phi, build_u
 from .solver import BlowUpError, SimState, run, trajectory
 from .spectral import Grid, ScalarField, VectorField, norm_l2, parseval, power, resample
@@ -70,7 +73,7 @@ def taylor_green(cfg) -> StudyResult:
     dts = [cfg.sim.dt, cfg.sim.dt / 2.0]
     for dt in dts:
         rung = cfg.with_dt(dt)
-        res = run(replace(rung, output=replace(cfg.output, record_every=max(1, rung.sim.n_steps))))
+        res = run(replace(rung, output=OutputConfig(record_every=max(1, rung.sim.n_steps))))
         ke0 = res.records[0].kinetic
         ke_end = res.records[-1].kinetic
         exact = ke0 * math.exp(-4.0 * cfg.sim.nu * res.records[-1].t)
@@ -109,7 +112,7 @@ def _recorded_phi(cfg, initial_state: SimState) -> tuple[list, list[np.ndarray]]
     into its stacked block)."""
     _, _, frames = trajectory(cfg, initial_state=initial_state)
     records, hats = [], []
-    for _, state, rec, _, _ in frames:
+    for _, state, rec, _ in frames:
         if rec is not None:
             records.append(rec)
             hats.append(state.hats[0].copy())
@@ -162,14 +165,14 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
     }
     notes: list[str] = []
     for n in sizes:
-        grid = Grid(n, cfg.grid.l)
+        level = cfg.with_grid_n(n)
         state0 = SimState(
-            phi=resample(phi_fine, grid),
-            u=VectorField(resample(u_fine.x, grid), resample(u_fine.y, grid)),
+            phi=resample(phi_fine, level.grid),
+            u=VectorField(resample(u_fine.x, level.grid), resample(u_fine.y, level.grid)),
             t=0.0,
         )
         try:
-            levels[n] = _recorded_phi(cfg.with_grid_n(n), state0)
+            levels[n] = _recorded_phi(level, state0)
         except BlowUpError as err:
             notes.append(f"level {n} blew up at step {err.step}; partial results")
             break
@@ -223,7 +226,7 @@ def dt_order_study(cfg, dts) -> StudyResult:
     finals: list[SimState] = []
     max_resid: list[float] = []
     for dt in dts:
-        res = run(replace(cfg.with_dt(dt), output=replace(cfg.output, record_every=1)))
+        res = run(replace(cfg.with_dt(dt), output=OutputConfig(record_every=1)))
         finals.append(res.state)
         max_resid.append(max(abs(r.identity_residual) for r in res.records[1:]))
 

@@ -167,7 +167,7 @@ def estimate_c0(potential: PotentialSpec, a_star: float, s_range=(-2.0, 2.0)):
     return c0, Witness(s=s_min, margin=c0)
 
 
-def fit_h3(potential: PotentialSpec, norm_j_l1: float, s_range=(-2.0, 2.0)):
+def fit_h3(potential: PotentialSpec, norm_j_l1: float):
     """Fit c1, c2 with F >= c1 s^2 - c2 and c1 > ||J||_L1 / 2.
 
     Preferred c1 exceeds ||J||_L1/2 by max(1, ||J||_L1/2); if that makes
@@ -198,7 +198,7 @@ def _h4_tail_scale(potential: PotentialSpec) -> float:
     return max(10.0, 4.0 * (1.0 + r))
 
 
-def verify_h4(potential: PotentialSpec, s_range=(-2.0, 2.0)):
+def verify_h4(potential: PotentialSpec):
     """Fit (p, c3, c4) with |F'|^p <= c3 |F| + c4.
 
     p = deg/(deg-1) from the leading exponents; c3 doubles the exact tail
@@ -302,10 +302,10 @@ def audit(kernel: KernelOnGrid, potential: PotentialSpec, s_range=(-2.0, 2.0)) -
     rep.h2 = PASS if rep.c0 > 0 else FAIL
     rep.witnesses["h2"] = w2
 
-    rep.c1, rep.c2, rep.alpha, rep.h3, w3 = fit_h3(potential, rep.norm_j_l1, s_range)
+    rep.c1, rep.c2, rep.alpha, rep.h3, w3 = fit_h3(potential, rep.norm_j_l1)
     rep.witnesses["h3"] = w3
 
-    rep.p, rep.c3, rep.c4, rep.h4, w4 = verify_h4(potential, s_range)
+    rep.p, rep.c3, rep.c4, rep.h4, w4 = verify_h4(potential)
     rep.witnesses["h4"] = w4
 
     rep.h5 = PASS  # every shipped forcing family is L^2 in time on bounded intervals

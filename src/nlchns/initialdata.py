@@ -114,6 +114,18 @@ def taylor_green_u(grid: Grid, amplitude: float = 1.0) -> VectorField:
     return vector_from_values(grid, ux, uy)
 
 
+def _read_on(grid: Grid, key: str, path: str) -> ScalarField:
+    """The snapshot at ``path``, which the config names by ``key``; an
+    InitialDataError names the key when it is on another grid."""
+    from .storage import read_snapshot
+
+    f, _, _ = read_snapshot(path)
+    if f.grid != grid:
+        raise InitialDataError(f"{key}: snapshot grid n = {f.grid.n}, l = {f.grid.l!r} does not match "
+                               f"the configured n = {grid.n}, l = {grid.l!r}")
+    return f
+
+
 def build_phi(spec: InitialSpec, grid: Grid) -> ScalarField:
     if spec.family == "uniform":
         return constant_field(grid, spec.c)
@@ -124,12 +136,7 @@ def build_phi(spec: InitialSpec, grid: Grid) -> ScalarField:
     if spec.family == "tanh_strip":
         return tanh_strip_phi(grid, spec.width)
     if spec.family == "file":
-        from .storage import read_snapshot
-
-        f, _, _ = read_snapshot(spec.path)
-        if f.grid.n != grid.n or f.grid.l != grid.l:
-            raise InitialDataError("snapshot grid does not match the configured grid")
-        return f
+        return _read_on(grid, "initial.path", spec.path)
     raise InitialDataError(f"unknown initial family {spec.family!r}")
 
 
@@ -141,11 +148,6 @@ def build_u(spec: VelocitySpec, grid: Grid) -> VectorField:
     if spec.family == "taylor_green":
         return taylor_green_u(grid, spec.amplitude)
     if spec.family == "file":
-        from .storage import read_snapshot
-
-        ux, _, _ = read_snapshot(spec.path_x)
-        uy, _, _ = read_snapshot(spec.path_y)
-        if ux.grid.n != grid.n or ux.grid.l != grid.l:
-            raise InitialDataError("snapshot grid does not match the configured grid")
-        return leray_project(VectorField(ux, uy))
+        return leray_project(VectorField(_read_on(grid, "initial.u0_path_x", spec.path_x),
+                                         _read_on(grid, "initial.u0_path_y", spec.path_y)))
     raise InitialDataError(f"unknown velocity family {spec.family!r}")

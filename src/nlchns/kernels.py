@@ -121,8 +121,6 @@ def _mollifier_samples(grid: Grid, radius: float, strength: float):
     r2 = dx * dx + dy * dy
     t = r2 / radius**2
     inside = t < 1.0
-    val = np.zeros_like(xx)
-    gmag = np.zeros_like(xx)
     with np.errstate(divide="ignore", over="ignore"):
         body = np.where(inside, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
     val = strength * body

@@ -552,14 +552,14 @@ def trajectory(cfg: "SimConfig", *, force: bool = False, initial_state: SimState
     hypothesis audit and gate (HypothesisGateError), the initial state cut
     to the dealiased band (the one place that does so), and S.  Returns
     (report, params, frames); ``frames`` yields (step, state, record or None,
-    h, invariant failures found at that record) for steps 0 .. n_steps, with
+    invariant failures found at that record) for steps 0 .. n_steps, with
     a record every ``output.record_every`` steps and at the end.  Mass,
     divergence and (with ``checks.grad_control``) gradient control are
     audited at every record.  ``frames`` raises BlowUpError on non-finite
     values and StabilizerRangeError if the solution leaves the range where
     S >= max|F''|/2 was validated, each with the last record it yielded.
     """
-    grid = Grid(cfg.grid.n, cfg.grid.l)
+    grid = cfg.grid
     kernel = build_kernel(cfg.kernel, grid)
     report = audit(kernel, cfg.potential, s_range=cfg.checks.s_range)
     # h4 is advisory for running; h1-h3 are what the dynamics needs
@@ -599,7 +599,7 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
             state.t = t0 + i * params.dt  # not a running sum: no round-off builds up in t
             chem = _chemical_hats(ops, potential, state)  # its record's and the next step's
         if i % every and i < n_steps:
-            yield i, state, None, h, []
+            yield i, state, None, []
             continue
         new = diagnostics.make_record(
             state, chem[1], kernel, potential, params.nu, report.beta,
@@ -617,7 +617,7 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
                     f"> configured {params.stabilizer:.3g}", step=i, last_record=rec)
             validated = wider
         rec = new
-        yield i, state, rec, h, found
+        yield i, state, rec, found
 
 
 def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, rec,
@@ -655,7 +655,7 @@ def run(cfg: "SimConfig", *, force: bool = False, initial_state: SimState | None
     records: list = []
     failures: list[str] = []
     try:
-        for i, state, rec, _, found in frames:
+        for i, state, rec, found in frames:
             if rec is not None:
                 records.append(rec)
                 failures.extend(found)

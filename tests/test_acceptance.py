@@ -15,7 +15,7 @@ from conftest import (
     TWO_PI, convolution_oracle, convolve, divergence, gradient, random_field, rel_err,
 )
 from nlchns.cli import main as cli_main
-from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
+from nlchns.config import ChecksConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import dissipative_envelope, energy_inequality_check
 from nlchns.harness import dt_order_study, galerkin_refinement, taylor_green
 from nlchns.hypotheses import audit
@@ -47,7 +47,7 @@ def criterion(num: int, ok: bool, desc: str, detail: str = "") -> None:
 def spinodal_run():
     """64^2 spinodal trajectory, dt = 1e-3, 10^4 steps, h = 0, S = auto."""
     cfg = SimConfig(
-        grid=GridConfig(64, TWO_PI),
+        grid=Grid(64, TWO_PI),
         kernel=GAUSS6,
         potential=DW,
         sim=SimParams(nu=0.01, dt=1e-3, t_end=10.0),
@@ -118,7 +118,7 @@ def test_criterion_03b_energy_inequality_verdict(spinodal_run):
 
 def test_criterion_04_identity_residual_first_order():
     cfg = SimConfig(
-        grid=GridConfig(32, TWO_PI),
+        grid=Grid(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.15 * TWO_PI, 1.0),
         potential=PotentialSpec.quartic(1.0, 0.5),
         sim=SimParams(nu=0.05, dt=1e-2, t_end=0.5, stabilizer=1.0),
@@ -138,7 +138,7 @@ def test_criterion_04_identity_residual_first_order():
 
 def test_criterion_05_taylor_green_benchmark():
     cfg = SimConfig(
-        grid=GridConfig(64, TWO_PI),
+        grid=Grid(64, TWO_PI),
         kernel=GAUSS6,
         potential=DW,
         sim=SimParams(nu=0.01, dt=1e-3, t_end=1.0),
@@ -185,7 +185,7 @@ def test_criterion_06_interaction_energy_identity(rng):
 
 def test_criterion_07_gradient_control_inequality():
     cfg = SimConfig(
-        grid=GridConfig(64, TWO_PI),
+        grid=Grid(64, TWO_PI),
         kernel=KernelSpec.spectral({(0, 0): 6.0, (1, 0): 0.3, (0, 1): 0.3}),
         potential=DW,
         sim=SimParams(nu=0.1, dt=1e-3, t_end=2.0),
@@ -211,7 +211,7 @@ def test_criterion_08_dissipative_envelope():
     ok = True
     for m, seed in ((0.0, 5), (0.3, 6)):
         cfg = SimConfig(
-            grid=GridConfig(64, TWO_PI),
+            grid=Grid(64, TWO_PI),
             kernel=GAUSS6,
             potential=DW,
             sim=SimParams(nu=0.01, dt=1e-3, t_end=2.0),
@@ -252,7 +252,7 @@ def test_criterion_09_auditor_ground_truth():
 
 def test_criterion_10_galerkin_refinement():
     cfg = SimConfig(
-        grid=GridConfig(32, TWO_PI),
+        grid=Grid(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
         potential=DW,
         sim=SimParams(nu=0.1, dt=2e-3, t_end=0.5),

@@ -74,6 +74,13 @@ class TestRun:
         assert main(["run", cfg_b, "--seed", "123"]) == 0
         assert (out_a / "diagnostics.csv").read_bytes() != (out_b / "diagnostics.csv").read_bytes()
 
+    def test_seed_on_non_random_data_rejected(self, tmp_path, capsys):
+        # GOOD's initial data is the default uniform family, which has no seed
+        rc = main(["run", write(tmp_path, GOOD), "--seed", "5"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "--seed" in out and "uniform" in out and "steps completed" not in out
+
     def test_failed_gradient_control_exits_1(self, tmp_path, capsys, monkeypatch):
         # a beta the data cannot meet, with the condition on
         monkeypatch.setattr(hypotheses, "compute_beta", lambda report: (1e6, True))

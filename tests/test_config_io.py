@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import TWO_PI, divergence, mean, random_field, random_vector
-from nlchns.config import ConfigError, parse_config
+from nlchns.config import ConfigError, parse_config, parse_config_file
 from nlchns.diagnostics import COLUMNS, DiagnosticsRecord
 from nlchns.initialdata import (
     InitialDataError,
@@ -24,6 +26,7 @@ from nlchns.storage import (
     write_snapshot,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 MINIMAL = """
 # minimal run configuration
 grid.n = 64
@@ -101,7 +104,39 @@ class TestParseConfig:
         # the coupling force has one form, -phi grad mu, and no key selects it
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "force_form = phi_grad_mu\n")
-        assert err.value.errors == ["unknown key 'force_form'"]
+        assert err.value.errors == ["key 'force_form' is not read by this configuration"]
+
+    @pytest.mark.parametrize("line", [
+        "kernel.radius = banana",  # under kernel = gaussian
+        "initial.seed = -1.5",  # under the default initial = uniform
+        "forcing.scale = nan",  # under the default forcing = zero
+        "forcing.decay = 0.5",
+    ])
+    def test_key_of_an_unselected_family_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + line + "\n")
+        assert err.value.errors == [f"key {key!r} is not read by this configuration"]
+
+    @pytest.mark.parametrize("edit, message", [
+        (("grid.n = 64", "grid.n = x"), "grid.n: not an integer: 'x'"),
+        (("dt = 1e-3", "dt = 0\ndealias = false"), "dt must be positive"),
+        (("potential = double_well", "potential = quartic\npotential.a4 = -1\npotential.a2 = 0.5"),
+         "potential.a4 must be positive"),
+        (("kernel.sigma = 0.3141592653589793", "kernel.sigma = -1"), "kernel.sigma must be positive"),
+        (("kernel = gaussian", "kernel = banana"), "unknown kernel family 'banana'"),
+    ])
+    def test_one_mistake_one_error(self, edit, message):
+        # a family's keys are read whether or not an earlier check failed
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace(*edit))
+        assert err.value.errors == [message]
+
+    @pytest.mark.parametrize("name", ["spinodal", "gradient_control", "taylor_green"])
+    def test_shipped_configs_give_the_run_grid(self, name):
+        cfg = parse_config_file(str(ROOT / "configs" / f"{name}.cfg"))
+        assert cfg.grid == Grid(64, TWO_PI) and isinstance(cfg.grid, Grid)
+        assert cfg.with_grid_n(32).grid == Grid(32, TWO_PI)
 
     def test_forcing_single_mode(self):
         cfg = parse_config(
@@ -136,6 +171,7 @@ KEY_CONTEXT = {
     "initial.mean": {"initial": "random", "initial.seed": "1"},
     "initial.width": {"initial": "tanh_strip"},
     "initial.u0_amplitude": {"initial.u0": "taylor_green"},
+    "forcing.decay": {"forcing": "body"},
     "forcing.amplitude_x": {"forcing": "body"},
     "forcing.amplitude_y": {"forcing": "body"},
     "forcing.scale": {"forcing": "single_mode"},
@@ -396,6 +432,16 @@ class TestInitialData:
         write_snapshot(f, "phi", 0.0, str(path))
         back = build_phi(InitialSpec(family="file", path=str(path)), g)
         assert np.array_equal(back.values, f.values)
+
+    def test_snapshot_on_another_grid_names_its_key(self, tmp_path, rng):
+        g, coarse = Grid(32, TWO_PI), Grid(16, TWO_PI)
+        for name, grid in (("ux", g), ("uy", coarse), ("phi", coarse)):
+            write_snapshot(random_field(grid, rng), name, 0.0, str(tmp_path / f"{name}.f64"))
+        spec = VelocitySpec(family="file", path_x=str(tmp_path / "ux.f64"), path_y=str(tmp_path / "uy.f64"))
+        with pytest.raises(InitialDataError, match=r"^initial\.u0_path_y: snapshot grid n = 16, .* n = 32,"):
+            build_u(spec, g)
+        with pytest.raises(InitialDataError, match=r"^initial\.path: snapshot grid n = 16, .* n = 32,"):
+            build_phi(InitialSpec(family="file", path=str(tmp_path / "phi.f64")), g)
 
     def test_velocity_is_divergence_free_as_built(self, tmp_path, rng):
         # zero and Taylor-Green come back as built; a velocity read from

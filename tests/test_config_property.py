@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from nlchns.config import _KNOWN_KEYS, MAX_STEPS, ConfigError, SimConfig, parse_config
+from nlchns.config import MAX_STEPS, ConfigError, SimConfig, parse_config
 from nlchns.spectral import Grid
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -29,7 +29,22 @@ values = st.one_of(
     st.sampled_from(WORDS),
     st.text(max_size=6),
 )
-keys = st.sampled_from(sorted(_KNOWN_KEYS) + ["grid", "bogus.key", ""])
+# every key some family reads
+READ_KEYS = {
+    "grid.n", "grid.l",
+    "kernel", "kernel.sigma", "kernel.strength", "kernel.radius", "kernel.modes",
+    "potential", "potential.a4", "potential.a2", "potential.a0", "potential.coefficients",
+    "nu", "dt", "t_end", "stabilizer", "dealias",
+    "initial", "initial.c", "initial.amplitude", "initial.mean", "initial.seed",
+    "initial.width", "initial.path", "initial.band",
+    "initial.u0", "initial.u0_amplitude", "initial.u0_path_x", "initial.u0_path_y",
+    "forcing", "forcing.amplitude_x", "forcing.amplitude_y", "forcing.decay",
+    "forcing.mode_x", "forcing.mode_y", "forcing.scale",
+    "output.record_every", "output.snapshot_every", "output.out_dir",
+    "checks.enforce_hypotheses", "checks.grad_control", "checks.dissipative",
+    "checks.s_lo", "checks.s_hi",
+}
+keys = st.sampled_from(sorted(READ_KEYS) + ["grid", "bogus.key", ""])
 
 
 @st.composite
@@ -57,7 +72,8 @@ def _floats(obj):
 
 def assert_validated(cfg: SimConfig) -> None:
     assert all(math.isfinite(x) for x in _floats(cfg))
-    grid = Grid(cfg.grid.n, cfg.grid.l)
+    grid = cfg.grid
+    assert isinstance(grid, Grid)
     sim = cfg.sim
     assert sim.nu > 0 and sim.dt > 0
     assert 1 <= round(sim.t_end / sim.dt) <= MAX_STEPS

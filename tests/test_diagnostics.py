@@ -12,7 +12,7 @@ from conftest import (
     weak_gradient_margin,
 )
 from nlchns import hypotheses
-from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
+from nlchns.config import ChecksConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import (
     DiagnosticsRecord,
     dissipative_envelope,
@@ -132,7 +132,7 @@ class TestRecordOracle:
         u = VectorField(ScalarField(g, 0.2 + u.x.values), ScalarField(g, u.y.values - 0.1))
         nu, dt = 0.1, 1e-3
         cfg = SimConfig(
-            grid=GridConfig(16, TWO_PI),
+            grid=Grid(16, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 2.0),
             potential=DW,
             sim=SimParams(nu=nu, dt=dt, t_end=dt, dealias=False),
@@ -167,7 +167,7 @@ class TestIdentityResidual:
         # KE * ((rho^2 - 1)/dt + 4 nu rho^2) with rho = 1/(1 + 2 nu dt)
         nu, dt = 0.05, 2e-3
         cfg = SimConfig(
-            grid=GridConfig(32, TWO_PI),
+            grid=Grid(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
             potential=DW,
             sim=SimParams(nu=nu, dt=dt, t_end=10 * dt),
@@ -183,7 +183,7 @@ class TestIdentityResidual:
 
     def test_refinement_halves_residual(self):
         base = dict(
-            grid=GridConfig(32, TWO_PI),
+            grid=Grid(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 1.0),
             potential=PotentialSpec.quartic(1.0, 0.5),
             initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=11, band=1),
@@ -212,7 +212,7 @@ class TestEnergyInequality:
 
     def test_gentle_relaxation_passes(self):
         cfg = SimConfig(
-            grid=GridConfig(32, TWO_PI),
+            grid=Grid(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
             potential=DW,
             sim=SimParams(nu=0.1, dt=1e-3, t_end=0.5),
@@ -241,7 +241,7 @@ class TestEnergyInequality:
         # S = 0 with a large step: the audit may legitimately fail; either
         # way the verdict must agree with the recorded budget
         cfg = SimConfig(
-            grid=GridConfig(32, TWO_PI),
+            grid=Grid(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
             potential=DW,
             sim=SimParams(nu=0.1, dt=5e-2, t_end=2.5, stabilizer=0.0),
@@ -293,7 +293,7 @@ class TestDissipativeEnvelope:
 
     def test_short_relaxation_run_passes(self, kernel16):
         cfg = SimConfig(
-            grid=GridConfig(32, TWO_PI),
+            grid=Grid(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
             potential=DW,
             sim=SimParams(nu=0.02, dt=2e-3, t_end=0.5),
@@ -307,7 +307,7 @@ class TestDissipativeEnvelope:
 
     def test_decaying_single_mode_forcing_admissible(self):
         cfg = SimConfig(
-            grid=GridConfig(32, TWO_PI),
+            grid=Grid(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
             potential=DW,
             sim=SimParams(nu=0.05, dt=2e-3, t_end=0.4),
@@ -344,7 +344,7 @@ class TestGradientControl:
         # c0 = 2 a2 + a beats 2 C_P ||grad J||_L1 for a stiff convex quartic
         quartic = PotentialSpec.quartic(1.0, 5.0)
         cfg = SimConfig(
-            grid=GridConfig(32, TWO_PI),
+            grid=Grid(32, TWO_PI),
             kernel=KernelSpec.gaussian(TWO_PI / 6.0, 6.0),
             potential=quartic,
             sim=SimParams(nu=0.1, dt=1e-3, t_end=0.3),
@@ -364,7 +364,7 @@ class TestGradientControl:
     @staticmethod
     def _control_cfg(grad_control):
         return SimConfig(
-            grid=GridConfig(16, TWO_PI),
+            grid=Grid(16, TWO_PI),
             kernel=KernelSpec.gaussian(TWO_PI / 6.0, 6.0),
             potential=PotentialSpec.quartic(1.0, 5.0),
             sim=SimParams(nu=0.1, dt=1e-3, t_end=3e-3),

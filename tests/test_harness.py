@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import TWO_PI, convolution_oracle, convolve, random_field, rel_err
-from nlchns.config import GridConfig, SimConfig
+from nlchns.config import OutputConfig, SimConfig
 from nlchns.harness import (
     StudyResult,
     dt_order_study,
@@ -55,7 +57,7 @@ class TestConvolutionOracle:
 
 def tg_cfg(n=32, dt=2e-3, t_end=0.25, nu=0.02):
     return SimConfig(
-        grid=GridConfig(n, TWO_PI),
+        grid=Grid(n, TWO_PI),
         kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
         potential=DW,
         sim=SimParams(nu=nu, dt=dt, t_end=t_end),
@@ -87,7 +89,7 @@ class TestTaylorGreen:
 
 def refine_cfg():
     return SimConfig(
-        grid=GridConfig(16, TWO_PI),
+        grid=Grid(16, TWO_PI),
         kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
         potential=DW,
         sim=SimParams(nu=0.1, dt=2e-3, t_end=0.2),
@@ -99,7 +101,7 @@ def refine_cfg():
 class TestGalerkinRefinement:
     def test_constant_data_identical_levels(self):
         cfg = SimConfig(
-            grid=GridConfig(16, TWO_PI),
+            grid=Grid(16, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
             potential=DW,
             sim=SimParams(nu=0.1, dt=2e-3, t_end=0.05),
@@ -126,7 +128,7 @@ class TestGalerkinRefinement:
 class TestDtOrderStudy:
     def test_steady_state_zero_errors(self):
         cfg = SimConfig(
-            grid=GridConfig(16, TWO_PI),
+            grid=Grid(16, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
             potential=DW,
             sim=SimParams(nu=0.1, dt=1e-2, t_end=0.1),
@@ -139,7 +141,7 @@ class TestDtOrderStudy:
 
     def test_smooth_run_first_order(self):
         cfg = SimConfig(
-            grid=GridConfig(32, TWO_PI),
+            grid=Grid(32, TWO_PI),
             kernel=KernelSpec.gaussian(0.15 * TWO_PI, 1.0),
             potential=PotentialSpec.quartic(1.0, 0.5),
             sim=SimParams(nu=0.05, dt=1e-2, t_end=0.4, stabilizer=1.0),
@@ -153,6 +155,16 @@ class TestDtOrderStudy:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):
             dt_order_study(refine_cfg(), [1e-2, 5e-3])
+
+
+class TestStudyOutput:
+    def test_studies_write_nothing_into_the_configs_out_dir(self, tmp_path):
+        out_dir = tmp_path / "run"
+        cfg = tg_cfg(n=16, dt=1e-2, t_end=0.04)
+        cfg = replace(cfg, output=OutputConfig(snapshot_every=1, out_dir=str(out_dir)))
+        taylor_green(cfg)
+        dt_order_study(cfg, [1e-2, 5e-3, 2.5e-3])
+        assert not out_dir.exists()
 
 
 class TestStudyResult:

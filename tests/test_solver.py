@@ -18,7 +18,7 @@ from conftest import (
     rel_err,
 )
 from nlchns import solver, spectral, storage
-from nlchns.config import ChecksConfig, GridConfig, OutputConfig, SimConfig
+from nlchns.config import ChecksConfig, OutputConfig, SimConfig
 from nlchns.diagnostics import total_energy
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
 from nlchns.kernels import KernelSpec, build_kernel
@@ -79,7 +79,7 @@ def count_transforms(monkeypatch) -> list[tuple]:
 
 def make_cfg(**over):
     base = dict(
-        grid=GridConfig(32, TWO_PI),
+        grid=Grid(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
         potential=DW,
         sim=SimParams(nu=0.1, dt=2e-3, t_end=0.1),
@@ -841,7 +841,7 @@ class TestRun:
             velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
         )
         res = run(cfg)
-        g = Grid(cfg.grid.n, cfg.grid.l)
+        g = cfg.grid
         umax = np.max(np.abs([res.state.u.x.values, res.state.u.y.values])) + 1e-30
         div = np.max(np.abs(divergence(res.state.u).values))
         assert div < 1e-11 * umax * 2 * np.pi * g.n / g.l
@@ -1010,7 +1010,7 @@ class TestTrajectory:
         _, _, frames = trajectory(cfg)
         frames = list(frames)
         assert [f[0] for f in frames] == list(range(11))
-        records = [rec for _, _, rec, _, _ in frames if rec is not None]
+        records = [rec for _, _, rec, _ in frames if rec is not None]
         assert [r.t for r in records] == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
         rows = np.array([r.as_row() for r in records])
         assert np.array([r.as_row() for r in res.records]).tobytes() == rows.tobytes()

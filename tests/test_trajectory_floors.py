@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI
-from nlchns.config import GridConfig, OutputConfig, SimConfig
+from nlchns.config import OutputConfig, SimConfig
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec
 from nlchns.potentials import PotentialSpec
@@ -31,13 +31,13 @@ def recorded(cfg):
     """The hypothesis report, and each record of ``cfg``'s trajectory with
     the samples of phi it was taken from."""
     report, _, frames = trajectory(cfg)
-    return report, [(rec, state.phi.values) for _, state, rec, _, _ in frames if rec is not None]
+    return report, [(rec, state.phi.values) for _, state, rec, _ in frames if rec is not None]
 
 
 @pytest.fixture(scope="module")
 def short_spinodal():
     cfg = SimConfig(
-        grid=GridConfig(32, TWO_PI),
+        grid=Grid(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
         potential=DW,
         sim=SimParams(nu=0.05, dt=2e-3, t_end=1.0),
@@ -50,7 +50,7 @@ def short_spinodal():
 
 def test_quadratic_coercivity_floor(short_spinodal):
     cfg, rep, frames = short_spinodal
-    c = 2.0 * rep.c2 * Grid(cfg.grid.n, cfg.grid.l).volume
+    c = 2.0 * rep.c2 * cfg.grid.volume
     assert len(frames) == 101
     for rec, _ in frames:
         lhs = 2.0 * rec.interaction + 2.0 * rec.bulk
@@ -60,7 +60,7 @@ def test_quadratic_coercivity_floor(short_spinodal):
 def test_coercive_growth_floor(short_spinodal):
     cfg, rep, frames = short_spinodal
     assert rep.h6 == "pass"
-    grid = Grid(cfg.grid.n, cfg.grid.l)
+    grid = cfg.grid
     w = grid.cell_volume
     power = 2.0 + 2.0 * rep.q
     for rec, vals in frames:
@@ -70,7 +70,7 @@ def test_coercive_growth_floor(short_spinodal):
 
 def test_floors_hold_with_mean_offset():
     cfg = SimConfig(
-        grid=GridConfig(32, TWO_PI),
+        grid=Grid(32, TWO_PI),
         kernel=KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
         potential=DW,
         sim=SimParams(nu=0.05, dt=2e-3, t_end=0.3),
