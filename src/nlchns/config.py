@@ -203,8 +203,9 @@ def parse_config(text: str) -> SimConfig:
             errors.append("kernel.strength must be positive")
         kernel = (KernelSpec.gaussian if family == "gaussian" else KernelSpec.mollifier)(size, strength)
     elif family == "spectral":
+        before = len(errors)
         modes = _parse_modes(r.string("kernel.modes"), errors)
-        if not modes:
+        if not modes and len(errors) == before:  # absent or empty, not malformed
             errors.append("kernel.modes is required for the spectral family")
         kernel = KernelSpec.spectral(modes)
     elif family is not None:

@@ -27,9 +27,10 @@ the state's F'(phi)^ and mu^, and ``_advance``, the step's body, takes them
 as inputs.  ``trajectory`` sets a configured run up (grid, kernel, the
 hypothesis gate, S, and the initial state cut to the band, the one place
 that does so) and returns a generator of frames that makes each state's
-F'(phi)^ and mu^ once, for its record and for the step from it, and audits
-each record; ``run`` consumes the frames and writes the records and
-snapshots.  A state carries the rfft2
+F'(phi)^ and mu^ once, for its record and for the step from it (the first
+state's before the first step, the others' in the step that makes them),
+and audits each record; ``run`` consumes the frames and writes the records
+and snapshots.  A state carries the rfft2
 half-plane coefficients of phi, u_x and u_y next to their samples: all
 n//2 + 1 columns when built from samples, which it transforms then, and the
 first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
@@ -59,8 +60,9 @@ kernel; a step allocates only the state it returns, one (3, n, c) complex
 block of coefficients and one (3, n, n) real block of samples.  numpy
 buffers a ufunc operand that is a column slice or a broadcast, in an
 allocation of its own, so the operators are held contiguous on the kept
-columns and no ufunc past the new samples' allocation takes such an
-operand.  A kernel's workspace serves one trajectory at a time;
+columns, F'(phi)^'s kept columns are copied once into a contiguous plane
+and mu^'s made in another, and no ufunc of a stepped state's step takes
+such an operand.  A kernel's workspace serves one trajectory at a time;
 ``trajectory`` builds a kernel per run, so independent runs share nothing
 and may execute concurrently.  The returned states never share memory with
 the workspace, or with each other.
@@ -69,7 +71,9 @@ Within a step, the phase and flow updates couple only through data at t^n,
 so from n = ``_FORK_MIN_N`` (256) a step runs its phase branch (u phi, its
 transform, the phase solve and the inverse of the new phi) on one worker
 thread while the calling thread runs the flow branch, and joins it before
-the new samples are checked for blow-up.  numpy's pocketfft gufuncs and
+the new samples are checked for blow-up.  In a trajectory the worker, whose
+branch is the shorter, goes on to the new state's F'(phi)^ and mu^ if its
+phi is finite; a bare ``step`` makes none.  numpy's pocketfft gufuncs and
 large ufunc loops release the GIL, so the two overlap on two CPUs.  The
 branches write disjoint buffers, the worker's own beside the workspace, and
 every 1-D pass is independent, so the result is the same bit for bit; an
@@ -263,16 +267,16 @@ class ForcingSpec:
 # pointwise operators
 
 def mu_hat(a_minus_j: np.ndarray, phi_hat: np.ndarray, fp_hat: np.ndarray,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """rfft2 coefficients of mu, (a - J^) phi^ + F'^, from those of F'(phi)
-    and the first columns of phi^ (the rest zero); ``a_minus_j`` is a - J^
-    on the half plane, and ``out`` (allocated when None) takes the result,
-    ``fp_hat`` left as it is."""
-    c = phi_hat.shape[1]
-    if out is None:
-        out = np.empty_like(fp_hat)
-    product = np.multiply(a_minus_j[:, :c], phi_hat, out=out[:, :c])
-    np.add(fp_hat[:, :c], product, out=product)
+           out: np.ndarray | None = None, cols: np.ndarray | None = None) -> np.ndarray:
+    """rfft2 coefficients of mu, (a - J^) phi^ + F'^, into ``out`` from those
+    of F'(phi) and the first c columns of phi^ (the rest zero), a - J^ being
+    on the half plane.  ``cols`` (2, n, c) takes F'^'s and then mu^'s first
+    c columns, contiguous, so no ufunc takes a column slice (numpy would
+    buffer it in an allocation); both are allocated when None."""
+    c, out = phi_hat.shape[1], (np.empty_like(fp_hat) if out is None else out)
+    fp, mu = np.empty((2,) + phi_hat.shape, dtype=complex) if cols is None else cols
+    fp[...] = fp_hat[:, :c]
+    out[:, :c] = np.add(fp, np.multiply(a_minus_j[:, :c], phi_hat, out=mu), out=mu)
     out[:, c:] = fp_hat[:, c:]
     return out
 
@@ -348,15 +352,17 @@ class _Workspace:
       complete; then u phi);
     * ``rows``: (2, n, n//2 + 1), F'(phi)^ and mu^, then row transforms and
       the coefficients of grad mu;
-    * ``cols``: coefficients on the columns the step keeps, (3, n, c);
+    * ``cols``: (3, n, c), coefficients on the columns the step keeps;
     * ``finite``: the isfinite mask of a new state's samples.
 
     From n = ``_FORK_MIN_N`` the phase branch of a step runs on ``fork``'s
     thread, with buffers of its own: ``phase_real`` (2, n, n) for the u phi
     products, ``phase_rows`` (2, n, n//2 + 1) for their row pass, and
     ``phase_flux`` (2, n, c), a view of phase_real's memory, for their
-    column pass, then for the column pass of the new phi.  Below it these
-    four are None, and no thread is started."""
+    column pass, then for the column pass of the new phi.  In a trajectory
+    the thread goes on to the new state's F'(phi)^ and mu^, in the row block
+    it used, which the next step's flow takes: ``rows`` and ``phase_rows``
+    swap roles each step.  Below it these four are None, and no thread."""
 
     __slots__ = ("real", "rows", "cols", "finite", "fork", "phase_real", "phase_rows", "phase_flux")
 
@@ -417,18 +423,19 @@ def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
     return per_kernel[key]
 
 
-def _chemical_hats(ops: _Operators, potential: PotentialSpec, state: SimState
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The rfft2 coefficients of F'(phi) and of mu for ``state``, from its
-    first ``ops`` columns of phi^, computed into ``ops.work.rows`` (the
-    F'(phi) samples in ``ops.work.real[0]``); the next step's row transforms
-    overwrite both.  F'(phi)'s full-width transform takes its column pass in
-    place."""
+def _chemical_hats(ops: _Operators, potential: PotentialSpec, phi: np.ndarray, phi_hat: np.ndarray,
+                   buffers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(F'(phi)^ on the first ``ops`` columns, contiguous; a row block whose
+    planes hold F'(phi)^ and mu^) from the samples ``phi`` and ``phi_hat``,
+    in ``buffers`` (real, rows, cols), the workspace's own when None: F'(phi)
+    to ``real``, its full-width transform in place to rows[0], and mu_hat's
+    contiguous planes to cols[:2].  The next step overwrites them."""
     ws = ops.work
-    fp, mu = ws.rows
-    rfft2_cols(eval_df(potential, state.phi.values, out=ws.real[0]), fp.shape[-1], out=fp, rows=fp)
-    mu_hat(ops.a_minus_j, state.hats[0][:, :ops.keep.shape[1]], fp, out=mu)
-    return fp, mu
+    real, rows, cols = buffers or (ws.real[0], ws.rows, ws.cols)
+    fp, mu = rows
+    rfft2_cols(eval_df(potential, phi, out=real), fp.shape[-1], out=fp, rows=fp)
+    mu_hat(ops.a_minus_j, phi_hat[:, :ops.keep.shape[1]], fp, out=mu, cols=cols[:2])
+    return cols[0], rows
 
 
 def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
@@ -440,46 +447,57 @@ def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
     mu^ too; the new state owns a fresh coefficient block and a fresh sample
     block."""
     ops = _operators(kernel, params)
-    return _advance(ops, params.dt, state, *_chemical_hats(ops, potential, state), forcing)
+    chem = _chemical_hats(ops, potential, state.phi.values, state.hats[0])
+    return _advance(ops, params.dt, state, *chem, forcing)[0]
 
 
-def _advance(ops: _Operators, dt: float, state: SimState, fp_hat: np.ndarray, mu: np.ndarray,
-             forcing: VectorField | None) -> SimState:
+def _advance(ops: _Operators, dt: float, state: SimState, fp_cols: np.ndarray, rows: np.ndarray,
+             forcing: VectorField | None, potential: PotentialSpec | None = None
+             ) -> tuple[SimState, tuple | None]:
     """The body of ``step``, given the state's F'(phi)^ and mu^ as
-    ``_chemical_hats`` leaves them in the workspace.  Past the first line
-    of the phase update, the phase branch (``_phase``) and the flow branch
-    (``_flow``) read only the state and mu^, and write disjoint buffers;
-    with a fork the phase branch, with the inverse transform of the new
-    phi, runs on the fork's thread while this one runs the flow branch and
-    the inverse of the new u.  Both have finished before the new samples
-    are checked."""
+    ``_chemical_hats`` returns them; returns the new state and, given
+    ``potential``, its own (else None).  Past the first line of the phase
+    update, the phase branch (``_phase``) and the flow branch (``_flow``)
+    read only the state and mu^, and write disjoint buffers; with a fork the
+    phase branch, the inverse of the new phi and, if it is finite, the new
+    F'(phi)^ and mu^ run on the fork's thread, in the row block the flow
+    does not use, while this one runs the flow branch and the inverse of the
+    new u.  Both have finished before the new samples are checked."""
     g, ws, c = state.phi.grid, ops.work, ops.keep.shape[1]
-    new = np.empty((3, g.n, c), dtype=complex)
+    new, chem = np.empty((3, g.n, c), dtype=complex), None
 
-    # phase, up to the transport: the flow overwrites F'(phi)^'s plane
+    # phase, up to the transport: the branches overwrite F'(phi)^'s columns
     np.multiply(ops.keep, state.hats[0][:, :c], out=new[0])
-    np.subtract(new[0], np.multiply(ops.k2, fp_hat[:, :c], out=ws.cols[1]), out=new[0])
+    np.subtract(new[0], np.multiply(ops.k2, fp_cols, out=fp_cols), out=new[0])
 
-    # after the column slice of F'(phi)^, whose ufunc buffer would add to the step's peak
+    # after the column slice of a sample-built state's phi^, whose ufunc buffer would add to the step's peak
     samples = np.empty((3, g.n, g.n))
 
     if ws.fork is None:
-        _flow(ops, dt, state, mu, forcing, new[1:], samples[1:])
-        _phase(ops, state, new[0], ws.real, ws.rows, ws.cols[:2])
+        _flow(ops, dt, state, rows, forcing, new[1:], samples[1:])
+        _phase(ops, state, new[0], ws.real, rows, ws.cols[:2])
         irfft2_cols(g, new, out=samples, work=ws.cols)
     else:
+        other = ws.phase_rows if rows is ws.rows else ws.rows
+
         def phase():
-            _phase(ops, state, new[0], ws.phase_real, ws.phase_rows, ws.phase_flux)
+            nonlocal chem
+            _phase(ops, state, new[0], ws.phase_real, other, ws.phase_flux)
             irfft2_cols(g, new[0], out=samples[0], work=ws.phase_flux[0])
+            if potential is not None and np.isfinite(samples[0], out=ws.finite[0]).all():
+                chem = _chemical_hats(ops, potential, samples[0], new[0],
+                                      (ws.phase_real[0], other, ws.phase_flux))
 
         def flow():
-            _flow(ops, dt, state, mu, forcing, new[1:], samples[1:])
+            _flow(ops, dt, state, rows, forcing, new[1:], samples[1:])
             irfft2_cols(g, new[1:], out=samples[1:], work=ws.cols[:2])
 
         ws.fork.both(phase, flow)
     if not np.isfinite(samples, out=ws.finite).all():
         raise BlowUpError(f"non-finite values in {'u' if ws.finite[0].all() else 'phi'}")
-    return SimState.from_hats(g, new, state.t + dt, samples)
+    if chem is None and potential is not None:
+        chem = _chemical_hats(ops, potential, samples[0], new[0])
+    return SimState.from_hats(g, new, state.t + dt, samples), chem
 
 
 def _phase(ops: _Operators, state: SimState, new_phi: np.ndarray, products: np.ndarray,
@@ -493,23 +511,24 @@ def _phase(ops: _Operators, state: SimState, new_phi: np.ndarray, products: np.n
     new_phi[0, 0] = state.hats[0][0, 0]
 
 
-def _flow(ops: _Operators, dt: float, state: SimState, mu: np.ndarray, forcing: VectorField | None,
+def _flow(ops: _Operators, dt: float, state: SimState, rows: np.ndarray, forcing: VectorField | None,
           new_u: np.ndarray, rhs: np.ndarray) -> None:
     """The new u^ into ``new_u`` (2, n, c): the capillary force plus omega
     (u_y, -u_x), omega = curl u in one inverse transform, and the forcing,
     with the right-hand sides in one stacked transform, then the projected
-    viscous solve.  ``rhs`` (2, n, n) takes the samples of the right-hand
-    sides; the workspace's ``real``, ``rows`` and ``cols`` the rest, and
-    mu^ is overwritten."""
+    viscous solve.  ``rows`` (2, n, n//2 + 1) holds mu^ in its second plane
+    and takes the row passes, overwriting it; ``rhs`` (2, n, n) takes the
+    samples of the right-hand sides, and the workspace's ``real`` and
+    ``cols`` the rest."""
     g, ws, c, inv_dt = state.phi.grid, ops.work, new_u.shape[-1], 1.0 / dt
-    rows, cols, (s1, omega), (ikx, iky) = ws.rows, ws.cols, ws.real, ops.ik
+    cols, (s1, omega), (ikx, iky) = ws.cols, ws.real, ops.ik
     u = state.u
     ux_hat, uy_hat = (a[:, :c] for a in state.hats[1:])
 
     np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
     np.add(np.multiply(ikx, uy_hat, out=cols[1]), cols[2], out=cols[2])
     irfft2_cols(g, cols[2], out=omega, work=cols[2])
-    capillary_force(g, state.phi.values, mu, out=rhs, work=rows, scratch=s1)
+    capillary_force(g, state.phi.values, rows[1], out=rhs, work=rows, scratch=s1)
     np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
     np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
     bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
@@ -588,21 +607,20 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
     mass0, t0 = state.hats[0][0, 0].real, state.t
     h, rec = cfg.forcing.field_at(kernel.grid, t0), None
     ops = _operators(kernel, params)
-    chem = _chemical_hats(ops, potential, state)
+    chem = _chemical_hats(ops, potential, state.phi.values, state.hats[0])
     for i in range(n_steps + 1):
         if i:
             h = cfg.forcing.field_at(kernel.grid, state.t)
-            try:
-                state = _advance(ops, params.dt, state, *chem, h)
+            try:  # the new state's F'(phi)^ and mu^ too: its record's and the next step's
+                state, chem = _advance(ops, params.dt, state, *chem, h, potential)
             except BlowUpError as err:
                 raise BlowUpError(str(err), step=i, last_record=rec) from None
             state.t = t0 + i * params.dt  # not a running sum: no round-off builds up in t
-            chem = _chemical_hats(ops, potential, state)  # its record's and the next step's
         if i % every and i < n_steps:
             yield i, state, None, []
             continue
         new = diagnostics.make_record(
-            state, chem[1], kernel, potential, params.nu, report.beta,
+            state, chem[1][1], kernel, potential, params.nu, report.beta,
             forcing_power=(inner(h, state.u) if h is not None else 0.0), prev=rec,
         )
         found = _audit_record(cfg, report, state, new, i, mass0)

@@ -125,6 +125,9 @@ class TestParseConfig:
          "potential.a4 must be positive"),
         (("kernel.sigma = 0.3141592653589793", "kernel.sigma = -1"), "kernel.sigma must be positive"),
         (("kernel = gaussian", "kernel = banana"), "unknown kernel family 'banana'"),
+        (("kernel = gaussian\nkernel.sigma = 0.3141592653589793\nkernel.strength = 6.0",
+          "kernel = spectral\nkernel.modes = 0,0:x"),
+         "kernel.modes: malformed entry '0,0:x' (want 'm1,m2:value')"),
     ])
     def test_one_mistake_one_error(self, edit, message):
         # a family's keys are read whether or not an earlier check failed

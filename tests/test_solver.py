@@ -51,24 +51,29 @@ from nlchns.spectral import (
 DW = PotentialSpec.double_well()
 
 
-def count_transforms(monkeypatch) -> list[tuple]:
+def count_transforms(monkeypatch, threads: bool = False) -> list[tuple]:
     """(name, input shape, columns) of each transform called from now on:
     ``spectral``'s two helpers, in the namespaces that call them, with the
-    columns they cut to or read, and any numpy.fft function, with None."""
+    columns they cut to or read, and any numpy.fft function, with None.
+    With ``threads``, each also says whether it ran on the main thread."""
     calls = []
+
+    def note(*call):
+        calls.append(call + ((threading.current_thread() is threading.main_thread(),) if threads else ()))
+
     for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
                  "fftn", "ifftn", "rfftn", "irfftn"):
         def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls.append((_name, np.shape(a), None))
+            note(_name, np.shape(a), None)
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
 
     def forward(values, c, *args, _fn=spectral.rfft2_cols, **kwargs):
-        calls.append(("rfft2_cols", np.shape(values), c))
+        note("rfft2_cols", np.shape(values), c)
         return _fn(values, c, *args, **kwargs)
 
     def inverse(grid, c_hat, *args, _fn=spectral.irfft2_cols, **kwargs):
-        calls.append(("irfft2_cols", np.shape(c_hat), np.shape(c_hat)[-1]))
+        note("irfft2_cols", np.shape(c_hat), np.shape(c_hat)[-1])
         return _fn(grid, c_hat, *args, **kwargs)
 
     for module in (spectral, solver):
@@ -420,6 +425,33 @@ class TestStepCore:
         transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
         assert (transforms, len(calls)) == (11, 7)
 
+    def test_transforms_per_forked_trajectory_step(self, monkeypatch):
+        # in a trajectory the fork's thread goes on from the new phi to that
+        # state's F'(phi)^ and mu^: still 11 transforms in 7 helper calls a
+        # step, F'(phi)'s forward among the thread's three
+        cfg = make_cfg(
+            sim=SimParams(nu=0.05, dt=2e-3, t_end=0.02),
+            initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
+            velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
+        )
+        n, nh, c = cfg.grid.n, cfg.grid.n // 2 + 1, cfg.grid.n // 3 + 1
+        monkeypatch.setattr(solver, "_FORK_MIN_N", n)
+        calls = count_transforms(monkeypatch, threads=True)
+
+        def counts(steps):
+            calls.clear()
+            run(replace(cfg, sim=replace(cfg.sim, t_end=steps * cfg.sim.dt)))
+            return Counter(calls)
+
+        ten, none = counts(10), counts(0)
+        assert {k: ten[k] - none[k] for k in ten if ten[k] != none[k]} == {
+            ("rfft2_cols", (2, n, n), c, False): 10, ("irfft2_cols", (n, c), c, False): 10,
+            ("rfft2_cols", (n, n), nh, False): 10,
+            ("irfft2_cols", (n, c), c, True): 10, ("irfft2_cols", (2, n, nh), nh, True): 10,
+            ("rfft2_cols", (2, n, n), c, True): 10, ("irfft2_cols", (2, n, c), c, True): 10}
+        # set-up makes the first state's F'(phi)^ on this thread
+        assert none[("rfft2_cols", (n, n), nh, True)] == 1
+
     def test_sample_built_state_steps_in_band(self, kernel32, rng):
         # with dealias on, run() cuts full-spectrum initial data to the band,
         # rows and columns alike, and steps those coefficients
@@ -541,13 +573,20 @@ class TestWorkspace:
         # the phase branch on the fork's thread, with buffers of its own
         return forked_kernel(monkeypatch, self.params, n=128)
 
-    def assert_step_allocates_only_the_state_it_returns(self, kernel, rng):
+    def assert_step_allocates_only_the_state_it_returns(self, kernel, rng, carry: bool = False):
+        # with ``carry``, as a trajectory steps: given the state's F'(phi)^
+        # and mu^, the step makes the new state's too
         state = stepped_state(kernel, self.params, rng)
+        ops = solver._operators(kernel, self.params)
+        chem = solver._chemical_hats(ops, DW, state.phi.values, state.hats[0]) if carry else None
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            new = step(state, self.params, kernel, DW)
+            if carry:
+                new, chem = solver._advance(ops, self.params.dt, state, *chem, None, DW)
+            else:
+                new = step(state, self.params, kernel, DW)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -561,6 +600,10 @@ class TestWorkspace:
     def test_forked_step_allocates_only_the_state_it_returns(self, forked128, rng):
         self.assert_step_allocates_only_the_state_it_returns(forked128, rng)
 
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_trajectory_step_allocates_only_the_state_it_returns(self, kernel128, forked128, rng, forked):
+        self.assert_step_allocates_only_the_state_it_returns(forked128 if forked else kernel128, rng, carry=True)
+
     def assert_states_share_no_memory(self, kernel, rng, buffers):
         h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel.grid, 0.0)
         first = stepped_state(kernel, self.params, rng, steps=1)
@@ -571,6 +614,22 @@ class TestWorkspace:
             assert not any(np.shares_memory(a, b) for b in state_arrays(first) + buffers)
         for a in state_arrays(first):
             assert not any(np.shares_memory(a, b) for b in buffers)
+
+    def test_chemical_hats_allocate_nothing(self, kernel128, rng):
+        # F'(phi)^'s first columns are cut once into a contiguous plane and
+        # mu^'s made in another, so no ufunc takes a column slice, which
+        # numpy would buffer in an allocation of its own
+        state = stepped_state(kernel128, self.params, rng)
+        ops = solver._operators(kernel128, self.params)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solver._chemical_hats(ops, DW, state.phi.values, state.hats[0])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1024
 
     def test_states_share_no_memory(self, kernel128, rng):
         self.assert_states_share_no_memory(kernel128, rng, ["real", "rows", "cols", "finite"])
@@ -646,6 +705,38 @@ class TestFork:
             for x, y in zip(state_arrays(a), state_arrays(b)):
                 assert x.tobytes() == y.tobytes()
 
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
+                                      KernelSpec.mollifier(radius=0.25 * TWO_PI, strength=4.0),
+                                      KernelSpec.spectral({(0, 0): 6.0, (1, 0): 0.3, (0, 1): 0.3})],
+                             ids=["gaussian", "mollifier", "spectral"])
+    @pytest.mark.parametrize("forcing", [ForcingSpec(),
+                                         ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],
+                             ids=["zero", "single_mode"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_forked_trajectories_are_the_serial_trajectories(self, monkeypatch, spec, forcing, dealias, every):
+        # a forked trajectory makes each new state's F'(phi)^ and mu^ on the
+        # fork's thread, in the row block the flow does not use
+        cfg = make_cfg(
+            kernel=spec, forcing=forcing, sim=replace(self.params, dealias=dealias, t_end=50 * self.params.dt),
+            initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
+            velocity=VelocitySpec(family="taylor_green", amplitude=0.7), output=OutputConfig(record_every=every),
+        )
+
+        def frames(fork_min_n):
+            monkeypatch.setattr(solver, "_FORK_MIN_N", fork_min_n)
+            before, seen, threads = phase_threads(), [], set()
+            for _, state, rec, _ in trajectory(cfg, force=True)[2]:
+                threads.update(t for t in phase_threads() if t not in before)
+                seen.append([a.tobytes() for a in state_arrays(state)])
+                seen.append(rec and np.array(rec.as_row()).tobytes())
+            return seen, len(threads)
+
+        (got, forked), (want, serial) = frames(cfg.grid.n), frames(2 * cfg.grid.n)
+        assert (forked, serial) == (1, 0)
+        assert len(got) == 2 * 51 and sum(r is not None for r in got[1::2]) == len(range(0, 50, every)) + 1
+        assert got == want
+
     def test_forks_from_n_256(self, monkeypatch):
         forked = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(256, TWO_PI))
         solver._operators(forked, self.params)
@@ -666,13 +757,17 @@ class TestFork:
         assert (ws.fork, ws.phase_real, ws.phase_rows, ws.phase_flux) == (None,) * 4
         assert [t for t in threading.enumerate() if t not in before] == []
 
-    @pytest.mark.parametrize("failing", ["phase", "flow"])
+    @pytest.mark.parametrize("failing", ["phase", "flow", "chemical_hats"])
     def test_a_failing_branch_waits_for_the_other(self, monkeypatch, failing):
         # the error reaches the caller only once the other branch, slowed
-        # down here, has made its last write (an inverse transform)
+        # down here, has made its last write (an inverse transform).  A
+        # trajectory's step, as here, also makes the new state's F'(phi)^
+        # and mu^ on the fork's thread, after the inverse of the new phi
         kernel = forked_kernel(monkeypatch, self.params)
         serial = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), kernel.grid)
         start = self.trajectory(kernel, self.params, ForcingSpec(), 1)[-1]
+        ops = solver._operators(kernel, self.params)
+        chem = solver._chemical_hats(ops, DW, start.phi.values, start.hats[0])
         inverses = []
 
         def inverse(*args, _fn=solver.irfft2_cols, **kwargs):
@@ -683,22 +778,24 @@ class TestFork:
         def fail(*args, **kwargs):
             raise RuntimeError(f"{failing} failed")
 
-        def slow(*args, _fn=(solver.capillary_force if failing == "phase" else solver.flux_divergence),
-                 **kwargs):
+        failing_name, slow_name = {"phase": ("flux_divergence", "capillary_force"),
+                                   "flow": ("capillary_force", "flux_divergence"),
+                                   "chemical_hats": ("eval_df", "capillary_force")}[failing]
+
+        def slow(*args, _fn=getattr(solver, slow_name), **kwargs):
             time.sleep(0.2)
             return _fn(*args, **kwargs)
 
-        failing_name, slow_name = ("flux_divergence", "capillary_force") if failing == "phase" else (
-            "capillary_force", "flux_divergence")
         with monkeypatch.context() as patched:
             patched.setattr(solver, "irfft2_cols", inverse)
             patched.setattr(solver, failing_name, fail)
             patched.setattr(solver, slow_name, slow)
             with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
-                step(start, self.params, kernel, DW)
+                solver._advance(ops, self.params.dt, start, *chem, None, DW)
             # the flow branch inverts omega, then the new u, on this thread;
             # the phase branch the new phi on the fork's
-            assert sorted(inverses) == ([True, True] if failing == "phase" else [False, True])
+            assert sorted(inverses) == {"phase": [True, True], "flow": [False, True],
+                                        "chemical_hats": [False, True, True]}[failing]
         # the thread outlives the error, and the next step is the serial one
         again, want = step(start, self.params, kernel, DW), step(start, self.params, serial, DW)
         for x, y in zip(state_arrays(again), state_arrays(want)):
