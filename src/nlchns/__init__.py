@@ -5,11 +5,9 @@ incompressible flow on the periodic square."""
 from .config import ConfigError, SimConfig, parse_config, parse_config_file
 from .diagnostics import (
     DiagnosticsRecord,
-    EnergyParts,
     dissipative_envelope,
     energy_inequality_check,
     identity_residual,
-    total_energy,
 )
 from .hypotheses import HypothesisReport, audit
 from .initialdata import InitialSpec, VelocitySpec
@@ -20,10 +18,10 @@ from .solver import (
     ForcingSpec,
     SimParams,
     SimState,
+    Stepper,
     capillary_force,
     mu_hat,
     run,
-    step,
 )
 from .spectral import (
     Grid,

@@ -27,12 +27,8 @@ from .kernels import KernelBuildError, build_kernel
 from .solver import BlowUpError, HypothesisGateError, StabilizerRangeError, run
 
 
-def _load(path: str):
-    return parse_config_file(path)
-
-
 def _cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = parse_config_file(args.config)
     if args.seed is not None:
         if cfg.initial.family != "random":
             print(f"run: --seed needs random initial data, not initial = {cfg.initial.family}")
@@ -66,7 +62,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _load(args.config)
+    cfg = parse_config_file(args.config)
     kernel = build_kernel(cfg.kernel, cfg.grid)
     report = audit(kernel, cfg.potential, s_range=cfg.checks.s_range)
     sys.stdout.write(report.to_text())
@@ -77,7 +73,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    cfg = _load(args.config)
+    cfg = parse_config_file(args.config)
     if not (args.sizes or args.dts):
         print("convergence: need --sizes and/or --dts")
         return 2
@@ -96,7 +92,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = _load(args.config)
+    cfg = parse_config_file(args.config)
     study = harness.taylor_green(cfg)
     print(study.summary())
     return 0 if study.passed() else 1
@@ -112,7 +108,7 @@ def _cmd_report(args) -> int:
         return 2
     cfg = None
     if args.config:
-        cfg = _load(args.config)
+        cfg = parse_config_file(args.config)
     nu = cfg.sim.nu if cfg is not None else args.nu
     if nu is None:
         print("report: need --config or --nu for the viscosity")

@@ -263,12 +263,15 @@ def parse_config(text: str) -> SimConfig:
     if ifam == "uniform":
         initial = InitialSpec(family="uniform", c=r.floatv("initial.c", 0.0))
     elif ifam == "random":
+        band = r.intv("initial.band")
+        if band is not None and not 1 <= band < (math.inf if n is None else n // 2):
+            errors.append(f"initial.band must be in 1 .. grid.n/2 - 1 (grid.n = {n}), got {band}")
         initial = InitialSpec(
             family="random",
             amplitude=r.floatv("initial.amplitude", 0.0),
             mean=r.floatv("initial.mean", 0.0),
             seed=r.intv("initial.seed", need="for random initial data"),
-            band=r.intv("initial.band"),
+            band=band,
         )
     elif ifam == "tanh_strip":
         width = r.floatv("initial.width", 0.1)

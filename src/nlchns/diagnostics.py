@@ -79,31 +79,6 @@ class DiagnosticsRecord:
         return tuple(getattr(self, c) for c in COLUMNS)
 
 
-@dataclass(frozen=True)
-class EnergyParts:
-    total: float
-    kinetic: float
-    interaction: float
-    bulk: float
-
-
-def total_energy(state, kernel: KernelOnGrid, potential: PotentialSpec) -> EnergyParts:
-    """E(u, phi) = (1/2)||u||^2 + (1/4) iint J (phi(x)-phi(y))^2 + int F(phi);
-    the first two by Parseval on the state's coefficients."""
-    phi_hat, ux_hat, uy_hat = state.hats
-    return _energy_parts(state, kernel, potential, power(phi_hat), power(ux_hat, uy_hat))
-
-
-def _energy_parts(state, kernel: KernelOnGrid, potential: PotentialSpec,
-                  p_phi: np.ndarray, p_u: np.ndarray) -> EnergyParts:
-    """The energy of ``state`` given |phi^|^2 and |u_x^|^2 + |u_y^|^2."""
-    g = state.phi.grid
-    kinetic = 0.5 * parseval(g.half.weight, p_u)
-    inter = interaction_energy(kernel, p_phi)
-    bulk = float(np.sum(eval_f(potential, state.phi.values)) * g.cell_volume)
-    return EnergyParts(total=kinetic + inter + bulk, kinetic=kinetic, interaction=inter, bulk=bulk)
-
-
 def identity_residual(prev: DiagnosticsRecord, cur: DiagnosticsRecord, dt: float, nu: float) -> float:
     """Discrete residual of d/dt E + nu ||grad u||^2 + ||grad mu||^2 = <h, u>."""
     return (
@@ -117,19 +92,22 @@ def identity_residual(prev: DiagnosticsRecord, cur: DiagnosticsRecord, dt: float
 def make_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential: PotentialSpec, nu: float,
                 beta: float, forcing_power: float, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
     """The record of ``state``; ``mu_hat`` holds the rfft2 coefficients of mu."""
+    g, half = state.phi.grid, state.phi.grid.half
     p_phi, p_u = power(state.hats[0]), power(*state.hats[1:])
-    parts = _energy_parts(state, kernel, potential, p_phi, p_u)
-    half = state.phi.grid.half
+    # E(u, phi) = (1/2)||u||^2 + (1/4) iint J (phi(x)-phi(y))^2 + int F(phi), the first two by Parseval
+    kinetic = 0.5 * parseval(half.weight, p_u)
+    interaction = interaction_energy(kernel, p_phi)
+    bulk = float(np.sum(eval_f(potential, state.phi.values)) * g.cell_volume)
     grad_u_sq = parseval(half.weight_k2, p_u)
     grad_mu_sq = parseval(half.weight_k2, power(mu_hat))
     grad_phi_sq = parseval(half.weight_k2, p_phi)
     rec = DiagnosticsRecord(
         t=state.t,
-        mass=float(state.hats[0][0, 0].real) * state.phi.grid.volume / state.phi.grid.n**2,
-        kinetic=parts.kinetic,
-        interaction=parts.interaction,
-        bulk=parts.bulk,
-        total_energy=parts.total,
+        mass=float(state.hats[0][0, 0].real) * g.volume / g.n**2,
+        kinetic=kinetic,
+        interaction=interaction,
+        bulk=bulk,
+        total_energy=kinetic + interaction + bulk,
         grad_u_sq=grad_u_sq,
         grad_mu_sq=grad_mu_sq,
         forcing_power=forcing_power,

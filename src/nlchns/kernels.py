@@ -20,12 +20,7 @@ Shipped families:
 
 Nonnegativity of the samples is enforced at build time so the interaction
 energy is a true Dirichlet-type form.  Kernel objects are immutable after
-build, but ``solver.step`` keys a workspace on the kernel that serves one
-trajectory at a time: two threads must not step with one kernel and the
-same parameters at once (``solver.trajectory`` builds a kernel per run).
-From n = ``solver._FORK_MIN_N`` (256) that workspace also holds a worker
-thread, which each step forks its phase branch onto, and the thread's own
-buffers (2 MiB at n = 256); both go with the kernel.
+build, so any number of threads may read one.
 """
 
 from __future__ import annotations
@@ -72,7 +67,7 @@ class KernelSpec:
 @dataclass(eq=False)
 class KernelOnGrid:
     """A kernel discretized on one grid, with its multiplier and norms;
-    compared by identity, so that the solver can cache operators per kernel.
+    compared by identity, as arrays have no single truth value.
     ``multiplier``: J^ = integral J(x) exp(-i k.x) dx by quadrature, real and
     even, on the rfft2 half plane (shape (n, n//2 + 1))."""
 

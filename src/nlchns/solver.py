@@ -22,65 +22,64 @@ convective results to round-off (undealiased they alias apart; omega (u_y,
 -u_x) . u = 0 either way).
 The k = 0 row of the phase update is copied through: mass is kept to the bit.
 
-``step`` is the only implementation of the scheme: ``_chemical_hats`` makes
-the state's F'(phi)^ and mu^, and ``_advance``, the step's body, takes them
-as inputs.  ``trajectory`` sets a configured run up (grid, kernel, the
-hypothesis gate, S, and the initial state cut to the band, the one place
-that does so) and returns a generator of frames that makes each state's
-F'(phi)^ and mu^ once, for its record and for the step from it (the first
-state's before the first step, the others' in the step that makes them),
-and audits each record; ``run`` consumes the frames and writes the records
+``Stepper`` is the only implementation of the scheme.  One is built per
+trajectory, for its kernel, params and potential: it holds the solve
+operators, the buffers every intermediate is written to and, from n =
+``_FORK_MIN_N`` (256), a worker thread.  ``Stepper.step`` ends by making
+the new state's F'(phi)^ and mu^, which its record (``Stepper.mu_hat``)
+and the step from it use; a state the stepper did not just return, or any
+state after a failed step, first gets its own, one transform more.
+``trajectory`` sets a configured run up (grid, kernel, the hypothesis
+gate, S, and the initial state cut to the band, the one place that does
+so) and returns a generator of frames that steps with one stepper and
+audits each record; ``run`` consumes the frames and writes the records
 and snapshots.  A state carries the rfft2
 half-plane coefficients of phi, u_x and u_y next to their samples: all
 n//2 + 1 columns when built from samples, which it transforms then, and the
 first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
-dealias on.  ``step`` steps the coefficients it is given.  The transport
+dealias on.  A step steps the coefficients it is given.  The transport
 is taken in divergence form, ik . (u phi)^ (``spectral.flux_divergence``),
 the weak form's (u, phi grad psi), which equals u . grad phi because
 div u = 0.  Every transform goes through ``spectral.rfft2_cols`` and
 ``spectral.irfft2_cols``, a row and a column pass each.  With zero forcing
-a step takes 11 transforms in 6 calls of them: 3 full (F'(phi), not
-band-limited, in place, and grad mu in one stacked inverse call) and 8 on
-the first ``Grid.half.kept_cols`` = n//3 + 1 columns (all with dealias
-off): u phi and both momentum right-hand sides forward, in two stacked
-calls; omega inverse, and the new phi, u_x and u_y in one stacked call
-(in two, phi apart, when the step forks: 7 calls).
+a step from the state the stepper returned takes 11 transforms in 6 calls
+of them: 3 full (the new F'(phi), not band-limited, in place, and grad mu
+in one stacked inverse call) and 8 on the first ``Grid.half.kept_cols`` =
+n//3 + 1 columns (all with dealias off): u phi and both momentum
+right-hand sides forward, in two stacked calls; omega inverse, and the new
+phi, u_x and u_y in one stacked call (in two, phi apart, when the step
+forks: 7 calls).
 mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
-takes no transform of its own: the frames give it the mu^ that the step
-from its state is given, so a recorded step is 11 transforms too.  Its mass
-is the carried k = 0 coefficient of phi, its norms are read from the
-coefficients by Parseval, and the divergence audit bounds max |div u| by
-the coefficients' absolute sum.  The Leray projector P is applied once: it
+takes no transform of its own, so a recorded step is 11 transforms too.
+Its mass is the carried k = 0 coefficient of phi, its norms are read from
+the coefficients by Parseval, and the divergence audit bounds max |div u|
+by the coefficients' absolute sum.  The Leray projector P is applied once: it
 is linear, idempotent and commutes with the mode-diagonal viscous solve D,
 so P D (u/dt + P r) = P D (u/dt + r).
 
-``step`` and a record's mu^ write every intermediate into one workspace per
-(kernel, params), kept beside the solve operators and dying with the
-kernel; a step allocates only the state it returns, one (3, n, c) complex
-block of coefficients and one (3, n, n) real block of samples.  numpy
-buffers a ufunc operand that is a column slice or a broadcast, in an
-allocation of its own, so the operators are held contiguous on the kept
-columns, F'(phi)^'s kept columns are copied once into a contiguous plane
-and mu^'s made in another, and no ufunc of a stepped state's step takes
-such an operand.  A kernel's workspace serves one trajectory at a time;
-``trajectory`` builds a kernel per run, so independent runs share nothing
-and may execute concurrently.  The returned states never share memory with
-the workspace, or with each other.
+A step allocates only the state it returns, one (3, n, c) complex block of
+coefficients and one (3, n, n) real block of samples.  numpy buffers a
+ufunc operand that is a column slice or a broadcast, in an allocation of
+its own, so the operators are held contiguous on the kept columns,
+F'(phi)^'s kept columns are copied once into a contiguous plane and mu^'s
+made in another, and no ufunc of a stepped state's step takes such an
+operand.  A stepper serves one caller at a time; steppers share nothing,
+a kernel included, so trajectories may step concurrently.  The returned
+states never share memory with the stepper, or with each other.
 
 Within a step, the phase and flow updates couple only through data at t^n,
-so from n = ``_FORK_MIN_N`` (256) a step runs its phase branch (u phi, its
-transform, the phase solve and the inverse of the new phi) on one worker
+so from n = ``_FORK_MIN_N`` a step runs its phase branch (u phi, its
+transform, the phase solve and the inverse of the new phi) on the worker
 thread while the calling thread runs the flow branch, and joins it before
-the new samples are checked for blow-up.  In a trajectory the worker, whose
-branch is the shorter, goes on to the new state's F'(phi)^ and mu^ if its
-phi is finite; a bare ``step`` makes none.  numpy's pocketfft gufuncs and
-large ufunc loops release the GIL, so the two overlap on two CPUs.  The
-branches write disjoint buffers, the worker's own beside the workspace, and
-every 1-D pass is independent, so the result is the same bit for bit; an
-error on either branch reaches the caller only after the other branch has
-finished.  The thread is a daemon started with the workspace, and exits
-once its kernel is collected.  Below that size the hand-off costs more
-than the overlap saves, and no thread is started.
+the new samples are checked for blow-up.  The worker, whose branch is the
+shorter, goes on to the new state's F'(phi)^ and mu^ if its phi is finite.
+numpy's pocketfft gufuncs and large ufunc loops release the GIL, so the two
+overlap on two CPUs.  The branches write disjoint buffers, the worker's own
+among them, and every 1-D pass is independent, so the result is the same
+bit for bit; an error on either branch reaches the caller only after the
+other branch has finished.  The thread is a daemon started with the
+stepper, and exits once the stepper is collected.  Below that size the
+hand-off costs more than the overlap saves, and no thread is started.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ import queue
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -342,10 +341,18 @@ class _Fork:
             raise err
 
 
-class _Workspace:
-    """The scratch of one (kernel, params): ``step`` and a record's mu^ write
-    every intermediate here, so that a step allocates only the state it
-    returns.  Buffers whose lifetimes do not overlap share memory:
+class Stepper:
+    """The step of one trajectory, for a kernel, params and potential.
+
+    Operators, on the columns the step keeps: new phi^ = (keep phi^ - k2 F'^
+    - adv^) solve, and the masked, projected viscous solve as weights (wxx,
+    wxy; wxy, wyy); a - J^, for mu^; and the derivative multipliers
+    (``HalfPlane.ik``).  Each is held complex, x + 0j, and contiguous, so
+    that no product casts or buffers an operand (either would allocate),
+    with the same result bit for bit.
+
+    Buffers, written by every step; those whose lifetimes do not overlap
+    share memory:
 
     * ``real``: two (n, n) sample planes (F'(phi), -phi and the products of
       omega, the second holding omega until the flow's right-hand side is
@@ -359,14 +366,24 @@ class _Workspace:
     thread, with buffers of its own: ``phase_real`` (2, n, n) for the u phi
     products, ``phase_rows`` (2, n, n//2 + 1) for their row pass, and
     ``phase_flux`` (2, n, c), a view of phase_real's memory, for their
-    column pass, then for the column pass of the new phi.  In a trajectory
-    the thread goes on to the new state's F'(phi)^ and mu^, in the row block
-    it used, which the next step's flow takes: ``rows`` and ``phase_rows``
-    swap roles each step.  Below it these four are None, and no thread."""
+    column pass, then for the column pass of the new phi.  The thread goes
+    on to the new state's F'(phi)^ and mu^, in the row block it used, which
+    the next step's flow takes: ``rows`` and ``phase_rows`` swap roles each
+    step.  Below it these four are None, and no thread."""
 
-    __slots__ = ("real", "rows", "cols", "finite", "fork", "phase_real", "phase_rows", "phase_flux")
-
-    def __init__(self, n: int, c: int):
+    def __init__(self, kernel: KernelOnGrid, params: SimParams, potential: PotentialSpec):
+        g = kernel.grid
+        h, c = g.half, (g.half.kept_cols if params.dealias else None)
+        k2, mask = h.k2[:, :c], (h.mask[:, :c] if params.dealias else 1.0)
+        flow = mask / (1.0 / params.dt + params.nu * k2)
+        self.keep, self.solve, self.k2, self.wxx, self.wxy, self.wyy, self.a_minus_j, self.ik = (
+            a.astype(complex, copy=False) for a in (
+                1.0 / params.dt + k2 * (params.stabilizer + kernel.multiplier[:, :c]),
+                mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
+                k2, flow * h.pxx[:, :c], flow * h.pxy[:, :c], flow * h.pyy[:, :c], kernel.a_minus_j[:, :c],
+                h.ik(k2.shape[1])))
+        self.dt, self.potential = params.dt, potential
+        n, c = g.n, self.keep.shape[1]
         self.real = np.empty((2, n, n))
         self.rows = np.empty((2, n, n // 2 + 1), dtype=complex)
         self.cols = np.empty((3, n, c), dtype=complex)
@@ -378,167 +395,122 @@ class _Workspace:
             self.phase_real = block[:2 * n * n].reshape(2, n, n)
             self.phase_rows = np.empty((2, n, n // 2 + 1), dtype=complex)
             self.phase_flux = block[:4 * n * c].view(complex).reshape(2, n, c)
+        # the state the last step returned and its (F'(phi)^, row block), as _chemical_hats returns them
+        self._state = self._hats = None
 
+    def mu_hat(self, state: SimState) -> np.ndarray:
+        """The rfft2 coefficients of mu at ``state``, which the step from it
+        uses; the next step overwrites them."""
+        return self._hats_of(state)[1][1]
 
-class _Operators(NamedTuple):
-    """Solve coefficients of one (kernel, dt, nu, S, dealias) on the columns
-    the step keeps: new phi^ = (keep phi^ - k2 F'^ - adv^) solve, and the
-    masked, projected viscous solve as weights (wxx, wxy; wxy, wyy); a -
-    J^, for mu^; and the derivative multipliers (``HalfPlane.ik``).  Each
-    is held complex, x + 0j, and contiguous, so that no product casts or
-    buffers an operand (either would allocate), with the same result bit
-    for bit.  ``work`` is the step's workspace."""
+    def _hats_of(self, state: SimState) -> tuple[np.ndarray, np.ndarray]:
+        """``state``'s F'(phi)^ and mu^: those the last step made if it returned
+        ``state``, else made now."""
+        if state is not self._state:
+            self._state = None  # until its hats are made, the buffers hold no state's
+            self._hats, self._state = self._chemical_hats(state.phi.values, state.hats[0]), state
+        return self._hats
 
-    keep: np.ndarray
-    solve: np.ndarray
-    k2: np.ndarray
-    wxx: np.ndarray
-    wxy: np.ndarray
-    wyy: np.ndarray
-    a_minus_j: np.ndarray
-    ik: np.ndarray
-    work: _Workspace
+    def _chemical_hats(self, phi: np.ndarray, phi_hat: np.ndarray, buffers: tuple | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(F'(phi)^ on the kept columns, contiguous; a row block whose
+        planes hold F'(phi)^ and mu^) from the samples ``phi`` and ``phi_hat``,
+        in ``buffers`` (real, rows, cols), the stepper's own when None: F'(phi)
+        to ``real``, its full-width transform in place to rows[0], and mu_hat's
+        contiguous planes to cols[:2]."""
+        real, rows, cols = buffers or (self.real[0], self.rows, self.cols)
+        fp, mu = rows
+        rfft2_cols(eval_df(self.potential, phi, out=real), fp.shape[-1], out=fp, rows=fp)
+        mu_hat(self.a_minus_j, phi_hat[:, :self.keep.shape[1]], fp, out=mu, cols=cols[:2])
+        return cols[0], rows
 
+    def step(self, state: SimState, forcing: VectorField | None = None) -> SimState:
+        """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
+        capillary force at (phi^n, mu^n); ``forcing`` is h(t^n), or None for
+        zero.  Steps the state's coefficients as given and keeps mean(phi)
+        exactly; the new state owns a fresh coefficient block and a fresh
+        sample block.  Past the first line of the phase update, the phase
+        branch (``_phase``) and the flow branch (``_flow``) read only the
+        state and mu^, and write disjoint buffers; with a fork the phase
+        branch, the inverse of the new phi and, if it is finite, the new
+        F'(phi)^ and mu^ run on the fork's thread, in the row block the flow
+        does not use, while this one runs the flow branch and the inverse of
+        the new u.  Both have finished before the new samples are checked."""
+        fp_cols, rows = self._hats_of(state)
+        self._state, hats = None, None  # until this step succeeds, no state's hats are held
+        g, c = state.phi.grid, self.keep.shape[1]
+        new = np.empty((3, g.n, c), dtype=complex)
 
-# per kernel, the operators and workspace of each parameter set; they go with the kernel
-_OPERATORS: "weakref.WeakKeyDictionary[KernelOnGrid, dict]" = weakref.WeakKeyDictionary()
+        # phase, up to the transport: the branches overwrite F'(phi)^'s columns
+        np.multiply(self.keep, state.hats[0][:, :c], out=new[0])
+        np.subtract(new[0], np.multiply(self.k2, fp_cols, out=fp_cols), out=new[0])
 
+        # after the column slice of a sample-built state's phi^, whose ufunc buffer would add to the step's peak
+        samples = np.empty((3, g.n, g.n))
 
-def _operators(kernel: KernelOnGrid, params: SimParams) -> _Operators:
-    per_kernel = _OPERATORS.setdefault(kernel, {})
-    key = (params.dt, params.nu, params.stabilizer, params.dealias)
-    if key not in per_kernel:
-        g = kernel.grid
-        h, c = g.half, (g.half.kept_cols if params.dealias else None)
-        k2, mask = h.k2[:, :c], (h.mask[:, :c] if params.dealias else 1.0)
-        flow = mask / (1.0 / params.dt + params.nu * k2)
-        ops = (
-            1.0 / params.dt + k2 * (params.stabilizer + kernel.multiplier[:, :c]),
-            mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
-            k2, flow * h.pxx[:, :c], flow * h.pxy[:, :c], flow * h.pyy[:, :c], kernel.a_minus_j[:, :c],
-            h.ik(k2.shape[1]),
-        )
-        per_kernel[key] = _Operators(*(a.astype(complex, copy=False) for a in ops),
-                                     work=_Workspace(g.n, k2.shape[1]))
-    return per_kernel[key]
+        if self.fork is None:
+            self._flow(state, rows, forcing, new[1:], samples[1:])
+            self._phase(state, new[0], self.real, rows, self.cols[:2])
+            irfft2_cols(g, new, out=samples, work=self.cols)
+        else:
+            other = self.phase_rows if rows is self.rows else self.rows
 
+            def phase():
+                nonlocal hats
+                self._phase(state, new[0], self.phase_real, other, self.phase_flux)
+                irfft2_cols(g, new[0], out=samples[0], work=self.phase_flux[0])
+                if np.isfinite(samples[0], out=self.finite[0]).all():
+                    hats = self._chemical_hats(samples[0], new[0], (self.phase_real[0], other, self.phase_flux))
 
-def _chemical_hats(ops: _Operators, potential: PotentialSpec, phi: np.ndarray, phi_hat: np.ndarray,
-                   buffers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(F'(phi)^ on the first ``ops`` columns, contiguous; a row block whose
-    planes hold F'(phi)^ and mu^) from the samples ``phi`` and ``phi_hat``,
-    in ``buffers`` (real, rows, cols), the workspace's own when None: F'(phi)
-    to ``real``, its full-width transform in place to rows[0], and mu_hat's
-    contiguous planes to cols[:2].  The next step overwrites them."""
-    ws = ops.work
-    real, rows, cols = buffers or (ws.real[0], ws.rows, ws.cols)
-    fp, mu = rows
-    rfft2_cols(eval_df(potential, phi, out=real), fp.shape[-1], out=fp, rows=fp)
-    mu_hat(ops.a_minus_j, phi_hat[:, :ops.keep.shape[1]], fp, out=mu, cols=cols[:2])
-    return cols[0], rows
+            def flow():
+                self._flow(state, rows, forcing, new[1:], samples[1:])
+                irfft2_cols(g, new[1:], out=samples[1:], work=self.cols[:2])
 
+            self.fork.both(phase, flow)
+        if not np.isfinite(samples, out=self.finite).all():
+            raise BlowUpError(f"non-finite values in {'u' if self.finite[0].all() else 'phi'}")
+        self._hats = hats or self._chemical_hats(samples[0], new[0])
+        self._state = SimState.from_hats(g, new, state.t + self.dt, samples)
+        return self._state
 
-def step(state: SimState, params: SimParams, kernel: KernelOnGrid,
-         potential: PotentialSpec, forcing: VectorField | None = None) -> SimState:
-    """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
-    capillary force at (phi^n, mu^n); ``forcing`` is h(t^n), or None for zero.
-    Steps the state's coefficients as given and keeps mean(phi) exactly.
-    Every intermediate goes to the (kernel, params) workspace, F'(phi)^ and
-    mu^ too; the new state owns a fresh coefficient block and a fresh sample
-    block."""
-    ops = _operators(kernel, params)
-    chem = _chemical_hats(ops, potential, state.phi.values, state.hats[0])
-    return _advance(ops, params.dt, state, *chem, forcing)[0]
+    def _phase(self, state: SimState, new_phi: np.ndarray, products: np.ndarray,
+               rows: np.ndarray, flux: np.ndarray) -> None:
+        """The new phi^ into ``new_phi``, which holds keep phi^ - k2 F'(phi)^:
+        minus the transport div(u phi), taken through ``products`` (2, n, n),
+        ``rows`` (2, n, n//2 + 1) and ``flux`` (2, n, c), then solved, with the
+        k = 0 coefficient copied through."""
+        adv_hat = flux_divergence(state.u, state.phi.values, self.ik, out=flux, products=products, rows=rows)
+        np.multiply(np.subtract(new_phi, adv_hat, out=new_phi), self.solve, out=new_phi)
+        new_phi[0, 0] = state.hats[0][0, 0]
 
+    def _flow(self, state: SimState, rows: np.ndarray, forcing: VectorField | None,
+              new_u: np.ndarray, rhs: np.ndarray) -> None:
+        """The new u^ into ``new_u`` (2, n, c): the capillary force plus omega
+        (u_y, -u_x), omega = curl u in one inverse transform, and the forcing,
+        with the right-hand sides in one stacked transform, then the projected
+        viscous solve.  ``rows`` (2, n, n//2 + 1) holds mu^ in its second plane
+        and takes the row passes, overwriting it; ``rhs`` (2, n, n) takes the
+        samples of the right-hand sides, and the stepper's ``real`` and
+        ``cols`` the rest."""
+        g, c, inv_dt = state.phi.grid, new_u.shape[-1], 1.0 / self.dt
+        cols, (s1, omega), (ikx, iky) = self.cols, self.real, self.ik
+        u = state.u
+        ux_hat, uy_hat = (a[:, :c] for a in state.hats[1:])
 
-def _advance(ops: _Operators, dt: float, state: SimState, fp_cols: np.ndarray, rows: np.ndarray,
-             forcing: VectorField | None, potential: PotentialSpec | None = None
-             ) -> tuple[SimState, tuple | None]:
-    """The body of ``step``, given the state's F'(phi)^ and mu^ as
-    ``_chemical_hats`` returns them; returns the new state and, given
-    ``potential``, its own (else None).  Past the first line of the phase
-    update, the phase branch (``_phase``) and the flow branch (``_flow``)
-    read only the state and mu^, and write disjoint buffers; with a fork the
-    phase branch, the inverse of the new phi and, if it is finite, the new
-    F'(phi)^ and mu^ run on the fork's thread, in the row block the flow
-    does not use, while this one runs the flow branch and the inverse of the
-    new u.  Both have finished before the new samples are checked."""
-    g, ws, c = state.phi.grid, ops.work, ops.keep.shape[1]
-    new, chem = np.empty((3, g.n, c), dtype=complex), None
-
-    # phase, up to the transport: the branches overwrite F'(phi)^'s columns
-    np.multiply(ops.keep, state.hats[0][:, :c], out=new[0])
-    np.subtract(new[0], np.multiply(ops.k2, fp_cols, out=fp_cols), out=new[0])
-
-    # after the column slice of a sample-built state's phi^, whose ufunc buffer would add to the step's peak
-    samples = np.empty((3, g.n, g.n))
-
-    if ws.fork is None:
-        _flow(ops, dt, state, rows, forcing, new[1:], samples[1:])
-        _phase(ops, state, new[0], ws.real, rows, ws.cols[:2])
-        irfft2_cols(g, new, out=samples, work=ws.cols)
-    else:
-        other = ws.phase_rows if rows is ws.rows else ws.rows
-
-        def phase():
-            nonlocal chem
-            _phase(ops, state, new[0], ws.phase_real, other, ws.phase_flux)
-            irfft2_cols(g, new[0], out=samples[0], work=ws.phase_flux[0])
-            if potential is not None and np.isfinite(samples[0], out=ws.finite[0]).all():
-                chem = _chemical_hats(ops, potential, samples[0], new[0],
-                                      (ws.phase_real[0], other, ws.phase_flux))
-
-        def flow():
-            _flow(ops, dt, state, rows, forcing, new[1:], samples[1:])
-            irfft2_cols(g, new[1:], out=samples[1:], work=ws.cols[:2])
-
-        ws.fork.both(phase, flow)
-    if not np.isfinite(samples, out=ws.finite).all():
-        raise BlowUpError(f"non-finite values in {'u' if ws.finite[0].all() else 'phi'}")
-    if chem is None and potential is not None:
-        chem = _chemical_hats(ops, potential, samples[0], new[0])
-    return SimState.from_hats(g, new, state.t + dt, samples), chem
-
-
-def _phase(ops: _Operators, state: SimState, new_phi: np.ndarray, products: np.ndarray,
-           rows: np.ndarray, flux: np.ndarray) -> None:
-    """The new phi^ into ``new_phi``, which holds keep phi^ - k2 F'(phi)^:
-    minus the transport div(u phi), taken through ``products`` (2, n, n),
-    ``rows`` (2, n, n//2 + 1) and ``flux`` (2, n, c), then solved, with the
-    k = 0 coefficient copied through."""
-    adv_hat = flux_divergence(state.u, state.phi.values, ops.ik, out=flux, products=products, rows=rows)
-    np.multiply(np.subtract(new_phi, adv_hat, out=new_phi), ops.solve, out=new_phi)
-    new_phi[0, 0] = state.hats[0][0, 0]
-
-
-def _flow(ops: _Operators, dt: float, state: SimState, rows: np.ndarray, forcing: VectorField | None,
-          new_u: np.ndarray, rhs: np.ndarray) -> None:
-    """The new u^ into ``new_u`` (2, n, c): the capillary force plus omega
-    (u_y, -u_x), omega = curl u in one inverse transform, and the forcing,
-    with the right-hand sides in one stacked transform, then the projected
-    viscous solve.  ``rows`` (2, n, n//2 + 1) holds mu^ in its second plane
-    and takes the row passes, overwriting it; ``rhs`` (2, n, n) takes the
-    samples of the right-hand sides, and the workspace's ``real`` and
-    ``cols`` the rest."""
-    g, ws, c, inv_dt = state.phi.grid, ops.work, new_u.shape[-1], 1.0 / dt
-    cols, (s1, omega), (ikx, iky) = ws.cols, ws.real, ops.ik
-    u = state.u
-    ux_hat, uy_hat = (a[:, :c] for a in state.hats[1:])
-
-    np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
-    np.add(np.multiply(ikx, uy_hat, out=cols[1]), cols[2], out=cols[2])
-    irfft2_cols(g, cols[2], out=omega, work=cols[2])
-    capillary_force(g, state.phi.values, rows[1], out=rhs, work=rows, scratch=s1)
-    np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
-    np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
-    bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
-    np.add(bx, np.multiply(ux_hat, inv_dt, out=cols[2]), out=bx)
-    np.add(by, np.multiply(uy_hat, inv_dt, out=cols[2]), out=by)
-    if forcing is not None:
-        h = np.stack((forcing.x.values, forcing.y.values), out=rhs)
-        np.add(b, rfft2_cols(h, c, out=new_u, rows=rows), out=b)
-    np.add(np.multiply(ops.wxx, bx, out=new_u[0]), np.multiply(ops.wxy, by, out=cols[2]), out=new_u[0])
-    np.add(np.multiply(ops.wxy, bx, out=new_u[1]), np.multiply(ops.wyy, by, out=cols[2]), out=new_u[1])
+        np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
+        np.add(np.multiply(ikx, uy_hat, out=cols[1]), cols[2], out=cols[2])
+        irfft2_cols(g, cols[2], out=omega, work=cols[2])
+        capillary_force(g, state.phi.values, rows[1], out=rhs, work=rows, scratch=s1)
+        np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
+        np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
+        bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
+        np.add(bx, np.multiply(ux_hat, inv_dt, out=cols[2]), out=bx)
+        np.add(by, np.multiply(uy_hat, inv_dt, out=cols[2]), out=by)
+        if forcing is not None:
+            h = np.stack((forcing.x.values, forcing.y.values), out=rhs)
+            np.add(b, rfft2_cols(h, c, out=new_u, rows=rows), out=b)
+        np.add(np.multiply(self.wxx, bx, out=new_u[0]), np.multiply(self.wxy, by, out=cols[2]), out=new_u[0])
+        np.add(np.multiply(self.wxy, bx, out=new_u[1]), np.multiply(self.wyy, by, out=cols[2]), out=new_u[1])
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +559,7 @@ def trajectory(cfg: "SimConfig", *, force: bool = False, initial_state: SimState
         raise HypothesisGateError(report)
 
     state = initial_state or SimState(build_phi(cfg.initial, grid), build_u(cfg.velocity, grid), 0.0)
-    # the columns step() transforms, and the band
+    # the columns a step transforms, and the band
     cols, mask = (grid.half.kept_cols, grid.half.mask) if cfg.sim.dealias else (None, 1.0)
     state = SimState.from_hats(grid, np.stack([(c * mask)[:, :cols] for c in state.hats]), state.t)
 
@@ -606,13 +578,12 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
     potential, every, n_steps = cfg.potential, cfg.output.record_every, params.n_steps
     mass0, t0 = state.hats[0][0, 0].real, state.t
     h, rec = cfg.forcing.field_at(kernel.grid, t0), None
-    ops = _operators(kernel, params)
-    chem = _chemical_hats(ops, potential, state.phi.values, state.hats[0])
+    stepper = Stepper(kernel, params, potential)
     for i in range(n_steps + 1):
         if i:
             h = cfg.forcing.field_at(kernel.grid, state.t)
             try:  # the new state's F'(phi)^ and mu^ too: its record's and the next step's
-                state, chem = _advance(ops, params.dt, state, *chem, h, potential)
+                state = stepper.step(state, h)
             except BlowUpError as err:
                 raise BlowUpError(str(err), step=i, last_record=rec) from None
             state.t = t0 + i * params.dt  # not a running sum: no round-off builds up in t
@@ -620,7 +591,7 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
             yield i, state, None, []
             continue
         new = diagnostics.make_record(
-            state, chem[1][1], kernel, potential, params.nu, report.beta,
+            state, stepper.mu_hat(state), kernel, potential, params.nu, report.beta,
             forcing_power=(inner(h, state.u) if h is not None else 0.0), prev=rec,
         )
         found = _audit_record(cfg, report, state, new, i, mass0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlchns.diagnostics import DiagnosticsRecord, make_record
 from nlchns.kernels import KernelOnGrid
 from nlchns.potentials import PotentialSpec, eval_df
 from nlchns.solver import mu_hat
@@ -141,6 +142,14 @@ def mu_grad_phi(grid: Grid, phi: np.ndarray, mu_hat: np.ndarray) -> VectorField:
 def mu_coefficients(kernel: KernelOnGrid, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:
     """rfft2 coefficients of mu for the samples ``phi``, through the solver's ``mu_hat``."""
     return mu_hat(kernel.a_minus_j, np.fft.rfft2(phi), np.fft.rfft2(eval_df(potential, phi)))
+
+
+def energy(state, kernel: KernelOnGrid, potential: PotentialSpec) -> DiagnosticsRecord:
+    """The record of ``state`` with mu^ = 0, for its ``kinetic``,
+    ``interaction``, ``bulk`` and ``total_energy``: the energy every record
+    takes."""
+    return make_record(state, np.zeros_like(state.hats[0]), kernel, potential, nu=0.0, beta=0.0,
+                       forcing_power=0.0, prev=None)
 
 
 def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:

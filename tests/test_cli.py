@@ -103,6 +103,12 @@ class TestCheck:
         assert "h1 = pass" in out and "h4 = pass" in out
         assert "m0 = 4" in out
 
+    def test_unresolvable_band_is_refused_by_name(self, tmp_path, capsys):
+        # the random band must fit the grid; check refuses it before any run
+        rc = main(["check", write(tmp_path, RANDOM_RUN + "initial.band = 20\n")])
+        assert rc == 2
+        assert "initial.band must be in 1 .. grid.n/2 - 1 (grid.n = 32), got 20" in capsys.readouterr().out
+
     def test_failing_convexity(self, tmp_path, capsys):
         weak = GOOD.replace("kernel.strength = 6.0", "kernel.strength = 1.0")
         rc = main(["check", write(tmp_path, weak)])

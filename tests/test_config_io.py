@@ -85,6 +85,14 @@ class TestParseConfig:
             parse_config(MINIMAL + "initial = random\ninitial.amplitude = 0.1\n")
         assert any("initial.seed" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize("band", [-3, 0, 32, 40])
+    def test_random_band_must_fit_the_grid(self, band):
+        text = MINIMAL + "initial = random\ninitial.seed = 1\ninitial.amplitude = 0.1\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + f"initial.band = {band}\n")
+        assert err.value.errors == [f"initial.band must be in 1 .. grid.n/2 - 1 (grid.n = 64), got {band}"]
+        assert [parse_config(text + f"initial.band = {b}\n").initial.band for b in (1, 31)] == [1, 31]
+
     def test_spectral_kernel_modes_table(self):
         text = MINIMAL.replace("kernel = gaussian", "kernel = spectral").replace(
             "kernel.sigma = 0.3141592653589793", "kernel.modes = 0,0:6.0; 1,0:0.3; 0,1:0.3"

@@ -88,6 +88,7 @@ def assert_validated(cfg: SimConfig) -> None:
     assert cfg.forcing.decay >= 0 and cfg.forcing.mode != (0, 0)
     init = cfg.initial
     assert init.family != "random" or init.seed is not None
+    assert init.family != "random" or init.band is None or 1 <= init.band < grid.n // 2
     assert init.family != "tanh_strip" or init.width > 0
     assert init.family != "file" or init.path
     assert cfg.output.record_every >= 1 and cfg.output.snapshot_every >= 0

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     TWO_PI,
+    energy,
     full_plane,
     mu_coefficients,
     random_field,
@@ -20,7 +21,6 @@ from nlchns.diagnostics import (
     gradient_control_check,
     identity_residual,
     make_record,
-    total_energy,
 )
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
 from nlchns.kernels import KernelSpec, build_kernel
@@ -37,27 +37,29 @@ def kernel16():
 
 
 class TestTotalEnergy:
+    """The energy columns of a record, as make_record takes them."""
+
     def test_zero_state_is_bulk_only(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
-        parts = total_energy(state, kernel16, DW)
+        parts = energy(state, kernel16, DW)
         assert parts.kinetic == 0.0
         assert abs(parts.interaction) < 1e-12
         assert abs(parts.bulk - g.volume) < 1e-12  # F(0) = 1
-        assert abs(parts.total - g.volume) < 1e-12
+        assert abs(parts.total_energy - g.volume) < 1e-12
 
     def test_pure_phase_is_zero(self, kernel16):
         g = kernel16.grid
         state = SimState(constant_field(g, 1.0), zero_vector(g), 0.0)
-        parts = total_energy(state, kernel16, DW)
-        assert abs(parts.total) < 1e-12
+        parts = energy(state, kernel16, DW)
+        assert abs(parts.total_energy) < 1e-12
 
     def test_matches_independent_quadrature(self, kernel16, rng):
         g = kernel16.grid
         phi = random_field(g, rng)
         u = random_vector(g, rng)
         state = SimState(phi, u, 0.0)
-        parts = total_energy(state, kernel16, DW)
+        parts = energy(state, kernel16, DW)
 
         w = g.cell_volume
         kinetic = 0.5 * float(np.sum(u.x.values**2 + u.y.values**2) * w)
@@ -75,7 +77,7 @@ class TestTotalEnergy:
         assert abs(parts.kinetic - kinetic) < 1e-12 * (1 + kinetic)
         assert abs(parts.bulk - bulk) < 1e-12 * (1 + abs(bulk))
         assert abs(parts.interaction - interaction) < 1e-9 * (1 + interaction)
-        assert parts.total == parts.kinetic + parts.interaction + parts.bulk
+        assert parts.total_energy == parts.kinetic + parts.interaction + parts.bulk
 
 
 def quadrature_record(state, kernel, beta):

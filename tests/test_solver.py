@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, advect, convolve, divergence, full_plane, mean, mu_coefficients, mu_grad_phi, random_field,
-    rel_err,
+    TWO_PI, advect, convolve, divergence, energy, full_plane, mean, mu_coefficients, mu_grad_phi,
+    random_field, rel_err,
 )
 from nlchns import solver, spectral, storage
 from nlchns.config import ChecksConfig, OutputConfig, SimConfig
-from nlchns.diagnostics import total_energy
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_df
@@ -30,9 +29,9 @@ from nlchns.solver import (
     SimParams,
     SimState,
     StabilizerRangeError,
+    Stepper,
     capillary_force,
     run,
-    step,
     trajectory,
 )
 from nlchns.spectral import (
@@ -171,19 +170,21 @@ class TestKortewegForce:
         assert np.max(diff) < 1e-11 * scale
 
 
-def phase_update(state, params, kernel, potential=DW):
-    """phi^{n+1} of one step; with u^n = 0 it does not depend on the flow."""
-    return step(state, params, kernel, potential).phi
+def one_step(state, params, kernel, forcing=None):
+    """One step from ``state`` by a new stepper, which makes the state's
+    F'(phi)^ and mu^ first."""
+    return Stepper(kernel, params, DW).step(state, forcing)
 
 
 class TestStepCH:
-    """The phase half of step() (named after the phase substep it replaced)."""
+    """The phase half of a step (named after the phase substep it
+    replaced); with u^n = 0 the new phi does not depend on the flow."""
 
     def test_constant_equilibrium(self, kernel32):
         g = kernel32.grid
         state = SimState(constant_field(g, 0.7), zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=1e-2, stabilizer=5.0, t_end=1.0)
-        out = phase_update(state, params, kernel32)
+        out = one_step(state, params, kernel32).phi
         assert rel_err(out.values, 0.7 * np.ones((g.n, g.n))) < 1e-13
 
     def test_mass_preserved_exactly(self, kernel32, rng):
@@ -196,9 +197,9 @@ class TestStepCH:
         state = SimState(phi, u, 0.0)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=8.0, t_end=1.0)
         m0 = mean(phi)
+        stepper = Stepper(kernel32, params, DW)
         for _ in range(50):
-            phi = phase_update(state, params, kernel32)
-            state = SimState(phi, u, state.t + params.dt)
+            state = SimState(stepper.step(state).phi, u, state.t + params.dt)
         assert abs(mean(state.phi) - m0) < 1e-14
 
     def test_phase_energy_lyapunov_decay(self, kernel32):
@@ -210,12 +211,13 @@ class TestStepCH:
         phi = random_phi(g, amplitude=1e-3, mean_value=0.0, seed=2)
         state = SimState(phi, zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=2e-3, stabilizer=22.0, t_end=2.0)
-        prev = total_energy(state, kernel32, DW)
+        prev = energy(state, kernel32, DW)
         assert prev.kinetic == 0.0
+        stepper = Stepper(kernel32, params, DW)
         for i in range(1000):
-            state = SimState(phase_update(state, params, kernel32), state.u, state.t + params.dt)
-            cur = total_energy(state, kernel32, DW)
-            assert cur.total <= prev.total + 1e-12 * (1 + abs(prev.total))
+            state = SimState(stepper.step(state).phi, state.u, state.t + params.dt)
+            cur = energy(state, kernel32, DW)
+            assert cur.total_energy <= prev.total_energy + 1e-12 * (1 + abs(prev.total_energy))
             prev = cur
         assert -1.05 < state.phi.values.min() and state.phi.values.max() < 1.05
 
@@ -230,7 +232,7 @@ class TestStepCH:
         phi = ScalarField(g, eps * np.cos(phase))
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=3.0, t_end=1.0)
         state = SimState(phi, zero_vector(g), 0.0)
-        out = phase_update(state, params, kernel32)
+        out = one_step(state, params, kernel32).phi
 
         k2 = (2 * np.pi / g.l) ** 2 * (m[0] ** 2 + m[1] ** 2)
         jhat = kernel32.multiplier[m[0], m[1]]
@@ -248,33 +250,34 @@ class TestStepCH:
         phi = ScalarField(g, 40.0 * random_field(g, rng, band=4).values)
         state = SimState(phi, zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=50.0, stabilizer=0.0, t_end=1.0)
+        stepper = Stepper(kernel32, params, DW)
         with pytest.raises(BlowUpError):
             for _ in range(200):
-                state = SimState(phase_update(state, params, kernel32), state.u, 0.0)
+                state = SimState(stepper.step(state).phi, state.u, 0.0)
 
     def test_blow_up_names_the_field(self, kernel32):
         # one isfinite pass over the new samples; phi is named first
         g = kernel32.grid
-        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
+        stepper = Stepper(kernel32, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0), DW)
         nan = vector_from_values(g, np.full((g.n, g.n), np.nan), np.zeros((g.n, g.n)))
         state = SimState(constant_field(g, 0.2), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in u$"):
-            step(state, params, kernel32, DW, nan)  # the force reaches u alone
+            stepper.step(state, nan)  # the force reaches u alone
         state = SimState(constant_field(g, np.nan), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in phi$"):
-            step(state, params, kernel32, DW, nan)
+            stepper.step(state, nan)
 
 
 class TestStepNS:
-    """The flow half of step() (named after the flow substep it replaced):
+    """The flow half of a step (named after the flow substep it replaced):
     uniform phi is an equilibrium of the phase equation and exerts no
-    capillary force, so step() reduces to the flow update."""
+    capillary force, so a step reduces to the flow update."""
 
     def test_zero_stays_zero(self, kernel32):
         g = kernel32.grid
         state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=1e-2, stabilizer=1.0, t_end=1.0)
-        out = step(state, params, kernel32, DW).u
+        out = one_step(state, params, kernel32).u
         assert np.max(np.abs(out.x.values)) == 0.0
         assert np.max(np.abs(out.y.values)) == 0.0
 
@@ -292,7 +295,7 @@ class TestStepNS:
             0.0,
         )
         params = SimParams(nu=0.05, dt=4e-3, stabilizer=1.0, t_end=1.0)
-        out = step(u, params, kernel32, DW).u
+        out = one_step(u, params, kernel32).u
         k2 = (2 * np.pi / g.l) ** 2 * (m[0] ** 2 + m[1] ** 2)
         factor = 1.0 / (1.0 + params.nu * k2 * params.dt)
         assert rel_err(out.x.values, factor * u.u.x.values) < 1e-12
@@ -303,8 +306,9 @@ class TestStepNS:
         state = SimState(constant_field(g, 0.0), taylor_green_u(g, 1.0), 0.0)
         params = SimParams(nu=0.0, dt=1e-2, stabilizer=1.0, t_end=1.0)
         e0 = 0.5 * norm_l2(state.u) ** 2
+        stepper = Stepper(kernel32, params, DW)
         for _ in range(100):
-            state = step(state, params, kernel32, DW)
+            state = stepper.step(state)
         assert np.max(np.abs(state.phi.values)) == 0.0
         e1 = 0.5 * norm_l2(state.u) ** 2
         assert abs(e1 - e0) < 1e-10 * e0
@@ -318,13 +322,13 @@ class TestStepNS:
         )
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
         h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
-        out = step(state, params, kernel32, DW, h).u
+        out = one_step(state, params, kernel32, h).u
         umax = np.max(np.abs([out.x.values, out.y.values])) + 1e-30
         assert np.max(np.abs(divergence(out).values)) < 1e-11 * umax * 2 * np.pi * g.n / g.l
 
 
 class TestRotationalForm:
-    """The step's self-advection omega (u_y, -u_x), seen through step() with
+    """The step's self-advection omega (u_y, -u_x), seen through a step with
     phi = 0 (no capillary force), nu = 0 and dt = 1: u^+ = P mask (u + L)."""
 
     params = SimParams(nu=0.0, dt=1.0, stabilizer=1.0, t_end=1.0)
@@ -333,7 +337,7 @@ class TestRotationalForm:
         g = kernel32.grid
         h, band = g.half, g.n // 3
         u = leray_project(VectorField(random_field(g, rng, band), random_field(g, rng, band)))
-        out = step(SimState(constant_field(g, 0.0), u, 0.0), self.params, kernel32, DW).u
+        out = one_step(SimState(constant_field(g, 0.0), u, 0.0), self.params, kernel32).u
         cx, cy = (np.fft.rfft2(-advect(u, rgradient(g, np.fft.rfft2(f.values) * h.mask))) * h.mask
                   for f in u.components)
         want = np.fft.irfft2(h.pxx * cx + h.pxy * cy), np.fft.irfft2(h.pxy * cx + h.pyy * cy)
@@ -348,7 +352,7 @@ class TestRotationalForm:
         band = g.n // 3 if dealias else None
         u = leray_project(VectorField(random_field(g, rng, band), random_field(g, rng, band)))
         params = replace(self.params, dealias=dealias)
-        out = step(SimState(constant_field(g, 0.0), u, 0.0), params, kernel32, DW).u
+        out = one_step(SimState(constant_field(g, 0.0), u, 0.0), params, kernel32).u
         du = vector_from_values(g, out.x.values - u.x.values, out.y.values - u.y.values)
         assert norm_l2(du) > 0.1 * norm_l2(u)
         assert abs(inner(du, u)) < 1e-13 * norm_l2(du) * norm_l2(u)
@@ -356,7 +360,7 @@ class TestRotationalForm:
 
 class TestStepCore:
     def test_run_is_repeated_step(self):
-        # run() advances with step(); records in between change nothing
+        # run() advances with Stepper.step; records in between change nothing
         cfg = make_cfg(
             sim=SimParams(nu=0.05, dt=2e-3, t_end=0.03),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
@@ -366,10 +370,10 @@ class TestStepCore:
         res = run(cfg)
         start = run(replace(cfg, sim=replace(cfg.sim, t_end=0.0)))
         state = start.state
-        kernel = build_kernel(cfg.kernel, state.phi.grid)
+        stepper = Stepper(build_kernel(cfg.kernel, state.phi.grid), start.params, cfg.potential)
         for _ in range(15):
             h = cfg.forcing.field_at(state.phi.grid, state.t)
-            state = step(state, start.params, kernel, cfg.potential, h)
+            state = stepper.step(state, h)
         assert state.t == pytest.approx(res.state.t)
         for got, want in zip(
             (state.phi, state.u.x, state.u.y) + state.hats,
@@ -380,50 +384,64 @@ class TestStepCore:
 
     def test_transforms_per_step(self, kernel32, rng, monkeypatch):
         # every transform is one of spectral's two helpers, a row and a
-        # column pass each, and none is a numpy.fft call.  Full width:
-        # F'(phi) forward and grad mu inverse; on the 11 kept columns: u phi
-        # and both momentum right-hand sides forward, in two stacked calls,
-        # omega inverse and the new (phi, u_x, u_y) inverse in one stacked
-        # call: 11 transforms in 6 helper calls
+        # column pass each, and none is a numpy.fft call.  A step from the
+        # state the stepper returned: full width, the new F'(phi) forward
+        # and grad mu inverse; on the 11 kept columns: u phi and both
+        # momentum right-hand sides forward, in two stacked calls, omega
+        # inverse and the new (phi, u_x, u_y) inverse in one stacked call:
+        # 11 transforms in 6 helper calls
         g = kernel32.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
-        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
-        state = SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0)
-        state = step(state, params, kernel32, DW)
+        stepper = Stepper(kernel32, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0), DW)
+        first = stepper.step(SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0))
         calls = count_transforms(monkeypatch)
         want = Counter({("rfft2_cols", (n, n), nh): 1, ("rfft2_cols", (2, n, n), c): 2,
                         ("irfft2_cols", (n, c), c): 1, ("irfft2_cols", (2, n, nh), nh): 1,
                         ("irfft2_cols", (3, n, c), c): 1})
-        step(state, params, kernel32, DW, ForcingSpec().field_at(g, state.t))
+        state = stepper.step(first, ForcingSpec().field_at(g, first.t))
         assert Counter(calls) == want
         transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
         assert (transforms, len(calls)) == (11, 6)
         calls.clear()
         # a force adds one stacked kept-column forward transform
         h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
-        step(state, params, kernel32, DW, h)
+        stepper.step(state, h)
         assert Counter(calls) == want + Counter({("rfft2_cols", (2, n, n), c): 1})
         calls.clear()
-        # a state built from samples takes the rfft2 of phi, u_x and u_y in
-        # one stacked call
-        step(SimState(state.phi, state.u, state.t), params, kernel32, DW)
-        assert Counter(calls) == want + Counter({("rfft2_cols", (3, n, n), nh): 1})
+        # a state the stepper did not just return first gets its own
+        # F'(phi)^: 12 transforms in 7 helper calls
+        stepper.step(first)
+        assert Counter(calls) == want + Counter({("rfft2_cols", (n, n), nh): 1})
+        transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
+        assert (transforms, len(calls)) == (12, 7)
+        calls.clear()
+        # a state built from samples also takes the rfft2 of phi, u_x and
+        # u_y, in one stacked call
+        stepper.step(SimState(state.phi, state.u, state.t))
+        assert Counter(calls) == want + Counter({("rfft2_cols", (3, n, n), nh): 1, ("rfft2_cols", (n, n), nh): 1})
 
     def test_transforms_per_forked_step(self, rng, monkeypatch):
         # from solver._FORK_MIN_N the new phi is inverted on the fork's
-        # thread, apart from the new u: 11 transforms in 7 helper calls
-        params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
-        kernel = forked_kernel(monkeypatch, params)
+        # thread, apart from the new u: 11 transforms in 7 helper calls, and
+        # 12 in 8 from a state the stepper did not just return
+        kernel = kernel_on(32)
+        stepper = stepper_for(monkeypatch, kernel, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0))
         g = kernel.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
-        state = step(SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0), params, kernel, DW)
+        first = stepper.step(SimState(random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0))
         calls = count_transforms(monkeypatch)
-        step(state, params, kernel, DW)
-        assert Counter(calls) == Counter({("rfft2_cols", (n, n), nh): 1, ("rfft2_cols", (2, n, n), c): 2,
-                                          ("irfft2_cols", (n, c), c): 2, ("irfft2_cols", (2, n, nh), nh): 1,
-                                          ("irfft2_cols", (2, n, c), c): 1})
+        want = Counter({("rfft2_cols", (n, n), nh): 1, ("rfft2_cols", (2, n, n), c): 2,
+                        ("irfft2_cols", (n, c), c): 2, ("irfft2_cols", (2, n, nh), nh): 1,
+                        ("irfft2_cols", (2, n, c), c): 1})
+        stepper.step(first)
+        assert Counter(calls) == want
         transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
         assert (transforms, len(calls)) == (11, 7)
+        calls.clear()
+        stepper.step(first)
+        assert Counter(calls) == want + Counter({("rfft2_cols", (n, n), nh): 1})
+        transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
+        assert (transforms, len(calls)) == (12, 8)
 
     def test_transforms_per_forked_trajectory_step(self, monkeypatch):
         # in a trajectory the fork's thread goes on from the new phi to that
@@ -461,7 +479,7 @@ class TestStepCore:
         cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=1e-3))
         res = run(cfg, initial_state=SimState(phi, u, 0.0))
         masked = tuple(np.fft.rfft2(f.values) * g.half.mask for f in (phi, u.x, u.y))
-        got, want = res.state, step(SimState.from_hats(g, masked, 0.0), res.params, kernel32, DW)
+        got, want = res.state, one_step(SimState.from_hats(g, masked, 0.0), res.params, kernel32)
         for a, b in zip((got.phi.values, got.u.x.values, got.u.y.values) + got.hats,
                         (want.phi.values, want.u.x.values, want.u.y.values) + want.hats):
             assert a.tobytes() == b.tobytes()
@@ -523,7 +541,7 @@ class TestStepCore:
         u = leray_project(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
         h = vector_from_values(g, random_field(g, rng, band=6).values, random_field(g, rng, band=6).values)
-        out = step(SimState(phi, u, 0.0), params, kernel32, DW, h).u
+        out = one_step(SimState(phi, u, 0.0), params, kernel32, h).u
 
         kx, ky, k2, mask = full_plane(g)
         grad = lambda f: np.fft.ifft2(1j * np.stack([kx, ky]) * np.fft.fft2(f)).real
@@ -544,13 +562,27 @@ class TestStepCore:
         assert rel_err(out.y.values, want.y.values) < 1e-12
 
 
-def stepped_state(kernel, params, rng, steps: int = 2) -> SimState:
-    """A state on the step's own columns, as run() hands step() its states."""
-    g = kernel.grid
-    u = leray_project(VectorField(random_field(g, rng, band=g.n // 4), random_field(g, rng, band=g.n // 4)))
-    state = SimState(random_field(g, rng, band=g.n // 4), u, 0.0)
+def kernel_on(n: int, spec: KernelSpec | None = None):
+    return build_kernel(spec or KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(n, TWO_PI))
+
+
+def stepper_for(monkeypatch, kernel, params: SimParams, forked: bool = True) -> Stepper:
+    """A stepper that forks the phase branch of its steps onto a thread of
+    its own, or with ``forked`` false one that does not, whatever n."""
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_FORK_MIN_N", kernel.grid.n if forked else 2 * kernel.grid.n)
+        return Stepper(kernel, params, DW)
+
+
+def stepped_state(stepper: Stepper, grid: Grid, rng, steps: int = 2) -> SimState:
+    """A state on the step's own columns, as a trajectory hands its stepper
+    its states: the one ``stepper`` returned after ``steps`` steps from
+    random data on ``grid``, the stepper's."""
+    u = leray_project(VectorField(random_field(grid, rng, band=grid.n // 4),
+                                  random_field(grid, rng, band=grid.n // 4)))
+    state = SimState(random_field(grid, rng, band=grid.n // 4), u, 0.0)
     for _ in range(steps):
-        state = step(state, params, kernel, DW)
+        state = stepper.step(state)
     return state
 
 
@@ -558,58 +590,61 @@ def state_arrays(state: SimState) -> list[np.ndarray]:
     return [state.phi.values, state.u.x.values, state.u.y.values, *state.hats]
 
 
+def assert_same_states(got: list[SimState], want: list[SimState]) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(state_arrays(a), state_arrays(b)):
+            assert x.tobytes() == y.tobytes()
+
+
 class TestWorkspace:
-    """step() writes its intermediates into one workspace per (kernel,
-    params) and allocates only the state it returns, which owns its arrays."""
+    """A stepper writes its intermediates into buffers of its own and
+    allocates only the state it returns, which owns its arrays."""
 
     params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
 
     @pytest.fixture(scope="class")
     def kernel128(self):
-        return build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(128, TWO_PI))
+        return kernel_on(128)
 
-    @pytest.fixture
-    def forked128(self, monkeypatch):
-        # the phase branch on the fork's thread, with buffers of its own
-        return forked_kernel(monkeypatch, self.params, n=128)
-
-    def assert_step_allocates_only_the_state_it_returns(self, kernel, rng, carry: bool = False):
-        # with ``carry``, as a trajectory steps: given the state's F'(phi)^
-        # and mu^, the step makes the new state's too
-        state = stepped_state(kernel, self.params, rng)
-        ops = solver._operators(kernel, self.params)
-        chem = solver._chemical_hats(ops, DW, state.phi.values, state.hats[0]) if carry else None
+    def assert_step_allocates_only_the_state_it_returns(self, stepper, grid, rng, carry: bool = False):
+        # with ``carry``, as a trajectory steps: from the state the stepper
+        # returned, whose F'(phi)^ and mu^ it holds; without, from the same
+        # arrays in another state, whose F'(phi)^ and mu^ the step makes
+        # first.  Either way the step makes the new state's
+        state = stepped_state(stepper, grid, rng)
+        if not carry:
+            state = replace(state)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            if carry:
-                new, chem = solver._advance(ops, self.params.dt, state, *chem, None, DW)
-            else:
-                new = step(state, self.params, kernel, DW)
+            new = stepper.step(state)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         owned = sum(a.nbytes for a in {id(a.base): a.base for a in state_arrays(new)}.values())
-        assert owned == 3 * 128 * 128 * 8 + 3 * 128 * kernel.grid.half.kept_cols * 16
+        assert owned == 3 * 128 * 128 * 8 + 3 * 128 * grid.half.kept_cols * 16
         assert peak <= owned + 64 * 1024
 
-    def test_step_allocates_only_the_state_it_returns(self, kernel128, rng):
-        self.assert_step_allocates_only_the_state_it_returns(kernel128, rng)
+    def test_step_allocates_only_the_state_it_returns(self, kernel128, rng, monkeypatch):
+        stepper = stepper_for(monkeypatch, kernel128, self.params, forked=False)
+        self.assert_step_allocates_only_the_state_it_returns(stepper, kernel128.grid, rng)
 
-    def test_forked_step_allocates_only_the_state_it_returns(self, forked128, rng):
-        self.assert_step_allocates_only_the_state_it_returns(forked128, rng)
+    def test_forked_step_allocates_only_the_state_it_returns(self, kernel128, rng, monkeypatch):
+        stepper = stepper_for(monkeypatch, kernel128, self.params)
+        self.assert_step_allocates_only_the_state_it_returns(stepper, kernel128.grid, rng)
 
     @pytest.mark.parametrize("forked", [False, True])
-    def test_trajectory_step_allocates_only_the_state_it_returns(self, kernel128, forked128, rng, forked):
-        self.assert_step_allocates_only_the_state_it_returns(forked128 if forked else kernel128, rng, carry=True)
+    def test_trajectory_step_allocates_only_the_state_it_returns(self, kernel128, rng, monkeypatch, forked):
+        stepper = stepper_for(monkeypatch, kernel128, self.params, forked)
+        self.assert_step_allocates_only_the_state_it_returns(stepper, kernel128.grid, rng, carry=True)
 
-    def assert_states_share_no_memory(self, kernel, rng, buffers):
-        h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel.grid, 0.0)
-        first = stepped_state(kernel, self.params, rng, steps=1)
-        second = step(first, self.params, kernel, DW, h)
-        ws = solver._operators(kernel, self.params).work
-        buffers = [getattr(ws, name) for name in buffers]
+    def assert_states_share_no_memory(self, stepper, grid, rng, buffers):
+        h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(grid, 0.0)
+        first = stepped_state(stepper, grid, rng, steps=1)
+        second = stepper.step(first, h)
+        buffers = [getattr(stepper, name) for name in buffers]
         for a in state_arrays(second):
             assert not any(np.shares_memory(a, b) for b in state_arrays(first) + buffers)
         for a in state_arrays(first):
@@ -619,48 +654,39 @@ class TestWorkspace:
         # F'(phi)^'s first columns are cut once into a contiguous plane and
         # mu^'s made in another, so no ufunc takes a column slice, which
         # numpy would buffer in an allocation of its own
-        state = stepped_state(kernel128, self.params, rng)
-        ops = solver._operators(kernel128, self.params)
+        stepper = Stepper(kernel128, self.params, DW)
+        state = stepped_state(stepper, kernel128.grid, rng)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            solver._chemical_hats(ops, DW, state.phi.values, state.hats[0])
+            stepper._chemical_hats(state.phi.values, state.hats[0])
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 1024
 
     def test_states_share_no_memory(self, kernel128, rng):
-        self.assert_states_share_no_memory(kernel128, rng, ["real", "rows", "cols", "finite"])
+        self.assert_states_share_no_memory(Stepper(kernel128, self.params, DW), kernel128.grid, rng,
+                                           ["real", "rows", "cols", "finite"])
 
-    def test_forked_states_share_no_memory(self, forked128, rng):
-        self.assert_states_share_no_memory(forked128, rng, ["real", "rows", "cols", "finite", "phase_real",
-                                                            "phase_rows", "phase_flux"])
+    def test_forked_states_share_no_memory(self, kernel128, rng, monkeypatch):
+        self.assert_states_share_no_memory(stepper_for(monkeypatch, kernel128, self.params), kernel128.grid, rng,
+                                           ["real", "rows", "cols", "finite", "phase_real", "phase_rows",
+                                            "phase_flux"])
 
     def test_fresh_workspace_gives_the_warm_result(self, kernel128, rng):
-        # no stale buffer leaks into a result: the warm workspace has just
+        # no stale buffer leaks into a result: the warm stepper has just
         # stepped another state, with a force
-        state = stepped_state(kernel128, self.params, rng, steps=0)
-        other = stepped_state(kernel128, self.params, rng, steps=0)
+        stepper = Stepper(kernel128, self.params, DW)
+        state = stepped_state(stepper, kernel128.grid, rng, steps=0)
+        other = stepped_state(stepper, kernel128.grid, rng, steps=0)
         h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel128.grid, 0.0)
-        step(other, self.params, kernel128, DW, h)
+        stepper.step(other, h)
         for forcing in (None, h):
-            warm = step(state, self.params, kernel128, DW, forcing)
-            fresh = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), kernel128.grid)
-            cold = step(state, self.params, fresh, DW, forcing)
-            for a, b in zip(state_arrays(warm), state_arrays(cold)):
-                assert a.tobytes() == b.tobytes()
-
-
-def forked_kernel(monkeypatch, params: SimParams, spec: KernelSpec | None = None, n: int = 32):
-    """A kernel whose workspace for ``params`` forks the phase branch of a
-    step onto a thread, whatever n."""
-    kernel = build_kernel(spec or KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(n, TWO_PI))
-    with monkeypatch.context() as patched:
-        patched.setattr(solver, "_FORK_MIN_N", n)
-        solver._operators(kernel, params)
-    return kernel
+            warm = stepper.step(state, forcing)
+            cold = Stepper(kernel128, self.params, DW).step(state, forcing)
+            assert_same_states([warm], [cold])
 
 
 def phase_threads() -> list[threading.Thread]:
@@ -669,20 +695,20 @@ def phase_threads() -> list[threading.Thread]:
 
 class TestFork:
     """From solver._FORK_MIN_N a step runs its phase branch on a thread of
-    the workspace's own, joined before the new state is checked: the same
+    the stepper's own, joined before the new state is checked: the same
     result bit for bit, the same errors, and no thread left behind."""
 
     params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
 
     @staticmethod
-    def trajectory(kernel, params, forcing, steps, seed=3) -> list[SimState]:
-        g = kernel.grid
+    def trajectory(stepper, grid, forcing, steps, seed=3) -> list[SimState]:
         rng = np.random.default_rng(seed)
-        u = leray_project(VectorField(random_field(g, rng, band=g.n // 4), random_field(g, rng, band=g.n // 4)))
-        states = [SimState(random_field(g, rng, band=g.n // 4), u, 0.0)]
+        u = leray_project(VectorField(random_field(grid, rng, band=grid.n // 4),
+                                      random_field(grid, rng, band=grid.n // 4)))
+        states = [SimState(random_field(grid, rng, band=grid.n // 4), u, 0.0)]
         for _ in range(steps):
-            h = forcing.field_at(g, states[-1].t)
-            states.append(step(states[-1], params, kernel, DW, h))
+            h = forcing.field_at(grid, states[-1].t)
+            states.append(stepper.step(states[-1], h))
         return states
 
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
@@ -695,15 +721,11 @@ class TestFork:
     @pytest.mark.parametrize("dealias", [True, False])
     def test_forked_steps_are_the_serial_steps(self, monkeypatch, spec, forcing, dealias):
         params = replace(self.params, dealias=dealias)
-        forked = forked_kernel(monkeypatch, params, spec)
-        serial = build_kernel(spec, forked.grid)
-        got = self.trajectory(forked, params, forcing, 50)
-        want = self.trajectory(serial, params, forcing, 50)
-        assert solver._operators(forked, params).work.fork is not None
-        assert solver._operators(serial, params).work.fork is None
-        for a, b in zip(got, want):
-            for x, y in zip(state_arrays(a), state_arrays(b)):
-                assert x.tobytes() == y.tobytes()
+        kernel = kernel_on(32, spec)
+        forked, serial = (stepper_for(monkeypatch, kernel, params, f) for f in (True, False))
+        assert forked.fork is not None and serial.fork is None
+        assert_same_states(self.trajectory(forked, kernel.grid, forcing, 50),
+                           self.trajectory(serial, kernel.grid, forcing, 50))
 
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
                                       KernelSpec.mollifier(radius=0.25 * TWO_PI, strength=4.0),
@@ -737,37 +759,64 @@ class TestFork:
         assert len(got) == 2 * 51 and sum(r is not None for r in got[1::2]) == len(range(0, 50, every)) + 1
         assert got == want
 
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    def test_steppers_on_one_kernel_step_at_once(self, monkeypatch, forked):
+        # two steppers share a kernel and params and nothing else: stepped
+        # at once from two threads (each with a fork thread of its own when
+        # forked), switching often, each gives the one-thread trajectory
+        kernel = kernel_on(32)
+        forcing = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)
+        want = self.trajectory(stepper_for(monkeypatch, kernel, self.params, forked), kernel.grid, forcing, 50)
+        steppers = [stepper_for(monkeypatch, kernel, self.params, forked) for _ in range(2)]
+        assert [s.fork is not None for s in steppers] == [forked, forked]
+        barrier, got = threading.Barrier(2), [None, None]
+
+        def run_one(i):
+            barrier.wait()
+            got[i] = self.trajectory(steppers[i], kernel.grid, forcing, 50)
+
+        threads = [threading.Thread(target=run_one, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for states in got:
+            assert states is not None
+            assert_same_states(states, want)
+
     def test_forks_from_n_256(self, monkeypatch):
-        forked = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(256, TWO_PI))
-        solver._operators(forked, self.params)
+        kernel = kernel_on(256)
+        forked = Stepper(kernel, self.params, DW)
         monkeypatch.setattr(solver, "_FORK_MIN_N", 512)
-        serial = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), forked.grid)
+        serial = Stepper(kernel, self.params, DW)
+        assert forked.fork is not None and serial.fork is None
         forcing = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3)
-        got, want = (self.trajectory(k, self.params, forcing, 3) for k in (forked, serial))
-        assert solver._operators(forked, self.params).work.fork is not None
-        assert solver._operators(serial, self.params).work.fork is None
-        for x, y in zip(state_arrays(got[-1]), state_arrays(want[-1])):
-            assert x.tobytes() == y.tobytes()
+        got, want = (self.trajectory(s, kernel.grid, forcing, 3) for s in (forked, serial))
+        assert_same_states(got[-1:], want[-1:])
 
     def test_no_thread_below_the_threshold(self, rng):
         before = threading.enumerate()
-        kernel = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(128, TWO_PI))
-        stepped_state(kernel, self.params, rng)
-        ws = solver._operators(kernel, self.params).work
-        assert (ws.fork, ws.phase_real, ws.phase_rows, ws.phase_flux) == (None,) * 4
+        kernel = kernel_on(128)
+        stepper = Stepper(kernel, self.params, DW)
+        stepped_state(stepper, kernel.grid, rng)
+        assert (stepper.fork, stepper.phase_real, stepper.phase_rows, stepper.phase_flux) == (None,) * 4
         assert [t for t in threading.enumerate() if t not in before] == []
 
     @pytest.mark.parametrize("failing", ["phase", "flow", "chemical_hats"])
     def test_a_failing_branch_waits_for_the_other(self, monkeypatch, failing):
         # the error reaches the caller only once the other branch, slowed
-        # down here, has made its last write (an inverse transform).  A
-        # trajectory's step, as here, also makes the new state's F'(phi)^
-        # and mu^ on the fork's thread, after the inverse of the new phi
-        kernel = forked_kernel(monkeypatch, self.params)
-        serial = build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), kernel.grid)
-        start = self.trajectory(kernel, self.params, ForcingSpec(), 1)[-1]
-        ops = solver._operators(kernel, self.params)
-        chem = solver._chemical_hats(ops, DW, start.phi.values, start.hats[0])
+        # down here, has made its last write (an inverse transform).  A step
+        # also makes the new state's F'(phi)^ and mu^ on the fork's thread,
+        # after the inverse of the new phi
+        kernel = kernel_on(32)
+        stepper, serial = (stepper_for(monkeypatch, kernel, self.params, f) for f in (True, False))
+        start = self.trajectory(stepper, kernel.grid, ForcingSpec(), 1)[-1]
         inverses = []
 
         def inverse(*args, _fn=solver.irfft2_cols, **kwargs):
@@ -791,42 +840,43 @@ class TestFork:
             patched.setattr(solver, failing_name, fail)
             patched.setattr(solver, slow_name, slow)
             with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
-                solver._advance(ops, self.params.dt, start, *chem, None, DW)
+                stepper.step(start)  # from the state it returned, whose F'(phi)^ and mu^ it holds
             # the flow branch inverts omega, then the new u, on this thread;
             # the phase branch the new phi on the fork's
             assert sorted(inverses) == {"phase": [True, True], "flow": [False, True],
                                         "chemical_hats": [False, True, True]}[failing]
-        # the thread outlives the error, and the next step is the serial one
-        again, want = step(start, self.params, kernel, DW), step(start, self.params, serial, DW)
-        for x, y in zip(state_arrays(again), state_arrays(want)):
-            assert x.tobytes() == y.tobytes()
+        # the thread outlives the error, and the next step, which makes the
+        # state's F'(phi)^ and mu^ again, is the serial one
+        assert_same_states([stepper.step(start)], [serial.step(start)])
 
     def test_blow_up_names_phi_before_u(self, monkeypatch):
-        kernel = forked_kernel(monkeypatch, self.params)
+        kernel = kernel_on(32)
+        stepper = stepper_for(monkeypatch, kernel, self.params)
         g = kernel.grid
         nan = vector_from_values(g, np.full((g.n, g.n), np.nan), np.zeros((g.n, g.n)))
         state = SimState(constant_field(g, 0.2), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in u$"):
-            step(state, self.params, kernel, DW, nan)
+            stepper.step(state, nan)
         state = SimState(constant_field(g, np.nan), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in phi$"):
-            step(state, self.params, kernel, DW, nan)
-        assert solver._operators(kernel, self.params).work.fork is not None
+            stepper.step(state, nan)
+        assert stepper.fork is not None
 
-    def test_thread_exits_with_its_kernel(self, monkeypatch, rng):
+    def test_thread_exits_with_its_stepper(self, monkeypatch, rng):
         before = phase_threads()
-        kernel = forked_kernel(monkeypatch, self.params)
-        state = stepped_state(kernel, self.params, rng)
+        kernel = kernel_on(32)
+        stepper = stepper_for(monkeypatch, kernel, self.params)
+        state = stepped_state(stepper, kernel.grid, rng)
         (thread,) = [t for t in phase_threads() if t not in before]
         assert thread.daemon
-        del kernel, state
+        del stepper, state
         gc.collect()
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert [t for t in phase_threads() if t not in before] == []
 
     def test_thread_does_not_hold_up_exit(self, tmp_path):
-        # a kernel alive at exit leaves its thread waiting for work
+        # a stepper alive at exit leaves its thread waiting for work
         script = tmp_path / "exit.py"
         script.write_text(
             "import numpy as np\n"
@@ -837,10 +887,10 @@ class TestFork:
             "solver._FORK_MIN_N = 32\n"
             "kernel = build_kernel(KernelSpec.gaussian(0.5, 6.0), Grid(32, 2 * np.pi))\n"
             "params = solver.SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)\n"
+            "stepper = solver.Stepper(kernel, params, PotentialSpec.double_well())\n"
             "g = kernel.grid\n"
-            "state = solver.SimState(constant_field(g, 0.2), zero_vector(g), 0.0)\n"
-            "solver.step(state, params, kernel, PotentialSpec.double_well())\n"
-            "assert solver._operators(kernel, params).work.fork is not None\n"
+            "stepper.step(solver.SimState(constant_field(g, 0.2), zero_vector(g), 0.0))\n"
+            "assert stepper.fork is not None\n"
             "print('stepped')\n")
         src = str(Path(solver.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60,
@@ -849,18 +899,25 @@ class TestFork:
 
 
 class TestRecordCarry:
-    """A trajectory makes a state's F'(phi)^ and mu^ once, for its record
-    and for the step from it; step() makes its own, so the result is the same
-    bit for bit whether a state is recorded, or stepped, once or twice."""
+    """A stepper makes a state's F'(phi)^ and mu^ once, for its record and
+    for the step from it, and again for a state it did not just return, so
+    the result is the same bit for bit whether a state is recorded, or
+    stepped, once or twice."""
 
     params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
 
     def test_same_state_twice(self, kernel32, rng):
-        state = stepped_state(kernel32, self.params, rng)
-        carried = step(state, self.params, kernel32, DW)
-        again = step(state, self.params, kernel32, DW)
-        for a, b in zip(state_arrays(carried), state_arrays(again)):
-            assert a.tobytes() == b.tobytes()
+        stepper = Stepper(kernel32, self.params, DW)
+        state = stepped_state(stepper, kernel32.grid, rng)
+        carried = stepper.step(state)  # with the F'(phi)^ and mu^ the step to state made
+        again = stepper.step(state)  # with those made again
+        assert_same_states([carried], [again])
+
+    def test_mu_hat_of_a_returned_state_is_made_again_the_same(self, kernel32, rng):
+        stepper = Stepper(kernel32, self.params, DW)
+        state = stepped_state(stepper, kernel32.grid, rng)
+        carried = stepper.mu_hat(state).copy()
+        assert carried.tobytes() == Stepper(kernel32, self.params, DW).mu_hat(state).tobytes()
 
     def test_record_interval_leaves_the_trajectory(self):
         cfg = make_cfg(
@@ -870,8 +927,7 @@ class TestRecordCarry:
         )
         every, sparse = (run(replace(cfg, output=OutputConfig(record_every=k))) for k in (1, 7))
         assert (len(every.records), len(sparse.records)) == (21, 4)  # steps 0, 7, 14, 20
-        for a, b in zip(state_arrays(every.state), state_arrays(sparse.state)):
-            assert a.tobytes() == b.tobytes()
+        assert_same_states([every.state], [sparse.state])
 
 
 class TestForcing:
@@ -1004,7 +1060,7 @@ class TestRun:
             0.0,
         )
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
-        new = step(state, params, kernel32, DW)
+        new = one_step(state, params, kernel32)
         assert new.t == pytest.approx(1e-3)
         # constant phi is an equilibrium of the phase equation under any u
         assert rel_err(new.phi.values, state.phi.values) < 1e-12
