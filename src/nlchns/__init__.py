@@ -27,9 +27,7 @@ from .spectral import (
     Grid,
     ScalarField,
     VectorField,
-    inner,
     leray_project,
-    norm_l2,
 )
 
 __version__ = "0.1.0"

@@ -188,6 +188,11 @@ def parse_config(text: str) -> SimConfig:
     if l is not None and l <= 0:
         errors.append("grid.l must be positive")
     span = l if l is not None and l > 0 else math.inf  # what kernel supports are checked against
+    half_n = math.inf if n is None else n // 2  # a Fourier mode needs |m_x|, |m_y| < n/2
+
+    def resolved(key: str, *m: int) -> None:  # for a mode m1,m2 or one component
+        if max(map(abs, m)) >= half_n:
+            errors.append(f"{key}: {','.join(map(str, m))} is outside -(n/2 - 1) .. n/2 - 1 (grid.n = {n})")
 
     kernel = potential = None
     family = r.string("kernel", None, need=every)
@@ -207,6 +212,8 @@ def parse_config(text: str) -> SimConfig:
         modes = _parse_modes(r.string("kernel.modes"), errors)
         if not modes and len(errors) == before:  # absent or empty, not malformed
             errors.append("kernel.modes is required for the spectral family")
+        for mode in modes:
+            resolved("kernel.modes", *mode)
         kernel = KernelSpec.spectral(modes)
     elif family is not None:
         r.unknown_family("kernel", family, "kernel.")
@@ -316,6 +323,8 @@ def parse_config(text: str) -> SimConfig:
         m2 = r.intv("forcing.mode_y", 0)
         if (m1, m2) == (0, 0):
             errors.append("forcing.mode_x/mode_y must not both be zero")
+        resolved("forcing.mode_x", m1)
+        resolved("forcing.mode_y", m2)
         forcing = ForcingSpec(
             family="single_mode",
             mode=(m1, m2),

@@ -28,7 +28,7 @@ immutable records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,21 +38,6 @@ from .potentials import PotentialSpec, eval_f
 from .spectral import Grid, parseval, power
 
 INEQUALITY_SLACK = 1e-8
-COLUMNS = (
-    "t",
-    "mass",
-    "kinetic",
-    "interaction",
-    "bulk",
-    "total_energy",
-    "grad_u_sq",
-    "grad_mu_sq",
-    "forcing_power",
-    "identity_residual",
-    "grad_control_margin",
-    "phi_min",
-    "phi_max",
-)
 
 
 @dataclass
@@ -77,6 +62,9 @@ class DiagnosticsRecord:
 
     def as_row(self) -> tuple[float, ...]:
         return tuple(getattr(self, c) for c in COLUMNS)
+
+
+COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.compare)  # the CSV columns
 
 
 def identity_residual(prev: DiagnosticsRecord, cur: DiagnosticsRecord, dt: float, nu: float) -> float:

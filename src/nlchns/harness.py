@@ -23,7 +23,7 @@ import numpy as np
 from .config import OutputConfig
 from .initialdata import build_phi, build_u
 from .solver import BlowUpError, SimState, run, trajectory
-from .spectral import Grid, ScalarField, VectorField, norm_l2, parseval, power, resample
+from .spectral import Grid, ScalarField, VectorField, parseval, power, resample
 
 
 @dataclass
@@ -231,10 +231,8 @@ def dt_order_study(cfg, dts) -> StudyResult:
         max_resid.append(max(abs(r.identity_residual) for r in res.records[1:]))
 
     def _state_diff(a: SimState, b: SimState) -> float:
-        dphi = ScalarField(a.phi.grid, a.phi.values - b.phi.values)
-        dux = ScalarField(a.phi.grid, a.u.x.values - b.u.x.values)
-        duy = ScalarField(a.phi.grid, a.u.y.values - b.u.y.values)
-        return math.sqrt(norm_l2(dphi) ** 2 + norm_l2(dux) ** 2 + norm_l2(duy) ** 2)
+        # ||phi_a - phi_b||^2 + ||u_a - u_b||^2 by Parseval on the final states' coefficients
+        return math.sqrt(parseval(a.phi.grid.half.weight, power(*(x - y for x, y in zip(a.hats, b.hats)))))
 
     consec = [_state_diff(finals[i], finals[i + 1]) for i in range(len(dts) - 1)]
     vs_finest = [_state_diff(s, finals[-1]) for s in finals[:-1]]

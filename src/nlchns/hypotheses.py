@@ -27,7 +27,7 @@ with golden-section refinement.  Pure analysis; safe to run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -119,17 +119,13 @@ class HypothesisReport:
         return all(v == PASS for v in (self.h1, self.h2, self.h3, self.h4))
 
     def to_text(self) -> str:
+        """One ``name = value`` line a field, in field order, floats to 17 digits."""
         lines = []
-        for name in ("h1", "h2", "h3", "h4", "h5", "h6"):
-            lines.append(f"{name} = {getattr(self, name)}")
-        for name in (
-            "c0", "c1", "c2", "c3", "c4", "p", "c5", "c6", "q", "c7", "c8",
-            "alpha", "beta", "c_poincare",
-            "a", "a_star", "norm_j_l1", "norm_gradj_l1", "m0",
-        ):
-            lines.append(f"{name} = {getattr(self, name):.17g}")
-        lines.append(f"condition_altass = {str(self.condition_altass).lower()}")
-        lines.append(f"s_range = {self.s_range[0]:.17g},{self.s_range[1]:.17g}")
+        for f in fields(self)[:-1]:  # the witnesses last, by key
+            v = getattr(self, f.name)
+            v = (v if isinstance(v, str) else str(v).lower() if isinstance(v, bool)
+                 else ",".join(f"{x:.17g}" for x in v) if isinstance(v, tuple) else f"{v:.17g}")
+            lines.append(f"{f.name} = {v}")
         for key in sorted(self.witnesses):
             w = self.witnesses[key]
             lines.append(f"witness.{key}.s = {w.s:.17g}")

@@ -41,9 +41,10 @@ dealias on.  A step steps the coefficients it is given.  The transport
 is taken in divergence form, ik . (u phi)^ (``spectral.flux_divergence``),
 the weak form's (u, phi grad psi), which equals u . grad phi because
 div u = 0.  Every transform goes through ``spectral.rfft2_cols`` and
-``spectral.irfft2_cols``, a row and a column pass each.  With zero forcing
-a step from the state the stepper returned takes 11 transforms in 6 calls
-of them: 3 full (the new F'(phi), not band-limited, in place, and grad mu
+``spectral.irfft2_cols``, a row and a column pass each.  The force enters
+as its coefficients (``ForcingSpec.field_at``), so a step from the state
+the stepper returned, forced or not, takes 11 transforms in 6 calls of
+them: 3 full (the new F'(phi), not band-limited, in place, and grad mu
 in one stacked inverse call) and 8 on the first ``Grid.half.kept_cols`` =
 n//3 + 1 columns (all with dealias off): u phi and both momentum
 right-hand sides forward, in two stacked calls; omega inverse, and the new
@@ -61,10 +62,10 @@ A step allocates only the state it returns, one (3, n, c) complex block of
 coefficients and one (3, n, n) real block of samples.  numpy buffers a
 ufunc operand that is a column slice or a broadcast, in an allocation of
 its own, so the operators are held contiguous on the kept columns,
-F'(phi)^'s kept columns are copied once into a contiguous plane and mu^'s
-made in another, and no ufunc of a stepped state's step takes such an
-operand.  A stepper serves one caller at a time; steppers share nothing,
-a kernel included, so trajectories may step concurrently.  The returned
+F'(phi)^'s and the force's kept columns are copied into contiguous planes
+and mu^'s made in another, and no ufunc of a stepped state's step takes
+such an operand.  A stepper serves one caller at a time; steppers share
+nothing, a kernel included, so trajectories may step concurrently.  The returned
 states never share memory with the stepper, or with each other.
 
 Within a step, the phase and flow updates couple only through data at t^n,
@@ -103,8 +104,8 @@ from .spectral import (
     VectorField,
     divergence_bound,
     flux_divergence,
-    inner,
     irfft2_cols,
+    parseval,
     rfft2_cols,
     rgradient,
     vector_from_values,
@@ -209,7 +210,8 @@ class SimParams:
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """Volume force families; decaying ones are square integrable in time."""
+    """Volume force families, each one Fourier mode (``body`` k = 0,
+    ``single_mode`` the pair +-m); decaying ones are square integrable in time."""
 
     family: str = "zero"  # zero | body | single_mode
     amplitude: tuple[float, float] = (0.0, 0.0)  # body force vector
@@ -224,27 +226,33 @@ class ForcingSpec:
             return self.amplitude == (0.0, 0.0)
         return self.scale == 0.0
 
-    def field_at(self, grid: Grid, t: float) -> VectorField | None:
+    def _wavevector(self, grid: Grid) -> tuple[int, int]:
+        """``single_mode``'s m: nonzero, with |m1|, |m2| < n/2, as the grid resolves it."""
+        m1, m2 = self.mode
+        if not 0 < max(abs(m1), abs(m2)) < grid.n // 2:
+            raise ValueError(f"forcing mode ({m1},{m2}) must be nonzero, |m1|, |m2| < {grid.n // 2}")
+        return m1, m2
+
+    def field_at(self, grid: Grid, t: float) -> np.ndarray | None:
+        """The rfft2 coefficients of h(t) on the half plane, stacked (2, n,
+        n//2 + 1), or None for zero: n^2 A e^{-lambda t} at k = 0 for
+        ``body``, and (n^2/2) scale e^{-lambda t} (-m2, m1)/|m| at m and at
+        -m, each where it falls on the half plane, for ``single_mode``."""
         if self.is_zero():
             return None
-        damp = np.exp(-self.decay * t)
+        if self.family not in ("body", "single_mode"):
+            raise ValueError(f"unknown forcing family {self.family!r}")
+        n, damp = grid.n, np.exp(-self.decay * t)
+        h = np.zeros((2, n, n // 2 + 1), dtype=complex)
         if self.family == "body":
-            ax, ay = self.amplitude
-            return vector_from_values(
-                grid,
-                np.full((grid.n, grid.n), ax * damp),
-                np.full((grid.n, grid.n), ay * damp),
-            )
-        if self.family == "single_mode":
-            m1, m2 = self.mode
-            norm = np.hypot(m1, m2)
-            if norm == 0:
-                raise ValueError("single_mode forcing needs a nonzero wavevector")
-            xx, yy = grid.mesh
-            phase = 2.0 * np.pi * (m1 * xx + m2 * yy) / grid.l
-            c = self.scale * damp * np.cos(phase)
-            return vector_from_values(grid, -m2 / norm * c, m1 / norm * c)
-        raise ValueError(f"unknown forcing family {self.family!r}")
+            h[:, 0, 0] = np.multiply(self.amplitude, n * n * damp)
+            return h
+        m1, m2 = self._wavevector(grid)
+        norm = np.hypot(m1, m2)
+        for row, col in ((m1, m2), (-m1, -m2)):
+            if col >= 0:  # on the half plane
+                h[:, row % n, col] = np.multiply((-m2 / norm, m1 / norm), 0.5 * n * n * self.scale * damp)
+        return h
 
     def dual_norm_sq_integral(self, grid: Grid) -> float | None:
         """integral_0^inf ||h(t)||^2_{V'_div} dt, or None when h is not an
@@ -256,7 +264,7 @@ class ForcingSpec:
         if self.family == "body":
             # pure k = 0 momentum: not representable in V'_div on the torus
             return None
-        m1, m2 = self.mode
+        m1, m2 = self._wavevector(grid)
         ksq = (2.0 * np.pi / grid.l) ** 2 * (m1 * m1 + m2 * m2)
         # ||h(t)||_L2^2 = scale^2 e^{-2 lambda t} |Omega| / 2, single shell
         return self.scale**2 * grid.volume / (4.0 * self.decay * ksq)
@@ -424,9 +432,10 @@ class Stepper:
         mu_hat(self.a_minus_j, phi_hat[:, :self.keep.shape[1]], fp, out=mu, cols=cols[:2])
         return cols[0], rows
 
-    def step(self, state: SimState, forcing: VectorField | None = None) -> SimState:
+    def step(self, state: SimState, forcing: np.ndarray | None = None) -> SimState:
         """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
-        capillary force at (phi^n, mu^n); ``forcing`` is h(t^n), or None for
+        capillary force at (phi^n, mu^n); ``forcing`` holds the rfft2
+        coefficients of h(t^n) (``ForcingSpec.field_at``), or is None for
         zero.  Steps the state's coefficients as given and keeps mean(phi)
         exactly; the new state owns a fresh coefficient block and a fresh
         sample block.  Past the first line of the phase update, the phase
@@ -483,11 +492,11 @@ class Stepper:
         np.multiply(np.subtract(new_phi, adv_hat, out=new_phi), self.solve, out=new_phi)
         new_phi[0, 0] = state.hats[0][0, 0]
 
-    def _flow(self, state: SimState, rows: np.ndarray, forcing: VectorField | None,
+    def _flow(self, state: SimState, rows: np.ndarray, forcing: np.ndarray | None,
               new_u: np.ndarray, rhs: np.ndarray) -> None:
         """The new u^ into ``new_u`` (2, n, c): the capillary force plus omega
-        (u_y, -u_x), omega = curl u in one inverse transform, and the forcing,
-        with the right-hand sides in one stacked transform, then the projected
+        (u_y, -u_x) (omega = curl u in one inverse transform) in one stacked
+        forward transform, plus the force's coefficients, then the projected
         viscous solve.  ``rows`` (2, n, n//2 + 1) holds mu^ in its second plane
         and takes the row passes, overwriting it; ``rhs`` (2, n, n) takes the
         samples of the right-hand sides, and the stepper's ``real`` and
@@ -506,9 +515,10 @@ class Stepper:
         bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
         np.add(bx, np.multiply(ux_hat, inv_dt, out=cols[2]), out=bx)
         np.add(by, np.multiply(uy_hat, inv_dt, out=cols[2]), out=by)
-        if forcing is not None:
-            h = np.stack((forcing.x.values, forcing.y.values), out=rhs)
-            np.add(b, rfft2_cols(h, c, out=new_u, rows=rows), out=b)
+        if forcing is not None:  # through a contiguous plane, which numpy does not buffer
+            for bi, hi in zip(b, forcing):
+                cols[2][...] = hi[:, :c]
+                np.add(bi, cols[2], out=bi)
         np.add(np.multiply(self.wxx, bx, out=new_u[0]), np.multiply(self.wxy, by, out=cols[2]), out=new_u[0])
         np.add(np.multiply(self.wxy, bx, out=new_u[1]), np.multiply(self.wyy, by, out=cols[2]), out=new_u[1])
 
@@ -592,7 +602,7 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
             continue
         new = diagnostics.make_record(
             state, stepper.mu_hat(state), kernel, potential, params.nu, report.beta,
-            forcing_power=(inner(h, state.u) if h is not None else 0.0), prev=rec,
+            forcing_power=(_forcing_power(h, state) if h is not None else 0.0), prev=rec,
         )
         found = _audit_record(cfg, report, state, new, i, mass0)
         # widen the validated range to the record's, while S still covers it
@@ -607,6 +617,12 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
             validated = wider
         rec = new
         yield i, state, rec, found
+
+
+def _forcing_power(h: np.ndarray, state: SimState) -> float:
+    """<h, u> by Parseval, from h's coefficients and the first columns of u's."""
+    c = state.hats[1].shape[1]
+    return parseval(state.phi.grid.half.weight, (h[..., :c] * np.conj(state.hats[1:])).real.sum(axis=0))
 
 
 def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, rec,

@@ -1,9 +1,9 @@
 """Field algebra on a uniform periodic square grid.
 
 Everything downstream (convolution kernels, the coupled solver, the
-diagnostics) is built on the operations here: spectral derivatives, L2 inner
-products carrying the physical cell volume, the Leray projector, 2/3-rule
-dealiasing and Parseval sums.
+diagnostics) is built on the operations here: spectral derivatives, the
+Leray projector, 2/3-rule dealiasing and Parseval sums, which carry the
+physical volume.
 
 Conventions
 -----------
@@ -209,11 +209,6 @@ def vector_from_values(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> VectorFiel
     return VectorField(ScalarField(grid, vx), ScalarField(grid, vy))
 
 
-def _same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("operands on different grids")
-
-
 # ---------------------------------------------------------------------------
 # resampling
 
@@ -336,22 +331,7 @@ def leray_project(v: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# inner products and norms
-
-def inner(f, g) -> float:
-    """L2 inner product with physical measure; scalar or vector fields."""
-    _same_grid(f, g)
-    w = f.grid.cell_volume
-    if isinstance(f, VectorField):
-        return float(
-            (np.sum(f.x.values * g.x.values) + np.sum(f.y.values * g.y.values)) * w
-        )
-    return float(np.sum(f.values * g.values) * w)
-
-
-def norm_l2(f) -> float:
-    return float(np.sqrt(max(inner(f, f), 0.0)))
-
+# quadratic forms
 
 def power(*hats: np.ndarray) -> np.ndarray:
     """|f^|^2 summed over the fields, from their rfft2 coefficients or the

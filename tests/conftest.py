@@ -4,9 +4,10 @@ import pytest
 from nlchns.diagnostics import DiagnosticsRecord, make_record
 from nlchns.kernels import KernelOnGrid
 from nlchns.potentials import PotentialSpec, eval_df
-from nlchns.solver import mu_hat
+from nlchns.solver import ForcingSpec, mu_hat
 from nlchns.spectral import (
     Grid,
+    GridMismatchError,
     ScalarField,
     VectorField,
     leray_project,
@@ -91,6 +92,39 @@ def divergence(v: VectorField) -> ScalarField:
 
 def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, np.fft.irfft2(-f.grid.half.k2 * np.fft.rfft2(f.values)))
+
+
+def inner(f, g) -> float:
+    """L2 inner product with physical measure, as the sample sum times the
+    cell volume; scalar or vector fields."""
+    if f.grid != g.grid:
+        raise GridMismatchError("operands on different grids")
+    w = f.grid.cell_volume
+    if isinstance(f, VectorField):
+        return float(
+            (np.sum(f.x.values * g.x.values) + np.sum(f.y.values * g.y.values)) * w
+        )
+    return float(np.sum(f.values * g.values) * w)
+
+
+def norm_l2(f) -> float:
+    return float(np.sqrt(max(inner(f, f), 0.0)))
+
+
+def forcing_samples(spec: ForcingSpec, grid: Grid, t: float) -> VectorField:
+    """Samples of h(t) on the mesh, the reference for the coefficients
+    ``ForcingSpec.field_at`` gives: A e^{-lambda t} for ``body``, and
+    scale e^{-lambda t} cos(2 pi m.x / l) (-m2, m1)/|m| for ``single_mode``."""
+    damp = np.exp(-spec.decay * t)
+    if spec.family == "body":
+        ax, ay = spec.amplitude
+        return vector_from_values(grid, np.full((grid.n, grid.n), ax * damp),
+                                  np.full((grid.n, grid.n), ay * damp))
+    m1, m2 = spec.mode
+    norm = np.hypot(m1, m2)
+    xx, yy = grid.mesh
+    c = spec.scale * damp * np.cos(2.0 * np.pi * (m1 * xx + m2 * yy) / grid.l)
+    return vector_from_values(grid, -m2 / norm * c, m1 / norm * c)
 
 
 def grad_norm_sq(f) -> float:

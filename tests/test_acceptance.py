@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, convolution_oracle, convolve, divergence, gradient, random_field, rel_err,
+    TWO_PI, convolution_oracle, convolve, divergence, gradient, inner, norm_l2, random_field, rel_err,
 )
 from nlchns.cli import main as cli_main
 from nlchns.config import ChecksConfig, OutputConfig, SimConfig
@@ -27,9 +27,7 @@ from nlchns.spectral import (
     Grid,
     ScalarField,
     VectorField,
-    inner,
     leray_project,
-    norm_l2,
     power,
 )
 

@@ -159,6 +159,30 @@ class TestParseConfig:
         assert cfg.forcing.mode == (2, -1)
         assert cfg.forcing.decay == 1.5
 
+    @pytest.mark.parametrize("mx, my, bad", [
+        (1, 60, ["forcing.mode_y: 60"]),
+        (-32, 0, ["forcing.mode_x: -32"]),
+        (32, -40, ["forcing.mode_x: 32", "forcing.mode_y: -40"]),
+    ])
+    def test_forcing_mode_the_grid_cannot_resolve(self, mx, my, bad):
+        # on n = 64, mode 60 would be applied as mode 4 while the envelope's
+        # K took 60; the parser rejects |m_x| or |m_y| >= n/2, naming the key
+        text = MINIMAL + "forcing = single_mode\nforcing.scale = 0.5\n"
+        text += f"forcing.mode_x = {mx}\nforcing.mode_y = {my}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [f"{b} is outside -(n/2 - 1) .. n/2 - 1 (grid.n = 64)" for b in bad]
+        edge = text.replace(f"mode_x = {mx}", "mode_x = -31").replace(f"mode_y = {my}", "mode_y = 31")
+        assert parse_config(edge).forcing.mode == (-31, 31)
+
+    def test_kernel_mode_the_grid_cannot_resolve(self):
+        spectral = MINIMAL.replace("kernel = gaussian\nkernel.sigma = 0.3141592653589793\nkernel.strength = 6.0",
+                                   "kernel = spectral\nkernel.modes = 0,0:6.0; {}:0.3")
+        with pytest.raises(ConfigError) as err:
+            parse_config(spectral.format("40,0"))
+        assert err.value.errors == ["kernel.modes: 40,0 is outside -(n/2 - 1) .. n/2 - 1 (grid.n = 64)"]
+        assert (0, -31, 0.3) in parse_config(spectral.format("0,-31")).kernel.modes
+
 
 def config_with(key: str, value: str) -> str:
     """MINIMAL with ``key = value`` and whatever family selection makes the

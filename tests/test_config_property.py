@@ -86,6 +86,8 @@ def assert_validated(cfg: SimConfig) -> None:
     else:
         assert k.family == "spectral" and k.modes
     assert cfg.forcing.decay >= 0 and cfg.forcing.mode != (0, 0)
+    assert max(map(abs, cfg.forcing.mode)) < grid.n // 2
+    assert all(max(abs(m1), abs(m2)) < grid.n // 2 for m1, m2, _ in k.modes)
     init = cfg.initial
     assert init.family != "random" or init.seed is not None
     assert init.family != "random" or init.band is None or 1 <= init.band < grid.n // 2

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, convolution_oracle, convolve, random_field, rel_err
+from conftest import TWO_PI, convolution_oracle, convolve, norm_l2, random_field, rel_err
 from nlchns.config import OutputConfig, SimConfig
 from nlchns.harness import (
     StudyResult,
@@ -14,8 +14,8 @@ from nlchns.harness import (
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec
-from nlchns.solver import SimParams
-from nlchns.spectral import Grid, ScalarField, constant_field
+from nlchns.solver import SimParams, run
+from nlchns.spectral import Grid, ScalarField, VectorField, constant_field
 
 DW = PotentialSpec.double_well()
 
@@ -138,6 +138,20 @@ class TestDtOrderStudy:
         study = dt_order_study(cfg, [1e-2, 5e-3, 2.5e-3])
         assert all(e < 1e-12 for e in study.metrics["trajectory_diff_consecutive"])
         assert all(e < 1e-12 for e in study.metrics["max_identity_residual"])
+
+    def test_state_differences_are_the_sample_norms(self):
+        # the final states' L2 differences, read by Parseval from their
+        # coefficients, are the sample sums ||dphi||^2 + ||du||^2
+        cfg = replace(refine_cfg(), sim=SimParams(nu=0.1, dt=1e-2, t_end=0.04))
+        dts = [1e-2, 5e-3, 2.5e-3]
+        study = dt_order_study(cfg, dts)
+        finals = [run(cfg.with_dt(dt)).state for dt in dts]
+        for got, (a, b) in zip(study.metrics["trajectory_diff_consecutive"], zip(finals, finals[1:])):
+            dphi = ScalarField(a.phi.grid, a.phi.values - b.phi.values)
+            du = VectorField(*(ScalarField(a.phi.grid, x.values - y.values)
+                               for x, y in zip(a.u.components, b.u.components)))
+            want = np.sqrt(norm_l2(dphi) ** 2 + norm_l2(du) ** 2)
+            assert want > 0 and abs(got - want) < 1e-12 * want
 
     def test_smooth_run_first_order(self):
         cfg = SimConfig(

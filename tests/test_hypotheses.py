@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, gradient
+from conftest import TWO_PI, gradient, norm_l2
 from nlchns.hypotheses import (
     FAIL,
     NA,
@@ -21,7 +21,7 @@ from nlchns.hypotheses import (
 )
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_ddf, eval_df, eval_f
-from nlchns.spectral import Grid, ScalarField, norm_l2
+from nlchns.spectral import Grid, ScalarField
 
 DW = PotentialSpec.double_well()
 

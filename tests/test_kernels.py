@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import TWO_PI, convolve, gaussian_image_sum, mean, random_field, rel_err, seminorm_h1
+from conftest import (
+    TWO_PI, convolve, gaussian_image_sum, inner, mean, norm_l2, random_field, rel_err, seminorm_h1,
+)
 from nlchns.kernels import (
     KernelBuildError,
     KernelSpec,
@@ -13,8 +15,6 @@ from nlchns.spectral import (
     Grid,
     ScalarField,
     constant_field,
-    inner,
-    norm_l2,
     power,
 )
 

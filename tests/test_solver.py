@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, advect, convolve, divergence, energy, full_plane, mean, mu_coefficients, mu_grad_phi,
-    random_field, rel_err,
+    TWO_PI, advect, convolve, divergence, energy, forcing_samples, full_plane, inner, mean,
+    mu_coefficients, mu_grad_phi, norm_l2, random_field, rel_err,
 )
 from nlchns import solver, spectral, storage
 from nlchns.config import ChecksConfig, OutputConfig, SimConfig
@@ -39,9 +39,9 @@ from nlchns.spectral import (
     ScalarField,
     VectorField,
     constant_field,
-    inner,
     leray_project,
-    norm_l2,
+    parseval,
+    power,
     rgradient,
     vector_from_values,
     zero_vector,
@@ -170,6 +170,13 @@ class TestKortewegForce:
         assert np.max(diff) < 1e-11 * scale
 
 
+def nan_force(grid: Grid) -> np.ndarray:
+    """The coefficients of a force with one NaN, at a mode in the band."""
+    h = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
+    h[0, 1, 1] = np.nan
+    return h
+
+
 def one_step(state, params, kernel, forcing=None):
     """One step from ``state`` by a new stepper, which makes the state's
     F'(phi)^ and mu^ first."""
@@ -259,7 +266,7 @@ class TestStepCH:
         # one isfinite pass over the new samples; phi is named first
         g = kernel32.grid
         stepper = Stepper(kernel32, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0), DW)
-        nan = vector_from_values(g, np.full((g.n, g.n), np.nan), np.zeros((g.n, g.n)))
+        nan = nan_force(g)
         state = SimState(constant_field(g, 0.2), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in u$"):
             stepper.step(state, nan)  # the force reaches u alone
@@ -403,11 +410,12 @@ class TestStepCore:
         transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
         assert (transforms, len(calls)) == (11, 6)
         calls.clear()
-        # a force adds one stacked kept-column forward transform
-        h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
-        stepper.step(state, h)
-        assert Counter(calls) == want + Counter({("rfft2_cols", (2, n, n), c): 1})
-        calls.clear()
+        # a force enters as its coefficients: a forced step is the unforced one
+        for forcing in (ForcingSpec(family="body", amplitude=(0.3, -0.1)),
+                        ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3)):
+            state = stepper.step(state, forcing.field_at(g, state.t))
+            assert Counter(calls) == want
+            calls.clear()
         # a state the stepper did not just return first gets its own
         # F'(phi)^: 12 transforms in 7 helper calls
         stepper.step(first)
@@ -469,6 +477,24 @@ class TestStepCore:
             ("rfft2_cols", (2, n, n), c, True): 10, ("irfft2_cols", (2, n, c), c, True): 10}
         # set-up makes the first state's F'(phi)^ on this thread
         assert none[("rfft2_cols", (n, n), nh, True)] == 1
+
+    def test_transforms_per_forked_forced_trajectory_step(self, monkeypatch):
+        # a force enters a step as its coefficients: a forced trajectory's
+        # transforms are the unforced one's, 11 in 7 helper calls a step
+        cfg = replace(forced_cfg(), sim=SimParams(nu=0.05, dt=2e-3, t_end=0.02))
+        monkeypatch.setattr(solver, "_FORK_MIN_N", cfg.grid.n)
+        calls = count_transforms(monkeypatch, threads=True)
+
+        def counts(c):
+            calls.clear()
+            run(c)
+            return Counter(calls)
+
+        forced = counts(cfg)
+        assert forced == counts(replace(cfg, forcing=ForcingSpec()))
+        steps = forced - counts(replace(cfg, sim=replace(cfg.sim, t_end=0.0)))
+        transforms = sum(np.prod(shape[:-2], dtype=int) * k for (_, shape, _, _), k in steps.items())
+        assert (transforms, steps.total()) == (10 * 11, 10 * 7)
 
     def test_sample_built_state_steps_in_band(self, kernel32, rng):
         # with dealias on, run() cuts full-spectrum initial data to the band,
@@ -541,7 +567,8 @@ class TestStepCore:
         u = leray_project(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
         h = vector_from_values(g, random_field(g, rng, band=6).values, random_field(g, rng, band=6).values)
-        out = one_step(SimState(phi, u, 0.0), params, kernel32, h).u
+        h_hat = np.fft.rfft2(np.stack([h.x.values, h.y.values]))
+        out = one_step(SimState(phi, u, 0.0), params, kernel32, h_hat).u
 
         kx, ky, k2, mask = full_plane(g)
         grad = lambda f: np.fft.ifft2(1j * np.stack([kx, ky]) * np.fft.fft2(f)).real
@@ -607,7 +634,8 @@ class TestWorkspace:
     def kernel128(self):
         return kernel_on(128)
 
-    def assert_step_allocates_only_the_state_it_returns(self, stepper, grid, rng, carry: bool = False):
+    def assert_step_allocates_only_the_state_it_returns(self, stepper, grid, rng, carry: bool = False,
+                                                        forcing=None):
         # with ``carry``, as a trajectory steps: from the state the stepper
         # returned, whose F'(phi)^ and mu^ it holds; without, from the same
         # arrays in another state, whose F'(phi)^ and mu^ the step makes
@@ -619,7 +647,7 @@ class TestWorkspace:
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            new = stepper.step(state)
+            new = stepper.step(state, forcing)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -639,6 +667,14 @@ class TestWorkspace:
     def test_trajectory_step_allocates_only_the_state_it_returns(self, kernel128, rng, monkeypatch, forked):
         stepper = stepper_for(monkeypatch, kernel128, self.params, forked)
         self.assert_step_allocates_only_the_state_it_returns(stepper, kernel128.grid, rng, carry=True)
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_forced_step_allocates_only_the_state_it_returns(self, kernel128, rng, monkeypatch, forked):
+        # the force's kept columns are copied into a contiguous plane:
+        # numpy would buffer their column slice in an allocation of its own
+        h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(kernel128.grid, 0.0)
+        stepper = stepper_for(monkeypatch, kernel128, self.params, forked)
+        self.assert_step_allocates_only_the_state_it_returns(stepper, kernel128.grid, rng, carry=True, forcing=h)
 
     def assert_states_share_no_memory(self, stepper, grid, rng, buffers):
         h = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3).field_at(grid, 0.0)
@@ -853,7 +889,7 @@ class TestFork:
         kernel = kernel_on(32)
         stepper = stepper_for(monkeypatch, kernel, self.params)
         g = kernel.grid
-        nan = vector_from_values(g, np.full((g.n, g.n), np.nan), np.zeros((g.n, g.n)))
+        nan = nan_force(g)
         state = SimState(constant_field(g, 0.2), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in u$"):
             stepper.step(state, nan)
@@ -932,20 +968,84 @@ class TestRecordCarry:
 
 class TestForcing:
     def test_single_mode_is_solenoidal_and_mean_free(self):
+        # k . h^ = 0 at every mode, and h^ = 0 at k = 0
         g = Grid(32, TWO_PI)
-        h = ForcingSpec(family="single_mode", mode=(2, -1), scale=0.7, decay=0.5).field_at(g, 0.3)
-        assert abs(mean(h.x)) < 1e-14 and abs(mean(h.y)) < 1e-14
-        hmax = np.max(np.abs([h.x.values, h.y.values]))
-        assert np.max(np.abs(divergence(h).values)) < 1e-12 * hmax * g.n
+        hx, hy = ForcingSpec(family="single_mode", mode=(2, -1), scale=0.7, decay=0.5).field_at(g, 0.3)
+        assert np.max(np.abs(hx)) > 0
+        assert hx[0, 0] == 0 and hy[0, 0] == 0
+        assert np.max(np.abs(g.half.ikx * hx + g.half.iky * hy)) < 1e-14 * np.max(np.abs(hx))
 
     def test_dual_norm_integral_matches_spectral_sum(self):
         g = Grid(32, TWO_PI)
         spec = ForcingSpec(family="single_mode", mode=(2, -1), scale=0.7, decay=0.5)
         h0 = spec.field_at(g, 0.0)
         k2 = (2 * np.pi / g.l) ** 2 * 5
-        dual0 = (norm_l2(h0) ** 2) / k2  # single shell
+        dual0 = parseval(g.half.weight, power(*h0)) / k2  # ||h(0)||^2 by Parseval, single shell
         expected = dual0 / (2 * spec.decay)
         assert abs(spec.dual_norm_sq_integral(g) - expected) < 1e-12 * expected
+
+    @pytest.mark.parametrize("spec", [
+        ForcingSpec(family="body", amplitude=(0.3, -0.1), decay=0.5),
+        ForcingSpec(family="single_mode", mode=(2, 3), scale=0.7, decay=0.5),
+        ForcingSpec(family="single_mode", mode=(2, -3), scale=0.7, decay=0.5),
+        ForcingSpec(family="single_mode", mode=(3, 0), scale=0.7, decay=0.5),
+        ForcingSpec(family="single_mode", mode=(-5, 1), scale=0.7, decay=0.5),
+        ForcingSpec(family="single_mode", mode=(-15, -15), scale=0.7, decay=0.5),
+    ], ids=["body", "m2>0", "m2<0", "m2=0", "m1<0", "edge"])
+    def test_coefficients_are_those_of_the_samples(self, spec):
+        # field_at gives the rfft2 of the mesh samples of h(t), in closed form
+        g = Grid(32, TWO_PI)
+        for t in (0.0, 0.3):
+            h = forcing_samples(spec, g, t)
+            want = spectral.rfft2_cols(np.stack([h.x.values, h.y.values]), g.n // 2 + 1)
+            got = spec.field_at(g, t)
+            assert got.shape == want.shape == (2, g.n, g.n // 2 + 1)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_mode_the_grid_cannot_resolve(self):
+        # the refinement study steps a parsed config on other grids: a mode
+        # with |m1| or |m2| >= n/2 raises, not aliased to another mode
+        spec = ForcingSpec(family="single_mode", mode=(1, 8), scale=0.7, decay=0.5)
+        assert spec.field_at(Grid(32, TWO_PI), 0.0) is not None
+        for bad in (spec, replace(spec, mode=(-8, 0)), replace(spec, mode=(0, 0))):
+            with pytest.raises(ValueError, match=r"must be nonzero, \|m1\|, \|m2\| < 8$"):
+                bad.field_at(Grid(16, TWO_PI), 0.0)
+            with pytest.raises(ValueError, match="must be nonzero"):
+                bad.dual_norm_sq_integral(Grid(16, TWO_PI))
+
+    @pytest.mark.parametrize("mode", [(12, 1), (1, 12)])
+    def test_mode_outside_the_band_reaches_u_only_without_dealiasing(self, kernel32, mode):
+        # n = 32 resolves |m| < 16 and keeps |m| <= 10: the force's mode is
+        # cut with dealias on; with it off, from rest, u = dt h / (1 + nu dt |k|^2)
+        g = kernel32.grid
+        spec = ForcingSpec(family="single_mode", mode=mode, scale=0.7)
+        params = SimParams(nu=0.1, dt=1e-2, stabilizer=1.0, t_end=1.0)
+        state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
+        on = one_step(state, params, kernel32, spec.field_at(g, 0.0)).u
+        assert not np.any(on.x.values) and not np.any(on.y.values)
+        off = one_step(state, replace(params, dealias=False), kernel32, spec.field_at(g, 0.0)).u
+        k2 = (2 * np.pi / g.l) ** 2 * (mode[0] ** 2 + mode[1] ** 2)
+        factor = params.dt / (1.0 + params.nu * params.dt * k2)
+        h = forcing_samples(spec, g, 0.0)
+        assert rel_err(off.x.values, factor * h.x.values) < 1e-12
+        assert rel_err(off.y.values, factor * h.y.values) < 1e-12
+
+    @pytest.mark.parametrize("forcing", [ForcingSpec(family="body", amplitude=(0.3, -0.1), decay=0.5),
+                                         ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],
+                             ids=["body", "single_mode"])
+    def test_record_forcing_power_is_the_sample_sum(self, rng, forcing):
+        # <h, u> by Parseval from the coefficients is the sample sum; the
+        # record of step i > 0 takes the h(t^{i-1}) the step took
+        g = Grid(32, TWO_PI)
+        u = leray_project(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))
+        cfg = replace(forced_cfg(output=OutputConfig(record_every=1)), forcing=forcing)
+        _, params, frames = trajectory(cfg, initial_state=SimState(random_field(g, rng, band=8), u, 0.0))
+        records = 0
+        for i, state, rec, _ in frames:
+            want = inner(forcing_samples(forcing, g, max(i - 1, 0) * params.dt), state.u)
+            assert abs(rec.forcing_power - want) <= 1e-13 * abs(want)
+            records += 1
+        assert records == 11
 
     def test_body_and_zero_families(self):
         g = Grid(16, TWO_PI)

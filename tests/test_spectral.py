@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, advect, divergence, full_plane, gradient, laplacian, mean, random_field, random_vector,
-    rdivergence, rel_err, seminorm_h1,
+    TWO_PI, advect, divergence, full_plane, gradient, inner, laplacian, mean, norm_l2, random_field,
+    random_vector, rdivergence, rel_err, seminorm_h1,
 )
 from nlchns.spectral import (
     Grid,
@@ -12,10 +12,8 @@ from nlchns.spectral import (
     VectorField,
     divergence_bound,
     flux_divergence,
-    inner,
     irfft2_cols,
     leray_project,
-    norm_l2,
     parseval,
     power,
     resample,
