@@ -8,9 +8,9 @@ prints the record rows, for comparing records that differ by round-off.
 The run writes nothing to disk.  ``--shared-initial`` builds the config's initial data
 with ``build_phi`` and ``build_u`` and hands it to ``run()`` as its initial
 state, so that a change to ``run()``'s own set-up drops out of the
-comparison.  ``--set key=value`` (repeatable) appends a line to the config
-before it is parsed, so that one command can fingerprint a branch the
-shipped configs leave at its default.
+comparison.  ``--set key=value`` (repeatable) replaces the config's value
+for that key or adds the key, as ``nlchns run --set`` does, so that one
+command can fingerprint a branch the shipped configs leave at its default.
 
 ``--save run.npz`` keeps the final samples and the record rows;
 ``--against run.npz`` then prints, for a run of the same shape, one line
@@ -36,7 +36,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from nlchns.config import parse_config
+from nlchns.config import ConfigError, parse_config_file
 from nlchns.diagnostics import COLUMNS
 from nlchns.initialdata import build_phi, build_u
 from nlchns.solver import SimState, run
@@ -65,17 +65,16 @@ def main():
     ap.add_argument("--rows", action="store_true",
                     help="also print every record row, each value with all its digits")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                    help="append the config line 'KEY = VALUE' before parsing (repeatable)")
+                    help="replace or add the config line KEY = VALUE (repeatable)")
     ap.add_argument("--save", metavar="FILE.npz", help="save the final samples and record rows")
     ap.add_argument("--against", metavar="FILE.npz",
                     help="print the max relative difference from a run saved with --save")
     args = ap.parse_args()
-    for line in args.set:
-        if "=" not in line:
-            ap.error(f"--set expects key=value, got {line!r}")
 
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = parse_config("\n".join([fh.read(), *args.set]))
+    try:
+        cfg = parse_config_file(args.config, args.set)
+    except ConfigError as err:
+        ap.error(str(err))
     output = replace(cfg.output, out_dir="", snapshot_every=0,
                      record_every=args.record_every or cfg.output.record_every)
     cfg = replace(cfg, grid=replace(cfg.grid, n=args.n), output=output,

@@ -5,12 +5,19 @@ Subcommands:
 * ``run <config>`` — full simulation; exit 0 iff no invariant failed.
 * ``check <config>`` — print the admissibility report; exit 0 iff h1-h4
   pass (and h6 when the dissipative check is requested).
-* ``convergence <config> --sizes 32,64,128`` and/or ``--dts 1e-2,5e-3,...``
-  — refinement / time-step studies.
-* ``benchmark taylor-green <config>`` — flow-substep benchmark.
+* ``convergence <config> --sizes 16,32,64`` and/or ``--dts 1e-2,5e-3,...``
+  — refinement / time-step studies (``configs/refinement.cfg``,
+  ``configs/dt_order.cfg``).
+* ``benchmark taylor-green <config>`` — flow-substep benchmark
+  (``configs/taylor_green.cfg``).
 * ``report <csv> --config <config> | --nu <nu>`` — offline re-audit of a
-  diagnostics file (energy inequality, and the dissipative envelope when a
-  config is supplied).
+  diagnostics file: the largest energy increase between records, the
+  energy inequality, and the dissipative envelope when a config is supplied.
+
+Every subcommand that reads a config takes a repeatable ``--set key=value``:
+a config line that replaces the file's value for that key or adds the key,
+checked as the file's lines are.  ``report`` takes it with ``--config``, so
+that a run made with ``--set`` is audited with the same settings.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from . import diagnostics, harness, storage
 from .config import ConfigError, parse_config_file
@@ -28,12 +34,7 @@ from .solver import BlowUpError, HypothesisGateError, StabilizerRangeError, run
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config_file(args.config)
-    if args.seed is not None:
-        if cfg.initial.family != "random":
-            print(f"run: --seed needs random initial data, not initial = {cfg.initial.family}")
-            return 2
-        cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
+    cfg = parse_config_file(args.config, args.overrides)
     try:
         result = run(cfg, force=args.force)
     except HypothesisGateError as err:
@@ -62,7 +63,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = parse_config_file(args.config)
+    cfg = parse_config_file(args.config, args.overrides)
     kernel = build_kernel(cfg.kernel, cfg.grid)
     report = audit(kernel, cfg.potential, s_range=cfg.checks.s_range)
     sys.stdout.write(report.to_text())
@@ -73,7 +74,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    cfg = parse_config_file(args.config)
+    cfg = parse_config_file(args.config, args.overrides)
     if not (args.sizes or args.dts):
         print("convergence: need --sizes and/or --dts")
         return 2
@@ -92,7 +93,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = parse_config_file(args.config)
+    cfg = parse_config_file(args.config, args.overrides)
     study = harness.taylor_green(cfg)
     print(study.summary())
     return 0 if study.passed() else 1
@@ -102,17 +103,21 @@ def _cmd_report(args) -> int:
     if args.nu is not None and not 0.0 <= args.nu < math.inf:
         print(f"report: --nu must be finite and nonnegative, got {args.nu}")
         return 2
+    if args.overrides and not args.config:
+        print("report: --set needs --config")
+        return 2
     records = storage.read_diagnostics_csv(args.csv)
     if not records:
         print("empty diagnostics file")
         return 2
-    cfg = None
-    if args.config:
-        cfg = parse_config_file(args.config)
+    cfg = parse_config_file(args.config, args.overrides) if args.config else None
     nu = cfg.sim.nu if cfg is not None else args.nu
     if nu is None:
         print("report: need --config or --nu for the viscosity")
         return 2
+    if len(records) > 1:  # criterion 3a's quantity
+        rise = max(b.total_energy - a.total_energy for a, b in zip(records, records[1:]))
+        print(f"max per-record energy increase: {rise:.3e}")
     verdict = diagnostics.energy_inequality_check(records, nu)
     print(
         "energy inequality: "
@@ -148,29 +153,31 @@ def main(argv=None) -> int:
         description="Pseudospectral nonlocal phase-field / incompressible-flow simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    settable = argparse.ArgumentParser(add_help=False)
+    settable.add_argument("--set", action="append", default=[], dest="overrides", metavar="KEY=VALUE",
+                          help="replace or add the config line KEY = VALUE (repeatable)")
 
-    p = sub.add_parser("run", help="run a configured simulation")
+    p = sub.add_parser("run", parents=[settable], help="run a configured simulation")
     p.add_argument("config")
     p.add_argument("--force", action="store_true", help="skip the admissibility gate")
-    p.add_argument("--seed", type=int, default=None, help="override initial.seed")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("check", help="print the admissibility report")
+    p = sub.add_parser("check", parents=[settable], help="print the admissibility report")
     p.add_argument("config")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("convergence", help="refinement and time-step studies")
+    p = sub.add_parser("convergence", parents=[settable], help="refinement and time-step studies")
     p.add_argument("config")
     p.add_argument("--sizes", default="", help="comma list of at least three grid sizes")
     p.add_argument("--dts", default="", help="comma list of time steps")
     p.set_defaults(func=_cmd_convergence)
 
-    p = sub.add_parser("benchmark", help="named benchmarks")
+    p = sub.add_parser("benchmark", parents=[settable], help="named benchmarks")
     p.add_argument("what", choices=["taylor-green"])
     p.add_argument("config")
     p.set_defaults(func=_cmd_benchmark)
 
-    p = sub.add_parser("report", help="re-audit a diagnostics CSV")
+    p = sub.add_parser("report", parents=[settable], help="re-audit a diagnostics CSV")
     p.add_argument("csv")
     viscosity = p.add_mutually_exclusive_group()  # the config's nu, or --nu
     viscosity.add_argument("--config", default=None)

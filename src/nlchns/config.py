@@ -4,10 +4,12 @@ Configs are UTF-8 text in a flat ``section.key = value`` format; ``#``
 comments and blank lines are ignored.  Family selectors sit on the bare
 section name (``kernel = gaussian``, ``potential = double_well``,
 ``initial = random``), family parameters below it (``kernel.sigma = 0.3``).
-Parsing validates every key and reports all violations at once, not just the
-first.  The accepted keys are exactly those the parser reads for the selected
-families: a key nothing reads, a typo or a parameter of a family that is not
-selected (``kernel.radius`` under ``kernel = gaussian``), is rejected.
+Override lines in the same form (``nlchns ... --set key=value``) replace a
+value of the text or add a key.  Parsing validates every key and reports all
+violations at once, not just the first.  The accepted keys are exactly those
+the parser reads for the selected families: a key nothing reads, a typo or a
+parameter of a family that is not selected (``kernel.radius`` under
+``kernel = gaussian``), is rejected.
 
 Determinism contract: an identical config (plus seed) produces bit-identical
 diagnostics.
@@ -16,6 +18,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .initialdata import InitialSpec, VelocitySpec
@@ -73,22 +76,31 @@ class SimConfig:
 MAX_STEPS = 10**9  # more steps than any run needs: a typo in t_end or dt
 
 
-def _parse_lines(text: str, errors: list[str]) -> dict[str, str]:
+def _put(raw: dict[str, str], line: str, where: str, errors: list[str]) -> None:
+    """Enter one ``key = value`` line into ``raw``; a value's ``#`` starts a
+    comment.  ``where`` names the line in an error."""
+    key, eq, value = line.partition("=")
+    key = key.strip()
+    if not (eq and key):
+        errors.append(f"{where}: expected 'key = value', got {line!r}")
+    elif key in raw:
+        errors.append(f"{where}: duplicate key {key!r}")
+    else:
+        raw[key] = value.split("#", 1)[0].strip()
+
+
+def _parse_lines(text: str, overrides: Iterable[str], errors: list[str]) -> dict[str, str]:
+    """The config text's lines by key, then the override lines, each of which
+    replaces the text's value for its key or adds the key."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-            continue
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        value = value.split("#", 1)[0].strip()
-        if key in raw:
-            errors.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        raw[key] = value
+        if stripped and not stripped.startswith("#"):
+            _put(raw, stripped, f"line {lineno}", errors)
+    replaced: dict[str, str] = {}
+    for line in overrides:
+        _put(replaced, line.strip(), "override", errors)
+    raw.update(replaced)
     return raw
 
 
@@ -174,11 +186,25 @@ def _parse_modes(text: str, errors: list[str]) -> dict[tuple[int, int], float]:
     return modes
 
 
-def parse_config(text: str) -> SimConfig:
+def unresolved_modes(kernel: KernelSpec | None, forcing: ForcingSpec, n: int) -> list[str]:
+    """An error naming the key for each kernel or forcing Fourier mode that a
+    grid of ``n`` points cannot resolve: a mode needs |m_x|, |m_y| < n/2."""
+    entries = []  # (key, a mode m1,m2 or one component)
+    if kernel is not None and kernel.family == "spectral":
+        entries += [("kernel.modes", (m1, m2)) for m1, m2, _ in kernel.modes]
+    if forcing.family == "single_mode":
+        entries += [("forcing.mode_x", forcing.mode[:1]), ("forcing.mode_y", forcing.mode[1:])]
+    return [f"{key}: {','.join(map(str, m))} is outside -(n/2 - 1) .. n/2 - 1 (grid.n = {n})"
+            for key, m in entries if max(map(abs, m)) >= n // 2]
+
+
+def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
     """Parse and fully validate a config; raises ConfigError listing every
-    violation found, each key that no setting reads among them."""
+    violation found, each key that no setting reads among them.  Each
+    ``key=value`` line of ``overrides`` replaces the text's value for that
+    key, or adds the key; a key may be overridden once."""
     errors: list[str] = []
-    r = _Reader(_parse_lines(text, errors), errors)
+    r = _Reader(_parse_lines(text, overrides, errors), errors)
     every = "in every config"
 
     n = r.intv("grid.n", need=every)
@@ -188,11 +214,6 @@ def parse_config(text: str) -> SimConfig:
     if l is not None and l <= 0:
         errors.append("grid.l must be positive")
     span = l if l is not None and l > 0 else math.inf  # what kernel supports are checked against
-    half_n = math.inf if n is None else n // 2  # a Fourier mode needs |m_x|, |m_y| < n/2
-
-    def resolved(key: str, *m: int) -> None:  # for a mode m1,m2 or one component
-        if max(map(abs, m)) >= half_n:
-            errors.append(f"{key}: {','.join(map(str, m))} is outside -(n/2 - 1) .. n/2 - 1 (grid.n = {n})")
 
     kernel = potential = None
     family = r.string("kernel", None, need=every)
@@ -212,8 +233,6 @@ def parse_config(text: str) -> SimConfig:
         modes = _parse_modes(r.string("kernel.modes"), errors)
         if not modes and len(errors) == before:  # absent or empty, not malformed
             errors.append("kernel.modes is required for the spectral family")
-        for mode in modes:
-            resolved("kernel.modes", *mode)
         kernel = KernelSpec.spectral(modes)
     elif family is not None:
         r.unknown_family("kernel", family, "kernel.")
@@ -323,8 +342,6 @@ def parse_config(text: str) -> SimConfig:
         m2 = r.intv("forcing.mode_y", 0)
         if (m1, m2) == (0, 0):
             errors.append("forcing.mode_x/mode_y must not both be zero")
-        resolved("forcing.mode_x", m1)
-        resolved("forcing.mode_y", m2)
         forcing = ForcingSpec(
             family="single_mode",
             mode=(m1, m2),
@@ -333,6 +350,8 @@ def parse_config(text: str) -> SimConfig:
         )
     elif ffam != "zero":
         r.unknown_family("forcing", ffam, "forcing.")
+    if n is not None:
+        errors.extend(unresolved_modes(kernel, forcing, n))
 
     record_every = r.intv("output.record_every", 1)
     if record_every < 1:
@@ -373,6 +392,6 @@ def parse_config(text: str) -> SimConfig:
     )
 
 
-def parse_config_file(path: str) -> SimConfig:
+def parse_config_file(path: str, overrides: Iterable[str] = ()) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import OutputConfig
+from .config import ConfigError, OutputConfig, unresolved_modes
 from .initialdata import build_phi, build_u
 from .solver import BlowUpError, SimState, run, trajectory
 from .spectral import Grid, ScalarField, VectorField, parseval, power, resample
@@ -97,13 +97,11 @@ def taylor_green(cfg) -> StudyResult:
 # ---------------------------------------------------------------------------
 # refinement study
 
-def _shared_initial(cfg, sizes: list[int]) -> tuple[ScalarField, VectorField]:
-    """One datum for every level: generated at the finest grid with the band
-    tied to the coarsest level, then truncated down per level."""
-    fine = Grid(max(sizes), cfg.grid.l)
-    band = min(sizes) // 4
-    init = replace(cfg.initial, band=band) if cfg.initial.family == "random" else cfg.initial
-    return build_phi(init, fine), build_u(cfg.velocity, fine)
+def _shared_initial(cfg, coarsest: int) -> tuple[ScalarField, VectorField]:
+    """One datum for every level: generated on ``cfg``'s grid, the finest,
+    with the band tied to the coarsest level, then truncated down per level."""
+    init = replace(cfg.initial, band=coarsest // 4) if cfg.initial.family == "random" else cfg.initial
+    return build_phi(init, cfg.grid), build_u(cfg.velocity, cfg.grid)
 
 
 def _recorded_phi(cfg, initial_state: SimState) -> tuple[list, list[np.ndarray]]:
@@ -151,21 +149,26 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
     The uniform-bound table (sup_t ||u||, sup_t ||phi||, int ||grad mu||^2,
     int ||phi||_V^2) must stay within a factor 2 across levels, and the
     L^2(0,T;H) differences between successive levels must strictly decrease,
-    which takes at least three levels.  A blow-up at any level aborts the
-    study with partial results.
+    which takes at least three levels.  Every level's kernel and forcing
+    modes are checked before the first runs.  A blow-up at any level aborts
+    the study with partial results.
     """
     sizes = sorted(int(s) for s in sizes)
     if len(sizes) < 3 or len(set(sizes)) != len(sizes):
         raise ValueError("refinement needs at least three distinct sizes")
-    phi_fine, u_fine = _shared_initial(cfg, sizes)
+    level_cfgs = {n: cfg.with_grid_n(n) for n in sizes}
+    errors = [f"refinement level {n}: {err}" for n, level in level_cfgs.items()
+              for err in unresolved_modes(level.kernel, level.forcing, n)]
+    if errors:
+        raise ConfigError(errors)
+    phi_fine, u_fine = _shared_initial(level_cfgs[sizes[-1]], sizes[0])
 
     levels = {}
     metrics: dict[str, list[float]] = {
         "sup_u": [], "sup_phi": [], "int_grad_mu_sq": [], "int_phi_v_sq": [],
     }
     notes: list[str] = []
-    for n in sizes:
-        level = cfg.with_grid_n(n)
+    for n, level in level_cfgs.items():
         state0 = SimState(
             phi=resample(phi_fine, level.grid),
             u=VectorField(resample(u_fine.x, level.grid), resample(u_fine.y, level.grid)),
@@ -183,7 +186,7 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
     diffs: list[float] = []
     for n_c, n_f in zip(completed, completed[1:]):
         (records, coarse), (_, fine) = levels[n_c], levels[n_f]
-        grid_f = Grid(n_f, cfg.grid.l)
+        grid_f = level_cfgs[n_f].grid
         acc = 0.0
         for r0, r1, hc, hf in zip(records, records[1:], coarse, fine):
             acc += (r1.t - r0.t) * _level_gap_sq(hc, hf, n_c, grid_f)

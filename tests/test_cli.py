@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nlchns import hypotheses
 from nlchns.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 grid.n = 32
@@ -71,15 +75,16 @@ class TestRun:
         cfg_a = write(tmp_path, RANDOM_RUN + f"output.out_dir = {out_a}\n", "a.cfg")
         cfg_b = write(tmp_path, RANDOM_RUN + f"output.out_dir = {out_b}\n", "b.cfg")
         assert main(["run", cfg_a]) == 0
-        assert main(["run", cfg_b, "--seed", "123"]) == 0
+        assert main(["run", cfg_b, "--set", "initial.seed=123"]) == 0
         assert (out_a / "diagnostics.csv").read_bytes() != (out_b / "diagnostics.csv").read_bytes()
 
     def test_seed_on_non_random_data_rejected(self, tmp_path, capsys):
-        # GOOD's initial data is the default uniform family, which has no seed
-        rc = main(["run", write(tmp_path, GOOD), "--seed", "5"])
+        # GOOD's initial data is the default uniform family, which reads no seed
+        rc = main(["run", write(tmp_path, GOOD), "--set", "initial.seed=5"])
         out = capsys.readouterr().out
         assert rc == 2
-        assert "--seed" in out and "uniform" in out and "steps completed" not in out
+        assert "key 'initial.seed' is not read by this configuration" in out
+        assert "steps completed" not in out
 
     def test_failed_gradient_control_exits_1(self, tmp_path, capsys, monkeypatch):
         # a beta the data cannot meet, with the condition on
@@ -170,6 +175,82 @@ initial.u0_amplitude = 0.25
         assert "relative_energy_error" in out
 
 
+class TestSet:
+    @pytest.mark.parametrize("command", [
+        ["run", "{}"], ["check", "{}"], ["convergence", "{}", "--sizes", "16,32,64"],
+        ["benchmark", "taylor-green", "{}"],
+    ])
+    def test_unread_key_named(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, GOOD)
+        assert main([arg.format(cfg) for arg in command] + ["--set", "grdi.n=16"]) == 2
+        assert "key 'grdi.n' is not read by this configuration" in capsys.readouterr().out
+
+    def test_malformed_override_named(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, GOOD), "--set", "foo"]) == 2
+        assert "override: expected 'key = value', got 'foo'" in capsys.readouterr().out
+
+    def test_same_key_twice_rejected(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, GOOD), "--set", "nu=0.2", "--set", "nu = 0.3"]) == 2
+        assert "override: duplicate key 'nu'" in capsys.readouterr().out
+
+    def test_override_replaces_the_files_value(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, GOOD), "--set", "kernel.strength=1.0"]) == 1
+        assert "h2 = fail" in capsys.readouterr().out
+
+    def test_family_switch_rejects_the_keys_it_no_longer_reads(self, capsys):
+        assert main(["check", str(CONFIGS / "spinodal.cfg"), "--set", "initial=uniform"]) == 2
+        out = capsys.readouterr().out
+        for key in ("initial.amplitude", "initial.mean", "initial.seed"):
+            assert f"key {key!r} is not read by this configuration" in out
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["kernel.modes=0,0:6.0; 10,0:0.3; 0,10:0.3"],
+         "refinement level 16: kernel.modes: 0,10 is outside -(n/2 - 1) .. n/2 - 1 (grid.n = 16)"),
+        (["forcing=single_mode", "forcing.scale=0.1", "forcing.mode_x=10"],
+         "refinement level 16: forcing.mode_x: 10 is outside -(n/2 - 1) .. n/2 - 1 (grid.n = 16)"),
+    ])
+    def test_refinement_names_the_mode_a_level_cannot_resolve(self, capsys, overrides, message):
+        args = ["convergence", str(CONFIGS / "gradient_control.cfg"), "--sizes", "16,32,64",
+                "--set", "t_end=0.01"]
+        assert main([*args, *(a for line in overrides for a in ("--set", line))]) == 2
+        assert message in capsys.readouterr().out
+
+
+class TestShippedStudies:
+    """Each study of the paper's claims, run from its shipped config."""
+
+    def test_taylor_green_benchmark(self, capsys):
+        rc = main(["benchmark", "taylor-green", str(CONFIGS / "taylor_green.cfg"),
+                   "--set", "grid.n=16", "--set", "t_end=0.02"])
+        out = capsys.readouterr().out
+        for verdict in ("error_below_1e-3", "first_order", "preconditions"):
+            assert f"verdict[{verdict}]: PASS" in out
+        assert rc == 0
+
+    def test_spinodal_run_and_report(self, tmp_path, capsys):
+        spinodal = str(CONFIGS / "spinodal.cfg")
+        rc = main(["run", spinodal, "--set", "grid.n=16", "--set", "t_end=0.02",
+                   "--set", "output.record_every=1", "--set", "output.snapshot_every=0",
+                   "--set", f"output.out_dir={tmp_path}"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "steps completed: 20" in out and "t = 0.02\n" in out
+        assert "mass:" in out and "invariant violation" not in out
+        csv = tmp_path / "diagnostics.csv"
+        assert len(csv.read_text().splitlines()) == 1 + 21  # the header and a record a step
+        main(["report", str(csv), "--config", spinodal])
+        out = capsys.readouterr().out
+        assert "max per-record energy increase:" in out and "energy inequality:" in out
+
+    def test_refinement_and_dt_order_studies(self, capsys):
+        assert main(["convergence", str(CONFIGS / "refinement.cfg"), "--sizes", "16,32,64"]) == 0
+        assert main(["convergence", str(CONFIGS / "dt_order.cfg"), "--dts", "1e-2,5e-3,2.5e-3"]) == 0
+        out = capsys.readouterr().out
+        for verdict in ("uniform_bounds", "differences_decrease",
+                        "residual_order_in_band", "trajectory_order_in_band"):
+            assert f"verdict[{verdict}]: PASS" in out
+
+
 class TestReport:
     def test_reaudit_round_trip(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -197,6 +278,21 @@ checks.dissipative = true
         assert rc == 2
         rc = main(["report", str(out_dir / "diagnostics.csv"), "--nu", "0.1"])
         assert rc == 0
+
+    def test_report_sets_what_the_run_set(self, tmp_path, capsys):
+        # a run made with --set nu is audited with that nu only if report is given it too
+        out_dir = tmp_path / "out"
+        cfg = write(tmp_path, RANDOM_RUN + f"output.out_dir = {out_dir}\n")
+        assert main(["run", cfg, "--set", "nu=2.0"]) == 0
+        csv = str(out_dir / "diagnostics.csv")
+        capsys.readouterr()
+        margins = []
+        for args in (["--nu", "2.0"], ["--config", cfg, "--set", "nu=2.0"], ["--config", cfg]):
+            main(["report", csv, *args])
+            margins.append(capsys.readouterr().out.split("worst margin ")[1].split()[0])
+        assert margins[0] == margins[1] != margins[2]
+        assert main(["report", csv, "--nu", "2.0", "--set", "nu=2.0"]) == 2
+        assert "--set needs --config" in capsys.readouterr().out
 
     def test_report_rejects_config_with_nu(self, tmp_path, capsys):
         # the config's nu and --nu would compete; neither may be dropped unseen

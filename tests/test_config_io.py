@@ -149,6 +149,29 @@ class TestParseConfig:
         assert cfg.grid == Grid(64, TWO_PI) and isinstance(cfg.grid, Grid)
         assert cfg.with_grid_n(32).grid == Grid(32, TWO_PI)
 
+    def test_overrides_replace_or_add_keys(self):
+        cfg = parse_config(MINIMAL, ["nu=0.5", " stabilizer = 3  # a comment "])
+        assert (cfg.sim.nu, cfg.sim.stabilizer) == (0.5, 3.0)
+        assert cfg == parse_config(MINIMAL.replace("nu = 0.01", "nu = 0.5") + "stabilizer = 3\n")
+        assert parse_config_file(str(ROOT / "configs" / "spinodal.cfg"), ["grid.n=32"]).grid == Grid(32, TWO_PI)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["nu"], "override: expected 'key = value', got 'nu'"),
+        (["=1"], "override: expected 'key = value', got '=1'"),
+        (["nu=0.5", "nu=0.6"], "override: duplicate key 'nu'"),
+        (["grdi.n=16"], "key 'grdi.n' is not read by this configuration"),
+        (["dt=0"], "dt must be positive"),
+    ])
+    def test_bad_override_named(self, overrides, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL, overrides)
+        assert err.value.errors == [message]
+
+    def test_text_keeps_rejecting_its_own_duplicates(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "nu = 0.5\n", ["nu=0.6"])
+        assert len(err.value.errors) == 1 and "duplicate key 'nu'" in err.value.errors[0]
+
     def test_forcing_single_mode(self):
         cfg = parse_config(
             MINIMAL

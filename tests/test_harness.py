@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, convolution_oracle, convolve, norm_l2, random_field, rel_err
-from nlchns.config import OutputConfig, SimConfig
+from nlchns import harness
+from nlchns.config import ConfigError, OutputConfig, SimConfig
 from nlchns.harness import (
     StudyResult,
     dt_order_study,
@@ -14,7 +15,7 @@ from nlchns.harness import (
 from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec
-from nlchns.solver import SimParams, run
+from nlchns.solver import ForcingSpec, SimParams, run
 from nlchns.spectral import Grid, ScalarField, VectorField, constant_field
 
 DW = PotentialSpec.double_well()
@@ -118,6 +119,24 @@ class TestGalerkinRefinement:
         assert study.verdicts["uniform_bounds"]
         assert study.verdicts["differences_decrease"]
         assert len(study.levels) == 3
+
+    @pytest.mark.parametrize("change, errors", [
+        ({"kernel": KernelSpec.spectral({(0, 0): 6.0, (10, 0): 0.3, (0, 10): 0.3})},
+         ["kernel.modes: 0,10 is outside", "kernel.modes: 10,0 is outside"]),
+        ({"forcing": ForcingSpec(family="single_mode", mode=(3, -10), scale=0.1)},
+         ["forcing.mode_y: -10 is outside"]),
+    ])
+    def test_modes_checked_at_every_level_before_the_first_run(self, monkeypatch, change, errors):
+        # the modes fit n = 64 and 32 but not 16; no level may run before that is known
+        def no_run(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(harness, "trajectory", no_run)
+        cfg = replace(refine_cfg(), grid=Grid(64, TWO_PI), **change)
+        with pytest.raises(ConfigError) as err:
+            galerkin_refinement(cfg, [16, 32, 64])
+        want = [f"refinement level 16: {e} -(n/2 - 1) .. n/2 - 1 (grid.n = 16)" for e in errors]
+        assert err.value.errors == want
 
     def test_rejects_degenerate_sizes(self):
         for sizes in ([16], [16, 32], [16, 32, 32]):

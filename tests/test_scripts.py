@@ -1,5 +1,6 @@
-"""Smoke tests of ``scripts/``: each script runs in a subprocess on a tiny
-problem, exits 0 and prints its verdict lines."""
+"""Smoke tests of ``scripts/state_digest.py``, run in a subprocess on a tiny
+problem.  The studies have no scripts: ``tests/test_cli.py`` runs each from
+its shipped config."""
 
 import os
 import subprocess
@@ -19,26 +20,6 @@ def run_script(name: str, *args: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
-
-
-def test_taylor_green_bench():
-    out = run_script("taylor_green_bench.py", "--n", "16", "--t-end", "0.02")
-    for verdict in ("error_below_1e-3", "first_order", "preconditions"):
-        assert f"verdict[{verdict}]: PASS" in out
-
-
-def test_spinodal_demo():
-    out = run_script("spinodal_demo.py", "--n", "16", "--t-end", "0.02")
-    assert "records: 21, final t = 0.02" in out
-    assert "max mean drift:" in out and "cumulative inequality margin" in out
-    assert "invariant failures" not in out
-
-
-def test_refinement_study():
-    out = run_script("refinement_study.py", "--sizes", "16,32,64")
-    for verdict in ("uniform_bounds", "differences_decrease",
-                    "residual_order_in_band", "trajectory_order_in_band"):
-        assert f"verdict[{verdict}]: PASS" in out
 
 
 def test_state_digest_repeats():
@@ -64,6 +45,17 @@ def test_state_digest_sets_config_lines():
         out = run_script("state_digest.py", *base, *(a for line in lines for a in ("--set", line)))
         assert out.splitlines()[0].split()[0] == "phi"
         assert out.splitlines()[:3] != plain[:3]
+
+
+def test_state_digest_set_replaces_a_key_of_the_file(tmp_path):
+    # gradient_control.cfg sets nu = 0.1; --set nu=0.05 runs the file with that line edited
+    config = ROOT / "configs" / "gradient_control.cfg"
+    edited = tmp_path / "edited.cfg"
+    edited.write_text(config.read_text().replace("nu = 0.1\n", "nu = 0.05\n"))
+    steps = ("--n", "16", "--steps", "3")
+    overridden = run_script("state_digest.py", "--config", str(config), *steps, "--set", "nu=0.05")
+    assert overridden == run_script("state_digest.py", "--config", str(edited), *steps)
+    assert overridden != run_script("state_digest.py", "--config", str(config), *steps)
 
 
 def test_state_digest_against_a_saved_run(tmp_path):
