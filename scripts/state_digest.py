@@ -11,6 +11,7 @@ state, so that a change to ``run()``'s own set-up drops out of the
 comparison.  ``--set key=value`` (repeatable) replaces the config's value
 for that key or adds the key, as ``nlchns run --set`` does, so that one
 command can fingerprint a branch the shipped configs leave at its default.
+It refuses the keys that ``--n``, ``--steps`` and ``--record-every`` set.
 
 ``--save run.npz`` keeps the final samples and the record rows;
 ``--against run.npz`` then prints, for a run of the same shape, one line
@@ -42,6 +43,10 @@ from nlchns.initialdata import build_phi, build_u
 from nlchns.solver import SimState, run
 
 
+# the config keys that a flag of this script sets, and the flag
+FLAG_KEYS = {"grid.n": "--n", "t_end": "--steps", "output.record_every": "--record-every"}
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -71,6 +76,10 @@ def main():
                     help="print the max relative difference from a run saved with --save")
     args = ap.parse_args()
 
+    for line in args.set:
+        key = line.partition("=")[0].strip()
+        if key in FLAG_KEYS:
+            ap.error(f"--set {key}: {FLAG_KEYS[key]} sets {key} here")
     try:
         cfg = parse_config_file(args.config, args.set)
     except ConfigError as err:

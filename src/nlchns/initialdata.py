@@ -5,10 +5,22 @@ Philox stream per Fourier mode, keyed by (seed, mode), so the same seed
 produces the same continuum field on every grid that resolves the band
 (|m| <= n/4 by default).  The perturbation is normalized to unit RMS through
 the spectral sum (grid-free) before the amplitude and mean are applied.
+
+Each mode's pair is the first two normals of a fresh
+``Generator(Philox(key=[seed, mode]))``, bit for bit.  They are drawn for
+every mode at once: the first Philox4x64-10 block of all the streams in one
+pass of ``uint64`` arithmetic, then numpy's ziggurat on its fast path, where
+a word's normal is ``rabs * wi[idx]`` with its sign, accepted when
+``rabs < ki[idx]``.  The ``wi`` and a proven lower bound of ``ki`` are not
+copied into this file; they are probed from numpy's own ``Generator`` once
+per process.  A mode whose words the fast path cannot accept (the
+ziggurat's wedge and tail, and the strips the probe leaves unproven) is
+drawn by resetting one generator to its stream's start.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,21 +64,91 @@ class VelocitySpec:
     path_y: str = ""
 
 
+_M64 = 2**64 - 1
+_LO32, _S32 = np.uint64(2**32 - 1), np.uint64(32)
+
+
+def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products ``m * b``; numpy has
+    no 128-bit integers, so the high word is summed from 32-bit halves."""
+    m1, m0 = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    b1, b0 = b >> _S32, b & _LO32
+    p01, p10 = m0 * b1, m1 * b0
+    mid = (m0 * b0 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
+    return m1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32), np.uint64(m) * b
+
+
+def _philox_words(seed: int, lanes: np.ndarray) -> np.ndarray:
+    """Words 0 and 1, as columns, of the first block of each Philox4x64-10
+    stream keyed by (seed, lane): counter (1, 0, 0, 0), ten rounds."""
+    k0, k1 = seed & _M64, lanes.astype(np.uint64)
+    c0, c1, c2, c3 = (np.full(lanes.size, v, np.uint64) for v in (1, 0, 0, 0))
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, c0)
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _M64, k1 + np.uint64(0xBB67AE8584CAA73B)
+    return np.stack([c0, c1], axis=1)
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(wi, kl) by strip: numpy's ziggurat accepts a word of strip ``idx``
+    on the first try when its ``rabs < ki[idx]``, with the normal
+    ``rabs * wi[idx]``.  Both are probed from numpy's own generator: the
+    state's buffer holds the probed word and then a sentinel, which comes
+    out next only when the draw took one word.  ``wi`` is the draw at
+    ``rabs = 1``.  ``kl`` is a candidate just below ``wi[idx-1] / wi[idx]``
+    in units of 2^-52, kept when a draw at that ``rabs`` is accepted, and
+    so at most ``ki``; it is 0 where a strip is left unproven."""
+    sentinel = 0x5EED5EED5EED5EED
+    gen = np.random.Generator(np.random.Philox())
+    bit_gen, normal = gen.bit_generator, gen.standard_normal
+    buffer = [0, sentinel, 0, 0]
+    state = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "buffer": buffer, "buffer_pos": 0, "has_uint32": 0, "uinteger": 0,
+    }
+
+    def first_try(rabs: int, idx: int) -> float | None:
+        buffer[0] = rabs << 9 | idx  # sign bit 8 clear
+        bit_gen.state = state
+        x = normal()
+        return x if bit_gen.random_raw() == sentinel else None
+
+    wi = [first_try(1, idx) for idx in range(256)]
+    kl = [0] * 256
+    for idx in range(1, 256):
+        if wi[idx - 1] is not None and wi[idx] is not None:
+            rabs = min(int(wi[idx - 1] / wi[idx] * 2.0**52) - 2, 2**52 - 1)
+            if rabs > 0 and first_try(rabs, idx) is not None:
+                kl[idx] = rabs
+    return np.array([0.0 if w is None else w for w in wi]), np.array(kl, dtype=np.uint64)
+
+
 def _normal_pairs(seed: int, lanes: np.ndarray) -> np.ndarray:
     """Row i is the first normal pair of the Philox stream keyed by
     (seed, lanes[i]), as a fresh ``Generator(Philox(key=[seed, lane]))``
-    would draw it.  One generator is reset to each stream's start in turn."""
+    would draw it.  Lanes whose two words the ziggurat's fast path accepts
+    are drawn at once; for the rest one generator is reset to each
+    stream's start in turn."""
+    wi, kl = _ziggurat_tables()
+    words = _philox_words(seed, lanes)
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = words >> np.uint64(9) & np.uint64(2**52 - 1)
+    pairs = rabs.astype(float) * wi[idx]
+    np.negative(pairs, out=pairs, where=(words >> np.uint64(8) & np.uint64(1)).astype(bool))
+    slow = np.flatnonzero(~(rabs < kl[idx]).all(axis=1))
     gen = np.random.Generator(np.random.Philox())
     bit_gen, normal = gen.bit_generator, gen.standard_normal
     # the setter copies the state word by word, so one dict serves every
     # lane; plain lists read faster there than uint64 arrays
-    key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+    key = [seed & _M64, 0]
     state = {
         "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    pairs = np.empty((lanes.size, 2))
-    for i, lane in enumerate(lanes.tolist()):
+    for i, lane in zip(slow.tolist(), lanes[slow].tolist()):
         key[1] = lane
         bit_gen.state = state
         normal(out=pairs[i])
@@ -89,9 +171,9 @@ def random_phi(grid: Grid, amplitude: float, mean_value: float, seed: int,
     coeff = np.zeros((n, n // 2 + 1), dtype=complex)  # amplitudes on the rfft2 half plane
     coeff[:band + 1, :band + 1] = z[:, band:]  # (m1, m2) for m2 >= 0
     coeff[n - band:, :band + 1] = np.conj(z[:0:-1, band::-1])  # (-m1, -m2) for m1 > 0, m2 <= 0
-    sq = 0.0  # Python's complex abs in draw order: np.abs can differ by an ulp
-    for c in drawn.tolist():
-        sq += abs(c) ** 2
+    # hypot, as Python's complex abs, summed one mode at a time in draw order:
+    # np.abs can differ from hypot by an ulp and np.sum adds pairwise
+    sq = np.cumsum(np.hypot(drawn.real, drawn.imag) ** 2)[-1]
     rms = np.sqrt(2.0 * sq)
     if rms > 0:
         coeff *= amplitude / rms

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from nlchns.spectral import (
 )
 
 TWO_PI = 2.0 * np.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture

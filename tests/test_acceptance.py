@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, convolution_oracle, convolve, divergence, gradient, inner, norm_l2, random_field, rel_err,
+    CONFIGS, TWO_PI, convolution_oracle, convolve, divergence, gradient, inner, norm_l2, random_field, rel_err,
 )
 from nlchns.cli import main as cli_main
-from nlchns.config import ChecksConfig, OutputConfig, SimConfig
+from nlchns.config import ChecksConfig, OutputConfig, SimConfig, parse_config_file
 from nlchns.diagnostics import dissipative_envelope, energy_inequality_check
 from nlchns.harness import dt_order_study, galerkin_refinement, taylor_green
 from nlchns.hypotheses import audit
@@ -115,15 +115,7 @@ def test_criterion_03b_energy_inequality_verdict(spinodal_run):
 
 
 def test_criterion_04_identity_residual_first_order():
-    cfg = SimConfig(
-        grid=Grid(32, TWO_PI),
-        kernel=KernelSpec.gaussian(0.15 * TWO_PI, 1.0),
-        potential=PotentialSpec.quartic(1.0, 0.5),
-        sim=SimParams(nu=0.05, dt=1e-2, t_end=0.5, stabilizer=1.0),
-        initial=InitialSpec(family="random", amplitude=0.05, mean=0.0, seed=11, band=1),
-        velocity=VelocitySpec(family="taylor_green", amplitude=0.25),
-    )
-    study = dt_order_study(cfg, [1e-2, 5e-3, 2.5e-3])
+    study = dt_order_study(parse_config_file(str(CONFIGS / "dt_order.cfg")), [1e-2, 5e-3, 2.5e-3])
     orders = study.orders["residual"]
     ok = all(0.8 <= o <= 1.2 for o in orders)
     criterion(

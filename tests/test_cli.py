@@ -1,12 +1,9 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from conftest import CONFIGS
 from nlchns import hypotheses
 from nlchns.cli import main
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 grid.n = 32

@@ -11,6 +11,8 @@ from nlchns.initialdata import (
     InitialSpec,
     VelocitySpec,
     _normal_pairs,
+    _philox_words,
+    _ziggurat_tables,
     build_phi,
     build_u,
     random_phi,
@@ -444,9 +446,13 @@ class TestInitialData:
         assert not np.array_equal(a.values, c.values)
 
     def test_mode_draw_matches_fresh_stream(self):
-        # one generator, reset per lane, draws what a fresh Philox stream
-        # keyed by (seed, lane) draws first, whatever it drew before
-        modes = ((0, 1), (3, -2), (-3, 2), (-8, -7), (5, 5), (-1, 0))
+        # every lane draws what a fresh Philox stream keyed by (seed, lane)
+        # draws first, on the fast path or through the reset loop, whatever
+        # was drawn before; with seed 2**63 + 17, word 0 of (-6, -7) is
+        # accepted in the ziggurat's wedge, after a second word; with
+        # 2**64 - 1, word 1 of (3, 0) is redrawn, and word 0 of (2, 2) and of
+        # (8, 8) is in strip 2 and 1, which the fast path never takes
+        modes = ((0, 1), (3, -2), (-3, 2), (-8, -7), (5, 5), (-1, 0), (-6, -7), (3, 0), (2, 2), (8, 8))
         lanes = np.array([mode_lane(m1, m2) for m1, m2 in modes], dtype=np.uint64)
         for seed in (0, 9, 123, 2**64 - 1, 2**63 + 17):
             pairs = _normal_pairs(seed, lanes)
@@ -454,6 +460,20 @@ class TestInitialData:
                 key = np.array([seed, lane], dtype=np.uint64)
                 want = np.random.Generator(np.random.Philox(key=key)).standard_normal(2)
                 assert pair.tobytes() == want.tobytes()
+
+    def test_mode_draws_match_fresh_streams_at_band_32(self):
+        # 2,112 lanes a seed, some of which the fast path leaves to the loop
+        lanes = np.array([mode_lane(m1, m2) for m1 in range(33) for m2 in range(-32, 33)
+                          if m1 > 0 or m2 > 0], dtype=np.uint64)
+        wi, kl = _ziggurat_tables()
+        assert np.count_nonzero(kl) > 250  # the probe proves almost every strip
+        for seed in (20260809, 2**63 + 17):
+            words = _philox_words(seed, lanes)
+            rabs = words >> np.uint64(9) & np.uint64(2**52 - 1)
+            assert not (rabs < kl[(words & np.uint64(0xFF)).astype(np.intp)]).all()
+            want = np.array([np.random.Generator(np.random.Philox(key=np.array([seed, lane], dtype=np.uint64)))
+                             .standard_normal(2) for lane in lanes])
+            assert _normal_pairs(seed, lanes).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n, seed, band", [
         (32, 5, 7), (64, 42, None), (256, 20260809, None), (128, 2**63 + 5, None),

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, convolution_oracle, convolve, norm_l2, random_field, rel_err
+from conftest import CONFIGS, TWO_PI, convolution_oracle, convolve, norm_l2, random_field, rel_err
 from nlchns import harness
-from nlchns.config import ConfigError, OutputConfig, SimConfig
+from nlchns.config import ConfigError, OutputConfig, SimConfig, parse_config_file
 from nlchns.harness import (
     StudyResult,
     dt_order_study,
@@ -89,14 +89,8 @@ class TestTaylorGreen:
 
 
 def refine_cfg():
-    return SimConfig(
-        grid=Grid(16, TWO_PI),
-        kernel=KernelSpec.gaussian(0.15 * TWO_PI, 6.0),
-        potential=DW,
-        sim=SimParams(nu=0.1, dt=2e-3, t_end=0.2),
-        initial=InitialSpec(family="random", amplitude=0.1, mean=0.0, seed=3),
-        velocity=VelocitySpec(family="taylor_green", amplitude=1.0),
-    )
+    # the shipped refinement study on a coarser grid and a shorter run
+    return parse_config_file(str(CONFIGS / "refinement.cfg"), ["grid.n = 16", "t_end = 0.2"])
 
 
 class TestGalerkinRefinement:

@@ -86,3 +86,17 @@ def test_state_digest_against_a_saved_run(tmp_path):
         [sys.executable, str(ROOT / "scripts" / "state_digest.py"), *base[:-1], "6", "--against", saved],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2 and "records has shape (7, 13) here and (6, 13)" in proc.stderr
+
+
+@pytest.mark.parametrize("line, flag", [
+    ("grid.n=32", "--n"), ("t_end = 1", "--steps"), ("output.record_every=3", "--record-every"),
+])
+def test_state_digest_refuses_a_key_its_flag_sets(line, flag):
+    # --n, --steps and --record-every would silently replace the --set value
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "state_digest.py"), "--config",
+         str(ROOT / "configs" / "gradient_control.cfg"), "--n", "16", "--steps", "3", "--set", line],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300)
+    key = line.partition("=")[0].strip()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"error: --set {key}: {flag} sets {key} here" in proc.stderr
