@@ -5,13 +5,15 @@ and of the diagnostics record rows, one line each.
 Run it with ``PYTHONPATH`` pointing at one checkout's ``src`` and then at
 another's: equal lines mean byte-identical trajectories.  ``--rows`` also
 prints the record rows, for comparing records that differ by round-off.
-The run writes nothing to disk.  ``--shared-initial`` builds the config's initial data
-with ``build_phi`` and ``build_u`` and hands it to ``run()`` as its initial
-state, so that a change to ``run()``'s own set-up drops out of the
+The run writes nothing to disk.  ``--shared-initial`` builds the config's
+initial coefficients with ``build_hats`` and hands them to ``run()`` as its
+initial state, so that a change to ``run()``'s own set-up drops out of the
 comparison.  ``--set key=value`` (repeatable) replaces the config's value
 for that key or adds the key, as ``nlchns run --set`` does, so that one
 command can fingerprint a branch the shipped configs leave at its default.
-It refuses the keys that ``--n``, ``--steps`` and ``--record-every`` set.
+It refuses the keys that ``--n``, ``--steps`` and ``--record-every`` set,
+and ``output.out_dir`` and ``output.snapshot_every``, which it sets so that
+the run writes nothing.
 
 ``--save run.npz`` keeps the final samples and the record rows;
 ``--against run.npz`` then prints, for a run of the same shape, one line
@@ -39,12 +41,13 @@ import numpy as np
 
 from nlchns.config import ConfigError, parse_config_file
 from nlchns.diagnostics import COLUMNS
-from nlchns.initialdata import build_phi, build_u
+from nlchns.initialdata import build_hats
 from nlchns.solver import SimState, run
 
 
-# the config keys that a flag of this script sets, and the flag
-FLAG_KEYS = {"grid.n": "--n", "t_end": "--steps", "output.record_every": "--record-every"}
+# the config keys that this script sets, and what sets them
+FIXED_KEYS = {"grid.n": "--n", "t_end": "--steps", "output.record_every": "--record-every",
+              **dict.fromkeys(("output.out_dir", "output.snapshot_every"), "the script, which writes nothing,")}
 
 
 def sha(data: bytes) -> str:
@@ -66,7 +69,7 @@ def main():
     ap.add_argument("--record-every", type=int, default=None,
                     help="steps between records (default: the config's)")
     ap.add_argument("--shared-initial", action="store_true",
-                    help="start from build_phi/build_u data passed as run()'s initial state")
+                    help="start from build_hats data passed as run()'s initial state")
     ap.add_argument("--rows", action="store_true",
                     help="also print every record row, each value with all its digits")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -78,8 +81,8 @@ def main():
 
     for line in args.set:
         key = line.partition("=")[0].strip()
-        if key in FLAG_KEYS:
-            ap.error(f"--set {key}: {FLAG_KEYS[key]} sets {key} here")
+        if key in FIXED_KEYS:
+            ap.error(f"--set {key}: {FIXED_KEYS[key]} sets {key} here")
     try:
         cfg = parse_config_file(args.config, args.set)
     except ConfigError as err:
@@ -90,7 +93,7 @@ def main():
                   sim=replace(cfg.sim, t_end=args.steps * cfg.sim.dt))
     initial = None
     if args.shared_initial:
-        initial = SimState(build_phi(cfg.initial, cfg.grid), build_u(cfg.velocity, cfg.grid), 0.0)
+        initial = SimState(cfg.grid, build_hats(cfg.initial, cfg.velocity, cfg.grid), 0.0)
     res = run(cfg, initial_state=initial)
 
     for name, f in (("phi", res.state.phi), ("u_x", res.state.u.x), ("u_y", res.state.u.y)):

@@ -36,7 +36,7 @@ from .solver import BlowUpError, HypothesisGateError, StabilizerRangeError, run
 def _cmd_run(args) -> int:
     cfg = parse_config_file(args.config, args.overrides)
     try:
-        result = run(cfg, force=args.force)
+        result = run(cfg)
     except HypothesisGateError as err:
         print(f"refused: {err}")
         return 3
@@ -159,7 +159,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", parents=[settable], help="run a configured simulation")
     p.add_argument("config")
-    p.add_argument("--force", action="store_true", help="skip the admissibility gate")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("check", parents=[settable], help="print the admissibility report")

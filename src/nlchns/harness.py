@@ -2,12 +2,12 @@
 time-step order study, and the mode-truncation refinement study with its
 uniform-bound table.
 
-Refinement runs share one initial datum, generated at the finest level and
-spectrally truncated down.  Each level's trajectory is consumed frame by
-frame: its bounds come from the records (||u||, ||phi||, ||grad phi||,
-||grad mu|| by Parseval), and the L^2(0,T;H) difference between two levels
-by Parseval on the rfft2 coefficients of phi kept at each record, with no
-sample history and no transform.  Independent levels could run
+Refinement runs share one initial state, built in coefficients at the
+finest level; each level's trajectory resamples it down and is consumed
+frame by frame: its bounds come from the records (||u||, ||phi||, ||grad
+phi||, ||grad mu|| by Parseval), and the L^2(0,T;H) difference between two
+levels by Parseval on the rfft2 coefficients of phi kept at each record,
+the coarse ones resampled, with no sample history and no transform.  Independent levels could run
 concurrently; result assembly is single-owner.  Studies write nothing to
 disk: their runs keep no ``output.out_dir``, so they never overwrite what
 ``nlchns run`` wrote there.
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ConfigError, OutputConfig, unresolved_modes
-from .initialdata import build_phi, build_u
+from .initialdata import build_hats
 from .solver import BlowUpError, SimState, run, trajectory
-from .spectral import Grid, ScalarField, VectorField, parseval, power, resample
+from .spectral import Grid, parseval, power, resample
 
 
 @dataclass
@@ -97,17 +97,18 @@ def taylor_green(cfg) -> StudyResult:
 # ---------------------------------------------------------------------------
 # refinement study
 
-def _shared_initial(cfg, coarsest: int) -> tuple[ScalarField, VectorField]:
-    """One datum for every level: generated on ``cfg``'s grid, the finest,
-    with the band tied to the coarsest level, then truncated down per level."""
+def _shared_initial(cfg, coarsest: int) -> SimState:
+    """One initial state for every level: built on ``cfg``'s grid, the
+    finest, with the band tied to the coarsest level; each level's
+    trajectory resamples it to its own grid."""
     init = replace(cfg.initial, band=coarsest // 4) if cfg.initial.family == "random" else cfg.initial
-    return build_phi(init, cfg.grid), build_u(cfg.velocity, cfg.grid)
+    return SimState(cfg.grid, build_hats(init, cfg.velocity, cfg.grid), 0.0)
 
 
 def _recorded_phi(cfg, initial_state: SimState) -> tuple[list, list[np.ndarray]]:
     """The records of a level's trajectory and, beside each, the rfft2
-    coefficients of phi on their first columns (copied: a state's are a view
-    into its stacked block)."""
+    coefficients of phi on their first columns (copied out of the state's
+    block, so that the velocity's are not kept)."""
     _, _, frames = trajectory(cfg, initial_state=initial_state)
     records, hats = [], []
     for _, state, rec, _ in frames:
@@ -129,18 +130,11 @@ def _level_metrics(records) -> dict[str, float]:
     }
 
 
-def _level_gap_sq(coarse: np.ndarray, fine: np.ndarray, n_c: int, grid_f: Grid) -> float:
+def _level_gap_sq(coarse: np.ndarray, fine: np.ndarray, grid_c: Grid, grid_f: Grid) -> float:
     """||phi_f - phi_c||^2 by Parseval on the fine grid, from the first
-    columns of each level's rfft2 coefficients: phi_c's modes strictly inside
-    its band (|m| < n_c/2, those ``resample`` copies), scaled by
-    (n_f/n_c)^2, against phi_f's, and phi_f's modes outside that band."""
-    h = n_c // 2
-    c = min(coarse.shape[1], h)
-    d = fine.copy()
-    scale = (grid_f.n / n_c) ** 2
-    d[:h, :c] -= scale * coarse[:h, :c]
-    d[-(h - 1):, :c] -= scale * coarse[-(h - 1):, :c]
-    return parseval(grid_f.half.weight, power(d))
+    columns of each level's rfft2 coefficients, phi_c's resampled to the
+    fine grid's columns."""
+    return parseval(grid_f.half.weight, power(fine - resample(coarse, grid_c, grid_f, fine.shape[1])))
 
 
 def galerkin_refinement(cfg, sizes) -> StudyResult:
@@ -161,7 +155,7 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
               for err in unresolved_modes(level.kernel, level.forcing, n)]
     if errors:
         raise ConfigError(errors)
-    phi_fine, u_fine = _shared_initial(level_cfgs[sizes[-1]], sizes[0])
+    state0 = _shared_initial(level_cfgs[sizes[-1]], sizes[0])
 
     levels = {}
     metrics: dict[str, list[float]] = {
@@ -169,11 +163,6 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
     }
     notes: list[str] = []
     for n, level in level_cfgs.items():
-        state0 = SimState(
-            phi=resample(phi_fine, level.grid),
-            u=VectorField(resample(u_fine.x, level.grid), resample(u_fine.y, level.grid)),
-            t=0.0,
-        )
         try:
             levels[n] = _recorded_phi(level, state0)
         except BlowUpError as err:
@@ -186,10 +175,10 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
     diffs: list[float] = []
     for n_c, n_f in zip(completed, completed[1:]):
         (records, coarse), (_, fine) = levels[n_c], levels[n_f]
-        grid_f = level_cfgs[n_f].grid
+        grid_c, grid_f = level_cfgs[n_c].grid, level_cfgs[n_f].grid
         acc = 0.0
         for r0, r1, hc, hf in zip(records, records[1:], coarse, fine):
-            acc += (r1.t - r0.t) * _level_gap_sq(hc, hf, n_c, grid_f)
+            acc += (r1.t - r0.t) * _level_gap_sq(hc, hf, grid_c, grid_f)
         diffs.append(math.sqrt(acc))
 
     uniform_ok = bool(completed) and len(completed) == len(sizes)

@@ -1,4 +1,6 @@
-"""Deterministic initial-data generation.
+"""Deterministic initial-data generation, in rfft2 half-plane coefficients:
+``build_phi`` and ``build_u`` return those of phi(0) and u(0), and a run
+makes its samples from them.
 
 Random order-parameter data is band-limited white noise: one counter-based
 Philox stream per Fourier mode, keyed by (seed, mode), so the same seed
@@ -25,15 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    ScalarField,
-    VectorField,
-    constant_field,
-    leray_project,
-    vector_from_values,
-    zero_vector,
-)
+from .spectral import Grid, leray_project, rfft2_cols
 
 
 class InitialDataError(ValueError):
@@ -156,7 +150,9 @@ def _normal_pairs(seed: int, lanes: np.ndarray) -> np.ndarray:
 
 
 def random_phi(grid: Grid, amplitude: float, mean_value: float, seed: int,
-               band: int | None = None) -> ScalarField:
+               band: int | None = None) -> np.ndarray:
+    """The rfft2 coefficients of random data, shape (n, n//2 + 1): the
+    normalized noise times amplitude n^2, and mean_value n^2 at k = 0."""
     band = grid.n // 4 if band is None else int(band)
     if band < 1 or band >= grid.n // 2:
         raise InitialDataError(f"random band {band} not resolvable on n = {grid.n}")
@@ -177,59 +173,76 @@ def random_phi(grid: Grid, amplitude: float, mean_value: float, seed: int,
     rms = np.sqrt(2.0 * sq)
     if rms > 0:
         coeff *= amplitude / rms
-    return ScalarField(grid, mean_value + np.fft.irfft2(coeff * (n * n)))
+    coeff *= n * n  # a power of two: exact
+    coeff[0, 0] = mean_value * (n * n)
+    return coeff
 
 
-def tanh_strip_phi(grid: Grid, width: float) -> ScalarField:
+def tanh_strip_phi(grid: Grid, width: float) -> np.ndarray:
+    """The samples of two tanh interfaces at y = l/4 and 3l/4, shape (n, n)."""
     if width <= 0:
         raise InitialDataError("tanh_strip width must be positive")
     _, yy = grid.mesh
-    vals = np.tanh((yy - grid.l / 4.0) / width) - np.tanh((yy - 3.0 * grid.l / 4.0) / width) - 1.0
-    return ScalarField(grid, vals)
+    return np.tanh((yy - grid.l / 4.0) / width) - np.tanh((yy - 3.0 * grid.l / 4.0) / width) - 1.0
 
 
-def taylor_green_u(grid: Grid, amplitude: float = 1.0) -> VectorField:
+def taylor_green_u(grid: Grid, amplitude: float = 1.0) -> np.ndarray:
+    """The samples of the cellular vortex, stacked (2, n, n)."""
     xx, yy = grid.mesh
     k = 2.0 * np.pi / grid.l
-    ux = amplitude * np.sin(k * xx) * np.cos(k * yy)
-    uy = -amplitude * np.cos(k * xx) * np.sin(k * yy)
-    return vector_from_values(grid, ux, uy)
+    return np.stack([amplitude * np.sin(k * xx) * np.cos(k * yy),
+                     -amplitude * np.cos(k * xx) * np.sin(k * yy)])
 
 
-def _read_on(grid: Grid, key: str, path: str) -> ScalarField:
-    """The snapshot at ``path``, which the config names by ``key``; an
-    InitialDataError names the key when it is on another grid."""
+def _read_on(grid: Grid, key: str, path: str) -> np.ndarray:
+    """The samples of the snapshot at ``path``, which the config names by
+    ``key``; an InitialDataError names the key when it is on another grid."""
     from .storage import read_snapshot
 
     f, _, _ = read_snapshot(path)
     if f.grid != grid:
         raise InitialDataError(f"{key}: snapshot grid n = {f.grid.n}, l = {f.grid.l!r} does not match "
                                f"the configured n = {grid.n}, l = {grid.l!r}")
-    return f
+    return f.values
 
 
-def build_phi(spec: InitialSpec, grid: Grid) -> ScalarField:
+def build_phi(spec: InitialSpec, grid: Grid) -> np.ndarray:
+    """The rfft2 coefficients of phi(0), shape (n, n//2 + 1).  Uniform and
+    random data are built in them; strip and file data are samples, each
+    taking one forward transform."""
+    nh = grid.n // 2 + 1
     if spec.family == "uniform":
-        return constant_field(grid, spec.c)
+        coeff = np.zeros((grid.n, nh), dtype=complex)
+        coeff[0, 0] = spec.c * grid.n**2
+        return coeff
     if spec.family == "random":
         if spec.seed is None:
             raise InitialDataError("random initial data requires a seed")
         return random_phi(grid, spec.amplitude, spec.mean, spec.seed, spec.band)
     if spec.family == "tanh_strip":
-        return tanh_strip_phi(grid, spec.width)
+        return rfft2_cols(tanh_strip_phi(grid, spec.width), nh)
     if spec.family == "file":
-        return _read_on(grid, "initial.path", spec.path)
+        return rfft2_cols(_read_on(grid, "initial.path", spec.path), nh)
     raise InitialDataError(f"unknown initial family {spec.family!r}")
 
 
-def build_u(spec: VelocitySpec, grid: Grid) -> VectorField:
-    """The divergence-free initial velocity.  Zero and Taylor-Green are
-    solenoidal as built; a velocity read from files is Leray-projected."""
+def build_u(spec: VelocitySpec, grid: Grid) -> np.ndarray:
+    """The rfft2 coefficients of the divergence-free u(0), stacked (2, n,
+    n//2 + 1).  Zero is built in them; Taylor-Green, solenoidal as built,
+    takes one stacked forward transform, and a velocity read from files is
+    Leray-projected after its own."""
+    nh = grid.n // 2 + 1
     if spec.family == "zero":
-        return zero_vector(grid)
+        return np.zeros((2, grid.n, nh), dtype=complex)
     if spec.family == "taylor_green":
-        return taylor_green_u(grid, spec.amplitude)
+        return rfft2_cols(taylor_green_u(grid, spec.amplitude), nh)
     if spec.family == "file":
-        return leray_project(VectorField(_read_on(grid, "initial.u0_path_x", spec.path_x),
-                                         _read_on(grid, "initial.u0_path_y", spec.path_y)))
+        samples = np.stack([_read_on(grid, "initial.u0_path_x", spec.path_x),
+                            _read_on(grid, "initial.u0_path_y", spec.path_y)])
+        return leray_project(grid, rfft2_cols(samples, nh))
     raise InitialDataError(f"unknown velocity family {spec.family!r}")
+
+
+def build_hats(initial: InitialSpec, velocity: VelocitySpec, grid: Grid) -> np.ndarray:
+    """The rfft2 coefficients of (phi, u_x, u_y) at t = 0, stacked (3, n, n//2 + 1)."""
+    return np.concatenate([build_phi(initial, grid)[None], build_u(velocity, grid)])

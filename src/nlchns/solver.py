@@ -30,14 +30,16 @@ the new state's F'(phi)^ and mu^, which its record (``Stepper.mu_hat``)
 and the step from it use; a state the stepper did not just return, or any
 state after a failed step, first gets its own, one transform more.
 ``trajectory`` sets a configured run up (grid, kernel, the hypothesis
-gate, S, and the initial state cut to the band, the one place that does
-so) and returns a generator of frames that steps with one stepper and
-audits each record; ``run`` consumes the frames and writes the records
-and snapshots.  A state carries the rfft2
-half-plane coefficients of phi, u_x and u_y next to their samples: all
-n//2 + 1 columns when built from samples, which it transforms then, and the
-first ``Grid.half.kept_cols`` (the rest being zero) when stepped with
-dealias on.  A step steps the coefficients it is given.  The transport
+gate, S, and the initial state resampled to the run's columns and cut to
+the band, the one place that does so) and returns a generator of frames
+that steps with one stepper and audits each record; ``run`` consumes the
+frames and writes the records and snapshots.  A state is made from the
+rfft2 half-plane coefficients of phi, u_x and u_y, one (3, n, c) block, and
+carries its samples, made from them: a run's states hold the first
+``Grid.half.kept_cols`` columns (the rest being zero) with dealias on, and
+all n//2 + 1 with it off.  Initial data is built in coefficients
+(``initialdata.build_hats``), and a state's samples are only ever made
+from its coefficients.  A step steps the coefficients it is given.  The transport
 is taken in divergence form, ik . (u phi)^ (``spectral.flux_divergence``),
 the weak form's (u, phi grad psi), which equals u . grad phi because
 div u = 0.  Every transform goes through ``spectral.rfft2_cols`` and
@@ -56,7 +58,8 @@ Its mass is the carried k = 0 coefficient of phi, its norms are read from
 the coefficients by Parseval, and the divergence audit bounds max |div u|
 by the coefficients' absolute sum.  The Leray projector P is applied once: it
 is linear, idempotent and commutes with the mode-diagonal viscous solve D,
-so P D (u/dt + P r) = P D (u/dt + r).
+so P D (u/dt + P r) = P D (u/dt + r).  It is applied as e (e . b), e =
+(-ky, kx) / |k|, whose divergence is round-off of u rather than of b.
 
 A step allocates only the state it returns, one (3, n, c) complex block of
 coefficients and one (3, n, n) real block of samples.  numpy buffers a
@@ -95,17 +98,17 @@ import numpy as np
 
 from . import diagnostics
 from .hypotheses import HypothesisReport, audit
-from .initialdata import build_phi, build_u
+from .initialdata import build_hats
 from .kernels import KernelOnGrid, build_kernel
 from .potentials import PotentialSpec, eval_df, stabilizer_bound
 from .spectral import (
     Grid,
     ScalarField,
-    VectorField,
     divergence_bound,
     flux_divergence,
     irfft2_cols,
     parseval,
+    resample,
     rfft2_cols,
     rgradient,
     vector_from_values,
@@ -142,43 +145,27 @@ class HypothesisGateError(RuntimeError):
         failing = [h for h in ("h1", "h2", "h3") if getattr(report, h) != "pass"]
         super().__init__(
             "configuration fails admissibility checks "
-            f"{', '.join(failing)}; rerun with --force to proceed anyway"
+            f"{', '.join(failing)}; set checks.enforce_hypotheses = false to proceed anyway"
         )
         self.report = report
 
 
-@dataclass
 class SimState:
     """Order parameter, velocity and time; div u stays spectrally zero and
-    mean(phi) is constant along the trajectory.  ``hats``: the rfft2
-    coefficients of (phi, u.x, u.y) on their first columns, the rest being
-    zero (all n//2 + 1 when taken from the samples, as they are when not
-    given, in one stacked transform whose block they view); new samples
-    make a new state, so the two never disagree."""
+    mean(phi) is constant along the trajectory.  A state is made from its
+    coefficients: ``hats``, the (3, n, c) block of the rfft2 coefficients of
+    (phi, u.x, u.y) on their first c columns, the rest being zero, which it
+    keeps.  Its samples are views of one (3, n, n) block: ``samples`` if
+    given (the inverse transform of ``hats``), else one stacked inverse
+    transform.  New coefficients make a new state, so the two never
+    disagree."""
 
-    phi: ScalarField
-    u: VectorField
-    t: float
-    hats: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.hats is None:
-            samples = np.stack([f.values for f in (self.phi, self.u.x, self.u.y)])
-            self.hats = tuple(rfft2_cols(samples, samples.shape[-1] // 2 + 1))
-
-    @classmethod
-    def from_hats(cls, grid: Grid, hats: np.ndarray, t: float,
-                  samples: np.ndarray | None = None) -> "SimState":
-        """The state with the coefficient block ``hats``, shape (3, n, c): those
-        of (phi, u.x, u.y) on their first columns, the rest zero.  The state
-        keeps the block, and its samples are views of one (3, n, n) block:
-        ``samples`` if given (the inverse transform of ``hats``), else one
-        stacked inverse transform."""
+    def __init__(self, grid: Grid, hats: np.ndarray, t: float, samples: np.ndarray | None = None):
         if samples is None:
             samples = irfft2_cols(grid, hats)
-        phi, ux, uy = samples
-        return cls(ScalarField(grid, phi), vector_from_values(grid, ux, uy), t, tuple(hats))
+        self.phi = ScalarField(grid, samples[0])
+        self.u = vector_from_values(grid, samples[1], samples[2])
+        self.t, self.hats = t, hats
 
 
 @dataclass(frozen=True)
@@ -353,11 +340,12 @@ class Stepper:
     """The step of one trajectory, for a kernel, params and potential.
 
     Operators, on the columns the step keeps: new phi^ = (keep phi^ - k2 F'^
-    - adv^) solve, and the masked, projected viscous solve as weights (wxx,
-    wxy; wxy, wyy); a - J^, for mu^; and the derivative multipliers
-    (``HalfPlane.ik``).  Each is held complex, x + 0j, and contiguous, so
-    that no product casts or buffers an operand (either would allocate),
-    with the same result bit for bit.
+    - adv^) solve; new u^ = perp (wperp . b^), the masked viscous solve
+    projected as e (e . b^) with e = ``HalfPlane.perp``, and at the modes
+    ``still``, where k = 0, the solve alone; a - J^, for mu^; and the
+    derivative multipliers (``HalfPlane.ik``).  Each is held complex, x +
+    0j, and contiguous, so that no product casts or buffers an operand
+    (either would allocate), with the same result bit for bit.
 
     Buffers, written by every step; those whose lifetimes do not overlap
     share memory:
@@ -383,13 +371,13 @@ class Stepper:
         g = kernel.grid
         h, c = g.half, (g.half.kept_cols if params.dealias else None)
         k2, mask = h.k2[:, :c], (h.mask[:, :c] if params.dealias else 1.0)
-        flow = mask / (1.0 / params.dt + params.nu * k2)
-        self.keep, self.solve, self.k2, self.wxx, self.wxy, self.wyy, self.a_minus_j, self.ik = (
+        flow, e = mask / (1.0 / params.dt + params.nu * k2), h.perp[:, :, :c]
+        self.keep, self.solve, self.k2, self.perp, self.wperp, self.a_minus_j, self.ik = (
             a.astype(complex, copy=False) for a in (
                 1.0 / params.dt + k2 * (params.stabilizer + kernel.multiplier[:, :c]),
                 mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
-                k2, flow * h.pxx[:, :c], flow * h.pxy[:, :c], flow * h.pyy[:, :c], kernel.a_minus_j[:, :c],
-                h.ik(k2.shape[1])))
+                k2, e, flow * e, kernel.a_minus_j[:, :c], h.ik(k2.shape[1])))
+        self.still = [(i, j, flow[i, j]) for i, j in np.argwhere((k2 == 0.0) & (flow != 0.0))]
         self.dt, self.potential = params.dt, potential
         n, c = g.n, self.keep.shape[1]
         self.real = np.empty((2, n, n))
@@ -454,7 +442,7 @@ class Stepper:
         np.multiply(self.keep, state.hats[0][:, :c], out=new[0])
         np.subtract(new[0], np.multiply(self.k2, fp_cols, out=fp_cols), out=new[0])
 
-        # after the column slice of a sample-built state's phi^, whose ufunc buffer would add to the step's peak
+        # after the column slice of a full-width state's phi^, whose ufunc buffer would add to the step's peak
         samples = np.empty((3, g.n, g.n))
 
         if self.fork is None:
@@ -479,7 +467,7 @@ class Stepper:
         if not np.isfinite(samples, out=self.finite).all():
             raise BlowUpError(f"non-finite values in {'u' if self.finite[0].all() else 'phi'}")
         self._hats = hats or self._chemical_hats(samples[0], new[0])
-        self._state = SimState.from_hats(g, new, state.t + self.dt, samples)
+        self._state = SimState(g, new, state.t + self.dt, samples)
         return self._state
 
     def _phase(self, state: SimState, new_phi: np.ndarray, products: np.ndarray,
@@ -519,8 +507,12 @@ class Stepper:
             for bi, hi in zip(b, forcing):
                 cols[2][...] = hi[:, :c]
                 np.add(bi, cols[2], out=bi)
-        np.add(np.multiply(self.wxx, bx, out=new_u[0]), np.multiply(self.wxy, by, out=cols[2]), out=new_u[0])
-        np.add(np.multiply(self.wxy, bx, out=new_u[1]), np.multiply(self.wyy, by, out=cols[2]), out=new_u[1])
+        s = np.add(np.multiply(self.wperp[0], bx, out=cols[2]), np.multiply(self.wperp[1], by, out=new_u[0]),
+                   out=cols[2])
+        np.multiply(self.perp[0], s, out=new_u[0])
+        np.multiply(self.perp[1], s, out=new_u[1])
+        for i, j, f in self.still:
+            new_u[0, i, j], new_u[1, i, j] = f * bx[i, j], f * by[i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +539,15 @@ def resolve_stabilizer(cfg_mode: str | float, potential: PotentialSpec,
     return float(cfg_mode), (lo, hi)
 
 
-def trajectory(cfg: "SimConfig", *, force: bool = False, initial_state: SimState | None = None
+def trajectory(cfg: "SimConfig", *, initial_state: SimState | None = None
                ) -> tuple[HypothesisReport, SimParams, "Iterator[tuple]"]:
     """Set up a configured trajectory on [0, t_end]: grid, kernel, the
-    hypothesis audit and gate (HypothesisGateError), the initial state cut
-    to the dealiased band (the one place that does so), and S.  Returns
+    hypothesis audit and gate (HypothesisGateError, unless
+    ``checks.enforce_hypotheses`` is off), the initial state and S.  The
+    initial state is made from coefficients, the builders' (at t = 0) or
+    ``initial_state``'s, of any width and on any grid of the same domain
+    length: resampled to the grid's run columns and cut to the dealiased
+    band, the one place that does either.  Returns
     (report, params, frames); ``frames`` yields (step, state, record or None,
     invariant failures found at that record) for steps 0 .. n_steps, with
     a record every ``output.record_every`` steps and at the end.  Mass,
@@ -564,14 +560,19 @@ def trajectory(cfg: "SimConfig", *, force: bool = False, initial_state: SimState
     kernel = build_kernel(cfg.kernel, grid)
     report = audit(kernel, cfg.potential, s_range=cfg.checks.s_range)
     # h4 is advisory for running; h1-h3 are what the dynamics needs
-    if cfg.checks.enforce_hypotheses and not force and any(
-            getattr(report, h) != "pass" for h in ("h1", "h2", "h3")):
+    if cfg.checks.enforce_hypotheses and any(getattr(report, h) != "pass" for h in ("h1", "h2", "h3")):
         raise HypothesisGateError(report)
 
-    state = initial_state or SimState(build_phi(cfg.initial, grid), build_u(cfg.velocity, grid), 0.0)
-    # the columns a step transforms, and the band
-    cols, mask = (grid.half.kept_cols, grid.half.mask) if cfg.sim.dealias else (None, 1.0)
-    state = SimState.from_hats(grid, np.stack([(c * mask)[:, :cols] for c in state.hats]), state.t)
+    if initial_state is None:
+        start, hats, t0 = grid, build_hats(cfg.initial, cfg.velocity, grid), 0.0
+    else:
+        start, hats, t0 = initial_state.phi.grid, initial_state.hats, initial_state.t
+    # the columns a step transforms, and the band; the mask multiplies the
+    # real and imaginary parts as reals, so a cut block is cut again bit for bit
+    hats = resample(hats, start, grid, grid.half.kept_cols if cfg.sim.dealias else None)
+    if cfg.sim.dealias:
+        hats.view(float)[...] *= np.repeat(grid.half.mask[:, :hats.shape[-1]], 2, axis=-1)
+    state = SimState(grid, hats, t0)
 
     s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, cfg.potential, state.phi, cfg.checks.s_range)
     params = replace(cfg.sim, stabilizer=s_value)
@@ -646,14 +647,14 @@ def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, r
     return failures
 
 
-def run(cfg: "SimConfig", *, force: bool = False, initial_state: SimState | None = None) -> RunResult:
+def run(cfg: "SimConfig", *, initial_state: SimState | None = None) -> RunResult:
     """Advance a configured trajectory (``trajectory``) on [0, t_end],
     keeping its records and invariant failures; with ``output.out_dir`` set,
     write each record to the diagnostics CSV and the state every
     ``output.snapshot_every`` steps.  Raises what ``trajectory`` raises."""
     from . import storage
 
-    report, params, frames = trajectory(cfg, force=force, initial_state=initial_state)
+    report, params, frames = trajectory(cfg, initial_state=initial_state)
     out_dir = cfg.output.out_dir or None
     writer = storage.DiagnosticsWriter(out_dir) if out_dir else None
     snapshot_every = cfg.output.snapshot_every if writer else 0

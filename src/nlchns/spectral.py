@@ -120,8 +120,8 @@ class Grid:
 class HalfPlane:
     """Operators on rfft2 coefficients, shape (n, n//2 + 1): the modes
     m_y = 0 .. n/2, the rest being their conjugates for real fields.
-    (pxx, pxy; pxy, pyy) is the Leray projector, made from the wavenumbers
-    on each use (the solver keeps its own product with the viscous solve);
+    ``perp`` gives the Leray projector, made from the wavenumbers on each
+    use (the solver keeps its own product with the viscous solve);
     ``weight`` is the Parseval weight of each coefficient, and ``weight_k2``
     = weight k2 that of ||grad f||^2; ``mask`` keeps ``kept_cols`` of the
     columns."""
@@ -134,26 +134,14 @@ class HalfPlane:
     kept_cols: int
     mask: np.ndarray
 
-    # Leray weights: modes with k = 0 under the derivative convention (the
-    # zero mode and the unmatched Nyquist lines) pass through
     @property
-    def pxx(self) -> np.ndarray:
-        kx = self.ikx.imag
-        return np.where(self.k2 > 0.0, 1.0 - kx * kx / self._k2_pos, 1.0)
-
-    @property
-    def pxy(self) -> np.ndarray:
-        kx, ky = self.ikx.imag, self.iky.imag
-        return np.where(self.k2 > 0.0, -kx * ky / self._k2_pos, 0.0)
-
-    @property
-    def pyy(self) -> np.ndarray:
-        ky = self.iky.imag
-        return np.where(self.k2 > 0.0, 1.0 - ky * ky / self._k2_pos, 1.0)
-
-    @property
-    def _k2_pos(self) -> np.ndarray:
-        return np.where(self.k2 > 0.0, self.k2, 1.0)
+    def perp(self) -> np.ndarray:
+        """e = (-ky, kx) / |k|, stacked (2, n, n//2 + 1), and 0 where k = 0
+        under the derivative convention (the zero mode and the unmatched
+        Nyquist lines).  The Leray projector is e (e . v) where k != 0 and
+        the identity where k = 0; k . e (e . v) is zero up to the rounding of
+        the projected field itself, not of v."""
+        return np.stack([-self.iky.imag, self.ikx.imag]) / np.sqrt(np.where(self.k2 > 0.0, self.k2, 1.0))
 
     def ik(self, c: int) -> np.ndarray:
         """(ikx, iky) on the first c columns, stacked (2, n, c) in a new
@@ -192,18 +180,6 @@ class VectorField:
     def grid(self) -> Grid:
         return self.x.grid
 
-    @property
-    def components(self) -> tuple[ScalarField, ScalarField]:
-        return (self.x, self.y)
-
-
-def constant_field(grid: Grid, value: float = 0.0) -> ScalarField:
-    return ScalarField(grid, np.full((grid.n, grid.n), float(value)))
-
-
-def zero_vector(grid: Grid) -> VectorField:
-    return VectorField(constant_field(grid), constant_field(grid))
-
 
 def vector_from_values(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> VectorField:
     return VectorField(ScalarField(grid, vx), ScalarField(grid, vy))
@@ -212,26 +188,32 @@ def vector_from_values(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> VectorFiel
 # ---------------------------------------------------------------------------
 # resampling
 
-def resample(f: ScalarField, new_grid: Grid) -> ScalarField:
-    """Spectral injection/truncation between grids of the same physical size.
+def resample(hats: np.ndarray, grid: Grid, new_grid: Grid, cols: int | None = None) -> np.ndarray:
+    """The rfft2 coefficients on ``new_grid``, on its first ``cols`` columns
+    (all n//2 + 1 when None), of the field whose coefficients on ``grid``
+    are ``hats`` on their first columns, the rest zero; leading axes stack
+    fields.  The grids must share their domain length.
 
-    The rfft2 coefficients of modes strictly inside the smaller grid's band
+    On one grid, the columns both widths hold are copied and the rest are
+    zero.  Between grids, the modes strictly inside the smaller grid's band
     (|m| < min(n)/2) are copied, rescaled by (n_new/n_old)^2 to keep the
     amplitudes; refinement zero-pads, coarsening truncates.  The unmatched
     Nyquist line is dropped so the result stays conjugate symmetric on
     either grid.
     """
-    if f.grid.l != new_grid.l:
+    if grid.l != new_grid.l:
         raise GridMismatchError("resample requires identical domain lengths")
-    if new_grid.n == f.grid.n:
-        return ScalarField(new_grid, f.values.copy())
-    n_old, n_new = f.grid.n, new_grid.n
-    src = np.fft.rfft2(f.values)
-    dst = np.zeros((n_new, n_new // 2 + 1), dtype=complex)
+    n_old, n_new = grid.n, new_grid.n
+    out = np.zeros(hats.shape[:-2] + (n_new, n_new // 2 + 1 if cols is None else cols), dtype=complex)
+    c = min(out.shape[-1], hats.shape[-1])
+    if n_new == n_old:
+        out[..., :c] = hats[..., :c]
+        return out
     h = min(n_old, n_new) // 2  # copy modes -(h-1) .. (h-1)
-    dst[:h, :h] = src[:h, :h]
-    dst[-(h - 1):, :h] = src[-(h - 1):, :h]
-    return ScalarField(new_grid, np.fft.irfft2(dst, s=(n_new, n_new)) * (n_new / n_old) ** 2)
+    c, scale = min(c, h), (n_new / n_old) ** 2
+    np.multiply(hats[..., :h, :c], scale, out=out[..., :h, :c])
+    np.multiply(hats[..., -(h - 1):, :c], scale, out=out[..., -(h - 1):, :c])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +300,18 @@ def flux_divergence(u: VectorField, f: np.ndarray, ik: np.ndarray, out: np.ndarr
     return np.add(fx, np.multiply(ik[1], fy, out=fy), out=flux[0])
 
 
-def leray_project(v: VectorField) -> VectorField:
-    """L2-orthogonal projection onto divergence-free fields.
+def leray_project(grid: Grid, hats: np.ndarray) -> np.ndarray:
+    """The rfft2 coefficients of the L2-orthogonal projection onto
+    divergence-free fields, from those of v, stacked (2, n, n//2 + 1).
 
-    Mode-wise v_hat -> v_hat - k (k . v_hat) / |k|^2; the k = 0 mode (mean
-    velocity) passes through unchanged.
+    Mode-wise v_hat -> e (e . v_hat), e = (-ky, kx) / |k| (``HalfPlane.perp``),
+    which is v_hat - k (k . v_hat) / |k|^2; the k = 0 mode (mean velocity)
+    passes through unchanged.
     """
-    h = v.grid.half
-    xh, yh = np.fft.rfft2(v.x.values), np.fft.rfft2(v.y.values)
-    return vector_from_values(v.grid, np.fft.irfft2(h.pxx * xh + h.pxy * yh),
-                              np.fft.irfft2(h.pxy * xh + h.pyy * yh))
+    e, still = grid.half.perp, grid.half.k2 == 0.0
+    out = e * (e * hats).sum(axis=0)
+    out[:, still] = hats[:, still]
+    return out
 
 
 # ---------------------------------------------------------------------------

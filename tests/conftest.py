@@ -6,7 +6,7 @@ import pytest
 from nlchns.diagnostics import DiagnosticsRecord, make_record
 from nlchns.kernels import KernelOnGrid
 from nlchns.potentials import PotentialSpec, eval_df
-from nlchns.solver import ForcingSpec, mu_hat
+from nlchns.solver import ForcingSpec, SimState, mu_hat
 from nlchns.spectral import (
     Grid,
     GridMismatchError,
@@ -54,9 +54,33 @@ def full_plane(grid: Grid):
     return kx, ky, kx**2 + ky**2, keep[:, None] & keep[None, :]
 
 
+def constant_field(grid: Grid, value: float = 0.0) -> ScalarField:
+    return ScalarField(grid, np.full((grid.n, grid.n), float(value)))
+
+
+def zero_vector(grid: Grid) -> VectorField:
+    return VectorField(constant_field(grid), constant_field(grid))
+
+
+def components(v: VectorField) -> tuple[ScalarField, ScalarField]:
+    return (v.x, v.y)
+
+
+def state_from_samples(phi: ScalarField, u: VectorField, t: float) -> SimState:
+    """The state with these samples and their full-width coefficients."""
+    samples = np.stack([phi.values, u.x.values, u.y.values])
+    return SimState(phi.grid, np.fft.rfft2(samples), t, samples)
+
+
+def leray(v: VectorField) -> VectorField:
+    """Samples of the Leray projection of v, through ``spectral.leray_project``."""
+    hats = leray_project(v.grid, np.fft.rfft2(np.stack([v.x.values, v.y.values])))
+    return vector_from_values(v.grid, *np.fft.irfft2(hats, s=(v.grid.n, v.grid.n)))
+
+
 def random_vector(grid: Grid, rng, band: int | None = None, solenoidal: bool = False) -> VectorField:
     v = VectorField(random_field(grid, rng, band), random_field(grid, rng, band))
-    return leray_project(v) if solenoidal else v
+    return leray(v) if solenoidal else v
 
 
 def mean(f: ScalarField) -> float:
@@ -90,7 +114,7 @@ def gradient(f: ScalarField) -> VectorField:
 
 
 def divergence(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, rdivergence(v.grid, *(np.fft.rfft2(c.values) for c in v.components)))
+    return ScalarField(v.grid, rdivergence(v.grid, *(np.fft.rfft2(c.values) for c in components(v))))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -133,7 +157,7 @@ def forcing_samples(spec: ForcingSpec, grid: Grid, t: float) -> VectorField:
 def grad_norm_sq(f) -> float:
     """||grad f||^2 for a scalar field, Frobenius ||grad u||^2 for a vector
     field, by Parseval."""
-    parts = f.components if isinstance(f, VectorField) else (f,)
+    parts = components(f) if isinstance(f, VectorField) else (f,)
     return parseval(f.grid.half.weight_k2, power(*(np.fft.rfft2(c.values) for c in parts)))
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    CONFIGS, TWO_PI, convolution_oracle, convolve, divergence, gradient, inner, norm_l2, random_field, rel_err,
+    CONFIGS, TWO_PI, convolution_oracle, convolve, divergence, gradient, inner, leray, norm_l2, random_field,
+    rel_err,
 )
 from nlchns.cli import main as cli_main
 from nlchns.config import ChecksConfig, OutputConfig, SimConfig, parse_config_file
@@ -27,7 +28,6 @@ from nlchns.spectral import (
     Grid,
     ScalarField,
     VectorField,
-    leray_project,
     power,
 )
 
@@ -265,13 +265,13 @@ def test_criterion_11_leray_projector(rng):
     worst_div, worst_idem, worst_annih = 0.0, 0.0, 0.0
     for _ in range(100):
         v = VectorField(random_field(grid, rng), random_field(grid, rng))
-        pv = leray_project(v)
+        pv = leray(v)
         umax = float(np.max(np.abs([pv.x.values, pv.y.values]))) + 1e-300
         worst_div = max(
             worst_div,
             float(np.max(np.abs(divergence(pv).values))) / (umax * 2 * np.pi * grid.n / grid.l),
         )
-        ppv = leray_project(pv)
+        ppv = leray(pv)
         worst_idem = max(
             worst_idem,
             max(
@@ -281,7 +281,7 @@ def test_criterion_11_leray_projector(rng):
             / umax,
         )
         gf = gradient(random_field(grid, rng))
-        pg = leray_project(gf)
+        pg = leray(gf)
         gmax = float(np.max(np.abs([gf.x.values, gf.y.values]))) + 1e-300
         worst_annih = max(
             worst_annih,

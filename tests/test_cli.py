@@ -51,12 +51,13 @@ class TestRun:
         assert (out_dir / "phi_00000020.f64").exists()
         assert (out_dir / "ux_00000010.f64").exists()
 
-    def test_gate_refusal_and_force(self, tmp_path, capsys):
+    def test_gate_refusal_and_its_key(self, tmp_path, capsys):
+        # the refusal names the one switch, which --set reaches
         weak = GOOD.replace("kernel.strength = 6.0", "kernel.strength = 1.0")
         rc = main(["run", write(tmp_path, weak)])
         assert rc == 3
         assert "refused" in capsys.readouterr().out
-        rc = main(["run", write(tmp_path, weak), "--force"])
+        rc = main(["run", write(tmp_path, weak), "--set", "checks.enforce_hypotheses=false"])
         assert rc == 0
 
     def test_deterministic_csv_bytes(self, tmp_path):

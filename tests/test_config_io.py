@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, divergence, mean, random_field, random_vector
+from conftest import TWO_PI, divergence, random_field, random_vector, rdivergence
 from nlchns.config import ConfigError, parse_config, parse_config_file
 from nlchns.diagnostics import COLUMNS, DiagnosticsRecord
 from nlchns.initialdata import (
@@ -19,7 +19,7 @@ from nlchns.initialdata import (
     tanh_strip_phi,
     taylor_green_u,
 )
-from nlchns.spectral import Grid, leray_project, resample
+from nlchns.spectral import Grid, leray_project, resample, vector_from_values
 from nlchns.storage import (
     DiagnosticsWriter,
     SnapshotFormatError,
@@ -399,8 +399,9 @@ def mode_lane(m1: int, m2: int) -> int:
 
 
 def random_phi_reference(grid, amplitude, mean_value, seed, band=None) -> np.ndarray:
-    """``random_phi`` drawn mode by mode: a fresh Generator(Philox(key=
-    [seed, lane])) per mode, m1 outer and m2 inner, each conjugate pair once."""
+    """``random_phi``'s coefficients drawn mode by mode: a fresh Generator(
+    Philox(key=[seed, lane])) per mode, m1 outer and m2 inner, each
+    conjugate pair once."""
     n = grid.n
     band = n // 4 if band is None else band
     coeff = np.zeros((n, n // 2 + 1), dtype=complex)
@@ -417,33 +418,43 @@ def random_phi_reference(grid, amplitude, mean_value, seed, band=None) -> np.nda
                 coeff[-m1 % n, -m2] = np.conj(z)
             sq += abs(z) ** 2
     coeff *= amplitude / np.sqrt(2.0 * sq)
-    return mean_value + np.fft.irfft2(coeff * (n * n))
+    coeff *= n * n
+    coeff[0, 0] = mean_value * n * n
+    return coeff
 
 
 class TestInitialData:
     def test_uniform_and_strip(self):
+        # uniform data is its k = 0 coefficient, c n^2; strip data the rfft2
+        # of its samples
         g = Grid(32, TWO_PI)
         f = build_phi(InitialSpec(family="uniform", c=0.3), g)
-        np.testing.assert_allclose(f.values, 0.3)
+        assert f.shape == (32, 17) and f[0, 0] == 0.3 * 32**2 and np.count_nonzero(f) == 1
+        np.testing.assert_allclose(np.fft.irfft2(f), 0.3)
         strip = tanh_strip_phi(g, width=0.2)
-        assert strip.values.max() <= 1.0 + 1e-9
-        assert strip.values.min() >= -1.0 - 1e-9
-        assert abs(mean(strip)) < 5e-2  # near-balanced phases
+        assert strip.max() <= 1.0 + 1e-9
+        assert strip.min() >= -1.0 - 1e-9
+        assert abs(np.mean(strip)) < 5e-2  # near-balanced phases
+        built = build_phi(InitialSpec(family="tanh_strip", width=0.2), g)
+        assert built.tobytes() == np.fft.rfft2(strip).tobytes()
 
     def test_random_rms_normalization(self):
+        # the mean is the k = 0 coefficient exactly
         g = Grid(64, TWO_PI)
         f = random_phi(g, amplitude=0.2, mean_value=0.1, seed=5)
-        rms = float(np.sqrt(np.mean((f.values - 0.1) ** 2)))
+        assert f[0, 0] == 0.1 * 64**2
+        values = np.fft.irfft2(f)
+        rms = float(np.sqrt(np.mean((values - 0.1) ** 2)))
         assert abs(rms - 0.2) < 1e-12
-        assert abs(mean(f) - 0.1) < 1e-13
+        assert abs(np.mean(values) - 0.1) < 1e-13
 
     def test_random_deterministic(self):
         g = Grid(32, TWO_PI)
         a = random_phi(g, 0.1, 0.0, seed=9)
         b = random_phi(g, 0.1, 0.0, seed=9)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = random_phi(g, 0.1, 0.0, seed=10)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_mode_draw_matches_fresh_stream(self):
         # every lane draws what a fresh Philox stream keyed by (seed, lane)
@@ -480,20 +491,21 @@ class TestInitialData:
     ])
     def test_random_phi_bytes_match_fresh_streams(self, n, seed, band):
         g = Grid(n, TWO_PI)
-        got = random_phi(g, 0.2, 0.1, seed, band).values
+        got = random_phi(g, 0.2, 0.1, seed, band)
         assert got.tobytes() == random_phi_reference(g, 0.2, 0.1, seed, band).tobytes()
 
     def test_random_grid_independent_within_band(self):
+        # exactly: the two grids' coefficients differ by the power of two
+        # (n_c/n_f)^2, which resample applies
         coarse = Grid(32, TWO_PI)
         fine = Grid(128, TWO_PI)
         a = random_phi(coarse, 0.1, 0.0, seed=9, band=8)
         b = random_phi(fine, 0.1, 0.0, seed=9, band=8)
-        down = resample(b, coarse)
-        np.testing.assert_allclose(down.values, a.values, atol=1e-13)
+        assert np.array_equal(resample(b, fine, coarse), a)
 
     def test_taylor_green_divergence_free(self):
         g = Grid(32, TWO_PI)
-        u = taylor_green_u(g, 2.0)
+        u = vector_from_values(g, *taylor_green_u(g, 2.0))
         assert np.max(np.abs(divergence(u).values)) < 1e-12 * 2.0 * g.n
 
     def test_band_and_seed_validation(self):
@@ -509,7 +521,7 @@ class TestInitialData:
         path = tmp_path / "phi0.f64"
         write_snapshot(f, "phi", 0.0, str(path))
         back = build_phi(InitialSpec(family="file", path=str(path)), g)
-        assert np.array_equal(back.values, f.values)
+        assert back.tobytes() == np.fft.rfft2(f.values).tobytes()
 
     def test_snapshot_on_another_grid_names_its_key(self, tmp_path, rng):
         g, coarse = Grid(32, TWO_PI), Grid(16, TWO_PI)
@@ -522,19 +534,17 @@ class TestInitialData:
             build_phi(InitialSpec(family="file", path=str(tmp_path / "phi.f64")), g)
 
     def test_velocity_is_divergence_free_as_built(self, tmp_path, rng):
-        # zero and Taylor-Green come back as built; a velocity read from
-        # files is Leray-projected
+        # zero and Taylor-Green come back as built, in coefficients; a
+        # velocity read from files is Leray-projected in them
         g = Grid(16, TWO_PI)
         zero = build_u(VelocitySpec(family="zero"), g)
-        assert not np.any(zero.x.values) and not np.any(zero.y.values)
+        assert zero.shape == (2, 16, 9) and not np.any(zero)
         tg = build_u(VelocitySpec(family="taylor_green", amplitude=0.7), g)
-        for got, want in zip(tg.components, taylor_green_u(g, 0.7).components):
-            assert np.array_equal(got.values, want.values)
+        assert tg.tobytes() == np.fft.rfft2(taylor_green_u(g, 0.7)).tobytes()
         v = random_vector(g, rng)
         write_snapshot(v.x, "u_x", 0.0, str(tmp_path / "ux.f64"))
         write_snapshot(v.y, "u_y", 0.0, str(tmp_path / "uy.f64"))
         spec = VelocitySpec(family="file", path_x=str(tmp_path / "ux.f64"), path_y=str(tmp_path / "uy.f64"))
-        got, want = build_u(spec, g), leray_project(v)
-        for a, b in zip(got.components, want.components):
-            assert np.array_equal(a.values, b.values)
-        assert np.max(np.abs(divergence(got).values)) < 1e-12 * g.n
+        got = build_u(spec, g)
+        assert got.tobytes() == leray_project(g, np.fft.rfft2(np.stack([v.x.values, v.y.values]))).tobytes()
+        assert np.max(np.abs(rdivergence(g, *got))) < 1e-12 * g.n

@@ -5,12 +5,15 @@ import pytest
 
 from conftest import (
     TWO_PI,
+    constant_field,
     energy,
     full_plane,
     mu_coefficients,
     random_field,
     random_vector,
+    state_from_samples,
     weak_gradient_margin,
+    zero_vector,
 )
 from nlchns import hypotheses
 from nlchns.config import ChecksConfig, OutputConfig, SimConfig
@@ -22,11 +25,11 @@ from nlchns.diagnostics import (
     identity_residual,
     make_record,
 )
-from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
+from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_f
-from nlchns.solver import ForcingSpec, SimParams, SimState, run
-from nlchns.spectral import Grid, ScalarField, VectorField, constant_field, zero_vector
+from nlchns.solver import ForcingSpec, SimParams, run
+from nlchns.spectral import Grid, ScalarField, VectorField
 
 DW = PotentialSpec.double_well()
 
@@ -41,7 +44,7 @@ class TestTotalEnergy:
 
     def test_zero_state_is_bulk_only(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
         parts = energy(state, kernel16, DW)
         assert parts.kinetic == 0.0
         assert abs(parts.interaction) < 1e-12
@@ -50,7 +53,7 @@ class TestTotalEnergy:
 
     def test_pure_phase_is_zero(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 1.0), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 1.0), zero_vector(g), 0.0)
         parts = energy(state, kernel16, DW)
         assert abs(parts.total_energy) < 1e-12
 
@@ -58,7 +61,7 @@ class TestTotalEnergy:
         g = kernel16.grid
         phi = random_field(g, rng)
         u = random_vector(g, rng)
-        state = SimState(phi, u, 0.0)
+        state = state_from_samples(phi, u, 0.0)
         parts = energy(state, kernel16, DW)
 
         w = g.cell_volume
@@ -139,9 +142,10 @@ class TestRecordOracle:
             potential=DW,
             sim=SimParams(nu=nu, dt=dt, t_end=dt, dealias=False),
             output=OutputConfig(record_every=1),
+            checks=ChecksConfig(enforce_hypotheses=False),
         )
-        start = SimState(phi, u, 0.0)
-        res = run(cfg, force=True, initial_state=start)
+        start = state_from_samples(phi, u, 0.0)
+        res = run(cfg, initial_state=start)
         assert not res.invariant_failures
         kernel = build_kernel(cfg.kernel, g)
         assert abs(np.mean(phi.values)) > 0.1 and res.records[0].kinetic > 0.1
@@ -157,10 +161,10 @@ class TestRecordOracle:
 class TestIdentityResidual:
     def test_steady_state_zero(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 1.0), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 1.0), zero_vector(g), 0.0)
         mu = mu_coefficients(kernel16, DW, state.phi.values)
         r0 = make_record(state, mu, kernel16, DW, nu=0.1, beta=1.0, forcing_power=0.0, prev=None)
-        state1 = SimState(state.phi, state.u, 0.1)
+        state1 = state_from_samples(state.phi, state.u, 0.1)
         r1 = make_record(state1, mu, kernel16, DW, nu=0.1, beta=1.0, forcing_power=0.0, prev=r0)
         assert r1.identity_residual == 0.0
 
@@ -203,10 +207,10 @@ class TestIdentityResidual:
 class TestEnergyInequality:
     def test_constant_series_equality(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 1.0), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 1.0), zero_vector(g), 0.0)
         mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [
-            make_record(SimState(state.phi, state.u, t), mu, kernel16, DW, 0.1, 1.0, 0.0, None)
+            make_record(state_from_samples(state.phi, state.u, t), mu, kernel16, DW, 0.1, 1.0, 0.0, None)
             for t in (0.0, 0.1, 0.2)
         ]
         v = energy_inequality_check(recs, nu=0.1)
@@ -260,7 +264,7 @@ class TestEnergyInequality:
 class TestDissipativeEnvelope:
     def test_zero_state_inside(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
         mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, 0.0, 0.0)
@@ -268,7 +272,7 @@ class TestDissipativeEnvelope:
 
     def test_decay_rate_constant(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
         mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [make_record(state, mu, kernel16, DW, 0.25, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.25, 0.0, 0.0)
@@ -278,7 +282,7 @@ class TestDissipativeEnvelope:
     def test_mean_shift_offset(self, kernel16):
         g = kernel16.grid
         m = 0.3
-        state = SimState(constant_field(g, m), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, m), zero_vector(g), 0.0)
         mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, m, 0.0)
@@ -287,7 +291,7 @@ class TestDissipativeEnvelope:
 
     def test_not_applicable_forcing(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
         mu = mu_coefficients(kernel16, DW, state.phi.values)
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, 0.0, None)
@@ -328,7 +332,7 @@ class TestDissipativeEnvelope:
 class TestGradientControl:
     def test_constant_phi_zero_margin(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 0.4), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 0.4), zero_vector(g), 0.0)
         mu = mu_coefficients(kernel16, DW, state.phi.values)
         rec = make_record(state, mu, kernel16, DW, 0.1, beta=1.0, forcing_power=0.0, prev=None)
         margin, verdict = gradient_control_check(rec, beta=1.0, condition_ok=True)
@@ -336,7 +340,7 @@ class TestGradientControl:
 
     def test_not_applicable_when_condition_fails(self, kernel16):
         g = kernel16.grid
-        state = SimState(constant_field(g, 0.0), zero_vector(g), 0.0)
+        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
         mu = mu_coefficients(kernel16, DW, state.phi.values)
         rec = make_record(state, mu, kernel16, DW, 0.1, beta=5.0, forcing_power=0.0, prev=None)
         _, verdict = gradient_control_check(rec, beta=5.0, condition_ok=False)

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIGS, TWO_PI, convolution_oracle, convolve, norm_l2, random_field, rel_err
+from conftest import (
+    CONFIGS, TWO_PI, components, constant_field, convolution_oracle, convolve, norm_l2, random_field, rel_err,
+)
 from nlchns import harness
 from nlchns.config import ConfigError, OutputConfig, SimConfig, parse_config_file
 from nlchns.harness import (
@@ -16,7 +18,7 @@ from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec
 from nlchns.solver import ForcingSpec, SimParams, run
-from nlchns.spectral import Grid, ScalarField, VectorField, constant_field
+from nlchns.spectral import Grid, ScalarField, VectorField
 
 DW = PotentialSpec.double_well()
 
@@ -162,7 +164,7 @@ class TestDtOrderStudy:
         for got, (a, b) in zip(study.metrics["trajectory_diff_consecutive"], zip(finals, finals[1:])):
             dphi = ScalarField(a.phi.grid, a.phi.values - b.phi.values)
             du = VectorField(*(ScalarField(a.phi.grid, x.values - y.values)
-                               for x, y in zip(a.u.components, b.u.components)))
+                               for x, y in zip(components(a.u), components(b.u))))
             want = np.sqrt(norm_l2(dphi) ** 2 + norm_l2(du) ** 2)
             assert want > 0 and abs(got - want) < 1e-12 * want
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from conftest import (
-    TWO_PI, convolve, gaussian_image_sum, inner, mean, norm_l2, random_field, rel_err, seminorm_h1,
+    TWO_PI, constant_field, convolve, gaussian_image_sum, inner, mean, norm_l2, random_field, rel_err, seminorm_h1,
 )
 from nlchns.kernels import (
     KernelBuildError,
@@ -14,7 +14,6 @@ from nlchns.kernels import (
 from nlchns.spectral import (
     Grid,
     ScalarField,
-    constant_field,
     power,
 )
 

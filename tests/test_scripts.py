@@ -90,9 +90,12 @@ def test_state_digest_against_a_saved_run(tmp_path):
 
 @pytest.mark.parametrize("line, flag", [
     ("grid.n=32", "--n"), ("t_end = 1", "--steps"), ("output.record_every=3", "--record-every"),
+    ("output.out_dir=snaps", "the script, which writes nothing,"),
+    ("output.snapshot_every=1", "the script, which writes nothing,"),
 ])
 def test_state_digest_refuses_a_key_its_flag_sets(line, flag):
-    # --n, --steps and --record-every would silently replace the --set value
+    # --n, --steps, --record-every and the script's writing nothing would
+    # silently replace the --set value
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "state_digest.py"), "--config",
          str(ROOT / "configs" / "gradient_control.cfg"), "--n", "16", "--steps", "3", "--set", line],

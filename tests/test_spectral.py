@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    TWO_PI, advect, divergence, full_plane, gradient, inner, laplacian, mean, norm_l2, random_field,
-    random_vector, rdivergence, rel_err, seminorm_h1,
+    TWO_PI, advect, components, divergence, full_plane, gradient, inner, laplacian, leray, mean, norm_l2,
+    random_field, random_vector, rdivergence, rel_err, seminorm_h1,
 )
 from nlchns.spectral import (
     Grid,
@@ -13,7 +13,6 @@ from nlchns.spectral import (
     divergence_bound,
     flux_divergence,
     irfft2_cols,
-    leray_project,
     parseval,
     power,
     resample,
@@ -86,7 +85,7 @@ class TestTransforms:
         assert rfft2_cols(f, nh, out=buf, rows=buf) is buf
         assert buf.tobytes() == f_hat.tobytes()
         # fields stacked on a leading axis come out as if transformed alone,
-        # and a tuple of fields (as SimState.from_hats passes) as an array
+        # and a tuple of fields as an array
         for band, width in ((n // 3, c), (None, nh)):
             fs = np.stack([random_field(g, rng, band=band).values for _ in range(3)])
             hats = np.ascontiguousarray(np.fft.rfft2(fs)[..., :width])
@@ -182,7 +181,7 @@ class TestLeray:
     def test_annihilates_gradients(self, rng):
         g = Grid(32, TWO_PI)
         f = random_field(g, rng)
-        p = leray_project(gradient(f))
+        p = leray(gradient(f))
         scale = np.max(np.abs(gradient(f).x.values)) + 1e-30
         assert np.max(np.abs(p.x.values)) < 1e-12 * scale
         assert np.max(np.abs(p.y.values)) < 1e-12 * scale
@@ -192,7 +191,7 @@ class TestLeray:
         psi = random_field(g, rng)
         gpsi = gradient(psi)
         v = vector_from_values(g, -gpsi.y.values, gpsi.x.values)  # curl of psi
-        pv = leray_project(v)
+        pv = leray(v)
         assert rel_err(pv.x.values, v.x.values) < 1e-12
         assert rel_err(pv.y.values, v.y.values) < 1e-12
 
@@ -200,15 +199,15 @@ class TestLeray:
         g = Grid(32, TWO_PI)
         v = random_vector(g, rng)
         w = random_vector(g, rng)
-        pv, pw = leray_project(v), leray_project(w)
-        ppv = leray_project(pv)
+        pv, pw = leray(v), leray(w)
+        ppv = leray(pv)
         assert rel_err(ppv.x.values, pv.x.values) < 1e-13
         assert abs(inner(pv, w) - inner(v, pw)) < 1e-12 * (norm_l2(v) * norm_l2(w))
 
     def test_orthogonal_decomposition(self, rng):
         g = Grid(32, TWO_PI)
         v = random_vector(g, rng)
-        pv = leray_project(v)
+        pv = leray(v)
         rest = VectorField(
             ScalarField(g, v.x.values - pv.x.values),
             ScalarField(g, v.y.values - pv.y.values),
@@ -218,14 +217,14 @@ class TestLeray:
     def test_divergence_scaled_bound(self, rng):
         g = Grid(64, TWO_PI)
         v = random_vector(g, rng)
-        pv = leray_project(v)
+        pv = leray(v)
         umax = np.max(np.abs([pv.x.values, pv.y.values]))
         assert np.max(np.abs(divergence(pv).values)) <= 1e-12 * umax * 2 * np.pi * g.n / g.l
 
     def test_mean_velocity_passes_through(self):
         g = Grid(16, TWO_PI)
         v = vector_from_values(g, np.full((16, 16), 0.7), np.full((16, 16), -0.3))
-        pv = leray_project(v)
+        pv = leray(v)
         assert rel_err(pv.x.values, v.x.values) < 1e-14
         assert rel_err(pv.y.values, v.y.values) < 1e-14
 
@@ -299,7 +298,7 @@ def advection_form(u: VectorField, v: VectorField, w: VectorField) -> float:
     c = g.half.kept_cols
     return sum(
         inner(ScalarField(g, irfft2_cols(g, flux_divergence(u, vc.values, g.half.ik(c)))), wc)
-        for vc, wc in zip(v.components, w.components)
+        for vc, wc in zip(components(v), components(w))
     )
 
 
@@ -366,7 +365,7 @@ class TestAdvectionForm:
         for _ in range(25):
             v = random_vector(g, rng)
             scale = 10.0 ** rng.uniform(-12, 12)
-            x_hat, y_hat = ((np.fft.rfft2(scale * f.values) * mask)[:, :c] for f in v.components)
+            x_hat, y_hat = ((np.fft.rfft2(scale * f.values) * mask)[:, :c] for f in components(v))
             bound = divergence_bound(g, x_hat, y_hat)
             assert np.isfinite(bound)
             assert bound >= np.max(np.abs(rdivergence(g, x_hat, y_hat)))
@@ -388,22 +387,46 @@ class TestAdvectionForm:
 
 
 class TestResample:
+    @staticmethod
+    def coefficients(grid, rng, band=None):
+        """rfft2 coefficients of a random field, its Nyquist lines zeroed."""
+        f = np.fft.rfft2(random_field(grid, rng, band=band).values)
+        f[grid.n // 2], f[:, -1] = 0.0, 0.0
+        return f
+
     def test_band_limited_round_trip(self, rng):
-        coarse = Grid(16, TWO_PI)
-        fine = Grid(64, TWO_PI)
-        f = random_field(coarse, rng, band=5)
-        up = resample(f, fine)
-        back = resample(up, coarse)
-        assert rel_err(back.values, f.values) < 1e-13
+        # refining zero-pads and coarsening truncates, each scaled by a power
+        # of two: the round trip is exact, and the refined samples at the
+        # coarse points are the coarse ones
+        coarse, fine = Grid(16, TWO_PI), Grid(64, TWO_PI)
+        f = self.coefficients(coarse, rng)
+        up = resample(f, coarse, fine)
+        assert up.shape == (64, 33)
+        assert np.array_equal(resample(up, fine, coarse), f)
+        assert rel_err(np.fft.irfft2(up)[::4, ::4], np.fft.irfft2(f)) < 1e-13
 
     def test_truncation_is_projection(self, rng):
-        fine = Grid(64, TWO_PI)
-        coarse = Grid(32, TWO_PI)
-        f = random_field(fine, rng)
-        down = resample(f, coarse)
-        down2 = resample(resample(down, fine), coarse)
-        assert rel_err(down2.values, down.values) < 1e-13
+        fine, coarse = Grid(64, TWO_PI), Grid(32, TWO_PI)
+        down = resample(np.fft.rfft2(random_field(fine, rng).values), fine, coarse)
+        assert np.array_equal(resample(resample(down, coarse, fine), fine, coarse), down)
+        assert not down[16].any() and not down[:, -1].any()  # no unmatched Nyquist line
+
+    def test_columns_and_stacked_fields(self, rng):
+        # to the first columns given, of any width; on one grid every mode
+        # both widths hold, the Nyquist lines too, and fields stacked on a
+        # leading axis as if resampled alone
+        g, fine = Grid(32, TWO_PI), Grid(64, TWO_PI)
+        fs = np.stack([np.fft.rfft2(random_field(g, rng).values) for _ in range(3)])
+        c = g.half.kept_cols
+        assert resample(fs, g, g, c).tobytes() == np.ascontiguousarray(fs[..., :c]).tobytes()
+        padded = resample(fs[..., :c], g, g)
+        assert padded.shape == fs.shape and not padded[..., c:].any()
+        assert np.array_equal(padded[..., :c], fs[..., :c])
+        assert np.array_equal(resample(fs[..., :c], g, fine, 7), resample(fs, g, fine)[..., :7])
+        for got, f in zip(resample(fs, g, fine), fs):
+            assert got.tobytes() == resample(f, g, fine).tobytes()
 
     def test_requires_same_length(self, rng):
+        g = Grid(16, 1.0)
         with pytest.raises(GridMismatchError):
-            resample(random_field(Grid(16, 1.0), rng), Grid(32, 2.0))
+            resample(np.fft.rfft2(random_field(g, rng).values), g, Grid(32, 2.0))
