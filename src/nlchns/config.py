@@ -21,11 +21,11 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from .initialdata import InitialSpec, VelocitySpec
-from .kernels import KernelSpec
+from .initialdata import InitialSpec, VelocitySpec, initial_errors
+from .kernels import KernelSpec, kernel_errors
 from .potentials import PotentialSpec
-from .solver import ForcingSpec, SimParams
-from .spectral import Grid
+from .solver import ForcingSpec, SimParams, forcing_errors, step_errors
+from .spectral import Grid, grid_errors
 
 
 class ConfigError(ValueError):
@@ -70,10 +70,9 @@ class SimConfig:
         return replace(self, grid=replace(self.grid, n=n))
 
     def with_dt(self, dt: float) -> "SimConfig":
+        if errors := list(step_errors(dt, self.sim.stabilizer, self.sim.t_end)):
+            raise ConfigError(errors)
         return replace(self, sim=replace(self.sim, dt=dt))
-
-
-MAX_STEPS = 10**9  # more steps than any run needs: a typo in t_end or dt
 
 
 def _put(raw: dict[str, str], line: str, where: str, errors: list[str]) -> None:
@@ -186,18 +185,6 @@ def _parse_modes(text: str, errors: list[str]) -> dict[tuple[int, int], float]:
     return modes
 
 
-def unresolved_modes(kernel: KernelSpec | None, forcing: ForcingSpec, n: int) -> list[str]:
-    """An error naming the key for each kernel or forcing Fourier mode that a
-    grid of ``n`` points cannot resolve: a mode needs |m_x|, |m_y| < n/2."""
-    entries = []  # (key, a mode m1,m2 or one component)
-    if kernel is not None and kernel.family == "spectral":
-        entries += [("kernel.modes", (m1, m2)) for m1, m2, _ in kernel.modes]
-    if forcing.family == "single_mode":
-        entries += [("forcing.mode_x", forcing.mode[:1]), ("forcing.mode_y", forcing.mode[1:])]
-    return [f"{key}: {','.join(map(str, m))} is outside -(n/2 - 1) .. n/2 - 1 (grid.n = {n})"
-            for key, m in entries if max(map(abs, m)) >= n // 2]
-
-
 def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
     """Parse and fully validate a config; raises ConfigError listing every
     violation found, each key that no setting reads among them.  Each
@@ -209,33 +196,25 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
 
     n = r.intv("grid.n", need=every)
     l = r.floatv("grid.l", need=every)
-    if n is not None and (n < 8 or (n & (n - 1)) != 0):
-        errors.append(f"grid.n must be a power of two >= 8, got {n}")
-    if l is not None and l <= 0:
-        errors.append("grid.l must be positive")
-    span = l if l is not None and l > 0 else math.inf  # what kernel supports are checked against
+    errors.extend(grid_errors(n, l))
+    span = math.inf if l is None or any(grid_errors(None, l)) else l  # bounds kernel sizes once valid
 
     kernel = potential = None
     family = r.string("kernel", None, need=every)
     if family in ("gaussian", "mollifier"):
-        key, parts = ("kernel.sigma", 6) if family == "gaussian" else ("kernel.radius", 2)
+        key = "kernel.sigma" if family == "gaussian" else "kernel.radius"
         size = r.floatv(key, need=f"for the {family} family")
         strength = r.floatv("kernel.strength", 1.0)
-        if size is not None and size <= 0:
-            errors.append(f"{key} must be positive")
-        elif size is not None and size > span / parts:
-            errors.append(f"{key} must be <= l/{parts} = {span / parts:.6g}")
-        if strength <= 0:
-            errors.append("kernel.strength must be positive")
         kernel = (KernelSpec.gaussian if family == "gaussian" else KernelSpec.mollifier)(size, strength)
     elif family == "spectral":
         before = len(errors)
         modes = _parse_modes(r.string("kernel.modes"), errors)
-        if not modes and len(errors) == before:  # absent or empty, not malformed
-            errors.append("kernel.modes is required for the spectral family")
-        kernel = KernelSpec.spectral(modes)
+        if modes or len(errors) == before:  # a table of malformed entries only is reported once
+            kernel = KernelSpec.spectral(modes)
     elif family is not None:
         r.unknown_family("kernel", family, "kernel.")
+    if kernel is not None:
+        errors.extend(kernel_errors(kernel, span, n))
 
     pfam = r.string("potential", None, need=every)
     if pfam == "double_well":
@@ -243,10 +222,10 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
     elif pfam == "quartic":
         a4 = r.floatv("potential.a4", need="for the quartic family")
         a2, a0 = r.floatv("potential.a2", 0.0), r.floatv("potential.a0", 0.0)
-        if a4 is not None and a4 <= 0:
-            errors.append("potential.a4 must be positive")
-        elif a4 is not None:
-            potential = PotentialSpec.quartic(a4, a2, a0)
+        try:
+            potential = None if a4 is None else PotentialSpec.quartic(a4, a2, a0)
+        except ValueError as err:  # the builder's message names the key
+            errors.append(str(err))
     elif pfam == "polynomial":
         coeff_text = r.string("potential.coefficients")
         if not coeff_text:
@@ -267,21 +246,10 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
     t_end = r.floatv("t_end", need=every)
     if nu is not None and nu <= 0:
         errors.append("nu must be positive")
-    if dt is not None and dt <= 0:
-        errors.append("dt must be positive")
-    elif dt is not None and t_end is not None:
-        if t_end < dt:
-            errors.append("t_end must be at least one time step")
-        elif t_end / dt > MAX_STEPS:  # also catches t_end / dt overflowing to inf
-            errors.append(f"t_end / dt must be at most {MAX_STEPS:.0e} steps, got {t_end / dt:.3g}")
-        elif abs(round(t_end / dt) * dt - t_end) > 1e-9 * max(t_end, 1.0):
-            errors.append("t_end must be an integer multiple of dt")
-
     stabilizer: object = r.string("stabilizer", "auto")
     if stabilizer != "auto":
         stabilizer = r.floatv("stabilizer", 0.0)
-        if stabilizer < 0:
-            errors.append("stabilizer must be nonnegative (or 'auto')")
+    errors.extend(step_errors(dt, stabilizer, t_end))
     dealias = r.boolv("dealias", True)
 
     ifam = r.string("initial", "uniform")
@@ -289,28 +257,21 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
     if ifam == "uniform":
         initial = InitialSpec(family="uniform", c=r.floatv("initial.c", 0.0))
     elif ifam == "random":
-        band = r.intv("initial.band")
-        if band is not None and not 1 <= band < (math.inf if n is None else n // 2):
-            errors.append(f"initial.band must be in 1 .. grid.n/2 - 1 (grid.n = {n}), got {band}")
         initial = InitialSpec(
             family="random",
             amplitude=r.floatv("initial.amplitude", 0.0),
             mean=r.floatv("initial.mean", 0.0),
-            seed=r.intv("initial.seed", need="for random initial data"),
-            band=band,
+            # a malformed seed is reported as such, not also as missing
+            seed=r.intv("initial.seed", 0 if "initial.seed" in r.raw else None),
+            band=r.intv("initial.band"),
         )
     elif ifam == "tanh_strip":
-        width = r.floatv("initial.width", 0.1)
-        if width <= 0:
-            errors.append("initial.width must be positive")
-        initial = InitialSpec(family="tanh_strip", width=width)
+        initial = InitialSpec(family="tanh_strip", width=r.floatv("initial.width", 0.1))
     elif ifam == "file":
-        path = r.string("initial.path")
-        if not path:
-            errors.append("initial.path is required for file initial data")
-        initial = InitialSpec(family="file", path=path)
+        initial = InitialSpec(family="file", path=r.string("initial.path"))
     else:
         r.unknown_family("initial", ifam, "initial.")
+    errors.extend(initial_errors(initial, n))
 
     ufam = r.string("initial.u0", "zero")
     velocity = VelocitySpec()
@@ -326,32 +287,23 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
 
     ffam = r.string("forcing", "zero")
     forcing = ForcingSpec()
-    if ffam in ("body", "single_mode"):
-        decay = r.floatv("forcing.decay", 0.0)
-        if decay < 0:
-            errors.append("forcing.decay must be nonnegative")
     if ffam == "body":
         forcing = ForcingSpec(
             family="body",
             amplitude=(r.floatv("forcing.amplitude_x", 0.0),
                        r.floatv("forcing.amplitude_y", 0.0)),
-            decay=decay,
+            decay=r.floatv("forcing.decay", 0.0),
         )
     elif ffam == "single_mode":
-        m1 = r.intv("forcing.mode_x", 1)
-        m2 = r.intv("forcing.mode_y", 0)
-        if (m1, m2) == (0, 0):
-            errors.append("forcing.mode_x/mode_y must not both be zero")
         forcing = ForcingSpec(
             family="single_mode",
-            mode=(m1, m2),
+            mode=(r.intv("forcing.mode_x", 1), r.intv("forcing.mode_y", 0)),
             scale=r.floatv("forcing.scale", 0.0),
-            decay=decay,
+            decay=r.floatv("forcing.decay", 0.0),
         )
     elif ffam != "zero":
         r.unknown_family("forcing", ffam, "forcing.")
-    if n is not None:
-        errors.extend(unresolved_modes(kernel, forcing, n))
+    errors.extend(forcing_errors(forcing, n))
 
     record_every = r.intv("output.record_every", 1)
     if record_every < 1:
@@ -364,6 +316,8 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
         snapshot_every=snapshot_every,
         out_dir=r.string("output.out_dir"),
     )
+    if snapshot_every > 0 and not output.out_dir:
+        errors.append("output.snapshot_every needs output.out_dir to write snapshots to")
 
     checks = ChecksConfig(
         enforce_hypotheses=r.boolv("checks.enforce_hypotheses", True),

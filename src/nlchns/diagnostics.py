@@ -122,18 +122,13 @@ class InequalityVerdict:
     scale: float
 
 
-def energy_inequality_check(
-    records: list[DiagnosticsRecord],
-    nu: float,
-    t_max: float | None = None,
-    slack_rel: float = INEQUALITY_SLACK,
-) -> InequalityVerdict:
+def energy_inequality_check(records: list[DiagnosticsRecord], nu: float) -> InequalityVerdict:
     """Cumulative energy inequality over the recorded series.
 
     Left-endpoint quadrature of the dissipation and forcing-power integrals
     over each record interval; the margin at t is
     E(0) + int power - E(t) - int dissipation, required >= -slack at every
-    sample.
+    sample, the slack being ``INEQUALITY_SLACK`` (1 + |E(0)|).
     """
     if not records:
         raise ValueError("empty record series")
@@ -144,8 +139,6 @@ def energy_inequality_check(
     worst = 0.0
     worst_t = records[0].t
     for prev, cur in zip(records, records[1:]):
-        if t_max is not None and cur.t > t_max + 1e-15:
-            break
         h = cur.t - prev.t
         cum_d += h * (nu * prev.grad_u_sq + prev.grad_mu_sq)
         cum_p += h * prev.forcing_power
@@ -154,7 +147,7 @@ def energy_inequality_check(
             worst = margin
             worst_t = cur.t
     return InequalityVerdict(
-        passes=bool(worst >= -slack_rel * scale),
+        passes=bool(worst >= -INEQUALITY_SLACK * scale),
         worst_margin=worst,
         worst_t=worst_t,
         scale=scale,

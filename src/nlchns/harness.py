@@ -20,10 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ConfigError, OutputConfig, unresolved_modes
+from .config import ConfigError, OutputConfig
 from .initialdata import build_hats
-from .solver import BlowUpError, SimState, run, trajectory
-from .spectral import Grid, parseval, power, resample
+from .kernels import kernel_errors
+from .solver import BlowUpError, SimState, forcing_errors, run, step_errors, trajectory
+from .spectral import Grid, grid_errors, parseval, power, resample
 
 
 @dataclass
@@ -48,6 +49,12 @@ class StudyResult:
             lines.append(f"  verdict[{name}]: {'PASS' if ok else 'FAIL'}")
         lines.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(lines)
+
+
+def _check_each(label: str, values, errors_of) -> None:
+    """One ConfigError with the rules each value breaks, ``errors_of(v)``, the value named."""
+    if errors := [f"{label} {v!r}: {e}" for v in values for e in errors_of(v)]:
+        raise ConfigError(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +150,17 @@ def galerkin_refinement(cfg, sizes) -> StudyResult:
     The uniform-bound table (sup_t ||u||, sup_t ||phi||, int ||grad mu||^2,
     int ||phi||_V^2) must stay within a factor 2 across levels, and the
     L^2(0,T;H) differences between successive levels must strictly decrease,
-    which takes at least three levels.  Every level's kernel and forcing
-    modes are checked before the first runs.  A blow-up at any level aborts
-    the study with partial results.
+    which takes at least three levels.  Every level's grid, kernel and
+    forcing are checked before the first runs.  A blow-up at any level
+    aborts the study with partial results.
     """
     sizes = sorted(int(s) for s in sizes)
     if len(sizes) < 3 or len(set(sizes)) != len(sizes):
         raise ValueError("refinement needs at least three distinct sizes")
+    l = cfg.grid.l
+    _check_each("refinement level", sizes, lambda n: [
+        *grid_errors(n, l), *kernel_errors(cfg.kernel, l, n), *forcing_errors(cfg.forcing, n)])
     level_cfgs = {n: cfg.with_grid_n(n) for n in sizes}
-    errors = [f"refinement level {n}: {err}" for n, level in level_cfgs.items()
-              for err in unresolved_modes(level.kernel, level.forcing, n)]
-    if errors:
-        raise ConfigError(errors)
     state0 = _shared_initial(level_cfgs[sizes[-1]], sizes[0])
 
     levels = {}
@@ -210,11 +216,12 @@ def dt_order_study(cfg, dts) -> StudyResult:
     Residual order comes from max |identity residual| across steps at each
     dt.  Trajectory order uses differences between consecutive-dt final
     states (the vs-finest errors are biased for 3 geometric levels and are
-    reported only as metrics).
+    reported only as metrics).  Every rung is checked before the first runs.
     """
     dts = sorted((float(d) for d in dts), reverse=True)
     if len(dts) < 3:
         raise ValueError("order study needs at least 3 dt values")
+    _check_each("dt rung", dts, lambda dt: step_errors(dt, cfg.sim.stabilizer, cfg.sim.t_end))
     finals: list[SimState] = []
     max_resid: list[float] = []
     for dt in dts:

@@ -48,6 +48,19 @@ class InitialSpec:
     band: int | None = None  # random-family band limit; default n // 4
 
 
+def initial_errors(spec: InitialSpec, n: int | None):
+    """Yield the initial data's rules that ``spec`` breaks on n points (None: not checked)."""
+    if spec.family == "random":
+        if spec.seed is None:
+            yield "initial.seed is required for random initial data"
+        if spec.band is not None and (spec.band < 1 or (n is not None and spec.band >= n // 2)):
+            yield f"initial.band must be in 1 .. grid.n/2 - 1 (grid.n = {n}), got {spec.band}"
+    elif spec.family == "tanh_strip" and not spec.width > 0:
+        yield "initial.width must be positive"
+    elif spec.family == "file" and not spec.path:
+        yield "initial.path is required for file initial data"
+
+
 @dataclass(frozen=True)
 class VelocitySpec:
     """Initial velocity."""
@@ -154,8 +167,6 @@ def random_phi(grid: Grid, amplitude: float, mean_value: float, seed: int,
     """The rfft2 coefficients of random data, shape (n, n//2 + 1): the
     normalized noise times amplitude n^2, and mean_value n^2 at k = 0."""
     band = grid.n // 4 if band is None else int(band)
-    if band < 1 or band >= grid.n // 2:
-        raise InitialDataError(f"random band {band} not resolvable on n = {grid.n}")
     n = grid.n
     # z[m1, band + m2] for m1 = 0..band, |m2| <= band, drawn in row-major
     # order; one of each conjugate pair, so row m1 = 0 starts at m2 = 1
@@ -180,8 +191,6 @@ def random_phi(grid: Grid, amplitude: float, mean_value: float, seed: int,
 
 def tanh_strip_phi(grid: Grid, width: float) -> np.ndarray:
     """The samples of two tanh interfaces at y = l/4 and 3l/4, shape (n, n)."""
-    if width <= 0:
-        raise InitialDataError("tanh_strip width must be positive")
     _, yy = grid.mesh
     return np.tanh((yy - grid.l / 4.0) / width) - np.tanh((yy - 3.0 * grid.l / 4.0) / width) - 1.0
 
@@ -209,15 +218,15 @@ def _read_on(grid: Grid, key: str, path: str) -> np.ndarray:
 def build_phi(spec: InitialSpec, grid: Grid) -> np.ndarray:
     """The rfft2 coefficients of phi(0), shape (n, n//2 + 1).  Uniform and
     random data are built in them; strip and file data are samples, each
-    taking one forward transform."""
+    taking one forward transform; InitialDataError lists ``initial_errors``."""
+    if errors := list(initial_errors(spec, grid.n)):
+        raise InitialDataError("; ".join(errors))
     nh = grid.n // 2 + 1
     if spec.family == "uniform":
         coeff = np.zeros((grid.n, nh), dtype=complex)
         coeff[0, 0] = spec.c * grid.n**2
         return coeff
     if spec.family == "random":
-        if spec.seed is None:
-            raise InitialDataError("random initial data requires a seed")
         return random_phi(grid, spec.amplitude, spec.mean, spec.seed, spec.band)
     if spec.family == "tanh_strip":
         return rfft2_cols(tanh_strip_phi(grid, spec.width), nh)

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, ScalarField, parseval, rgradient
+from .spectral import Grid, ScalarField, parseval, rgradient, unresolved_modes
 
 
 class KernelBuildError(ValueError):
@@ -62,6 +62,28 @@ class KernelSpec:
     def spectral(modes: dict[tuple[int, int], float]) -> "KernelSpec":
         items = tuple(sorted((int(m1), int(m2), float(v)) for (m1, m2), v in modes.items()))
         return KernelSpec(family="spectral", modes=items)
+
+
+def kernel_errors(spec: KernelSpec, l: float, n: int | None):
+    """Yield the kernel's rules that ``spec`` breaks on n points of side l: localized when
+    wrapped, a positive strength, a non-empty even table of resolved modes."""
+    if spec.family in ("gaussian", "mollifier"):
+        key, size, parts = (("kernel.sigma", spec.sigma, 6) if spec.family == "gaussian"
+                            else ("kernel.radius", spec.radius, 2))
+        if size is not None and not size > 0:
+            yield f"{key} must be positive"
+        elif size is not None and size > l / parts:
+            yield f"{key} must be <= l/{parts} = {l / parts:.6g}"
+        if not spec.strength > 0:
+            yield "kernel.strength must be positive"
+    elif spec.family == "spectral":
+        if not spec.modes:
+            yield "kernel.modes is required for the spectral family"
+        yield from unresolved_modes([("kernel.modes", (m1, m2)) for m1, m2, _ in spec.modes], n)
+        table = {(m1, m2): v for m1, m2, v in spec.modes}
+        for (m1, m2), v in table.items():
+            if (m1, m2) < (-m1, -m2) and table.get((-m1, -m2), v) != v:
+                yield f"kernel.modes: {m1},{m2} and {-m1},{-m2} must have the same value"
 
 
 @dataclass(eq=False)
@@ -128,48 +150,26 @@ def _mollifier_samples(grid: Grid, radius: float, strength: float):
 def _spectral_samples(grid: Grid, modes):
     n = grid.n
     mult = np.zeros((n, n // 2 + 1), dtype=float)
-    seen: dict[tuple[int, int], float] = {}
     for m1, m2, v in modes:
-        if abs(m1) >= n // 2 or abs(m2) >= n // 2:
-            raise KernelBuildError(f"spectral mode ({m1},{m2}) outside the grid band")
         for a, b in ((m1, m2), (-m1, -m2)):
-            key = (a % n, b % n)
-            if key in seen and seen[key] != v:
-                raise KernelBuildError(
-                    f"spectral table assigns conflicting values at mode ({a},{b})"
-                )
-            seen[key] = v
-            if key[1] <= n // 2:  # the half plane; the rest are conjugates
-                mult[key] = v
+            if b % n <= n // 2:  # the half plane; the rest are conjugates
+                mult[a % n, b % n] = v
     val = np.fft.irfft2(mult) / grid.cell_volume
     # band-limited, so spectral differentiation of the samples is exact
     return val, np.hypot(*rgradient(grid, np.fft.rfft2(val)))
 
 
 def build_kernel(spec: KernelSpec, grid: Grid) -> KernelOnGrid:
+    if spec.family not in ("gaussian", "mollifier", "spectral"):
+        raise KernelBuildError(f"unknown kernel family {spec.family!r}")
+    if errors := list(kernel_errors(spec, grid.l, grid.n)):
+        raise KernelBuildError("; ".join(errors))
     if spec.family == "gaussian":
-        if not (spec.sigma > 0 and spec.strength > 0):
-            raise KernelBuildError("gaussian kernel needs sigma > 0 and strength > 0")
-        if spec.sigma > grid.l / 6.0:
-            raise KernelBuildError(
-                f"gaussian sigma {spec.sigma} exceeds l/6 = {grid.l / 6.0}; "
-                "the wrapped kernel would not be localized on the torus"
-            )
         val, gmag = _gaussian_samples(grid, spec.sigma, spec.strength)
     elif spec.family == "mollifier":
-        if not (spec.radius > 0 and spec.strength > 0):
-            raise KernelBuildError("mollifier kernel needs radius > 0 and strength > 0")
-        if spec.radius > grid.l / 2.0:
-            raise KernelBuildError(
-                f"mollifier radius {spec.radius} exceeds half the domain {grid.l / 2.0}"
-            )
         val, gmag = _mollifier_samples(grid, spec.radius, spec.strength)
-    elif spec.family == "spectral":
-        if not spec.modes:
-            raise KernelBuildError("spectral kernel needs a non-empty mode table")
-        val, gmag = _spectral_samples(grid, spec.modes)
     else:
-        raise KernelBuildError(f"unknown kernel family {spec.family!r}")
+        val, gmag = _spectral_samples(grid, spec.modes)
 
     scale = float(np.max(np.abs(val))) if val.size else 0.0
     if float(np.min(val)) < -1e-12 * max(scale, 1.0):

@@ -48,8 +48,8 @@ class PotentialSpec:
 
     @staticmethod
     def quartic(a4: float, a2: float = 0.0, a0: float = 0.0) -> "PotentialSpec":
-        if a4 <= 0:
-            raise ValueError("quartic potential needs a4 > 0")
+        if not a4 > 0:  # F grows like s^4; the parser reports this message as it is
+            raise ValueError("potential.a4 must be positive")
         return PotentialSpec((a0, 0.0, a2, 0.0, a4), family="quartic")
 
     @staticmethod

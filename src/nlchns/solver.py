@@ -111,6 +111,7 @@ from .spectral import (
     resample,
     rfft2_cols,
     rgradient,
+    unresolved_modes,
     vector_from_values,
 )
 
@@ -189,10 +190,27 @@ class SimParams:
         # admitted here so the inviscid flow substep can be exercised alone
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.stabilizer != "auto" and (isinstance(self.stabilizer, str) or not self.stabilizer >= 0):
-            raise ValueError("stabilizer must be 'auto' or nonnegative")
+        if errors := list(step_errors(self.dt, self.stabilizer)):
+            raise ValueError("; ".join(errors))
+
+
+MAX_STEPS = 10**9  # more steps than any run needs: a typo in t_end or dt
+
+
+def step_errors(dt: float | None, stabilizer: float | str, t_end: float | None = None):
+    """Yield the step's rules that dt and S break, and given t_end its own; ``SimParams``
+    gives none, so that params of any length may be stepped.  None is not checked."""
+    if dt is not None and not dt > 0:
+        yield "dt must be positive"
+    elif dt is not None and t_end is not None:
+        if t_end < dt:
+            yield "t_end must be at least one time step"
+        elif t_end / dt > MAX_STEPS:  # also catches t_end / dt overflowing to inf
+            yield f"t_end / dt must be at most {MAX_STEPS:.0e} steps, got {t_end / dt:.3g}"
+        elif abs(round(t_end / dt) * dt - t_end) > 1e-9 * max(t_end, 1.0):
+            yield "t_end must be an integer multiple of dt"
+    if stabilizer != "auto" and (isinstance(stabilizer, str) or not stabilizer >= 0):
+        yield "stabilizer must be nonnegative (or 'auto')"
 
 
 @dataclass(frozen=True)
@@ -214,11 +232,10 @@ class ForcingSpec:
         return self.scale == 0.0
 
     def _wavevector(self, grid: Grid) -> tuple[int, int]:
-        """``single_mode``'s m: nonzero, with |m1|, |m2| < n/2, as the grid resolves it."""
-        m1, m2 = self.mode
-        if not 0 < max(abs(m1), abs(m2)) < grid.n // 2:
-            raise ValueError(f"forcing mode ({m1},{m2}) must be nonzero, |m1|, |m2| < {grid.n // 2}")
-        return m1, m2
+        """``single_mode``'s m, or a ValueError listing ``forcing_errors``."""
+        if errors := list(forcing_errors(self, grid.n)):
+            raise ValueError("; ".join(errors))
+        return self.mode
 
     def field_at(self, grid: Grid, t: float) -> np.ndarray | None:
         """The rfft2 coefficients of h(t) on the half plane, stacked (2, n,
@@ -255,6 +272,17 @@ class ForcingSpec:
         ksq = (2.0 * np.pi / grid.l) ** 2 * (m1 * m1 + m2 * m2)
         # ||h(t)||_L2^2 = scale^2 e^{-2 lambda t} |Omega| / 2, single shell
         return self.scale**2 * grid.volume / (4.0 * self.decay * ksq)
+
+
+def forcing_errors(spec: ForcingSpec, n: int | None):
+    """Yield the forcing's rules that ``spec`` breaks on n points, reading attributes only."""
+    if spec.family in ("body", "single_mode") and not spec.decay >= 0:
+        yield "forcing.decay must be nonnegative"
+    if spec.family == "single_mode":
+        m1, m2 = spec.mode
+        if (m1, m2) == (0, 0):
+            yield "forcing.mode_x/mode_y must not both be zero"
+        yield from unresolved_modes([("forcing.mode_x", (m1,)), ("forcing.mode_y", (m2,))], n)
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,6 @@ class FieldShapeError(ValueError):
     """Sample array does not match its grid."""
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform n x n periodic grid on the square [0, l)^2."""
@@ -64,10 +60,8 @@ class Grid:
     l: float
 
     def __post_init__(self):
-        if not (_is_power_of_two(self.n) and self.n >= 8):
-            raise ValueError(f"grid.n must be a power of two >= 8, got {self.n}")
-        if not (np.isfinite(self.l) and self.l > 0):
-            raise ValueError(f"grid.l must be positive, got {self.l}")
+        if errors := list(grid_errors(self.n, self.l)):
+            raise ValueError("; ".join(errors))
 
     @property
     def spacing(self) -> float:
@@ -114,6 +108,20 @@ class Grid:
             kept_cols=self.n // 3 + 1,
             mask=keep[:, None] & keep[None, :nh],
         )
+
+
+def grid_errors(n: int | None, l: float | None):
+    """Yield the grid's rules that n and l break; None, which a config lacks, is not checked."""
+    if n is not None and not (n >= 8 and (n & (n - 1)) == 0):
+        yield f"grid.n must be a power of two >= 8, got {n}"
+    if l is not None and not (np.isfinite(l) and l > 0):
+        yield "grid.l must be positive"
+
+
+def unresolved_modes(entries, n: int | None):
+    """An error for each (config key, mode or a component) entry outside |m| < n/2, if n is known."""
+    return (f"{key}: {','.join(map(str, m))} is outside -(n/2 - 1) .. n/2 - 1 (grid.n = {n})"
+            for key, m in entries if n is not None and max(map(abs, m)) >= n // 2)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,12 @@ class TestRun:
         assert "invariant violation: gradient control margin" in capsys.readouterr().out
         assert main(["run", write(tmp_path, RANDOM_RUN, "off.cfg")]) == 0  # check off
 
+    def test_snapshots_need_an_out_dir(self, capsys):
+        args = ["run", str(CONFIGS / "gradient_control.cfg"), "--set", "output.snapshot_every=5",
+                "--set", "t_end=0.02", "--set", "grid.n=16"]
+        assert main(args) == 2
+        assert "output.snapshot_every needs output.out_dir to write snapshots to" in capsys.readouterr().out
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["run", write(tmp_path, GOOD.replace("dt = 2e-3", "dt = 0"))])
         assert rc == 2
@@ -154,6 +160,12 @@ initial.u0_amplitude = 0.25
         out = capsys.readouterr().out
         assert "uniform_bounds" in out
         assert rc == 0
+
+    def test_dt_rungs_must_divide_t_end(self, capsys):
+        assert main(["convergence", str(CONFIGS / "dt_order.cfg"), "--dts", "3e-2,1.5e-2,7.5e-3"]) == 2
+        out = capsys.readouterr().out
+        assert "dt rung 0.03: t_end must be an integer multiple of dt" in out
+        assert "study:" not in out
 
     def test_convergence_needs_flags(self, tmp_path, capsys):
         rc = main(["convergence", write(tmp_path, GOOD)])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import TWO_PI, divergence, random_field, random_vector, rdivergence
 from nlchns.config import ConfigError, parse_config, parse_config_file
+from nlchns.kernels import KernelBuildError, KernelSpec, build_kernel
 from nlchns.diagnostics import COLUMNS, DiagnosticsRecord
 from nlchns.initialdata import (
     InitialDataError,
@@ -27,6 +28,8 @@ from nlchns.storage import (
     read_snapshot,
     write_snapshot,
 )
+from nlchns.potentials import PotentialSpec
+from nlchns.solver import ForcingSpec, SimParams
 
 ROOT = Path(__file__).resolve().parent.parent
 MINIMAL = """
@@ -208,15 +211,84 @@ class TestParseConfig:
         assert err.value.errors == ["kernel.modes: 40,0 is outside -(n/2 - 1) .. n/2 - 1 (grid.n = 64)"]
         assert (0, -31, 0.3) in parse_config(spectral.format("0,-31")).kernel.modes
 
+    def test_snapshots_need_an_out_dir(self):
+        # without one, run() writes nothing, so the setting would be dropped unseen
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "output.snapshot_every = 5\n")
+        assert err.value.errors == ["output.snapshot_every needs output.out_dir to write snapshots to"]
+        assert parse_config(MINIMAL + "output.snapshot_every = 5\noutput.out_dir = out\n").output.snapshot_every == 5
+
+
+def minimal_with(changes: dict) -> str:
+    """MINIMAL with the keys of ``changes`` set to their values, or dropped
+    where the value is None."""
+    entries = dict(line.split(" = ", 1) for line in MINIMAL.strip().splitlines()
+                   if not line.startswith("#"))
+    entries.update(changes)
+    return "".join(f"{k} = {v}\n" for k, v in entries.items() if v is not None)
+
 
 def config_with(key: str, value: str) -> str:
     """MINIMAL with ``key = value`` and whatever family selection makes the
     parser read that key."""
-    entries = dict(line.split(" = ", 1) for line in MINIMAL.strip().splitlines()
-                   if not line.startswith("#"))
-    entries.update(KEY_CONTEXT.get(key, {}))
-    entries[key] = value
-    return "".join(f"{k} = {v}\n" for k, v in entries.items() if v is not None)
+    return minimal_with({**KEY_CONTEXT.get(key, {}), key: value})
+
+
+G64 = Grid(64, TWO_PI)
+SPECTRAL = {"kernel": "spectral", "kernel.sigma": None, "kernel.strength": None}
+SINGLE_MODE = {"forcing": "single_mode", "forcing.scale": "1"}
+# one row a rule: the config lines that break it, and the builder given the
+# same value; the parser's one error must be the builder's message
+RULES = {
+    "grid.n": ({"grid.n": "12"}, ValueError, lambda: Grid(12, TWO_PI)),
+    "grid.l": ({"grid.l": "-1"}, ValueError, lambda: Grid(64, -1.0)),
+    "kernel.sigma": ({"kernel.sigma": "-1"}, KernelBuildError,
+                     lambda: build_kernel(KernelSpec.gaussian(-1.0, 6.0), G64)),
+    "kernel.sigma bound": ({"kernel.sigma": "2"}, KernelBuildError,
+                           lambda: build_kernel(KernelSpec.gaussian(2.0, 6.0), G64)),
+    "kernel.radius bound": ({"kernel": "mollifier", "kernel.sigma": None, "kernel.radius": "4"}, KernelBuildError,
+                            lambda: build_kernel(KernelSpec.mollifier(4.0, 6.0), G64)),
+    "kernel.strength": ({"kernel.strength": "0"}, KernelBuildError,
+                        lambda: build_kernel(KernelSpec.gaussian(0.3141592653589793, 0.0), G64)),
+    "kernel.modes empty": ({**SPECTRAL, "kernel.modes": ""}, KernelBuildError,
+                           lambda: build_kernel(KernelSpec.spectral({}), G64)),
+    "kernel.modes unresolved": ({**SPECTRAL, "kernel.modes": "0,0:6.0; 40,0:0.3"}, KernelBuildError,
+                                lambda: build_kernel(KernelSpec.spectral({(0, 0): 6.0, (40, 0): 0.3}), G64)),
+    "kernel.modes odd": ({**SPECTRAL, "kernel.modes": "0,0:6.0; 1,0:0.3; -1,0:0.5"}, KernelBuildError,
+                         lambda: build_kernel(KernelSpec.spectral({(0, 0): 6.0, (1, 0): 0.3, (-1, 0): 0.5}), G64)),
+    "forcing mode zero": ({**SINGLE_MODE, "forcing.mode_x": "0"}, ValueError,
+                          lambda: ForcingSpec("single_mode", mode=(0, 0), scale=1.0).field_at(G64, 0.0)),
+    "forcing mode unresolved": ({**SINGLE_MODE, "forcing.mode_x": "40"}, ValueError,
+                                lambda: ForcingSpec("single_mode", mode=(40, 0), scale=1.0).field_at(G64, 0.0)),
+    "forcing.decay": ({**SINGLE_MODE, "forcing.decay": "-1"}, ValueError,
+                      lambda: ForcingSpec("single_mode", decay=-1.0, scale=1.0).field_at(G64, 0.0)),
+    "potential.a4": ({"potential": "quartic", "potential.a4": "-1"}, ValueError,
+                     lambda: PotentialSpec.quartic(-1.0)),
+    "dt": ({"dt": "0"}, ValueError, lambda: SimParams(nu=0.01, dt=0.0, t_end=1.0)),
+    "stabilizer": ({"stabilizer": "-1"}, ValueError,
+                   lambda: SimParams(nu=0.01, dt=1e-3, t_end=1.0, stabilizer=-1.0)),
+    "t_end multiple": ({"dt": "3e-3"}, ConfigError, lambda: parse_config(MINIMAL).with_dt(3e-3)),
+    "t_end one step": ({"dt": "2"}, ConfigError, lambda: parse_config(MINIMAL).with_dt(2.0)),
+    "t_end steps": ({"dt": "1e-12"}, ConfigError, lambda: parse_config(MINIMAL).with_dt(1e-12)),
+    "initial.band": ({"initial": "random", "initial.seed": "1", "initial.band": "40"}, InitialDataError,
+                     lambda: build_phi(InitialSpec(family="random", seed=1, band=40), G64)),
+    "initial.seed": ({"initial": "random"}, InitialDataError,
+                     lambda: build_phi(InitialSpec(family="random"), G64)),
+    "initial.width": ({"initial": "tanh_strip", "initial.width": "0"}, InitialDataError,
+                      lambda: build_phi(InitialSpec(family="tanh_strip", width=0.0), G64)),
+    "initial.path": ({"initial": "file"}, InitialDataError, lambda: build_phi(InitialSpec(family="file"), G64)),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_parser_and_builder_give_one_message(rule):
+    changes, error, build = RULES[rule]
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(minimal_with(changes))
+    with pytest.raises(error) as built:
+        build()
+    message = "\n".join(built.value.errors) if error is ConfigError else str(built.value)
+    assert parsed.value.errors == [message]
 
 
 KEY_CONTEXT = {
@@ -511,7 +583,7 @@ class TestInitialData:
     def test_band_and_seed_validation(self):
         g = Grid(16, TWO_PI)
         with pytest.raises(InitialDataError):
-            random_phi(g, 0.1, 0.0, seed=1, band=8)  # band not resolvable
+            build_phi(InitialSpec(family="random", amplitude=0.1, seed=1, band=8), g)  # band not resolvable
         with pytest.raises(InitialDataError):
             build_phi(InitialSpec(family="random", amplitude=0.1), g)  # no seed
 

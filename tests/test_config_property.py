@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from nlchns.config import MAX_STEPS, ConfigError, SimConfig, parse_config
+from nlchns.config import ConfigError, SimConfig, parse_config
+from nlchns.solver import MAX_STEPS
 from nlchns.spectral import Grid
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -242,6 +243,11 @@ class TestEnergyInequality:
         v = energy_inequality_check(rising, nu=1.0)
         assert not v.passes
         assert v.worst_margin < -0.5
+
+    def test_slack_and_horizon_are_fixed(self):
+        # the verdict takes the records and nu only: no caller can hand
+        # criterion 3b more slack or cut the series short
+        assert list(inspect.signature(energy_inequality_check).parameters) == ["records", "nu"]
 
     def test_unstabilized_run_reported_not_asserted(self):
         # S = 0 with a large step: the audit may legitimately fail; either

@@ -185,6 +185,22 @@ class TestDtOrderStudy:
         with pytest.raises(ValueError):
             dt_order_study(refine_cfg(), [1e-2, 5e-3])
 
+    @pytest.mark.parametrize("dts, errors", [
+        ([3e-2, 1.5e-2, 7.5e-3], [f"dt rung {dt}: t_end must be an integer multiple of dt"
+                                  for dt in ("0.03", "0.015", "0.0075")]),
+        ([1e-2, 5e-3, 0.0], ["dt rung 0.0: dt must be positive"]),
+    ])
+    def test_rungs_checked_before_the_first_run(self, monkeypatch, dts, errors):
+        # t_end = 0.5 is no whole number of these steps: each rung would stop
+        # at another time, and the trajectory order would compare them
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rung ran")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        with pytest.raises(ConfigError) as err:
+            dt_order_study(parse_config_file(str(CONFIGS / "dt_order.cfg")), dts)
+        assert err.value.errors == errors
+
 
 class TestStudyOutput:
     def test_studies_write_nothing_into_the_configs_out_dir(self, tmp_path):

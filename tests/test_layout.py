@@ -53,6 +53,39 @@ def unreferenced_names(root: Path = ROOT, private: bool = False) -> list[str]:
     return unused
 
 
+def message_literals(tree: ast.AST) -> set[str]:
+    """The string literals under ``tree`` that hold a space, docstrings
+    aside: the messages its errors are made of.  An f-string counts with
+    each of its fields written as {}."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None:
+            skip.add(node.body[0].value)
+        elif isinstance(node, ast.JoinedStr):
+            skip.update(node.values)  # its parts
+        elif isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            skip.add(node.format_spec)
+    literals = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.JoinedStr):
+            literals.add("".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            literals.add(node.value)
+    return {text for text in literals if " " in text.strip()}
+
+
+def messages_in_two_modules(root: Path = ROOT) -> list[str]:
+    """Each message literal of the package that more than one module writes,
+    with the modules that write it."""
+    where: dict[str, list[str]] = {}
+    for path in sorted((root / "src" / "nlchns").glob("*.py")):
+        for text in message_literals(ast.parse(path.read_text(), str(path))):
+            where.setdefault(text, []).append(path.name)
+    return [f"{text!r} in {', '.join(names)}" for text, names in where.items() if len(names) > 1]
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     assert unreferenced_names() == []
 
@@ -118,3 +151,23 @@ def test_private_name_called_only_from_scripts_is_reported(tmp_path):
     (tmp_path / "scripts" / "run.py").write_text("from nlchns.mod import _left, public\n")
     assert unreferenced_names(tmp_path, private=True) == ["mod._left", "mod._recursive"]
     assert unreferenced_names(tmp_path) == []
+
+
+def test_each_message_is_written_in_one_module():
+    # a rule's message lives beside the type it constrains, in the function
+    # that the parser and the builders both call
+    assert messages_in_two_modules() == []
+
+
+def test_message_written_twice_is_reported(tmp_path):
+    package = tmp_path / "src" / "nlchns"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""A module docstring."""\n\n\ndef check(n):\n    """Checks n."""\n'
+        '    raise ValueError(f"n must be even, got {n}")\n'
+    )
+    (package / "b.py").write_text(
+        '"""A module docstring."""\n\n\ndef check(self):\n'
+        '    return [f"n must be even, got {self.n:d}", f"{self.n} points"]\n'
+    )
+    assert messages_in_two_modules(tmp_path) == ["'n must be even, got {}' in a.py, b.py"]

@@ -1026,10 +1026,13 @@ class TestForcing:
         # with |m1| or |m2| >= n/2 raises, not aliased to another mode
         spec = ForcingSpec(family="single_mode", mode=(1, 8), scale=0.7, decay=0.5)
         assert spec.field_at(Grid(32, TWO_PI), 0.0) is not None
-        for bad in (spec, replace(spec, mode=(-8, 0)), replace(spec, mode=(0, 0))):
-            with pytest.raises(ValueError, match=r"must be nonzero, \|m1\|, \|m2\| < 8$"):
+        outside = "is outside -(n/2 - 1) .. n/2 - 1 (grid.n = 16)"
+        for mode, message in (((1, 8), f"forcing.mode_y: 8 {outside}"), ((-8, 0), f"forcing.mode_x: -8 {outside}"),
+                              ((0, 0), "forcing.mode_x/mode_y must not both be zero")):
+            bad = replace(spec, mode=mode)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 bad.field_at(Grid(16, TWO_PI), 0.0)
-            with pytest.raises(ValueError, match="must be nonzero"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 bad.dual_norm_sq_integral(Grid(16, TWO_PI))
 
     @pytest.mark.parametrize("mode", [(12, 1), (1, 12)])
