@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Fingerprint a run: the sha256 of the final phi, u_x and u_y sample bytes
-and of the diagnostics record rows, one line each.
+"""Fingerprint a run: the sha256 of the final phi, u_x and u_y sample bytes,
+of the diagnostics record rows and of the admissibility report's text
+(``report``), one line each.
 
 Run it with ``PYTHONPATH`` pointing at one checkout's ``src`` and then at
 another's: equal lines mean byte-identical trajectories.  ``--rows`` also
@@ -100,6 +101,7 @@ def main():
         print(f"{name} {sha(f.values.tobytes())}")
     rows = np.array([r.as_row() for r in res.records])
     print(f"records {sha(rows.tobytes())} ({len(res.records)} rows)")
+    print(f"report {sha(res.report.to_text().encode())}")
     if args.rows:
         for row in rows:
             print(" ".join(repr(float(v)) for v in row))

@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from .initialdata import InitialSpec, VelocitySpec, initial_errors
+from .initialdata import InitialSpec, VelocitySpec, initial_errors, velocity_errors
 from .kernels import KernelSpec, kernel_errors
 from .potentials import PotentialSpec
 from .solver import ForcingSpec, SimParams, forcing_errors, step_errors
@@ -278,12 +278,11 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
     if ufam == "taylor_green":
         velocity = VelocitySpec(family="taylor_green", amplitude=r.floatv("initial.u0_amplitude", 1.0))
     elif ufam == "file":
-        px, py = r.string("initial.u0_path_x"), r.string("initial.u0_path_y")
-        if not (px and py):
-            errors.append("initial.u0_path_x and initial.u0_path_y are required for file velocity")
-        velocity = VelocitySpec(family="file", path_x=px, path_y=py)
+        velocity = VelocitySpec(family="file", path_x=r.string("initial.u0_path_x"),
+                                path_y=r.string("initial.u0_path_y"))
     elif ufam != "zero":
         r.unknown_family("velocity", ufam, "initial.u0_")
+    errors.extend(velocity_errors(velocity))
 
     ffam = r.string("forcing", "zero")
     forcing = ForcingSpec()

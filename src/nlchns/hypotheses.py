@@ -21,7 +21,9 @@ C_P < c0 / (2 ||grad J||_L1).
 
 Everything in sight is polynomial, so c0 (h2), c2, c6 and c8 are exact
 extrema from real critical points; only c4 (h4) is found by dense sampling
-with golden-section refinement.  Pure analysis; safe to run concurrently.
+with golden-section refinement.  Past that dense array scan, the scalar work
+runs in Python floats, in numpy's steps and so with the same bits.  Pure
+analysis; safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .potentials import (
     eval_ddf,
     eval_df,
     eval_f,
+    poly_add,
     poly_extrema_on_range,
     poly_sup_global,
 )
@@ -59,13 +62,13 @@ class Witness:
 
 
 def golden_min(fun, lo: float, hi: float, samples: int = 4001, tol: float = 1e-11):
-    """Minimize a scalar function: dense sampling, then golden-section
-    refinement of the best bracket.  Returns (argmin, value)."""
+    """Minimize a scalar function: a dense scan (``fun`` of an array), then
+    golden-section refinement of the best bracket on floats.  Returns (argmin, value)."""
     xs = np.linspace(lo, hi, samples)
     vals = np.asarray(fun(xs), dtype=float)
     i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, samples - 1)]
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, samples - 1)])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = float(fun(x1)), float(fun(x2))
@@ -158,7 +161,7 @@ def estimate_c0(potential: PotentialSpec, a_star: float, s_range=(-2.0, 2.0)):
 
     Returns (c0, witness at the argmin); the verdict requires strict positivity.
     """
-    gpp = npoly.polyadd(potential.ddf_coefficients, (a_star,))
+    gpp = poly_add(potential.ddf_coefficients, (a_star,))
     c0, s_min, _, _ = poly_extrema_on_range(gpp, s_range)
     return c0, Witness(s=s_min, margin=c0)
 
@@ -175,7 +178,7 @@ def fit_h3(potential: PotentialSpec, norm_j_l1: float):
     if potential.degree == 2:
         candidates.append(potential.leading)
     for c1 in candidates:
-        excess = npoly.polysub((0.0, 0.0, c1), potential.coefficients)
+        excess = poly_add((0.0, 0.0, c1), potential.coefficients, -1.0)
         try:
             sup, s_sup = poly_sup_global(excess)
         except ValueError:
@@ -208,9 +211,8 @@ def verify_h4(potential: PotentialSpec):
     tail_ratio = (deg * potential.leading) ** p / potential.leading
     c3 = 2.0 * tail_ratio
 
-    def excess(s):
-        s = np.asarray(s, dtype=float)
-        return np.abs(eval_df(potential, s)) ** p - c3 * np.abs(eval_f(potential, s))
+    def excess(s):  # an array or a float
+        return abs(eval_df(potential, s)) ** p - c3 * abs(eval_f(potential, s))
 
     big = _h4_tail_scale(potential)
     s_sup, neg = golden_min(lambda s: -excess(s), -big, big, samples=20001)
@@ -238,18 +240,13 @@ def verify_h6(potential: PotentialSpec, a_star: float):
     c5 = 0.5 * fpp_lead
 
     # c6: sup of c5 s^{2q} - F''(s) - a*
-    excess6 = [0.0] * (two_q + 1)
-    excess6[two_q] = c5
-    excess6 = npoly.polysub(excess6, potential.ddf_coefficients)
-    excess6 = npoly.polysub(excess6, (a_star,))
+    excess6 = poly_add(poly_add((0.0,) * two_q + (c5,), potential.ddf_coefficients, -1.0), (a_star,), -1.0)
     sup6, s6 = poly_sup_global(excess6)
     c6 = max(1e-9, sup6)
     w6 = Witness(s=s6, margin=float(eval_ddf(potential, s6) + a_star - c5 * abs(s6) ** two_q + c6))
 
     c7 = c5 / ((2.0 * q + 1.0) * (2.0 * q + 2.0))
-    excess8 = [0.0] * (deg + 1)
-    excess8[deg] = c7
-    excess8 = npoly.polysub(excess8, potential.coefficients)
+    excess8 = poly_add((0.0,) * deg + (c7,), potential.coefficients, -1.0)
     sup8, s8 = poly_sup_global(excess8)
     c8 = max(1e-9, sup8)
     w8 = Witness(s=s8, margin=float(eval_f(potential, s8) - c7 * abs(s8) ** deg + c8))

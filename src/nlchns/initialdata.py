@@ -71,6 +71,12 @@ class VelocitySpec:
     path_y: str = ""
 
 
+def velocity_errors(spec: VelocitySpec):
+    """Yield the initial velocity's rules that ``spec`` breaks."""
+    if spec.family == "file" and not (spec.path_x and spec.path_y):
+        yield "initial.u0_path_x and initial.u0_path_y are required for file velocity"
+
+
 _M64 = 2**64 - 1
 _LO32, _S32 = np.uint64(2**32 - 1), np.uint64(32)
 
@@ -239,7 +245,9 @@ def build_u(spec: VelocitySpec, grid: Grid) -> np.ndarray:
     """The rfft2 coefficients of the divergence-free u(0), stacked (2, n,
     n//2 + 1).  Zero is built in them; Taylor-Green, solenoidal as built,
     takes one stacked forward transform, and a velocity read from files is
-    Leray-projected after its own."""
+    Leray-projected after its own; InitialDataError lists ``velocity_errors``."""
+    if errors := list(velocity_errors(spec)):
+        raise InitialDataError("; ".join(errors))
     nh = grid.n // 2 + 1
     if spec.family == "zero":
         return np.zeros((2, grid.n, nh), dtype=complex)

@@ -9,8 +9,10 @@ Families: the canonical double well (1 - s^2)^2, quartics a4 s^4 + a2 s^2 +
 a0, and general even-top-degree polynomials with positive leading
 coefficient.  Coefficients are stored in ascending order and evaluated by
 Horner's rule, in place when given an ``out`` array and bit-identically to
-``numpy.polynomial.polynomial.polyval``.  Everything here is an immutable
-value; evaluation is pure apart from the ``out`` it is given.
+``numpy.polynomial.polynomial.polyval``; scalars and the polynomial algebra
+(derivatives, sums, real roots, extrema) run in Python floats, in numpy's own
+steps and so with the same bits.  Everything here is an immutable value;
+evaluation is pure apart from the ``out`` it is given.
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ class PotentialSpec:
     @cached_property
     def df_coefficients(self) -> tuple[float, ...]:
         """F' in ascending powers, derived once per spec."""
-        return tuple(npoly.polyder(self.coefficients).tolist())
+        return _derivative(self.coefficients)
 
     @cached_property
     def ddf_coefficients(self) -> tuple[float, ...]:
         """F'' in ascending powers, derived once per spec."""
-        return tuple(npoly.polyder(self.coefficients, 2).tolist())
+        return _derivative(self.df_coefficients)
 
     def shifted(self, m: float) -> "PotentialSpec":
         """The potential s -> F(s + m) - F(m) (vanishes at 0)."""
@@ -84,11 +86,17 @@ class PotentialSpec:
 
 
 def _horner(coefficients: tuple[float, ...], s, out=None):
-    """``polyval(s, coefficients)`` in polyval's own steps, c[-1] + s*0 and
+    """``polyval(s, coefficients)`` in polyval's own steps, s*0 + c[-1] and
     then acc*s + c[-i], so the result is bit-identical; for an array ``s``
     every step writes into ``out`` (allocated once when None), and a scalar
-    ``s`` gives a scalar."""
-    if out is None and np.ndim(s):
+    ``s`` runs them in Python floats and gives a float."""
+    if out is None and (isinstance(s, float) or not np.ndim(s)):
+        s = float(s)
+        acc = s * 0.0 + coefficients[-1]
+        for c in coefficients[-2::-1]:
+            acc = acc * s + c
+        return acc
+    if out is None:
         out = np.empty(np.shape(s))
     acc = np.add(np.multiply(s, 0.0, out=out), coefficients[-1], out=out)
     for c in coefficients[-2::-1]:
@@ -108,25 +116,47 @@ def eval_ddf(spec: PotentialSpec, s, out=None):
     return _horner(spec.ddf_coefficients, s, out)
 
 
-def _real_roots(coef) -> np.ndarray:
-    coef = np.trim_zeros(np.asarray(coef, dtype=float), "b")
-    if coef.size <= 1:
-        return np.array([])
-    r = npoly.polyroots(coef)
-    return r.real[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))] + 0.0  # -0.0 -> 0.0
+def _trimmed(coef, keep: int = 0) -> list[float]:
+    """The coefficients as floats less trailing zeros, at least ``keep`` left (0: trim_zeros, 1: trimseq)."""
+    coef = [float(c) for c in coef]
+    while len(coef) > keep and coef[-1] == 0.0:
+        coef.pop()
+    return coef
+
+
+def _derivative(coef) -> tuple[float, ...]:
+    """``npoly.polyder``'s steps: j * c[j], and c[0] * 0 for a constant."""
+    return tuple(j * c for j, c in enumerate(coef[1:], 1)) or tuple(c * 0 for c in coef[:1])
+
+
+def poly_add(a, b, sign: float = 1.0) -> tuple[float, ...]:
+    """a + sign * b for sign +-1 in ``npoly.polyadd``'s and ``polysub``'s steps:
+    the operands trimmed, the overlap summed, both tails kept, the sum trimmed."""
+    a, b = _trimmed(a, 1), [sign * y for y in _trimmed(b, 1)]
+    n = min(len(a), len(b))
+    return tuple(_trimmed([x + y for x, y in zip(a, b)] + a[n:] + b[n:], 1))
+
+
+def _real_roots(coef) -> list[float]:
+    """Real roots: numpy's linear -c0/c1, else ``polyroots``' with |imag| <= 1e-9 (1 + |real|)."""
+    coef = _trimmed(coef)
+    if len(coef) <= 1:
+        return []
+    roots = [-coef[0] / coef[1]] if len(coef) == 2 else npoly.polyroots(coef).tolist()
+    return [r.real + 0.0 for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))]  # -0.0 -> 0.0
 
 
 def poly_extrema_on_range(coef, s_range) -> tuple[float, float, float, float]:
     """(min, argmin, max, argmax) of a polynomial over [lo, hi], exact via
-    the real critical points."""
+    the real critical points; ties go to the first of lo, hi, the roots."""
     lo, hi = float(s_range[0]), float(s_range[1])
     if not lo < hi:
         raise ValueError(f"empty range {s_range}")
-    pts = [lo, hi]
-    pts.extend(r for r in _real_roots(npoly.polyder(coef)) if lo < r < hi)
-    vals = npoly.polyval(np.asarray(pts), coef)
-    imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
-    return float(vals[imin]), float(pts[imin]), float(vals[imax]), float(pts[imax])
+    pts = [lo, hi, *(r for r in _real_roots(_derivative(coef)) if lo < r < hi)]
+    vals = [_horner(coef, s) for s in pts]
+    imin = min(range(len(pts)), key=vals.__getitem__)
+    imax = max(range(len(pts)), key=vals.__getitem__)
+    return vals[imin], pts[imin], vals[imax], pts[imax]
 
 
 def poly_sup_global(coef) -> tuple[float, float]:
@@ -135,20 +165,15 @@ def poly_sup_global(coef) -> tuple[float, float]:
     Requires the polynomial to be bounded above (even degree with negative
     leading coefficient, or constant); raises otherwise.
     """
-    coef = np.trim_zeros(np.asarray(coef, dtype=float), "b")
-    if coef.size == 0:
-        return 0.0, 0.0
-    if coef.size == 1:
-        return float(coef[0]), 0.0
-    deg = coef.size - 1
-    if deg % 2 != 0 or coef[-1] >= 0:
+    coef = _trimmed(coef)
+    if len(coef) <= 1:
+        return (coef[0] if coef else 0.0), 0.0
+    if len(coef) % 2 == 0 or coef[-1] >= 0:  # odd degree or a nonnegative lead
         raise ValueError("polynomial unbounded above on R")
-    crit = _real_roots(npoly.polyder(coef))
-    if crit.size == 0:
-        crit = np.array([0.0])
-    vals = npoly.polyval(crit, coef)
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(crit[i])
+    crit = _real_roots(_derivative(coef)) or [0.0]
+    vals = [_horner(coef, s) for s in crit]
+    i = max(range(len(crit)), key=vals.__getitem__)
+    return vals[i], crit[i]
 
 
 def stabilizer_bound(spec: PotentialSpec, s_range=(-2.0, 2.0)) -> float:

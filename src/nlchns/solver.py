@@ -231,17 +231,17 @@ class ForcingSpec:
             return self.amplitude == (0.0, 0.0)
         return self.scale == 0.0
 
-    def _wavevector(self, grid: Grid) -> tuple[int, int]:
-        """``single_mode``'s m, or a ValueError listing ``forcing_errors``."""
+    def _check(self, grid: Grid) -> None:
+        """Raise a ValueError listing ``forcing_errors`` on the grid, if any."""
         if errors := list(forcing_errors(self, grid.n)):
             raise ValueError("; ".join(errors))
-        return self.mode
 
     def field_at(self, grid: Grid, t: float) -> np.ndarray | None:
         """The rfft2 coefficients of h(t) on the half plane, stacked (2, n,
         n//2 + 1), or None for zero: n^2 A e^{-lambda t} at k = 0 for
         ``body``, and (n^2/2) scale e^{-lambda t} (-m2, m1)/|m| at m and at
         -m, each where it falls on the half plane, for ``single_mode``."""
+        self._check(grid)
         if self.is_zero():
             return None
         if self.family not in ("body", "single_mode"):
@@ -251,7 +251,7 @@ class ForcingSpec:
         if self.family == "body":
             h[:, 0, 0] = np.multiply(self.amplitude, n * n * damp)
             return h
-        m1, m2 = self._wavevector(grid)
+        m1, m2 = self.mode
         norm = np.hypot(m1, m2)
         for row, col in ((m1, m2), (-m1, -m2)):
             if col >= 0:  # on the half plane
@@ -261,6 +261,7 @@ class ForcingSpec:
     def dual_norm_sq_integral(self, grid: Grid) -> float | None:
         """integral_0^inf ||h(t)||^2_{V'_div} dt, or None when h is not an
         admissible V'_div forcing square integrable on (0, inf)."""
+        self._check(grid)
         if self.is_zero():
             return 0.0
         if self.decay <= 0:
@@ -268,7 +269,7 @@ class ForcingSpec:
         if self.family == "body":
             # pure k = 0 momentum: not representable in V'_div on the torus
             return None
-        m1, m2 = self._wavevector(grid)
+        m1, m2 = self.mode
         ksq = (2.0 * np.pi / grid.l) ** 2 * (m1 * m1 + m2 * m2)
         # ||h(t)||_L2^2 = scale^2 e^{-2 lambda t} |Omega| / 2, single shell
         return self.scale**2 * grid.volume / (4.0 * self.decay * ksq)

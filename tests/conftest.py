@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from nlchns.diagnostics import DiagnosticsRecord, make_record
 from nlchns.kernels import KernelOnGrid
@@ -246,3 +247,80 @@ def convolution_oracle(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
             for xj in range(n):
                 out[xi, xj] = np.sum(rows[:, (xj - idx) % n] * f.values)
     return ScalarField(g, out * g.cell_volume)
+
+
+# numpy forms of the auditor's polynomial helpers and golden-section search:
+# numpy arrays and numpy scalars throughout.  ``potentials`` and
+# ``hypotheses`` run them in Python floats and must give the same bits.
+
+def ref_real_roots(coef) -> np.ndarray:
+    coef = np.trim_zeros(np.asarray(coef, dtype=float), "b")
+    if coef.size <= 1:
+        return np.array([])
+    r = npoly.polyroots(coef)
+    return r.real[np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r.real))] + 0.0  # -0.0 -> 0.0
+
+
+def ref_poly_extrema_on_range(coef, s_range) -> tuple[float, float, float, float]:
+    """(min, argmin, max, argmax) over [lo, hi] from ``polyval`` at lo, hi
+    and the real critical points inside."""
+    lo, hi = float(s_range[0]), float(s_range[1])
+    if not lo < hi:
+        raise ValueError(f"empty range {s_range}")
+    pts = [lo, hi]
+    pts.extend(r for r in ref_real_roots(npoly.polyder(coef)) if lo < r < hi)
+    vals = npoly.polyval(np.asarray(pts), coef)
+    imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
+    return float(vals[imin]), float(pts[imin]), float(vals[imax]), float(pts[imax])
+
+
+def ref_poly_sup_global(coef) -> tuple[float, float]:
+    """(sup, argsup) over R from ``polyval`` at the real critical points."""
+    coef = np.trim_zeros(np.asarray(coef, dtype=float), "b")
+    if coef.size == 0:
+        return 0.0, 0.0
+    if coef.size == 1:
+        return float(coef[0]), 0.0
+    deg = coef.size - 1
+    if deg % 2 != 0 or coef[-1] >= 0:
+        raise ValueError("polynomial unbounded above on R")
+    crit = ref_real_roots(npoly.polyder(coef))
+    if crit.size == 0:
+        crit = np.array([0.0])
+    vals = npoly.polyval(crit, coef)
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(crit[i])
+
+
+def ref_golden_min(fun, lo: float, hi: float, samples: int = 4001, tol: float = 1e-11):
+    """Dense scan, then golden-section refinement on numpy scalars."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    xs = np.linspace(lo, hi, samples)
+    vals = np.asarray(fun(xs), dtype=float)
+    i = int(np.argmin(vals))
+    a = xs[max(i - 1, 0)]
+    b = xs[min(i + 1, samples - 1)]
+    x1 = b - golden * (b - a)
+    x2 = a + golden * (b - a)
+    f1, f2 = float(fun(x1)), float(fun(x2))
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = float(fun(x1))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = float(fun(x2))
+    x = 0.5 * (a + b)
+    return float(x), float(fun(x))
+
+
+def ref_eval(spec: PotentialSpec, s, order: int = 0):
+    """F, F' or F'' at s by ``polyval`` of ``polyder``'s coefficients."""
+    return npoly.polyval(s, npoly.polyder(spec.coefficients, order))
+
+
+def bits(x) -> bytes:
+    """The float64 bytes of a number or a sequence of them: equal bits, -0.0 apart from 0.0."""
+    return np.asarray(x, dtype=float).tobytes()

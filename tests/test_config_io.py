@@ -291,6 +291,19 @@ def test_parser_and_builder_give_one_message(rule):
     assert parsed.value.errors == [message]
 
 
+def test_file_velocity_needs_both_paths():
+    # one message from the parser and from build_u, which would otherwise
+    # fail with a FileNotFoundError for the path ''
+    message = "initial.u0_path_x and initial.u0_path_y are required for file velocity"
+    for paths in ({}, {"initial.u0_path_x": "ux.npz"}, {"initial.u0_path_y": "uy.npz"}):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(minimal_with({"initial.u0": "file", **paths}))
+        assert parsed.value.errors == [message]
+    for spec in (VelocitySpec(family="file"), VelocitySpec(family="file", path_y="uy.npz")):
+        with pytest.raises(InitialDataError, match=f"^{message}$"):
+            build_u(spec, G64)
+
+
 KEY_CONTEXT = {
     "kernel.radius": {"kernel": "mollifier", "kernel.sigma": None},
     "kernel.modes": {"kernel": "spectral", "kernel.sigma": None, "kernel.strength": None},

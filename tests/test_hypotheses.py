@@ -3,7 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, gradient, norm_l2
+from numpy.polynomial import polynomial as npoly
+
+from conftest import (
+    CONFIGS,
+    TWO_PI,
+    bits,
+    gradient,
+    norm_l2,
+    ref_eval,
+    ref_golden_min,
+    ref_poly_extrema_on_range,
+    ref_poly_sup_global,
+)
+from nlchns import hypotheses
+from nlchns.config import parse_config_file
 from nlchns.hypotheses import (
     FAIL,
     NA,
@@ -211,3 +225,47 @@ class TestAudit:
         assert all("=" in ln for ln in lines)
         assert any(ln.startswith("h2 = pass") for ln in lines)
         assert any(ln.startswith("m0 = ") for ln in lines)
+
+
+def numpy_audit(monkeypatch, kernel, potential, s_range):
+    """``audit`` with every scalar helper it calls in its numpy form: the
+    conftest references, ``polyadd``/``polysub`` and ``polyval`` of ``polyder``."""
+    for name, ref in (("golden_min", ref_golden_min), ("poly_sup_global", ref_poly_sup_global),
+                      ("poly_extrema_on_range", ref_poly_extrema_on_range),
+                      ("poly_add", lambda a, b, sign=1.0: (npoly.polyadd if sign > 0 else npoly.polysub)(a, b)),
+                      ("eval_f", lambda spec, s: ref_eval(spec, s)),
+                      ("eval_df", lambda spec, s: ref_eval(spec, s, 1)),
+                      ("eval_ddf", lambda spec, s: ref_eval(spec, s, 2))):
+        monkeypatch.setattr(hypotheses, name, ref)
+    try:
+        return audit(kernel, potential, s_range)
+    finally:
+        monkeypatch.undo()
+
+
+class TestPythonFloatBits:
+    """The audit's scalar work runs in Python floats, in numpy's steps: its
+    report is the numpy form's byte for byte."""
+
+    @pytest.mark.parametrize("name", ["spinodal", "taylor_green", "gradient_control"])
+    def test_shipped_reports(self, monkeypatch, name):
+        cfg = parse_config_file(CONFIGS / f"{name}.cfg")
+        kernel = build_kernel(cfg.kernel, cfg.grid)
+        got = audit(kernel, cfg.potential, cfg.checks.s_range).to_text()
+        assert got == numpy_audit(monkeypatch, kernel, cfg.potential, cfg.checks.s_range).to_text()
+
+    def test_random_potentials(self, monkeypatch, gauss_kernel):
+        rng = np.random.default_rng(29)
+        for deg in (0, 2, 4, 4, 6, 6, 8, 8) * 3:
+            coef = rng.standard_normal(deg + 1) * 10.0 ** float(rng.integers(-1, 2))
+            coef[rng.random(deg + 1) < 0.2] = 0.0
+            coef[-1] = abs(coef[-1]) + 0.1
+            spec = PotentialSpec(tuple(coef))
+            s_range = (float(rng.uniform(-3.0, -0.5)), float(rng.uniform(0.5, 3.0)))
+            got = audit(gauss_kernel, spec, s_range).to_text()
+            assert got == numpy_audit(monkeypatch, gauss_kernel, spec, s_range).to_text()
+
+    def test_golden_min(self):
+        for lo, hi, samples in ((-2.0, 2.0, 4001), (-7.5, 3.25, 20001), (0.0, 1.0, 11)):
+            fun = lambda s: np.cos(3.0 * s) + 0.1 * s**2 - 0.3 * s
+            assert bits(golden_min(fun, lo, hi, samples)) == bits(ref_golden_min(fun, lo, hi, samples))

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from conftest import bits, ref_eval, ref_poly_extrema_on_range, ref_poly_sup_global
 from nlchns.hypotheses import estimate_c0
 from nlchns.potentials import (
     PotentialSpec,
+    _horner,
     eval_ddf,
     eval_df,
     eval_f,
+    poly_add,
     poly_extrema_on_range,
     poly_sup_global,
     stabilizer_bound,
@@ -95,6 +98,68 @@ class TestPolyUtils:
         assert abs(sup) < 1e-12 and abs(abs(arg) - 1.0) < 1e-9
         with pytest.raises(ValueError):
             poly_sup_global((0.0, 1.0))
+
+
+def random_coefficients(rng, deg: int) -> np.ndarray:
+    """deg + 1 normal coefficients of a random scale, about a fifth of them zero."""
+    coef = rng.standard_normal(deg + 1) * 10.0 ** float(rng.integers(-2, 3))
+    coef[rng.random(deg + 1) < 0.2] = 0.0
+    return coef
+
+
+class TestPythonFloatBits:
+    """Scalars and the polynomial algebra run in Python floats; numpy's
+    ``polyval``, ``polyder``, ``polyadd``/``polysub`` and the numpy forms in
+    conftest give the bits they must keep."""
+
+    def test_scalar_horner_is_polyval(self):
+        rng = np.random.default_rng(25)
+        for trial in range(10_000):
+            deg = int(rng.integers(0, 9))
+            coef = random_coefficients(rng, deg)
+            special = (0.0, -0.0, 2, -1.0, np.inf, -np.inf, np.nan)
+            s = special[trial] if trial < len(special) else float(rng.standard_normal() * 3.0)
+            got = _horner(tuple(coef.tolist()), s)
+            with np.errstate(invalid="ignore"):
+                want = npoly.polyval(s, coef)
+            assert type(got) is float and bits(got) == bits(want)
+            assert got == want or np.isnan(want)
+            if deg % 2 == 0:
+                coef[-1] = abs(coef[-1]) + 0.1
+                spec = PotentialSpec(tuple(coef))
+                for order, fn in enumerate((eval_f, eval_df, eval_ddf)):
+                    with np.errstate(invalid="ignore"):
+                        assert bits(fn(spec, s)) == bits(ref_eval(spec, s, order))
+
+    def test_derivatives_are_polyder(self):
+        rng = np.random.default_rng(26)
+        for deg in (0, 0, 2, 2, 4, 4, 6, 8) * 20:
+            coef = random_coefficients(rng, deg)
+            coef[-1] = abs(coef[-1]) + 0.1
+            if deg == 0:
+                coef[0] = -coef[0]  # F' of a negative constant is -0.0
+            spec = PotentialSpec(tuple(coef))
+            assert bits(spec.df_coefficients) == bits(npoly.polyder(spec.coefficients))
+            assert bits(spec.ddf_coefficients) == bits(npoly.polyder(spec.coefficients, 2))
+
+    def test_sums_are_polyadd_and_polysub(self):
+        rng = np.random.default_rng(27)
+        for _ in range(2000):
+            a, b = (random_coefficients(rng, int(rng.integers(0, 9))) for _ in range(2))
+            a[rng.random(a.size) < 0.1] = -0.0
+            assert bits(poly_add(a.tolist(), tuple(b))) == bits(npoly.polyadd(a, b))
+            assert bits(poly_add(tuple(a), b.tolist(), -1.0)) == bits(npoly.polysub(a, b))
+
+    def test_extrema_are_the_numpy_forms(self):
+        rng = np.random.default_rng(28)
+        for _ in range(2000):
+            coef = random_coefficients(rng, 2 * int(rng.integers(0, 5)))
+            lo = float(rng.uniform(-3.0, 1.0))
+            s_range = (lo, lo + float(rng.uniform(0.1, 4.0)))
+            assert bits(poly_extrema_on_range(tuple(coef), s_range)) == \
+                bits(ref_poly_extrema_on_range(tuple(coef), s_range))
+            coef[-1] = -abs(coef[-1]) - 0.1  # bounded above
+            assert bits(poly_sup_global(tuple(coef))) == bits(ref_poly_sup_global(tuple(coef)))
 
 
 class TestConvexSplit:

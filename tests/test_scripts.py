@@ -2,12 +2,18 @@
 problem.  The studies have no scripts: ``tests/test_cli.py`` runs each from
 its shipped config."""
 
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from nlchns.config import parse_config_file
+from nlchns.hypotheses import audit
+from nlchns.kernels import build_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,12 +34,28 @@ def test_state_digest_repeats():
     out = run_script("state_digest.py", *args)
     assert out == run_script("state_digest.py", *args)
     lines = out.splitlines()
-    assert [line.split()[0] for line in lines[:4]] == ["phi", "u_x", "u_y", "records"]
-    assert all(len(line.split()[1]) == 64 for line in lines[:4])
+    assert [line.split()[0] for line in lines[:5]] == ["phi", "u_x", "u_y", "records", "report"]
+    assert all(len(line.split()[1]) == 64 for line in lines[:5])
     assert lines[3].endswith("(4 rows)")  # steps 0, 2, 4 and the last
-    rows = [[float(v) for v in line.split()] for line in lines[4:]]
+    rows = [[float(v) for v in line.split()] for line in lines[5:]]
     assert len(rows) == 4 and all(len(r) == 13 for r in rows)
     assert [r[0] for r in rows] == [0.0, 0.002, 0.004, 0.005]
+
+
+def test_state_digest_report_is_the_audit_text():
+    # the report line is the sha256 of the run's admissibility report, and
+    # it follows the config's potential, not the run's length
+    config = ROOT / "configs" / "gradient_control.cfg"
+    out = run_script("state_digest.py", "--config", str(config), "--n", "16", "--steps", "3")
+    report = [line for line in out.splitlines() if line.startswith("report ")]
+    cfg = parse_config_file(config)
+    kernel = build_kernel(cfg.kernel, replace(cfg.grid, n=16))
+    text = audit(kernel, cfg.potential, cfg.checks.s_range).to_text()
+    assert report == [f"report {hashlib.sha256(text.encode()).hexdigest()}"]
+    assert report[0] in run_script("state_digest.py", "--config", str(config), "--n", "16", "--steps", "5")
+    moved = run_script("state_digest.py", "--config", str(config), "--n", "16", "--steps", "3",
+                       "--set", "potential=quartic", "--set", "potential.a4=2")
+    assert report[0] not in moved.splitlines()
 
 
 def test_state_digest_sets_config_lines():
@@ -74,7 +96,7 @@ def test_state_digest_against_a_saved_run(tmp_path):
         for _, ratio, diff, scale in parsed:
             want = float(diff) / float(scale) if float(scale) else 0.0
             assert float(ratio) == pytest.approx(want, rel=1e-2)
-        return lines[:4], {name: float(ratio) for name, ratio, *_ in parsed}
+        return lines[:5], {name: float(ratio) for name, ratio, *_ in parsed}
 
     same_digest, same = rel()
     assert same_digest == digest and set(same.values()) == {0.0}

@@ -1069,6 +1069,17 @@ class TestForcing:
             records += 1
         assert records == 11
 
+    def test_negative_decay_raises_for_every_family(self):
+        # a body force with lambda < 0 would grow as e^{|lambda| t}: 2.718 n^2 at t = 1
+        g = Grid(16, TWO_PI)
+        for spec in (ForcingSpec(family="body", amplitude=(1.0, 0.0), decay=-1.0),
+                     ForcingSpec(family="body", decay=-1.0),
+                     ForcingSpec(family="single_mode", mode=(1, 0), scale=1.0, decay=-1.0)):
+            with pytest.raises(ValueError, match="^forcing.decay must be nonnegative$"):
+                spec.field_at(g, 1.0)
+            with pytest.raises(ValueError, match="^forcing.decay must be nonnegative$"):
+                spec.dual_norm_sq_integral(g)
+
     def test_body_and_zero_families(self):
         g = Grid(16, TWO_PI)
         assert ForcingSpec().field_at(g, 1.0) is None
