@@ -250,7 +250,6 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
     if stabilizer != "auto":
         stabilizer = r.floatv("stabilizer", 0.0)
     errors.extend(step_errors(dt, stabilizer, t_end))
-    dealias = r.boolv("dealias", True)
 
     ifam = r.string("initial", "uniform")
     initial = InitialSpec()
@@ -336,7 +335,7 @@ def parse_config(text: str, overrides: Iterable[str] = ()) -> SimConfig:
         grid=Grid(n, l),
         kernel=kernel,
         potential=potential,
-        sim=SimParams(nu=nu, dt=dt, t_end=t_end, stabilizer=stabilizer, dealias=dealias),
+        sim=SimParams(nu=nu, dt=dt, t_end=t_end, stabilizer=stabilizer),
         forcing=forcing,
         initial=initial,
         velocity=velocity,

@@ -63,7 +63,8 @@ class Witness:
 
 def golden_min(fun, lo: float, hi: float, samples: int = 4001, tol: float = 1e-11):
     """Minimize a scalar function: a dense scan (``fun`` of an array), then
-    golden-section refinement of the best bracket on floats.  Returns (argmin, value)."""
+    golden-section refinement of the best bracket on floats, until it is
+    ``tol`` wide or stops shrinking.  Returns (argmin, value)."""
     xs = np.linspace(lo, hi, samples)
     vals = np.asarray(fun(xs), dtype=float)
     i = int(np.argmin(vals))
@@ -71,8 +72,9 @@ def golden_min(fun, lo: float, hi: float, samples: int = 4001, tol: float = 1e-1
     b = float(xs[min(i + 1, samples - 1)])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = float(fun(x1)), float(fun(x2))
-    while b - a > tol:
+    f1, f2, width = float(fun(x1)), float(fun(x2)), math.inf
+    while tol < b - a < width:
+        width = b - a
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -208,16 +210,17 @@ def verify_h4(potential: PotentialSpec):
     if deg == 0:
         return 2.0, 1.0, 0.0, PASS, Witness(s=0.0, margin=0.0)
     p = deg / (deg - 1.0)
-    tail_ratio = (deg * potential.leading) ** p / potential.leading
-    c3 = 2.0 * tail_ratio
 
     def excess(s):  # an array or a float
         return abs(eval_df(potential, s)) ** p - c3 * abs(eval_f(potential, s))
-
-    big = _h4_tail_scale(potential)
-    s_sup, neg = golden_min(lambda s: -excess(s), -big, big, samples=20001)
-    c4 = max(0.0, -neg)
-    margin = float(c3 * abs(eval_f(potential, s_sup)) + c4 - abs(eval_df(potential, s_sup)) ** p)
+    try:
+        c3 = 2.0 * (deg * potential.leading) ** p / potential.leading  # twice the tail ratio
+        big = _h4_tail_scale(potential)
+        s_sup, neg = golden_min(lambda s: -excess(s), -big, big, samples=20001)
+        c4 = max(0.0, -neg)
+        margin = float(c3 * abs(eval_f(potential, s_sup)) + c4 - abs(eval_df(potential, s_sup)) ** p)
+    except OverflowError:  # a float power past the largest double: no finite constants
+        return float(p), math.inf, math.inf, FAIL, Witness(s=math.nan, margin=math.nan)
     verdict = PASS if 1.0 < p <= 2.0 else FAIL
     return float(p), float(c3), float(c4), verdict, Witness(s=s_sup, margin=margin)
 
@@ -243,14 +246,15 @@ def verify_h6(potential: PotentialSpec, a_star: float):
     excess6 = poly_add(poly_add((0.0,) * two_q + (c5,), potential.ddf_coefficients, -1.0), (a_star,), -1.0)
     sup6, s6 = poly_sup_global(excess6)
     c6 = max(1e-9, sup6)
-    w6 = Witness(s=s6, margin=float(eval_ddf(potential, s6) + a_star - c5 * abs(s6) ** two_q + c6))
-
     c7 = c5 / ((2.0 * q + 1.0) * (2.0 * q + 2.0))
     excess8 = poly_add((0.0,) * deg + (c7,), potential.coefficients, -1.0)
     sup8, s8 = poly_sup_global(excess8)
     c8 = max(1e-9, sup8)
-    w8 = Witness(s=s8, margin=float(eval_f(potential, s8) - c7 * abs(s8) ** deg + c8))
-
+    try:
+        w6 = Witness(s=s6, margin=float(eval_ddf(potential, s6) + a_star - c5 * abs(s6) ** two_q + c6))
+        w8 = Witness(s=s8, margin=float(eval_f(potential, s8) - c7 * abs(s8) ** deg + c8))
+    except OverflowError:  # a float power past the largest double: no finite constants
+        return float(q), float(c5), math.inf, float(c7), math.inf, FAIL, {}
     witnesses = {"h6_c6": w6, "h6_c8": w8}
     return float(q), float(c5), float(c6), float(c7), float(c8), PASS, witnesses
 

@@ -18,8 +18,7 @@ omega (u_y, -u_x), omega = curl u (the Leray projection that follows removes
 the rest, -grad |u|^2/2).  Products are formed pointwise and 2/3-dealiased in
 the state's band K (n >= 3K + 1), so none aliases into a kept mode: advection
 identities are exact, and the divergence and rotational forms give the
-convective results to round-off (undealiased they alias apart; omega (u_y,
--u_x) . u = 0 either way).
+convective results to round-off.
 The k = 0 row of the phase update is copied through: mass is kept to the bit.
 
 ``Stepper`` is the only implementation of the scheme.  One is built per
@@ -36,10 +35,10 @@ that steps with one stepper and audits each record; ``run`` consumes the
 frames and writes the records and snapshots.  A state is made from the
 rfft2 half-plane coefficients of phi, u_x and u_y, one (3, n, c) block, and
 carries its samples, made from them: a run's states hold the first
-``Grid.half.kept_cols`` columns (the rest being zero) with dealias on, and
-all n//2 + 1 with it off.  Initial data is built in coefficients
-(``initialdata.build_hats``), and a state's samples are only ever made
-from its coefficients.  A step steps the coefficients it is given.  The transport
+``Grid.half.kept_cols`` columns, the rest being zero.  Initial data is
+built in coefficients (``initialdata.build_hats``), and a state's samples
+are only ever made from its coefficients.  A step steps the coefficients
+it is given.  The transport
 is taken in divergence form, ik . (u phi)^ (``spectral.flux_divergence``),
 the weak form's (u, phi grad psi), which equals u . grad phi because
 div u = 0.  Every transform goes through ``spectral.rfft2_cols`` and
@@ -48,10 +47,9 @@ as its coefficients (``ForcingSpec.field_at``), so a step from the state
 the stepper returned, forced or not, takes 11 transforms in 6 calls of
 them: 3 full (the new F'(phi), not band-limited, in place, and grad mu
 in one stacked inverse call) and 8 on the first ``Grid.half.kept_cols`` =
-n//3 + 1 columns (all with dealias off): u phi and both momentum
-right-hand sides forward, in two stacked calls; omega inverse, and the new
-phi, u_x and u_y in one stacked call (in two, phi apart, when the step
-forks: 7 calls).
+n//3 + 1 columns: u phi and both momentum right-hand sides forward, in
+two stacked calls; omega inverse, and the new phi, u_x and u_y in one
+stacked call (in two, phi apart, when the step forks: 7 calls).
 mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
 takes no transform of its own, so a recorded step is 11 transforms too.
 Its mass is the carried k = 0 coefficient of phi, its norms are read from
@@ -81,9 +79,9 @@ numpy's pocketfft gufuncs and large ufunc loops release the GIL, so the two
 overlap on two CPUs.  The branches write disjoint buffers, the worker's own
 among them, and every 1-D pass is independent, so the result is the same
 bit for bit; an error on either branch reaches the caller only after the
-other branch has finished.  The thread is a daemon started with the
-stepper, and exits once the stepper is collected.  Below that size the
-hand-off costs more than the overlap saves, and no thread is started.
+other branch has finished.  The thread, a daemon, exits once the stepper
+is closed (as a trajectory's frames end) or collected.  Below that size
+the hand-off costs more than the overlap saves, and no thread is started.
 """
 
 from __future__ import annotations
@@ -91,6 +89,7 @@ from __future__ import annotations
 import queue
 import threading
 import weakref
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -178,7 +177,6 @@ class SimParams:
     dt: float
     t_end: float
     stabilizer: float | str = "auto"
-    dealias: bool = True
 
     @property
     def n_steps(self) -> int:
@@ -341,16 +339,22 @@ def _serve(tasks: "queue.SimpleQueue", done: "queue.SimpleQueue") -> None:
 class _Fork:
     """One daemon thread that runs a function while the caller runs another.
     Between calls the thread holds neither this object nor what its tasks
-    worked on: it exits once this object is collected, and it never holds
-    up the interpreter's exit."""
+    worked on: it exits once this object is closed or collected, and it
+    never holds up the interpreter's exit."""
 
-    __slots__ = ("_tasks", "_done", "__weakref__")
+    __slots__ = ("_tasks", "_done", "_thread", "_stop", "__weakref__")
 
     def __init__(self):
         self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(self._tasks, self._done), name="nlchns-phase",
-                         daemon=True).start()
-        weakref.finalize(self, self._tasks.put, None)
+        self._thread = threading.Thread(target=_serve, args=(self._tasks, self._done), name="nlchns-phase",
+                                        daemon=True)
+        self._thread.start()
+        self._stop = weakref.finalize(self, self._tasks.put, None)
+
+    def close(self) -> None:
+        """Hand the thread its stop task, once, and wait for it to exit."""
+        self._stop()
+        self._thread.join()
 
     def both(self, branch: "Callable[[], None]", main: "Callable[[], None]") -> None:
         """Run ``branch`` on the thread and ``main`` here.  Returns, or
@@ -370,8 +374,8 @@ class Stepper:
 
     Operators, on the columns the step keeps: new phi^ = (keep phi^ - k2 F'^
     - adv^) solve; new u^ = perp (wperp . b^), the masked viscous solve
-    projected as e (e . b^) with e = ``HalfPlane.perp``, and at the modes
-    ``still``, where k = 0, the solve alone; a - J^, for mu^; and the
+    projected as e (e . b^) with e = ``HalfPlane.perp``, and at k = 0
+    (``still``) the solve alone; a - J^, for mu^; and the
     derivative multipliers (``HalfPlane.ik``).  Each is held complex, x +
     0j, and contiguous, so that no product casts or buffers an operand
     (either would allocate), with the same result bit for bit.
@@ -398,17 +402,17 @@ class Stepper:
 
     def __init__(self, kernel: KernelOnGrid, params: SimParams, potential: PotentialSpec):
         g = kernel.grid
-        h, c = g.half, (g.half.kept_cols if params.dealias else None)
-        k2, mask = h.k2[:, :c], (h.mask[:, :c] if params.dealias else 1.0)
+        h, c = g.half, g.half.kept_cols
+        k2, mask = h.k2[:, :c], h.mask[:, :c]
         flow, e = mask / (1.0 / params.dt + params.nu * k2), h.perp[:, :, :c]
         self.keep, self.solve, self.k2, self.perp, self.wperp, self.a_minus_j, self.ik = (
             a.astype(complex, copy=False) for a in (
                 1.0 / params.dt + k2 * (params.stabilizer + kernel.multiplier[:, :c]),
                 mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
-                k2, e, flow * e, kernel.a_minus_j[:, :c], h.ik(k2.shape[1])))
-        self.still = [(i, j, flow[i, j]) for i, j in np.argwhere((k2 == 0.0) & (flow != 0.0))]
+                k2, e, flow * e, kernel.a_minus_j[:, :c], h.ik(c)))
+        self.still = flow[0, 0]  # k = 0, the one kept mode with k2 = 0: row and column n/2 are cut
         self.dt, self.potential = params.dt, potential
-        n, c = g.n, self.keep.shape[1]
+        n = g.n
         self.real = np.empty((2, n, n))
         self.rows = np.empty((2, n, n // 2 + 1), dtype=complex)
         self.cols = np.empty((3, n, c), dtype=complex)
@@ -422,6 +426,11 @@ class Stepper:
             self.phase_flux = block[:4 * n * c].view(complex).reshape(2, n, c)
         # the state the last step returned and its (F'(phi)^, row block), as _chemical_hats returns them
         self._state = self._hats = None
+
+    def close(self) -> None:
+        """Join the fork's thread, if any: a stepper that is closed steps no more."""
+        if self.fork is not None:
+            self.fork.close()
 
     def mu_hat(self, state: SimState) -> np.ndarray:
         """The rfft2 coefficients of mu at ``state``, which the step from it
@@ -540,8 +549,7 @@ class Stepper:
                    out=cols[2])
         np.multiply(self.perp[0], s, out=new_u[0])
         np.multiply(self.perp[1], s, out=new_u[1])
-        for i, j, f in self.still:
-            new_u[0, i, j], new_u[1, i, j] = f * bx[i, j], f * by[i, j]
+        new_u[0, 0, 0], new_u[1, 0, 0] = self.still * bx[0, 0], self.still * by[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +606,8 @@ def trajectory(cfg: "SimConfig", *, initial_state: SimState | None = None
         start, hats, t0 = initial_state.phi.grid, initial_state.hats, initial_state.t
     # the columns a step transforms, and the band; the mask multiplies the
     # real and imaginary parts as reals, so a cut block is cut again bit for bit
-    hats = resample(hats, start, grid, grid.half.kept_cols if cfg.sim.dealias else None)
-    if cfg.sim.dealias:
-        hats.view(float)[...] *= np.repeat(grid.half.mask[:, :hats.shape[-1]], 2, axis=-1)
+    hats = resample(hats, start, grid, grid.half.kept_cols)
+    hats.view(float)[...] *= np.repeat(grid.half.mask[:, :hats.shape[-1]], 2, axis=-1)
     state = SimState(grid, hats, t0)
 
     s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, cfg.potential, state.phi, cfg.checks.s_range)
@@ -618,35 +625,35 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
     potential, every, n_steps = cfg.potential, cfg.output.record_every, params.n_steps
     mass0, t0 = state.hats[0][0, 0].real, state.t
     h, rec = cfg.forcing.field_at(kernel.grid, t0), None
-    stepper = Stepper(kernel, params, potential)
-    for i in range(n_steps + 1):
-        if i:
-            h = cfg.forcing.field_at(kernel.grid, state.t)
-            try:  # the new state's F'(phi)^ and mu^ too: its record's and the next step's
-                state = stepper.step(state, h)
-            except BlowUpError as err:
-                raise BlowUpError(str(err), step=i, last_record=rec) from None
-            state.t = t0 + i * params.dt  # not a running sum: no round-off builds up in t
-        if i % every and i < n_steps:
-            yield i, state, None, []
-            continue
-        new = diagnostics.make_record(
-            state, stepper.mu_hat(state), kernel, potential, params.nu, report.beta,
-            forcing_power=(_forcing_power(h, state) if h is not None else 0.0), prev=rec,
-        )
-        found = _audit_record(cfg, report, state, new, i, mass0)
-        # widen the validated range to the record's, while S still covers it
-        lo, hi = new.phi_min, new.phi_max
-        if lo < validated[0] or hi > validated[1]:
-            wider = (min(lo, validated[0]), max(hi, validated[1]))
-            needed = stabilizer_bound(potential, wider)
-            if params.stabilizer + 1e-12 < needed:
-                raise StabilizerRangeError(
-                    f"solution range [{lo:.3g}, {hi:.3g}] needs stabilizer {needed:.3g} "
-                    f"> configured {params.stabilizer:.3g}", step=i, last_record=rec)
-            validated = wider
-        rec = new
-        yield i, state, rec, found
+    with closing(Stepper(kernel, params, potential)) as stepper:  # no thread outlives the frames
+        for i in range(n_steps + 1):
+            if i:
+                h = cfg.forcing.field_at(kernel.grid, state.t)
+                try:  # the new state's F'(phi)^ and mu^ too: its record's and the next step's
+                    state = stepper.step(state, h)
+                except BlowUpError as err:
+                    raise BlowUpError(str(err), step=i, last_record=rec) from None
+                state.t = t0 + i * params.dt  # not a running sum: no round-off builds up in t
+            if i % every and i < n_steps:
+                yield i, state, None, []
+                continue
+            new = diagnostics.make_record(
+                state, stepper.mu_hat(state), kernel, potential, params.nu, report.beta,
+                forcing_power=(_forcing_power(h, state) if h is not None else 0.0), prev=rec,
+            )
+            found = _audit_record(cfg, report, state, new, i, mass0)
+            # widen the validated range to the record's, while S still covers it
+            lo, hi = new.phi_min, new.phi_max
+            if lo < validated[0] or hi > validated[1]:
+                wider = (min(lo, validated[0]), max(hi, validated[1]))
+                needed = stabilizer_bound(potential, wider)
+                if params.stabilizer + 1e-12 < needed:
+                    raise StabilizerRangeError(
+                        f"solution range [{lo:.3g}, {hi:.3g}] needs stabilizer {needed:.3g} "
+                        f"> configured {params.stabilizer:.3g}", step=i, last_record=rec)
+                validated = wider
+            rec = new
+            yield i, state, rec, found
 
 
 def _forcing_power(h: np.ndarray, state: SimState) -> float:

@@ -53,7 +53,7 @@ class TestParseConfig:
         assert cfg.kernel.family == "gaussian"
         assert cfg.potential.family == "double_well"
         assert cfg.sim.nu == 0.01 and cfg.sim.dt == 1e-3 and cfg.sim.t_end == 1.0
-        assert cfg.sim.stabilizer == "auto" and cfg.sim.dealias is True
+        assert cfg.sim.stabilizer == "auto"
         assert cfg.initial.family == "uniform"
         assert cfg.forcing.family == "zero"
         assert cfg.output.record_every == 1
@@ -68,6 +68,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "grid.m = 3\n")
         assert any("grid.m" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_dealias_is_not_a_setting(self, value):
+        # every run steps the 2/3 band: a config that still chooses refuses
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"dealias = {value}\n")
+        assert err.value.errors == ["key 'dealias' is not read by this configuration"]
 
     def test_all_errors_reported_at_once(self):
         text = MINIMAL.replace("dt = 1e-3", "dt = -1").replace("grid.n = 64", "grid.n = 37")
@@ -133,7 +140,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("edit, message", [
         (("grid.n = 64", "grid.n = x"), "grid.n: not an integer: 'x'"),
-        (("dt = 1e-3", "dt = 0\ndealias = false"), "dt must be positive"),
+        (("dt = 1e-3", "dt = 0"), "dt must be positive"),
         (("potential = double_well", "potential = quartic\npotential.a4 = -1\npotential.a2 = 0.5"),
          "potential.a4 must be positive"),
         (("kernel.sigma = 0.3141592653589793", "kernel.sigma = -1"), "kernel.sigma must be positive"),

@@ -35,7 +35,7 @@ READ_KEYS = {
     "grid.n", "grid.l",
     "kernel", "kernel.sigma", "kernel.strength", "kernel.radius", "kernel.modes",
     "potential", "potential.a4", "potential.a2", "potential.a0", "potential.coefficients",
-    "nu", "dt", "t_end", "stabilizer", "dealias",
+    "nu", "dt", "t_end", "stabilizer",
     "initial", "initial.c", "initial.amplitude", "initial.mean", "initial.seed",
     "initial.width", "initial.path", "initial.band",
     "initial.u0", "initial.u0_amplitude", "initial.u0_path_x", "initial.u0_path_y",

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import math
+import signal
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from conftest import (
     ref_poly_extrema_on_range,
     ref_poly_sup_global,
 )
-from nlchns import hypotheses
+from nlchns import cli, hypotheses
 from nlchns.config import parse_config_file
 from nlchns.hypotheses import (
     FAIL,
@@ -139,6 +142,43 @@ class TestH4:
     def test_constant_potential(self):
         p, c3, c4, verdict, _ = verify_h4(PotentialSpec((5.0,)))
         assert (p, c4, verdict) == (2.0, 0.0, PASS)
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds`` of wall time."""
+
+    def out_of_time(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestEveryAcceptedPotential:
+    """Potentials the parser accepts whose h4 bracket lies where floats are
+    spaced wider than golden_min's tol, or whose fit takes a float power
+    past the largest double: the audit ends with a report, the latter with
+    h4 failing on non-finite constants."""
+
+    @pytest.mark.parametrize("coefficients, h4", [("0,0,-1e10,0,1", PASS), ("0,0,-1,0,1e-12", PASS),
+                                                  ("0,0,-1,0,1e300", FAIL), ("0,0,-1e200,0,1", FAIL)])
+    def test_audit_ends_in_a_second(self, capsys, coefficients, h4):
+        sets = ["potential=polynomial", f"potential.coefficients={coefficients}"]
+        cfg = parse_config_file(CONFIGS / "spinodal.cfg", sets)
+        kernel = build_kernel(cfg.kernel, cfg.grid)
+        with within(1.0):
+            report = audit(kernel, cfg.potential, cfg.checks.s_range)
+        assert report.h4 == h4
+        assert math.isfinite(report.c3 + report.c4) == (h4 == PASS)
+        with within(5.0):
+            code = cli.main(["check", str(CONFIGS / "spinodal.cfg")] + [a for kv in sets for a in ("--set", kv)])
+        assert code == int(not report.passes_core())
+        assert capsys.readouterr().out == report.to_text()
 
 
 class TestH6:

@@ -62,7 +62,7 @@ def test_state_digest_sets_config_lines():
     # the step's non-default branches, each set on the command line
     base = ("--config", str(ROOT / "configs" / "gradient_control.cfg"), "--n", "16", "--steps", "3")
     plain = run_script("state_digest.py", *base).splitlines()
-    for lines in (("dealias=false",), ("stabilizer = 8",),
+    for lines in (("forcing=body", "forcing.amplitude_x=0.3", "forcing.decay=0.5"), ("stabilizer = 8",),
                   ("forcing=single_mode", "forcing.scale=0.3", "forcing.decay=0.5")):
         out = run_script("state_digest.py", *base, *(a for line in lines for a in ("--set", line)))
         assert out.splitlines()[0].split()[0] == "phi"

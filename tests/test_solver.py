@@ -350,15 +350,11 @@ class TestRotationalForm:
         for got, u0, w in zip(components(out), components(u), want):
             assert rel_err(got.values - u0.values, w) < 1e-13
 
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_kinetic_energy_neutral(self, kernel32, rng, dealias):
-        # (u^+ - u, u) = (P L, u) = (L, u), and L . u = 0 pointwise, so this
-        # holds without dealiasing too, for full-spectrum u
+    def test_kinetic_energy_neutral(self, kernel32, rng):
+        # (u^+ - u, u) = (P L, u) = (L, u), and L . u = 0 pointwise
         g = kernel32.grid
-        band = g.n // 3 if dealias else None
-        u = leray(VectorField(random_field(g, rng, band), random_field(g, rng, band)))
-        params = replace(self.params, dealias=dealias)
-        out = one_step(state_from_samples(constant_field(g, 0.0), u, 0.0), params, kernel32).u
+        u = leray(VectorField(random_field(g, rng, g.n // 3), random_field(g, rng, g.n // 3)))
+        out = one_step(state_from_samples(constant_field(g, 0.0), u, 0.0), self.params, kernel32).u
         du = vector_from_values(g, out.x.values - u.x.values, out.y.values - u.y.values)
         assert norm_l2(du) > 0.1 * norm_l2(u)
         assert abs(inner(du, u)) < 1e-13 * norm_l2(du) * norm_l2(u)
@@ -498,7 +494,7 @@ class TestStepCore:
         assert (transforms, steps.total()) == (10 * 11, 10 * 7)
 
     def test_full_spectrum_state_steps_in_band(self, kernel32, rng):
-        # with dealias on, run() cuts full-spectrum initial data to the band,
+        # run() cuts full-spectrum initial data to the band,
         # rows and columns alike, and steps those coefficients
         g = kernel32.grid
         phi, u = random_field(g, rng), leray(VectorField(random_field(g, rng), random_field(g, rng)))
@@ -754,14 +750,23 @@ class TestFork:
     params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
 
     @staticmethod
-    def trajectory(stepper, grid, forcing, steps, seed=3) -> list[SimState]:
+    def start(grid, seed=3) -> SimState:
+        """A band-limited state with its full-width coefficients."""
         rng = np.random.default_rng(seed)
         u = leray(VectorField(random_field(grid, rng, band=grid.n // 4),
                                       random_field(grid, rng, band=grid.n // 4)))
-        states = [state_from_samples(random_field(grid, rng, band=grid.n // 4), u, 0.0)]
+        return state_from_samples(random_field(grid, rng, band=grid.n // 4), u, 0.0)
+
+    @classmethod
+    def trajectory(cls, stepper, grid, forcing, steps, renew=False) -> list[SimState]:
+        """``steps`` steps from ``start``; with ``renew`` each from a new state
+        with the last one's coefficients, whose F'(phi)^ and mu^ the stepper
+        then makes again."""
+        states = [cls.start(grid)]
         for _ in range(steps):
             h = forcing.field_at(grid, states[-1].t)
-            states.append(stepper.step(states[-1], h))
+            last = SimState(grid, states[-1].hats, states[-1].t) if renew else states[-1]
+            states.append(stepper.step(last, h))
         return states
 
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
@@ -771,14 +776,16 @@ class TestFork:
     @pytest.mark.parametrize("forcing", [ForcingSpec(),
                                          ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],
                              ids=["zero", "single_mode"])
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_forked_steps_are_the_serial_steps(self, monkeypatch, spec, forcing, dealias):
-        params = replace(self.params, dealias=dealias)
+    @pytest.mark.parametrize("returned", [True, False])
+    def test_forked_steps_are_the_serial_steps(self, monkeypatch, spec, forcing, returned):
+        # each step from the state the stepper returned, whose F'(phi)^ and
+        # mu^ the worker made in the row block it used, or from a new state
+        # whose hats the calling thread makes in the stepper's own
         kernel = kernel_on(32, spec)
-        forked, serial = (stepper_for(monkeypatch, kernel, params, f) for f in (True, False))
+        forked, serial = (stepper_for(monkeypatch, kernel, self.params, f) for f in (True, False))
         assert forked.fork is not None and serial.fork is None
-        assert_same_states(self.trajectory(forked, kernel.grid, forcing, 50),
-                           self.trajectory(serial, kernel.grid, forcing, 50))
+        assert_same_states(self.trajectory(forked, kernel.grid, forcing, 50, renew=not returned),
+                           self.trajectory(serial, kernel.grid, forcing, 50, renew=not returned))
 
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
                                       KernelSpec.mollifier(radius=0.25 * TWO_PI, strength=4.0),
@@ -787,22 +794,24 @@ class TestFork:
     @pytest.mark.parametrize("forcing", [ForcingSpec(),
                                          ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],
                              ids=["zero", "single_mode"])
-    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("from_config", [True, False])
     @pytest.mark.parametrize("every", [1, 7])
-    def test_forked_trajectories_are_the_serial_trajectories(self, monkeypatch, spec, forcing, dealias, every):
+    def test_forked_trajectories_are_the_serial_trajectories(self, monkeypatch, spec, forcing, from_config, every):
         # a forked trajectory makes each new state's F'(phi)^ and mu^ on the
-        # fork's thread, in the row block the flow does not use
+        # fork's thread, in the row block the flow does not use; it starts
+        # from the config's initial data or from a full-width state handed in
         cfg = make_cfg(
-            kernel=spec, forcing=forcing, sim=replace(self.params, dealias=dealias, t_end=50 * self.params.dt),
+            kernel=spec, forcing=forcing, sim=replace(self.params, t_end=50 * self.params.dt),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
             velocity=VelocitySpec(family="taylor_green", amplitude=0.7), output=OutputConfig(record_every=every),
             checks=ChecksConfig(enforce_hypotheses=False),
         )
+        start = None if from_config else self.start(cfg.grid)
 
         def frames(fork_min_n):
             monkeypatch.setattr(solver, "_FORK_MIN_N", fork_min_n)
             before, seen, threads = phase_threads(), [], set()
-            for _, state, rec, _ in trajectory(cfg)[2]:
+            for _, state, rec, _ in trajectory(cfg, initial_state=start)[2]:
                 threads.update(t for t in phase_threads() if t not in before)
                 seen.append([a.tobytes() for a in state_arrays(state)])
                 seen.append(rec and np.array(rec.as_row()).tobytes())
@@ -929,6 +938,27 @@ class TestFork:
         assert not thread.is_alive()
         assert [t for t in phase_threads() if t not in before] == []
 
+    @pytest.mark.parametrize("ending", ["completed", "blown_up", "abandoned"])
+    def test_no_thread_outlives_a_forked_trajectory(self, monkeypatch, ending):
+        # the frames close their stepper when they end, whichever way: its
+        # thread is joined, with no collection of cycles to wait for
+        cfg = parse_config_file(CONFIGS / "spinodal.cfg", ["grid.n=32", "t_end=0.005"])
+        monkeypatch.setattr(solver, "_FORK_MIN_N", 32)
+        before = phase_threads()
+        if ending == "completed":
+            run(cfg)
+        elif ending == "blown_up":
+            monkeypatch.setattr(ForcingSpec, "field_at", lambda self, grid, t: nan_force(grid))
+            with pytest.raises(BlowUpError) as err:
+                run(cfg)
+            assert err.value.step == 1
+        else:
+            frames = trajectory(cfg)[2]
+            next(frames), next(frames)
+            assert len([t for t in phase_threads() if t not in before]) == 1
+            del frames
+        assert [t for t in phase_threads() if t not in before] == []
+
     def test_thread_does_not_hold_up_exit(self, tmp_path):
         # a stepper alive at exit leaves its thread waiting for work
         script = tmp_path / "exit.py"
@@ -1036,21 +1066,14 @@ class TestForcing:
                 bad.dual_norm_sq_integral(Grid(16, TWO_PI))
 
     @pytest.mark.parametrize("mode", [(12, 1), (1, 12)])
-    def test_mode_outside_the_band_reaches_u_only_without_dealiasing(self, kernel32, mode):
-        # n = 32 resolves |m| < 16 and keeps |m| <= 10: the force's mode is
-        # cut with dealias on; with it off, from rest, u = dt h / (1 + nu dt |k|^2)
+    def test_mode_outside_the_band_never_reaches_u(self, kernel32, mode):
+        # n = 32 resolves |m| < 16 and keeps |m| <= 10: the force's mode is cut
         g = kernel32.grid
         spec = ForcingSpec(family="single_mode", mode=mode, scale=0.7)
         params = SimParams(nu=0.1, dt=1e-2, stabilizer=1.0, t_end=1.0)
         state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
-        on = one_step(state, params, kernel32, spec.field_at(g, 0.0)).u
-        assert not np.any(on.x.values) and not np.any(on.y.values)
-        off = one_step(state, replace(params, dealias=False), kernel32, spec.field_at(g, 0.0)).u
-        k2 = (2 * np.pi / g.l) ** 2 * (mode[0] ** 2 + mode[1] ** 2)
-        factor = params.dt / (1.0 + params.nu * params.dt * k2)
-        h = forcing_samples(spec, g, 0.0)
-        assert rel_err(off.x.values, factor * h.x.values) < 1e-12
-        assert rel_err(off.y.values, factor * h.y.values) < 1e-12
+        u = one_step(state, params, kernel32, spec.field_at(g, 0.0)).u
+        assert not np.any(u.x.values) and not np.any(u.y.values)
 
     @pytest.mark.parametrize("forcing", [ForcingSpec(family="body", amplitude=(0.3, -0.1), decay=0.5),
                                          ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],

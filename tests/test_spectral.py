@@ -355,13 +355,13 @@ class TestAdvectionForm:
         assert into.tobytes() == flux_divergence(u, f.values, g.half.ik(nh)).tobytes()
 
     @pytest.mark.parametrize("n", [16, 64])
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_divergence_bound_covers_the_samples(self, rng, n, dealias):
+    @pytest.mark.parametrize("cut", [True, False])
+    def test_divergence_bound_covers_the_samples(self, rng, n, cut):
         # the audit's coefficient bound is finite and at least the sampled
         # max |div v|, for full-spectrum fields of any scale, cut to the band
         # (the first kept_cols columns) or not
         g = Grid(n, TWO_PI)
-        c, mask = (g.half.kept_cols, g.half.mask) if dealias else (None, 1.0)
+        c, mask = (g.half.kept_cols, g.half.mask) if cut else (None, 1.0)
         for _ in range(25):
             v = random_vector(g, rng)
             scale = 10.0 ** rng.uniform(-12, 12)
