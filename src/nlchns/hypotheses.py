@@ -216,7 +216,8 @@ def verify_h4(potential: PotentialSpec):
     try:
         c3 = 2.0 * (deg * potential.leading) ** p / potential.leading  # twice the tail ratio
         big = _h4_tail_scale(potential)
-        s_sup, neg = golden_min(lambda s: -excess(s), -big, big, samples=20001)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing scan ends in inf or nan, not a warning
+            s_sup, neg = golden_min(lambda s: -excess(s), -big, big, samples=20001)
         c4 = max(0.0, -neg)
         margin = float(c3 * abs(eval_f(potential, s_sup)) + c4 - abs(eval_df(potential, s_sup)) ** p)
     except OverflowError:  # a float power past the largest double: no finite constants

@@ -192,9 +192,10 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> KernelOnGrid:
     )
 
 
-def interaction_energy(kernel: KernelOnGrid, p: np.ndarray) -> float:
+def interaction_energy(kernel: KernelOnGrid, p: np.ndarray, weight: np.ndarray | None = None) -> float:
     """(1/4) integral integral J(x-y) (f(x)-f(y))^2 of the field whose rfft2
     coefficients (or the first columns of them) have p = |f^|^2
     (``spectral.power``), via the identity (1/2) double-integral =
-    a ||f||^2 - (f, J*f) = (f, (a - J^) f) read by Parseval."""
-    return 0.5 * parseval(kernel.weight_a_minus_j, p)
+    a ||f||^2 - (f, J*f) = (f, (a - J^) f) read by Parseval; ``weight``, if given, is
+    ``weight_a_minus_j`` on p's columns, contiguous, which the dot product need not copy."""
+    return 0.5 * parseval(kernel.weight_a_minus_j if weight is None else weight, p)

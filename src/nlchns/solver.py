@@ -65,9 +65,11 @@ ufunc operand that is a column slice or a broadcast, in an allocation of
 its own, so the operators are held contiguous on the kept columns,
 F'(phi)^'s and the force's kept columns are copied into contiguous planes
 and mu^'s made in another, and no ufunc of a stepped state's step takes
-such an operand.  A stepper serves one caller at a time; steppers share
-nothing, a kernel included, so trajectories may step concurrently.  The returned
-states never share memory with the stepper, or with each other.
+such an operand.  A state's record and audit allocate only the record:
+they work in the stepper's buffers and against its contiguous weights.  A
+stepper serves one caller at a time; steppers share nothing, a kernel
+included, so trajectories may step concurrently.  The returned states
+never share memory with the stepper, or with each other.
 
 Within a step, the phase and flow updates couple only through data at t^n,
 so from n = ``_FORK_MIN_N`` a step runs its phase branch (u phi, its
@@ -80,8 +82,9 @@ overlap on two CPUs.  The branches write disjoint buffers, the worker's own
 among them, and every 1-D pass is independent, so the result is the same
 bit for bit; an error on either branch reaches the caller only after the
 other branch has finished.  The thread, a daemon, exits once the stepper
-is closed (as a trajectory's frames end) or collected.  Below that size
-the hand-off costs more than the overlap saves, and no thread is started.
+is closed (as a trajectory's frames end; a closed stepper steps serially)
+or collected.  Below that size the hand-off costs more than the overlap
+saves, and no thread is started.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ import threading
 import weakref
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -155,8 +159,8 @@ class SimState:
     mean(phi) is constant along the trajectory.  A state is made from its
     coefficients: ``hats``, the (3, n, c) block of the rfft2 coefficients of
     (phi, u.x, u.y) on their first c columns, the rest being zero, which it
-    keeps.  Its samples are views of one (3, n, n) block: ``samples`` if
-    given (the inverse transform of ``hats``), else one stacked inverse
+    keeps.  Its samples are views of one (3, n, n) block, ``samples``: the
+    one given (the inverse transform of ``hats``), else one stacked inverse
     transform.  New coefficients make a new state, so the two never
     disagree."""
 
@@ -165,7 +169,13 @@ class SimState:
             samples = irfft2_cols(grid, hats)
         self.phi = ScalarField(grid, samples[0])
         self.u = vector_from_values(grid, samples[1], samples[2])
-        self.t, self.hats = t, hats
+        self.t, self.hats, self.samples = t, hats, samples
+
+    @cached_property
+    def extrema(self) -> tuple[list[float], list[float]]:
+        """The least and the greatest samples of (phi, u.x, u.y), in one reduction
+        each over the block, for a record and its audit."""
+        return self.samples.min(axis=(1, 2)).tolist(), self.samples.max(axis=(1, 2)).tolist()
 
 
 @dataclass(frozen=True)
@@ -381,7 +391,8 @@ class Stepper:
     (either would allocate), with the same result bit for bit.
 
     Buffers, written by every step; those whose lifetimes do not overlap
-    share memory:
+    share memory, and a record and its audit take ``real`` and ``cols[1:]``,
+    free between steps, with ``weights``, the record's Parseval weights:
 
     * ``real``: two (n, n) sample planes (F'(phi), -phi and the products of
       omega, the second holding omega until the flow's right-hand side is
@@ -411,6 +422,7 @@ class Stepper:
                 mask / (1.0 / params.dt + k2 * (kernel.a + params.stabilizer)),
                 k2, e, flow * e, kernel.a_minus_j[:, :c], h.ik(c)))
         self.still = flow[0, 0]  # k = 0, the one kept mode with k2 = 0: row and column n/2 are cut
+        self.weights = np.stack([w[:, :c] for w in (h.weight, h.weight_k2, kernel.weight_a_minus_j)])
         self.dt, self.potential = params.dt, potential
         n = g.n
         self.real = np.empty((2, n, n))
@@ -428,9 +440,10 @@ class Stepper:
         self._state = self._hats = None
 
     def close(self) -> None:
-        """Join the fork's thread, if any: a stepper that is closed steps no more."""
+        """Join the fork's thread, if any; the steps that follow run serially, with the same bits."""
         if self.fork is not None:
             self.fork.close()
+            self.fork = None
 
     def mu_hat(self, state: SimState) -> np.ndarray:
         """The rfft2 coefficients of mu at ``state``, which the step from it
@@ -527,20 +540,17 @@ class Stepper:
         and takes the row passes, overwriting it; ``rhs`` (2, n, n) takes the
         samples of the right-hand sides, and the stepper's ``real`` and
         ``cols`` the rest."""
-        g, c, inv_dt = state.phi.grid, new_u.shape[-1], 1.0 / self.dt
+        g, c = state.phi.grid, new_u.shape[-1]
         cols, (s1, omega), (ikx, iky) = self.cols, self.real, self.ik
-        u = state.u
-        ux_hat, uy_hat = (a[:, :c] for a in state.hats[1:])
+        u, u_hat = state.u, state.hats[1:, :, :c]
 
-        np.multiply(iky, np.negative(ux_hat, out=cols[2]), out=cols[2])
-        np.add(np.multiply(ikx, uy_hat, out=cols[1]), cols[2], out=cols[2])
+        np.subtract(np.multiply(ikx, u_hat[1], out=cols[1]), np.multiply(iky, u_hat[0], out=cols[2]), out=cols[2])
         irfft2_cols(g, cols[2], out=omega, work=cols[2])
         capillary_force(g, state.phi.values, rows[1], out=rhs, work=rows, scratch=s1)
         np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
         np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
         bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
-        np.add(bx, np.multiply(ux_hat, inv_dt, out=cols[2]), out=bx)
-        np.add(by, np.multiply(uy_hat, inv_dt, out=cols[2]), out=by)
+        np.add(b, np.multiply(u_hat, 1.0 / self.dt, out=new_u), out=b)  # new_u is written last
         if forcing is not None:  # through a contiguous plane, which numpy does not buffer
             for bi, hi in zip(b, forcing):
                 cols[2][...] = hi[:, :c]
@@ -640,8 +650,9 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
             new = diagnostics.make_record(
                 state, stepper.mu_hat(state), kernel, potential, params.nu, report.beta,
                 forcing_power=(_forcing_power(h, state) if h is not None else 0.0), prev=rec,
+                work=(stepper.weights, stepper.real, stepper.cols[1:]),
             )
-            found = _audit_record(cfg, report, state, new, i, mass0)
+            found = _audit_record(cfg, report, state, new, i, mass0, stepper)
             # widen the validated range to the record's, while S still covers it
             lo, hi = new.phi_min, new.phi_max
             if lo < validated[0] or hi > validated[1]:
@@ -663,17 +674,19 @@ def _forcing_power(h: np.ndarray, state: SimState) -> float:
 
 
 def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, rec,
-                  step_index: int, mass0: float) -> list[str]:
+                  step_index: int, mass0: float, stepper: Stepper) -> list[str]:
     """The invariant failures of ``state`` and its record ``rec``: mass
     drift, from the k = 0 coefficient of phi (``mass0`` at the start),
-    divergence and, with ``checks.grad_control``, gradient control."""
+    divergence (by a bound at least the sampled max, in ``stepper``'s
+    buffers, free between its steps) and, with ``checks.grad_control``,
+    gradient control."""
     grid, failures = state.phi.grid, []
     drift = float(state.hats[0][0, 0].real - mass0) / grid.n**2  # of mean(phi)
     if abs(drift) > 1e-12:
         failures.append(f"mass drift {drift:.3e} at step {step_index}")
-    ux, uy = state.u.x.values, state.u.y.values
-    umax = float(np.maximum(ux.max(), -ux.min()) + np.maximum(uy.max(), -uy.min()))  # no |u| temporary
-    div_max = divergence_bound(grid, *state.hats[1:])  # >= the sampled max
+    lo, hi = state.extrema
+    umax = max(hi[1], -lo[1]) + max(hi[2], -lo[2])  # max |u_x| + max |u_y|
+    div_max = divergence_bound(grid, state.hats[1:], stepper.ik, stepper.weights[0], stepper.cols[1:])
     if div_max > 1e-11 * max(umax, 1e-300) * 2.0 * np.pi * grid.n / grid.l and umax > 0:
         failures.append(f"divergence {div_max:.3e} at step {step_index}")
     if cfg.checks.grad_control:

@@ -279,14 +279,17 @@ def rgradient(grid: Grid, f_hat: np.ndarray, out: np.ndarray | None = None,
     return irfft2_cols(grid, work, out=out, work=work)
 
 
-def divergence_bound(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> float:
-    """A bound on max |div v| over the samples, from the first columns of v's
-    coefficients and with no transform: a sample is (1/n^2) sum_k c_k e^{ik.x}
-    over the full plane, so it is at most (1/n^2) sum |ik . v^|, in which the
-    columns m_y = 0 and n/2 count once and every other column twice."""
-    h, c = grid.half, x_hat.shape[1]
-    d = np.abs(h.ikx[:, :c] * x_hat + h.iky[:, :c] * y_hat)
-    return float(np.vdot(h.weight[:, :c], d)) * grid.n**2 / grid.volume
+def divergence_bound(grid: Grid, hats: np.ndarray, ik: np.ndarray, weight: np.ndarray, work: np.ndarray) -> float:
+    """A bound on max |div v| over the samples, from v's coefficients on their
+    first c columns, (2, n, c), with no transform: a sample is (1/n^2) sum_k
+    c_k e^{ik.x} over the full plane, so it is at most (1/n^2) sum |ik . v^|, in
+    which the columns m_y = 0 and n/2 count once and every other column twice.
+    ``ik`` = ``HalfPlane.ik(c)``, ``weight`` = ``Grid.half.weight`` on those columns,
+    contiguous; ``work``, a contiguous complex (2, n, c) block, takes ik v^ and |ik . v^|."""
+    ikv = np.multiply(ik, hats, out=work)
+    div = np.add(ikv[0], ikv[1], out=ikv[0])
+    d = np.abs(div, out=ikv[1].reshape(-1).view(float)[:div.size].reshape(div.shape))  # contiguous for vdot
+    return float(np.vdot(weight, d)) * grid.n**2 / grid.volume
 
 
 def flux_divergence(u: VectorField, f: np.ndarray, ik: np.ndarray, out: np.ndarray | None = None,
@@ -303,9 +306,9 @@ def flux_divergence(u: VectorField, f: np.ndarray, ik: np.ndarray, out: np.ndarr
         products = np.empty((2,) + f.shape)
     np.multiply(u.x.values, f, out=products[0])
     np.multiply(u.y.values, f, out=products[1])
-    fx, fy = flux = rfft2_cols(products, ik.shape[-1], out=out, rows=rows)
-    np.multiply(ik[0], fx, out=fx)
-    return np.add(fx, np.multiply(ik[1], fy, out=fy), out=flux[0])
+    flux = rfft2_cols(products, ik.shape[-1], out=out, rows=rows)
+    np.multiply(ik, flux, out=flux)
+    return np.add(flux[0], flux[1], out=flux[0])
 
 
 def leray_project(grid: Grid, hats: np.ndarray) -> np.ndarray:
@@ -325,13 +328,17 @@ def leray_project(grid: Grid, hats: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quadratic forms
 
-def power(*hats: np.ndarray) -> np.ndarray:
+def power(*hats: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """|f^|^2 summed over the fields, from their rfft2 coefficients or the
-    first columns of them (rows contiguous, as numpy returns and slices them)."""
-    sq = np.square(hats[0].view(float))  # re^2 and im^2 side by side
+    first columns of them (rows contiguous, as numpy returns and slices them):
+    re^2 and im^2 of each, summed over the fields, then in pairs.  ``work``, a
+    flat float buffer of 3 (one field) or 4 field sizes, takes them (allocated when None)."""
+    m, shape = hats[0].size, hats[0].view(float).shape
+    work = np.empty(4 * m) if work is None else work
+    sq = np.square(hats[0].view(float), out=work[:2 * m].reshape(shape))  # re^2 and im^2 side by side
     for c in hats[1:]:
-        sq += np.square(c.view(float))
-    return sq[:, ::2] + sq[:, 1::2]
+        np.add(sq, np.square(c.view(float), out=work[2 * m:4 * m].reshape(shape)), out=sq)
+    return np.add(sq[..., ::2], sq[..., 1::2], out=work[2 * m:3 * m].reshape(hats[0].shape))
 
 
 def parseval(weight: np.ndarray, p: np.ndarray) -> float:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from nlchns.diagnostics import DiagnosticsRecord, make_record
-from nlchns.kernels import KernelOnGrid
-from nlchns.potentials import PotentialSpec, eval_df
+from nlchns.diagnostics import DiagnosticsRecord, identity_residual, make_record
+from nlchns.kernels import KernelOnGrid, interaction_energy
+from nlchns.potentials import PotentialSpec, eval_df, eval_f
 from nlchns.solver import ForcingSpec, SimState, mu_hat
 from nlchns.spectral import (
     Grid,
@@ -212,6 +212,34 @@ def energy(state, kernel: KernelOnGrid, potential: PotentialSpec) -> Diagnostics
     takes."""
     return make_record(state, np.zeros_like(state.hats[0]), kernel, potential, nu=0.0, beta=0.0,
                        forcing_power=0.0, prev=None)
+
+
+def reference_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential: PotentialSpec, nu: float,
+                     beta: float, forcing_power: float, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
+    """The record of ``state`` from one allocating call per quantity, ``power``,
+    ``parseval``, ``interaction_energy`` and ``eval_f``: the oracle for
+    ``make_record``, which works in buffers, bit for bit."""
+    g, half = state.phi.grid, state.phi.grid.half
+    p_phi, p_u = power(state.hats[0]), power(*state.hats[1:])
+    kinetic, interaction = 0.5 * parseval(half.weight, p_u), interaction_energy(kernel, p_phi)
+    bulk = float(np.sum(eval_f(potential, state.phi.values)) * g.cell_volume)
+    grad_mu_sq, grad_phi_sq = parseval(half.weight_k2, power(mu_hat)), parseval(half.weight_k2, p_phi)
+    rec = DiagnosticsRecord(
+        t=state.t, mass=float(state.hats[0][0, 0].real) * g.volume / g.n**2, kinetic=kinetic,
+        interaction=interaction, bulk=bulk, total_energy=kinetic + interaction + bulk,
+        grad_u_sq=parseval(half.weight_k2, p_u), grad_mu_sq=grad_mu_sq, forcing_power=forcing_power,
+        identity_residual=0.0, grad_control_margin=grad_mu_sq - beta * grad_phi_sq,
+        phi_min=float(np.min(state.phi.values)), phi_max=float(np.max(state.phi.values)),
+        grad_phi_sq=grad_phi_sq, phi_sq=parseval(half.weight, p_phi),
+    )
+    if prev is not None:
+        rec.identity_residual = identity_residual(prev, rec, rec.t - prev.t, nu)
+    return rec
+
+
+def record_bytes(rec: DiagnosticsRecord) -> bytes:
+    """The record's CSV row and its two other norms, as bytes."""
+    return np.array(rec.as_row() + (rec.grad_phi_sq, rec.phi_sq)).tobytes()
 
 
 def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:

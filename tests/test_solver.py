@@ -15,10 +15,10 @@ import pytest
 
 from conftest import (
     CONFIGS, TWO_PI, advect, components, constant_field, convolve, divergence, energy, forcing_samples, full_plane,
-    inner, leray, mean, mu_coefficients, mu_grad_phi, norm_l2, random_field, rel_err, state_from_samples,
-    zero_vector,
+    inner, leray, mean, mu_coefficients, mu_grad_phi, norm_l2, random_field, record_bytes, reference_record, rel_err,
+    state_from_samples, zero_vector,
 )
-from nlchns import initialdata, solver, spectral, storage
+from nlchns import diagnostics, hypotheses, initialdata, solver, spectral, storage
 from nlchns.config import ChecksConfig, OutputConfig, SimConfig, parse_config_file
 from nlchns.initialdata import InitialSpec, VelocitySpec, taylor_green_u
 from nlchns.kernels import KernelSpec, build_kernel
@@ -715,6 +715,28 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak <= 4 * 1024
 
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_record_and_audit_allocate_nothing(self, kernel128, rng, monkeypatch, forked):
+        # a record and its audit work in the stepper's buffers, free between
+        # its steps, against its contiguous Parseval weights: no temporary,
+        # and no ufunc or dot product takes a column slice that numpy copies
+        stepper = stepper_for(monkeypatch, kernel128, self.params, forked)
+        state = stepped_state(stepper, kernel128.grid, rng)
+        cfg = make_cfg(grid=kernel128.grid, checks=ChecksConfig(grad_control=True))
+        report = hypotheses.audit(kernel128, DW)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rec = diagnostics.make_record(state, stepper.mu_hat(state), kernel128, DW, self.params.nu, report.beta,
+                                          0.0, None, work=(stepper.weights, stepper.real, stepper.cols[1:]))
+            found = solver._audit_record(cfg, report, state, rec, 2, state.hats[0][0, 0].real, stepper)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert found == []
+        assert peak <= 4 * 1024
+
     def test_states_share_no_memory(self, kernel128, rng):
         self.assert_states_share_no_memory(Stepper(kernel128, self.params, DW), kernel128.grid, rng,
                                            ["real", "rows", "cols", "finite"])
@@ -938,6 +960,20 @@ class TestFork:
         assert not thread.is_alive()
         assert [t for t in phase_threads() if t not in before] == []
 
+    def test_closed_stepper_steps_serially(self, monkeypatch):
+        # close() joins the fork's thread and drops it: a later step runs on
+        # this thread, with the serial step's bits, and returns
+        kernel = kernel_on(32)
+        forked, serial = (stepper_for(monkeypatch, kernel, self.params, f) for f in (True, False))
+        first = forked.step(self.start(kernel.grid))
+        forked.close()
+        got = []
+        stepping = threading.Thread(target=lambda: got.append(forked.step(first)), daemon=True)
+        stepping.start()
+        stepping.join(timeout=10)
+        assert not stepping.is_alive() and forked.fork is None
+        assert_same_states(got, [serial.step(serial.step(self.start(kernel.grid)))])
+
     @pytest.mark.parametrize("ending", ["completed", "blown_up", "abandoned"])
     def test_no_thread_outlives_a_forked_trajectory(self, monkeypatch, ending):
         # the frames close their stepper when they end, whichever way: its
@@ -1013,6 +1049,48 @@ class TestRecordCarry:
         every, sparse = (run(replace(cfg, output=OutputConfig(record_every=k))) for k in (1, 7))
         assert (len(every.records), len(sparse.records)) == (21, 4)  # steps 0, 7, 14, 20
         assert_same_states([every.state], [sparse.state])
+
+
+class TestRecordBuffers:
+    """A record works in its stepper's buffers and gives the record of one
+    allocating call per quantity (``conftest.reference_record``), bit for bit."""
+
+    params = SimParams(nu=0.05, dt=2e-3, t_end=20 * 2e-3)
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("forcing", [ForcingSpec(),
+                                         ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],
+                             ids=["zero", "single_mode"])
+    def test_every_record_is_the_reference(self, monkeypatch, forked, forcing):
+        cfg = make_cfg(
+            sim=self.params, forcing=forcing, output=OutputConfig(record_every=1),
+            initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
+            velocity=VelocitySpec(family="taylor_green", amplitude=0.7),
+        )
+        monkeypatch.setattr(solver, "_FORK_MIN_N", cfg.grid.n if forked else 2 * cfg.grid.n)
+        made = []
+
+        def spy(*args, work, **kwargs):
+            rec = make_record(*args, work=work, **kwargs)
+            made.append((rec, reference_record(*args, **kwargs)))
+            return rec
+
+        make_record = diagnostics.make_record
+        monkeypatch.setattr(diagnostics, "make_record", spy)
+        records = [rec for _, _, rec, _ in trajectory(cfg)[2]]
+        assert len(records) == len(made) == 21
+        for rec, (got, want) in zip(records, made):
+            assert rec is got
+            assert record_bytes(got) == record_bytes(want)
+
+    def test_full_spectrum_state(self, kernel32, rng):
+        # without buffers, make_record allocates its own, for a state of any width
+        g = kernel32.grid
+        state = state_from_samples(random_field(g, rng), leray(VectorField(random_field(g, rng),
+                                                                           random_field(g, rng))), 0.3)
+        mu = mu_coefficients(kernel32, DW, state.phi.values)
+        got = diagnostics.make_record(state, mu, kernel32, DW, 0.1, 0.7, 0.2, None)
+        assert record_bytes(got) == record_bytes(reference_record(state, mu, kernel32, DW, 0.1, 0.7, 0.2, None))
 
 
 class TestForcing:
