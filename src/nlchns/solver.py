@@ -24,7 +24,7 @@ The k = 0 row of the phase update is copied through: mass is kept to the bit.
 ``Stepper`` is the only implementation of the scheme.  One is built per
 trajectory, for its kernel, params and potential: it holds the solve
 operators, the buffers every intermediate is written to and, from n =
-``_FORK_MIN_N`` (256), a worker thread.  ``Stepper.step`` ends by making
+``_FORK_MIN_N`` (128), a worker thread.  ``Stepper.step`` ends by making
 the new state's F'(phi)^ and mu^, which its record (``Stepper.mu_hat``)
 and the step from it use; a state the stepper did not just return, or any
 state after a failed step, first gets its own, one transform more.
@@ -83,8 +83,9 @@ among them, and every 1-D pass is independent, so the result is the same
 bit for bit; an error on either branch reaches the caller only after the
 other branch has finished.  The thread, a daemon, exits once the stepper
 is closed (as a trajectory's frames end; a closed stepper steps serially)
-or collected.  Below that size the hand-off costs more than the overlap
-saves, and no thread is started.
+or collected.  Below that size, at n = 64, the hand-off costs more than
+the overlap saves (a forked step there is 14-24 % slower), and no thread
+is started.
 """
 
 from __future__ import annotations
@@ -328,8 +329,9 @@ def capillary_force(grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, out: np.nda
 # the step
 
 # the grid size from which a step forks its phase branch onto a worker
-# thread; below it the hand-off costs more than the overlap saves
-_FORK_MIN_N = 256
+# thread: a forked step is 16-18 % faster at n = 128 and 14-24 %
+# slower at n = 64, where the hand-off costs more than the overlap saves
+_FORK_MIN_N = 128
 
 
 def _serve(tasks: "queue.SimpleQueue", done: "queue.SimpleQueue") -> None:
@@ -649,7 +651,7 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
                 continue
             new = diagnostics.make_record(
                 state, stepper.mu_hat(state), kernel, potential, params.nu, report.beta,
-                forcing_power=(_forcing_power(h, state) if h is not None else 0.0), prev=rec,
+                forcing_power=(_forcing_power(h, state, stepper) if h is not None else 0.0), prev=rec,
                 work=(stepper.weights, stepper.real, stepper.cols[1:]),
             )
             found = _audit_record(cfg, report, state, new, i, mass0, stepper)
@@ -667,10 +669,18 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
             yield i, state, rec, found
 
 
-def _forcing_power(h: np.ndarray, state: SimState) -> float:
-    """<h, u> by Parseval, from h's coefficients and the first columns of u's."""
-    c = state.hats[1].shape[1]
-    return parseval(state.phi.grid.half.weight, (h[..., :c] * np.conj(state.hats[1:])).real.sum(axis=0))
+def _forcing_power(h: np.ndarray, state: SimState, stepper: Stepper) -> float:
+    """<h, u> by Parseval, from h's coefficients and the first columns of u's,
+    in ``stepper``'s buffers, free between its steps: h's kept columns are
+    copied into ``cols[1:]`` and conj(u^) made in ``real``'s memory, so no
+    ufunc takes a column slice, and the sum of the two components' real
+    parts, in ``real``'s first n c floats, meets the contiguous weight
+    (``Stepper.weights[0]``), which ``parseval`` does not copy."""
+    n, c = state.hats.shape[1:]
+    prod, spare = stepper.cols[1:], stepper.real.reshape(-1)
+    prod[...] = h[..., :c]
+    np.multiply(prod, np.conjugate(state.hats[1:], out=spare[:4 * n * c].view(complex).reshape(2, n, c)), out=prod)
+    return parseval(stepper.weights[0], np.add(prod[0].real, prod[1].real, out=spare[:n * c].reshape(n, c)))
 
 
 def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, rec,

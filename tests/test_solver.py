@@ -719,23 +719,29 @@ class TestWorkspace:
     def test_record_and_audit_allocate_nothing(self, kernel128, rng, monkeypatch, forked):
         # a record and its audit work in the stepper's buffers, free between
         # its steps, against its contiguous Parseval weights: no temporary,
-        # and no ufunc or dot product takes a column slice that numpy copies
+        # and no ufunc or dot product takes a column slice that numpy copies;
+        # nor does a forced record's <h, u>
         stepper = stepper_for(monkeypatch, kernel128, self.params, forked)
         state = stepped_state(stepper, kernel128.grid, rng)
         cfg = make_cfg(grid=kernel128.grid, checks=ChecksConfig(grad_control=True))
         report = hypotheses.audit(kernel128, DW)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rec = diagnostics.make_record(state, stepper.mu_hat(state), kernel128, DW, self.params.nu, report.beta,
-                                          0.0, None, work=(stepper.weights, stepper.real, stepper.cols[1:]))
-            found = solver._audit_record(cfg, report, state, rec, 2, state.hats[0][0, 0].real, stepper)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert found == []
-        assert peak <= 4 * 1024
+        forcing = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)
+        for h in (None, forcing.field_at(kernel128.grid, 0.0)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                p = 0.0 if h is None else solver._forcing_power(h, state, stepper)
+                rec = diagnostics.make_record(state, stepper.mu_hat(state), kernel128, DW, self.params.nu,
+                                              report.beta, p, None,
+                                              work=(stepper.weights, stepper.real, stepper.cols[1:]))
+                found = solver._audit_record(cfg, report, state, rec, 2, state.hats[0][0, 0].real, stepper)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert found == []
+            assert peak <= 4 * 1024
+            assert (rec.forcing_power != 0.0) == (h is not None)
 
     def test_states_share_no_memory(self, kernel128, rng):
         self.assert_states_share_no_memory(Stepper(kernel128, self.params, DW), kernel128.grid, rng,
@@ -875,19 +881,27 @@ class TestFork:
             assert states is not None
             assert_same_states(states, want)
 
-    def test_forks_from_n_256(self, monkeypatch):
-        kernel = kernel_on(256)
+    def assert_forks_at(self, monkeypatch, n):
+        """An unpatched stepper on n points forks, and its forced steps are
+        those of a stepper that does not."""
+        kernel = kernel_on(n)
         forked = Stepper(kernel, self.params, DW)
-        monkeypatch.setattr(solver, "_FORK_MIN_N", 512)
+        monkeypatch.setattr(solver, "_FORK_MIN_N", 2 * n)
         serial = Stepper(kernel, self.params, DW)
         assert forked.fork is not None and serial.fork is None
         forcing = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3)
         got, want = (self.trajectory(s, kernel.grid, forcing, 3) for s in (forked, serial))
-        assert_same_states(got[-1:], want[-1:])
+        assert_same_states(got, want)
+
+    def test_forks_from_n_128(self, monkeypatch):
+        self.assert_forks_at(monkeypatch, 128)
+
+    def test_forks_from_n_256(self, monkeypatch):
+        self.assert_forks_at(monkeypatch, 256)
 
     def test_no_thread_below_the_threshold(self, rng):
         before = threading.enumerate()
-        kernel = kernel_on(128)
+        kernel = kernel_on(64)
         stepper = Stepper(kernel, self.params, DW)
         stepped_state(stepper, kernel.grid, rng)
         assert (stepper.fork, stepper.phase_real, stepper.phase_rows, stepper.phase_flux) == (None,) * 4
@@ -993,6 +1007,15 @@ class TestFork:
             next(frames), next(frames)
             assert len([t for t in phase_threads() if t not in before]) == 1
             del frames
+        assert [t for t in phase_threads() if t not in before] == []
+
+    def test_no_thread_outlives_a_run_at_n_128(self):
+        # the shipped vortex config at n = 128 forks with no patch, and its
+        # thread is joined before run() returns
+        cfg = parse_config_file(CONFIGS / "taylor_green.cfg", ["grid.n=128", "output.out_dir=", "t_end=0.003"])
+        before = phase_threads()
+        run(cfg)
+        assert cfg.grid.n >= solver._FORK_MIN_N
         assert [t for t in phase_threads() if t not in before] == []
 
     def test_thread_does_not_hold_up_exit(self, tmp_path):
