@@ -89,15 +89,15 @@ def _horner(coefficients: tuple[float, ...], s, out=None):
     """``polyval(s, coefficients)`` in polyval's own steps, s*0 + c[-1] and
     then acc*s + c[-i], so the result is bit-identical; for an array ``s``
     every step writes into ``out`` (allocated once when None), and a scalar
-    ``s`` runs them in Python floats and gives a float.  Both skip the add
-    of a zero c[i] that a nonzero c[i - 1] follows: it could change only the
-    sign of a zero, and (+-0)*s + c[i - 1] is the same for either sign."""
+    ``s`` runs them in Python floats and gives a float.  The array path
+    skips the add of a zero c[i] that a nonzero c[i - 1] follows: it could
+    change only the sign of a zero, and (+-0)*s + c[i - 1] is the same for
+    either sign."""
     if out is None and (isinstance(s, float) or not np.ndim(s)):
         s = float(s)
         acc = s * 0.0 + coefficients[-1]
-        for i in range(len(coefficients) - 2, -1, -1):
-            c = coefficients[i]
-            acc = acc * s + c if c or not i or not coefficients[i - 1] else acc * s
+        for c in coefficients[-2::-1]:
+            acc = acc * s + c
         return acc
     if out is None:
         out = np.empty(np.shape(s))

@@ -651,7 +651,7 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
                 continue
             new = diagnostics.make_record(
                 state, stepper.mu_hat(state), kernel, potential, params.nu, report.beta,
-                forcing_power=(_forcing_power(h, state, stepper) if h is not None else 0.0), prev=rec,
+                forcing_power=(_forcing_power(h, state) if h is not None else 0.0), prev=rec,
                 work=(stepper.weights, stepper.real, stepper.cols[1:]),
             )
             found = _audit_record(cfg, report, state, new, i, mass0, stepper)
@@ -669,18 +669,10 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
             yield i, state, rec, found
 
 
-def _forcing_power(h: np.ndarray, state: SimState, stepper: Stepper) -> float:
-    """<h, u> by Parseval, from h's coefficients and the first columns of u's,
-    in ``stepper``'s buffers, free between its steps: h's kept columns are
-    copied into ``cols[1:]`` and conj(u^) made in ``real``'s memory, so no
-    ufunc takes a column slice, and the sum of the two components' real
-    parts, in ``real``'s first n c floats, meets the contiguous weight
-    (``Stepper.weights[0]``), which ``parseval`` does not copy."""
-    n, c = state.hats.shape[1:]
-    prod, spare = stepper.cols[1:], stepper.real.reshape(-1)
-    prod[...] = h[..., :c]
-    np.multiply(prod, np.conjugate(state.hats[1:], out=spare[:4 * n * c].view(complex).reshape(2, n, c)), out=prod)
-    return parseval(stepper.weights[0], np.add(prod[0].real, prod[1].real, out=spare[:n * c].reshape(n, c)))
+def _forcing_power(h: np.ndarray, state: SimState) -> float:
+    """<h, u> by Parseval, from h's coefficients and the first columns of u's."""
+    c = state.hats[1].shape[1]
+    return parseval(state.phi.grid.half.weight, (h[..., :c] * np.conj(state.hats[1:])).real.sum(axis=0))
 
 
 def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, rec,

@@ -68,8 +68,9 @@ class TestEvaluation:
     @given(coef=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 3.0, -1e-300, 1e-200, 1e300]),
                          min_size=1, max_size=9))
     def test_skipped_zero_adds_keep_polyval_bits(self, coef):
-        # Horner skips the add of a zero that a nonzero follows: a signed
-        # zero, an underflow, an overflow or a nan gives polyval's bits
+        # the array path skips the add of a zero that a nonzero follows, the
+        # scalar path does not: with a signed zero, an underflow, an
+        # overflow or a nan both give polyval's bits
         s = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320, 1e308, -1e308, 0.7, -1.3, 2.0])
         with np.errstate(all="ignore"):
             want = npoly.polyval(s, coef).tobytes()

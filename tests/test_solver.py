@@ -719,29 +719,23 @@ class TestWorkspace:
     def test_record_and_audit_allocate_nothing(self, kernel128, rng, monkeypatch, forked):
         # a record and its audit work in the stepper's buffers, free between
         # its steps, against its contiguous Parseval weights: no temporary,
-        # and no ufunc or dot product takes a column slice that numpy copies;
-        # nor does a forced record's <h, u>
+        # and no ufunc or dot product takes a column slice that numpy copies
         stepper = stepper_for(monkeypatch, kernel128, self.params, forked)
         state = stepped_state(stepper, kernel128.grid, rng)
         cfg = make_cfg(grid=kernel128.grid, checks=ChecksConfig(grad_control=True))
         report = hypotheses.audit(kernel128, DW)
-        forcing = ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)
-        for h in (None, forcing.field_at(kernel128.grid, 0.0)):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                p = 0.0 if h is None else solver._forcing_power(h, state, stepper)
-                rec = diagnostics.make_record(state, stepper.mu_hat(state), kernel128, DW, self.params.nu,
-                                              report.beta, p, None,
-                                              work=(stepper.weights, stepper.real, stepper.cols[1:]))
-                found = solver._audit_record(cfg, report, state, rec, 2, state.hats[0][0, 0].real, stepper)
-                peak = tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
-            assert found == []
-            assert peak <= 4 * 1024
-            assert (rec.forcing_power != 0.0) == (h is not None)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rec = diagnostics.make_record(state, stepper.mu_hat(state), kernel128, DW, self.params.nu, report.beta,
+                                          0.0, None, work=(stepper.weights, stepper.real, stepper.cols[1:]))
+            found = solver._audit_record(cfg, report, state, rec, 2, state.hats[0][0, 0].real, stepper)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert found == []
+        assert peak <= 4 * 1024
 
     def test_states_share_no_memory(self, kernel128, rng):
         self.assert_states_share_no_memory(Stepper(kernel128, self.params, DW), kernel128.grid, rng,
