@@ -249,6 +249,55 @@ def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, np.fft.irfft2(kernel.multiplier * np.fft.rfft2(f.values)))
 
 
+# A step of the scheme from its equations, apart from the solver (item 6)
+
+def reference_step(kernel: KernelOnGrid, potential: PotentialSpec, params, phi: np.ndarray, ux: np.ndarray,
+                   uy: np.ndarray, h: tuple[np.ndarray, np.ndarray] | None = None):
+    """The samples (phi, u_x, u_y) at t^{n+1} from those at t^n and those of
+    h(t^n) (None for zero), by the scheme as the ``solver`` module docstring
+    states it, on the full fft2 plane: the wavenumbers and 2/3 mask of
+    ``full_plane``, J^ from the fft2 of the kernel's samples and a = J^(0),
+    the transport as u . grad phi and the self-advection as (u . grad) u,
+    each product dealiased by the mask, and the projection I - k k^T / |k|^2.
+    The capillary force is -phi grad mu, as the docstring writes it: the
+    strong form mu grad phi differs from it by grad(phi mu), which the
+    projection removes only where phi mu is resolved, and F'(phi) in mu is
+    not band-limited (3.5e-3 of u after one step of random data at n = 32)."""
+    g = kernel.grid
+    kx, ky, k2, mask = full_plane(g)
+    dt, nu, s = params.dt, params.nu, params.stabilizer
+
+    def fft(f):
+        return np.fft.fft2(f)
+
+    def ifft(f_hat):
+        return np.fft.ifft2(f_hat).real
+
+    def grad(f):
+        f_hat = fft(f)
+        return ifft(1j * kx * f_hat), ifft(1j * ky * f_hat)
+
+    j_hat = fft(kernel.samples.values).real * g.cell_volume
+    a = j_hat[0, 0]
+    phi_hat, fp_hat = fft(phi), fft(eval_df(potential, phi))
+    (px, py), (uxx, uxy), (uyx, uyy) = grad(phi), grad(ux), grad(uy)
+
+    # (phi^+ - phi)/dt = -|k|^2 [(a + S) phi^+ - S phi + F'(phi)^ - J^ phi^] - (u . grad phi)^
+    rhs = phi_hat / dt - k2 * (fp_hat - (s + j_hat) * phi_hat) - fft(ux * px + uy * py)
+    new_phi = mask * rhs / (1.0 / dt + k2 * (a + s))
+    new_phi[0, 0] = phi_hat[0, 0]
+
+    # (u^+ - u)/dt - nu lap u^+ = P [-phi grad mu - (u . grad) u + h], mu = a phi - J*phi + F'(phi)
+    mx, my = grad(ifft((a - j_hat) * phi_hat + fp_hat))
+    bx = fft(ux) / dt + fft(-phi * mx - ux * uxx - uy * uxy)
+    by = fft(uy) / dt + fft(-phi * my - ux * uyx - uy * uyy)
+    if h is not None:
+        bx, by = bx + fft(h[0]), by + fft(h[1])
+    bx, by = (mask * b / (1.0 / dt + nu * k2) for b in (bx, by))
+    kb = (kx * bx + ky * by) / np.where(k2 > 0.0, k2, 1.0)
+    return ifft(new_phi), ifft(bx - kx * kb), ifft(by - ky * kb)
+
+
 # FFT-free reference for the spectral convolution (criterion 1)
 
 def convolution_oracle(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:

@@ -15,8 +15,8 @@ import pytest
 
 from conftest import (
     CONFIGS, TWO_PI, advect, components, constant_field, convolve, divergence, energy, forcing_samples, full_plane,
-    inner, leray, mean, mu_coefficients, mu_grad_phi, norm_l2, random_field, record_bytes, reference_record, rel_err,
-    state_from_samples, zero_vector,
+    inner, leray, mean, mu_coefficients, mu_grad_phi, norm_l2, random_field, record_bytes, reference_record,
+    reference_step, rel_err, state_from_samples, zero_vector,
 )
 from nlchns import diagnostics, hypotheses, initialdata, solver, spectral, storage
 from nlchns.config import ChecksConfig, OutputConfig, SimConfig, parse_config_file
@@ -635,6 +635,43 @@ def assert_same_states(got: list[SimState], want: list[SimState]) -> None:
     for a, b in zip(got, want):
         for x, y in zip(state_arrays(a), state_arrays(b)):
             assert x.tobytes() == y.tobytes()
+
+
+class TestReferenceStep:
+    """Every state of a 50-step trajectory at n = 32 is the one
+    ``conftest.reference_step`` makes from the scheme's equations, apart
+    from the solver, to round-off: serially and forked, for each forcing
+    family and kernel family.  Measured over these 18 cases, the largest
+    relative difference in phi, u_x or u_y is 5.2e-16 after 1 step, 1.7e-15
+    after 10 and 6.4e-15 after 50.  At this dt the copy of the k = 0 row is
+    not a no-op: the start's k = 0 coefficient x gives (x / dt) dt != x."""
+
+    params = SimParams(nu=0.1, dt=1.5e-3, stabilizer=5.0, t_end=1.0)
+    bound = 2e-14
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.08 * TWO_PI, 6.0),
+                                      KernelSpec.mollifier(radius=0.25 * TWO_PI, strength=4.0),
+                                      KernelSpec.spectral({(0, 0): 6.0, (1, 0): 0.3, (0, 1): 0.3})],
+                             ids=["gaussian", "mollifier", "spectral"])
+    @pytest.mark.parametrize("forcing", [ForcingSpec(), ForcingSpec(family="body", amplitude=(0.3, -0.1), decay=0.5),
+                                         ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],
+                             ids=["zero", "body", "single_mode"])
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    def test_trajectory_is_the_reference(self, monkeypatch, rng, spec, forcing, forked):
+        kernel = kernel_on(32, spec)
+        g = kernel.grid
+        stepper = stepper_for(monkeypatch, kernel, self.params, forked)
+        assert (stepper.fork is not None) == forked
+        u = leray(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))
+        state = state_from_samples(random_field(g, rng, band=8), u, 0.0)
+        want, mass = (state.phi.values, u.x.values, u.y.values), state.hats[0][0, 0]
+        for _ in range(50):
+            h = None if forcing.is_zero() else components(forcing_samples(forcing, g, state.t))
+            want = reference_step(kernel, DW, self.params, *want, h and tuple(c.values for c in h))
+            state = stepper.step(state, forcing.field_at(g, state.t))
+            for got, w in zip((state.phi, state.u.x, state.u.y), want):
+                assert rel_err(got.values, w) < self.bound
+            assert state.hats[0][0, 0] == mass  # the k = 0 row is copied through
 
 
 class TestWorkspace:
