@@ -19,7 +19,6 @@ from .solver import (
     SimParams,
     SimState,
     Stepper,
-    capillary_force,
     mu_hat,
     run,
 )

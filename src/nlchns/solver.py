@@ -25,9 +25,11 @@ The k = 0 row of the phase update is copied through: mass is kept to the bit.
 trajectory, for its kernel, params and potential: it holds the solve
 operators, the buffers every intermediate is written to and, from n =
 ``_FORK_MIN_N`` (128), a worker thread.  ``Stepper.step`` ends by making
-the new state's F'(phi)^ and mu^, which its record (``Stepper.mu_hat``)
-and the step from it use; a state the stepper did not just return, or any
-state after a failed step, first gets its own, one transform more.
+what the new state carries into the step from it: its F'(phi)^ and mu^,
+which its record (``Stepper.mu_hat``) and that step use, and ahead of that
+step its capillary force's phi dx mu and the column pass of dy mu.  A
+state the stepper did not just return, or any state after a failed step,
+first gets its own, two transforms and a column pass more.
 ``trajectory`` sets a configured run up (grid, kernel, the hypothesis
 gate, S, and the initial state resampled to the run's columns and cut to
 the band, the one place that does so) and returns a generator of frames
@@ -42,16 +44,20 @@ it is given.  The transport
 is taken in divergence form, ik . (u phi)^ (``spectral.flux_divergence``),
 the weak form's (u, phi grad psi), which equals u . grad phi because
 div u = 0.  Every transform goes through ``spectral.rfft2_cols`` and
-``spectral.irfft2_cols``, a row and a column pass each.  The force enters
+``spectral.irfft2_cols``, a row and a column pass each, or through the
+latter's two passes called apart.  The force enters
 as its coefficients (``ForcingSpec.field_at``), so a step from the state
-the stepper returned, forced or not, takes 11 transforms in 6 calls of
-them: 3 full (the new F'(phi), not band-limited, in place, and grad mu
-in one stacked inverse call) and 8 on the first ``Grid.half.kept_cols`` =
-n//3 + 1 columns: u phi and both momentum right-hand sides forward, in
-two stacked calls; omega inverse, and the new phi, u_x and u_y in one
-stacked call (in two, phi apart, when the step forks: 7 calls).
-mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.  A record
-takes no transform of its own, so a recorded step is 11 transforms too.
+the stepper returned, forced or not, takes 11 transforms.  3 are full:
+the new F'(phi), not band-limited, forward in place, and the inverses of
+the new dx mu and of dy mu, whose column pass (``spectral.inverse_cols``)
+runs at the end of the step that makes mu and whose row pass
+(``spectral.inverse_rows``) in the step from it.  8 are on the first
+``Grid.half.kept_cols`` = n//3 + 1 columns: u phi and both momentum
+right-hand sides forward, in two stacked calls; omega inverse, and the new
+phi, u_x and u_y in one stacked call (in two, phi apart, when the step
+forks).  mu^ = (a - J^) phi^ + F'(phi)^ reuses the phase solve's F'(phi)^.
+A record takes no transform of its own, so a recorded step is 11
+transforms too.
 Its mass is the carried k = 0 coefficient of phi, its norms are read from
 the coefficients by Parseval, and the divergence audit bounds max |div u|
 by the coefficients' absolute sum.  The Leray projector P is applied once: it
@@ -75,13 +81,14 @@ Within a step, the phase and flow updates couple only through data at t^n,
 so from n = ``_FORK_MIN_N`` a step runs its phase branch (u phi, its
 transform, the phase solve and the inverse of the new phi) on the worker
 thread while the calling thread runs the flow branch, and joins it before
-the new samples are checked for blow-up.  The worker, whose branch is the
-shorter, goes on to the new state's F'(phi)^ and mu^ if its phi is finite.
-numpy's pocketfft gufuncs and large ufunc loops release the GIL, so the two
-overlap on two CPUs.  The branches write disjoint buffers, the worker's own
-among them, and every 1-D pass is independent, so the result is the same
-bit for bit; an error on either branch reaches the caller only after the
-other branch has finished.  The thread, a daemon, exits once the stepper
+the new samples are checked for blow-up.  The worker goes on, if its phi
+is finite, to what the new state carries, so that the two branches take
+about as long; a serial step makes it last.  numpy's pocketfft gufuncs
+and large ufunc loops release the GIL, so the two overlap on two CPUs.
+The branches write disjoint buffers, the worker's own among them, and
+every 1-D pass is independent, so the result is the same bit for bit; an
+error on either branch reaches the caller only after the other branch has
+finished.  The thread, a daemon, exits once the stepper
 is closed (as a trajectory's frames end; a closed stepper steps serially)
 or collected.  Below that size, at n = 64, the hand-off costs more than
 the overlap saves (a forked step there is 14-24 % slower), and no thread
@@ -110,11 +117,12 @@ from .spectral import (
     ScalarField,
     divergence_bound,
     flux_divergence,
+    inverse_cols,
+    inverse_rows,
     irfft2_cols,
     parseval,
     resample,
     rfft2_cols,
-    rgradient,
     unresolved_modes,
     vector_from_values,
 )
@@ -313,24 +321,14 @@ def mu_hat(a_minus_j: np.ndarray, phi_hat: np.ndarray, fp_hat: np.ndarray,
     return out
 
 
-def capillary_force(grid: Grid, phi: np.ndarray, mu_hat: np.ndarray, out: np.ndarray | None = None,
-                    work: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Samples of the coupling force -phi grad mu, stacked (2, n, n), from
-    phi's samples and mu's coefficients in one stacked inverse transform of
-    grad mu.  It differs from the strong form mu grad phi by the gradient
-    grad(phi mu), which the Leray projection removes.  ``work`` is a (2,) +
-    mu_hat.shape complex buffer whose second plane may be mu_hat itself, then
-    overwritten; ``scratch`` an (n, n) one; all allocated when None."""
-    grad_mu = rgradient(grid, mu_hat, out=out, work=work)
-    return np.multiply(grad_mu, np.negative(phi, out=scratch), out=grad_mu)
-
-
 # ---------------------------------------------------------------------------
 # the step
 
 # the grid size from which a step forks its phase branch onto a worker
-# thread: a forked step is 16-18 % faster at n = 128 and 14-24 %
-# slower at n = 64, where the hand-off costs more than the overlap saves
+# thread, which then makes what the new state carries into the next step:
+# a forked step is 16-18 % faster at n = 128 (before the worker took the
+# capillary force's passes) and 14-24 % slower at n = 64, where the
+# hand-off costs more than the overlap saves
 _FORK_MIN_N = 128
 
 
@@ -399,8 +397,10 @@ class Stepper:
     * ``real``: two (n, n) sample planes (F'(phi), -phi and the products of
       omega, the second holding omega until the flow's right-hand side is
       complete; then u phi);
-    * ``rows``: (2, n, n//2 + 1), F'(phi)^ and mu^, then row transforms and
-      the coefficients of grad mu;
+    * ``rows``: (2, n, n//2 + 1), what a state carries into the step from
+      it (``_carry``): F'(phi)^, then the column pass of dy mu, and mu^;
+      then row passes;
+    * ``force``: (n, n), the phi dx mu that a state carries;
     * ``cols``: (3, n, c), coefficients on the columns the step keeps;
     * ``finite``: the isfinite mask of a new state's samples.
 
@@ -409,9 +409,10 @@ class Stepper:
     products, ``phase_rows`` (2, n, n//2 + 1) for their row pass, and
     ``phase_flux`` (2, n, c), a view of phase_real's memory, for their
     column pass, then for the column pass of the new phi.  The thread goes
-    on to the new state's F'(phi)^ and mu^, in the row block it used, which
-    the next step's flow takes: ``rows`` and ``phase_rows`` swap roles each
-    step.  Below it these four are None, and no thread."""
+    on to what the new state carries, in the row block it used and
+    ``phase_force``, which the next step's flow takes: ``rows`` with
+    ``force`` and ``phase_rows`` with ``phase_force`` swap roles each step.
+    Below it these five are None, and no thread."""
 
     def __init__(self, kernel: KernelOnGrid, params: SimParams, potential: PotentialSpec):
         g = kernel.grid
@@ -425,21 +426,24 @@ class Stepper:
                 k2, e, flow * e, kernel.a_minus_j[:, :c], h.ik(c)))
         self.still = flow[0, 0]  # k = 0, the one kept mode with k2 = 0: row and column n/2 are cut
         self.weights = np.stack([w[:, :c] for w in (h.weight, h.weight_k2, kernel.weight_a_minus_j)])
-        self.dt, self.potential = params.dt, potential
+        self.grad = (h.ikx, h.iky)  # the grid's, on every column, for mu
+        self.grid, self.dt, self.potential = g, params.dt, potential
         n = g.n
         self.real = np.empty((2, n, n))
         self.rows = np.empty((2, n, n // 2 + 1), dtype=complex)
+        self.force = np.empty((n, n))
         self.cols = np.empty((3, n, c), dtype=complex)
         self.finite = np.empty((3, n, n), dtype=bool)
-        self.fork = self.phase_real = self.phase_rows = self.phase_flux = None
+        self.fork = self.phase_real = self.phase_rows = self.phase_flux = self.phase_force = None
         if n >= _FORK_MIN_N:
             self.fork = _Fork()
             block = np.empty(max(2 * n * n, 4 * n * c))  # both views, in float64s
             self.phase_real = block[:2 * n * n].reshape(2, n, n)
             self.phase_rows = np.empty((2, n, n // 2 + 1), dtype=complex)
             self.phase_flux = block[:4 * n * c].view(complex).reshape(2, n, c)
-        # the state the last step returned and its (F'(phi)^, row block), as _chemical_hats returns them
-        self._state = self._hats = None
+            self.phase_force = np.empty((n, n))
+        # the state the last step returned and what it carries, as _carry returns it
+        self._state = self._carried = None
 
     def close(self) -> None:
         """Join the fork's thread, if any; the steps that follow run serially, with the same bits."""
@@ -450,28 +454,36 @@ class Stepper:
     def mu_hat(self, state: SimState) -> np.ndarray:
         """The rfft2 coefficients of mu at ``state``, which the step from it
         uses; the next step overwrites them."""
-        return self._hats_of(state)[1][1]
+        return self._carried_by(state)[1][1]
 
-    def _hats_of(self, state: SimState) -> tuple[np.ndarray, np.ndarray]:
-        """``state``'s F'(phi)^ and mu^: those the last step made if it returned
-        ``state``, else made now."""
+    def _carried_by(self, state: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What ``state`` carries into the step from it (``_carry``): what the
+        last step made if it returned ``state``, else made now."""
         if state is not self._state:
-            self._state = None  # until its hats are made, the buffers hold no state's
-            self._hats, self._state = self._chemical_hats(state.phi.values, state.hats[0]), state
-        return self._hats
+            self._state = None  # until it is made, the buffers hold no state's
+            self._carried, self._state = self._carry(state.phi.values, state.hats[0]), state
+        return self._carried
 
-    def _chemical_hats(self, phi: np.ndarray, phi_hat: np.ndarray, buffers: tuple | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(F'(phi)^ on the kept columns, contiguous; a row block whose
-        planes hold F'(phi)^ and mu^) from the samples ``phi`` and ``phi_hat``,
-        in ``buffers`` (real, rows, cols), the stepper's own when None: F'(phi)
-        to ``real``, its full-width transform in place to rows[0], and mu_hat's
-        contiguous planes to cols[:2]."""
-        real, rows, cols = buffers or (self.real[0], self.rows, self.cols)
+    def _carry(self, phi: np.ndarray, phi_hat: np.ndarray, buffers: tuple | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F'(phi)^ on the kept columns, contiguous; a row block whose second
+        plane holds mu^ and whose first the column pass of dy mu; phi dx mu)
+        from the samples ``phi`` and ``phi_hat``, in ``buffers`` (real, rows,
+        cols, force), the stepper's own when None: F'(phi) to ``real``, its
+        full-width transform in place to rows[0], mu_hat's contiguous planes
+        to cols[:2], then ik mu^ and its column pass to rows[0] for each
+        derivative in turn, dx mu's row pass to ``force``.  The step's flow
+        takes -phi grad mu from these: it differs from the strong form mu grad
+        phi by grad(phi mu), which the Leray projection removes only where phi
+        mu is resolved, and F'(phi) is not band-limited."""
+        real, rows, cols, force = buffers or (self.real[0], self.rows, self.cols, self.force)
         fp, mu = rows
         rfft2_cols(eval_df(self.potential, phi, out=real), fp.shape[-1], out=fp, rows=fp)
         mu_hat(self.a_minus_j, phi_hat[:, :self.keep.shape[1]], fp, out=mu, cols=cols[:2])
-        return cols[0], rows
+        ikx, iky = self.grad
+        np.multiply(irfft2_cols(self.grid, np.multiply(ikx, mu, out=fp), out=force, work=fp), phi, out=force)
+        inverse_cols(self.grid, np.multiply(iky, mu, out=fp), out=fp)
+        return cols[0], rows, force
 
     def step(self, state: SimState, forcing: np.ndarray | None = None) -> SimState:
         """One coupled step: phi^{n+1} from (phi^n, u^n), then u^{n+1} with the
@@ -481,13 +493,15 @@ class Stepper:
         exactly; the new state owns a fresh coefficient block and a fresh
         sample block.  Past the first line of the phase update, the phase
         branch (``_phase``) and the flow branch (``_flow``) read only the
-        state and mu^, and write disjoint buffers; with a fork the phase
-        branch, the inverse of the new phi and, if it is finite, the new
-        F'(phi)^ and mu^ run on the fork's thread, in the row block the flow
-        does not use, while this one runs the flow branch and the inverse of
-        the new u.  Both have finished before the new samples are checked."""
-        fp_cols, rows = self._hats_of(state)
-        self._state, hats = None, None  # until this step succeeds, no state's hats are held
+        state and what it carries, and write disjoint buffers; with a fork
+        the phase branch, the inverse of the new phi and, if it is finite,
+        what the new state carries (``_carry``) run on the fork's thread, in
+        the row block and force plane the flow does not use, while this one
+        runs the flow branch and the inverse of the new u.  Both have
+        finished before the new samples are checked; a serial step makes
+        what the new state carries after that."""
+        fp_cols, rows, force = self._carried_by(state)
+        self._state, carried = None, None  # until this step succeeds, no state's carry is held
         g, c = state.phi.grid, self.keep.shape[1]
         new = np.empty((3, g.n, c), dtype=complex)
 
@@ -499,27 +513,29 @@ class Stepper:
         samples = np.empty((3, g.n, g.n))
 
         if self.fork is None:
-            self._flow(state, rows, forcing, new[1:], samples[1:])
+            self._flow(state, rows, force, forcing, new[1:], samples[1:])
             self._phase(state, new[0], self.real, rows, self.cols[:2])
             irfft2_cols(g, new, out=samples, work=self.cols)
         else:
-            other = self.phase_rows if rows is self.rows else self.rows
+            other_rows, other_force = ((self.phase_rows, self.phase_force) if rows is self.rows
+                                       else (self.rows, self.force))
 
             def phase():
-                nonlocal hats
-                self._phase(state, new[0], self.phase_real, other, self.phase_flux)
+                nonlocal carried
+                self._phase(state, new[0], self.phase_real, other_rows, self.phase_flux)
                 irfft2_cols(g, new[0], out=samples[0], work=self.phase_flux[0])
                 if np.isfinite(samples[0], out=self.finite[0]).all():
-                    hats = self._chemical_hats(samples[0], new[0], (self.phase_real[0], other, self.phase_flux))
+                    carried = self._carry(samples[0], new[0],
+                                          (self.phase_real[0], other_rows, self.phase_flux, other_force))
 
             def flow():
-                self._flow(state, rows, forcing, new[1:], samples[1:])
+                self._flow(state, rows, force, forcing, new[1:], samples[1:])
                 irfft2_cols(g, new[1:], out=samples[1:], work=self.cols[:2])
 
             self.fork.both(phase, flow)
         if not np.isfinite(samples, out=self.finite).all():
             raise BlowUpError(f"non-finite values in {'u' if self.finite[0].all() else 'phi'}")
-        self._hats = hats or self._chemical_hats(samples[0], new[0])
+        self._carried = carried or self._carry(samples[0], new[0])
         self._state = SimState(g, new, state.t + self.dt, samples)
         return self._state
 
@@ -533,23 +549,24 @@ class Stepper:
         np.multiply(np.subtract(new_phi, adv_hat, out=new_phi), self.solve, out=new_phi)
         new_phi[0, 0] = state.hats[0][0, 0]
 
-    def _flow(self, state: SimState, rows: np.ndarray, forcing: np.ndarray | None,
+    def _flow(self, state: SimState, rows: np.ndarray, force: np.ndarray, forcing: np.ndarray | None,
               new_u: np.ndarray, rhs: np.ndarray) -> None:
-        """The new u^ into ``new_u`` (2, n, c): the capillary force plus omega
-        (u_y, -u_x) (omega = curl u in one inverse transform) in one stacked
-        forward transform, plus the force's coefficients, then the projected
-        viscous solve.  ``rows`` (2, n, n//2 + 1) holds mu^ in its second plane
-        and takes the row passes, overwriting it; ``rhs`` (2, n, n) takes the
-        samples of the right-hand sides, and the stepper's ``real`` and
-        ``cols`` the rest."""
+        """The new u^ into ``new_u`` (2, n, c): the capillary force -phi grad mu
+        plus omega (u_y, -u_x) (omega = curl u in one inverse transform) in
+        one stacked forward transform, plus the force's coefficients, then the
+        projected viscous solve.  The state carries phi dx mu in ``force`` and
+        the column pass of dy mu in rows[0], whose row pass this runs; ``rows``
+        (2, n, n//2 + 1) then takes the row passes, overwriting mu^; ``rhs``
+        (2, n, n) takes the samples of the right-hand sides, and the stepper's
+        ``real`` and ``cols`` the rest."""
         g, c = state.phi.grid, new_u.shape[-1]
         cols, (s1, omega), (ikx, iky) = self.cols, self.real, self.ik
         u, u_hat = state.u, state.hats[1:, :, :c]
 
         np.subtract(np.multiply(ikx, u_hat[1], out=cols[1]), np.multiply(iky, u_hat[0], out=cols[2]), out=cols[2])
         irfft2_cols(g, cols[2], out=omega, work=cols[2])
-        capillary_force(g, state.phi.values, rows[1], out=rhs, work=rows, scratch=s1)
-        np.add(rhs[0], np.multiply(omega, u.y.values, out=s1), out=rhs[0])
+        np.multiply(inverse_rows(g, rows[0], out=rhs[1]), np.negative(state.phi.values, out=s1), out=rhs[1])
+        np.subtract(np.multiply(omega, u.y.values, out=s1), force, out=rhs[0])  # -phi dx mu + omega u_y, exactly
         np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
         bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
         np.add(b, np.multiply(u_hat, 1.0 / self.dt, out=new_u), out=b)  # new_u is written last

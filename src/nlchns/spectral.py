@@ -253,13 +253,25 @@ def irfft2_cols(grid: Grid, c_hat: np.ndarray, out: np.ndarray | None = None,
                 work: np.ndarray | None = None) -> np.ndarray:
     """Samples from rfft2 coefficients on the first columns, the rest zero;
     leading axes stack fields, each transformed bit-identically as if alone.
-    The column pass goes to ``work`` (c_hat itself may be given) and the row
-    pass to ``out``, each allocated when None.  These are irfft2's own two
-    passes, the pocketfft gufuncs with its factor 1/n each, called apart
-    because numpy's irfft2 does not write its ``out``."""
-    if work is None:
-        work = np.empty(np.shape(c_hat), dtype=complex)
-    _ifft(c_hat, 1.0 / grid.n, axes=_COL_PASS, out=work)
+    The column pass (``inverse_cols``) goes to ``work`` (c_hat itself may be
+    given) and the row pass (``inverse_rows``) to ``out``, each allocated
+    when None.  These are irfft2's own two passes, the pocketfft gufuncs
+    with its factor 1/n each, called apart because numpy's irfft2 does not
+    write its ``out``; a caller may run them at different times."""
+    return inverse_rows(grid, inverse_cols(grid, c_hat, out=work), out=out)
+
+
+def inverse_cols(grid: Grid, c_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The column pass of ``irfft2_cols``: the inverse FFT down each column
+    of ``c_hat``, into ``out`` (c_hat itself may be given), allocated when None."""
+    if out is None:
+        out = np.empty(np.shape(c_hat), dtype=complex)
+    return _ifft(c_hat, 1.0 / grid.n, axes=_COL_PASS, out=out)
+
+
+def inverse_rows(grid: Grid, work: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The row pass of ``irfft2_cols``: the samples, from the column pass
+    ``work`` on the first columns, into ``out``, allocated when None."""
     if out is None:
         out = np.empty(work.shape[:-1] + (grid.n,))
     return _irfft(work, 1.0 / grid.n, axes=_ROW_PASS, out=out)

@@ -97,7 +97,7 @@ def test_every_private_name_has_a_caller_in_the_package():
 def test_transforms_stay_behind_the_spectral_helpers():
     # numpy's private pocketfft gufuncs are named only in spectral, and the
     # solver calls no numpy.fft function: its transforms all go through
-    # rfft2_cols and irfft2_cols
+    # rfft2_cols and irfft2_cols, or the latter's two passes
     files = sorted((ROOT / "src" / "nlchns").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     files += sorted((ROOT / "perfbench").glob("*.py"))
     naming = [p.name for p in files if "_pocketfft_umath" in p.read_text()]

@@ -31,7 +31,6 @@ from nlchns.solver import (
     SimState,
     StabilizerRangeError,
     Stepper,
-    capillary_force,
     run,
     trajectory,
 )
@@ -50,8 +49,9 @@ DW = PotentialSpec.double_well()
 
 def count_transforms(monkeypatch, threads: bool = False) -> list[tuple]:
     """(name, input shape, columns) of each transform called from now on:
-    ``spectral``'s two helpers, in the namespaces that call them, with the
-    columns they cut to or read, and any numpy.fft function, with None.
+    ``spectral``'s two helpers, in the namespaces that call them, and the
+    two passes of the inverse one where the solver calls them apart, with
+    the columns they cut to or read, and any numpy.fft function, with None.
     With ``threads``, each also says whether it ran on the main thread."""
     calls = []
 
@@ -77,7 +77,21 @@ def count_transforms(monkeypatch, threads: bool = False) -> list[tuple]:
         for name, counted in (("rfft2_cols", forward), ("irfft2_cols", inverse)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    for name in ("inverse_cols", "inverse_rows"):
+        def one_pass(grid, a, *args, _name=name, _fn=getattr(spectral, name), **kwargs):
+            note(_name, np.shape(a), np.shape(a)[-1])
+            return _fn(grid, a, *args, **kwargs)
+        monkeypatch.setattr(solver, name, one_pass)
     return calls
+
+
+def transforms(calls) -> int:
+    """The transforms among ``count_transforms``' calls: each field of a
+    helper call, and of a row pass that the solver runs apart, which
+    finishes a transform whose column pass ran at the end of the step that
+    made its state; with ``count_transforms``' counts, a Counter of calls."""
+    counts = calls if isinstance(calls, Counter) else Counter(calls)
+    return sum(np.prod(call[1][:-2], dtype=int) * k for call, k in counts.items() if call[0] != "inverse_cols")
 
 
 def make_cfg(**over):
@@ -100,11 +114,6 @@ def kernel32():
 
 def mu_samples(kernel, phi: ScalarField) -> np.ndarray:
     return np.fft.irfft2(mu_coefficients(kernel, DW, phi.values))
-
-
-def force(phi: ScalarField, mu_hat: np.ndarray) -> VectorField:
-    """The step's capillary force from the samples of phi and the coefficients of mu."""
-    return vector_from_values(phi.grid, *capillary_force(phi.grid, phi.values, mu_hat))
 
 
 class TestChemicalPotential:
@@ -139,32 +148,43 @@ class TestChemicalPotential:
 
 
 class TestKortewegForce:
-    """The solver's capillary_force."""
+    """The step's capillary force -phi grad mu, made from what a state
+    carries (phi dx mu and the column pass of dy mu) and the flow's row
+    pass, seen through a step from u = 0 with nu = 0 and dt = 1:
+    u^+ = P mask(-phi grad mu)."""
+
+    params = SimParams(nu=0.0, dt=1.0, stabilizer=5.0, t_end=1.0)
+    linear = PotentialSpec.polynomial((0.0, 0.0, 1.0))  # F'(s) = 2 s: mu is band-limited with phi
+
+    def projected_force(self, kernel, phi: ScalarField, potential=DW) -> VectorField:
+        return one_step(state_from_samples(phi, zero_vector(phi.grid), 0.0), self.params, kernel, potential=potential).u
 
     def test_constant_phi_zero_force(self, kernel32):
-        g = kernel32.grid
-        phi = constant_field(g, 0.5)
-        f = force(phi, mu_coefficients(kernel32, DW, phi.values))
+        f = self.projected_force(kernel32, constant_field(kernel32.grid, 0.5))
         assert np.max(np.abs(f.x.values)) < 1e-12
         assert np.max(np.abs(f.y.values)) < 1e-12
 
-    def test_constant_mu_projects_away(self, kernel32, rng):
+    def test_gradient_force_projects_away(self, kernel32):
+        # one mode and F' linear: mu = c phi, so -phi grad mu = -grad(c phi^2 / 2)
         g = kernel32.grid
-        phi = random_field(g, rng)
-        mu = np.fft.rfft2(np.full((g.n, g.n), 2.0))
-        p = leray(force(phi, mu))
-        assert np.max(np.abs(p.x.values)) < 1e-11 * (1 + np.max(np.abs(phi.values)))
+        xx, yy = g.mesh
+        phi = ScalarField(g, 0.4 * np.cos(2 * np.pi * (2 * xx + yy) / g.l))
+        f = self.projected_force(kernel32, phi, self.linear)
+        assert np.max(np.abs([f.x.values, f.y.values])) < 1e-13
 
     def test_forms_agree_after_projection(self, kernel32, rng):
-        # band-limited fields: the solver's -phi grad mu and the strong form
-        # mu grad phi differ by the exact gradient grad(phi mu), which Leray
-        # annihilates
+        # band-limited mu: the step's -phi grad mu and the strong form mu grad
+        # phi differ by the gradient grad(phi mu), resolved on the grid, which
+        # the projection annihilates
         g = kernel32.grid
         phi = random_field(g, rng, band=7)
-        mu = np.fft.rfft2(random_field(g, rng, band=7).values)
-        p1 = leray(force(phi, mu))
-        p2 = leray(mu_grad_phi(g, phi.values, mu))
+        p1 = self.projected_force(kernel32, phi, self.linear)
+        strong = mu_grad_phi(g, phi.values, mu_coefficients(kernel32, self.linear, phi.values))
+        mask = full_plane(g)[3]
+        p2 = leray(vector_from_values(g, *(np.fft.ifft2(mask * np.fft.fft2(f.values)).real
+                                          for f in components(strong))))
         scale = norm_l2(p1) + 1e-30
+        assert scale > 0.1
         diff = np.hypot(p1.x.values - p2.x.values, p1.y.values - p2.y.values)
         assert np.max(diff) < 1e-11 * scale
 
@@ -176,10 +196,10 @@ def nan_force(grid: Grid) -> np.ndarray:
     return h
 
 
-def one_step(state, params, kernel, forcing=None):
-    """One step from ``state`` by a new stepper, which makes the state's
-    F'(phi)^ and mu^ first."""
-    return Stepper(kernel, params, DW).step(state, forcing)
+def one_step(state, params, kernel, forcing=None, potential=DW):
+    """One step from ``state`` by a new stepper, which makes what the state
+    carries first."""
+    return Stepper(kernel, params, potential).step(state, forcing)
 
 
 class TestStepCH:
@@ -386,12 +406,14 @@ class TestStepCore:
 
     def test_transforms_per_step(self, kernel32, rng, monkeypatch):
         # every transform is one of spectral's two helpers, a row and a
-        # column pass each, and none is a numpy.fft call.  A step from the
-        # state the stepper returned: full width, the new F'(phi) forward
-        # and grad mu inverse; on the 11 kept columns: u phi and both
-        # momentum right-hand sides forward, in two stacked calls, omega
-        # inverse and the new (phi, u_x, u_y) inverse in one stacked call:
-        # 11 transforms in 6 helper calls
+        # column pass each, or those two passes called apart, and none is a
+        # numpy.fft call.  A step from the state the stepper returned: full
+        # width, the row pass of dy mu, whose column pass ran at the end of
+        # the step that made the state, and for the new state F'(phi)
+        # forward, dx mu inverse and dy mu's column pass; on the 11 kept
+        # columns: u phi and both momentum right-hand sides forward, in two
+        # stacked calls, omega inverse and the new (phi, u_x, u_y) inverse
+        # in one stacked call: 11 transforms in 8 calls
         g = kernel32.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
         stepper = Stepper(kernel32, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0), DW)
@@ -399,12 +421,14 @@ class TestStepCore:
                                                 vector_from_values(g, *taylor_green_u(g, 0.5)), 0.0))
         calls = count_transforms(monkeypatch)
         want = Counter({("rfft2_cols", (n, n), nh): 1, ("rfft2_cols", (2, n, n), c): 2,
-                        ("irfft2_cols", (n, c), c): 1, ("irfft2_cols", (2, n, nh), nh): 1,
+                        ("irfft2_cols", (n, c), c): 1, ("irfft2_cols", (n, nh), nh): 1,
+                        ("inverse_cols", (n, nh), nh): 1, ("inverse_rows", (n, nh), nh): 1,
                         ("irfft2_cols", (3, n, c), c): 1})
+        carry = Counter({("rfft2_cols", (n, n), nh): 1, ("irfft2_cols", (n, nh), nh): 1,
+                         ("inverse_cols", (n, nh), nh): 1})
         state = stepper.step(first, ForcingSpec().field_at(g, first.t))
         assert Counter(calls) == want
-        transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
-        assert (transforms, len(calls)) == (11, 6)
+        assert (transforms(calls), len(calls)) == (11, 8)
         calls.clear()
         # a force enters as its coefficients: a forced step is the unforced one
         for forcing in (ForcingSpec(family="body", amplitude=(0.3, -0.1)),
@@ -412,46 +436,55 @@ class TestStepCore:
             state = stepper.step(state, forcing.field_at(g, state.t))
             assert Counter(calls) == want
             calls.clear()
-        # a state the stepper did not just return first gets its own
-        # F'(phi)^: 12 transforms in 7 helper calls
+        # a state the stepper did not just return first gets what it
+        # carries: F'(phi) forward, dx mu inverse and dy mu's column pass,
+        # whose row pass this step runs: 13 transforms in 11 calls
         stepper.step(first)
-        assert Counter(calls) == want + Counter({("rfft2_cols", (n, n), nh): 1})
-        transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
-        assert (transforms, len(calls)) == (12, 7)
+        assert Counter(calls) == want + carry
+        assert (transforms(calls), len(calls)) == (13, 11)
         calls.clear()
         # a state is made from its coefficients, with its samples in one
         # stacked inverse call
         stepper.step(SimState(g, state.hats, state.t))
-        assert Counter(calls) == want + Counter({("irfft2_cols", (3, n, c), c): 1, ("rfft2_cols", (n, n), nh): 1})
+        assert Counter(calls) == want + carry + Counter({("irfft2_cols", (3, n, c), c): 1})
 
-    def test_transforms_per_forked_step(self, rng, monkeypatch):
-        # from solver._FORK_MIN_N the new phi is inverted on the fork's
-        # thread, apart from the new u: 11 transforms in 7 helper calls, and
-        # 12 in 8 from a state the stepper did not just return
-        kernel = kernel_on(32)
-        stepper = stepper_for(monkeypatch, kernel, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0))
+    def test_transforms_per_forked_step(self, rng):
+        # at n = 128, unpatched, the step forks, and the new phi is inverted
+        # on the fork's thread, apart from the new u.  The thread goes on to
+        # what the new state carries: F'(phi) forward, dx mu inverse and dy
+        # mu's column pass; this one runs dy mu's row pass for the flow.  11
+        # transforms in 9 calls, 5 of them here, and 13 in 12 from a state the
+        # stepper did not just return, whose carry this thread makes first
+        kernel = kernel_on(128)
+        stepper = Stepper(kernel, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0), DW)
+        assert stepper.fork is not None
         g = kernel.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
-        first = stepper.step(state_from_samples(random_field(g, rng, band=8),
+        first = stepper.step(state_from_samples(random_field(g, rng, band=32),
                                                 vector_from_values(g, *taylor_green_u(g, 0.5)), 0.0))
-        calls = count_transforms(monkeypatch)
-        want = Counter({("rfft2_cols", (n, n), nh): 1, ("rfft2_cols", (2, n, n), c): 2,
-                        ("irfft2_cols", (n, c), c): 2, ("irfft2_cols", (2, n, nh), nh): 1,
-                        ("irfft2_cols", (2, n, c), c): 1})
-        stepper.step(first)
-        assert Counter(calls) == want
-        transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
-        assert (transforms, len(calls)) == (11, 7)
-        calls.clear()
-        stepper.step(first)
-        assert Counter(calls) == want + Counter({("rfft2_cols", (n, n), nh): 1})
-        transforms = sum(np.prod(shape[:-2], dtype=int) for _, shape, _ in calls)
-        assert (transforms, len(calls)) == (12, 8)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_transforms(monkeypatch, threads=True)
+            stepper.step(first)
+            main = Counter({("irfft2_cols", (n, c), c, True): 1, ("inverse_rows", (n, nh), nh, True): 1,
+                            ("rfft2_cols", (2, n, n), c, True): 1, ("irfft2_cols", (2, n, c), c, True): 1})
+            fork = Counter({("rfft2_cols", (2, n, n), c, False): 1, ("irfft2_cols", (n, c), c, False): 1,
+                            ("rfft2_cols", (n, n), nh, False): 1, ("irfft2_cols", (n, nh), nh, False): 1,
+                            ("inverse_cols", (n, nh), nh, False): 1})
+            assert Counter(calls) == main + fork
+            assert (transforms(calls), len(calls)) == (11, 9)
+            calls.clear()
+            stepper.step(first)
+            assert Counter(calls) == main + fork + Counter({
+                ("rfft2_cols", (n, n), nh, True): 1, ("irfft2_cols", (n, nh), nh, True): 1,
+                ("inverse_cols", (n, nh), nh, True): 1})
+            assert (transforms(calls), len(calls)) == (13, 12)
+        stepper.close()
 
     def test_transforms_per_forked_trajectory_step(self, monkeypatch):
-        # in a trajectory the fork's thread goes on from the new phi to that
-        # state's F'(phi)^ and mu^: still 11 transforms in 7 helper calls a
-        # step, F'(phi)'s forward among the thread's three
+        # in a trajectory the fork's thread goes on from the new phi to what
+        # that state carries: still 11 transforms in 9 calls a step, 5 of
+        # them on the thread, F'(phi) forward, dx mu inverse and dy mu's
+        # column pass among them
         cfg = make_cfg(
             sim=SimParams(nu=0.05, dt=2e-3, t_end=0.02),
             initial=InitialSpec(family="random", amplitude=0.2, mean=0.1, seed=5),
@@ -469,15 +502,17 @@ class TestStepCore:
         ten, none = counts(10), counts(0)
         assert {k: ten[k] - none[k] for k in ten if ten[k] != none[k]} == {
             ("rfft2_cols", (2, n, n), c, False): 10, ("irfft2_cols", (n, c), c, False): 10,
-            ("rfft2_cols", (n, n), nh, False): 10,
-            ("irfft2_cols", (n, c), c, True): 10, ("irfft2_cols", (2, n, nh), nh, True): 10,
+            ("rfft2_cols", (n, n), nh, False): 10, ("irfft2_cols", (n, nh), nh, False): 10,
+            ("inverse_cols", (n, nh), nh, False): 10,
+            ("irfft2_cols", (n, c), c, True): 10, ("inverse_rows", (n, nh), nh, True): 10,
             ("rfft2_cols", (2, n, n), c, True): 10, ("irfft2_cols", (2, n, c), c, True): 10}
-        # set-up makes the first state's F'(phi)^ on this thread
-        assert none[("rfft2_cols", (n, n), nh, True)] == 1
+        # set-up makes what the first state carries on this thread
+        assert [none[(name, (n, n) if name == "rfft2_cols" else (n, nh), nh, True)]
+                for name in ("rfft2_cols", "irfft2_cols", "inverse_cols")] == [1, 1, 1]
 
     def test_transforms_per_forked_forced_trajectory_step(self, monkeypatch):
         # a force enters a step as its coefficients: a forced trajectory's
-        # transforms are the unforced one's, 11 in 7 helper calls a step
+        # transforms are the unforced one's, 11 in 9 calls a step
         cfg = replace(forced_cfg(), sim=SimParams(nu=0.05, dt=2e-3, t_end=0.02))
         monkeypatch.setattr(solver, "_FORK_MIN_N", cfg.grid.n)
         calls = count_transforms(monkeypatch, threads=True)
@@ -490,8 +525,7 @@ class TestStepCore:
         forced = counts(cfg)
         assert forced == counts(replace(cfg, forcing=ForcingSpec()))
         steps = forced - counts(replace(cfg, sim=replace(cfg.sim, t_end=0.0)))
-        transforms = sum(np.prod(shape[:-2], dtype=int) * k for (_, shape, _, _), k in steps.items())
-        assert (transforms, steps.total()) == (10 * 11, 10 * 7)
+        assert (transforms(steps), steps.total()) == (10 * 11, 10 * 9)
 
     def test_full_spectrum_state_steps_in_band(self, kernel32, rng):
         # run() cuts full-spectrum initial data to the band,
@@ -545,12 +579,13 @@ class TestStepCore:
         every = counts(10, 1)
         # a record's F'(phi)^ is the next step's: records cost no transform
         assert minus(every, counts(10, 10)) == {}
-        # a step and its record: 11 transforms in 6 helper calls and no
-        # numpy.fft call.  Only F'(phi) forward and the stacked grad mu
-        # inverse run on all n//2 + 1 columns; every other column pass
-        # runs on the kept columns, and none on a full (n, n) plane
+        # a step and its record: 11 transforms in 8 calls and no numpy.fft
+        # call.  Only F'(phi) forward and the inverses of dx mu and dy mu
+        # run on all n//2 + 1 columns; every other column pass runs on the
+        # kept columns, and none on a full (n, n) plane
         assert minus(every, counts(0, 1)) == {
-            ("rfft2_cols", (n, n), nh): 10, ("irfft2_cols", (2, n, nh), nh): 10,
+            ("rfft2_cols", (n, n), nh): 10, ("irfft2_cols", (n, nh), nh): 10,
+            ("inverse_cols", (n, nh), nh): 10, ("inverse_rows", (n, nh), nh): 10,
             ("rfft2_cols", (2, n, n), c): 10 * 2,
             ("irfft2_cols", (n, c), c): 10, ("irfft2_cols", (3, n, c), c): 10}
 
@@ -558,7 +593,9 @@ class TestStepCore:
                                           VelocitySpec(family="taylor_green", amplitude=0.7)])
     def test_transforms_at_set_up(self, monkeypatch, velocity):
         # the kernel's multiplier (numpy's rfft2), the band cut's inverse of
-        # the initial coefficients and the first record's F'(phi): uniform
+        # the initial coefficients and what the first state carries, made
+        # for its record: F'(phi) forward, dx mu inverse and dy mu's column
+        # pass.  Uniform
         # phi and zero u are built in coefficients, and Taylor-Green's
         # samples take one stacked forward call; the velocity is built
         # divergence-free, so set-up projects nothing
@@ -566,7 +603,8 @@ class TestStepCore:
         n, nh, c = cfg.grid.n, cfg.grid.n // 2 + 1, cfg.grid.n // 3 + 1
         calls = count_transforms(monkeypatch)
         run(cfg)
-        want = Counter({("rfft2", (n, n), None): 1, ("irfft2_cols", (3, n, c), c): 1, ("rfft2_cols", (n, n), nh): 1})
+        want = Counter({("rfft2", (n, n), None): 1, ("irfft2_cols", (3, n, c), c): 1, ("rfft2_cols", (n, n), nh): 1,
+                        ("irfft2_cols", (n, nh), nh): 1, ("inverse_cols", (n, nh), nh): 1})
         if velocity.family == "taylor_green":
             want[("rfft2_cols", (2, n, n), nh)] = 1
         assert Counter(calls) == want
@@ -737,16 +775,18 @@ class TestWorkspace:
             assert not any(np.shares_memory(a, b) for b in buffers)
 
     def test_chemical_hats_allocate_nothing(self, kernel128, rng):
-        # F'(phi)^'s first columns are cut once into a contiguous plane and
-        # mu^'s made in another, so no ufunc takes a column slice, which
-        # numpy would buffer in an allocation of its own
+        # what a state carries, its F'(phi)^ and mu^ and its capillary
+        # force's passes, is made in the stepper's buffers: F'(phi)^'s first
+        # columns are cut once into a contiguous plane and mu^'s made in
+        # another, so no ufunc takes a column slice, which numpy would
+        # buffer in an allocation of its own
         stepper = Stepper(kernel128, self.params, DW)
         state = stepped_state(stepper, kernel128.grid, rng)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            stepper._chemical_hats(state.phi.values, state.hats[0])
+            stepper._carry(state.phi.values, state.hats[0])
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -776,12 +816,42 @@ class TestWorkspace:
 
     def test_states_share_no_memory(self, kernel128, rng):
         self.assert_states_share_no_memory(Stepper(kernel128, self.params, DW), kernel128.grid, rng,
-                                           ["real", "rows", "cols", "finite"])
+                                           ["real", "rows", "force", "cols", "finite"])
 
     def test_forked_states_share_no_memory(self, kernel128, rng, monkeypatch):
         self.assert_states_share_no_memory(stepper_for(monkeypatch, kernel128, self.params), kernel128.grid, rng,
-                                           ["real", "rows", "cols", "finite", "phase_real", "phase_rows",
-                                            "phase_flux"])
+                                           ["real", "rows", "force", "cols", "finite", "phase_real", "phase_rows",
+                                            "phase_flux", "phase_force"])
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    def test_force_planes_share_no_memory(self, kernel128, monkeypatch, forked):
+        # phi dx mu, which a state carries to the step from it, is written
+        # into a plane of its own for each row block, apart from every other
+        # buffer (phase_real[0], say, overlaps phase_flux, which holds the
+        # carried F'(phi)^ on the kept columns)
+        stepper = stepper_for(monkeypatch, kernel128, self.params, forked)
+        names = ["real", "rows", "force", "cols", "finite", "weights"]
+        names += ["phase_real", "phase_rows", "phase_flux", "phase_force"] if forked else []
+        buffers = {name: getattr(stepper, name) for name in names}
+        for plane in ("force", "phase_force") if forked else ("force",):
+            others = [b for name, b in buffers.items() if name != plane]
+            assert buffers[plane].shape == (128, 128)
+            assert not any(np.shares_memory(buffers[plane], b) for b in others)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_mu_hat_after_a_forked_step_is_made_again_the_same(self, rng, n):
+        # a record reads mu^ after the fork's thread has gone on from it to
+        # the capillary force's passes, in the same row block: at the
+        # threshold, n = 128, and at n = 32, each step's mu^ is the one a
+        # serial stepper makes anew for that state
+        kernel = kernel_on(n)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            stepper, fresh = (stepper_for(monkeypatch, kernel, self.params, forked) for forked in (True, False))
+        state = stepped_state(stepper, kernel.grid, rng, steps=0)
+        for _ in range(3):
+            state = stepper.step(state)
+            assert stepper.mu_hat(state).tobytes() == fresh.mu_hat(SimState(kernel.grid, state.hats, state.t)).tobytes()
+        stepper.close()
 
     def test_fresh_workspace_gives_the_warm_result(self, kernel128, rng):
         # no stale buffer leaks into a result: the warm stepper has just
@@ -935,48 +1005,61 @@ class TestFork:
         kernel = kernel_on(64)
         stepper = Stepper(kernel, self.params, DW)
         stepped_state(stepper, kernel.grid, rng)
-        assert (stepper.fork, stepper.phase_real, stepper.phase_rows, stepper.phase_flux) == (None,) * 4
+        assert (stepper.fork, stepper.phase_real, stepper.phase_rows, stepper.phase_flux,
+                stepper.phase_force) == (None,) * 5
         assert [t for t in threading.enumerate() if t not in before] == []
 
-    @pytest.mark.parametrize("failing", ["phase", "flow", "chemical_hats"])
+    @pytest.mark.parametrize("failing", ["phase", "flow", "chemical_hats", "capillary"])
     def test_a_failing_branch_waits_for_the_other(self, monkeypatch, failing):
         # the error reaches the caller only once the other branch, slowed
-        # down here, has made its last write (an inverse transform).  A step
-        # also makes the new state's F'(phi)^ and mu^ on the fork's thread,
-        # after the inverse of the new phi
+        # down here, has made its last write (an inverse pass).  A step also
+        # makes what the new state carries on the fork's thread, after the
+        # inverse of the new phi: its F'(phi)^ and mu^ (eval_df first), then
+        # dx mu inverse and dy mu's column pass (inverse_cols last).  The
+        # flow, on this thread, runs dy mu's row pass (inverse_rows), whose
+        # column pass the state carries
         kernel = kernel_on(32)
         stepper, serial = (stepper_for(monkeypatch, kernel, self.params, f) for f in (True, False))
         start = self.trajectory(stepper, kernel.grid, ForcingSpec(), 1)[-1]
         inverses = []
 
-        def inverse(*args, _fn=solver.irfft2_cols, **kwargs):
-            out = _fn(*args, **kwargs)
-            inverses.append(threading.current_thread() is threading.main_thread())
-            return out
+        def noted(name):
+            def call(*args, _fn=getattr(solver, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                inverses.append((name, threading.current_thread() is threading.main_thread()))
+                return out
+            return call
 
         def fail(*args, **kwargs):
             raise RuntimeError(f"{failing} failed")
 
-        failing_name, slow_name = {"phase": ("flux_divergence", "capillary_force"),
-                                   "flow": ("capillary_force", "flux_divergence"),
-                                   "chemical_hats": ("eval_df", "capillary_force")}[failing]
-
-        def slow(*args, _fn=getattr(solver, slow_name), **kwargs):
-            time.sleep(0.2)
-            return _fn(*args, **kwargs)
+        failing_name, slow_name = {"phase": ("flux_divergence", "inverse_rows"),
+                                   "flow": ("inverse_rows", "flux_divergence"),
+                                   "chemical_hats": ("eval_df", "inverse_rows"),
+                                   "capillary": ("inverse_cols", "inverse_rows")}[failing]
 
         with monkeypatch.context() as patched:
-            patched.setattr(solver, "irfft2_cols", inverse)
+            for name in ("irfft2_cols", "inverse_cols", "inverse_rows"):
+                patched.setattr(solver, name, noted(name))
+
+            def slow(*args, _fn=getattr(solver, slow_name), **kwargs):
+                time.sleep(0.2)
+                return _fn(*args, **kwargs)
+
             patched.setattr(solver, failing_name, fail)
             patched.setattr(solver, slow_name, slow)
             with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
-                stepper.step(start)  # from the state it returned, whose F'(phi)^ and mu^ it holds
-            # the flow branch inverts omega, then the new u, on this thread;
-            # the phase branch the new phi on the fork's
-            assert sorted(inverses) == {"phase": [True, True], "flow": [False, True],
-                                        "chemical_hats": [False, True, True]}[failing]
-        # the thread outlives the error, and the next step, which makes the
-        # state's F'(phi)^ and mu^ again, is the serial one
+                stepper.step(start)  # from the state it returned, whose carry it holds
+            # the flow branch inverts omega, dy mu and then the new u on this
+            # thread; the phase branch the new phi and dx mu, and runs dy mu's
+            # column pass, on the fork's
+            flow = [("irfft2_cols", True), ("inverse_rows", True), ("irfft2_cols", True)]
+            phase = [("irfft2_cols", False), ("irfft2_cols", False), ("inverse_cols", False)]
+            assert sorted(inverses) == sorted({"phase": flow, "flow": flow[:1] + phase,
+                                               "chemical_hats": flow + phase[:1],
+                                               "capillary": flow + phase[:2]}[failing])
+        # the thread outlives the error, and the next step, which makes what
+        # the state carries again, is the serial one
         assert_same_states([stepper.step(start)], [serial.step(start)])
 
     def test_blow_up_names_phi_before_u(self, monkeypatch):

@@ -12,6 +12,8 @@ from nlchns.spectral import (
     VectorField,
     divergence_bound,
     flux_divergence,
+    inverse_cols,
+    inverse_rows,
     irfft2_cols,
     parseval,
     power,
@@ -116,6 +118,23 @@ class TestTransforms:
         assert grad is samples
         assert grad.tobytes() == np.stack([np.fft.irfft2(k * np.fft.rfft2(fs[0]))
                                            for k in (g.half.ikx, g.half.iky)]).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_inverse_passes_apart_are_irfft2_cols(self, rng, n):
+        # irfft2_cols is its column pass and then its row pass: run apart,
+        # in place or into buffers of their own, on one field or a stack,
+        # on the kept columns or all of them, they give its bits
+        g = Grid(n, TWO_PI)
+        for width in (g.half.kept_cols, n // 2 + 1):
+            hats = np.ascontiguousarray(np.fft.rfft2(np.stack([random_field(g, rng).values for _ in range(2)]))
+                                        [..., :width])
+            want = irfft2_cols(g, hats)
+            work = hats.copy()
+            assert inverse_cols(g, work, out=work) is work
+            samples = np.full((2, n, n), np.nan)
+            assert inverse_rows(g, work, out=samples) is samples
+            assert samples.tobytes() == want.tobytes()
+            assert inverse_rows(g, inverse_cols(g, hats[1])).tobytes() == want[1].tobytes()
 
     def test_shape_mismatch_rejected(self):
         g = Grid(16, 1.0)
