@@ -91,7 +91,7 @@ error on either branch reaches the caller only after the other branch has
 finished.  The thread, a daemon, exits once the stepper
 is closed (as a trajectory's frames end; a closed stepper steps serially)
 or collected.  Below that size, at n = 64, the hand-off costs more than
-the overlap saves (a forked step there is 14-24 % slower), and no thread
+the overlap saves (a forked step there is 22-26 % slower), and no thread
 is started.
 """
 
@@ -326,9 +326,8 @@ def mu_hat(a_minus_j: np.ndarray, phi_hat: np.ndarray, fp_hat: np.ndarray,
 
 # the grid size from which a step forks its phase branch onto a worker
 # thread, which then makes what the new state carries into the next step:
-# a forked step is 16-18 % faster at n = 128 (before the worker took the
-# capillary force's passes) and 14-24 % slower at n = 64, where the
-# hand-off costs more than the overlap saves
+# in-process, a forked step is about 32 % faster at n = 128 and 22-26 %
+# slower at n = 64, where the hand-off costs more than the overlap saves
 _FORK_MIN_N = 128
 
 
@@ -426,7 +425,6 @@ class Stepper:
                 k2, e, flow * e, kernel.a_minus_j[:, :c], h.ik(c)))
         self.still = flow[0, 0]  # k = 0, the one kept mode with k2 = 0: row and column n/2 are cut
         self.weights = np.stack([w[:, :c] for w in (h.weight, h.weight_k2, kernel.weight_a_minus_j)])
-        self.grad = (h.ikx, h.iky)  # the grid's, on every column, for mu
         self.grid, self.dt, self.potential = g, params.dt, potential
         n = g.n
         self.real = np.empty((2, n, n))
@@ -480,9 +478,9 @@ class Stepper:
         fp, mu = rows
         rfft2_cols(eval_df(self.potential, phi, out=real), fp.shape[-1], out=fp, rows=fp)
         mu_hat(self.a_minus_j, phi_hat[:, :self.keep.shape[1]], fp, out=mu, cols=cols[:2])
-        ikx, iky = self.grad
-        np.multiply(irfft2_cols(self.grid, np.multiply(ikx, mu, out=fp), out=force, work=fp), phi, out=force)
-        inverse_cols(self.grid, np.multiply(iky, mu, out=fp), out=fp)
+        g, h = self.grid, self.grid.half
+        np.multiply(irfft2_cols(g, np.multiply(h.ikx, mu, out=fp), out=force, work=fp), phi, out=force)
+        inverse_cols(g, np.multiply(h.iky, mu, out=fp), out=fp)
         return cols[0], rows, force
 
     def step(self, state: SimState, forcing: np.ndarray | None = None) -> SimState:
