@@ -595,10 +595,9 @@ class TestStepCore:
         # the kernel's multiplier (numpy's rfft2), the band cut's inverse of
         # the initial coefficients and what the first state carries, made
         # for its record: F'(phi) forward, dx mu inverse and dy mu's column
-        # pass.  Uniform
-        # phi and zero u are built in coefficients, and Taylor-Green's
-        # samples take one stacked forward call; the velocity is built
-        # divergence-free, so set-up projects nothing
+        # pass.  Uniform phi and zero u are built in coefficients, and
+        # Taylor-Green's samples take one stacked forward call; the velocity
+        # is built divergence-free, so set-up projects nothing
         cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=0.0), velocity=velocity)
         n, nh, c = cfg.grid.n, cfg.grid.n // 2 + 1, cfg.grid.n // 3 + 1
         calls = count_transforms(monkeypatch)
