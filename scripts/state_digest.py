@@ -97,8 +97,9 @@ def main():
         initial = SimState(cfg.grid, build_hats(cfg.initial, cfg.velocity, cfg.grid), 0.0)
     res = run(cfg, initial_state=initial)
 
-    for name, f in (("phi", res.state.phi), ("u_x", res.state.u.x), ("u_y", res.state.u.y)):
-        print(f"{name} {sha(f.values.tobytes())}")
+    fields = dict(zip(("phi", "u_x", "u_y"), res.state.samples))
+    for name, values in fields.items():
+        print(f"{name} {sha(values.tobytes())}")
     rows = np.array([r.as_row() for r in res.records])
     print(f"records {sha(rows.tobytes())} ({len(res.records)} rows)")
     print(f"report {sha(res.report.to_text().encode())}")
@@ -106,7 +107,6 @@ def main():
         for row in rows:
             print(" ".join(repr(float(v)) for v in row))
 
-    fields = {"phi": res.state.phi.values, "u_x": res.state.u.x.values, "u_y": res.state.u.y.values}
     if args.save:
         np.savez(args.save, records=rows, **fields)
     if args.against:

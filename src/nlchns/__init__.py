@@ -22,11 +22,6 @@ from .solver import (
     mu_hat,
     run,
 )
-from .spectral import (
-    Grid,
-    ScalarField,
-    VectorField,
-    leray_project,
-)
+from .spectral import Grid, leray_project
 
 __version__ = "0.1.0"

@@ -85,14 +85,14 @@ def make_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential: Pote
     ``Grid.half.weight``, ``weight_k2`` and ``weight_a_minus_j`` on the state's
     c columns, contiguous (3, n, c), so that no dot product copies a column
     slice; a float buffer of n^2 and 3 mu_hat.size elements; a (2, n, c) complex one."""
-    g, half = state.phi.grid, state.phi.grid.half
+    g, half = state.grid, state.grid.half
     n, c = g.n, state.hats.shape[-1]
     if work is None:
         weights = np.stack([w[:, :c] for w in (half.weight, half.weight_k2, kernel.weight_a_minus_j)])
         work = weights, np.empty(max(n * n, 3 * mu_hat.size)), np.empty((2, n, c), dtype=complex)
     (weight, weight_k2, weight_a_minus_j), scratch, squares = work[0], work[1].reshape(-1), work[2]
     # E(u, phi) = (1/2)||u||^2 + (1/4) iint J (phi(x)-phi(y))^2 + int F(phi), the first two by Parseval
-    bulk = float(eval_f(potential, state.phi.values, out=scratch[:n * n].reshape(n, n)).sum() * g.cell_volume)
+    bulk = float(eval_f(potential, state.samples[0], out=scratch[:n * n].reshape(n, n)).sum() * g.cell_volume)
     # |f^|^2 in spectral.power's order, in fewer passes: the squares of u_x^ and u_y^ in one, those
     # of u_y^ added into u_x^'s, phi^'s beside them, and one pair sum of the real and imaginary parts
     sq = np.square(state.hats[1:].view(float), out=squares.view(float))

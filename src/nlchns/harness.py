@@ -231,7 +231,7 @@ def dt_order_study(cfg, dts) -> StudyResult:
 
     def _state_diff(a: SimState, b: SimState) -> float:
         # ||phi_a - phi_b||^2 + ||u_a - u_b||^2 by Parseval on the final states' coefficients
-        return math.sqrt(parseval(a.phi.grid.half.weight, power(*(x - y for x, y in zip(a.hats, b.hats)))))
+        return math.sqrt(parseval(a.grid.half.weight, power(*(x - y for x, y in zip(a.hats, b.hats)))))
 
     consec = [_state_diff(finals[i], finals[i + 1]) for i in range(len(dts) - 1)]
     vs_finest = [_state_diff(s, finals[-1]) for s in finals[:-1]]

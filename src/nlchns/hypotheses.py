@@ -143,7 +143,7 @@ def check_h1(kernel: KernelOnGrid) -> tuple[str, float]:
 
     Returns the verdict and the maximum pointwise asymmetry.
     """
-    v = kernel.samples.values
+    v = kernel.samples
     mirrored = v[::-1, ::-1]
     mirrored = np.roll(np.roll(mirrored, 1, axis=0), 1, axis=1)  # index -i mod n
     scale = max(float(np.max(np.abs(v))), 1.0)

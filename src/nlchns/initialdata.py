@@ -211,13 +211,16 @@ def taylor_green_u(grid: Grid, amplitude: float = 1.0) -> np.ndarray:
 
 def _read_on(grid: Grid, key: str, path: str) -> np.ndarray:
     """The samples of the snapshot at ``path``, which the config names by
-    ``key``; an InitialDataError names the key when it is on another grid."""
+    ``key``; an InitialDataError names the key when it is on another grid or
+    holds a sample that is not finite."""
     from .storage import read_snapshot
 
     f, _, _ = read_snapshot(path)
     if f.grid != grid:
         raise InitialDataError(f"{key}: snapshot grid n = {f.grid.n}, l = {f.grid.l!r} does not match "
                                f"the configured n = {grid.n}, l = {grid.l!r}")
+    if not np.isfinite(f.values).all():
+        raise InitialDataError(f"{key}: snapshot {path!r} holds non-finite samples")
     return f.values
 
 

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, ScalarField, parseval, rgradient, unresolved_modes
+from .spectral import Grid, parseval, rgradient, unresolved_modes
 
 
 class KernelBuildError(ValueError):
@@ -90,11 +90,12 @@ def kernel_errors(spec: KernelSpec, l: float, n: int | None):
 class KernelOnGrid:
     """A kernel discretized on one grid, with its multiplier and norms;
     compared by identity, as arrays have no single truth value.
-    ``multiplier``: J^ = integral J(x) exp(-i k.x) dx by quadrature, real and
-    even, on the rfft2 half plane (shape (n, n//2 + 1))."""
+    ``samples``: J at the grid points, (n, n); ``multiplier``: J^ =
+    integral J(x) exp(-i k.x) dx by quadrature, real and even, on the rfft2
+    half plane (shape (n, n//2 + 1))."""
 
     grid: Grid
-    samples: ScalarField
+    samples: np.ndarray = field(repr=False)
     multiplier: np.ndarray = field(repr=False)
     a: float
     norm_l1: float
@@ -184,7 +185,7 @@ def build_kernel(spec: KernelSpec, grid: Grid) -> KernelOnGrid:
     grad_norm_l1 = float(np.sum(gmag) * w)
     return KernelOnGrid(
         grid=grid,
-        samples=ScalarField(grid, val),
+        samples=val,
         multiplier=np.fft.rfft2(val).real * w,
         a=a,
         norm_l1=norm_l1,

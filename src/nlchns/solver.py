@@ -36,17 +36,17 @@ the band, the one place that does so) and returns a generator of frames
 that steps with one stepper and audits each record; ``run`` consumes the
 frames and writes the records and snapshots.  A state is made from the
 rfft2 half-plane coefficients of phi, u_x and u_y, one (3, n, c) block, and
-carries its samples, made from them: a run's states hold the first
-``Grid.half.kept_cols`` columns, the rest being zero.  Initial data is
-built in coefficients (``initialdata.build_hats``), and a state's samples
-are only ever made from its coefficients.  A step steps the coefficients
-it is given.  The transport
-is taken in divergence form, ik . (u phi)^ (``spectral.flux_divergence``),
-the weak form's (u, phi grad psi), which equals u . grad phi because
-div u = 0.  Every transform goes through ``spectral.rfft2_cols`` and
-``spectral.irfft2_cols``, a row and a column pass each, or through the
-latter's two passes called apart.  The force enters
-as its coefficients (``ForcingSpec.field_at``), so a step from the state
+carries its samples, made from them, one (3, n, n) block; the package reads
+it through these two, its grid and t only.  A run's states hold the first
+``Grid.half.kept_cols`` columns, the rest being zero.  Initial data is built
+in coefficients (``initialdata.build_hats``), and a state's samples are
+only ever made from its coefficients.  A step steps the coefficients it is
+given.  The transport is taken in divergence form, ik . (u phi)^
+(``spectral.flux_divergence``), the weak form's (u, phi grad psi), which
+equals u . grad phi because div u = 0.  Every transform goes through
+``spectral.rfft2_cols`` and ``spectral.irfft2_cols``, a row and a column
+pass each, or through the latter's two passes called apart.  The force
+enters as its coefficients (``ForcingSpec.field_at``), so a step from the state
 the stepper returned, forced or not, takes 11 transforms.  3 are full:
 the new F'(phi), not band-limited, forward in place, and the inverses of
 the new dx mu and of dy mu, whose column pass (``spectral.inverse_cols``)
@@ -124,7 +124,6 @@ from .spectral import (
     resample,
     rfft2_cols,
     unresolved_modes,
-    vector_from_values,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -164,21 +163,25 @@ class HypothesisGateError(RuntimeError):
 
 
 class SimState:
-    """Order parameter, velocity and time; div u stays spectrally zero and
-    mean(phi) is constant along the trajectory.  A state is made from its
-    coefficients: ``hats``, the (3, n, c) block of the rfft2 coefficients of
-    (phi, u.x, u.y) on their first c columns, the rest being zero, which it
-    keeps.  Its samples are views of one (3, n, n) block, ``samples``: the
-    one given (the inverse transform of ``hats``), else one stacked inverse
+    """Order parameter, velocity and time on ``grid``; div u stays spectrally
+    zero and mean(phi) is constant along the trajectory.  A state is made
+    from its coefficients: ``hats``, the (3, n, c) block of the rfft2
+    coefficients of (phi, u_x, u_y) on their first c columns, the rest being
+    zero, which it keeps.  ``samples`` is their (3, n, n) block: the one
+    given (the inverse transform of ``hats``), else one stacked inverse
     transform.  New coefficients make a new state, so the two never
-    disagree."""
+    disagree.  The package reads a state through ``grid``, ``hats``,
+    ``samples`` and ``t`` only."""
 
     def __init__(self, grid: Grid, hats: np.ndarray, t: float, samples: np.ndarray | None = None):
         if samples is None:
             samples = irfft2_cols(grid, hats)
-        self.phi = ScalarField(grid, samples[0])
-        self.u = vector_from_values(grid, samples[1], samples[2])
-        self.t, self.hats, self.samples = t, hats, samples
+        self.grid, self.hats, self.samples, self.t = grid, hats, samples, t
+
+    @property
+    def phi(self) -> ScalarField:
+        """A view of ``samples[0]`` with the grid, for the benchmark; the package reads ``samples``."""
+        return ScalarField(self.grid, self.samples[0])
 
     @cached_property
     def extrema(self) -> tuple[list[float], list[float]]:
@@ -459,7 +462,7 @@ class Stepper:
         last step made if it returned ``state``, else made now."""
         if state is not self._state:
             self._state = None  # until it is made, the buffers hold no state's
-            self._carried, self._state = self._carry(state.phi.values, state.hats[0]), state
+            self._carried, self._state = self._carry(state.samples[0], state.hats[0]), state
         return self._carried
 
     def _carry(self, phi: np.ndarray, phi_hat: np.ndarray, buffers: tuple | None = None
@@ -500,7 +503,7 @@ class Stepper:
         what the new state carries after that."""
         fp_cols, rows, force = self._carried_by(state)
         self._state, carried = None, None  # until this step succeeds, no state's carry is held
-        g, c = state.phi.grid, self.keep.shape[1]
+        g, c = state.grid, self.keep.shape[1]
         new = np.empty((3, g.n, c), dtype=complex)
 
         # phase, up to the transport: the branches overwrite F'(phi)^'s columns
@@ -543,7 +546,8 @@ class Stepper:
         minus the transport div(u phi), taken through ``products`` (2, n, n),
         ``rows`` (2, n, n//2 + 1) and ``flux`` (2, n, c), then solved, with the
         k = 0 coefficient copied through."""
-        adv_hat = flux_divergence(state.u, state.phi.values, self.ik, out=flux, products=products, rows=rows)
+        adv_hat = flux_divergence(state.samples[1:], state.samples[0], self.ik, out=flux, products=products,
+                                  rows=rows)
         np.multiply(np.subtract(new_phi, adv_hat, out=new_phi), self.solve, out=new_phi)
         new_phi[0, 0] = state.hats[0][0, 0]
 
@@ -557,15 +561,15 @@ class Stepper:
         (2, n, n//2 + 1) then takes the row passes, overwriting mu^; ``rhs``
         (2, n, n) takes the samples of the right-hand sides, and the stepper's
         ``real`` and ``cols`` the rest."""
-        g, c = state.phi.grid, new_u.shape[-1]
+        g, c = state.grid, new_u.shape[-1]
         cols, (s1, omega), (ikx, iky) = self.cols, self.real, self.ik
-        u, u_hat = state.u, state.hats[1:, :, :c]
+        (phi, ux, uy), u_hat = state.samples, state.hats[1:, :, :c]
 
         np.subtract(np.multiply(ikx, u_hat[1], out=cols[1]), np.multiply(iky, u_hat[0], out=cols[2]), out=cols[2])
         irfft2_cols(g, cols[2], out=omega, work=cols[2])
-        np.multiply(inverse_rows(g, rows[0], out=rhs[1]), np.negative(state.phi.values, out=s1), out=rhs[1])
-        np.subtract(np.multiply(omega, u.y.values, out=s1), force, out=rhs[0])  # -phi dx mu + omega u_y, exactly
-        np.subtract(rhs[1], np.multiply(omega, u.x.values, out=s1), out=rhs[1])
+        np.multiply(inverse_rows(g, rows[0], out=rhs[1]), np.negative(phi, out=s1), out=rhs[1])
+        np.subtract(np.multiply(omega, uy, out=s1), force, out=rhs[0])  # -phi dx mu + omega u_y, exactly
+        np.subtract(rhs[1], np.multiply(omega, ux, out=s1), out=rhs[1])
         bx, by = b = rfft2_cols(rhs, c, out=cols[:2], rows=rows)
         np.add(b, np.multiply(u_hat, 1.0 / self.dt, out=new_u), out=b)  # new_u is written last
         if forcing is not None:  # through a contiguous plane, which numpy does not buffer
@@ -593,11 +597,11 @@ class RunResult:
 
 
 def resolve_stabilizer(cfg_mode: str | float, potential: PotentialSpec,
-                       phi0: ScalarField, s_range) -> tuple[float, tuple[float, float]]:
+                       phi0: np.ndarray, s_range) -> tuple[float, tuple[float, float]]:
     """Auto stabilizer: the bound on the working range widened to cover the
-    initial data with a 0.5 margin.  Returns (S, validated range)."""
-    lo = min(s_range[0], float(np.min(phi0.values)) - 0.5)
-    hi = max(s_range[1], float(np.max(phi0.values)) + 0.5)
+    initial samples ``phi0`` with a 0.5 margin.  Returns (S, validated range)."""
+    lo = min(s_range[0], float(np.min(phi0)) - 0.5)
+    hi = max(s_range[1], float(np.max(phi0)) + 0.5)
     if cfg_mode == "auto":
         return stabilizer_bound(potential, (lo, hi)), (lo, hi)
     return float(cfg_mode), (lo, hi)
@@ -630,14 +634,15 @@ def trajectory(cfg: "SimConfig", *, initial_state: SimState | None = None
     if initial_state is None:
         start, hats, t0 = grid, build_hats(cfg.initial, cfg.velocity, grid), 0.0
     else:
-        start, hats, t0 = initial_state.phi.grid, initial_state.hats, initial_state.t
+        start, hats, t0 = initial_state.grid, initial_state.hats, initial_state.t
     # the columns a step transforms, and the band; the mask multiplies the
     # real and imaginary parts as reals, so a cut block is cut again bit for bit
     hats = resample(hats, start, grid, grid.half.kept_cols)
     hats.view(float)[...] *= np.repeat(grid.half.mask[:, :hats.shape[-1]], 2, axis=-1)
     state = SimState(grid, hats, t0)
 
-    s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, cfg.potential, state.phi, cfg.checks.s_range)
+    s_value, validated = resolve_stabilizer(cfg.sim.stabilizer, cfg.potential, state.samples[0],
+                                            cfg.checks.s_range)
     params = replace(cfg.sim, stabilizer=s_value)
     if kernel.a + params.stabilizer <= 0:
         raise ValueError("a + S must be positive for the phase solve")
@@ -687,7 +692,7 @@ def _frames(cfg: "SimConfig", kernel: KernelOnGrid, report: HypothesisReport, pa
 def _forcing_power(h: np.ndarray, state: SimState) -> float:
     """<h, u> by Parseval, from h's coefficients and the first columns of u's."""
     c = state.hats[1].shape[1]
-    return parseval(state.phi.grid.half.weight, (h[..., :c] * np.conj(state.hats[1:])).real.sum(axis=0))
+    return parseval(state.grid.half.weight, (h[..., :c] * np.conj(state.hats[1:])).real.sum(axis=0))
 
 
 def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, rec,
@@ -697,7 +702,7 @@ def _audit_record(cfg: "SimConfig", report: HypothesisReport, state: SimState, r
     divergence (by a bound at least the sampled max, in ``stepper``'s
     buffers, free between its steps) and, with ``checks.grad_control``,
     gradient control."""
-    grid, failures = state.phi.grid, []
+    grid, failures = state.grid, []
     drift = float(state.hats[0][0, 0].real - mass0) / grid.n**2  # of mean(phi)
     if abs(drift) > 1e-12:
         failures.append(f"mass drift {drift:.3e} at step {step_index}")

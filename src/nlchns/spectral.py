@@ -25,6 +25,8 @@ Conventions
   other column stands for two, and the scale is |Omega| / n^4.  A form is a
   dot product of |f^|^2 (``power``) with a weight array built once
   (``Grid.half.weight``, ``Grid.half.weight_k2``).
+* A field is an array, given beside its ``Grid``: samples (n, n), row-major,
+  or coefficients, leading axes stacking fields (a velocity's are (2, n, n)).
 
 All functions are pure apart from the ``out`` and ``work`` buffers they are
 given; fields are treated as immutable values.  Grids cache their operator
@@ -46,10 +48,6 @@ from numpy.fft._pocketfft_umath import rfft_n_even as _rfft
 
 class GridMismatchError(ValueError):
     """Operands live on different grids."""
-
-
-class FieldShapeError(ValueError):
-    """Sample array does not match its grid."""
 
 
 @dataclass(frozen=True)
@@ -160,37 +158,11 @@ class HalfPlane:
 
 @dataclass
 class ScalarField:
-    """Real samples on a grid, row-major (n, n)."""
+    """Real samples on a grid, row-major (n, n), unchecked: what ``storage.read_snapshot``
+    returns, and ``SimState.phi``.  The package passes arrays; the benchmark reads these two."""
 
     grid: Grid
     values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n, self.grid.n):
-            raise FieldShapeError(
-                f"expected {(self.grid.n, self.grid.n)} samples, got {self.values.shape}"
-            )
-
-
-@dataclass
-class VectorField:
-    """Two scalar components sharing one grid."""
-
-    x: ScalarField
-    y: ScalarField
-
-    def __post_init__(self):
-        if self.x.grid != self.y.grid:
-            raise GridMismatchError("vector components on different grids")
-
-    @property
-    def grid(self) -> Grid:
-        return self.x.grid
-
-
-def vector_from_values(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> VectorField:
-    return VectorField(ScalarField(grid, vx), ScalarField(grid, vy))
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +276,20 @@ def divergence_bound(grid: Grid, hats: np.ndarray, ik: np.ndarray, weight: np.nd
     return float(np.vdot(weight, d)) * grid.n**2 / grid.volume
 
 
-def flux_divergence(u: VectorField, f: np.ndarray, ik: np.ndarray, out: np.ndarray | None = None,
+def flux_divergence(u: np.ndarray, f: np.ndarray, ik: np.ndarray, out: np.ndarray | None = None,
                     products: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
     """rfft2 coefficients of div(u f) on the first c columns, ikx (u_x f)^ +
-    iky (u_y f)^, from the samples of u and f and the multipliers ``ik`` =
-    ``HalfPlane.ik(c)``: the transport term in divergence form, equal to
-    (u . grad) f when div u = 0.  The products go to ``products`` (2, n, n)
-    and take one stacked forward transform, its row pass to ``rows``
-    (2, n, n//2 + 1) and its column pass to ``out`` (2, n, c), which may
-    share memory with ``products``; each is allocated when None, and the
-    result is ``out[0]``."""
+    iky (u_y f)^, from the samples of u, stacked (2, n, n), and of f, and
+    the multipliers ``ik`` = ``HalfPlane.ik(c)``: the transport term in
+    divergence form, equal to (u . grad) f when div u = 0.  The products go
+    to ``products`` (2, n, n) and take one stacked forward transform, its
+    row pass to ``rows`` (2, n, n//2 + 1) and its column pass to ``out``
+    (2, n, c), which may share memory with ``products``; each is allocated
+    when None, and the result is ``out[0]``."""
     if products is None:
         products = np.empty((2,) + f.shape)
-    np.multiply(u.x.values, f, out=products[0])
-    np.multiply(u.y.values, f, out=products[1])
+    np.multiply(u[0], f, out=products[0])  # one plane at a time: numpy buffers a broadcast operand
+    np.multiply(u[1], f, out=products[1])
     flux = rfft2_cols(products, ik.shape[-1], out=out, rows=rows)
     np.multiply(ik, flux, out=flux)
     return np.add(flux[0], flux[1], out=flux[0])

@@ -5,8 +5,9 @@ Snapshot format: one ASCII header line
     NLCHNS1 name=<field> n=<n> l=<l> t=<t> count=<n*n> endian=little
 
 followed by count raw little-endian float64 samples in row-major order.
-The round trip is bit exact; readers reject wrong magic strings and payload
-size mismatches.
+The round trip is bit exact; the reader, the only check on a snapshot's
+shape, rejects a wrong magic string, a header whose n and l make no grid
+(naming the file) and a payload of the wrong size.
 
 The diagnostics CSV has a fixed column order (see diagnostics.COLUMNS), a
 single header row, and values printed with 17 significant digits so a
@@ -22,7 +23,7 @@ import os
 import numpy as np
 
 from .diagnostics import COLUMNS, DiagnosticsRecord
-from .spectral import Grid, ScalarField
+from .spectral import Grid, ScalarField, grid_errors
 
 MAGIC = "NLCHNS1"
 CSV_NAME = "diagnostics.csv"
@@ -32,22 +33,20 @@ class SnapshotFormatError(ValueError):
     pass
 
 
-def write_snapshot(field: ScalarField, name: str, t: float, path: str) -> None:
+def write_snapshot(grid: Grid, values: np.ndarray, name: str, t: float, path: str) -> None:
+    """Write the (n, n) samples ``values`` on ``grid`` as the field ``name`` at time t."""
     if any(ch.isspace() for ch in name) or not name:
         raise ValueError("snapshot field name must be non-empty without whitespace")
-    g = field.grid
-    count = g.n * g.n
-    header = (
-        f"{MAGIC} name={name} n={g.n} l={g.l:.17g} t={t:.17g} "
-        f"count={count} endian=little\n"
-    )
-    data = np.ascontiguousarray(field.values, dtype="<f8")
+    count = grid.n * grid.n
+    header = f"{MAGIC} name={name} n={grid.n} l={grid.l:.17g} t={t:.17g} count={count} endian=little\n"
+    data = np.ascontiguousarray(values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(data.tobytes())
 
 
 def read_snapshot(path: str) -> tuple[ScalarField, str, float]:
+    """(the samples with their grid, the field's name, t) of the snapshot at ``path``."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
         payload = fh.read()
@@ -61,31 +60,26 @@ def read_snapshot(path: str) -> tuple[ScalarField, str, float]:
         k, v = p.split("=", 1)
         kv[k] = v
     try:
-        name = kv["name"]
-        n = int(kv["n"])
-        l = float(kv["l"])
-        t = float(kv["t"])
-        count = int(kv["count"])
-        endian = kv["endian"]
+        name, endian, n, count = kv["name"], kv["endian"], int(kv["n"]), int(kv["count"])
+        l, t = float(kv["l"]), float(kv["t"])
     except (KeyError, ValueError) as err:
         raise SnapshotFormatError(f"incomplete snapshot header: {header!r}") from err
+    if errors := list(grid_errors(n, l)):
+        raise SnapshotFormatError(f"no grid in the header of {path!r}: {'; '.join(errors)}")
     if endian != "little":
         raise SnapshotFormatError(f"unsupported byte order {endian!r}")
     if count != n * n:
         raise SnapshotFormatError(f"count {count} does not match n^2 = {n * n}")
     if len(payload) != 8 * count:
-        raise SnapshotFormatError(
-            f"payload size mismatch: expected {8 * count} bytes, got {len(payload)}"
-        )
+        raise SnapshotFormatError(f"payload size mismatch: expected {8 * count} bytes, got {len(payload)}")
     values = np.frombuffer(payload, dtype="<f8").astype(float).reshape(n, n)
     return ScalarField(Grid(n, l), values), name, t
 
 
 def write_state_snapshots(out_dir: str, state, step_index: int) -> None:
-    tag = f"{step_index:08d}"
-    write_snapshot(state.phi, "phi", state.t, os.path.join(out_dir, f"phi_{tag}.f64"))
-    write_snapshot(state.u.x, "ux", state.t, os.path.join(out_dir, f"ux_{tag}.f64"))
-    write_snapshot(state.u.y, "uy", state.t, os.path.join(out_dir, f"uy_{tag}.f64"))
+    """Write the state's phi, u_x and u_y samples, one file each, tagged by the step."""
+    for name, values in zip(("phi", "ux", "uy"), state.samples):
+        write_snapshot(state.grid, values, name, state.t, os.path.join(out_dir, f"{name}_{step_index:08d}.f64"))
 
 
 # one diagnostics row: every value with 17 significant digits

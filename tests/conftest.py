@@ -8,17 +8,7 @@ from nlchns.diagnostics import DiagnosticsRecord, identity_residual, make_record
 from nlchns.kernels import KernelOnGrid, interaction_energy
 from nlchns.potentials import PotentialSpec, eval_df, eval_f
 from nlchns.solver import ForcingSpec, SimState, mu_hat
-from nlchns.spectral import (
-    Grid,
-    GridMismatchError,
-    ScalarField,
-    VectorField,
-    leray_project,
-    parseval,
-    power,
-    rgradient,
-    vector_from_values,
-)
+from nlchns.spectral import Grid, leray_project, parseval, power, rgradient
 
 TWO_PI = 2.0 * np.pi
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -33,14 +23,14 @@ def grid32():
     return Grid(32, TWO_PI)
 
 
-def random_field(grid: Grid, rng, band: int | None = None) -> ScalarField:
-    """Real random field; band-limit by zeroing modes above |m| = band."""
+def random_field(grid: Grid, rng, band: int | None = None) -> np.ndarray:
+    """Samples (n, n) of a real random field; band-limit by zeroing modes above |m| = band."""
     vals = rng.standard_normal((grid.n, grid.n))
     if band is None:
-        return ScalarField(grid, vals)
+        return vals
     keep = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n)) <= band
     coeff = np.fft.rfft2(vals) * (keep[:, None] & keep[None, : grid.n // 2 + 1])
-    return ScalarField(grid, np.fft.irfft2(coeff))
+    return np.fft.irfft2(coeff)
 
 
 def full_plane(grid: Grid):
@@ -55,37 +45,29 @@ def full_plane(grid: Grid):
     return kx, ky, kx**2 + ky**2, keep[:, None] & keep[None, :]
 
 
-def constant_field(grid: Grid, value: float = 0.0) -> ScalarField:
-    return ScalarField(grid, np.full((grid.n, grid.n), float(value)))
+def constant_field(grid: Grid, value: float = 0.0) -> np.ndarray:
+    return np.full((grid.n, grid.n), float(value))
 
 
-def zero_vector(grid: Grid) -> VectorField:
-    return VectorField(constant_field(grid), constant_field(grid))
+def zero_vector(grid: Grid) -> np.ndarray:
+    return np.zeros((2, grid.n, grid.n))
 
 
-def components(v: VectorField) -> tuple[ScalarField, ScalarField]:
-    return (v.x, v.y)
+def state_from_samples(grid: Grid, phi: np.ndarray, u: np.ndarray, t: float) -> SimState:
+    """The state with the samples phi (n, n) and u (2, n, n) and their full-width coefficients."""
+    samples = np.concatenate([phi[None], u])
+    return SimState(grid, np.fft.rfft2(samples), t, samples)
 
 
-def state_from_samples(phi: ScalarField, u: VectorField, t: float) -> SimState:
-    """The state with these samples and their full-width coefficients."""
-    samples = np.stack([phi.values, u.x.values, u.y.values])
-    return SimState(phi.grid, np.fft.rfft2(samples), t, samples)
+def leray(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Samples of the Leray projection of v (2, n, n), through ``spectral.leray_project``."""
+    return np.fft.irfft2(leray_project(grid, np.fft.rfft2(v)), s=(grid.n, grid.n))
 
 
-def leray(v: VectorField) -> VectorField:
-    """Samples of the Leray projection of v, through ``spectral.leray_project``."""
-    hats = leray_project(v.grid, np.fft.rfft2(np.stack([v.x.values, v.y.values])))
-    return vector_from_values(v.grid, *np.fft.irfft2(hats, s=(v.grid.n, v.grid.n)))
-
-
-def random_vector(grid: Grid, rng, band: int | None = None, solenoidal: bool = False) -> VectorField:
-    v = VectorField(random_field(grid, rng, band), random_field(grid, rng, band))
-    return leray(v) if solenoidal else v
-
-
-def mean(f: ScalarField) -> float:
-    return float(np.mean(f.values))
+def random_vector(grid: Grid, rng, band: int | None = None, solenoidal: bool = False) -> np.ndarray:
+    """Samples (2, n, n) of a random vector field, band-limited and projected on request."""
+    v = np.stack([random_field(grid, rng, band), random_field(grid, rng, band)])
+    return leray(grid, v) if solenoidal else v
 
 
 def rel_err(got, want, floor=1e-300) -> float:
@@ -104,66 +86,59 @@ def rdivergence(grid: Grid, x_hat: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(h.ikx[:, :c] * x_hat + h.iky[:, :c] * y_hat, s=(grid.n, grid.n))
 
 
-def advect(u: VectorField, grad_f) -> np.ndarray:
+def advect(u: np.ndarray, grad_f) -> np.ndarray:
     """Samples of (u . grad) f, the pointwise product with the samples of
     grad f: the convective form of the transport."""
-    return u.x.values * grad_f[0] + u.y.values * grad_f[1]
+    return u[0] * grad_f[0] + u[1] * grad_f[1]
 
 
-def gradient(f: ScalarField) -> VectorField:
-    return vector_from_values(f.grid, *rgradient(f.grid, np.fft.rfft2(f.values)))
+def gradient(grid: Grid, f: np.ndarray) -> np.ndarray:
+    return rgradient(grid, np.fft.rfft2(f))
 
 
-def divergence(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, rdivergence(v.grid, *(np.fft.rfft2(c.values) for c in components(v))))
+def divergence(grid: Grid, v: np.ndarray) -> np.ndarray:
+    return rdivergence(grid, *np.fft.rfft2(v))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, np.fft.irfft2(-f.grid.half.k2 * np.fft.rfft2(f.values)))
+def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
+    return np.fft.irfft2(-grid.half.k2 * np.fft.rfft2(f))
 
 
-def inner(f, g) -> float:
+def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     """L2 inner product with physical measure, as the sample sum times the
-    cell volume; scalar or vector fields."""
-    if f.grid != g.grid:
-        raise GridMismatchError("operands on different grids")
-    w = f.grid.cell_volume
-    if isinstance(f, VectorField):
-        return float(
-            (np.sum(f.x.values * g.x.values) + np.sum(f.y.values * g.y.values)) * w
-        )
-    return float(np.sum(f.values * g.values) * w)
+    cell volume; scalar (n, n) or vector (2, n, n) samples, on ``grid``."""
+    if f.shape != g.shape or f.shape[-2:] != (grid.n, grid.n):
+        raise ValueError(f"samples {f.shape} and {g.shape} are not both on the {grid.n} x {grid.n} grid")
+    return float(np.sum(f * g) * grid.cell_volume)
 
 
-def norm_l2(f) -> float:
-    return float(np.sqrt(max(inner(f, f), 0.0)))
+def norm_l2(grid: Grid, f: np.ndarray) -> float:
+    return float(np.sqrt(max(inner(grid, f, f), 0.0)))
 
 
-def forcing_samples(spec: ForcingSpec, grid: Grid, t: float) -> VectorField:
-    """Samples of h(t) on the mesh, the reference for the coefficients
-    ``ForcingSpec.field_at`` gives: A e^{-lambda t} for ``body``, and
-    scale e^{-lambda t} cos(2 pi m.x / l) (-m2, m1)/|m| for ``single_mode``."""
+def forcing_samples(spec: ForcingSpec, grid: Grid, t: float) -> np.ndarray:
+    """Samples of h(t) on the mesh, stacked (2, n, n), the reference for the
+    coefficients ``ForcingSpec.field_at`` gives: A e^{-lambda t} for ``body``,
+    and scale e^{-lambda t} cos(2 pi m.x / l) (-m2, m1)/|m| for ``single_mode``."""
     damp = np.exp(-spec.decay * t)
     if spec.family == "body":
         ax, ay = spec.amplitude
-        return vector_from_values(grid, np.full((grid.n, grid.n), ax * damp),
-                                  np.full((grid.n, grid.n), ay * damp))
+        return np.stack([np.full((grid.n, grid.n), ax * damp), np.full((grid.n, grid.n), ay * damp)])
     m1, m2 = spec.mode
     norm = np.hypot(m1, m2)
     xx, yy = grid.mesh
     c = spec.scale * damp * np.cos(2.0 * np.pi * (m1 * xx + m2 * yy) / grid.l)
-    return vector_from_values(grid, -m2 / norm * c, m1 / norm * c)
+    return np.stack([-m2 / norm * c, m1 / norm * c])
 
 
-def grad_norm_sq(f) -> float:
-    """||grad f||^2 for a scalar field, Frobenius ||grad u||^2 for a vector
-    field, by Parseval."""
-    parts = components(f) if isinstance(f, VectorField) else (f,)
-    return parseval(f.grid.half.weight_k2, power(*(np.fft.rfft2(c.values) for c in parts)))
+def grad_norm_sq(grid: Grid, f: np.ndarray) -> float:
+    """||grad f||^2 for scalar samples (n, n), Frobenius ||grad u||^2 for
+    vector samples (2, n, n), by Parseval."""
+    return parseval(grid.half.weight_k2, power(*np.fft.rfft2(f.reshape(-1, grid.n, grid.n))))
 
 
-def seminorm_h1(f) -> float:
-    return float(np.sqrt(grad_norm_sq(f)))
+def seminorm_h1(grid: Grid, f: np.ndarray) -> float:
+    return float(np.sqrt(grad_norm_sq(grid, f)))
 
 
 def weak_gradient_margin(grad_mu_sq: float, grad_phi_sq: float, phi_norm_sq: float,
@@ -193,12 +168,12 @@ def gaussian_image_sum(grid: Grid, sigma: float, strength: float):
     return val, np.hypot(gx, gy)
 
 
-def mu_grad_phi(grid: Grid, phi: np.ndarray, mu_hat: np.ndarray) -> VectorField:
-    """The strong-form coupling force mu grad phi from the samples of phi and
-    the coefficients of mu: the reference for the solver's -phi grad mu, from
-    which it differs by the gradient grad(phi mu)."""
+def mu_grad_phi(grid: Grid, phi: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
+    """The samples (2, n, n) of the strong-form coupling force mu grad phi
+    from the samples of phi and the coefficients of mu: the reference for the
+    solver's -phi grad mu, from which it differs by the gradient grad(phi mu)."""
     mu = np.fft.irfft2(mu_hat, s=(grid.n, grid.n))
-    return vector_from_values(grid, *(mu * rgradient(grid, np.fft.rfft2(phi))))
+    return mu * rgradient(grid, np.fft.rfft2(phi))
 
 
 def mu_coefficients(kernel: KernelOnGrid, potential: PotentialSpec, phi: np.ndarray) -> np.ndarray:
@@ -219,17 +194,17 @@ def reference_record(state, mu_hat: np.ndarray, kernel: KernelOnGrid, potential:
     """The record of ``state`` from one allocating call per quantity, ``power``,
     ``parseval``, ``interaction_energy`` and ``eval_f``: the oracle for
     ``make_record``, which works in buffers, bit for bit."""
-    g, half = state.phi.grid, state.phi.grid.half
+    g, half = state.grid, state.grid.half
     p_phi, p_u = power(state.hats[0]), power(*state.hats[1:])
     kinetic, interaction = 0.5 * parseval(half.weight, p_u), interaction_energy(kernel, p_phi)
-    bulk = float(np.sum(eval_f(potential, state.phi.values)) * g.cell_volume)
+    bulk = float(np.sum(eval_f(potential, state.samples[0])) * g.cell_volume)
     grad_mu_sq, grad_phi_sq = parseval(half.weight_k2, power(mu_hat)), parseval(half.weight_k2, p_phi)
     rec = DiagnosticsRecord(
         t=state.t, mass=float(state.hats[0][0, 0].real) * g.volume / g.n**2, kinetic=kinetic,
         interaction=interaction, bulk=bulk, total_energy=kinetic + interaction + bulk,
         grad_u_sq=parseval(half.weight_k2, p_u), grad_mu_sq=grad_mu_sq, forcing_power=forcing_power,
         identity_residual=0.0, grad_control_margin=grad_mu_sq - beta * grad_phi_sq,
-        phi_min=float(np.min(state.phi.values)), phi_max=float(np.max(state.phi.values)),
+        phi_min=float(np.min(state.samples[0])), phi_max=float(np.max(state.samples[0])),
         grad_phi_sq=grad_phi_sq, phi_sq=parseval(half.weight, p_phi),
     )
     if prev is not None:
@@ -242,11 +217,12 @@ def record_bytes(rec: DiagnosticsRecord) -> bytes:
     return np.array(rec.as_row() + (rec.grad_phi_sq, rec.phi_sq)).tobytes()
 
 
-def convolve(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
-    """(J * f)(x) = integral J(x - y) f(y) dy with the multiplier the solver uses."""
-    if kernel.grid != f.grid:
+def convolve(kernel: KernelOnGrid, f: np.ndarray) -> np.ndarray:
+    """(J * f)(x) = integral J(x - y) f(y) dy with the multiplier the solver
+    uses, from and to samples on the kernel's grid."""
+    if f.shape != (kernel.grid.n, kernel.grid.n):
         raise ValueError("kernel and field on different grids")
-    return ScalarField(f.grid, np.fft.irfft2(kernel.multiplier * np.fft.rfft2(f.values)))
+    return np.fft.irfft2(kernel.multiplier * np.fft.rfft2(f))
 
 
 # A step of the scheme from its equations, apart from the solver (item 6)
@@ -277,7 +253,7 @@ def reference_step(kernel: KernelOnGrid, potential: PotentialSpec, params, phi: 
         f_hat = fft(f)
         return ifft(1j * kx * f_hat), ifft(1j * ky * f_hat)
 
-    j_hat = fft(kernel.samples.values).real * g.cell_volume
+    j_hat = fft(kernel.samples).real * g.cell_volume
     a = j_hat[0, 0]
     phi_hat, fp_hat = fft(phi), fft(eval_df(potential, phi))
     (px, py), (uxx, uxy), (uyx, uyy) = grad(phi), grad(ux), grad(uy)
@@ -300,30 +276,30 @@ def reference_step(kernel: KernelOnGrid, potential: PotentialSpec, params, phi: 
 
 # FFT-free reference for the spectral convolution (criterion 1)
 
-def convolution_oracle(kernel: KernelOnGrid, f: ScalarField) -> ScalarField:
+def convolution_oracle(kernel: KernelOnGrid, f: np.ndarray) -> np.ndarray:
     """(J * f)(x_i) = sum_j J(x_i - x_j) f(x_j) * cell volume, as the literal
-    periodic double sum (no FFT anywhere)."""
+    periodic double sum (no FFT anywhere), from and to samples on the kernel's grid."""
     g = kernel.grid
     if g.n > 64:
         raise ValueError(f"oracle is O(n^4); n = {g.n} > 64")
-    if f.grid != g:
+    if f.shape != (g.n, g.n):
         raise ValueError("field and kernel on different grids")
     n = g.n
-    J = kernel.samples.values
+    J = kernel.samples
     idx = np.arange(n)
     if n <= 32:
         gather = J[
             (idx[:, None, None, None] - idx[None, None, :, None]) % n,
             (idx[None, :, None, None] - idx[None, None, None, :]) % n,
         ]
-        out = np.einsum("xyij,ij->xy", gather, f.values)
+        out = np.einsum("xyij,ij->xy", gather, f)
     else:
         out = np.empty((n, n))
         for xi in range(n):
             rows = J[(xi - idx) % n, :]
             for xj in range(n):
-                out[xi, xj] = np.sum(rows[:, (xj - idx) % n] * f.values)
-    return ScalarField(g, out * g.cell_volume)
+                out[xi, xj] = np.sum(rows[:, (xj - idx) % n] * f)
+    return out * g.cell_volume
 
 
 # numpy forms of the auditor's polynomial helpers and golden-section search:

@@ -24,12 +24,7 @@ from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec, build_kernel, interaction_energy
 from nlchns.potentials import PotentialSpec
 from nlchns.solver import SimParams, run
-from nlchns.spectral import (
-    Grid,
-    ScalarField,
-    VectorField,
-    power,
-)
+from nlchns.spectral import Grid, power
 
 DW = PotentialSpec.double_well()
 GAUSS6 = KernelSpec.gaussian(sigma=0.05 * TWO_PI, strength=6.0)
@@ -65,8 +60,8 @@ def test_criterion_01_convolution_oracle_equivalence(rng):
         f = random_field(grid, rng)
         spectral = convolve(kernel, f)
         direct = convolution_oracle(kernel, f)
-        scale = float(np.max(np.abs(direct.values)))
-        worst = max(worst, float(np.max(np.abs(spectral.values - direct.values))) / scale)
+        scale = float(np.max(np.abs(direct)))
+        worst = max(worst, float(np.max(np.abs(spectral - direct))) / scale)
     elapsed = time.perf_counter() - start
     criterion(
         1,
@@ -150,18 +145,17 @@ def test_criterion_06_interaction_energy_identity(rng):
     grid = Grid(16, TWO_PI)
     kernel = build_kernel(KernelSpec.gaussian(0.15 * TWO_PI, 2.0), grid)
     n, w = grid.n, grid.cell_volume
-    J = kernel.samples.values
+    J = kernel.samples
     idx = np.arange(n)
     worst = 0.0
     for _ in range(20):
-        f = random_field(grid, rng)
-        v = f.values
+        v = random_field(grid, rng)
         acc = 0.0
         for i in range(n):
             for j in range(n):
                 acc += np.sum(J[(i - idx)[:, None] % n, (j - idx)[None, :] % n] * (v[i, j] - v) ** 2)
         direct_half = 0.5 * acc * w * w  # (1/2) double integral
-        identity = kernel.a * norm_l2(f) ** 2 - inner(f, convolve(kernel, f))
+        identity = kernel.a * norm_l2(grid, v) ** 2 - inner(grid, v, convolve(kernel, v))
         worst = max(worst, abs(direct_half - identity) / abs(direct_half))
         got = interaction_energy(kernel, power(np.fft.rfft2(v)))
         assert abs(got - 0.5 * identity) < 1e-12 * (1 + abs(identity))
@@ -264,29 +258,19 @@ def test_criterion_11_leray_projector(rng):
     ok = True
     worst_div, worst_idem, worst_annih = 0.0, 0.0, 0.0
     for _ in range(100):
-        v = VectorField(random_field(grid, rng), random_field(grid, rng))
-        pv = leray(v)
-        umax = float(np.max(np.abs([pv.x.values, pv.y.values]))) + 1e-300
+        v = np.stack([random_field(grid, rng), random_field(grid, rng)])
+        pv = leray(grid, v)
+        umax = float(np.max(np.abs(pv))) + 1e-300
         worst_div = max(
             worst_div,
-            float(np.max(np.abs(divergence(pv).values))) / (umax * 2 * np.pi * grid.n / grid.l),
+            float(np.max(np.abs(divergence(grid, pv)))) / (umax * 2 * np.pi * grid.n / grid.l),
         )
-        ppv = leray(pv)
-        worst_idem = max(
-            worst_idem,
-            max(
-                float(np.max(np.abs(ppv.x.values - pv.x.values))),
-                float(np.max(np.abs(ppv.y.values - pv.y.values))),
-            )
-            / umax,
-        )
-        gf = gradient(random_field(grid, rng))
-        pg = leray(gf)
-        gmax = float(np.max(np.abs([gf.x.values, gf.y.values]))) + 1e-300
-        worst_annih = max(
-            worst_annih,
-            max(float(np.max(np.abs(pg.x.values))), float(np.max(np.abs(pg.y.values)))) / gmax,
-        )
+        ppv = leray(grid, pv)
+        worst_idem = max(worst_idem, float(np.max(np.abs(ppv - pv))) / umax)
+        gf = gradient(grid, random_field(grid, rng))
+        pg = leray(grid, gf)
+        gmax = float(np.max(np.abs(gf))) + 1e-300
+        worst_annih = max(worst_annih, float(np.max(np.abs(pg))) / gmax)
     ok = worst_div <= 1e-12 and worst_idem <= 1e-13 and worst_annih <= 1e-12
     criterion(
         11,

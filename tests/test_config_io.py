@@ -20,7 +20,7 @@ from nlchns.initialdata import (
     tanh_strip_phi,
     taylor_green_u,
 )
-from nlchns.spectral import Grid, leray_project, resample, vector_from_values
+from nlchns.spectral import Grid, leray_project, resample
 from nlchns.storage import (
     DiagnosticsWriter,
     SnapshotFormatError,
@@ -385,16 +385,16 @@ class TestSnapshots:
         g = Grid(32, 1.75)
         f = random_field(g, rng)
         path = tmp_path / "field.f64"
-        write_snapshot(f, "phi", 0.25, str(path))
+        write_snapshot(g, f, "phi", 0.25, str(path))
         back, name, t = read_snapshot(str(path))
         assert name == "phi" and t == 0.25
         assert back.grid.n == 32 and back.grid.l == 1.75
-        assert np.array_equal(back.values, f.values)
+        assert np.array_equal(back.values, f)
 
     def test_truncated_payload_rejected(self, tmp_path, rng):
         g = Grid(16, 1.0)
         path = tmp_path / "field.f64"
-        write_snapshot(random_field(g, rng), "phi", 0.0, str(path))
+        write_snapshot(g, random_field(g, rng), "phi", 0.0, str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(SnapshotFormatError, match="size mismatch"):
@@ -406,10 +406,25 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="magic"):
             read_snapshot(str(path))
 
+    @pytest.mark.parametrize("n, l, count, message", [
+        (-4, "1", 16, "grid.n must be a power of two >= 8, got -4"),
+        (12, "1", 144, "grid.n must be a power of two >= 8, got 12"),
+        (16, "nan", 256, "grid.l must be positive"),
+    ])
+    def test_header_without_a_grid_rejected(self, tmp_path, n, l, count, message):
+        # count = n^2 and a payload of that size: the header's grid alone is
+        # wrong, and the error names the file with the grid's own rule
+        path = tmp_path / "field.f64"
+        path.write_bytes(f"NLCHNS1 name=phi n={n} l={l} t=0 count={count} endian=little\n".encode()
+                         + b"\0" * (8 * count))
+        with pytest.raises(SnapshotFormatError) as err:
+            read_snapshot(str(path))
+        assert str(err.value) == f"no grid in the header of {str(path)!r}: {message}"
+
     def test_bad_name_rejected(self, rng):
         g = Grid(16, 1.0)
         with pytest.raises(ValueError):
-            write_snapshot(random_field(g, rng), "two words", 0.0, "/tmp/x")
+            write_snapshot(g, random_field(g, rng), "two words", 0.0, "/tmp/x")
 
 
 def _record(t):
@@ -597,8 +612,8 @@ class TestInitialData:
 
     def test_taylor_green_divergence_free(self):
         g = Grid(32, TWO_PI)
-        u = vector_from_values(g, *taylor_green_u(g, 2.0))
-        assert np.max(np.abs(divergence(u).values)) < 1e-12 * 2.0 * g.n
+        u = taylor_green_u(g, 2.0)
+        assert np.max(np.abs(divergence(g, u))) < 1e-12 * 2.0 * g.n
 
     def test_band_and_seed_validation(self):
         g = Grid(16, TWO_PI)
@@ -611,19 +626,39 @@ class TestInitialData:
         g = Grid(16, TWO_PI)
         f = random_field(g, rng)
         path = tmp_path / "phi0.f64"
-        write_snapshot(f, "phi", 0.0, str(path))
+        write_snapshot(g, f, "phi", 0.0, str(path))
         back = build_phi(InitialSpec(family="file", path=str(path)), g)
-        assert back.tobytes() == np.fft.rfft2(f.values).tobytes()
+        assert back.tobytes() == np.fft.rfft2(f).tobytes()
 
     def test_snapshot_on_another_grid_names_its_key(self, tmp_path, rng):
         g, coarse = Grid(32, TWO_PI), Grid(16, TWO_PI)
         for name, grid in (("ux", g), ("uy", coarse), ("phi", coarse)):
-            write_snapshot(random_field(grid, rng), name, 0.0, str(tmp_path / f"{name}.f64"))
+            write_snapshot(grid, random_field(grid, rng), name, 0.0, str(tmp_path / f"{name}.f64"))
         spec = VelocitySpec(family="file", path_x=str(tmp_path / "ux.f64"), path_y=str(tmp_path / "uy.f64"))
         with pytest.raises(InitialDataError, match=r"^initial\.u0_path_y: snapshot grid n = 16, .* n = 32,"):
             build_u(spec, g)
         with pytest.raises(InitialDataError, match=r"^initial\.path: snapshot grid n = 16, .* n = 32,"):
             build_phi(InitialSpec(family="file", path=str(tmp_path / "phi.f64")), g)
+
+    @pytest.mark.parametrize("key", ["initial.path", "initial.u0_path_x", "initial.u0_path_y"])
+    def test_snapshot_with_a_non_finite_sample_names_its_key(self, tmp_path, rng, key):
+        # one nan among the samples of the file a key names: the build stops
+        # there, before a run could start from it
+        g = Grid(16, TWO_PI)
+        paths = {}
+        for name in ("initial.path", "initial.u0_path_x", "initial.u0_path_y"):
+            f = random_field(g, rng)
+            if name == key:
+                f[3, 5] = np.nan
+            paths[name] = str(tmp_path / f"{name}.f64")
+            write_snapshot(g, f, "f", 0.0, paths[name])
+        with pytest.raises(InitialDataError) as err:
+            if key == "initial.path":
+                build_phi(InitialSpec(family="file", path=paths[key]), g)
+            else:
+                build_u(VelocitySpec(family="file", path_x=paths["initial.u0_path_x"],
+                                     path_y=paths["initial.u0_path_y"]), g)
+        assert str(err.value) == f"{key}: snapshot {paths[key]!r} holds non-finite samples"
 
     def test_velocity_is_divergence_free_as_built(self, tmp_path, rng):
         # zero and Taylor-Green come back as built, in coefficients; a
@@ -634,9 +669,9 @@ class TestInitialData:
         tg = build_u(VelocitySpec(family="taylor_green", amplitude=0.7), g)
         assert tg.tobytes() == np.fft.rfft2(taylor_green_u(g, 0.7)).tobytes()
         v = random_vector(g, rng)
-        write_snapshot(v.x, "u_x", 0.0, str(tmp_path / "ux.f64"))
-        write_snapshot(v.y, "u_y", 0.0, str(tmp_path / "uy.f64"))
+        write_snapshot(g, v[0], "u_x", 0.0, str(tmp_path / "ux.f64"))
+        write_snapshot(g, v[1], "u_y", 0.0, str(tmp_path / "uy.f64"))
         spec = VelocitySpec(family="file", path_x=str(tmp_path / "ux.f64"), path_y=str(tmp_path / "uy.f64"))
         got = build_u(spec, g)
-        assert got.tobytes() == leray_project(g, np.fft.rfft2(np.stack([v.x.values, v.y.values]))).tobytes()
+        assert got.tobytes() == leray_project(g, np.fft.rfft2(v)).tobytes()
         assert np.max(np.abs(rdivergence(g, *got))) < 1e-12 * g.n

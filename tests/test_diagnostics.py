@@ -30,7 +30,7 @@ from nlchns.initialdata import InitialSpec, VelocitySpec
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_f
 from nlchns.solver import ForcingSpec, SimParams, run
-from nlchns.spectral import Grid, ScalarField, VectorField
+from nlchns.spectral import Grid
 
 DW = PotentialSpec.double_well()
 
@@ -45,7 +45,7 @@ class TestTotalEnergy:
 
     def test_zero_state_is_bulk_only(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
+        state = state_from_samples(g, constant_field(g, 0.0), zero_vector(g), 0.0)
         parts = energy(state, kernel16, DW)
         assert parts.kinetic == 0.0
         assert abs(parts.interaction) < 1e-12
@@ -54,7 +54,7 @@ class TestTotalEnergy:
 
     def test_pure_phase_is_zero(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 1.0), zero_vector(g), 0.0)
+        state = state_from_samples(g, constant_field(g, 1.0), zero_vector(g), 0.0)
         parts = energy(state, kernel16, DW)
         assert abs(parts.total_energy) < 1e-12
 
@@ -62,18 +62,18 @@ class TestTotalEnergy:
         g = kernel16.grid
         phi = random_field(g, rng)
         u = random_vector(g, rng)
-        state = state_from_samples(phi, u, 0.0)
+        state = state_from_samples(g, phi, u, 0.0)
         parts = energy(state, kernel16, DW)
 
         w = g.cell_volume
-        kinetic = 0.5 * float(np.sum(u.x.values**2 + u.y.values**2) * w)
-        bulk = float(np.sum(eval_f(DW, phi.values)) * w)
+        kinetic = 0.5 * float(np.sum(u[0]**2 + u[1]**2) * w)
+        bulk = float(np.sum(eval_f(DW, phi)) * w)
         n = g.n
-        J = kernel16.samples.values
+        J = kernel16.samples
         acc = 0.0
         for i in range(n):
             for j in range(n):
-                diff = phi.values[i, j] - phi.values
+                diff = phi[i, j] - phi
                 acc += np.sum(
                     J[(i - np.arange(n))[:, None] % n, (j - np.arange(n))[None, :] % n] * diff**2
                 )
@@ -90,13 +90,13 @@ def quadrature_record(state, kernel, beta):
     line zeroed, and sample sums with the cell volume."""
     g = kernel.grid
     n, w = g.n, g.cell_volume
-    phi, ux, uy = state.phi.values, state.u.x.values, state.u.y.values
+    phi, ux, uy = state.samples
     i = np.arange(n)
     # shifted[x1, x2, y1, y2] = J(x - y)
-    shifted = kernel.samples.values[(i[:, None, None, None] - i[None, None, :, None]) % n,
-                                    (i[None, :, None, None] - i[None, None, None, :]) % n]
+    shifted = kernel.samples[(i[:, None, None, None] - i[None, None, :, None]) % n,
+                             (i[None, :, None, None] - i[None, None, None, :]) % n]
     conv = np.einsum("abcd,cd->ab", shifted, phi) * w
-    a = float(np.sum(kernel.samples.values) * w)
+    a = float(np.sum(kernel.samples) * w)
     mu = a * phi - conv + 4.0 * phi**3 - 4.0 * phi  # double well F' = 4s^3 - 4s
 
     kx, ky, _, _ = full_plane(g)
@@ -134,9 +134,9 @@ class TestRecordOracle:
     @pytest.mark.parametrize("band", [5, None], ids=["band-limited", "full-spectrum"])
     def test_record_fields_match_quadrature(self, rng, band):
         g = Grid(16, TWO_PI)
-        phi = ScalarField(g, 0.3 + 0.5 * random_field(g, rng, band).values)
+        phi = 0.3 + 0.5 * random_field(g, rng, band)
         u = random_vector(g, rng, band, solenoidal=True)
-        u = VectorField(ScalarField(g, 0.2 + u.x.values), ScalarField(g, u.y.values - 0.1))
+        u = np.stack([0.2 + u[0], u[1] - 0.1])
         nu, dt = 0.1, 1e-3
         cfg = SimConfig(
             grid=Grid(16, TWO_PI),
@@ -146,12 +146,12 @@ class TestRecordOracle:
             output=OutputConfig(record_every=1),
             checks=ChecksConfig(enforce_hypotheses=False),
         )
-        start = state_from_samples(phi, u, 0.0)
+        start = state_from_samples(g, phi, u, 0.0)
         kernel = build_kernel(cfg.kernel, g)
-        assert abs(np.mean(phi.values)) > 0.1
+        assert abs(np.mean(phi)) > 0.1
         if band is None:
             beta = hypotheses.audit(kernel, DW).beta
-            rec = make_record(start, mu_coefficients(kernel, DW, phi.values), kernel, DW, nu, beta, 0.0, None)
+            rec = make_record(start, mu_coefficients(kernel, DW, phi), kernel, DW, nu, beta, 0.0, None)
             pairs = [(start, rec)]
         else:
             res = run(cfg, initial_state=start)
@@ -171,10 +171,10 @@ class TestRecordOracle:
 class TestIdentityResidual:
     def test_steady_state_zero(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 1.0), zero_vector(g), 0.0)
-        mu = mu_coefficients(kernel16, DW, state.phi.values)
+        state = state_from_samples(g, constant_field(g, 1.0), zero_vector(g), 0.0)
+        mu = mu_coefficients(kernel16, DW, state.samples[0])
         r0 = make_record(state, mu, kernel16, DW, nu=0.1, beta=1.0, forcing_power=0.0, prev=None)
-        state1 = state_from_samples(state.phi, state.u, 0.1)
+        state1 = state_from_samples(g, state.samples[0], state.samples[1:], 0.1)
         r1 = make_record(state1, mu, kernel16, DW, nu=0.1, beta=1.0, forcing_power=0.0, prev=r0)
         assert r1.identity_residual == 0.0
 
@@ -217,10 +217,11 @@ class TestIdentityResidual:
 class TestEnergyInequality:
     def test_constant_series_equality(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 1.0), zero_vector(g), 0.0)
-        mu = mu_coefficients(kernel16, DW, state.phi.values)
+        state = state_from_samples(g, constant_field(g, 1.0), zero_vector(g), 0.0)
+        mu = mu_coefficients(kernel16, DW, state.samples[0])
         recs = [
-            make_record(state_from_samples(state.phi, state.u, t), mu, kernel16, DW, 0.1, 1.0, 0.0, None)
+            make_record(state_from_samples(g, state.samples[0], state.samples[1:], t), mu, kernel16, DW, 0.1, 1.0,
+                        0.0, None)
             for t in (0.0, 0.1, 0.2)
         ]
         v = energy_inequality_check(recs, nu=0.1)
@@ -279,16 +280,16 @@ class TestEnergyInequality:
 class TestDissipativeEnvelope:
     def test_zero_state_inside(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = mu_coefficients(kernel16, DW, state.phi.values)
+        state = state_from_samples(g, constant_field(g, 0.0), zero_vector(g), 0.0)
+        mu = mu_coefficients(kernel16, DW, state.samples[0])
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, 0.0, 0.0)
         assert env.applicable and env.passes
 
     def test_decay_rate_constant(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = mu_coefficients(kernel16, DW, state.phi.values)
+        state = state_from_samples(g, constant_field(g, 0.0), zero_vector(g), 0.0)
+        mu = mu_coefficients(kernel16, DW, state.samples[0])
         recs = [make_record(state, mu, kernel16, DW, 0.25, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.25, 0.0, 0.0)
         lam1 = (2 * np.pi / g.l) ** 2
@@ -297,8 +298,8 @@ class TestDissipativeEnvelope:
     def test_mean_shift_offset(self, kernel16):
         g = kernel16.grid
         m = 0.3
-        state = state_from_samples(constant_field(g, m), zero_vector(g), 0.0)
-        mu = mu_coefficients(kernel16, DW, state.phi.values)
+        state = state_from_samples(g, constant_field(g, m), zero_vector(g), 0.0)
+        mu = mu_coefficients(kernel16, DW, state.samples[0])
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, m, 0.0)
         assert abs(env.offset - eval_f(DW, m) * g.volume) < 1e-12
@@ -306,8 +307,8 @@ class TestDissipativeEnvelope:
 
     def test_not_applicable_forcing(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = mu_coefficients(kernel16, DW, state.phi.values)
+        state = state_from_samples(g, constant_field(g, 0.0), zero_vector(g), 0.0)
+        mu = mu_coefficients(kernel16, DW, state.samples[0])
         recs = [make_record(state, mu, kernel16, DW, 0.1, 1.0, 0.0, None)]
         env = dissipative_envelope(recs, kernel16, DW, g, 0.1, 0.0, None)
         assert not env.applicable
@@ -347,16 +348,16 @@ class TestDissipativeEnvelope:
 class TestGradientControl:
     def test_constant_phi_zero_margin(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 0.4), zero_vector(g), 0.0)
-        mu = mu_coefficients(kernel16, DW, state.phi.values)
+        state = state_from_samples(g, constant_field(g, 0.4), zero_vector(g), 0.0)
+        mu = mu_coefficients(kernel16, DW, state.samples[0])
         rec = make_record(state, mu, kernel16, DW, 0.1, beta=1.0, forcing_power=0.0, prev=None)
         margin, verdict = gradient_control_check(rec, beta=1.0, condition_ok=True)
         assert abs(margin) < 1e-13 and verdict == "pass"
 
     def test_not_applicable_when_condition_fails(self, kernel16):
         g = kernel16.grid
-        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
-        mu = mu_coefficients(kernel16, DW, state.phi.values)
+        state = state_from_samples(g, constant_field(g, 0.0), zero_vector(g), 0.0)
+        mu = mu_coefficients(kernel16, DW, state.samples[0])
         rec = make_record(state, mu, kernel16, DW, 0.1, beta=5.0, forcing_power=0.0, prev=None)
         _, verdict = gradient_control_check(rec, beta=5.0, condition_ok=False)
         assert verdict == "n/a"

@@ -39,7 +39,7 @@ from nlchns.hypotheses import (
 )
 from nlchns.kernels import KernelSpec, build_kernel
 from nlchns.potentials import PotentialSpec, eval_ddf, eval_df, eval_f
-from nlchns.spectral import Grid, ScalarField
+from nlchns.spectral import Grid
 
 DW = PotentialSpec.double_well()
 
@@ -56,10 +56,10 @@ class TestH1:
         assert asym < 1e-13
 
     def test_shifted_samples_fail(self, gauss_kernel):
-        v = gauss_kernel.samples.values
+        v = gauss_kernel.samples
         doctored = dataclasses.replace(
             gauss_kernel,
-            samples=ScalarField(gauss_kernel.grid, np.roll(v, 3, axis=0)),
+            samples=np.roll(v, 3, axis=0),
         )
         verdict, asym = check_h1(doctored)
         assert verdict == FAIL
@@ -214,9 +214,9 @@ class TestPoincareBeta:
     def test_sharpness_on_lowest_mode(self):
         g = Grid(64, 5.0)
         xx, _ = g.mesh
-        f = ScalarField(g, np.cos(2 * np.pi * xx / g.l))
+        f = np.cos(2 * np.pi * xx / g.l)
         cp = poincare_constant(g)
-        assert abs(norm_l2(f) - cp * norm_l2(gradient(f))) < 1e-12 * norm_l2(f)
+        assert abs(norm_l2(g, f) - cp * norm_l2(g, gradient(g, f))) < 1e-12 * norm_l2(g, f)
 
     def test_beta_formula(self):
         from nlchns.hypotheses import HypothesisReport

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    CONFIGS, TWO_PI, advect, components, constant_field, convolve, divergence, energy, forcing_samples, full_plane,
-    inner, leray, mean, mu_coefficients, mu_grad_phi, norm_l2, random_field, record_bytes, reference_record,
+    CONFIGS, TWO_PI, advect, constant_field, convolve, divergence, energy, forcing_samples, full_plane, inner,
+    leray, mu_coefficients, mu_grad_phi, norm_l2, random_field, random_vector, record_bytes, reference_record,
     reference_step, rel_err, state_from_samples, zero_vector,
 )
 from nlchns import diagnostics, hypotheses, initialdata, solver, spectral, storage
@@ -34,15 +34,7 @@ from nlchns.solver import (
     run,
     trajectory,
 )
-from nlchns.spectral import (
-    Grid,
-    ScalarField,
-    VectorField,
-    parseval,
-    power,
-    rgradient,
-    vector_from_values,
-)
+from nlchns.spectral import Grid, parseval, power, rgradient
 
 DW = PotentialSpec.double_well()
 
@@ -112,8 +104,8 @@ def kernel32():
     return build_kernel(KernelSpec.gaussian(0.08 * TWO_PI, 6.0), Grid(32, TWO_PI))
 
 
-def mu_samples(kernel, phi: ScalarField) -> np.ndarray:
-    return np.fft.irfft2(mu_coefficients(kernel, DW, phi.values))
+def mu_samples(kernel, phi: np.ndarray) -> np.ndarray:
+    return np.fft.irfft2(mu_coefficients(kernel, DW, phi))
 
 
 class TestChemicalPotential:
@@ -131,18 +123,18 @@ class TestChemicalPotential:
         xx, yy = g.mesh
         phase = 2 * np.pi * (xx + 2 * yy) / g.l
         eps = 0.37
-        phi = ScalarField(g, eps * np.cos(phase))
-        jhat = float(np.sum(kernel32.samples.values * np.cos(phase)) * g.cell_volume)
-        expected = (kernel32.a - jhat) * phi.values + eval_df(DW, phi.values)
+        phi = eps * np.cos(phase)
+        jhat = float(np.sum(kernel32.samples * np.cos(phase)) * g.cell_volume)
+        expected = (kernel32.a - jhat) * phi + eval_df(DW, phi)
         assert rel_err(mu_samples(kernel32, phi), expected) < 1e-12
 
     def test_rho_identity(self, kernel32, rng):
         # rho = a phi + F'(phi) = mu + J*phi
         def rho(phi):
-            return mu_samples(kernel32, phi) + convolve(kernel32, phi).values
+            return mu_samples(kernel32, phi) + convolve(kernel32, phi)
 
         phi = random_field(kernel32.grid, rng)
-        assert rel_err(rho(phi), kernel32.a * phi.values + eval_df(DW, phi.values)) < 1e-12
+        assert rel_err(rho(phi), kernel32.a * phi + eval_df(DW, phi)) < 1e-12
         np.testing.assert_allclose(rho(constant_field(kernel32.grid, 0.0)), 0.0, atol=1e-13)
         np.testing.assert_allclose(rho(constant_field(kernel32.grid, 1.0)), kernel32.a, atol=1e-12)
 
@@ -156,21 +148,23 @@ class TestKortewegForce:
     params = SimParams(nu=0.0, dt=1.0, stabilizer=5.0, t_end=1.0)
     linear = PotentialSpec.polynomial((0.0, 0.0, 1.0))  # F'(s) = 2 s: mu is band-limited with phi
 
-    def projected_force(self, kernel, phi: ScalarField, potential=DW) -> VectorField:
-        return one_step(state_from_samples(phi, zero_vector(phi.grid), 0.0), self.params, kernel, potential=potential).u
+    def projected_force(self, kernel, phi: np.ndarray, potential=DW) -> np.ndarray:
+        g = kernel.grid
+        return one_step(state_from_samples(g, phi, zero_vector(g), 0.0), self.params, kernel,
+                        potential=potential).samples[1:]
 
     def test_constant_phi_zero_force(self, kernel32):
         f = self.projected_force(kernel32, constant_field(kernel32.grid, 0.5))
-        assert np.max(np.abs(f.x.values)) < 1e-12
-        assert np.max(np.abs(f.y.values)) < 1e-12
+        assert np.max(np.abs(f[0])) < 1e-12
+        assert np.max(np.abs(f[1])) < 1e-12
 
     def test_gradient_force_projects_away(self, kernel32):
         # one mode and F' linear: mu = c phi, so -phi grad mu = -grad(c phi^2 / 2)
         g = kernel32.grid
         xx, yy = g.mesh
-        phi = ScalarField(g, 0.4 * np.cos(2 * np.pi * (2 * xx + yy) / g.l))
+        phi = 0.4 * np.cos(2 * np.pi * (2 * xx + yy) / g.l)
         f = self.projected_force(kernel32, phi, self.linear)
-        assert np.max(np.abs([f.x.values, f.y.values])) < 1e-13
+        assert np.max(np.abs(f)) < 1e-13
 
     def test_forms_agree_after_projection(self, kernel32, rng):
         # band-limited mu: the step's -phi grad mu and the strong form mu grad
@@ -179,13 +173,12 @@ class TestKortewegForce:
         g = kernel32.grid
         phi = random_field(g, rng, band=7)
         p1 = self.projected_force(kernel32, phi, self.linear)
-        strong = mu_grad_phi(g, phi.values, mu_coefficients(kernel32, self.linear, phi.values))
+        strong = mu_grad_phi(g, phi, mu_coefficients(kernel32, self.linear, phi))
         mask = full_plane(g)[3]
-        p2 = leray(vector_from_values(g, *(np.fft.ifft2(mask * np.fft.fft2(f.values)).real
-                                          for f in components(strong))))
-        scale = norm_l2(p1) + 1e-30
+        p2 = leray(g, np.fft.ifft2(mask * np.fft.fft2(strong)).real)
+        scale = norm_l2(g, p1) + 1e-30
         assert scale > 0.1
-        diff = np.hypot(p1.x.values - p2.x.values, p1.y.values - p2.y.values)
+        diff = np.hypot(*(p1 - p2))
         assert np.max(diff) < 1e-11 * scale
 
 
@@ -208,23 +201,23 @@ class TestStepCH:
 
     def test_constant_equilibrium(self, kernel32):
         g = kernel32.grid
-        state = state_from_samples(constant_field(g, 0.7), zero_vector(g), 0.0)
+        state = state_from_samples(g, constant_field(g, 0.7), zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=1e-2, stabilizer=5.0, t_end=1.0)
-        out = one_step(state, params, kernel32).phi
-        assert rel_err(out.values, 0.7 * np.ones((g.n, g.n))) < 1e-13
+        out = one_step(state, params, kernel32).samples[0]
+        assert rel_err(out, 0.7 * np.ones((g.n, g.n))) < 1e-13
 
     def test_mass_preserved_exactly(self, kernel32, rng):
         # phi advected by a fixed Taylor-Green u
         g = kernel32.grid
         phi = random_field(g, rng, band=8)
-        u = leray(vector_from_values(g, *taylor_green_u(g, 0.8)))
-        state = state_from_samples(phi, u, 0.0)
+        u = leray(g, taylor_green_u(g, 0.8))
+        state = state_from_samples(g, phi, u, 0.0)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=8.0, t_end=1.0)
-        m0 = mean(phi)
+        m0 = np.mean(phi)
         stepper = Stepper(kernel32, params, DW)
         for _ in range(50):
-            state = state_from_samples(stepper.step(state).phi, u, state.t + params.dt)
-        assert abs(mean(state.phi) - m0) < 1e-14
+            state = state_from_samples(g, stepper.step(state).samples[0], u, state.t + params.dt)
+        assert abs(np.mean(state.samples[0]) - m0) < 1e-14
 
     def test_phase_energy_lyapunov_decay(self, kernel32):
         # u = 0 gradient flow with S >= max|F''|/2: interaction + bulk
@@ -232,18 +225,18 @@ class TestStepCH:
         g = kernel32.grid
         from nlchns.initialdata import random_phi
 
-        phi = ScalarField(g, np.fft.irfft2(random_phi(g, amplitude=1e-3, mean_value=0.0, seed=2)))
-        state = state_from_samples(phi, zero_vector(g), 0.0)
+        phi = np.fft.irfft2(random_phi(g, amplitude=1e-3, mean_value=0.0, seed=2))
+        state = state_from_samples(g, phi, zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=2e-3, stabilizer=22.0, t_end=2.0)
         prev = energy(state, kernel32, DW)
         assert prev.kinetic == 0.0
         stepper = Stepper(kernel32, params, DW)
         for i in range(1000):
-            state = state_from_samples(stepper.step(state).phi, state.u, state.t + params.dt)
+            state = state_from_samples(g, stepper.step(state).samples[0], state.samples[1:], state.t + params.dt)
             cur = energy(state, kernel32, DW)
             assert cur.total_energy <= prev.total_energy + 1e-12 * (1 + abs(prev.total_energy))
             prev = cur
-        assert -1.05 < state.phi.values.min() and state.phi.values.max() < 1.05
+        assert -1.05 < state.samples[0].min() and state.samples[0].max() < 1.05
 
     def test_linearized_growth_factor_oracle(self, kernel32):
         # tiny single mode about phi = 0: the per-step factor matches the
@@ -253,41 +246,41 @@ class TestStepCH:
         m = (2, 1)
         phase = 2 * np.pi * (m[0] * xx + m[1] * yy) / g.l
         eps = 1e-6
-        phi = ScalarField(g, eps * np.cos(phase))
+        phi = eps * np.cos(phase)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=3.0, t_end=1.0)
-        state = state_from_samples(phi, zero_vector(g), 0.0)
-        out = one_step(state, params, kernel32).phi
+        state = state_from_samples(g, phi, zero_vector(g), 0.0)
+        out = one_step(state, params, kernel32).samples[0]
 
         k2 = (2 * np.pi / g.l) ** 2 * (m[0] ** 2 + m[1] ** 2)
         jhat = kernel32.multiplier[m[0], m[1]]
         expected = (1 + params.dt * k2 * (params.stabilizer + jhat + 4.0)) / (
             1 + params.dt * k2 * (kernel32.a + params.stabilizer)
         )
-        before = np.fft.fft2(phi.values)[m]
-        after = np.fft.fft2(out.values)[m]
+        before = np.fft.fft2(phi)[m]
+        after = np.fft.fft2(out)[m]
         assert abs(after / before - expected) < 1e-9
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blow_up_detection(self, kernel32, rng):
         g = kernel32.grid
-        phi = ScalarField(g, 40.0 * random_field(g, rng, band=4).values)
-        state = state_from_samples(phi, zero_vector(g), 0.0)
+        phi = 40.0 * random_field(g, rng, band=4)
+        state = state_from_samples(g, phi, zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=50.0, stabilizer=0.0, t_end=1.0)
         stepper = Stepper(kernel32, params, DW)
         with pytest.raises(BlowUpError):
             for _ in range(200):
-                state = state_from_samples(stepper.step(state).phi, state.u, 0.0)
+                state = state_from_samples(g, stepper.step(state).samples[0], state.samples[1:], 0.0)
 
     def test_blow_up_names_the_field(self, kernel32):
         # one isfinite pass over the new samples; phi is named first
         g = kernel32.grid
         stepper = Stepper(kernel32, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0), DW)
         nan = nan_force(g)
-        state = state_from_samples(constant_field(g, 0.2), zero_vector(g), 0.0)
+        state = state_from_samples(g, constant_field(g, 0.2), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in u$"):
             stepper.step(state, nan)  # the force reaches u alone
-        state = state_from_samples(constant_field(g, np.nan), zero_vector(g), 0.0)
+        state = state_from_samples(g, constant_field(g, np.nan), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in phi$"):
             stepper.step(state, nan)
 
@@ -299,11 +292,11 @@ class TestStepNS:
 
     def test_zero_stays_zero(self, kernel32):
         g = kernel32.grid
-        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
+        state = state_from_samples(g, constant_field(g, 0.0), zero_vector(g), 0.0)
         params = SimParams(nu=0.1, dt=1e-2, stabilizer=1.0, t_end=1.0)
-        out = one_step(state, params, kernel32).u
-        assert np.max(np.abs(out.x.values)) == 0.0
-        assert np.max(np.abs(out.y.values)) == 0.0
+        out = one_step(state, params, kernel32).samples[1:]
+        assert np.max(np.abs(out[0])) == 0.0
+        assert np.max(np.abs(out[1])) == 0.0
 
     def test_single_mode_decay_factor(self, kernel32):
         # u = A cos(m.x) e_perp: self-advection vanishes since e_perp . m = 0
@@ -313,42 +306,36 @@ class TestStepNS:
         norm = np.hypot(*m)
         phase = 2 * np.pi * (m[0] * xx + m[1] * yy) / g.l
         c = 0.8 * np.cos(phase)
-        u = state_from_samples(
-            constant_field(g, 0.0),
-            leray(vector_from_values(g, -m[1] / norm * c, m[0] / norm * c)),
-            0.0,
-        )
+        u = leray(g, np.stack([-m[1] / norm * c, m[0] / norm * c]))
+        u = state_from_samples(g, constant_field(g, 0.0), u, 0.0)
         params = SimParams(nu=0.05, dt=4e-3, stabilizer=1.0, t_end=1.0)
-        out = one_step(u, params, kernel32).u
+        out = one_step(u, params, kernel32).samples[1:]
         k2 = (2 * np.pi / g.l) ** 2 * (m[0] ** 2 + m[1] ** 2)
         factor = 1.0 / (1.0 + params.nu * k2 * params.dt)
-        assert rel_err(out.x.values, factor * u.u.x.values) < 1e-12
-        assert rel_err(out.y.values, factor * u.u.y.values) < 1e-12
+        assert rel_err(out[0], factor * u.samples[1]) < 1e-12
+        assert rel_err(out[1], factor * u.samples[2]) < 1e-12
 
     def test_inviscid_single_shell_conserves_energy(self, kernel32):
         g = kernel32.grid
-        state = state_from_samples(constant_field(g, 0.0), vector_from_values(g, *taylor_green_u(g, 1.0)), 0.0)
+        state = state_from_samples(g, constant_field(g, 0.0), taylor_green_u(g, 1.0), 0.0)
         params = SimParams(nu=0.0, dt=1e-2, stabilizer=1.0, t_end=1.0)
-        e0 = 0.5 * norm_l2(state.u) ** 2
+        e0 = 0.5 * norm_l2(g, state.samples[1:]) ** 2
         stepper = Stepper(kernel32, params, DW)
         for _ in range(100):
             state = stepper.step(state)
-        assert np.max(np.abs(state.phi.values)) == 0.0
-        e1 = 0.5 * norm_l2(state.u) ** 2
+        assert np.max(np.abs(state.samples[0])) == 0.0
+        e1 = 0.5 * norm_l2(g, state.samples[1:]) ** 2
         assert abs(e1 - e0) < 1e-10 * e0
 
     def test_divergence_free_output(self, kernel32, rng):
         g = kernel32.grid
-        state = state_from_samples(
-            random_field(g, rng, band=8),
-            leray(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8))),
-            0.0,
-        )
+        phi = random_field(g, rng, band=8)
+        state = state_from_samples(g, phi, random_vector(g, rng, band=8, solenoidal=True), 0.0)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
         h = ForcingSpec(family="body", amplitude=(0.3, -0.1)).field_at(g, state.t)
-        out = one_step(state, params, kernel32, h).u
-        umax = np.max(np.abs([out.x.values, out.y.values])) + 1e-30
-        assert np.max(np.abs(divergence(out).values)) < 1e-11 * umax * 2 * np.pi * g.n / g.l
+        out = one_step(state, params, kernel32, h).samples[1:]
+        umax = np.max(np.abs(out)) + 1e-30
+        assert np.max(np.abs(divergence(g, out))) < 1e-11 * umax * 2 * np.pi * g.n / g.l
 
 
 class TestRotationalForm:
@@ -360,24 +347,23 @@ class TestRotationalForm:
     def test_projection_equals_convective_form_in_band(self, kernel32, rng):
         g = kernel32.grid
         h, band = g.half, g.n // 3
-        u = leray(VectorField(random_field(g, rng, band), random_field(g, rng, band)))
-        out = one_step(state_from_samples(constant_field(g, 0.0), u, 0.0), self.params, kernel32).u
-        cx, cy = (np.fft.rfft2(-advect(u, rgradient(g, np.fft.rfft2(f.values) * h.mask))) * h.mask
-                  for f in components(u))
+        u = random_vector(g, rng, band, solenoidal=True)
+        out = one_step(state_from_samples(g, constant_field(g, 0.0), u, 0.0), self.params, kernel32).samples[1:]
+        cx, cy = (np.fft.rfft2(-advect(u, rgradient(g, np.fft.rfft2(f) * h.mask))) * h.mask for f in u)
         kx, ky = h.ikx.imag, h.iky.imag
         kc = (kx * cx + ky * cy) / np.where(h.k2 > 0.0, h.k2, 1.0)  # c - k (k . c) / |k|^2
         want = np.fft.irfft2(cx - kx * kc), np.fft.irfft2(cy - ky * kc)
-        for got, u0, w in zip(components(out), components(u), want):
-            assert rel_err(got.values - u0.values, w) < 1e-13
+        for got, u0, w in zip(out, u, want):
+            assert rel_err(got - u0, w) < 1e-13
 
     def test_kinetic_energy_neutral(self, kernel32, rng):
         # (u^+ - u, u) = (P L, u) = (L, u), and L . u = 0 pointwise
         g = kernel32.grid
-        u = leray(VectorField(random_field(g, rng, g.n // 3), random_field(g, rng, g.n // 3)))
-        out = one_step(state_from_samples(constant_field(g, 0.0), u, 0.0), self.params, kernel32).u
-        du = vector_from_values(g, out.x.values - u.x.values, out.y.values - u.y.values)
-        assert norm_l2(du) > 0.1 * norm_l2(u)
-        assert abs(inner(du, u)) < 1e-13 * norm_l2(du) * norm_l2(u)
+        u = random_vector(g, rng, g.n // 3, solenoidal=True)
+        out = one_step(state_from_samples(g, constant_field(g, 0.0), u, 0.0), self.params, kernel32).samples[1:]
+        du = out - u
+        assert norm_l2(g, du) > 0.1 * norm_l2(g, u)
+        assert abs(inner(g, du, u)) < 1e-13 * norm_l2(g, du) * norm_l2(g, u)
 
 
 class TestStepCore:
@@ -392,16 +378,12 @@ class TestStepCore:
         res = run(cfg)
         start = run(replace(cfg, sim=replace(cfg.sim, t_end=0.0)))
         state = start.state
-        stepper = Stepper(build_kernel(cfg.kernel, state.phi.grid), start.params, cfg.potential)
+        stepper = Stepper(build_kernel(cfg.kernel, state.grid), start.params, cfg.potential)
         for _ in range(15):
-            h = cfg.forcing.field_at(state.phi.grid, state.t)
+            h = cfg.forcing.field_at(state.grid, state.t)
             state = stepper.step(state, h)
         assert state.t == pytest.approx(res.state.t)
-        for got, want in zip(
-            (state.phi, state.u.x, state.u.y, *state.hats),
-            (res.state.phi, res.state.u.x, res.state.u.y, *res.state.hats),
-        ):
-            got, want = getattr(got, "values", got), getattr(want, "values", want)
+        for got, want in zip((*state.samples, *state.hats), (*res.state.samples, *res.state.hats)):
             assert got.tobytes() == want.tobytes()
 
     def test_transforms_per_step(self, kernel32, rng, monkeypatch):
@@ -417,8 +399,7 @@ class TestStepCore:
         g = kernel32.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
         stepper = Stepper(kernel32, SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0), DW)
-        first = stepper.step(state_from_samples(random_field(g, rng, band=8),
-                                                vector_from_values(g, *taylor_green_u(g, 0.5)), 0.0))
+        first = stepper.step(state_from_samples(g, random_field(g, rng, band=8), taylor_green_u(g, 0.5), 0.0))
         calls = count_transforms(monkeypatch)
         want = Counter({("rfft2_cols", (n, n), nh): 1, ("rfft2_cols", (2, n, n), c): 2,
                         ("irfft2_cols", (n, c), c): 1, ("irfft2_cols", (n, nh), nh): 1,
@@ -460,8 +441,7 @@ class TestStepCore:
         assert stepper.fork is not None
         g = kernel.grid
         n, nh, c = g.n, g.n // 2 + 1, g.half.kept_cols
-        first = stepper.step(state_from_samples(random_field(g, rng, band=32),
-                                                vector_from_values(g, *taylor_green_u(g, 0.5)), 0.0))
+        first = stepper.step(state_from_samples(g, random_field(g, rng, band=32), taylor_green_u(g, 0.5), 0.0))
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = count_transforms(monkeypatch, threads=True)
             stepper.step(first)
@@ -531,11 +511,11 @@ class TestStepCore:
         # run() cuts full-spectrum initial data to the band,
         # rows and columns alike, and steps those coefficients
         g = kernel32.grid
-        phi, u = random_field(g, rng), leray(VectorField(random_field(g, rng), random_field(g, rng)))
+        phi, u = random_field(g, rng), random_vector(g, rng, solenoidal=True)
         cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=1e-3))
-        res = run(cfg, initial_state=state_from_samples(phi, u, 0.0))
+        res = run(cfg, initial_state=state_from_samples(g, phi, u, 0.0))
         c = g.half.kept_cols
-        masked = np.fft.rfft2(np.stack([phi.values, u.x.values, u.y.values]))[..., :c]
+        masked = np.fft.rfft2(np.concatenate([phi[None], u]))[..., :c]
         masked.view(float)[...] *= np.repeat(g.half.mask[:, :c], 2, axis=-1)
         got, want = res.state, one_step(SimState(g, masked, 0.0), res.params, kernel32)
         for a, b in zip(state_arrays(got), state_arrays(want)):
@@ -614,29 +594,27 @@ class TestStepCore:
         # (u . grad) u, so this also checks the step's rotational form
         g = kernel32.grid
         phi = random_field(g, rng, band=8)
-        u = leray(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))
+        u = random_vector(g, rng, band=8, solenoidal=True)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
-        h = vector_from_values(g, random_field(g, rng, band=6).values, random_field(g, rng, band=6).values)
-        h_hat = np.fft.rfft2(np.stack([h.x.values, h.y.values]))
-        out = one_step(state_from_samples(phi, u, 0.0), params, kernel32, h_hat).u
+        h = random_vector(g, rng, band=6)
+        h_hat = np.fft.rfft2(h)
+        out = one_step(state_from_samples(g, phi, u, 0.0), params, kernel32, h_hat).samples[1:]
 
         kx, ky, k2, mask = full_plane(g)
         grad = lambda f: np.fft.ifft2(1j * np.stack([kx, ky]) * np.fft.fft2(f)).real
         # mu = a phi - J*phi + F'(phi), J* by the fft2 of the kernel samples
-        j_hat = np.fft.fft2(kernel32.samples.values).real * g.cell_volume
-        mu = np.fft.ifft2((kernel32.a - j_hat) * np.fft.fft2(phi.values)).real + eval_df(DW, phi.values)
-        f = -phi.values * grad(mu)
-        rhs = [np.fft.fft2(fc - u.x.values * gx - u.y.values * gy) * mask + np.fft.fft2(hc.values)
-               for fc, (gx, gy), hc in zip(f, (grad(u.x.values), grad(u.y.values)), components(h))]
-        proj = lambda x, y: leray(
-            vector_from_values(g, np.fft.ifft2(x).real, np.fft.ifft2(y).real))
+        j_hat = np.fft.fft2(kernel32.samples).real * g.cell_volume
+        mu = np.fft.ifft2((kernel32.a - j_hat) * np.fft.fft2(phi)).real + eval_df(DW, phi)
+        f = -phi * grad(mu)
+        rhs = [np.fft.fft2(fc - u[0] * gx - u[1] * gy) * mask + np.fft.fft2(hc)
+               for fc, (gx, gy), hc in zip(f, (grad(u[0]), grad(u[1])), h)]
+        proj = lambda x, y: leray(g, np.stack([np.fft.ifft2(x).real, np.fft.ifft2(y).real]))
         p_rhs = proj(*rhs)
         den = 1.0 / params.dt + params.nu * k2
-        sol = [(np.fft.fft2(c.values) / params.dt + np.fft.fft2(r.values)) / den * mask
-               for c, r in ((u.x, p_rhs.x), (u.y, p_rhs.y))]
+        sol = [(np.fft.fft2(c) / params.dt + np.fft.fft2(r)) / den * mask for c, r in zip(u, p_rhs)]
         want = proj(*sol)
-        assert rel_err(out.x.values, want.x.values) < 1e-12
-        assert rel_err(out.y.values, want.y.values) < 1e-12
+        assert rel_err(out[0], want[0]) < 1e-12
+        assert rel_err(out[1], want[1]) < 1e-12
 
 
 def kernel_on(n: int, spec: KernelSpec | None = None):
@@ -655,16 +633,15 @@ def stepped_state(stepper: Stepper, grid: Grid, rng, steps: int = 2) -> SimState
     """A state on the step's own columns, as a trajectory hands its stepper
     its states: the one ``stepper`` returned after ``steps`` steps from
     random data on ``grid``, the stepper's."""
-    u = leray(VectorField(random_field(grid, rng, band=grid.n // 4),
-                                  random_field(grid, rng, band=grid.n // 4)))
-    state = state_from_samples(random_field(grid, rng, band=grid.n // 4), u, 0.0)
+    u = random_vector(grid, rng, band=grid.n // 4, solenoidal=True)
+    state = state_from_samples(grid, random_field(grid, rng, band=grid.n // 4), u, 0.0)
     for _ in range(steps):
         state = stepper.step(state)
     return state
 
 
 def state_arrays(state: SimState) -> list[np.ndarray]:
-    return [state.phi.values, state.u.x.values, state.u.y.values, *state.hats]
+    return [*state.samples, *state.hats]
 
 
 def assert_same_states(got: list[SimState], want: list[SimState]) -> None:
@@ -699,15 +676,15 @@ class TestReferenceStep:
         g = kernel.grid
         stepper = stepper_for(monkeypatch, kernel, self.params, forked)
         assert (stepper.fork is not None) == forked
-        u = leray(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))
-        state = state_from_samples(random_field(g, rng, band=8), u, 0.0)
-        want, mass = (state.phi.values, u.x.values, u.y.values), state.hats[0][0, 0]
+        u = random_vector(g, rng, band=8, solenoidal=True)
+        state = state_from_samples(g, random_field(g, rng, band=8), u, 0.0)
+        want, mass = (state.samples[0], u[0], u[1]), state.hats[0][0, 0]
         for _ in range(50):
-            h = None if forcing.is_zero() else components(forcing_samples(forcing, g, state.t))
-            want = reference_step(kernel, DW, self.params, *want, h and tuple(c.values for c in h))
+            h = None if forcing.is_zero() else forcing_samples(forcing, g, state.t)
+            want = reference_step(kernel, DW, self.params, *want, h)
             state = stepper.step(state, forcing.field_at(g, state.t))
-            for got, w in zip((state.phi, state.u.x, state.u.y), want):
-                assert rel_err(got.values, w) < self.bound
+            for got, w in zip(state.samples, want):
+                assert rel_err(got, w) < self.bound
             assert state.hats[0][0, 0] == mass  # the k = 0 row is copied through
 
 
@@ -785,7 +762,7 @@ class TestWorkspace:
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            stepper._carry(state.phi.values, state.hats[0])
+            stepper._carry(state.samples[0], state.hats[0])
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -881,9 +858,8 @@ class TestFork:
     def start(grid, seed=3) -> SimState:
         """A band-limited state with its full-width coefficients."""
         rng = np.random.default_rng(seed)
-        u = leray(VectorField(random_field(grid, rng, band=grid.n // 4),
-                                      random_field(grid, rng, band=grid.n // 4)))
-        return state_from_samples(random_field(grid, rng, band=grid.n // 4), u, 0.0)
+        u = random_vector(grid, rng, band=grid.n // 4, solenoidal=True)
+        return state_from_samples(grid, random_field(grid, rng, band=grid.n // 4), u, 0.0)
 
     @classmethod
     def trajectory(cls, stepper, grid, forcing, steps, renew=False) -> list[SimState]:
@@ -1066,10 +1042,10 @@ class TestFork:
         stepper = stepper_for(monkeypatch, kernel, self.params)
         g = kernel.grid
         nan = nan_force(g)
-        state = state_from_samples(constant_field(g, 0.2), zero_vector(g), 0.0)
+        state = state_from_samples(g, constant_field(g, 0.2), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in u$"):
             stepper.step(state, nan)
-        state = state_from_samples(constant_field(g, np.nan), zero_vector(g), 0.0)
+        state = state_from_samples(g, constant_field(g, np.nan), zero_vector(g), 0.0)
         with pytest.raises(BlowUpError, match="non-finite values in phi$"):
             stepper.step(state, nan)
         assert stepper.fork is not None
@@ -1222,9 +1198,8 @@ class TestRecordBuffers:
     def test_full_spectrum_state(self, kernel32, rng):
         # without buffers, make_record allocates its own, for a state of any width
         g = kernel32.grid
-        state = state_from_samples(random_field(g, rng), leray(VectorField(random_field(g, rng),
-                                                                           random_field(g, rng))), 0.3)
-        mu = mu_coefficients(kernel32, DW, state.phi.values)
+        state = state_from_samples(g, random_field(g, rng), random_vector(g, rng, solenoidal=True), 0.3)
+        mu = mu_coefficients(kernel32, DW, state.samples[0])
         got = diagnostics.make_record(state, mu, kernel32, DW, 0.1, 0.7, 0.2, None)
         assert record_bytes(got) == record_bytes(reference_record(state, mu, kernel32, DW, 0.1, 0.7, 0.2, None))
 
@@ -1260,7 +1235,7 @@ class TestForcing:
         g = Grid(32, TWO_PI)
         for t in (0.0, 0.3):
             h = forcing_samples(spec, g, t)
-            want = spectral.rfft2_cols(np.stack([h.x.values, h.y.values]), g.n // 2 + 1)
+            want = spectral.rfft2_cols(h, g.n // 2 + 1)
             got = spec.field_at(g, t)
             assert got.shape == want.shape == (2, g.n, g.n // 2 + 1)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -1285,9 +1260,9 @@ class TestForcing:
         g = kernel32.grid
         spec = ForcingSpec(family="single_mode", mode=mode, scale=0.7)
         params = SimParams(nu=0.1, dt=1e-2, stabilizer=1.0, t_end=1.0)
-        state = state_from_samples(constant_field(g, 0.0), zero_vector(g), 0.0)
-        u = one_step(state, params, kernel32, spec.field_at(g, 0.0)).u
-        assert not np.any(u.x.values) and not np.any(u.y.values)
+        state = state_from_samples(g, constant_field(g, 0.0), zero_vector(g), 0.0)
+        u = one_step(state, params, kernel32, spec.field_at(g, 0.0)).samples[1:]
+        assert not np.any(u[0]) and not np.any(u[1])
 
     @pytest.mark.parametrize("forcing", [ForcingSpec(family="body", amplitude=(0.3, -0.1), decay=0.5),
                                          ForcingSpec(family="single_mode", mode=(1, 2), scale=0.3, decay=0.5)],
@@ -1296,12 +1271,13 @@ class TestForcing:
         # <h, u> by Parseval from the coefficients is the sample sum; the
         # record of step i > 0 takes the h(t^{i-1}) the step took
         g = Grid(32, TWO_PI)
-        u = leray(VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8)))
+        u = random_vector(g, rng, band=8, solenoidal=True)
         cfg = replace(forced_cfg(output=OutputConfig(record_every=1)), forcing=forcing)
-        _, params, frames = trajectory(cfg, initial_state=state_from_samples(random_field(g, rng, band=8), u, 0.0))
+        start = state_from_samples(g, random_field(g, rng, band=8), u, 0.0)
+        _, params, frames = trajectory(cfg, initial_state=start)
         records = 0
         for i, state, rec, _ in frames:
-            want = inner(forcing_samples(forcing, g, max(i - 1, 0) * params.dt), state.u)
+            want = inner(g, forcing_samples(forcing, g, max(i - 1, 0) * params.dt), state.samples[1:])
             assert abs(rec.forcing_power - want) <= 1e-13 * abs(want)
             records += 1
         assert records == 11
@@ -1365,8 +1341,8 @@ class TestRun:
         )
         res = run(cfg)
         g = cfg.grid
-        umax = np.max(np.abs([res.state.u.x.values, res.state.u.y.values])) + 1e-30
-        div = np.max(np.abs(divergence(res.state.u).values))
+        umax = np.max(np.abs(res.state.samples[1:])) + 1e-30
+        div = np.max(np.abs(divergence(g, res.state.samples[1:])))
         assert div < 1e-11 * umax * 2 * np.pi * g.n / g.l
 
     def test_divergence_audit_reports_a_non_solenoidal_start(self, rng):
@@ -1374,14 +1350,14 @@ class TestRun:
         # step 0 reports its divergence, with the coefficient bound, and the
         # first step's projection leaves none for the later records
         g = Grid(32, TWO_PI)
-        u = VectorField(random_field(g, rng, band=8), random_field(g, rng, band=8))
+        u = random_vector(g, rng, band=8)
         cfg = make_cfg(sim=SimParams(nu=0.1, dt=1e-3, t_end=5e-3), output=OutputConfig(record_every=1))
-        res = run(cfg, initial_state=state_from_samples(constant_field(g, 0.0), u, 0.0))
+        res = run(cfg, initial_state=state_from_samples(g, constant_field(g, 0.0), u, 0.0))
         assert len(res.records) == 6
         assert len(res.invariant_failures) == 1
         found = re.fullmatch(r"divergence (\S+) at step 0", res.invariant_failures[0])
         assert found
-        sampled = np.max(np.abs(divergence(u).values))
+        sampled = np.max(np.abs(divergence(g, u)))
         assert float(found.group(1)) >= float(f"{sampled:.3e}") > 1e-3
 
     def test_random_data_mass_is_exact(self):
@@ -1440,12 +1416,12 @@ class TestRun:
 
     def test_step_couples_in_declared_order(self, kernel32):
         g = kernel32.grid
-        state = state_from_samples(constant_field(g, 0.2), vector_from_values(g, *taylor_green_u(g, 0.5)), 0.0)
+        state = state_from_samples(g, constant_field(g, 0.2), taylor_green_u(g, 0.5), 0.0)
         params = SimParams(nu=0.1, dt=1e-3, stabilizer=5.0, t_end=1.0)
         new = one_step(state, params, kernel32)
         assert new.t == pytest.approx(1e-3)
         # constant phi is an equilibrium of the phase equation under any u
-        assert rel_err(new.phi.values, state.phi.values) < 1e-12
+        assert rel_err(new.samples[0], state.samples[0]) < 1e-12
 
     def test_mollifier_kernel_run(self):
         # compactly supported kernel with a convex quartic: same invariants
@@ -1480,9 +1456,9 @@ class TestRun:
         res = run(cfg)
         n_steps = 20
         expected = sum(1e-2 * amp[0] * np.exp(-decay * 1e-2 * k) for k in range(n_steps))
-        got = float(np.mean(res.state.u.x.values))
+        got = float(np.mean(res.state.samples[1]))
         assert abs(got - expected) < 1e-13 * (1 + abs(expected))
-        got_y = float(np.mean(res.state.u.y.values))
+        got_y = float(np.mean(res.state.samples[2]))
         expected_y = expected / amp[0] * amp[1]
         assert abs(got_y - expected_y) < 1e-13 * (1 + abs(expected_y))
 
@@ -1532,7 +1508,7 @@ class TestTrajectory:
         cfg = forced_cfg(output=OutputConfig(record_every=1))
         start = run(replace(cfg, sim=replace(cfg.sim, t_end=0.0))).state
         clock = CountingForcing(cfg.forcing)
-        res = run(replace(cfg, forcing=clock), initial_state=SimState(start.phi.grid, start.hats, 0.5))
+        res = run(replace(cfg, forcing=clock), initial_state=SimState(start.grid, start.hats, 0.5))
         dt = res.params.dt
         assert clock.times == [0.5] + [0.5 + i * dt for i in range(10)]
         assert [r.t for r in res.records] == [0.5 + i * dt for i in range(11)]
@@ -1550,7 +1526,6 @@ class TestTrajectory:
         rows = np.array([r.as_row() for r in records])
         assert np.array([r.as_row() for r in res.records]).tobytes() == rows.tobytes()
         last = frames[-1][1]
-        for got, want in ((res.state.phi, last.phi), (res.state.u.x, last.u.x), (res.state.u.y, last.u.y)):
-            assert got.values.tobytes() == want.values.tobytes()
+        assert res.state.samples.tobytes() == last.samples.tobytes()
         assert res.state.t == last.t
         assert sorted(p.name for p in tmp_path.glob("phi_*")) == [f"phi_{i:08d}.f64" for i in (0, 4, 8)]

@@ -31,7 +31,7 @@ def recorded(cfg):
     """The hypothesis report, and each record of ``cfg``'s trajectory with
     the samples of phi it was taken from."""
     report, _, frames = trajectory(cfg)
-    return report, [(rec, state.phi.values) for _, state, rec, _ in frames if rec is not None]
+    return report, [(rec, state.samples[0]) for _, state, rec, _ in frames if rec is not None]
 
 
 @pytest.fixture(scope="module")
